@@ -20,12 +20,11 @@ from typing import List, Optional, Tuple
 
 from .divisors import (CANONICAL_POSITIONS, CurveCouple, P0, PINF,
                        denominators_lcm, max_isotropy, normal_form)
-from .errors import BadEpsilon
+from .errors import BadEpsilon, CatalogMismatch, NotKlt
 from .jsonio import fmt_q, parse_q
 from .quotient import (cartier_index_of_kx, log_fano_quotient,
-                       vertex_log_discrepancy)
-from .resolution import (blow_down, build_graph, is_eps_lc_x, mld_vertex,
-                         transverse_types)
+                       validate_epsilon, vertex_log_discrepancy)
+from .resolution import ResolutionGraph, build_graph
 from .sections import hilbert_series, presentation
 
 
@@ -35,10 +34,7 @@ class SearchParams:
     isotropy_bound: int
 
     def __post_init__(self):
-        eps = Fraction(self.epsilon)
-        object.__setattr__(self, "epsilon", eps)
-        if not (0 < eps <= 1):
-            raise BadEpsilon(f"epsilon {eps} outside (0, 1]")
+        object.__setattr__(self, "epsilon", validate_epsilon(self.epsilon))
         if self.isotropy_bound < 1:
             raise BadEpsilon(f"isotropy bound {self.isotropy_bound} < 1")
 
@@ -62,12 +58,12 @@ class SearchBounds:
 
 
 def search_bounds(params: SearchParams) -> SearchBounds:
-    eps, N = params.epsilon, params.isotropy_bound
-    q_max = min(N, int(Fraction(N) / eps))
-    effective = 3 if q_max >= 2 else 0
-    return SearchBounds(k_max=3, q_min=2, q_max=q_max,
-                        degree_max=Fraction(2) / eps,
-                        k_max_effective=effective)
+    """At most three fractional points (the quotient pair is log Fano),
+    denominators 2..N, degree at most 2/eps."""
+    N = params.isotropy_bound
+    return SearchBounds(k_max=3, q_min=2, q_max=N,
+                        degree_max=Fraction(2) / params.epsilon,
+                        k_max_effective=3 if N >= 2 else 0)
 
 
 @dataclass(frozen=True)
@@ -180,23 +176,21 @@ def _embedding_bound(C: CurveCouple) -> int:
     return L + ceil(Fraction(k) / C.degree()) + L
 
 
-def _build_entry(C: CurveCouple, key: str) -> CatalogEntry:
-    G = build_graph(C)
-    bd = blow_down(G)
-    mld = mld_vertex(C)
+def _build_entry(C: CurveCouple, G: ResolutionGraph, key: str) -> CatalogEntry:
+    bd = G.blown_down
     hd = hilbert_series(C)
     pres = presentation(C, gen_bound=_embedding_bound(C), want_relations=False)
     embdim = len(pres.generator_degrees)
-    graph_smooth = bd.empty
-    if graph_smooth != (embdim == 2):
-        raise AssertionError("graph blow-down and embedding dimension disagree")
+    if bd.empty != (embdim == 2):
+        raise CatalogMismatch(f"{key}: graph blow-down and embedding "
+                              f"dimension {embdim} disagree")
     return CatalogEntry(
         key=key,
         degree=C.degree(),
         fractional=tuple((c.numerator % c.denominator, c.denominator)
                          for _, c in C.divisor.terms if c.denominator > 1),
         a_e0=vertex_log_discrepancy(C),
-        mld=mld,
+        mld=G.mld,
         cartier_index_kx=cartier_index_of_kx(C),
         max_isotropy=max_isotropy(C),
         link_determinant=G.determinant,
@@ -238,12 +232,16 @@ def _evaluate_candidate(args):
     fracs, degree, eps = args
     fractional = tuple((f.numerator, f.denominator) for f in fracs)
     C = couple_from_entry_data(fractional, degree)
-    if not is_eps_lc_x(C, eps):
+    try:
+        G = build_graph(C)
+    except NotKlt:
+        return None
+    if G.mld < eps:
         return None
     nf = normal_form(C)
     if nf.couple.divisor != C.divisor:
-        raise AssertionError("candidate was not constructed in normal form")
-    return _build_entry(C, nf.key_string())
+        raise CatalogMismatch("candidate was not constructed in normal form")
+    return _build_entry(C, G, nf.key_string())
 
 
 def enumerate_catalog(params: SearchParams, jobs: int = 1) -> List[CatalogEntry]:
@@ -259,7 +257,7 @@ def enumerate_catalog(params: SearchParams, jobs: int = 1) -> List[CatalogEntry]
     seen = {}
     for e in entries:
         if e.key in seen:
-            raise AssertionError(f"duplicate catalog key {e.key}")
+            raise CatalogMismatch(f"duplicate catalog key {e.key}")
         seen[e.key] = e
     out = sorted(seen.values(), key=lambda e: (e.degree, e.key))
     return out
@@ -310,11 +308,11 @@ def audit_catalog(entries, params: SearchParams) -> AuditReport:
         G = build_graph(C)
         if 1 + G.discrepancies[0] != e.a_e0:
             failures.append(f"{tag}: a_e0 disagrees with the resolution oracle")
-        if mld_vertex(C) != e.mld:
+        if G.mld != e.mld:
             failures.append(f"{tag}: stored mld {e.mld} is wrong")
         if e.mld < eps:
             failures.append(f"{tag}: mld below epsilon")
-        if not is_eps_lc_x(C, eps):
+        if G.mld < eps:
             failures.append(f"{tag}: fails the resolution eps-lc test")
         B = log_fano_quotient(C)
         if not is_eps_lc_pair(B, eps / N):

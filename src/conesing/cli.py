@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .catalog import (SearchParams, audit_catalog, catalog_to_json,
@@ -27,7 +26,7 @@ from .jsonio import (SCHEMA, couple_from_json, divisor_to_json, dumps, fmt_q,
 from .quotient import (cartier_index_of_kx, horizontal_log_discrepancy,
                        log_fano_quotient, vertex_decomposition,
                        vertex_log_discrepancy)
-from .resolution import blow_down, build_graph, mld_vertex, transverse_types
+from .resolution import build_graph
 from .sections import hilbert_series, presentation
 from .toric import (Fan, ToricDivisor, random_primitive_samples,
                     verify_comparison)
@@ -82,7 +81,6 @@ def cmd_describe(args) -> int:
     C = _load_couple(args.couple)
     vd = vertex_decomposition(C)
     G = build_graph(C)
-    bd = blow_down(G)
     hd = hilbert_series(C)
     horizontals = {repr(p): fmt_q(horizontal_log_discrepancy(C, p))
                    for p, _ in C.divisor.terms}
@@ -96,14 +94,13 @@ def cmd_describe(args) -> int:
         "u": vd.u,
         "H": integral_divisor_to_json(vd.H),
         "cartier_index_kx": vd.m,
-        "mld": fmt_q(mld_vertex(C)),
+        "mld": fmt_q(G.mld),
         "graph": G.to_json(),
-        "blown_down": bd.to_json(),
+        "blown_down": G.blown_down.to_json(),
         "det": G.determinant,
         "hilbert": hd.to_json(),
         "isotropies": {repr(p): c.denominator for p, c in C.divisor.terms},
         "max_isotropy": max_isotropy(C),
-        "transverse_mlds": {repr(p): fmt_q(m) for p, _, m in transverse_types(C)},
     }
     _emit(doc, args.out)
     return 0
@@ -152,8 +149,8 @@ def cmd_resolve(args) -> int:
     C = _load_couple(args.couple)
     G = build_graph(C)
     doc = G.to_json()
-    doc["mld"] = fmt_q(mld_vertex(C))
-    doc["blown_down"] = blow_down(G).to_json()
+    doc["mld"] = fmt_q(G.mld)
+    doc["blown_down"] = G.blown_down.to_json()
     _emit(doc, args.out)
     return 0
 

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-import numpy as np
-
 from .divisors import CurveCouple, finite_point, max_isotropy
 from .jsonio import fmt_q
 from .quotient import cartier_index_of_kx, vertex_log_discrepancy
-from .resolution import build_graph, mld_vertex
+from .resolution import build_graph
 from .toric import (ToricDivisor, cartier_index_global, cone_of_x,
                     fan_projective_space, log_discrepancy_x)
 
@@ -51,8 +49,11 @@ def an_min_over_actions(n: int, box: int) -> Tuple[int, Tuple[int, int]]:
     the two curve isotropies, with a witness; always at least n.
 
     The scan is vectorized over int64, which is exact for the sizes
-    involved (values are bounded by box * (n + 1)).
+    involved (values are bounded by box * (n + 1)).  numpy is imported
+    here so that no other command pays for loading it.
     """
+    import numpy as np
+
     if box < 1:
         raise ValueError("box must be positive")
     if box * (n + 1) >= 2 ** 62:
@@ -106,7 +107,7 @@ def rnc_family_report(m_max: int) -> Tuple[RncRow, ...]:
             a_e0=vertex_log_discrepancy(C),
             cartier_index_kx=cartier_index_of_kx(C),
             max_isotropy=max_isotropy(C),
-            mld=mld_vertex(C),
+            mld=G.mld,
             link_determinant=G.determinant,
         ))
     return tuple(rows)

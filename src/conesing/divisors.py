@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .errors import NonPrincipal, NotAmple
+from .errors import NotAmple
 from .linalg import lcm_all
 
 Rational = Union[int, Fraction]
@@ -140,12 +140,6 @@ class QDivisorP1:
     def __sub__(self, other: "QDivisorP1") -> "QDivisorP1":
         return self + (-other)
 
-    def scale(self, r: Rational) -> "QDivisorP1":
-        r = Fraction(r)
-        if r == 0:
-            return QDivisorP1.zero()
-        return QDivisorP1(tuple((p, c * r) for p, c in self.terms))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -183,9 +177,6 @@ class IntegralDivisorP1:
     def degree(self) -> int:
         return sum(c for _, c in self.terms)
 
-    def as_q(self) -> QDivisorP1:
-        return QDivisorP1.of(self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -219,10 +210,6 @@ class CurveCouple:
 # index calculus
 # ---------------------------------------------------------------------------
 
-def degree(D: QDivisorP1) -> Fraction:
-    return D.degree()
-
-
 def floor_multiple(D: QDivisorP1, n: int) -> IntegralDivisorP1:
     """Pointwise floor of n D.  Points whose floor vanishes are dropped."""
     if n < 0:
@@ -235,19 +222,11 @@ def floor_multiple(D: QDivisorP1, n: int) -> IntegralDivisorP1:
     return IntegralDivisorP1.of(out)
 
 
-def weil_index_at(D: QDivisorP1, pt: MarkedPoint) -> int:
-    """Least mu making the coefficient of mu D at the point an integer."""
-    return D.coeff(pt).denominator
-
-
-def cartier_index_at(D: QDivisorP1, pt: MarkedPoint) -> int:
-    # On a smooth curve the local Cartier and Weil indices coincide.
-    return weil_index_at(D, pt)
-
-
 def isotropy_order(C: CurveCouple, pt: MarkedPoint) -> int:
-    """Order of the stabilizer along the invariant curve over the point."""
-    return cartier_index_at(C.divisor, pt)
+    """Order of the stabilizer along the invariant curve over the point:
+    the least mu making the coefficient of mu D there an integer (on a
+    smooth curve the local Weil and Cartier indices of D coincide)."""
+    return C.divisor.coeff(pt).denominator
 
 
 def max_isotropy(C: CurveCouple) -> int:
@@ -255,68 +234,8 @@ def max_isotropy(C: CurveCouple) -> int:
     return max(qs, default=1)
 
 
-def fractional_points(D: QDivisorP1) -> Tuple[Tuple[MarkedPoint, Fraction], ...]:
-    """Stored points whose coefficient is non-integral, with coefficients."""
-    return tuple((p, c) for p, c in D.terms if c.denominator > 1)
-
-
 def denominators_lcm(D: QDivisorP1) -> int:
     return lcm_all(c.denominator for _, c in D.terms) or 1
-
-
-# ---------------------------------------------------------------------------
-# canonical divisor data on the partial resolution
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TildeCanonicalData:
-    """Coefficients of the canonical divisor on the partial resolution.
-
-    q_i - 1 along the strict transform of the invariant curve over each
-    stored point, -1 along the central curve, plus the pullback of the
-    base canonical divisor (kept as a marker, it is not exceptional).
-    """
-
-    over: Tuple[Tuple[MarkedPoint, int], ...]
-    e0: int
-    includes_base_pullback: bool
-
-
-def canonical_data_on_tilde(C: CurveCouple) -> TildeCanonicalData:
-    over = tuple((p, c.denominator - 1) for p, c in C.divisor.terms)
-    return TildeCanonicalData(over=over, e0=-1, includes_base_pullback=True)
-
-
-@dataclass(frozen=True)
-class ConeDivisor:
-    """Invariant principal divisor on the cone: central coefficient plus
-    one integer per invariant curve."""
-
-    e0: int
-    over: Tuple[Tuple[MarkedPoint, int], ...]
-
-
-def principal_divisor_on_cone(C: CurveCouple, H: IntegralDivisorP1,
-                              u: int) -> ConeDivisor:
-    """Divisor of the function (f, weight u) with div(f) = H on the cone.
-
-    The coefficient along the curve over a point y is
-    q_y (u c_y + ord_y H); it is an integer for any integral H, which is
-    asserted rather than trusted.
-    """
-    if H.degree() != 0:
-        raise NonPrincipal(f"H has degree {H.degree()}, expected 0")
-    pts = sorted(set(C.divisor.points()) | set(H.points()),
-                 key=lambda p: p.sort_key())
-    over = []
-    for p in pts:
-        q = C.divisor.coeff(p).denominator
-        val = q * (u * C.divisor.coeff(p) + H.coeff(p))
-        if val.denominator != 1:
-            raise AssertionError(f"non-integer coefficient {val} at {p}")
-        if val != 0:
-            over.append((p, int(val)))
-    return ConeDivisor(e0=u, over=tuple(over))
 
 
 # ---------------------------------------------------------------------------

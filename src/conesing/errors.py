@@ -35,10 +35,6 @@ class BadEpsilon(PreconditionError):
     """epsilon outside (0, 1]."""
 
 
-class NonPrincipal(PreconditionError):
-    """Divisor expected to be principal (degree zero) is not."""
-
-
 class IntegralPoint(PreconditionError):
     """Local cone requested at a point with integral coefficient (smooth chart)."""
 
@@ -73,3 +69,11 @@ class InternalNonIntegral(InternalInvariantError):
 
 class SingularMatrix(InternalInvariantError):
     """An intersection matrix that must be definite was singular."""
+
+
+class BadChain(InternalInvariantError):
+    """A Hirzebruch-Jung chain failed its hull-recursion certificate."""
+
+
+class CatalogMismatch(InternalInvariantError):
+    """Two derivations of a catalog entry that must agree did not."""

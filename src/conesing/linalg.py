@@ -171,9 +171,6 @@ class RowSpan:
                 return True
         return False
 
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
     @property
     def dim(self) -> int:
         return len(self.rows)

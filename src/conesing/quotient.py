@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
-                       QDivisorP1, canonical_divisor_p1, denominators_lcm,
-                       max_isotropy)
+                       canonical_divisor_p1, denominators_lcm, max_isotropy)
 from .errors import BadEpsilon, InternalNonIntegral, NotLogFano
 from .jsonio import fmt_q
 
@@ -61,7 +60,8 @@ def curve_log_discrepancy(P: StandardPair, pt: MarkedPoint) -> Fraction:
     return 1 - P.coeff(pt)
 
 
-def _check_eps(eps) -> Fraction:
+def validate_epsilon(eps) -> Fraction:
+    """eps as a Fraction, checked to lie in (0, 1]."""
     eps = Fraction(eps)
     if not (0 < eps <= 1):
         raise BadEpsilon(f"epsilon {eps} outside (0, 1]")
@@ -69,7 +69,7 @@ def _check_eps(eps) -> Fraction:
 
 
 def is_eps_lc_pair(P: StandardPair, eps) -> bool:
-    eps = _check_eps(eps)
+    eps = validate_epsilon(eps)
     return all(b <= 1 - eps for _, b in P.boundary)
 
 
@@ -191,7 +191,7 @@ def necessary_eps_conditions(C: CurveCouple, eps, N: int) -> EpsConditionsReport
 
     Necessary only; the resolution oracle decides actual membership.
     """
-    eps = _check_eps(eps)
+    eps = validate_epsilon(eps)
     a0 = vertex_log_discrepancy(C)
     B = log_fano_quotient(C)
     pair_eps = eps / N

@@ -1,6 +1,10 @@
 """Star-shaped resolution of the cone surface: exact discrepancies,
 vertex mld, the eps-lc test, and the link determinant.
 
+The star graph is the per-couple analysis: build it once with
+build_graph and read the determinant, the blow-down and the vertex mld
+off it.
+
 The partial resolution of the cone over a couple carries the central
 curve together with one cyclic-quotient chart per fractional point; the
 chart at a point with reduced fractional coefficient p/q is the
@@ -20,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .divisors import CurveCouple, MarkedPoint
-from .errors import (BadEpsilon, IntegralPoint, InternalNonIntegral, NotKlt,
+from .errors import (BadChain, IntegralPoint, InternalNonIntegral, NotKlt,
                      SingularMatrix)
 from .linalg import det_int, solve
-from .quotient import is_log_fano, log_fano_quotient
+from .quotient import is_log_fano, log_fano_quotient, validate_epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +50,6 @@ class LatticeCone2:
         from math import gcd
         if not (0 < self.p <= self.q) or gcd(self.p, self.q) != 1:
             raise ValueError(f"bad cone data (q,p)=({self.q},{self.p})")
-
-    @property
-    def generators(self):
-        return ((0, 1), (self.q, self.p))
 
     def is_smooth(self) -> bool:
         return self.q == 1
@@ -87,16 +88,16 @@ def hj_chain(cone: LatticeCone2) -> Tuple[int, ...]:
         cs.append(c)
         a, b = b, c * b - a
     if any(c < 2 for c in cs):
-        raise AssertionError(f"chain {cs} has an entry below 2")
+        raise BadChain(f"chain {cs} has an entry below 2")
     # Certificate: replay the hull recursion.
     from math import gcd
     v_prev, v = (0, 1), (1, 1)
     for c in cs:
         v_prev, v = v, (c * v[0] - v_prev[0], c * v[1] - v_prev[1])
         if gcd(abs(v[0]), abs(v[1])) != 1:
-            raise AssertionError("hull recursion left the primitive lattice")
+            raise BadChain("hull recursion left the primitive lattice")
     if v != (q, p):
-        raise AssertionError(f"hull recursion ended at {v}, expected {(q, p)}")
+        raise BadChain(f"hull recursion ended at {v}, expected {(q, p)}")
     return tuple(-c for c in cs)
 
 
@@ -131,7 +132,8 @@ class ResolutionGraph:
 
     Vertex order everywhere: central curve first, then the chains in
     the canonical order of their base points, each from the central
-    side outward.
+    side outward.  The blow-down and the vertex mld are computed on
+    first use and kept.
     """
 
     central_self_int: int
@@ -162,6 +164,31 @@ class ResolutionGraph:
             "discrepancies": [fmt_q(d) for d in self.discrepancies],
             "det": self.determinant,
         }
+
+    @cached_property
+    def blown_down(self) -> BlownDownGraph:
+        return blow_down(self)
+
+    @cached_property
+    def mld(self) -> Fraction:
+        """Minimal log discrepancy over the vertex.
+
+        For klt input the minimum over the star graph equals the minimum
+        over any partial blow-down of it (contractions only remove
+        divisors whose log discrepancy is a sum of surviving ones); if
+        the graph contracts to nothing the point is smooth and the mld
+        is 2.
+        """
+        log_disc = self.log_discrepancies()
+        raw = min(log_disc)
+        bd = self.blown_down
+        if bd.empty:
+            if raw != 2:
+                raise InternalNonIntegral(f"smooth cone with graph minimum {raw}")
+            return Fraction(2)
+        if min(log_disc[v] for v in bd.surviving) != raw:
+            raise InternalNonIntegral("blow-down changed the graph minimum")
+        return raw
 
 
 def build_graph(C: CurveCouple) -> ResolutionGraph:
@@ -333,88 +360,21 @@ def blow_down(G: ResolutionGraph) -> BlownDownGraph:
 
 
 def mld_vertex(C: CurveCouple) -> Fraction:
-    """Minimal log discrepancy over the vertex.
-
-    For klt input the minimum over the star graph equals the minimum
-    over any partial blow-down of it (contractions only remove divisors
-    whose log discrepancy is a sum of surviving ones); if the graph
-    contracts to nothing the point is smooth and the mld is 2.
-    """
-    G = build_graph(C)
-    raw = min(G.log_discrepancies())
-    bd = blow_down(G)
-    if bd.empty:
-        if raw != 2:
-            raise InternalNonIntegral(f"smooth cone with graph minimum {raw}")
-        return Fraction(2)
-    surviving_min = min(G.log_discrepancies()[v] for v in bd.surviving)
-    if surviving_min != raw:
-        raise InternalNonIntegral("blow-down changed the graph minimum")
-    return raw
-
-
-# ---------------------------------------------------------------------------
-# transverse chart germs
-# ---------------------------------------------------------------------------
-
-def germ_mld(cone: LatticeCone2) -> Fraction:
-    """Mld of the two-dimensional toric germ of the cone: minimum of the
-    linear form normalized to 1 on the primitive rays, over interior
-    lattice points, enumerated inside the bounded region {form <= 2}."""
-    r1, r2 = cone.generators
-    status, form = solve([list(r1), list(r2)], [Fraction(1), Fraction(1)])
-    if status != "unique":
-        raise SingularMatrix("degenerate cone")
-    corners = [(0, 0), (2 * r1[0], 2 * r1[1]), (2 * r2[0], 2 * r2[1])]
-    xs = [c[0] for c in corners]
-    ys = [c[1] for c in corners]
-    det = r1[0] * r2[1] - r1[1] * r2[0]
-    best: Optional[Fraction] = None
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if (x, y) == (0, 0):
-                continue
-            # ray coordinates of (x, y)
-            s = Fraction(x * r2[1] - y * r2[0], det)
-            t = Fraction(y * r1[0] - x * r1[1], det)
-            if s <= 0 or t <= 0:
-                continue
-            val = form[0] * x + form[1] * y
-            if val <= 2 and (best is None or val < best):
-                best = val
-    if best is None:
-        raise AssertionError("empty mld enumeration region")
-    return best
-
-
-def transverse_types(C: CurveCouple) -> Tuple[Tuple[MarkedPoint, LatticeCone2, Fraction], ...]:
-    """Chart germ and its mld for each fractional point."""
-    B = log_fano_quotient(C)
-    if not is_log_fano(B):
-        raise NotKlt(f"quotient boundary degree {B.total()} is >= 2")
-    out = []
-    for pt, c in C.divisor.terms:
-        if c.denominator > 1:
-            cone = local_cone_at(C, pt)
-            out.append((pt, cone, germ_mld(cone)))
-    return tuple(out)
+    """Minimal log discrepancy over the vertex; see ResolutionGraph.mld."""
+    return build_graph(C).mld
 
 
 def is_eps_lc_x(C: CurveCouple, eps) -> bool:
-    """eps-lc test for the whole affine cone: vertex mld together with
-    the chart germs along the invariant curves.  Non-klt input is
-    simply not eps-lc."""
-    eps = Fraction(eps)
-    if not (0 < eps <= 1):
-        raise BadEpsilon(f"epsilon {eps} outside (0, 1]")
+    """eps-lc test for the whole cone surface.
+
+    The singular locus of a normal surface is finite and here
+    torus-invariant, so it is the vertex; everywhere else the mld is at
+    least 1 >= eps.  The test is therefore the vertex mld alone.
+    Non-klt input is simply not eps-lc.
+    """
+    eps = validate_epsilon(eps)
     try:
-        m = mld_vertex(C)
+        G = build_graph(C)
     except NotKlt:
         return False
-    values = [m, Fraction(1)]
-    values.extend(t[2] for t in transverse_types(C))
-    return min(values) >= eps
-
-
-def link_determinant(G: ResolutionGraph) -> int:
-    return G.determinant
+    return G.mld >= eps

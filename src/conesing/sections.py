@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import ceil
 from typing import Dict, List, Optional, Tuple
 
-from .divisors import (CurveCouple, MarkedPoint, assign_coordinates,
-                       denominators_lcm, floor_multiple)
+from .divisors import (CurveCouple, assign_coordinates, denominators_lcm,
+                       floor_multiple)
 from .errors import BoundTooSmall
 from .linalg import RowSpan, nullspace
 
@@ -164,29 +164,6 @@ class SectionSpace:
         if len(out) > target:
             raise AssertionError("product escapes the target space")
         return out + [Fraction(0)] * (target - len(out))
-
-
-@dataclass(frozen=True)
-class SectionBasis:
-    """Canonical basis of one graded piece: shared pole data plus the
-    monomial numerators t^j."""
-
-    degree: int
-    poles: Tuple[Tuple[MarkedPoint, int], ...]
-    elements: Tuple[Tuple[Fraction, ...], ...]
-
-
-def section_basis(C: CurveCouple, n: int) -> SectionBasis:
-    space = SectionSpace(C)
-    data = space.floor_data(n)
-    d = space.dim(n)
-    elements = []
-    for j in range(d):
-        vec = [Fraction(0)] * d
-        vec[j] = Fraction(1)
-        elements.append(tuple(vec))
-    return SectionBasis(degree=n, poles=tuple(data["E"].terms),
-                        elements=tuple(elements))
 
 
 def multiplication_rank(C: CurveCouple, a: int, b: int) -> Tuple[int, int]:

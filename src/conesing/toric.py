@@ -101,9 +101,6 @@ class Fan:
                     raise FanInvalid(
                         f"facet {facet} belongs to {len(owners)} cones; fan not complete")
 
-    def cone_rays(self, cone_index: int) -> Tuple[Vector, ...]:
-        return tuple(self.rays[i] for i in self.max_cones[cone_index])
-
     def locate(self, v: Sequence[int]) -> int:
         """Index of a maximal cone containing v."""
         for ci, c in enumerate(self.max_cones):

@@ -65,3 +65,23 @@ def brute_min_decomposition(C, cap=2000):
             assert sum(vals.values()) == 0
             return m, u, {p: int(v) for p, v in vals.items() if v != 0}
     raise AssertionError("no decomposition found below the cap")
+
+
+def count_build_graph(monkeypatch):
+    """Route build_graph through a counter wherever a conesing module
+    binds it; returns the list of couples it was called with."""
+    import sys
+    from conesing import resolution
+
+    original = resolution.build_graph
+    calls = []
+
+    def counting(C):
+        calls.append(C)
+        return original(C)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "conesing" or name.startswith("conesing.")) and \
+                getattr(mod, "build_graph", None) is original:
+            monkeypatch.setattr(mod, "build_graph", counting)
+    return calls

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conesing.catalog import (SearchParams, audit_catalog, catalog_to_json,
-                              couple_from_entry_data, entry_from_json,
-                              enumerate_catalog, mld_spectrum, search_bounds)
+from conesing.catalog import (SearchParams, _candidate_types, audit_catalog,
+                              catalog_to_json, couple_from_entry_data,
+                              entry_from_json, enumerate_catalog, mld_spectrum,
+                              search_bounds)
 from conesing.errors import BadEpsilon
+from helpers import count_build_graph
 
 F = Fraction
 
@@ -123,3 +125,37 @@ def test_audit_flags_tampered_entry():
     assert not report.ok
     assert any("isotropy" in f or "a_e0" in f or "mld" in f
                for f in report.failures)
+
+
+@pytest.mark.parametrize("eps,N,count", [
+    (F(1), 3, 15), (F(1), 6, 51), (F(1, 2), 6, 88), (F(1, 4), 4, 85),
+])
+def test_catalog_counts(eps, N, count):
+    params = SearchParams(epsilon=eps, isotropy_bound=N)
+    entries = enumerate_catalog(params, jobs=2)
+    assert len(entries) == count
+    assert audit_catalog(entries, params).ok
+
+
+def test_catalog_keeps_canonical_couples_with_thirds():
+    # membership is the vertex mld: these are A1, A2 and a smooth point,
+    # although the chart germ of the partial resolution over a 2/3 point
+    # has mld 2/3
+    entries = {e.key: e for e in
+               enumerate_catalog(SearchParams(epsilon=F(1), isotropy_bound=3))}
+    expected = {"f[2/3];deg=2/3": (F(1), (-2,)),
+                "f[2/3,2/3];deg=1/3": (F(1), (-2, -2)),
+                "f[2/3,1/2];deg=1/6": (F(2), None)}
+    for key, (mld, blown_down) in expected.items():
+        assert entries[key].mld == mld
+        assert entries[key].graph.blown_down_vertices == blown_down
+
+
+def test_one_graph_per_candidate_and_per_audited_entry(monkeypatch):
+    params = SearchParams(epsilon=F(1), isotropy_bound=3)
+    calls = count_build_graph(monkeypatch)
+    entries = enumerate_catalog(params, jobs=1)
+    assert len(calls) == len(list(_candidate_types(params)))
+    calls.clear()
+    assert audit_catalog(entries, params).ok
+    assert len(calls) == len(entries)

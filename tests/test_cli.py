@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import count_build_graph
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -202,3 +204,43 @@ def test_describe_output_reparses(tmp_path):
 def test_unknown_flag_exit_2():
     res = run_cli("describe", "--nope")
     assert res.returncode == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    import os
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, conesing.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["describe", "resolve"])
+def test_one_graph_per_command(command, tmp_path, monkeypatch, capsys):
+    from conesing import cli
+    f = tmp_path / "c.json"
+    f.write_text(A3)
+    calls = count_build_graph(monkeypatch)
+    assert cli.main([command, "--couple", str(f)]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["mld"] == "1"
+
+
+def test_invariant_breach_exits_4_without_traceback(monkeypatch, capsys):
+    from types import SimpleNamespace
+    from conesing import catalog, cli
+    # three generators for every entry contradicts the smooth degree-1
+    # cone, whose star graph blows down to nothing
+    monkeypatch.setattr(
+        catalog, "presentation",
+        lambda C, **kw: SimpleNamespace(generator_degrees=(1, 1, 1)))
+    code = cli.main(["enumerate", "--epsilon", "1", "--isotropy-bound", "1",
+                     "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "internal invariant violated" in captured.err
+    assert "Traceback" not in captured.err

@@ -5,12 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conesing.divisors import (CurveCouple, IntegralDivisorP1, QDivisorP1,
-                               assign_coordinates, canonical_data_on_tilde,
-                               cartier_index_at, degree, finite_point,
-                               floor_multiple, infinity_point, isotropy_order,
-                               label_point, max_isotropy, normal_form,
-                               principal_divisor_on_cone, weil_index_at)
-from conesing.errors import NonPrincipal, NotAmple
+                               assign_coordinates, denominators_lcm,
+                               finite_point, floor_multiple, infinity_point,
+                               isotropy_order, label_point, max_isotropy,
+                               normal_form)
+from conesing.errors import NotAmple
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -23,9 +22,9 @@ def D(*terms):
 
 
 def test_degree_examples():
-    assert degree(D((P0, 2))) == 2
-    assert degree(D((P0, F(1, 2)), (P1, F(1, 3)))) == F(5, 6)
-    assert degree(QDivisorP1.zero()) == 0
+    assert D((P0, 2)).degree() == 2
+    assert D((P0, F(1, 2)), (P1, F(1, 3))).degree() == F(5, 6)
+    assert QDivisorP1.zero().degree() == 0
 
 
 def test_floor_multiple_examples():
@@ -38,13 +37,14 @@ def test_floor_multiple_examples():
 
 
 def test_weil_and_cartier_indices():
-    d = D((P0, F(1, 2)))
-    assert weil_index_at(d, P0) == 2
-    assert weil_index_at(D((P0, F(3, 2))), P1) == 1
-    assert weil_index_at(D((P0, 2)), P0) == 1
-    assert cartier_index_at(D((P0, F(5, 3))), P0) == 3
-    assert cartier_index_at(D((P0, F(5, 3))), PINF) == 1
-    assert cartier_index_at(D((P0, 7)), P0) == 1
+    # on the line the local Weil and Cartier indices of D coincide; both
+    # are the isotropy order of the invariant curve over the point
+    assert isotropy_order(CurveCouple.of({P0: F(1, 2)}), P0) == 2
+    assert isotropy_order(CurveCouple.of({P0: F(3, 2)}), P1) == 1
+    assert isotropy_order(CurveCouple.of({P0: 2}), P0) == 1
+    assert isotropy_order(CurveCouple.of({P0: F(5, 3)}), P0) == 3
+    assert isotropy_order(CurveCouple.of({P0: F(5, 3)}), PINF) == 1
+    assert isotropy_order(CurveCouple.of({P0: 7}), P0) == 1
 
 
 def test_isotropy_orders():
@@ -108,39 +108,6 @@ def test_normal_form_moduli_flag():
     assert nf.key[0] == (F(1, 2), F(1, 3), F(1, 5), F(1, 7))
 
 
-def test_canonical_data_on_tilde():
-    data = canonical_data_on_tilde(CurveCouple.of({P0: F(1, 2)}))
-    assert data.e0 == -1
-    assert data.over == ((P0, 1),)
-    data = canonical_data_on_tilde(CurveCouple.of({P0: 4}))
-    assert data.over == ((P0, 0),)
-    data = canonical_data_on_tilde(CurveCouple.of({P0: F(2, 3), P1: F(4, 5)}))
-    assert dict(data.over) == {P0: 2, P1: 4}
-
-
-def test_principal_divisor_on_cone_examples():
-    C = CurveCouple.of({P0: F(1, 2)})
-    H = IntegralDivisorP1.of({P0: 1, PINF: -1})
-    cd = principal_divisor_on_cone(C, H, 1)
-    assert cd.e0 == 1
-    assert dict(cd.over) == {P0: 3, PINF: -1}
-
-    cd = principal_divisor_on_cone(C, IntegralDivisorP1.zero(), 0)
-    assert cd.e0 == 0 and cd.over == ()
-
-    C = CurveCouple.of({P0: F(2, 3)})
-    H = IntegralDivisorP1.of({P0: -2, P1: 2})
-    cd = principal_divisor_on_cone(C, H, 3)
-    assert cd.e0 == 3
-    assert dict(cd.over) == {P1: 2}
-
-
-def test_principal_divisor_rejects_nonzero_degree():
-    C = CurveCouple.of({P0: F(1, 2)})
-    with pytest.raises(NonPrincipal):
-        principal_divisor_on_cone(C, IntegralDivisorP1.of({P0: 1}), 1)
-
-
 def test_assign_coordinates_skips_used():
     C = CurveCouple.of({label_point("b"): F(1, 2), label_point("a"): F(1, 3),
                         P0: 1})
@@ -169,7 +136,6 @@ def test_floor_superadditivity(terms, a, b):
 
 @given(divisor_strategy, st.integers(1, 8))
 def test_floor_degree_exact_on_period_multiples(terms, k):
-    from conesing.divisors import denominators_lcm
     d = QDivisorP1.of(terms)
     n = k * denominators_lcm(d)
     assert floor_multiple(d, n).degree() == n * d.degree()
@@ -177,17 +143,14 @@ def test_floor_degree_exact_on_period_multiples(terms, k):
 
 @given(divisor_strategy)
 def test_weil_le_cartier_everywhere(terms):
-    d = QDivisorP1.of(terms)
-    for p in d.points():
-        assert weil_index_at(d, p) <= cartier_index_at(d, p)
-
-
-@given(divisor_strategy, st.integers(-3, 3))
-def test_principal_integrality(terms, u):
+    # the Weil index at each point divides the Cartier index of D, the
+    # least L making L D integral
     d = QDivisorP1.of(terms)
     if d.degree() <= 0:
         return
     C = CurveCouple(d)
-    H = IntegralDivisorP1.of({P0: 2, finite_point(5): -1, PINF: -1})
-    cd = principal_divisor_on_cone(C, H, u)
-    assert all(isinstance(c, int) for _, c in cd.over)
+    L = denominators_lcm(d)
+    for p in d.points():
+        w = isotropy_order(C, p)
+        assert L % w == 0 and w <= max_isotropy(C)
+

@@ -1,0 +1,53 @@
+"""Golden CLI output: the exact stdout bytes of fixed commands on the
+A1, A3, D4 and E6 couples and of one small catalog.
+
+After an intended output change, regenerate the files with
+`PYTHONPATH=src python tests/test_golden.py` and review the diff.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from conesing import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+COUPLES = ("A1", "A3", "D4", "E6")
+COMMANDS = ("describe", "resolve", "discrepancy", "hilbert", "presentation")
+# the default E6 presentation bound (144) takes seconds; 12 certifies it
+EXTRA = {("presentation", "E6"): ["--gen-bound", "12", "--rel-bound", "12"]}
+
+CASES = {f"{cmd}_{name}": [cmd, "--couple",
+                           str(GOLDEN / "couples" / f"{name}.json"),
+                           *EXTRA.get((cmd, name), [])]
+         for name in COUPLES for cmd in COMMANDS}
+CASES["enumerate_eps1_N3"] = ["enumerate", "--epsilon", "1",
+                              "--isotropy-bound", "3", "--jobs", "1"]
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stdout(name):
+    code, out = run(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def regenerate(directory=GOLDEN):
+    for name, argv in sorted(CASES.items()):
+        code, out = run(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit code {code}")
+        (Path(directory) / f"{name}.json").write_text(out, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -7,9 +7,9 @@ from conesing.errors import IntegralPoint, NotKlt, BadEpsilon
 from conesing.linalg import det_int, is_negative_definite
 from conesing.quotient import vertex_log_discrepancy
 from conesing.resolution import (LatticeCone2, blow_down, build_graph,
-                                 discrepancies, germ_mld, hj_chain,
-                                 is_eps_lc_x, link_determinant, local_cone_at,
-                                 mld_vertex, transverse_types)
+                                 discrepancies, hj_chain, is_eps_lc_x,
+                                 local_cone_at, mld_vertex)
+from conesing.toric import ConeOfX, lattice_mld
 from helpers import random_couples
 
 P0 = finite_point(0)
@@ -201,23 +201,17 @@ def test_blow_down():
     bd = blow_down(build_graph(C({P0: F(2, 3)})))
     assert bd.self_intersections == (-2,)
     # the D4 configuration survives untouched
-    bd = blow_down(build_graph(
-        C({P0: F(-1, 2), P1: F(1, 2), PINF: F(1, 2)})))
+    G = build_graph(C({P0: F(-1, 2), P1: F(1, 2), PINF: F(1, 2)}))
+    bd = blow_down(G)
     assert sorted(bd.self_intersections) == [-2, -2, -2, -2]
-
-
-def test_transverse_types():
-    tt = transverse_types(C({P0: F(1, 2), P1: 3}))
-    assert len(tt) == 1
-    assert tt[0][0] == P0 and tt[0][2] == 1
-    tt = transverse_types(C({P0: F(2, 3)}))
-    assert tt[0][2] == F(2, 3)
-    assert transverse_types(C({P0: 4})) == ()
+    # the graph computes its own blow-down once
+    assert G.blown_down == bd and G.blown_down is G.blown_down
 
 
 def test_germ_mld_matches_chain_germ():
     # Independent check: solve the chain adjunction system of the germ
-    # alone and compare with the lattice enumeration.
+    # spanned by (0,1), (q,p) alone and compare with the lattice-grid
+    # enumeration on the same rank-2 cone.
     from math import gcd
     from conesing.linalg import solve
     for q in range(2, 11):
@@ -231,7 +225,11 @@ def test_germ_mld_matches_chain_germ():
             rhs = [F(-e - 2) for e in chain]
             status, d = solve(mat, rhs)
             assert status == "unique"
-            assert germ_mld(LatticeCone2(q, p)) == 1 + min(d)
+            rays = ((0, 1), (q, p))
+            status, form = solve([list(r) for r in rays], [F(1), F(1)])
+            assert status == "unique"
+            germ = ConeOfX(rank=2, rays=rays, qgorenstein_form=tuple(form))
+            assert lattice_mld(germ) == 1 + min(d)
 
 
 def test_is_eps_lc_x():
@@ -245,17 +243,28 @@ def test_is_eps_lc_x():
     assert not is_eps_lc_x(C({P0: F(6, 7), P1: F(6, 7), PINF: F(6, 7)}), F(1, 2))
     with pytest.raises(BadEpsilon):
         is_eps_lc_x(C({P0: 2}), F(3, 2))
+    # membership reads the vertex mld only: (2/3)[0] is A1, mld 1, then
+    # A2 and a smooth point, although the chart germ of the partial
+    # resolution over a 2/3 point has mld 2/3
+    assert is_eps_lc_x(C({P0: F(2, 3)}), 1)
+    for terms, mld in (({P0: F(2, 3), P1: F(2, 3), PINF: -1}, 1),
+                       ({P0: F(2, 3), P1: F(1, 2), PINF: -1}, 2)):
+        assert mld_vertex(C(terms)) == mld
+        assert is_eps_lc_x(C(terms), 1)
+    for Cp in random_couples(seed=26, count=60, max_q=8):
+        for eps in (F(1), F(1, 2), F(1, 5)):
+            assert is_eps_lc_x(Cp, eps) == (mld_vertex(Cp) >= eps)
 
 
 def test_link_determinants():
-    assert link_determinant(build_graph(C({P0: 5}))) == 5
-    assert link_determinant(build_graph(C({P0: F(1, 2), P1: F(1, 2)}))) == 4
+    assert build_graph(C({P0: 5})).determinant == 5
+    assert build_graph(C({P0: F(1, 2), P1: F(1, 2)})).determinant == 4
     # D4 star
     G = build_graph(C({P0: F(-1, 2), P1: F(1, 2), PINF: F(1, 2)}))
     assert G.central_self_int == -2
-    assert link_determinant(G) == 4
+    assert G.determinant == 4
     # smooth couples have unimodular graphs
-    assert link_determinant(build_graph(C({P0: F(1, 2)}))) == 1
+    assert build_graph(C({P0: F(1, 2)})).determinant == 1
 
 
 def test_canonical_entries_are_du_val():

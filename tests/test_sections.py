@@ -5,9 +5,9 @@ import pytest
 from conesing.divisors import (CurveCouple, finite_point, infinity_point,
                                label_point)
 from conesing.errors import BoundTooSmall
-from conesing.sections import (HilbertData, embedding_dimension, h0,
-                               hilbert_series, is_smooth, multiplication_rank,
-                               presentation, section_basis)
+from conesing.sections import (HilbertData, SectionSpace, embedding_dimension,
+                               h0, hilbert_series, is_smooth,
+                               multiplication_rank, presentation)
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -49,23 +49,27 @@ def test_hilbert_series_matches_h0(terms):
 
 
 def test_section_basis_examples():
-    # degree bound at infinity is carried by the numerator degree
-    sb = section_basis(CurveCouple.of({PINF: 1}), 1)
-    assert len(sb.elements) == 2 and sb.degree == 1
+    # the canonical basis of degree n is t^j / (pole polynomial of
+    # floor(nD)), j <= deg floor(nD); a bound at infinity is carried by
+    # the numerator degree
+    space = SectionSpace(CurveCouple.of({PINF: 1}))
+    assert space.dim(1) == 2
+    assert dict(space.floor_data(1)["E"].terms) == {PINF: 1}
 
-    sb = section_basis(CurveCouple.of({P0: F(1, 2)}), 2)
-    assert len(sb.elements) == 2
-    assert dict(sb.poles) == {P0: 1}
+    space = SectionSpace(CurveCouple.of({P0: F(1, 2)}))
+    assert space.dim(2) == 2
+    assert dict(space.floor_data(2)["E"].terms) == {P0: 1}
 
-    sb = section_basis(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}), 2)
-    assert len(sb.elements) == 3
-    assert dict(sb.poles) == {P0: 1, P1: 1}
+    space = SectionSpace(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}))
+    assert space.dim(2) == 3
+    assert dict(space.floor_data(2)["E"].terms) == {P0: 1, P1: 1}
 
 
 def test_section_basis_with_labels():
-    sb = section_basis(CurveCouple.of({label_point("p"): F(1, 2),
-                                       label_point("q"): F(1, 2)}), 2)
-    assert len(sb.elements) == 3
+    space = SectionSpace(CurveCouple.of({label_point("p"): F(1, 2),
+                                         label_point("q"): F(1, 2)}))
+    assert space.dim(2) == 3
+    assert all(p.kind != "lbl" for p in space.D.points())
 
 
 def test_multiplication_rank_examples():
