@@ -18,9 +18,9 @@ from fractions import Fraction
 from math import ceil, gcd
 from typing import List, Optional, Tuple
 
-from .divisors import (CANONICAL_POSITIONS, CurveCouple, P0, PINF,
-                       denominators_lcm, max_isotropy, normal_form)
-from .errors import BadEpsilon, CatalogMismatch, NotKlt
+from .divisors import (CurveCouple, canonical_couple, denominators_lcm,
+                       max_isotropy, normal_form)
+from .errors import BadEpsilon, CatalogMismatch, NotKlt, PreconditionError
 from .jsonio import fmt_q, parse_q
 from .quotient import (cartier_index_of_kx, log_fano_quotient,
                        validate_epsilon, vertex_log_discrepancy)
@@ -140,17 +140,7 @@ def entry_from_json(doc) -> CatalogEntry:
 
 def couple_from_entry_data(fractional, degree: Fraction) -> CurveCouple:
     """Rebuild the canonical couple from its fractional type and degree."""
-    coeffs = {}
-    fracs = [Fraction(p, q) for p, q in fractional]
-    for pos, f in zip(CANONICAL_POSITIONS, fracs):
-        coeffs[pos] = coeffs.get(pos, Fraction(0)) + f
-    leftover = Fraction(degree) - sum(fracs, Fraction(0))
-    if leftover.denominator != 1:
-        raise ValueError("degree incompatible with fractional type")
-    if leftover:
-        target = PINF if len(fracs) <= 2 else P0
-        coeffs[target] = coeffs.get(target, Fraction(0)) + leftover
-    return CurveCouple.of(coeffs)
+    return canonical_couple([Fraction(p, q) for p, q in fractional], degree)
 
 
 def _fractional_coefficients(q_max: int) -> List[Fraction]:
@@ -302,10 +292,14 @@ def audit_catalog(entries, params: SearchParams) -> AuditReport:
             failures.append(f"{tag}: stored isotropy {e.max_isotropy} is wrong")
         if e.max_isotropy > N:
             failures.append(f"{tag}: isotropy above the bound {N}")
-        a0 = vertex_log_discrepancy(C)
+        try:
+            a0 = vertex_log_discrepancy(C)
+            G = build_graph(C)
+        except PreconditionError as exc:
+            failures.append(f"{tag}: rebuilt couple is not klt ({exc})")
+            continue
         if a0 != e.a_e0:
             failures.append(f"{tag}: stored a_e0 {e.a_e0} != {a0}")
-        G = build_graph(C)
         if 1 + G.discrepancies[0] != e.a_e0:
             failures.append(f"{tag}: a_e0 disagrees with the resolution oracle")
         if G.mld != e.mld:

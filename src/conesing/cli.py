@@ -23,9 +23,8 @@ from .errors import (ConesingError, InternalInvariantError, ParseError,
                      PreconditionError)
 from .jsonio import (SCHEMA, couple_from_json, divisor_to_json, dumps, fmt_q,
                      integral_divisor_to_json, loads, parse_q)
-from .quotient import (cartier_index_of_kx, horizontal_log_discrepancy,
-                       log_fano_quotient, vertex_decomposition,
-                       vertex_log_discrepancy)
+from .quotient import (horizontal_log_discrepancy, log_fano_quotient,
+                       vertex_decomposition, vertex_log_discrepancy)
 from .resolution import build_graph
 from .sections import hilbert_series, presentation
 from .toric import (Fan, ToricDivisor, random_primitive_samples,
@@ -139,7 +138,7 @@ def cmd_discrepancy(args) -> int:
         "horizontal": {repr(p): fmt_q(horizontal_log_discrepancy(C, p))
                        for p, _ in C.divisor.terms},
         "m": vd.m, "u": vd.u, "H": integral_divisor_to_json(vd.H),
-        "cartier_index_kx": cartier_index_of_kx(C),
+        "cartier_index_kx": vd.m,
     }
     _emit(doc, args.out)
     return 0

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .divisors import CurveCouple, finite_point, max_isotropy
+from .errors import InternalInvariantError, PreconditionError
 from .jsonio import fmt_q
 from .quotient import cartier_index_of_kx, vertex_log_discrepancy
 from .resolution import build_graph
@@ -55,9 +56,9 @@ def an_min_over_actions(n: int, box: int) -> Tuple[int, Tuple[int, int]]:
     import numpy as np
 
     if box < 1:
-        raise ValueError("box must be positive")
+        raise PreconditionError(f"box {box} must be positive")
     if box * (n + 1) >= 2 ** 62:
-        raise ValueError("scan box too large for exact int64 arithmetic")
+        raise PreconditionError("scan box too large for exact int64 arithmetic")
     aa = np.arange(-box, box + 1, dtype=np.int64)
     bb = np.concatenate([np.arange(-box, 0, dtype=np.int64),
                          np.arange(1, box + 1, dtype=np.int64)])
@@ -67,11 +68,11 @@ def an_min_over_actions(n: int, box: int) -> Tuple[int, Tuple[int, int]]:
     best = int(val.flat[flat])
     witness = (int(A.flat[flat]), int(B.flat[flat]))
     if best < n:
-        raise AssertionError(f"scan minimum {best} below n={n}")
+        raise InternalInvariantError(f"scan minimum {best} below n={n}")
     # identity max(|a+bn|, |-a+bn|) = |a| + |b| n pins the bound
     a, b = witness
     if best != abs(a) + abs(b) * n:
-        raise AssertionError("isotropy identity violated at the witness")
+        raise InternalInvariantError("isotropy identity violated at the witness")
     return best, witness
 
 
@@ -98,6 +99,8 @@ def rnc_family_report(m_max: int) -> Tuple[RncRow, ...]:
     The family keeps trivial isotropies while the mld 2/m tends to zero
     and the index data grows without bound.
     """
+    if m_max < 1:
+        raise PreconditionError(f"degree bound {m_max} must be positive")
     rows = []
     for m in range(1, m_max + 1):
         C = CurveCouple.of({finite_point(0): m})

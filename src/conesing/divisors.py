@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .errors import NotAmple
+from .errors import NotAmple, PreconditionError
 from .linalg import lcm_all
 
 Rational = Union[int, Fraction]
@@ -285,20 +285,23 @@ def normal_form(C: CurveCouple) -> NormalForm:
 
     if len(fracs) > 3:
         return NormalForm(couple=C, key=key, moduli=True)
+    return NormalForm(couple=canonical_couple(frac_values, deg), key=key,
+                      moduli=False)
 
-    leftover = deg - sum(frac_values)
+
+def canonical_couple(fracs, degree) -> CurveCouple:
+    """The couple with the fractional coefficients `fracs` at 0, 1,
+    infinity in that order and total degree `degree`: the leftover
+    integral degree sits at infinity when free, otherwise it is folded
+    into the coefficient at 0."""
+    leftover = Fraction(degree) - sum(fracs, Fraction(0))
     if leftover.denominator != 1:
-        raise AssertionError("integral part of the degree is not an integer")
-    leftover = int(leftover)
-
-    coeffs = {}
-    for pos, f in zip(CANONICAL_POSITIONS, frac_values):
-        coeffs[pos] = coeffs.get(pos, Fraction(0)) + f
-    if leftover != 0:
+        raise PreconditionError("degree incompatible with fractional type")
+    coeffs = dict(zip(CANONICAL_POSITIONS, fracs))
+    if leftover:
         target = PINF if len(fracs) <= 2 else P0
-        coeffs[target] = coeffs.get(target, Fraction(0)) + leftover
-    rep = CurveCouple.of(coeffs)
-    return NormalForm(couple=rep, key=key, moduli=False)
+        coeffs[target] = coeffs.get(target, 0) + leftover
+    return CurveCouple.of(coeffs)
 
 
 def assign_coordinates(C: CurveCouple) -> CurveCouple:

@@ -1,16 +1,17 @@
 """Small exact linear algebra helpers over the rationals.
 
-Everything here works on plain Python lists/tuples of Fraction (or int)
-and never touches floating point.  Matrices are small throughout the
-package, so simple Gaussian elimination with exact pivots is the right
-tool; determinants of integer matrices use fraction-free Bareiss
-elimination.
+Everything here works on plain Python lists/tuples of Fraction (or int),
+or on sparse dicts in RowSpan, and never touches floating point.
+Matrices are small throughout the package, so simple Gaussian
+elimination with exact pivots is the right tool; determinants of
+integer matrices use fraction-free Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Dict
 
 from .errors import SingularMatrix
 
@@ -143,32 +144,34 @@ def is_negative_definite(matrix) -> bool:
 
 
 class RowSpan:
-    """Incrementally built row space over Q with echelon normal form."""
+    """Incrementally built row space over Q in sparse echelon form.
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows = []       # echelon rows, leading coefficient 1
-        self.pivots = []     # pivot column per row, strictly increasing order not required
+    Vectors come as lists or as dicts (index -> coefficient).  Each
+    stored row is a dict keyed by index whose least index is its pivot,
+    where it carries 1.
+    """
 
-    def reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                for j in range(self.ncols):
-                    v[j] -= f * row[j]
-        return v
+    def __init__(self):
+        self.rows: Dict[int, Dict[int, Fraction]] = {}   # pivot -> row
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when the span grew."""
-        v = self.reduce(vec)
-        for j in range(self.ncols):
-            if v[j] != 0:
-                inv = v[j]
-                v = [x / inv for x in v]
-                self.rows.append(v)
-                self.pivots.append(j)
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {i: Fraction(c) for i, c in items if c != 0}
+        while v:
+            p = min(v)
+            row = self.rows.get(p)
+            if row is None:
+                inv = v[p]
+                self.rows[p] = {i: c / inv for i, c in v.items()}
                 return True
+            f = v[p]
+            for i, c in row.items():
+                nc = v.get(i, 0) - f * c
+                if nc:
+                    v[i] = nc
+                else:
+                    v.pop(i, None)
         return False
 
     @property

@@ -18,9 +18,10 @@ from fractions import Fraction
 from typing import Tuple
 
 from .divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
-                       canonical_divisor_p1, denominators_lcm, max_isotropy)
+                       canonical_divisor_p1, max_isotropy)
 from .errors import BadEpsilon, InternalNonIntegral, NotLogFano
 from .jsonio import fmt_q
+from .linalg import lcm_all
 
 
 @dataclass(frozen=True)
@@ -92,51 +93,42 @@ def _pair_degree(P: StandardPair) -> Fraction:
     return Fraction(-2) + P.total()
 
 
-def vertex_decomposition(C: CurveCouple) -> VertexData:
+def _log_fano_boundary(C: CurveCouple) -> StandardPair:
+    """The quotient pair of C, which must be log Fano."""
     B = log_fano_quotient(C)
     if not is_log_fano(B):
         raise NotLogFano(f"boundary degree {B.total()} is >= 2")
+    return B
+
+
+def vertex_decomposition(C: CurveCouple) -> VertexData:
+    """The least m > 0 in closed form: with r = deg(K+B)/deg D, the
+    coefficient of m(K+B) - m r D at a point p of D is m (b_p - r c_p)
+    (K is integral), so m(K+B) - uD is integral with u = m r exactly
+    when den(r) and every den(b_p - r c_p) divide m."""
+    B = _log_fano_boundary(C)
     D = C.divisor
     ratio = _pair_degree(B) / D.degree()          # u/m, negative
-    # A solution exists with m = den(ratio) * L * prod(q_i); scan up to it.
-    L = denominators_lcm(D)
-    cap = ratio.denominator * L
-    for _, c in D.terms:
-        cap *= c.denominator
+    m = lcm_all([ratio.denominator] +
+                [(B.coeff(p) - ratio * c).denominator for p, c in D.terms])
+    u = int(m * ratio)
     kcan = canonical_divisor_p1()
-    for m in range(1, cap + 1):
-        u = m * ratio
-        if u.denominator != 1:
-            continue
-        u = int(u)
-        ok = True
-        for p, c in D.terms:
-            val = m * B.coeff(p) - u * c
-            if val.denominator != 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        terms = {}
-        pts = set(D.points()) | set(kcan.points()) | {p for p, _ in B.boundary}
-        for p in pts:
-            val = m * (kcan.coeff(p) + B.coeff(p)) - u * D.coeff(p)
-            if val.denominator != 1:
-                raise InternalNonIntegral(f"coefficient {val} at {p}")
-            if val != 0:
-                terms[p] = int(val)
-        H = IntegralDivisorP1.of(terms)
-        if H.degree() != 0:
-            raise InternalNonIntegral(f"H has degree {H.degree()}")
-        return VertexData(m=m, u=u, H=H)
-    raise InternalNonIntegral(f"no decomposition with m <= {cap}")
+    terms = {}
+    pts = set(D.points()) | set(kcan.points()) | {p for p, _ in B.boundary}
+    for p in pts:
+        val = m * (kcan.coeff(p) + B.coeff(p)) - u * D.coeff(p)
+        if val.denominator != 1:
+            raise InternalNonIntegral(f"coefficient {val} at {p}")
+        if val != 0:
+            terms[p] = int(val)
+    H = IntegralDivisorP1.of(terms)
+    if H.degree() != 0:
+        raise InternalNonIntegral(f"H has degree {H.degree()}")
+    return VertexData(m=m, u=u, H=H)
 
 
 def vertex_log_discrepancy(C: CurveCouple) -> Fraction:
-    B = log_fano_quotient(C)
-    if not is_log_fano(B):
-        raise NotLogFano(f"boundary degree {B.total()} is >= 2")
-    return -_pair_degree(B) / C.degree()
+    return -_pair_degree(_log_fano_boundary(C)) / C.degree()
 
 
 def horizontal_log_discrepancy(C: CurveCouple, pt: MarkedPoint) -> Fraction:
@@ -145,9 +137,7 @@ def horizontal_log_discrepancy(C: CurveCouple, pt: MarkedPoint) -> Fraction:
     Equals (Weil index) * (pair log discrepancy) = q * (1/q) = 1 at
     stored points and 1 elsewhere; the product is asserted, not assumed.
     """
-    B = log_fano_quotient(C)
-    if not is_log_fano(B):
-        raise NotLogFano(f"boundary degree {B.total()} is >= 2")
+    B = _log_fano_boundary(C)
     w = C.divisor.coeff(pt).denominator
     a = w * curve_log_discrepancy(B, pt)
     if a != 1:

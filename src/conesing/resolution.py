@@ -17,7 +17,12 @@ is the star graph.
 
 The central self-intersection is solved from the rational identity
 (central curve)^2 = -deg D rather than taken from a closed formula, and
-the forced integrality is asserted at runtime.
+the forced integrality is asserted at runtime.  Negative definiteness
+follows from the chain elimination (every pivot positive) and the
+central Schur complement -deg D < 0.  The link determinant is the
+closed form deg D * prod q_i (Orlik-Wagreich 1971).  The dense
+intersection matrix is built only on request, for the dense oracle
+discrepancies() and the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from .divisors import CurveCouple, MarkedPoint
 from .errors import (BadChain, IntegralPoint, InternalNonIntegral, NotKlt,
                      SingularMatrix)
-from .linalg import det_int, solve
+from .linalg import solve
 from .quotient import is_log_fano, log_fano_quotient, validate_epsilon
 
 
@@ -139,7 +144,6 @@ class ResolutionGraph:
     central_self_int: int
     chains: Tuple[Tuple[int, ...], ...]
     chain_points: Tuple[MarkedPoint, ...]
-    intersection_matrix: Tuple[Tuple[int, ...], ...]
     discrepancies: Tuple[Fraction, ...]
     determinant: int
 
@@ -155,6 +159,27 @@ class ResolutionGraph:
         for chain in self.chains:
             out.extend(chain)
         return tuple(out)
+
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        """Edges (i, j), i < j, of the star, each of weight 1."""
+        out = []
+        idx = 1
+        for chain in self.chains:
+            for j in range(len(chain)):
+                out.append((0 if j == 0 else idx - 1, idx))
+                idx += 1
+        return tuple(out)
+
+    def intersection_matrix(self) -> List[List[int]]:
+        """The dense intersection matrix, built from the vertices and
+        edges on each call."""
+        selfints = self.self_intersections()
+        m = [[0] * len(selfints) for _ in selfints]
+        for i, e in enumerate(selfints):
+            m[i][i] = e
+        for i, j in self.edges():
+            m[i][j] = m[j][i] = 1
+        return m
 
     def to_json(self) -> dict:
         from .jsonio import fmt_q
@@ -243,34 +268,19 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
         if d <= -1:
             raise InternalNonIntegral(f"discrepancy {d} <= -1 on a klt cone")
 
-    matrix = _star_matrix(b0, chains)
-    det = det_int(matrix)
-    n = len(matrix)
-    if det == 0 or (det > 0) != (n % 2 == 0):
-        raise SingularMatrix("intersection matrix is not negative definite")
+    det = D.degree()
+    for _, c in frac:
+        det *= c.denominator
+    if det.denominator != 1:
+        raise InternalNonIntegral(f"link determinant {det} not integral")
 
     return ResolutionGraph(
         central_self_int=-b0,
         chains=tuple(chains),
         chain_points=tuple(pt for pt, _ in frac),
-        intersection_matrix=tuple(tuple(row) for row in matrix),
         discrepancies=tuple(disc),
-        determinant=abs(det),
+        determinant=int(det),
     )
-
-
-def _star_matrix(b0: int, chains) -> List[List[int]]:
-    size = 1 + sum(len(c) for c in chains)
-    m = [[0] * size for _ in range(size)]
-    m[0][0] = -b0
-    idx = 1
-    for chain in chains:
-        for j, e in enumerate(chain):
-            m[idx][idx] = e
-            prev = 0 if j == 0 else idx - 1
-            m[idx][prev] = m[prev][idx] = 1
-            idx += 1
-    return m
 
 
 def discrepancies(G: ResolutionGraph) -> Tuple[Fraction, ...]:
@@ -281,7 +291,7 @@ def discrepancies(G: ResolutionGraph) -> Tuple[Fraction, ...]:
     """
     selfints = G.self_intersections()
     rhs = [Fraction(-e - 2) for e in selfints]
-    status, x = solve([list(row) for row in G.intersection_matrix], rhs)
+    status, x = solve(G.intersection_matrix(), rhs)
     if status != "unique":
         raise SingularMatrix("intersection matrix must be invertible")
     return tuple(x)
@@ -312,14 +322,8 @@ class BlownDownGraph:
 
 def blow_down(G: ResolutionGraph) -> BlownDownGraph:
     selfints = list(G.self_intersections())
-    n = len(selfints)
-    mult: Dict[Tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = G.intersection_matrix[i][j]
-            if w:
-                mult[(i, j)] = w
-    alive = set(range(n))
+    mult: Dict[Tuple[int, int], int] = {e: 1 for e in G.edges()}
+    alive = set(range(len(selfints)))
 
     def neighbors(v):
         out = []

@@ -10,6 +10,11 @@ numerators and the correction polynomial prod (t - y)^{delta_y} with
 delta = floor((a+b)D) - floor(aD) - floor(bD) >= 0; the identification
 turns on the superadditivity of floors and keeps all linear algebra
 over exact rationals.
+
+The Hilbert series is the rational function numerator / ((1 - T)(1 - T^L))
+with L the lcm of the denominators (Pinkham 1977); hilbert_series reads
+the numerator off h0 and checks it by expanding the closed form once
+against the computed values.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .divisors import (CurveCouple, assign_coordinates, denominators_lcm,
                        floor_multiple)
-from .errors import BoundTooSmall
+from .errors import BoundTooSmall, InternalInvariantError
 from .linalg import RowSpan, nullspace
 
 
@@ -36,20 +41,18 @@ def h0(C: CurveCouple, n: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertData:
-    """h(0), h(1), ... together with the closed form
-    numerator / ((1 - T)(1 - T^L)), L = lcm of the denominators."""
+    """The closed form numerator / ((1 - T)(1 - T^L)) of the Hilbert
+    series, L = lcm of the denominators."""
 
-    values: Tuple[int, ...]
     period: int
     numerator: Tuple[int, ...]
 
-    def expand(self, n: int) -> int:
-        """Coefficient of T^n from the closed form."""
+    def expansion(self, through: int) -> List[int]:
+        """Coefficients of T^0 .. T^through from the closed form."""
         L = self.period
-        h = []
-        for k in range(n + 1):
-            num = self.numerator[k] if k < len(self.numerator) else 0
-            val = num
+        h: List[int] = []
+        for k in range(through + 1):
+            val = self.numerator[k] if k < len(self.numerator) else 0
             if k >= 1:
                 val += h[k - 1]
             if k >= L:
@@ -57,7 +60,11 @@ class HilbertData:
             if k >= L + 1:
                 val -= h[k - L - 1]
             h.append(val)
-        return h[n]
+        return h
+
+    def expand(self, n: int) -> int:
+        """Coefficient of T^n from the closed form."""
+        return self.expansion(n)[n]
 
     def to_json(self) -> dict:
         return {"numerator": list(self.numerator), "L": self.period}
@@ -82,13 +89,16 @@ def hilbert_series(C: CurveCouple) -> HilbertData:
     tail_start = n0 + L + 1
     for k in range(tail_start, stop + 1):
         if coeffs[k] != 0:
-            raise AssertionError(f"Hilbert numerator fails to terminate at {k}")
+            raise InternalInvariantError(
+                f"Hilbert numerator fails to terminate at {k}")
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    data = HilbertData(values=tuple(values), period=L, numerator=tuple(coeffs))
-    for n in range(min(stop, 3 * L + n0) + 1):
-        if data.expand(n) != values[n]:
-            raise AssertionError(f"series expansion mismatch at degree {n}")
+    data = HilbertData(period=L, numerator=tuple(coeffs))
+    through = min(stop, 3 * L + n0)
+    expanded = data.expansion(through)
+    if expanded != values[:through + 1]:
+        n = next(k for k, (a, b) in enumerate(zip(expanded, values)) if a != b)
+        raise InternalInvariantError(f"series expansion mismatch at degree {n}")
     return data
 
 
@@ -149,7 +159,7 @@ class SectionSpace:
         for y in sorted(set(fa) | set(fb) | set(fab)):
             delta = fab.get(y, 0) - fa.get(y, 0) - fb.get(y, 0)
             if delta < 0:
-                raise AssertionError("floor superadditivity violated")
+                raise InternalInvariantError("floor superadditivity violated")
             if delta > 0:
                 poly = _poly_mul(poly, _linear_factor_power(y, delta))
         self._shift_cache[key] = poly
@@ -162,7 +172,7 @@ class SectionSpace:
         out = _poly_mul(_poly_mul(va, vb), self.shift_poly(a, b))
         target = self.dim(a + b)
         if len(out) > target:
-            raise AssertionError("product escapes the target space")
+            raise InternalInvariantError("product escapes the target space")
         return out + [Fraction(0)] * (target - len(out))
 
 
@@ -171,7 +181,7 @@ def multiplication_rank(C: CurveCouple, a: int, b: int) -> Tuple[int, int]:
     by exact elimination on the product vectors."""
     space = SectionSpace(C)
     da, db, dab = space.dim(a), space.dim(b), space.dim(a + b)
-    span = RowSpan(dab)
+    span = RowSpan()
     for j in range(da):
         va = [Fraction(0)] * da
         va[j] = Fraction(1)
@@ -210,35 +220,6 @@ def default_presentation_bound(C: CurveCouple) -> int:
 
 
 VARIABLE_NAMES = ("x", "y", "z", "w")
-
-
-class _SparseSpan:
-    """Echelon row space over sparse dict vectors (index -> coefficient)."""
-
-    def __init__(self):
-        self.rows: Dict[int, Dict[int, Fraction]] = {}   # pivot -> row
-
-    def add(self, vec: Dict[int, Fraction]) -> bool:
-        v = {i: Fraction(c) for i, c in vec.items() if c != 0}
-        while v:
-            p = min(v)
-            row = self.rows.get(p)
-            if row is None:
-                inv = v[p]
-                self.rows[p] = {i: c / inv for i, c in v.items()}
-                return True
-            f = v[p]
-            for i, c in row.items():
-                nc = v.get(i, Fraction(0)) - f * c
-                if nc:
-                    v[i] = nc
-                else:
-                    v.pop(i, None)
-        return False
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 def _monomials(gen_degrees: List[int], total: int) -> List[Tuple[int, ...]]:
@@ -344,7 +325,7 @@ class _GeneratorScan:
             self.achieved[n] = dim_n
             self.basis[n] = self._canonical_basis(n)
             return 0
-        span = RowSpan(dim_n)
+        span = RowSpan()
         vectors: List[List[Fraction]] = []
         for d, gvec in self.gens:
             if d >= n or span.dim == dim_n:
@@ -375,7 +356,8 @@ class _GeneratorScan:
             added = self._ensure_degree(n, allow_new_generators=True)
             degrees.extend([n] * added)
             if not self.full[n]:
-                raise AssertionError("generator scan failed to saturate its degree")
+                raise InternalInvariantError(
+                    "generator scan failed to saturate its degree")
         for n in range(gen_bound + 1, verify_through + 1):
             self._ensure_degree(n, allow_new_generators=False)
             if not self.full[n]:
@@ -433,14 +415,14 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
             if len(monos) < 2:
                 continue
             rows = [evaluate(m, n) for m in monos]
-            ev = RowSpan(space.dim(n))
+            ev = RowSpan()
             for r in rows:
                 ev.add(r)
             kernel_dim = len(monos) - ev.dim
             if kernel_dim == 0:
                 continue
             index = {m: i for i, m in enumerate(monos)}
-            old = _SparseSpan()
+            old = RowSpan()
             for d_rel, rel in relations:
                 for shift in _monomials(gd, n - d_rel):
                     shifted: Dict[int, Fraction] = {}
@@ -451,7 +433,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
                     old.add(shifted)
             new_count = kernel_dim - old.dim
             if new_count < 0:
-                raise AssertionError("shifted relations escaped the kernel")
+                raise InternalInvariantError("shifted relations escaped the kernel")
             if new_count == 0:
                 continue
             # relations are left-kernel vectors: combinations of monomials
@@ -459,8 +441,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
             transposed = [list(col) for col in zip(*rows)]
             found = 0
             for kv in nullspace(transposed):
-                sparse = {i: c for i, c in enumerate(kv) if c != 0}
-                if old.add(sparse):
+                if old.add(kv):
                     found += 1
                     relation_degrees.append(n)
                     relations.append(
@@ -468,7 +449,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
                     if len(gd) <= len(VARIABLE_NAMES):
                         equations.append(_equation_string(kv, monos))
             if found != new_count:
-                raise AssertionError("kernel extraction missed new relations")
+                raise InternalInvariantError("kernel extraction missed new relations")
 
     emit_eqs = want_relations and len(gen_degrees) <= len(VARIABLE_NAMES)
     eqs = tuple(equations) if emit_eqs else None

@@ -19,7 +19,7 @@ from conesing.counterexamples import an_min_over_actions, rnc_family_report
 from conesing.divisors import (CurveCouple, finite_point, infinity_point,
                                max_isotropy)
 from conesing.errors import NotKlt
-from conesing.linalg import is_negative_definite
+from conesing.linalg import det_int, is_negative_definite
 from conesing.quotient import (horizontal_log_discrepancy, is_eps_lc_pair,
                                log_fano_quotient, vertex_log_discrepancy)
 from conesing.resolution import blow_down, build_graph, mld_vertex
@@ -205,13 +205,15 @@ def test_c08_section_ring():
 def test_c09_internal_consistency():
     ok = True
     # the graph builder asserts integral central self-intersection and
-    # definiteness on every call; sweep it and re-verify densely
+    # definiteness on every call; sweep it and re-verify densely, the
+    # determinant included
     sweep = random_couples(seed=901, count=120, max_q=10)
     for C in sweep:
         G = build_graph(C)
+        M = G.intersection_matrix()
         ok = ok and isinstance(G.central_self_int, int)
-        ok = ok and is_negative_definite(
-            [list(r) for r in G.intersection_matrix])
+        ok = ok and is_negative_definite(M)
+        ok = ok and abs(det_int(M)) == G.determinant
     # two-oracle mld agreement on couples with at most 2 fractional points
     pool = [CurveCouple.of(t) for t in TEST_COUPLES]
     for eps, N in CATALOG_PARAMS:

@@ -127,6 +127,20 @@ def test_audit_flags_tampered_entry():
                for f in report.failures)
 
 
+def test_audit_reports_entry_rebuilt_to_non_klt_couple():
+    import dataclasses
+    params = SearchParams(epsilon=F(1), isotropy_bound=2)
+    entries = list(enumerate_catalog(params))
+    # three 6/7 points: the quotient boundary has degree 18/7 >= 2
+    bad = dataclasses.replace(entries[0], fractional=((6, 7),) * 3,
+                              degree=F(4, 7))
+    report = audit_catalog([bad] + entries[1:], params)
+    assert not report.ok and report.checked == len(entries)
+    assert any(f.startswith(f"entry {bad.key}: rebuilt couple is not klt")
+               for f in report.failures)
+    assert all(f.startswith(f"entry {bad.key}:") for f in report.failures)
+
+
 @pytest.mark.parametrize("eps,N,count", [
     (F(1), 3, 15), (F(1), 6, 51), (F(1, 2), 6, 88), (F(1, 4), 4, 85),
 ])

@@ -244,3 +244,33 @@ def test_invariant_breach_exits_4_without_traceback(monkeypatch, capsys):
     assert captured.out == ""
     assert "internal invariant violated" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--an-box", "0"],
+    ["--an-n", "1", "--an-box", "2", "--rnc-max", "0"],
+])
+def test_verify_examples_degenerate_bounds_exit_3(flags, capsys):
+    from conesing import cli
+    code = cli.main(["verify-examples", *flags])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "precondition violated" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_section_invariant_breach_exits_4(tmp_path, monkeypatch, capsys):
+    from conesing import cli
+    from conesing.sections import SectionSpace
+    f = tmp_path / "c.json"
+    f.write_text(QUADRIC)
+    # a correction polynomial of excess degree pushes every product out
+    # of its target space
+    monkeypatch.setattr(SectionSpace, "shift_poly",
+                        lambda self, a, b: [1] * 100)
+    code = cli.main(["presentation", "--couple", str(f)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "product escapes the target space" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,5 +1,6 @@
 """Golden CLI output: the exact stdout bytes of fixed commands on the
-A1, A3, D4 and E6 couples and of one small catalog.
+A1, A3, D4 and E6 couples, on three size-regime couples (a chain of
+length 200, index m = 36049 and lcm L = 1517) and of one small catalog.
 
 After an intended output change, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -23,6 +24,14 @@ CASES = {f"{cmd}_{name}": [cmd, "--couple",
                            str(GOLDEN / "couples" / f"{name}.json"),
                            *EXTRA.get((cmd, name), [])]
          for name in COUPLES for cmd in COMMANDS}
+# size regimes: a long Hirzebruch-Jung chain, a large index of K_X, a
+# large lcm of the denominators
+CASES["resolve_chain200"] = ["resolve", "--couple",
+                             str(GOLDEN / "couples" / "chain200.json")]
+CASES["discrepancy_index36049"] = [
+    "discrepancy", "--couple", str(GOLDEN / "couples" / "index36049.json")]
+CASES["hilbert_lcm1517"] = ["hilbert", "--couple",
+                            str(GOLDEN / "couples" / "lcm1517.json")]
 CASES["enumerate_eps1_N3"] = ["enumerate", "--epsilon", "1",
                               "--isotropy-bound", "3", "--jobs", "1"]
 

@@ -152,7 +152,7 @@ def test_dense_solve_agrees_with_chain_elimination():
 def test_matrix_negative_definite():
     for Cp in random_couples(seed=22, count=30, max_q=9):
         G = build_graph(Cp)
-        assert is_negative_definite([list(r) for r in G.intersection_matrix])
+        assert is_negative_definite(G.intersection_matrix())
 
 
 def test_central_self_intersection_closed_form():
