@@ -8,24 +8,29 @@ bounded by the isotropy bound, and the central log discrepancy bounds
 the degree by 2/eps.  Every candidate is tested with the resolution
 oracle; the necessary conditions from the quotient pair are used only
 for auditing, never for membership.
+
+The embedding dimension of an entry is Artin's 1 - Z^2 on the
+blown-down graph (klt surface singularities are rational), not a
+generator count; the generator scan sections.presentation is its
+oracle in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 from typing import List, Optional, Tuple
 
-from .divisors import (CurveCouple, canonical_couple, denominators_lcm,
-                       max_isotropy, normal_form)
+from .divisors import CurveCouple, canonical_couple, max_isotropy, normal_form
 from .errors import BadEpsilon, CatalogMismatch, NotKlt, PreconditionError
 from .jsonio import fmt_q, parse_q
 from .quotient import (cartier_index_of_kx, log_fano_quotient,
                        validate_epsilon, vertex_log_discrepancy)
 from .resolution import ResolutionGraph, build_graph
-from .sections import hilbert_series, presentation
+from .sections import hilbert_series
 
 
 @dataclass(frozen=True)
@@ -154,23 +159,19 @@ def _fractional_coefficients(q_max: int) -> List[Fraction]:
     return out
 
 
-def _embedding_bound(C: CurveCouple) -> int:
-    """Generation degree bound used for catalog entries.
-
-    Multiplying by the full-period piece is surjective onto any degree
-    whose predecessor one period down is nonempty, so generators stop
-    by L + ceil(k / deg D); one extra period is kept as margin.
-    """
-    L = denominators_lcm(C.divisor)
-    k = len(C.divisor.terms)
-    return L + ceil(Fraction(k) / C.degree()) + L
+def _graph_summary(G: ResolutionGraph) -> GraphSummary:
+    bd = G.blown_down
+    return GraphSummary(
+        center=G.central_self_int,
+        chains=G.chains,
+        blown_down_vertices=None if bd.empty else bd.self_intersections,
+    )
 
 
 def _build_entry(C: CurveCouple, G: ResolutionGraph, key: str) -> CatalogEntry:
     bd = G.blown_down
     hd = hilbert_series(C)
-    pres = presentation(C, gen_bound=_embedding_bound(C), want_relations=False)
-    embdim = len(pres.generator_degrees)
+    embdim = bd.embedding_dimension
     if bd.empty != (embdim == 2):
         raise CatalogMismatch(f"{key}: graph blow-down and embedding "
                               f"dimension {embdim} disagree")
@@ -187,11 +188,7 @@ def _build_entry(C: CurveCouple, G: ResolutionGraph, key: str) -> CatalogEntry:
         hilbert_numerator=hd.numerator,
         hilbert_period=hd.period,
         embedding_dimension=embdim,
-        graph=GraphSummary(
-            center=G.central_self_int,
-            chains=G.chains,
-            blown_down_vertices=None if bd.empty else bd.self_intersections,
-        ),
+        graph=_graph_summary(G),
     )
 
 
@@ -235,6 +232,10 @@ def _evaluate_candidate(args):
 
 
 def enumerate_catalog(params: SearchParams, jobs: int = 1) -> List[CatalogEntry]:
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise PreconditionError(f"jobs {jobs} is outside 1..{cpus} "
+                                "(the CPU count)")
     cands = [(fracs, degree, params.epsilon)
              for fracs, degree in _candidate_types(params)]
     if jobs > 1:
@@ -315,6 +316,11 @@ def audit_catalog(entries, params: SearchParams) -> AuditReport:
             failures.append(f"{tag}: central log discrepancy out of range")
         if G.determinant != e.link_determinant:
             failures.append(f"{tag}: stored determinant is wrong")
+        if G.blown_down.embedding_dimension != e.embedding_dimension:
+            failures.append(f"{tag}: stored embedding dimension "
+                            f"{e.embedding_dimension} is wrong")
+        if _graph_summary(G) != e.graph:
+            failures.append(f"{tag}: stored graph summary is wrong")
     return AuditReport(checked=len(entries), failures=tuple(failures))
 
 

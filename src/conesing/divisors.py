@@ -293,7 +293,11 @@ def canonical_couple(fracs, degree) -> CurveCouple:
     """The couple with the fractional coefficients `fracs` at 0, 1,
     infinity in that order and total degree `degree`: the leftover
     integral degree sits at infinity when free, otherwise it is folded
-    into the coefficient at 0."""
+    into the coefficient at 0.  More than three fractional points have
+    no canonical placement and are refused."""
+    if len(fracs) > len(CANONICAL_POSITIONS):
+        raise PreconditionError(f"{len(fracs)} fractional points have no "
+                                "canonical placement (at most 3)")
     leftover = Fraction(degree) - sum(fracs, Fraction(0))
     if leftover.denominator != 1:
         raise PreconditionError("degree incompatible with fractional type")

@@ -1,9 +1,10 @@
 """Star-shaped resolution of the cone surface: exact discrepancies,
-vertex mld, the eps-lc test, and the link determinant.
+vertex mld, the eps-lc test, the link determinant and the embedding
+dimension.
 
 The star graph is the per-couple analysis: build it once with
-build_graph and read the determinant, the blow-down and the vertex mld
-off it.
+build_graph and read the determinant, the blow-down, the vertex mld
+and the embedding dimension (on the blow-down) off it.
 
 The partial resolution of the cone over a couple carries the central
 curve together with one cyclic-quotient chart per fractional point; the
@@ -33,8 +34,8 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .divisors import CurveCouple, MarkedPoint
-from .errors import (BadChain, IntegralPoint, InternalNonIntegral, NotKlt,
-                     SingularMatrix)
+from .errors import (BadChain, IntegralPoint, InternalInvariantError,
+                     InternalNonIntegral, NotKlt, SingularMatrix)
 from .linalg import solve
 from .quotient import is_log_fano, log_fano_quotient, validate_epsilon
 
@@ -312,6 +313,44 @@ class BlownDownGraph:
     @property
     def empty(self) -> bool:
         return not self.self_intersections
+
+    @cached_property
+    def embedding_dimension(self) -> int:
+        """Embedding dimension of the vertex: 1 - Z^2 (Artin 1966).
+
+        Z is the fundamental cycle, found by Laufer's loop (1972):
+        start from the sum of all curves and add E_i while Z.E_i > 0.
+        The formula holds for rational singularities; Artin's criterion
+        p_a(Z) = 1 + (Z^2 + K.Z)/2 = 0, with K.E_i = -E_i^2 - 2,
+        certifies rationality.  A smooth point has embedding dimension 2.
+        """
+        if self.empty:
+            return 2
+        selfints = self.self_intersections
+        nbrs: List[List[int]] = [[] for _ in selfints]
+        for i, j in self.edges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        z = [1] * len(selfints)
+        ze = [e + len(nb) for e, nb in zip(selfints, nbrs)]    # Z.E_i
+        todo = [i for i, x in enumerate(ze) if x > 0]
+        while todo:
+            i = todo.pop()
+            if ze[i] <= 0:
+                continue
+            z[i] += 1
+            ze[i] += selfints[i]
+            todo.append(i)
+            for j in nbrs[i]:
+                ze[j] += 1
+                todo.append(j)
+        z2 = sum(a * b for a, b in zip(z, ze))
+        kz = sum(a * (-e - 2) for a, e in zip(z, selfints))
+        if z2 + kz != -2:
+            raise InternalInvariantError(
+                f"fundamental cycle has p_a = {1 + Fraction(z2 + kz, 2)}, "
+                "so the singularity is not rational")
+        return 1 - z2
 
     def to_json(self) -> Optional[dict]:
         if self.empty:

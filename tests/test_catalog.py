@@ -7,7 +7,7 @@ from conesing.catalog import (SearchParams, _candidate_types, audit_catalog,
                               catalog_to_json, couple_from_entry_data,
                               entry_from_json, enumerate_catalog, mld_spectrum,
                               search_bounds)
-from conesing.errors import BadEpsilon
+from conesing.errors import BadEpsilon, PreconditionError
 from helpers import count_build_graph
 
 F = Fraction
@@ -173,3 +173,33 @@ def test_one_graph_per_candidate_and_per_audited_entry(monkeypatch):
     calls.clear()
     assert audit_catalog(entries, params).ok
     assert len(calls) == len(entries)
+
+
+def test_audit_refuses_entry_with_four_fractional_points():
+    import dataclasses
+    params = SearchParams(epsilon=F(1), isotropy_bound=2)
+    entries = list(enumerate_catalog(params))
+    # four halves at degree 3 have no canonical placement; they must not
+    # rebuild to the three-point couple of degree 5/2
+    bad = dataclasses.replace(entries[0], fractional=((1, 2),) * 4,
+                              degree=F(3))
+    with pytest.raises(PreconditionError, match="canonical placement"):
+        couple_from_entry_data(bad.fractional, bad.degree)
+    report = audit_catalog([bad], params)
+    assert report.failures == (
+        f"entry {bad.key}: cannot rebuild couple (4 fractional points have "
+        "no canonical placement (at most 3))",)
+
+
+def test_audit_flags_tampered_graph_summary():
+    import dataclasses
+    params = SearchParams(epsilon=F(1), isotropy_bound=2)
+    entries = list(enumerate_catalog(params))
+    victim = next(e for e in entries if e.graph.blown_down_vertices)
+    for graph in (dataclasses.replace(victim.graph, center=victim.graph.center - 1),
+                  dataclasses.replace(victim.graph, chains=((-3,),)),
+                  dataclasses.replace(victim.graph, blown_down_vertices=None)):
+        bad = dataclasses.replace(victim, graph=graph)
+        report = audit_catalog([bad], params)
+        assert report.failures == (
+            f"entry {bad.key}: stored graph summary is wrong",)

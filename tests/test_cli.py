@@ -230,13 +230,12 @@ def test_one_graph_per_command(command, tmp_path, monkeypatch, capsys):
 
 
 def test_invariant_breach_exits_4_without_traceback(monkeypatch, capsys):
-    from types import SimpleNamespace
-    from conesing import catalog, cli
-    # three generators for every entry contradicts the smooth degree-1
-    # cone, whose star graph blows down to nothing
-    monkeypatch.setattr(
-        catalog, "presentation",
-        lambda C, **kw: SimpleNamespace(generator_degrees=(1, 1, 1)))
+    from conesing import cli
+    from conesing.resolution import BlownDownGraph
+    # embedding dimension 3 for every entry contradicts the smooth
+    # degree-1 cone, whose star graph blows down to nothing
+    monkeypatch.setattr(BlownDownGraph, "embedding_dimension",
+                        property(lambda self: 3))
     code = cli.main(["enumerate", "--epsilon", "1", "--isotropy-bound", "1",
                      "--jobs", "1"])
     captured = capsys.readouterr()
@@ -274,3 +273,44 @@ def test_section_invariant_breach_exits_4(tmp_path, monkeypatch, capsys):
     assert code == 4
     assert "product escapes the target space" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "mld-set"])
+@pytest.mark.parametrize("jobs", ["0", "cpus+1"])
+def test_jobs_outside_cpu_range_exit_3_before_any_pool(command, jobs,
+                                                        monkeypatch, capsys):
+    import concurrent.futures
+    import os
+    from conesing import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("worker pool created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    cpus = os.cpu_count() or 1
+    value = str(cpus + 1) if jobs == "cpus+1" else jobs
+    code = cli.main([command, "--epsilon", "1", "--isotropy-bound", "2",
+                     "--jobs", value])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"jobs {value} is outside 1..{cpus}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_audit_of_tampered_embedding_dimension_exits_1(tmp_path, capsys):
+    from conesing import cli
+    path = tmp_path / "cat.json"
+    assert cli.main(["enumerate", "--epsilon", "1", "--isotropy-bound", "2",
+                     "--jobs", "1", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    victim = doc["entries"][-1]
+    victim["embedding_dimension"] += 1
+    path.write_text(json.dumps(doc))
+    code = cli.main(["audit", "--catalog", str(path), "--epsilon", "1",
+                     "--isotropy-bound", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["failures"] == [
+        f"entry {victim['key']}: stored embedding dimension "
+        f"{victim['embedding_dimension']} is wrong"]

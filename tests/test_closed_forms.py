@@ -2,23 +2,30 @@
 
 Each per-couple number with a closed form keeps an independent oracle
 here: the upward scan for the index m, Bareiss on the dense star matrix
-for the link determinant, the dense solve for the discrepancies, and h0
-for the Hilbert series.  Couples are drawn by Hypothesis under the
+for the link determinant, the dense solve for the discrepancies, h0
+for the Hilbert series, and the generator scan `presentation` for
+Artin's embedding dimension.  Couples are drawn by Hypothesis under the
 `repro` profile.
 """
 
+import sys
 from fractions import Fraction
-from math import floor, gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conesing.divisors import CurveCouple, QDivisorP1
+from conesing import sections
+from conesing.catalog import (SearchParams, audit_catalog,
+                              couple_from_entry_data, enumerate_catalog)
+from conesing.divisors import CurveCouple, QDivisorP1, denominators_lcm
+from conesing.errors import InternalInvariantError
 from conesing.linalg import det_int
 from conesing.quotient import vertex_decomposition
-from conesing.resolution import ResolutionGraph, build_graph, discrepancies
-from conesing.sections import h0, hilbert_series
+from conesing.resolution import (BlownDownGraph, ResolutionGraph, build_graph,
+                                 discrepancies)
+from conesing.sections import h0, hilbert_series, presentation
 from helpers import POSITIONS, brute_min_decomposition, random_couples
 
 
@@ -102,3 +109,86 @@ def test_graph_blow_down_and_mld_never_build_the_dense_matrix(monkeypatch):
         G.mld
     with pytest.raises(AssertionError, match="dense"):
         discrepancies(G)
+
+
+def scanned_embedding_dimension(C):
+    """Number of minimal generators of the section ring, by the scan.
+
+    Multiplying by the full-period piece is surjective onto any degree
+    whose predecessor one period down is nonempty, so generators stop
+    by L + ceil(k / deg D); one extra period is kept as margin.
+    """
+    L = denominators_lcm(C.divisor)
+    k = len(C.divisor.terms)
+    bound = 2 * L + ceil(Fraction(k) / C.degree())
+    return len(presentation(C, gen_bound=bound,
+                            want_relations=False).generator_degrees)
+
+
+@given(klt_couples(max_q=7))
+def test_artin_embedding_dimension_matches_generator_scan(C):
+    G = build_graph(C)
+    assert G.blown_down.embedding_dimension == scanned_embedding_dimension(C)
+
+
+@pytest.mark.parametrize("eps,N", [(Fraction(1), 4), (Fraction(1, 2), 4)])
+def test_catalog_embedding_dimensions_match_generator_scan(eps, N):
+    entries = enumerate_catalog(SearchParams(epsilon=eps, isotropy_bound=N))
+    assert entries
+    for e in entries:
+        C = couple_from_entry_data(e.fractional, e.degree)
+        assert e.embedding_dimension == scanned_embedding_dimension(C), e.key
+
+
+@pytest.mark.parametrize("fractional,degree,embdim", [
+    ((), Fraction(1), 2),                                   # smooth
+    (((1, 2), (1, 2)), Fraction(1), 3),                     # A3
+    (((1, 2),) * 3, Fraction(1, 2), 3),                     # D4
+    (((1, 2), (1, 3), (1, 5)), Fraction(1, 30), 3),         # E8
+    ((), Fraction(3), 4),                   # cone over the twisted cubic
+    ((), Fraction(5), 6),                   # rational normal cone, degree 5
+])
+def test_artin_examples(fractional, degree, embdim):
+    C = couple_from_entry_data(fractional, degree)
+    assert build_graph(C).blown_down.embedding_dimension == embdim
+
+
+def four_armed_star(center, arm):
+    return BlownDownGraph(self_intersections=(center,) + (arm,) * 4,
+                          edges=((0, 1), (0, 2), (0, 3), (0, 4)),
+                          surviving=(0, 1, 2, 3, 4))
+
+
+def test_laufer_loop_and_rationality_certificate():
+    # On klt stars Laufer's loop raises only (-2)-curves, which leaves
+    # Z^2 unchanged; four-armed stars (cones that are not klt) need the
+    # loop and the certificate.  Both graphs come from couples with four
+    # fractional points, center -(deg D + 4/q), one curve per arm.
+    P = [POSITIONS[i] for i in range(4)]
+    # halves, degree 1: center -3, Z = 2 E_0 + sum E_i, Z^2 = -4
+    C = CurveCouple.of(dict(zip(P, [Fraction(1, 2)] * 3 + [Fraction(-1, 2)])))
+    assert C.degree() == 1
+    assert four_armed_star(-3, -2).embedding_dimension == 5
+    assert scanned_embedding_dimension(C) == 5
+    # two-thirds, degree 2/3: center -2, arms -3, p_a(Z) = 1 (minimally
+    # elliptic, 4 generators), so 1 - Z^2 = 5 does not apply
+    C = CurveCouple.of(dict(zip(P, [Fraction(2, 3)] * 3 + [Fraction(-4, 3)])))
+    assert C.degree() == Fraction(2, 3)
+    assert scanned_embedding_dimension(C) == 4
+    with pytest.raises(InternalInvariantError, match="not rational"):
+        four_armed_star(-2, -3).embedding_dimension
+
+
+def test_catalog_never_runs_the_generator_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator scan called")
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "conesing" or name.startswith("conesing.")) and \
+                getattr(mod, "presentation", None) is presentation:
+            monkeypatch.setattr(mod, "presentation", refuse)
+    assert sections.presentation is refuse
+    params = SearchParams(epsilon=Fraction(1, 2), isotropy_bound=4)
+    entries = enumerate_catalog(params, jobs=1)
+    assert len(entries) == 40
+    assert audit_catalog(entries, params).ok

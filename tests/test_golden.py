@@ -1,6 +1,6 @@
 """Golden CLI output: the exact stdout bytes of fixed commands on the
 A1, A3, D4 and E6 couples, on three size-regime couples (a chain of
-length 200, index m = 36049 and lcm L = 1517) and of one small catalog.
+length 200, index m = 36049 and lcm L = 1517) and of two small catalogs.
 
 After an intended output change, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -34,6 +34,9 @@ CASES["hilbert_lcm1517"] = ["hilbert", "--couple",
                             str(GOLDEN / "couples" / "lcm1517.json")]
 CASES["enumerate_eps1_N3"] = ["enumerate", "--epsilon", "1",
                               "--isotropy-bound", "3", "--jobs", "1"]
+# embedding dimensions 4 and 5 appear from (1/2, 4) on
+CASES["enumerate_eps1_2_N4"] = ["enumerate", "--epsilon", "1/2",
+                                "--isotropy-bound", "4", "--jobs", "1"]
 
 
 def run(argv):
