@@ -191,14 +191,26 @@ def cmd_audit(args) -> int:
     return 0 if report.ok else 1
 
 
+def _json_int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParseError(f"fan {what} {x!r} is not an integer")
+    return x
+
+
+def _int_rows(fan_doc: dict, key: str):
+    rows = fan_doc[key]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ParseError(f"fan {key!r} must be an array of integer arrays")
+    return tuple(tuple(_json_int(x, f"{key} entry") for x in r) for r in rows)
+
+
 def cmd_toric_check(args) -> int:
     fan_doc = _read_json(args.fan)
     for key in ("rank", "rays", "cones"):
         if not isinstance(fan_doc, dict) or key not in fan_doc:
             raise ParseError(f"fan file missing {key!r}")
-    F = Fan(rank=int(fan_doc["rank"]),
-            rays=tuple(tuple(int(x) for x in r) for r in fan_doc["rays"]),
-            max_cones=tuple(tuple(int(i) for i in c) for c in fan_doc["cones"]))
+    F = Fan(rank=_json_int(fan_doc["rank"], "rank"),
+            rays=_int_rows(fan_doc, "rays"), max_cones=_int_rows(fan_doc, "cones"))
     div_doc = _read_json(args.divisor)
     if not isinstance(div_doc, list) or len(div_doc) != len(F.rays):
         raise ParseError("divisor file must list one coefficient per ray")

@@ -225,15 +225,20 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
     frac = [(p, c) for p, c in D.terms if c.denominator > 1]
     frac.sort(key=lambda t: t[0].sort_key())
 
+    # One elimination per chain with the adjunction data k_j = c_j - 2:
+    # the alphas do not depend on the right side, the betas give the
+    # discrepancies below.
     chains = []
     alphas_all = []
+    betas_all = []
     for pt, _ in frac:
         cone = local_cone_at(C, pt)
         chain = hj_chain(cone)
         cs = [-e for e in chain]
-        alphas, _ = _chain_alphas_betas(cs, [Fraction(0)] * len(cs))
+        alphas, betas = _chain_alphas_betas(cs, [Fraction(c - 2) for c in cs])
         chains.append(chain)
         alphas_all.append(alphas)
+        betas_all.append(betas)
 
     # Central self-intersection from (central curve)^2 = -deg D.
     b0 = D.degree() + sum((al[0] for al in alphas_all), Fraction(0))
@@ -247,14 +252,8 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
     if schur != D.degree() or schur <= 0:
         raise SingularMatrix("central Schur complement is not -deg D")
 
-    # Discrepancies by the same elimination with adjunction data.
+    # Discrepancies from the chain betas and the central adjunction datum.
     k_center = Fraction(b0 - 2)
-    betas_all = []
-    for chain in chains:
-        cs = [-e for e in chain]
-        ks = [Fraction(c - 2) for c in cs]
-        _, betas = _chain_alphas_betas(cs, ks)
-        betas_all.append(betas)
     num = k_center - sum((b[0] for b in betas_all), Fraction(0))
     den = sum((al[0] for al in alphas_all), Fraction(0)) - b0
     d_center = num / den

@@ -14,14 +14,16 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import (FanInvalid, NonCartierOnCone, NotAmple, NotQCartierPair,
-                     NotQGorenstein)
+from .errors import (FanInvalid, InternalInvariantError, NonCartierOnCone,
+                     NotAmple, NotQCartierPair, NotQGorenstein,
+                     PreconditionError)
 from .jsonio import fmt_q
-from .linalg import lcm_all, rank, solve
+from .linalg import lcm_all, rank, rref, solve
 
 Vector = Tuple[int, ...]
 
@@ -36,7 +38,7 @@ def _gcd_vec(v) -> int:
 def primitivize(v) -> Vector:
     g = _gcd_vec(v)
     if g == 0:
-        raise ValueError("zero vector has no primitive form")
+        raise InternalInvariantError("zero vector has no primitive form")
     return tuple(x // g for x in v)
 
 
@@ -71,6 +73,8 @@ class Fan:
 
     def _validate(self):
         n = self.rank
+        if n < 1:
+            raise FanInvalid(f"rank {n} must be at least 1")
         for r in self.rays:
             if len(r) != n:
                 raise FanInvalid(f"ray {r} has wrong length")
@@ -101,32 +105,44 @@ class Fan:
                     raise FanInvalid(
                         f"facet {facet} belongs to {len(owners)} cones; fan not complete")
 
+    @cached_property
+    def cone_inequalities(self) -> Tuple[Tuple[Tuple[Vector, ...], ...], ...]:
+        """Per maximal cone, in cone order: for every full-rank subset of
+        rank-many of its rays, the rows of the subset's inverse matrix
+        scaled by the positive lcm of their denominators.  v lies in the
+        simplicial cone of a subset exactly when every row r has
+        r . v >= 0 (Caratheodory: the cone is the union of these)."""
+        n = self.rank
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        out = []
+        for c in self.max_cones:
+            tests = []
+            for subset in itertools.combinations(c, n):
+                # rows of [M | I] for the matrix M with the rays as columns
+                aug = [[self.rays[j][i] for j in subset] + unit[i]
+                       for i in range(n)]
+                red, pivots = rref(aug)
+                if pivots[:n] != list(range(n)):
+                    continue
+                inverse = [row[n:] for row in red]
+                scale = lcm_all(x.denominator for row in inverse for x in row)
+                tests.append(tuple(tuple(int(x * scale) for x in row)
+                                   for row in inverse))
+            out.append(tuple(tests))
+        return tuple(out)
+
     def locate(self, v: Sequence[int]) -> int:
-        """Index of a maximal cone containing v."""
-        for ci, c in enumerate(self.max_cones):
-            if _in_cone([self.rays[i] for i in c], v):
-                return ci
+        """Index of the first maximal cone containing v."""
+        for ci, tests in enumerate(self.cone_inequalities):
+            for rows in tests:
+                if all(_dot(row, v) >= 0 for row in rows):
+                    return ci
         raise FanInvalid(f"{tuple(v)} is outside the fan support; fan not complete")
 
     def to_json(self) -> dict:
         return {"rank": self.rank,
                 "rays": [list(r) for r in self.rays],
                 "cones": [list(c) for c in self.max_cones]}
-
-
-def _in_cone(rays: List[Vector], v: Sequence[int]) -> bool:
-    """Membership of v in the cone spanned by the rays (Caratheodory:
-    some full-rank subset realizes it with nonnegative coordinates)."""
-    n = len(v)
-    if all(x == 0 for x in v):
-        return True
-    for subset in itertools.combinations(range(len(rays)), min(n, len(rays))):
-        cols = [rays[i] for i in subset]
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-        status, sol = solve(rows, list(v))
-        if status == "unique" and all(x >= 0 for x in sol):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -190,17 +206,20 @@ def quotient_boundary(F: Fan, D: ToricDivisor) -> ToricDivisor:
                             for c in D.coefficients])
 
 
-def log_discrepancy_y(F: Fan, B: ToricDivisor, v: Sequence[int]) -> Fraction:
-    """Value at v of the piecewise-linear form equal to 1 - b_rho at rays."""
+def _pair_form(F: Fan, B: ToricDivisor, cone_index: int) -> Tuple[Fraction, ...]:
+    """The linear form equal to 1 - b_rho at the rays of one cone."""
     values = [1 - b for b in B.coefficients]
-    if all(x == 0 for x in v):
-        return Fraction(0)
-    ci = F.locate(v)
     try:
-        m = _cone_linear_form(F, values, ci, "pair")
+        return _cone_linear_form(F, values, cone_index, "pair")
     except NonCartierOnCone as exc:
         raise NotQCartierPair(str(exc)) from None
-    return _dot(m, v)
+
+
+def log_discrepancy_y(F: Fan, B: ToricDivisor, v: Sequence[int]) -> Fraction:
+    """Value at v of the piecewise-linear form equal to 1 - b_rho at rays."""
+    if all(x == 0 for x in v):
+        return Fraction(0)
+    return _dot(_pair_form(F, B, F.locate(v)), v)
 
 
 def is_ample(F: Fan, D: ToricDivisor) -> bool:
@@ -282,17 +301,17 @@ def cone_of_x(F: Fan, D: ToricDivisor) -> ConeOfX:
     for v, c in zip(F.rays, D.coefficients):
         lifted = tuple(c.denominator * x for x in v) + (c.numerator,)
         if primitivize(lifted) != lifted:
-            raise AssertionError("lifted ray is not primitive")
+            raise InternalInvariantError("lifted ray is not primitive")
         w = weil_index(F, D, v)
         expect = tuple(w * Fraction(x) for x in v) + (w * c,)
         if tuple(Fraction(x) for x in lifted) != expect:
-            raise AssertionError("lifted ray disagrees with the Weil index")
+            raise InternalInvariantError("lifted ray disagrees with the Weil index")
         rays.append(lifted)
 
     status, m = solve([list(r) for r in rays], [Fraction(1)] * len(rays))
     qform = tuple(m) if status == "unique" else None
     if status == "many":
-        raise AssertionError("lifted cone is not full-dimensional")
+        raise InternalInvariantError("lifted cone is not full-dimensional")
 
     # The last coordinate vector must lie strictly inside the cone.
     e_last = tuple(0 for _ in range(d - 1)) + (1,)
@@ -313,7 +332,7 @@ def lattice_mld(K: ConeOfX) -> Fraction:
     normalized form over interior lattice points, enumerated in the
     bounded region {form <= 2}."""
     if K.rank != 2:
-        raise ValueError("lattice mld enumeration implemented for rank 2")
+        raise PreconditionError("lattice mld enumeration implemented for rank 2")
     if K.qgorenstein_form is None:
         raise NotQGorenstein("no covector takes value 1 on all rays")
     r1, r2 = K.rays
@@ -334,7 +353,7 @@ def lattice_mld(K: ConeOfX) -> Fraction:
             if val <= 2 and (best is None or val < best):
                 best = val
     if best is None:
-        raise AssertionError("empty mld enumeration region")
+        raise InternalInvariantError("empty mld enumeration region")
     return best
 
 
@@ -393,7 +412,7 @@ def _vertex_ratio(F: Fan, D: ToricDivisor) -> Optional[Fraction]:
     if status == "none":
         return None
     if status != "unique":
-        raise AssertionError("ample divisor class cannot be degenerate")
+        raise InternalInvariantError("ample divisor class cannot be degenerate")
     return -sol[0]
 
 
@@ -406,18 +425,25 @@ def verify_comparison(F: Fan, D: ToricDivisor,
     if K.qgorenstein_form is None:
         raise NotQGorenstein("comparison needs a Q-Gorenstein lifted cone")
     B = quotient_boundary(F, D)
+    # (divisor form, pair form) per cone, built when the first vector
+    # lands in the cone, so a non-Q-Cartier pair fails at that vector
+    forms = {}
     checks = []
     vectors = [tuple(r) for r in F.rays] + [tuple(v) for v in samples]
     for v in vectors:
         if all(x == 0 for x in v):
             continue
         v = primitivize(v)
-        s = support_value(F, D, v)
+        ci = F.locate(v)
+        if ci not in forms:
+            forms[ci] = (_cone_linear_form(F, D.coefficients, ci, "divisor"),
+                         _pair_form(F, B, ci))
+        divisor_form, pair_form = forms[ci]
+        s = _dot(divisor_form, v)
         lifted = primitivize(tuple(s.denominator * x for x in v) + (s.numerator,))
-        w = weil_index(F, D, v)
-        a_base = log_discrepancy_y(F, B, v)
         a_cone = log_discrepancy_x(K, lifted)
-        checks.append(ComparisonCheck(v=v, weil=w, a_base=a_base, a_cone=a_cone))
+        checks.append(ComparisonCheck(v=v, weil=s.denominator,
+                                      a_base=_dot(pair_form, v), a_cone=a_cone))
     violations = tuple(c for c in checks if not c.ok)
 
     e_last = tuple(0 for _ in range(F.rank)) + (1,)
@@ -450,7 +476,7 @@ def fan_p1xp1() -> Fan:
 def fan_weighted_plane(a: int, b: int) -> Fan:
     """Rays (1,0), (0,1), (-a,-b) with a, b coprime positive integers."""
     if a <= 0 or b <= 0 or gcd(a, b) != 1:
-        raise ValueError("weights must be coprime positive integers")
+        raise PreconditionError("weights must be coprime positive integers")
     return Fan(rank=2, rays=((1, 0), (0, 1), (-a, -b)),
                max_cones=((0, 1), (1, 2), (0, 2)))
 
@@ -458,7 +484,7 @@ def fan_weighted_plane(a: int, b: int) -> Fan:
 def fan_projective_space(d: int) -> Fan:
     """The fan of d-dimensional projective space."""
     if d < 1:
-        raise ValueError("d must be positive")
+        raise PreconditionError("d must be positive")
     rays = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
     rays.append(tuple(-1 for _ in range(d)))
     cones = tuple(tuple(sorted(c))
@@ -502,12 +528,16 @@ def random_instances(seed: int, count: int, max_denominator: int = 6,
                 continue
         out.append((f"{kind}#{len(out)}", F, D))
     if len(out) < count:
-        raise AssertionError("instance generator starved; widen the search")
+        raise InternalInvariantError("instance generator starved; widen the search")
     return out
 
 
 def random_primitive_samples(seed: int, rank: int, count: int,
                              box: int = 5) -> List[Vector]:
+    if count < 0:
+        raise PreconditionError(f"sample count {count} is negative")
+    if rank < 1 or box < 1:
+        raise PreconditionError(f"sample rank {rank} and box {box} must be positive")
     rng = random.Random(seed)
     out = []
     while len(out) < count:

@@ -314,3 +314,28 @@ def test_audit_of_tampered_embedding_dimension_exits_1(tmp_path, capsys):
     assert report["failures"] == [
         f"entry {victim['key']}: stored embedding dimension "
         f"{victim['embedding_dimension']} is wrong"]
+
+
+P2_FAN = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+          "cones": [[0, 1], [1, 2], [0, 2]]}
+
+
+@pytest.mark.parametrize("fan, flags, code", [
+    ({"rank": 0, "rays": [], "cones": [[]]}, [], 3),
+    ({**P2_FAN, "rank": "a"}, [], 2),
+    ({**P2_FAN, "rays": [[1, 0], [0, "x"], [-1, -1]]}, [], 2),
+    ({**P2_FAN, "cones": [[0, 1], [1, 2.5], [0, 2]]}, [], 2),
+    (P2_FAN, ["--samples", "-3"], 3),
+], ids=["rank0", "rank_not_int", "ray_not_int", "cone_not_int",
+        "negative_samples"])
+def test_toric_check_bad_input_exits_without_traceback(tmp_path, fan, flags,
+                                                       code):
+    fan_path = tmp_path / "fan.json"
+    div_path = tmp_path / "div.json"
+    fan_path.write_text(json.dumps(fan))
+    div_path.write_text(json.dumps(["1"] * len(fan["rays"])))
+    res = run_cli("toric-check", "--fan", str(fan_path),
+                  "--divisor", str(div_path), *flags)
+    assert res.returncode == code, res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr

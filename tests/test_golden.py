@@ -1,6 +1,7 @@
 """Golden CLI output: the exact stdout bytes of fixed commands on the
 A1, A3, D4 and E6 couples, on three size-regime couples (a chain of
-length 200, index m = 36049 and lcm L = 1517) and of two small catalogs.
+length 200, index m = 36049 and lcm L = 1517), of two small catalogs and
+of the toric comparison on P^3 and on the weighted plane P(1,1,2).
 
 After an intended output change, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -37,6 +38,11 @@ CASES["enumerate_eps1_N3"] = ["enumerate", "--epsilon", "1",
 # embedding dimensions 4 and 5 appear from (1/2, 4) on
 CASES["enumerate_eps1_2_N4"] = ["enumerate", "--epsilon", "1/2",
                                 "--isotropy-bound", "4", "--jobs", "1"]
+for name in ("P3", "P112"):
+    CASES[f"toric_check_{name}"] = [
+        "toric-check", "--fan", str(GOLDEN / "fans" / f"{name}.json"),
+        "--divisor", str(GOLDEN / "fans" / f"{name}.divisor.json"),
+        "--samples", "200", "--seed", "1"]
 
 
 def run(argv):

@@ -1,18 +1,24 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conesing import linalg, toric
 from conesing.divisors import CurveCouple, finite_point, infinity_point
-from conesing.errors import FanInvalid, NotAmple, NotQGorenstein
+from conesing.errors import (FanInvalid, InternalInvariantError, NotAmple,
+                             NotQGorenstein, PreconditionError)
 from conesing.resolution import mld_vertex
-from conesing.toric import (ComparisonReport, Fan, ToricDivisor,
-                            cartier_index_global, cartier_index_on_cone,
-                            cone_of_x, fan_p1, fan_p1xp1, fan_p2,
-                            fan_projective_space, fan_weighted_plane,
-                            is_ample, lattice_mld, log_discrepancy_x,
-                            log_discrepancy_y, quotient_boundary,
-                            random_instances, random_primitive_samples,
-                            support_value, verify_comparison, weil_index)
+from conesing.toric import (ComparisonCheck, ComparisonReport, Fan,
+                            ToricDivisor, cartier_index_global,
+                            cartier_index_on_cone, cone_of_x, fan_p1,
+                            fan_p1xp1, fan_p2, fan_projective_space,
+                            fan_weighted_plane, is_ample, lattice_mld,
+                            log_discrepancy_x, log_discrepancy_y, primitivize,
+                            quotient_boundary, random_instances,
+                            random_primitive_samples, support_value,
+                            verify_comparison, weil_index)
 
 F2 = Fraction
 P0 = finite_point(0)
@@ -199,3 +205,156 @@ def test_lattice_mld_agrees_with_star_resolution():
         if K.qgorenstein_form is None:
             continue
         assert lattice_mld(K) == mld_vertex(C)
+
+
+# ---------------------------------------------------------------------------
+# oracles for Fan.locate and verify_comparison
+# ---------------------------------------------------------------------------
+
+def _in_cone(rays, v):
+    """Membership of v in the cone spanned by the rays (Caratheodory:
+    some full-rank subset realizes it with nonnegative coordinates)."""
+    n = len(v)
+    if all(x == 0 for x in v):
+        return True
+    for subset in itertools.combinations(range(len(rays)), min(n, len(rays))):
+        cols = [rays[i] for i in subset]
+        rows = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
+        status, sol = linalg.solve(rows, list(v))
+        if status == "unique" and all(x >= 0 for x in sol):
+            return True
+    return False
+
+
+def locate_by_scan(F, v):
+    """First maximal cone containing v, by one Fraction solve per subset."""
+    for ci, c in enumerate(F.max_cones):
+        if _in_cone([F.rays[i] for i in c], v):
+            return ci
+    return None
+
+
+def fan_cube():
+    """Non-simplicial complete fan over the six faces of [-1, 1]^3."""
+    rays = tuple(itertools.product((1, -1), repeat=3))
+    cones = tuple(tuple(i for i, r in enumerate(rays) if r[axis] == sign)
+                  for axis in range(3) for sign in (1, -1))
+    return Fan(rank=3, rays=rays, max_cones=cones)
+
+
+def cube_divisor(shift):
+    """All-ones divisor on the cube fan plus a rational linear form."""
+    return ToricDivisor.of([1 + sum(F2(a) * x for a, x in zip(shift, r))
+                            for r in fan_cube().rays])
+
+
+P3_DIVISOR = ToricDivisor.of([F2(1, 2), F2(1, 3), 0, 1])
+# random_instances draws from the line, the plane, the quadric and the
+# weighted planes; P^3 and the non-simplicial cube fan add rank 3
+INSTANCES = (random_instances(seed=13, count=10, require_qgorenstein=False)
+             + [("p3", fan_projective_space(3), P3_DIVISOR)]
+             + [(f"cube{shift}", fan_cube(), cube_divisor(shift))
+                for shift in [(0, 0, 0), (F2(1, 2), F2(1, 2), 0),
+                              (F2(1, 3), 0, 0), (F2(2, 3), F2(1, 3), 0)]])
+
+
+def lattice_vectors(rank, box=6):
+    return st.tuples(*[st.integers(-box, box)] * rank)
+
+
+def reference_checks(F, D, samples):
+    """The per-vector path: locate and solve again in every call."""
+    K = cone_of_x(F, D)
+    B = quotient_boundary(F, D)
+    out = []
+    for v in [*F.rays, *samples]:
+        if all(x == 0 for x in v):
+            continue
+        v = primitivize(v)
+        s = support_value(F, D, v)
+        lifted = primitivize(tuple(s.denominator * x for x in v) + (s.numerator,))
+        out.append(ComparisonCheck(v=v, weil=weil_index(F, D, v),
+                                   a_base=log_discrepancy_y(F, B, v),
+                                   a_cone=log_discrepancy_x(K, lifted)))
+    return tuple(out)
+
+
+@given(st.data())
+def test_locate_matches_caratheodory_scan(data):
+    _, F, _ = data.draw(st.sampled_from(INSTANCES))
+    v = data.draw(lattice_vectors(F.rank))
+    if any(v):
+        v = primitivize(v)
+    assert F.locate(v) == locate_by_scan(F, v)
+
+
+@given(st.data())
+def test_verify_comparison_matches_per_vector_reference(data):
+    label, F, D = data.draw(st.sampled_from(INSTANCES))
+    samples = data.draw(st.lists(lattice_vectors(F.rank), max_size=12))
+    try:
+        expected = reference_checks(F, D, samples)
+    except NotQGorenstein:
+        with pytest.raises(NotQGorenstein):
+            verify_comparison(F, D, samples)
+        return
+    assert verify_comparison(F, D, samples).checks == expected, label
+
+
+def test_linear_algebra_calls_do_not_grow_with_samples(monkeypatch):
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(toric, "solve", counting("solve", toric.solve))
+    monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
+    monkeypatch.setattr(toric, "rref", counting("rref", toric.rref))
+    seen = []
+    for n in (10, 300):
+        counts.update(solve=0, rref=0)
+        F = fan_projective_space(3)     # fresh fan: its cone data is rebuilt
+        # one interior vector per cone, so both runs build every cone's forms
+        interiors = [tuple(map(sum, zip(*(F.rays[i] for i in c))))
+                     for c in F.max_cones]
+        samples = interiors + random_primitive_samples(seed=1, rank=3, count=n)
+        report = verify_comparison(F, P3_DIVISOR, samples)
+        assert not report.violations and len(report.checks) == 8 + n
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert 0 < seen[0]["solve"] < 30
+
+
+def test_fan_cone_inequalities_are_integer_and_cached():
+    F = fan_cube()
+    assert F.cone_inequalities is F.cone_inequalities
+    # a square face has four rays, so four triangulating subsets
+    assert [len(tests) for tests in F.cone_inequalities] == [4] * 6
+    for tests in F.cone_inequalities:
+        for rows in tests:
+            assert all(type(x) is int for row in rows for x in row)
+    # a non-simplicial cone skips the wall check, so this incomplete fan
+    # passes validation and only locate sees the gap
+    F = Fan(rank=2, rays=((1, 0), (1, 1), (0, 1)), max_cones=((0, 1, 2),))
+    assert F.locate((2, 1)) == 0
+    with pytest.raises(FanInvalid, match="outside the fan support"):
+        F.locate((-1, 0))
+
+
+def test_degenerate_inputs_raise_contract_errors():
+    with pytest.raises(FanInvalid):
+        Fan(rank=0, rays=(), max_cones=((),))
+    with pytest.raises(InternalInvariantError):
+        primitivize((0, 0))
+    for rank, count, box in [(2, -3, 5), (0, 1, 5), (2, 1, 0)]:
+        with pytest.raises(PreconditionError):
+            random_primitive_samples(seed=1, rank=rank, count=count, box=box)
+    with pytest.raises(PreconditionError):
+        fan_projective_space(0)
+    with pytest.raises(PreconditionError):
+        fan_weighted_plane(2, 4)
+    with pytest.raises(PreconditionError):
+        lattice_mld(cone_of_x(fan_p2(), ToricDivisor.of([0, 0, 1])))
