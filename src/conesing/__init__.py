@@ -17,8 +17,8 @@ from .resolution import (LatticeCone2, ResolutionGraph, build_graph,
                          discrepancies, hj_chain, is_eps_lc_x, local_cone_at,
                          mld_vertex)
 from .sections import (HilbertData, Presentation, embedding_dimension, h0,
-                       hilbert_series, is_smooth, multiplication_rank,
-                       presentation)
+                       hilbert_series, hilbert_values, is_smooth,
+                       multiplication_rank, presentation)
 from .catalog import (CatalogEntry, SearchParams, audit_catalog,
                       enumerate_catalog, mld_spectrum, search_bounds)
 

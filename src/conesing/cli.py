@@ -26,7 +26,7 @@ from .jsonio import (SCHEMA, couple_from_json, divisor_to_json, dumps, fmt_q,
 from .quotient import (horizontal_log_discrepancy, log_fano_quotient,
                        vertex_decomposition, vertex_log_discrepancy)
 from .resolution import build_graph
-from .sections import hilbert_series, presentation
+from .sections import hilbert_series, hilbert_values, presentation
 from .toric import (Fan, ToricDivisor, random_primitive_samples,
                     verify_comparison)
 
@@ -106,17 +106,24 @@ def cmd_describe(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    if args.through is not None and args.through < 0:
+        raise PreconditionError(f"--through {args.through} must be >= 0")
     C = _load_couple(args.couple)
     hd = hilbert_series(C)
     doc = {"series": hd.to_json()}
     if args.through is not None:
-        from .sections import h0
-        doc["values"] = [h0(C, n) for n in range(args.through + 1)]
+        doc["values"] = hilbert_values(C, args.through)
     _emit(doc, args.out)
     return 0
 
 
 def cmd_presentation(args) -> int:
+    # Minimal generators have degree >= 1 and relations among them
+    # degree >= 2, so smaller bounds search nothing.
+    if args.gen_bound is not None and args.gen_bound < 1:
+        raise PreconditionError(f"--gen-bound {args.gen_bound} must be >= 1")
+    if args.rel_bound is not None and args.rel_bound < 2:
+        raise PreconditionError(f"--rel-bound {args.rel_bound} must be >= 2")
     C = _load_couple(args.couple)
     pres = presentation(C, gen_bound=args.gen_bound, rel_bound=args.rel_bound)
     hd = hilbert_series(C)
@@ -222,6 +229,13 @@ def cmd_toric_check(args) -> int:
 
 
 def cmd_verify_examples(args) -> int:
+    # The A-type family must have a member, and the index test below
+    # (>= rnc_max // 2) must ask for more than the index 1 that every
+    # member already has.
+    if args.an_n < 1:
+        raise PreconditionError(f"--an-n {args.an_n} must be >= 1")
+    if args.rnc_max < 4:
+        raise PreconditionError(f"--rnc-max {args.rnc_max} must be >= 4")
     checks = []
     ok = True
 

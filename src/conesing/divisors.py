@@ -48,11 +48,11 @@ class MarkedPoint:
 
     def __post_init__(self):
         if self.kind not in ("fin", "inf", "lbl"):
-            raise ValueError(f"bad point kind {self.kind!r}")
+            raise PreconditionError(f"bad point kind {self.kind!r}")
         if self.kind == "fin":
             object.__setattr__(self, "x", Fraction(self.x))
         if self.kind == "lbl" and not self.name:
-            raise ValueError("label point needs a name")
+            raise PreconditionError("label point needs a name")
 
     def sort_key(self):
         if self.kind == "fin":
@@ -158,7 +158,7 @@ class IntegralDivisorP1:
         merged = _merge_terms(items)
         for _, c in merged:
             if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient {c}")
+                raise PreconditionError(f"non-integer coefficient {c}")
         return IntegralDivisorP1(tuple((p, int(c)) for p, c in merged))
 
     @staticmethod
@@ -213,7 +213,7 @@ class CurveCouple:
 def floor_multiple(D: QDivisorP1, n: int) -> IntegralDivisorP1:
     """Pointwise floor of n D.  Points whose floor vanishes are dropped."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise PreconditionError(f"multiple {n} must be nonnegative")
     out = []
     for p, c in D.terms:
         f = (n * c.numerator) // c.denominator

@@ -19,7 +19,8 @@ from typing import Tuple
 
 from .divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
                        canonical_divisor_p1, max_isotropy)
-from .errors import BadEpsilon, InternalNonIntegral, NotLogFano
+from .errors import (BadEpsilon, InternalNonIntegral, NotLogFano,
+                     PreconditionError)
 from .jsonio import fmt_q
 from .linalg import lcm_all
 
@@ -34,9 +35,10 @@ class StandardPair:
         for p, b in self.boundary:
             one_minus = 1 - b
             if not (0 <= b < 1) or one_minus.numerator != 1:
-                raise ValueError(f"coefficient {b} at {p} is not of the form 1 - 1/q")
+                raise PreconditionError(
+                    f"coefficient {b} at {p} is not of the form 1 - 1/q")
             if b == 0:
-                raise ValueError("zero coefficients are not stored")
+                raise PreconditionError("zero coefficients are not stored")
 
     def coeff(self, pt: MarkedPoint) -> Fraction:
         for p, b in self.boundary:

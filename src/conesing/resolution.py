@@ -35,7 +35,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .divisors import CurveCouple, MarkedPoint
 from .errors import (BadChain, IntegralPoint, InternalInvariantError,
-                     InternalNonIntegral, NotKlt, SingularMatrix)
+                     InternalNonIntegral, NotKlt, PreconditionError,
+                     SingularMatrix)
 from .linalg import solve
 from .quotient import is_log_fano, log_fano_quotient, validate_epsilon
 
@@ -55,7 +56,7 @@ class LatticeCone2:
     def __post_init__(self):
         from math import gcd
         if not (0 < self.p <= self.q) or gcd(self.p, self.q) != 1:
-            raise ValueError(f"bad cone data (q,p)=({self.q},{self.p})")
+            raise PreconditionError(f"bad cone data (q,p)=({self.q},{self.p})")
 
     def is_smooth(self) -> bool:
         return self.q == 1

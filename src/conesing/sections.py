@@ -12,9 +12,12 @@ turns on the superadditivity of floors and keeps all linear algebra
 over exact rationals.
 
 The Hilbert series is the rational function numerator / ((1 - T)(1 - T^L))
-with L the lcm of the denominators (Pinkham 1977); hilbert_series reads
-the numerator off h0 and checks it by expanding the closed form once
-against the computed values.
+with L the lcm of the denominators (Pinkham 1977).  Its values
+h(n) = max(0, deg floor(nD) + 1) come from integers alone: with each
+coefficient a_p/b_p of D in lowest terms, deg floor(nD) is the sum of
+(n a_p) // b_p.  hilbert_series reads the numerator off these values and
+checks it by expanding the closed form once against them; h0, which
+builds floor(nD) as a divisor, is the independent oracle.
 """
 
 from __future__ import annotations
@@ -70,7 +73,19 @@ class HilbertData:
         return {"numerator": list(self.numerator), "L": self.period}
 
 
+def hilbert_values(C: CurveCouple, through: int) -> List[int]:
+    """h(0) .. h(through) as max(0, sum_p (n a_p) // b_p + 1), read off
+    the integer pairs (a_p, b_p) of the coefficients of D."""
+    pairs = [(c.numerator, c.denominator) for _, c in C.divisor.terms]
+    return [max(0, sum(n * a // b for a, b in pairs) + 1)
+            for n in range(through + 1)]
+
+
 def hilbert_series(C: CurveCouple) -> HilbertData:
+    """The closed form of the Hilbert series, read off hilbert_values
+    through n0 + 2L + 2 (n0: the degree from which every floor degree is
+    nonnegative) and certified twice: the numerator must vanish past
+    n0 + L, and its expansion must give back the values."""
     D = C.divisor
     L = denominators_lcm(D)
     deg = D.degree()
@@ -78,7 +93,7 @@ def hilbert_series(C: CurveCouple) -> HilbertData:
     # After n0 every floor degree is nonnegative and h is quasi-linear.
     n0 = max(0, ceil(npts / deg)) if deg > 0 else 0
     stop = n0 + 2 * L + 2
-    values = [h0(C, n) for n in range(stop + 1)]
+    values = hilbert_values(C, stop)
 
     def hv(k: int) -> int:
         return values[k] if k >= 0 else 0
@@ -366,6 +381,28 @@ class _GeneratorScan:
         return degrees
 
 
+def _one_minus_power(k: int) -> List[int]:
+    """Coefficients of 1 - T^k, k >= 1."""
+    return [1] + [0] * (k - 1) + [-1]
+
+
+def _hypersurface_relation_degree(hd: HilbertData,
+                                  gen_degrees: List[int]) -> int:
+    """The degree r of the one relation among three generators of degrees
+    d_i: the ring is then k[x, y, z]/(f), so H(T) prod (1 - T^d_i) is
+    1 - T^r, i.e. numerator * prod (1 - T^d_i) = (1 - T^r)(1 - T)(1 - T^L)."""
+    lhs = list(hd.numerator)
+    for d in gen_degrees:
+        lhs = _poly_mul(lhs, _one_minus_power(d))
+    r = len(lhs) - hd.period - 2
+    if r < 1 or lhs != _poly_mul(_poly_mul(_one_minus_power(r), [1, -1]),
+                                 _one_minus_power(hd.period)):
+        raise InternalInvariantError(
+            f"generators {sorted(gen_degrees)} do not give a hypersurface "
+            f"with Hilbert numerator {list(hd.numerator)}")
+    return r
+
+
 def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
                  rel_bound: Optional[int] = None,
                  want_relations: bool = True) -> Presentation:
@@ -375,6 +412,9 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     Correctness is certified by saturation: the subalgebra generated by
     the reported generators must reproduce the Hilbert function through
     verified_through = 2 max(gen_bound, rel_bound), else BoundTooSmall.
+    With three generators the Hilbert series forces one relation of a
+    known degree: a rel_bound below it is BoundTooSmall, and the search
+    must find exactly that relation.
     """
     if gen_bound is None:
         gen_bound = default_presentation_bound(C)
@@ -385,6 +425,13 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     space = SectionSpace(C)
     scan = _GeneratorScan(space)
     gen_degrees = scan.run(gen_bound, verified_through)
+    forced = None
+    if want_relations and len(gen_degrees) == 3:
+        forced = _hypersurface_relation_degree(hilbert_series(C), gen_degrees)
+        if rel_bound < forced:
+            raise BoundTooSmall(
+                f"relation bound {rel_bound} is below the degree {forced} "
+                f"of the relation that the Hilbert series forces")
 
     relation_degrees: List[int] = []
     equations: List[str] = []
@@ -451,6 +498,9 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
             if found != new_count:
                 raise InternalInvariantError("kernel extraction missed new relations")
 
+    if forced is not None and relation_degrees != [forced]:
+        raise InternalInvariantError(
+            f"relation degrees {relation_degrees} differ from the forced {forced}")
     emit_eqs = want_relations and len(gen_degrees) <= len(VARIABLE_NAMES)
     eqs = tuple(equations) if emit_eqs else None
     return Presentation(

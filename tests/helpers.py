@@ -67,6 +67,39 @@ def brute_min_decomposition(C, cap=2000):
     raise AssertionError("no decomposition found below the cap")
 
 
+def an_min_scan(n, box):
+    """Independent oracle for counterexamples.an_min_over_actions:
+    exhaustive minimum over |a|, |b| <= box, b != 0 of the larger of the
+    two curve isotropies, with the first minimizing (a, b) in row-major
+    order as the witness.
+
+    The scan is vectorized over int64, which is exact for the sizes
+    involved (values are bounded by box * (n + 1)).
+    """
+    import numpy as np
+    from conesing.errors import InternalInvariantError, PreconditionError
+
+    if box < 1:
+        raise PreconditionError(f"box {box} must be positive")
+    if box * (n + 1) >= 2 ** 62:
+        raise PreconditionError("scan box too large for exact int64 arithmetic")
+    aa = np.arange(-box, box + 1, dtype=np.int64)
+    bb = np.concatenate([np.arange(-box, 0, dtype=np.int64),
+                         np.arange(1, box + 1, dtype=np.int64)])
+    A, B = np.meshgrid(aa, bb, indexing="ij")
+    val = np.maximum(np.abs(A + B * n), np.abs(-A + B * n))
+    flat = int(np.argmin(val))
+    best = int(val.flat[flat])
+    witness = (int(A.flat[flat]), int(B.flat[flat]))
+    if best < n:
+        raise InternalInvariantError(f"scan minimum {best} below n={n}")
+    # identity max(|a+bn|, |-a+bn|) = |a| + |b| n pins the bound
+    a, b = witness
+    if best != abs(a) + abs(b) * n:
+        raise InternalInvariantError("isotropy identity violated at the witness")
+    return best, witness
+
+
 def count_build_graph(monkeypatch):
     """Route build_graph through a counter wherever a conesing module
     binds it; returns the list of couples it was called with."""

@@ -28,7 +28,7 @@ from conesing.toric import (ToricDivisor, cartier_index_on_cone, cone_of_x,
                             fan_p1, lattice_mld, random_instances,
                             random_primitive_samples, verify_comparison,
                             weil_index)
-from helpers import random_couples
+from helpers import an_min_scan, random_couples
 
 F = Fraction
 P0 = finite_point(0)
@@ -245,6 +245,8 @@ def test_c10_counterexample_families():
         a, b = witness
         ok = ok and best >= n and b != 0
         ok = ok and best == abs(a) + abs(b) * n
+        # the exhaustive int64 scan agrees in value and witness
+        ok = ok and (best, witness) == an_min_scan(n, 500)
     rows = rnc_family_report(50)
     for r in rows:
         ok = ok and r.max_isotropy == 1

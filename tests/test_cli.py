@@ -96,6 +96,34 @@ def test_hilbert_and_presentation(tmp_path):
     assert len(doc["equations"]) == 1
 
 
+def test_hilbert_negative_through_exits_3(tmp_path, capsys):
+    from conesing import cli
+    f = tmp_path / "c.json"
+    f.write_text(QUADRIC)
+    code = cli.main(["hilbert", "--couple", str(f), "--through", "-5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "precondition violated" in captured.err
+    assert "--through -5" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--gen-bound", "0"],
+                                   ["--rel-bound", "2"]])
+def test_presentation_vacuous_bounds_exit_3(flags, tmp_path, capsys):
+    # (1/2)[0] + (1/2)[1] has a relation in degree 4; these bounds would
+    # print no generators or no relations
+    from conesing import cli
+    f = tmp_path / "c.json"
+    f.write_text(A3)
+    code = cli.main(["presentation", "--couple", str(f), *flags])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "precondition violated" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_enumerate_and_audit(tmp_path):
     out = tmp_path / "catalog.json"
     res = run_cli("enumerate", "--epsilon", "1", "--isotropy-bound", "1",
@@ -216,6 +244,19 @@ def test_cli_import_leaves_numpy_unloaded():
         capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+    # nor after a command has run
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from conesing import cli\n"
+         "code = cli.main(['verify-examples', '--an-n', '6', '--an-box', '12',"
+         " '--rnc-max', '6'])\n"
+         "assert code == 0, code\n"
+         "assert 'numpy' not in sys.modules\n"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    for path in Path(SRC).rglob("*.py"):
+        assert "import numpy" not in path.read_text(encoding="utf-8"), path
 
 
 @pytest.mark.parametrize("command", ["describe", "resolve"])
@@ -257,6 +298,22 @@ def test_verify_examples_degenerate_bounds_exit_3(flags, capsys):
     assert captured.out == ""
     assert "precondition violated" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flags, bound", [
+    (["--an-n", "0"], "--an-n 0 must be >= 1"),
+    (["--an-n", "-2"], "--an-n -2 must be >= 1"),
+    (["--an-n", "1", "--an-box", "2", "--rnc-max", "1"], "--rnc-max 1 must be >= 4"),
+    (["--an-n", "1", "--an-box", "2", "--rnc-max", "3"], "--rnc-max 3 must be >= 4"),
+])
+def test_verify_examples_vacuous_families_exit_3(flags, bound, capsys):
+    # an empty A-type family, or an index test that every member passes
+    from conesing import cli
+    code = cli.main(["verify-examples", *flags])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert bound in captured.err
 
 
 def test_section_invariant_breach_exits_4(tmp_path, monkeypatch, capsys):

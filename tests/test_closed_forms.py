@@ -3,7 +3,8 @@
 Each per-couple number with a closed form keeps an independent oracle
 here: the upward scan for the index m, Bareiss on the dense star matrix
 for the link determinant, the dense solve for the discrepancies, h0
-for the Hilbert series, and the generator scan `presentation` for
+(built on floor_multiple) for the integer Hilbert values and the Hilbert
+series, and the generator scan `presentation` for
 Artin's embedding dimension.  Couples are drawn by Hypothesis under the
 `repro` profile.
 """
@@ -13,7 +14,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conesing import sections
@@ -83,6 +84,26 @@ def test_hilbert_expansion_matches_h0(C):
     through = 3 * hd.period
     assert hd.expansion(through) == [h0(C, n) for n in range(through + 1)]
     assert hd.expand(through) == h0(C, through)
+
+
+@st.composite
+def any_couples(draw):
+    """Couples of positive degree with any coefficients: negative,
+    integral and fractional, klt or not."""
+    coeff = st.fractions(min_value=-4, max_value=5, max_denominator=11)
+    terms = draw(st.dictionaries(st.sampled_from(POSITIONS), coeff,
+                                 min_size=1, max_size=5))
+    D = QDivisorP1.of(terms)
+    assume(D.degree() > 0)
+    return CurveCouple(D)
+
+
+@given(any_couples(), st.integers(0, 40))
+@example(CurveCouple.of({POSITIONS[0]: Fraction(-1, 2), POSITIONS[1]: 3,
+                         POSITIONS[2]: Fraction(-2, 3)}), 13)
+def test_integer_hilbert_values_match_h0(C, through):
+    assert sections.hilbert_values(C, through) == \
+        [h0(C, n) for n in range(through + 1)]
 
 
 def test_star_edges_and_matrix():

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conesing.counterexamples import (AnActionParams, an_action_weights,
                                       an_is_cone_action, an_min_over_actions,
                                       diagonal_cone_report, rnc_family_report)
+from conesing.errors import PreconditionError
+from helpers import an_min_scan
 
 F = Fraction
 
@@ -57,6 +61,22 @@ def test_an_min_lower_bound():
         assert val == n
 
 
+@given(st.integers(1, 60), st.integers(1, 40))
+@example(1, 1)
+@example(7, 1)
+def test_an_min_closed_form_matches_int64_scan(n, box):
+    # value and witness, so the witness order stays the scan's argmin
+    assert an_min_over_actions(n, box) == an_min_scan(n, box)
+
+
+def test_an_min_refusals_and_unbounded_box():
+    for n, box in ((0, 5), (-3, 5), (4, 0)):
+        with pytest.raises(PreconditionError):
+            an_min_over_actions(n, box)
+    # past the old int64 guard box * (n + 1) < 2^62 the answer is the same
+    assert an_min_over_actions(9, 2 ** 62) == (9, (0, -1))
+
+
 def test_rnc_family_report():
     rows = rnc_family_report(6)
     assert [r.m for r in rows] == [1, 2, 3, 4, 5, 6]
@@ -77,5 +97,6 @@ def test_diagonal_cone_report():
         assert row.a_e0 == d + 1
         assert row.max_isotropy == 1
         assert row.smooth
-    with pytest.raises(ValueError):
-        diagonal_cone_report(4)
+    for d in (0, 4):
+        with pytest.raises(PreconditionError):
+            diagonal_cone_report(d)

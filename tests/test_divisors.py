@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conesing.divisors import (CurveCouple, IntegralDivisorP1, QDivisorP1,
-                               assign_coordinates, denominators_lcm,
+from conesing.divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
+                               QDivisorP1, assign_coordinates, denominators_lcm,
                                finite_point, floor_multiple, infinity_point,
                                isotropy_order, label_point, max_isotropy,
                                normal_form)
-from conesing.errors import NotAmple
+from conesing.errors import NotAmple, PreconditionError
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -69,6 +69,26 @@ def test_max_isotropy():
 def test_couple_requires_positive_degree():
     with pytest.raises(NotAmple):
         CurveCouple.of({P0: F(-1, 2), P1: F(1, 4)})
+
+
+def test_bad_point_kind_is_a_precondition():
+    with pytest.raises(PreconditionError):
+        MarkedPoint("finite", F(0))
+
+
+def test_label_without_name_is_a_precondition():
+    with pytest.raises(PreconditionError):
+        MarkedPoint("lbl")
+
+
+def test_non_integer_integral_divisor_is_a_precondition():
+    with pytest.raises(PreconditionError):
+        IntegralDivisorP1.of({P0: F(1, 2)})
+
+
+def test_negative_floor_multiple_is_a_precondition():
+    with pytest.raises(PreconditionError):
+        floor_multiple(D((P0, F(1, 2))), -1)
 
 
 def test_normal_form_examples():

@@ -4,7 +4,7 @@ import pytest
 
 from conesing.divisors import (CurveCouple, IntegralDivisorP1, finite_point,
                                infinity_point, normal_form, QDivisorP1)
-from conesing.errors import BadEpsilon, NotLogFano
+from conesing.errors import BadEpsilon, NotLogFano, PreconditionError
 from conesing.quotient import (StandardPair, cartier_index_of_kx,
                                curve_log_discrepancy, horizontal_log_discrepancy,
                                is_eps_lc_pair, is_log_fano, log_fano_quotient,
@@ -24,6 +24,16 @@ def test_log_fano_quotient_examples():
     assert B.coeff(P0) == F(1, 2) and B.coeff(P1) == F(2, 3)
     B = log_fano_quotient(CurveCouple.of({P0: F(5, 3)}))
     assert B.boundary == ((P0, F(2, 3)),)
+
+
+def test_non_standard_coefficient_is_a_precondition():
+    with pytest.raises(PreconditionError):
+        StandardPair(((P0, F(1, 3)),))
+
+
+def test_zero_standard_coefficient_is_a_precondition():
+    with pytest.raises(PreconditionError):
+        StandardPair(((P0, F(0)),))
 
 
 def test_curve_log_discrepancy():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from conesing.divisors import CurveCouple, finite_point, infinity_point
-from conesing.errors import IntegralPoint, NotKlt, BadEpsilon
+from conesing.errors import (BadEpsilon, IntegralPoint, NotKlt,
+                             PreconditionError)
 from conesing.linalg import det_int, is_negative_definite
 from conesing.quotient import vertex_log_discrepancy
 from conesing.resolution import (LatticeCone2, blow_down, build_graph,
@@ -34,6 +35,12 @@ def test_local_cone_examples():
     # only the fractional part matters
     assert local_cone_at(C({P0: F(5, 3)}), P0) == LatticeCone2(3, 2)
     assert local_cone_at(C({P0: F(-1, 2), P1: 1}), P0) == LatticeCone2(2, 1)
+
+
+def test_bad_cone_data_is_a_precondition():
+    for q, p in ((3, 0), (2, 3), (4, 2)):
+        with pytest.raises(PreconditionError):
+            LatticeCone2(q, p)
 
 
 def cf_expand(a, b):

@@ -160,6 +160,16 @@ def test_presentation_bound_too_small():
         presentation(C, gen_bound=3, rel_bound=3)
 
 
+def test_presentation_refuses_rel_bound_below_forced_relation():
+    # generators in degrees 1, 2, 2: the Hilbert series forces one
+    # relation, in degree 4
+    C = CurveCouple.of({P0: F(1, 2), P1: F(1, 2)})
+    for rel_bound in (2, 3):
+        with pytest.raises(BoundTooSmall):
+            presentation(C, gen_bound=8, rel_bound=rel_bound)
+    assert presentation(C, gen_bound=8, rel_bound=4).relation_degrees == (4,)
+
+
 def test_embedding_dimension_and_smoothness():
     assert embedding_dimension(CurveCouple.of({P0: 1})) == 2
     assert is_smooth(CurveCouple.of({P0: 1}))
