@@ -6,19 +6,16 @@ __version__ = "0.1.0"
 
 from .divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
                        QDivisorP1, finite_point, floor_multiple,
-                       infinity_point, isotropy_order, label_point,
-                       max_isotropy, normal_form)
+                       infinity_point, label_point, max_isotropy,
+                       normal_form)
 from .quotient import (StandardPair, VertexData, cartier_index_of_kx,
                        curve_log_discrepancy, horizontal_log_discrepancy,
                        is_eps_lc_pair, is_log_fano, log_fano_quotient,
-                       necessary_eps_conditions, vertex_decomposition,
-                       vertex_log_discrepancy)
-from .resolution import (LatticeCone2, ResolutionGraph, build_graph,
-                         discrepancies, hj_chain, is_eps_lc_x, local_cone_at,
-                         mld_vertex)
-from .sections import (HilbertData, Presentation, embedding_dimension, h0,
-                       hilbert_series, hilbert_values, is_smooth,
-                       multiplication_rank, presentation)
+                       vertex_decomposition, vertex_log_discrepancy)
+from .resolution import (LatticeCone2, ResolutionGraph, build_graph, hj_chain,
+                         local_cone_at)
+from .sections import (HilbertData, Presentation, hilbert_series,
+                       hilbert_values, presentation)
 from .catalog import (CatalogEntry, SearchParams, audit_catalog,
                       enumerate_catalog, mld_spectrum, search_bounds)
 

@@ -11,8 +11,8 @@ for auditing, never for membership.
 
 The embedding dimension of an entry is Artin's 1 - Z^2 on the
 blown-down graph (klt surface singularities are rational), not a
-generator count; the generator scan sections.presentation is its
-oracle in the tests.
+generator count; the generator scan of sections is its oracle in the
+tests.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from .divisors import CurveCouple, canonical_couple, max_isotropy, normal_form
-from .errors import BadEpsilon, CatalogMismatch, NotKlt, PreconditionError
+from .errors import (BadEpsilon, CatalogMismatch, NotKlt, ParseError,
+                     PreconditionError)
 from .jsonio import fmt_q, parse_q
 from .quotient import (cartier_index_of_kx, log_fano_quotient,
                        validate_epsilon, vertex_log_discrepancy)
@@ -122,6 +123,8 @@ class CatalogEntry:
 
 
 def entry_from_json(doc) -> CatalogEntry:
+    if not isinstance(doc["key"], str):
+        raise ParseError(f"catalog key {doc['key']!r} is not a string")
     return CatalogEntry(
         key=doc["key"],
         degree=parse_q(doc["degree"]),

@@ -22,7 +22,7 @@ from .divisors import max_isotropy
 from .errors import (ConesingError, InternalInvariantError, ParseError,
                      PreconditionError)
 from .jsonio import (SCHEMA, couple_from_json, divisor_to_json, dumps, fmt_q,
-                     integral_divisor_to_json, loads, parse_q)
+                     integral_divisor_to_json, loads, parse_q, point_to_json)
 from .quotient import (horizontal_log_discrepancy, log_fano_quotient,
                        vertex_decomposition, vertex_log_discrepancy)
 from .resolution import build_graph
@@ -48,11 +48,15 @@ def _seed(args) -> int:
 def _read_json(path: str):
     try:
         if path == "-":
-            return loads(sys.stdin.read())
-        with open(path, "r", encoding="utf-8") as fh:
-            return loads(fh.read())
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from None
+    return loads(text)
 
 
 def _load_couple(path: str):
@@ -69,30 +73,28 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _quotient_json(C) -> list:
-    from .jsonio import point_to_json
-    B = log_fano_quotient(C)
-    return [{"point": point_to_json(p), "coeff": fmt_q(b)}
-            for p, b in B.boundary]
+def _discrepancy_doc(C) -> dict:
+    """Quotient-side discrepancy data, shared by describe and discrepancy."""
+    vd = vertex_decomposition(C)
+    return {
+        "quotient": [{"point": point_to_json(p), "coeff": fmt_q(b)}
+                     for p, b in log_fano_quotient(C).boundary],
+        "a_e0": fmt_q(vertex_log_discrepancy(C)),
+        "horizontal": {repr(p): fmt_q(horizontal_log_discrepancy(C, p))
+                       for p, _ in C.divisor.terms},
+        "m": vd.m, "u": vd.u, "H": integral_divisor_to_json(vd.H),
+        "cartier_index_kx": vd.m,
+    }
 
 
 def cmd_describe(args) -> int:
     C = _load_couple(args.couple)
-    vd = vertex_decomposition(C)
+    doc = _discrepancy_doc(C)
     G = build_graph(C)
     hd = hilbert_series(C)
-    horizontals = {repr(p): fmt_q(horizontal_log_discrepancy(C, p))
-                   for p, _ in C.divisor.terms}
-    doc = {
+    doc.update({
         "divisor": divisor_to_json(C.divisor),
         "degree": fmt_q(C.degree()),
-        "quotient": _quotient_json(C),
-        "a_e0": fmt_q(vertex_log_discrepancy(C)),
-        "horizontal": horizontals,
-        "m": vd.m,
-        "u": vd.u,
-        "H": integral_divisor_to_json(vd.H),
-        "cartier_index_kx": vd.m,
         "mld": fmt_q(G.mld),
         "graph": G.to_json(),
         "blown_down": G.blown_down.to_json(),
@@ -100,7 +102,7 @@ def cmd_describe(args) -> int:
         "hilbert": hd.to_json(),
         "isotropies": {repr(p): c.denominator for p, c in C.divisor.terms},
         "max_isotropy": max_isotropy(C),
-    }
+    })
     _emit(doc, args.out)
     return 0
 
@@ -137,17 +139,7 @@ def cmd_presentation(args) -> int:
 
 
 def cmd_discrepancy(args) -> int:
-    C = _load_couple(args.couple)
-    vd = vertex_decomposition(C)
-    doc = {
-        "quotient": _quotient_json(C),
-        "a_e0": fmt_q(vertex_log_discrepancy(C)),
-        "horizontal": {repr(p): fmt_q(horizontal_log_discrepancy(C, p))
-                       for p, _ in C.divisor.terms},
-        "m": vd.m, "u": vd.u, "H": integral_divisor_to_json(vd.H),
-        "cartier_index_kx": vd.m,
-    }
-    _emit(doc, args.out)
+    _emit(_discrepancy_doc(_load_couple(args.couple)), args.out)
     return 0
 
 
@@ -161,9 +153,13 @@ def cmd_resolve(args) -> int:
     return 0
 
 
+def _search_params(args) -> SearchParams:
+    return SearchParams(epsilon=parse_q(args.epsilon),
+                        isotropy_bound=args.isotropy_bound)
+
+
 def cmd_enumerate(args) -> int:
-    params = SearchParams(epsilon=parse_q(args.epsilon),
-                          isotropy_bound=args.isotropy_bound)
+    params = _search_params(args)
     entries = enumerate_catalog(params, jobs=args.jobs)
     doc = catalog_to_json(entries, params)
     doc["bounds"] = search_bounds(params).to_json()
@@ -172,8 +168,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_mld_set(args) -> int:
-    params = SearchParams(epsilon=parse_q(args.epsilon),
-                          isotropy_bound=args.isotropy_bound)
+    params = _search_params(args)
     entries = enumerate_catalog(params, jobs=args.jobs)
     doc = {"params": {"epsilon": fmt_q(params.epsilon),
                       "isotropy_bound": params.isotropy_bound},
@@ -184,8 +179,7 @@ def cmd_mld_set(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    params = SearchParams(epsilon=parse_q(args.epsilon),
-                          isotropy_bound=args.isotropy_bound)
+    params = _search_params(args)
     doc = _read_json(args.catalog)
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ParseError("catalog file must carry an 'entries' array")
@@ -286,6 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
+    def add_search(p):
+        p.add_argument("--epsilon", required=True)
+        p.add_argument("--isotropy-bound", type=int, required=True)
+
     p = sub.add_parser("describe", help="full invariant report for a couple")
     add_couple(p); add_out(p)
     p.set_defaults(func=cmd_describe)
@@ -310,24 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_couple(p); add_out(p)
     p.set_defaults(func=cmd_resolve)
 
-    p = sub.add_parser("enumerate", help="catalog of eps-lc cone singularities")
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--isotropy-bound", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    add_out(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("mld-set", help="mld spectrum of a catalog")
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--isotropy-bound", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    add_out(p)
-    p.set_defaults(func=cmd_mld_set)
+    for name, func, text in (
+            ("enumerate", cmd_enumerate, "catalog of eps-lc cone singularities"),
+            ("mld-set", cmd_mld_set, "mld spectrum of a catalog")):
+        p = sub.add_parser(name, help=text)
+        add_search(p)
+        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        add_out(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("audit", help="re-verify a catalog file")
     p.add_argument("--catalog", required=True)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--isotropy-bound", type=int, required=True)
+    add_search(p)
     add_out(p)
     p.set_defaults(func=cmd_audit)
 

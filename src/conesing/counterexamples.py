@@ -27,24 +27,6 @@ from .toric import (ToricDivisor, cartier_index_global, cone_of_x,
                     fan_projective_space, log_discrepancy_x)
 
 
-@dataclass(frozen=True)
-class AnActionParams:
-    n: int
-    a: int
-    b: int
-
-
-def an_action_weights(p: AnActionParams) -> Tuple[int, int, int]:
-    """Weights on x, y, z of the one-torus inside the big torus of the
-    A-type hypersurface, for the subtorus t -> (t^a, t^b)."""
-    return (p.a + p.b * p.n, -p.a + p.b * p.n, 2 * p.b)
-
-
-def an_is_cone_action(p: AnActionParams) -> bool:
-    # b = 0 leaves a closed orbit missing the origin in its closure.
-    return p.b != 0
-
-
 def an_min_over_actions(n: int, box: int) -> Tuple[int, Tuple[int, int]]:
     """Minimum over |a|, |b| <= box, b != 0 of the larger of the two
     curve isotropies, with a witness; always exactly n.

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import NotAmple, PreconditionError
-from .linalg import lcm_all
 
 Rational = Union[int, Fraction]
 
@@ -115,10 +115,6 @@ class QDivisorP1:
         items = data.items() if isinstance(data, Mapping) else data
         return QDivisorP1(_merge_terms(items))
 
-    @staticmethod
-    def zero() -> "QDivisorP1":
-        return QDivisorP1(())
-
     def coeff(self, pt: MarkedPoint) -> Fraction:
         for p, c in self.terms:
             if p == pt:
@@ -133,12 +129,6 @@ class QDivisorP1:
 
     def __add__(self, other: "QDivisorP1") -> "QDivisorP1":
         return QDivisorP1(_merge_terms(list(self.terms) + list(other.terms)))
-
-    def __neg__(self) -> "QDivisorP1":
-        return QDivisorP1(tuple((p, -c) for p, c in self.terms))
-
-    def __sub__(self, other: "QDivisorP1") -> "QDivisorP1":
-        return self + (-other)
 
     def __repr__(self):
         if not self.terms:
@@ -160,10 +150,6 @@ class IntegralDivisorP1:
             if c.denominator != 1:
                 raise PreconditionError(f"non-integer coefficient {c}")
         return IntegralDivisorP1(tuple((p, int(c)) for p, c in merged))
-
-    @staticmethod
-    def zero() -> "IntegralDivisorP1":
-        return IntegralDivisorP1(())
 
     def coeff(self, pt: MarkedPoint) -> int:
         for p, c in self.terms:
@@ -222,20 +208,16 @@ def floor_multiple(D: QDivisorP1, n: int) -> IntegralDivisorP1:
     return IntegralDivisorP1.of(out)
 
 
-def isotropy_order(C: CurveCouple, pt: MarkedPoint) -> int:
-    """Order of the stabilizer along the invariant curve over the point:
-    the least mu making the coefficient of mu D there an integer (on a
-    smooth curve the local Weil and Cartier indices of D coincide)."""
-    return C.divisor.coeff(pt).denominator
-
-
 def max_isotropy(C: CurveCouple) -> int:
+    """Largest isotropy order.  Over a point it is the denominator of the
+    coefficient of D there: on a smooth curve the local Weil and Cartier
+    indices of D coincide."""
     qs = [c.denominator for _, c in C.divisor.terms]
     return max(qs, default=1)
 
 
 def denominators_lcm(D: QDivisorP1) -> int:
-    return lcm_all(c.denominator for _, c in D.terms) or 1
+    return lcm(*(c.denominator for _, c in D.terms))
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,9 @@ class NotAmple(PreconditionError):
     """Divisor fails the positivity required of an ample Q-divisor."""
 
 
-class NotLogFano(PreconditionError):
-    """The standard-coefficient quotient pair is not log Fano."""
-
-
 class NotKlt(PreconditionError):
-    """The cone singularity is not Kawamata log terminal."""
+    """The cone singularity is not Kawamata log terminal: for a cone this
+    is the same as a quotient pair that is not log Fano."""
 
 
 class BadEpsilon(PreconditionError):

@@ -25,6 +25,8 @@ def fmt_q(x) -> str:
 
 
 def parse_q(s) -> Fraction:
+    if isinstance(s, bool):
+        raise ParseError(f"bad rational {s!r} (a boolean)")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
@@ -89,6 +91,8 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def dumps(obj) -> str:

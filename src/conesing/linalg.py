@@ -10,21 +10,21 @@ integer matrices use fraction-free Bareiss elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Dict
+from math import gcd, lcm
+from typing import Dict, Tuple
 
-from .errors import SingularMatrix
-
-
-def lcm(a: int, b: int) -> int:
-    return abs(a // gcd(a, b) * b) if a and b else 0
+from .errors import InternalInvariantError
 
 
-def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = lcm(out, v)
-    return out
+def primitivize(v) -> Tuple[int, ...]:
+    """The primitive integer vector on the ray of a nonzero vector with
+    integer or Fraction entries."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    if g == 0:
+        raise InternalInvariantError("zero vector has no primitive form")
+    return tuple(x // g for x in ints)
 
 
 def _as_fraction_rows(rows):
@@ -129,18 +129,6 @@ def det_int(matrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def is_negative_definite(matrix) -> bool:
-    """Sign test on leading principal minors of a symmetric matrix."""
-    n = len(matrix)
-    for k in range(1, n + 1):
-        minor = det_int([row[:k] for row in matrix[:k]])
-        if minor == 0:
-            raise SingularMatrix(f"leading {k}x{k} minor vanishes")
-        if (minor > 0) != (k % 2 == 0):
-            return False
-    return True
 
 
 class RowSpan:

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Tuple
 
 from .divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
-                       canonical_divisor_p1, max_isotropy)
-from .errors import (BadEpsilon, InternalNonIntegral, NotLogFano,
-                     PreconditionError)
-from .jsonio import fmt_q
-from .linalg import lcm_all
+                       canonical_divisor_p1)
+from .errors import BadEpsilon, InternalNonIntegral, NotKlt, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -96,10 +94,11 @@ def _pair_degree(P: StandardPair) -> Fraction:
 
 
 def _log_fano_boundary(C: CurveCouple) -> StandardPair:
-    """The quotient pair of C, which must be log Fano."""
+    """The quotient pair of C, which must be log Fano: otherwise the cone
+    is not klt."""
     B = log_fano_quotient(C)
     if not is_log_fano(B):
-        raise NotLogFano(f"boundary degree {B.total()} is >= 2")
+        raise NotKlt(f"boundary degree {B.total()} is >= 2")
     return B
 
 
@@ -111,8 +110,8 @@ def vertex_decomposition(C: CurveCouple) -> VertexData:
     B = _log_fano_boundary(C)
     D = C.divisor
     ratio = _pair_degree(B) / D.degree()          # u/m, negative
-    m = lcm_all([ratio.denominator] +
-                [(B.coeff(p) - ratio * c).denominator for p, c in D.terms])
+    m = lcm(ratio.denominator,
+            *((B.coeff(p) - ratio * c).denominator for p, c in D.terms))
     u = int(m * ratio)
     kcan = canonical_divisor_p1()
     terms = {}
@@ -151,48 +150,3 @@ def cartier_index_of_kx(C: CurveCouple) -> int:
     """Least m making m K Cartier on the cone surface: the m of the
     minimal decomposition."""
     return vertex_decomposition(C).m
-
-
-@dataclass(frozen=True)
-class EpsConditionsReport:
-    a_e0: Fraction
-    a_e0_ok: bool
-    pair_eps: Fraction
-    pair_ok: bool
-    max_isotropy: int
-    isotropy_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.a_e0_ok and self.pair_ok and self.isotropy_ok
-
-    def to_json(self) -> dict:
-        return {
-            "a_e0": fmt_q(self.a_e0),
-            "a_e0_ok": self.a_e0_ok,
-            "pair_eps": fmt_q(self.pair_eps),
-            "pair_ok": self.pair_ok,
-            "max_isotropy": self.max_isotropy,
-            "isotropy_ok": self.isotropy_ok,
-            "all_ok": self.all_ok,
-        }
-
-
-def necessary_eps_conditions(C: CurveCouple, eps, N: int) -> EpsConditionsReport:
-    """Conditions any member of the eps-lc, isotropy <= N class satisfies.
-
-    Necessary only; the resolution oracle decides actual membership.
-    """
-    eps = validate_epsilon(eps)
-    a0 = vertex_log_discrepancy(C)
-    B = log_fano_quotient(C)
-    pair_eps = eps / N
-    iso = max_isotropy(C)
-    return EpsConditionsReport(
-        a_e0=a0,
-        a_e0_ok=a0 >= eps,
-        pair_eps=pair_eps,
-        pair_ok=is_eps_lc_pair(B, pair_eps),
-        max_isotropy=iso,
-        isotropy_ok=iso <= N,
-    )

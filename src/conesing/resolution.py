@@ -1,10 +1,11 @@
 """Star-shaped resolution of the cone surface: exact discrepancies,
-vertex mld, the eps-lc test, the link determinant and the embedding
-dimension.
+vertex mld, the link determinant and the embedding dimension.
 
 The star graph is the per-couple analysis: build it once with
 build_graph and read the determinant, the blow-down, the vertex mld
-and the embedding dimension (on the blow-down) off it.
+and the embedding dimension (on the blow-down) off it.  The vertex is
+the only singular point of a cone surface, so X is eps-lc exactly when
+the vertex mld is at least eps.
 
 The partial resolution of the cone over a couple carries the central
 curve together with one cyclic-quotient chart per fractional point; the
@@ -21,9 +22,8 @@ The central self-intersection is solved from the rational identity
 the forced integrality is asserted at runtime.  Negative definiteness
 follows from the chain elimination (every pivot positive) and the
 central Schur complement -deg D < 0.  The link determinant is the
-closed form deg D * prod q_i (Orlik-Wagreich 1971).  The dense
-intersection matrix is built only on request, for the dense oracle
-discrepancies() and the tests.
+closed form deg D * prod q_i (Orlik-Wagreich 1971).  No dense
+intersection matrix is built; the dense solve is an oracle in the tests.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .divisors import CurveCouple, MarkedPoint
 from .errors import (BadChain, IntegralPoint, InternalInvariantError,
-                     InternalNonIntegral, NotKlt, PreconditionError,
-                     SingularMatrix)
-from .linalg import solve
-from .quotient import is_log_fano, log_fano_quotient, validate_epsilon
+                     InternalNonIntegral, PreconditionError, SingularMatrix)
+from .quotient import _log_fano_boundary
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +143,6 @@ class ResolutionGraph:
 
     central_self_int: int
     chains: Tuple[Tuple[int, ...], ...]
-    chain_points: Tuple[MarkedPoint, ...]
     discrepancies: Tuple[Fraction, ...]
     determinant: int
 
@@ -171,17 +168,6 @@ class ResolutionGraph:
                 out.append((0 if j == 0 else idx - 1, idx))
                 idx += 1
         return tuple(out)
-
-    def intersection_matrix(self) -> List[List[int]]:
-        """The dense intersection matrix, built from the vertices and
-        edges on each call."""
-        selfints = self.self_intersections()
-        m = [[0] * len(selfints) for _ in selfints]
-        for i, e in enumerate(selfints):
-            m[i][i] = e
-        for i, j in self.edges():
-            m[i][j] = m[j][i] = 1
-        return m
 
     def to_json(self) -> dict:
         from .jsonio import fmt_q
@@ -219,9 +205,7 @@ class ResolutionGraph:
 
 
 def build_graph(C: CurveCouple) -> ResolutionGraph:
-    B = log_fano_quotient(C)
-    if not is_log_fano(B):
-        raise NotKlt(f"quotient boundary degree {B.total()} is >= 2")
+    _log_fano_boundary(C)           # NotKlt unless the quotient is log Fano
     D = C.divisor
     frac = [(p, c) for p, c in D.terms if c.denominator > 1]
     frac.sort(key=lambda t: t[0].sort_key())
@@ -278,24 +262,9 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
     return ResolutionGraph(
         central_self_int=-b0,
         chains=tuple(chains),
-        chain_points=tuple(pt for pt, _ in frac),
         discrepancies=tuple(disc),
         determinant=int(det),
     )
-
-
-def discrepancies(G: ResolutionGraph) -> Tuple[Fraction, ...]:
-    """Unique solution of M d = k, k_j = -E_j^2 - 2, solved densely.
-
-    Independent of the chain elimination used by build_graph; the two
-    must agree.
-    """
-    selfints = G.self_intersections()
-    rhs = [Fraction(-e - 2) for e in selfints]
-    status, x = solve(G.intersection_matrix(), rhs)
-    if status != "unique":
-        raise SingularMatrix("intersection matrix must be invertible")
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +369,3 @@ def blow_down(G: ResolutionGraph) -> BlownDownGraph:
         edges=tuple(sorted((remap[i], remap[j]) for (i, j) in mult)),
         surviving=surviving,
     )
-
-
-def mld_vertex(C: CurveCouple) -> Fraction:
-    """Minimal log discrepancy over the vertex; see ResolutionGraph.mld."""
-    return build_graph(C).mld
-
-
-def is_eps_lc_x(C: CurveCouple, eps) -> bool:
-    """eps-lc test for the whole cone surface.
-
-    The singular locus of a normal surface is finite and here
-    torus-invariant, so it is the vertex; everywhere else the mld is at
-    least 1 >= eps.  The test is therefore the vertex mld alone.
-    Non-klt input is simply not eps-lc.
-    """
-    eps = validate_epsilon(eps)
-    try:
-        G = build_graph(C)
-    except NotKlt:
-        return False
-    return G.mld >= eps

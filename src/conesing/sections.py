@@ -16,8 +16,8 @@ with L the lcm of the denominators (Pinkham 1977).  Its values
 h(n) = max(0, deg floor(nD) + 1) come from integers alone: with each
 coefficient a_p/b_p of D in lowest terms, deg floor(nD) is the sum of
 (n a_p) // b_p.  hilbert_series reads the numerator off these values and
-checks it by expanding the closed form once against them; h0, which
-builds floor(nD) as a divisor, is the independent oracle.
+checks it by expanding the closed form once against them; the tests
+keep h0, which builds floor(nD) as a divisor, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from .divisors import (CurveCouple, assign_coordinates, denominators_lcm,
                        floor_multiple)
 from .errors import BoundTooSmall, InternalInvariantError
-from .linalg import RowSpan, nullspace
-
-
-def h0(C: CurveCouple, n: int) -> int:
-    """Dimension of the degree-n piece: max(0, deg floor(nD) + 1)."""
-    return max(0, floor_multiple(C.divisor, n).degree() + 1)
+from .linalg import RowSpan, nullspace, primitivize
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +59,6 @@ class HilbertData:
                 val -= h[k - L - 1]
             h.append(val)
         return h
-
-    def expand(self, n: int) -> int:
-        """Coefficient of T^n from the closed form."""
-        return self.expansion(n)[n]
 
     def to_json(self) -> dict:
         return {"numerator": list(self.numerator), "L": self.period}
@@ -191,22 +182,6 @@ class SectionSpace:
         return out + [Fraction(0)] * (target - len(out))
 
 
-def multiplication_rank(C: CurveCouple, a: int, b: int) -> Tuple[int, int]:
-    """Rank and cokernel dimension of multiplication into degree a + b,
-    by exact elimination on the product vectors."""
-    space = SectionSpace(C)
-    da, db, dab = space.dim(a), space.dim(b), space.dim(a + b)
-    span = RowSpan()
-    for j in range(da):
-        va = [Fraction(0)] * da
-        va[j] = Fraction(1)
-        for k in range(db):
-            vb = [Fraction(0)] * db
-            vb[k] = Fraction(1)
-            span.add(space.multiply(a, va, b, vb))
-    return span.dim, dab - span.dim
-
-
 # ---------------------------------------------------------------------------
 # minimal generators and relations
 # ---------------------------------------------------------------------------
@@ -216,17 +191,7 @@ class Presentation:
     generator_degrees: Tuple[int, ...]
     relation_degrees: Tuple[int, ...]
     equations: Optional[Tuple[str, ...]]
-    search_bound: int
     verified_through: int
-
-    def to_json(self) -> dict:
-        return {
-            "generators": list(self.generator_degrees),
-            "relations": list(self.relation_degrees),
-            "equations": list(self.equations) if self.equations is not None else None,
-            "search_bound": self.search_bound,
-            "verified_through": self.verified_through,
-        }
 
 
 def default_presentation_bound(C: CurveCouple) -> int:
@@ -258,17 +223,8 @@ def _monomials(gen_degrees: List[int], total: int) -> List[Tuple[int, ...]]:
 
 def _equation_string(vec, monomials) -> str:
     """Primitive-integer, leading-positive polynomial in x, y, z, w."""
-    from math import gcd
-    den = 1
-    for c in vec:
-        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in vec]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g:
-        ints = [c // g for c in ints]
-    lead = next((c for c in ints if c != 0), 1)
+    ints = primitivize(vec)
+    lead = next(c for c in ints if c != 0)
     if lead < 0:
         ints = [-c for c in ints]
     parts = []
@@ -301,7 +257,6 @@ class _GeneratorScan:
     """
 
     def __init__(self, space: SectionSpace):
-        from .divisors import denominators_lcm
         self.space = space
         self.period = denominators_lcm(space.D)
         self.gens: List[Tuple[int, List[Fraction]]] = []   # (degree, vector)
@@ -404,8 +359,7 @@ def _hypersurface_relation_degree(hd: HilbertData,
 
 
 def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
-                 rel_bound: Optional[int] = None,
-                 want_relations: bool = True) -> Presentation:
+                 rel_bound: Optional[int] = None) -> Presentation:
     """Minimal generator degrees, minimal relation degrees, and explicit
     equations when at most four generators.
 
@@ -426,7 +380,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     scan = _GeneratorScan(space)
     gen_degrees = scan.run(gen_bound, verified_through)
     forced = None
-    if want_relations and len(gen_degrees) == 3:
+    if len(gen_degrees) == 3:
         forced = _hypersurface_relation_degree(hilbert_series(C), gen_degrees)
         if rel_bound < forced:
             raise BoundTooSmall(
@@ -435,7 +389,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
 
     relation_degrees: List[int] = []
     equations: List[str] = []
-    if want_relations and gen_degrees:
+    if gen_degrees:
         gd = sorted(gen_degrees)
         gens_sorted = sorted(scan.gens, key=lambda g: g[0])
         # Cache of monomial evaluations, keyed by exponent tuple.
@@ -501,21 +455,10 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     if forced is not None and relation_degrees != [forced]:
         raise InternalInvariantError(
             f"relation degrees {relation_degrees} differ from the forced {forced}")
-    emit_eqs = want_relations and len(gen_degrees) <= len(VARIABLE_NAMES)
-    eqs = tuple(equations) if emit_eqs else None
+    eqs = tuple(equations) if len(gen_degrees) <= len(VARIABLE_NAMES) else None
     return Presentation(
         generator_degrees=tuple(sorted(gen_degrees)),
         relation_degrees=tuple(sorted(relation_degrees)),
         equations=eqs,
-        search_bound=max(gen_bound, rel_bound),
         verified_through=verified_through,
     )
-
-
-def embedding_dimension(C: CurveCouple, gen_bound: Optional[int] = None) -> int:
-    return len(presentation(C, gen_bound=gen_bound, want_relations=False).generator_degrees)
-
-
-def is_smooth(C: CurveCouple, gen_bound: Optional[int] = None) -> bool:
-    # A two-dimensional cone is smooth exactly when two generators suffice.
-    return embedding_dimension(C, gen_bound=gen_bound) == 2

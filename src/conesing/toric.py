@@ -16,30 +16,16 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (FanInvalid, InternalInvariantError, NonCartierOnCone,
                      NotAmple, NotQCartierPair, NotQGorenstein,
                      PreconditionError)
 from .jsonio import fmt_q
-from .linalg import lcm_all, rank, rref, solve
+from .linalg import nullspace, primitivize, rank, rref, solve
 
 Vector = Tuple[int, ...]
-
-
-def _gcd_vec(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
-def primitivize(v) -> Vector:
-    g = _gcd_vec(v)
-    if g == 0:
-        raise InternalInvariantError("zero vector has no primitive form")
-    return tuple(x // g for x in v)
 
 
 def _dot(a, b):
@@ -54,10 +40,11 @@ def _dot(a, b):
 class Fan:
     """Complete fan given by primitive rays and maximal cones.
 
-    Validation covers ray primitivity and distinctness, full
-    dimensionality of the maximal cones, and (for simplicial fans) the
-    wall condition: every facet of a maximal cone is a facet of exactly
-    one other.
+    Validation covers ray primitivity and distinctness, distinct rays
+    within each maximal cone, full dimensionality and strict convexity
+    of the maximal cones, and the wall condition: every facet of a
+    maximal cone is a facet of exactly one other, which lies on the
+    other side of it.
     """
 
     rank: int
@@ -78,7 +65,7 @@ class Fan:
         for r in self.rays:
             if len(r) != n:
                 raise FanInvalid(f"ray {r} has wrong length")
-            if _gcd_vec(r) != 1:
+            if gcd(*r) != 1:
                 raise FanInvalid(f"ray {r} is not primitive")
         if len(set(self.rays)) != len(self.rays):
             raise FanInvalid("duplicate rays")
@@ -87,23 +74,33 @@ class Fan:
         for c in self.max_cones:
             if any(i < 0 or i >= len(self.rays) for i in c):
                 raise FanInvalid(f"cone {c} references a missing ray")
+            if len(set(c)) != len(c):
+                raise FanInvalid(f"cone {c} repeats a ray")
             mat = [list(self.rays[i]) for i in c]
             if rank(mat) != n:
                 raise FanInvalid(f"cone {c} is not full-dimensional")
         if n == 1:
             if set(self.rays) != {(1,), (-1,)}:
                 raise FanInvalid("a complete rank-1 fan has rays +1 and -1")
+            if sorted(self.max_cones) != [(0,), (1,)]:
+                raise FanInvalid("a complete rank-1 fan has one cone per ray")
             return
-        # Wall condition for simplicial fans.
-        if all(len(c) == n for c in self.max_cones):
-            facets = {}
-            for ci, c in enumerate(self.max_cones):
-                for facet in itertools.combinations(c, n - 1):
-                    facets.setdefault(facet, []).append(ci)
-            for facet, owners in facets.items():
-                if len(owners) != 2:
+        # per maximal cone: inward facet normal by the facet's ray set
+        walls = []
+        for c in self.max_cones:
+            normals = _facet_normals([self.rays[i] for i in c], n)
+            if rank(normals) != n:
+                raise FanInvalid(f"cone {c} is not strictly convex")
+            walls.append({frozenset(i for i in c if _dot(u, self.rays[i]) == 0): u
+                          for u in normals})
+        for c, own in zip(self.max_cones, walls):
+            for wall, u in own.items():
+                others = [w[wall] for w in walls if w is not own and wall in w]
+                if others != [tuple(-x for x in u)]:
                     raise FanInvalid(
-                        f"facet {facet} belongs to {len(owners)} cones; fan not complete")
+                        f"facet {sorted(wall)} of cone {c} is a facet of "
+                        f"{len(others)} other cones, not of exactly one on "
+                        "its other side; fan not complete")
 
     @cached_property
     def cone_inequalities(self) -> Tuple[Tuple[Tuple[Vector, ...], ...], ...]:
@@ -125,7 +122,7 @@ class Fan:
                 if pivots[:n] != list(range(n)):
                     continue
                 inverse = [row[n:] for row in red]
-                scale = lcm_all(x.denominator for row in inverse for x in row)
+                scale = lcm(*(x.denominator for row in inverse for x in row))
                 tests.append(tuple(tuple(int(x * scale) for x in row)
                                    for row in inverse))
             out.append(tuple(tests))
@@ -139,11 +136,6 @@ class Fan:
                     return ci
         raise FanInvalid(f"{tuple(v)} is outside the fan support; fan not complete")
 
-    def to_json(self) -> dict:
-        return {"rank": self.rank,
-                "rays": [list(r) for r in self.rays],
-                "cones": [list(c) for c in self.max_cones]}
-
 
 @dataclass(frozen=True)
 class ToricDivisor:
@@ -154,9 +146,6 @@ class ToricDivisor:
     @staticmethod
     def of(values) -> "ToricDivisor":
         return ToricDivisor(tuple(Fraction(v) for v in values))
-
-    def to_json(self) -> list:
-        return [fmt_q(c) for c in self.coefficients]
 
 
 def _cone_linear_form(F: Fan, values: Sequence[Fraction], cone_index: int,
@@ -192,12 +181,12 @@ def weil_index(F: Fan, D: ToricDivisor, v: Sequence[int]) -> int:
 def cartier_index_on_cone(F: Fan, D: ToricDivisor, cone_index: int) -> int:
     """Least mu making mu D integral-linear on the cone."""
     m = _cone_linear_form(F, D.coefficients, cone_index, "divisor")
-    return lcm_all(x.denominator for x in m) or 1
+    return lcm(*(x.denominator for x in m))
 
 
 def cartier_index_global(F: Fan, D: ToricDivisor) -> int:
-    return lcm_all(cartier_index_on_cone(F, D, ci)
-                   for ci in range(len(F.max_cones))) or 1
+    return lcm(*(cartier_index_on_cone(F, D, ci)
+                 for ci in range(len(F.max_cones))))
 
 
 def quotient_boundary(F: Fan, D: ToricDivisor) -> ToricDivisor:
@@ -213,13 +202,6 @@ def _pair_form(F: Fan, B: ToricDivisor, cone_index: int) -> Tuple[Fraction, ...]
         return _cone_linear_form(F, values, cone_index, "pair")
     except NonCartierOnCone as exc:
         raise NotQCartierPair(str(exc)) from None
-
-
-def log_discrepancy_y(F: Fan, B: ToricDivisor, v: Sequence[int]) -> Fraction:
-    """Value at v of the piecewise-linear form equal to 1 - b_rho at rays."""
-    if all(x == 0 for x in v):
-        return Fraction(0)
-    return _dot(_pair_form(F, B, F.locate(v)), v)
 
 
 def is_ample(F: Fan, D: ToricDivisor) -> bool:
@@ -250,20 +232,11 @@ class ConeOfX:
     rays: Tuple[Vector, ...]
     qgorenstein_form: Optional[Tuple[Fraction, ...]]
 
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "rays": [list(r) for r in self.rays],
-            "qgorenstein_form": ([fmt_q(x) for x in self.qgorenstein_form]
-                                 if self.qgorenstein_form is not None else None),
-        }
 
-
-def _facet_normals(rays: Sequence[Vector], dim: int) -> List[Tuple[Fraction, ...]]:
+def _facet_normals(rays: Sequence[Vector], dim: int) -> List[Vector]:
     """Inward normals of the facets of a full-dimensional pointed cone."""
     normals = []
     seen = set()
-    from .linalg import nullspace
     for subset in itertools.combinations(range(len(rays)), dim - 1):
         mat = [[Fraction(x) for x in rays[i]] for i in subset]
         kernel_basis = nullspace(mat) if mat else []
@@ -276,21 +249,12 @@ def _facet_normals(rays: Sequence[Vector], dim: int) -> List[Tuple[Fraction, ...
             continue
         if neg:
             n = tuple(-x for x in n)
-        scaled = _scale_to_primitive_int(n)
+        scaled = primitivize(n)
         if scaled in seen:
             continue
         seen.add(scaled)
         normals.append(scaled)
     return normals
-
-
-def _scale_to_primitive_int(vec) -> Vector:
-    den = 1
-    for x in vec:
-        f = Fraction(x)
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(Fraction(x) * den) for x in vec]
-    return primitivize(ints)
 
 
 def cone_of_x(F: Fan, D: ToricDivisor) -> ConeOfX:
@@ -325,36 +289,6 @@ def log_discrepancy_x(K: ConeOfX, w: Sequence[int]) -> Fraction:
     if K.qgorenstein_form is None:
         raise NotQGorenstein("no covector takes value 1 on all rays")
     return _dot(K.qgorenstein_form, w)
-
-
-def lattice_mld(K: ConeOfX) -> Fraction:
-    """Mld at the fixed point of a rank-2 lifted cone: minimum of the
-    normalized form over interior lattice points, enumerated in the
-    bounded region {form <= 2}."""
-    if K.rank != 2:
-        raise PreconditionError("lattice mld enumeration implemented for rank 2")
-    if K.qgorenstein_form is None:
-        raise NotQGorenstein("no covector takes value 1 on all rays")
-    r1, r2 = K.rays
-    det = r1[0] * r2[1] - r1[1] * r2[0]
-    corners = [(0, 0), (2 * r1[0], 2 * r1[1]), (2 * r2[0], 2 * r2[1])]
-    xs = [c[0] for c in corners]
-    ys = [c[1] for c in corners]
-    best: Optional[Fraction] = None
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if (x, y) == (0, 0):
-                continue
-            s = Fraction(x * r2[1] - y * r2[0], det)
-            t = Fraction(y * r1[0] - x * r1[1], det)
-            if s <= 0 or t <= 0:
-                continue
-            val = _dot(K.qgorenstein_form, (x, y))
-            if val <= 2 and (best is None or val < best):
-                best = val
-    if best is None:
-        raise InternalInvariantError("empty mld enumeration region")
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -456,30 +390,8 @@ def verify_comparison(F: Fan, D: ToricDivisor,
 
 
 # ---------------------------------------------------------------------------
-# stock fans and seeded instances
+# projective space and seeded samples
 # ---------------------------------------------------------------------------
-
-def fan_p1() -> Fan:
-    return Fan(rank=1, rays=((1,), (-1,)), max_cones=((0,), (1,)))
-
-
-def fan_p2() -> Fan:
-    return Fan(rank=2, rays=((1, 0), (0, 1), (-1, -1)),
-               max_cones=((0, 1), (1, 2), (0, 2)))
-
-
-def fan_p1xp1() -> Fan:
-    return Fan(rank=2, rays=((1, 0), (0, 1), (-1, 0), (0, -1)),
-               max_cones=((0, 1), (1, 2), (2, 3), (0, 3)))
-
-
-def fan_weighted_plane(a: int, b: int) -> Fan:
-    """Rays (1,0), (0,1), (-a,-b) with a, b coprime positive integers."""
-    if a <= 0 or b <= 0 or gcd(a, b) != 1:
-        raise PreconditionError("weights must be coprime positive integers")
-    return Fan(rank=2, rays=((1, 0), (0, 1), (-a, -b)),
-               max_cones=((0, 1), (1, 2), (0, 2)))
-
 
 def fan_projective_space(d: int) -> Fan:
     """The fan of d-dimensional projective space."""
@@ -492,56 +404,19 @@ def fan_projective_space(d: int) -> Fan:
     return Fan(rank=d, rays=tuple(rays), max_cones=cones)
 
 
-def random_instances(seed: int, count: int, max_denominator: int = 6,
-                     require_qgorenstein: bool = True):
-    """Deterministic stream of (label, fan, ample divisor) triples over
-    the line, the plane, the quadric surface, and weighted planes."""
-    rng = random.Random(seed)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 200 * count:
-        attempts += 1
-        kind = rng.choice(["p1", "p2", "p1xp1", "weighted"])
-        if kind == "p1":
-            F = fan_p1()
-        elif kind == "p2":
-            F = fan_p2()
-        elif kind == "p1xp1":
-            F = fan_p1xp1()
-        else:
-            while True:
-                a, b = rng.randint(1, 3), rng.randint(1, 3)
-                if gcd(a, b) == 1:
-                    break
-            F = fan_weighted_plane(a, b)
-        coeffs = []
-        for _ in F.rays:
-            q = rng.randint(1, max_denominator)
-            p = rng.randint(0, 4 * q)
-            coeffs.append(Fraction(p, q))
-        D = ToricDivisor.of(coeffs)
-        if not is_ample(F, D):
-            continue
-        if require_qgorenstein:
-            K = cone_of_x(F, D)
-            if K.qgorenstein_form is None:
-                continue
-        out.append((f"{kind}#{len(out)}", F, D))
-    if len(out) < count:
-        raise InternalInvariantError("instance generator starved; widen the search")
-    return out
+# sample coordinates lie in [-SAMPLE_BOX, SAMPLE_BOX]
+SAMPLE_BOX = 5
 
 
-def random_primitive_samples(seed: int, rank: int, count: int,
-                             box: int = 5) -> List[Vector]:
+def random_primitive_samples(seed: int, rank: int, count: int) -> List[Vector]:
     if count < 0:
         raise PreconditionError(f"sample count {count} is negative")
-    if rank < 1 or box < 1:
-        raise PreconditionError(f"sample rank {rank} and box {box} must be positive")
+    if rank < 1:
+        raise PreconditionError(f"sample rank {rank} must be positive")
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        v = tuple(rng.randint(-box, box) for _ in range(rank))
+        v = tuple(rng.randint(-SAMPLE_BOX, SAMPLE_BOX) for _ in range(rank))
         if all(x == 0 for x in v):
             continue
         out.append(primitivize(v))

@@ -1,11 +1,21 @@
-"""Shared test utilities: deterministic random couples and small oracles."""
+"""Shared test utilities: deterministic random couples and instances,
+stock fans, and the reference oracles that the library's closed forms
+and fast paths are checked against."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from typing import Optional
 
 from conesing.divisors import (CurveCouple, QDivisorP1, finite_point,
-                               infinity_point)
+                               floor_multiple, infinity_point)
+from conesing.errors import (InternalInvariantError, NotQGorenstein,
+                             PreconditionError, SingularMatrix)
+from conesing.linalg import RowSpan, det_int, solve
+from conesing.sections import SectionSpace, _GeneratorScan
+from conesing.toric import (Fan, ToricDivisor, _dot, _pair_form, cone_of_x,
+                            is_ample)
 
 POSITIONS = [finite_point(0), finite_point(1), infinity_point(),
              finite_point(2), finite_point(-1), finite_point(Fraction(1, 2)),
@@ -118,3 +128,187 @@ def count_build_graph(monkeypatch):
                 getattr(mod, "build_graph", None) is original:
             monkeypatch.setattr(mod, "build_graph", counting)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# section ring oracles
+# ---------------------------------------------------------------------------
+
+def h0(C, n):
+    """Dimension of the degree-n piece: max(0, deg floor(nD) + 1), with
+    floor(nD) built as a divisor."""
+    return max(0, floor_multiple(C.divisor, n).degree() + 1)
+
+
+def multiplication_rank(C, a, b):
+    """Rank and cokernel dimension of multiplication into degree a + b,
+    by exact elimination on the product vectors."""
+    space = SectionSpace(C)
+    da, db, dab = space.dim(a), space.dim(b), space.dim(a + b)
+    span = RowSpan()
+    for j in range(da):
+        va = [Fraction(0)] * da
+        va[j] = Fraction(1)
+        for k in range(db):
+            vb = [Fraction(0)] * db
+            vb[k] = Fraction(1)
+            span.add(space.multiply(a, va, b, vb))
+    return span.dim, dab - span.dim
+
+
+def scanned_generators(C, bound):
+    """Minimal generator degrees from the generator scan alone, without
+    the relation search: generators through `bound`, saturation checked
+    through 2 * bound (BoundTooSmall otherwise)."""
+    return tuple(sorted(_GeneratorScan(SectionSpace(C)).run(bound, 2 * bound)))
+
+
+# ---------------------------------------------------------------------------
+# dense star-graph oracles
+# ---------------------------------------------------------------------------
+
+def intersection_matrix(G):
+    """The dense intersection matrix of a star graph."""
+    selfints = G.self_intersections()
+    m = [[0] * len(selfints) for _ in selfints]
+    for i, e in enumerate(selfints):
+        m[i][i] = e
+    for i, j in G.edges():
+        m[i][j] = m[j][i] = 1
+    return m
+
+
+def discrepancies(G):
+    """Unique solution of M d = k, k_j = -E_j^2 - 2, solved densely;
+    independent of the chain elimination in build_graph."""
+    selfints = G.self_intersections()
+    rhs = [Fraction(-e - 2) for e in selfints]
+    status, x = solve(intersection_matrix(G), rhs)
+    if status != "unique":
+        raise SingularMatrix("intersection matrix must be invertible")
+    return tuple(x)
+
+
+def is_negative_definite(matrix):
+    """Sign test on leading principal minors of a symmetric matrix."""
+    n = len(matrix)
+    for k in range(1, n + 1):
+        minor = det_int([row[:k] for row in matrix[:k]])
+        if minor == 0:
+            raise SingularMatrix(f"leading {k}x{k} minor vanishes")
+        if (minor > 0) != (k % 2 == 0):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# toric oracles, stock fans and seeded instances
+# ---------------------------------------------------------------------------
+
+def log_discrepancy_y(F, B, v):
+    """Value at v of the piecewise-linear form equal to 1 - b_rho at rays."""
+    if all(x == 0 for x in v):
+        return Fraction(0)
+    return _dot(_pair_form(F, B, F.locate(v)), v)
+
+
+def lattice_mld(K):
+    """Mld at the fixed point of a rank-2 lifted cone: minimum of the
+    normalized form over interior lattice points, enumerated in the
+    bounded region {form <= 2}."""
+    if K.rank != 2:
+        raise PreconditionError("lattice mld enumeration implemented for rank 2")
+    if K.qgorenstein_form is None:
+        raise NotQGorenstein("no covector takes value 1 on all rays")
+    r1, r2 = K.rays
+    det = r1[0] * r2[1] - r1[1] * r2[0]
+    corners = [(0, 0), (2 * r1[0], 2 * r1[1]), (2 * r2[0], 2 * r2[1])]
+    xs = [c[0] for c in corners]
+    ys = [c[1] for c in corners]
+    best: Optional[Fraction] = None
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            if (x, y) == (0, 0):
+                continue
+            s = Fraction(x * r2[1] - y * r2[0], det)
+            t = Fraction(y * r1[0] - x * r1[1], det)
+            if s <= 0 or t <= 0:
+                continue
+            val = _dot(K.qgorenstein_form, (x, y))
+            if val <= 2 and (best is None or val < best):
+                best = val
+    if best is None:
+        raise InternalInvariantError("empty mld enumeration region")
+    return best
+
+
+def simplicial_walls_ok(rank, max_cones):
+    """The combinatorial wall condition of a simplicial fan: every
+    (rank - 1)-subset of a maximal cone lies in exactly two maximal
+    cones."""
+    facets = {}
+    for ci, c in enumerate(max_cones):
+        for facet in itertools.combinations(sorted(c), rank - 1):
+            facets.setdefault(facet, []).append(ci)
+    return all(len(owners) == 2 for owners in facets.values())
+
+
+def fan_p1():
+    return Fan(rank=1, rays=((1,), (-1,)), max_cones=((0,), (1,)))
+
+
+def fan_p2():
+    return Fan(rank=2, rays=((1, 0), (0, 1), (-1, -1)),
+               max_cones=((0, 1), (1, 2), (0, 2)))
+
+
+def fan_p1xp1():
+    return Fan(rank=2, rays=((1, 0), (0, 1), (-1, 0), (0, -1)),
+               max_cones=((0, 1), (1, 2), (2, 3), (0, 3)))
+
+
+def fan_weighted_plane(a, b):
+    """Rays (1,0), (0,1), (-a,-b) with a, b coprime positive integers."""
+    if a <= 0 or b <= 0 or gcd(a, b) != 1:
+        raise PreconditionError("weights must be coprime positive integers")
+    return Fan(rank=2, rays=((1, 0), (0, 1), (-a, -b)),
+               max_cones=((0, 1), (1, 2), (0, 2)))
+
+
+def random_instances(seed, count, max_denominator=6, require_qgorenstein=True):
+    """Deterministic stream of (label, fan, ample divisor) triples over
+    the line, the plane, the quadric surface, and weighted planes."""
+    rng = random.Random(seed)
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 200 * count:
+        attempts += 1
+        kind = rng.choice(["p1", "p2", "p1xp1", "weighted"])
+        if kind == "p1":
+            F = fan_p1()
+        elif kind == "p2":
+            F = fan_p2()
+        elif kind == "p1xp1":
+            F = fan_p1xp1()
+        else:
+            while True:
+                a, b = rng.randint(1, 3), rng.randint(1, 3)
+                if gcd(a, b) == 1:
+                    break
+            F = fan_weighted_plane(a, b)
+        coeffs = []
+        for _ in F.rays:
+            q = rng.randint(1, max_denominator)
+            p = rng.randint(0, 4 * q)
+            coeffs.append(Fraction(p, q))
+        D = ToricDivisor.of(coeffs)
+        if not is_ample(F, D):
+            continue
+        if require_qgorenstein:
+            K = cone_of_x(F, D)
+            if K.qgorenstein_form is None:
+                continue
+        out.append((f"{kind}#{len(out)}", F, D))
+    if len(out) < count:
+        raise InternalInvariantError("instance generator starved; widen the search")
+    return out

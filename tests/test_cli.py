@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import count_build_graph
 
@@ -396,3 +400,174 @@ def test_toric_check_bad_input_exits_without_traceback(tmp_path, fan, flags,
     assert res.returncode == code, res.stderr
     assert res.stdout == ""
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("fan, samples", [
+    ({**P2_FAN, "cones": [[0, 0, 1], [1, 2]]}, "0"),
+    ({**P2_FAN, "cones": [[0, 1], [1, 2]]}, "0"),
+    ({"rank": 3, "rays": [[x, y, z] for x in (1, -1) for y in (1, -1)
+                          for z in (1, -1)],
+      "cones": [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5], [2, 3, 6, 7],
+                [0, 2, 4, 6]]}, "0"),
+], ids=["repeated_index", "p2_two_cones", "cube_five_faces"])
+def test_toric_check_refuses_incomplete_fans(tmp_path, fan, samples, capsys):
+    from conesing import cli
+    fan_path = tmp_path / "fan.json"
+    div_path = tmp_path / "div.json"
+    fan_path.write_text(json.dumps(fan))
+    div_path.write_text(json.dumps(["1"] * len(fan["rays"])))
+    code = cli.main(["toric-check", "--fan", str(fan_path),
+                     "--divisor", str(div_path), "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "precondition violated" in captured.err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("case", ["deep", "not_utf8", "boolean"])
+@pytest.mark.parametrize("command", ["describe", "audit", "toric-check"])
+def test_malformed_json_exits_2_without_traceback(command, case, source,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+    from conesing import cli
+    from conesing.catalog import SearchParams, enumerate_catalog
+    if case == "deep":
+        data = b"[" * 100000
+    elif case == "not_utf8":
+        data = b"\xff\xfe{"
+    elif command == "describe":
+        data = couple_doc([({"t": "fin", "x": "0"}, True)]).encode()
+    elif command == "audit":
+        entry = enumerate_catalog(SearchParams(epsilon=1, isotropy_bound=1))[0]
+        data = json.dumps({"entries": [{**entry.to_json(),
+                                        "degree": True}]}).encode()
+    else:
+        data = json.dumps([True, "1", "1"]).encode()
+    bad = "-"
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                           encoding="utf-8"))
+    else:
+        bad = str(tmp_path / "bad.json")
+        Path(bad).write_bytes(data)
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps(P2_FAN))
+    div = tmp_path / "div.json"
+    div.write_text(json.dumps(["1", "1", "1"]))
+    # the boolean of toric-check sits in the divisor, the others in the fan
+    fan_arg, div_arg = (str(fan), bad) if case == "boolean" else (bad, str(div))
+    argv = {"describe": ["describe", "--couple", bad],
+            "audit": ["audit", "--catalog", bad, "--epsilon", "1",
+                      "--isotropy-bound", "1"],
+            "toric-check": ["toric-check", "--fan", fan_arg,
+                            "--divisor", div_arg]}[command]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "parse error" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_audit_of_entry_with_non_string_key_exits_2(tmp_path, capsys):
+    from conesing import cli
+    path = tmp_path / "cat.json"
+    assert cli.main(["enumerate", "--epsilon", "1", "--isotropy-bound", "1",
+                     "--jobs", "1", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["entries"][0]["key"] = []
+    path.write_text(json.dumps(doc))
+    code = cli.main(["audit", "--catalog", str(path), "--epsilon", "1",
+                     "--isotropy-bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "catalog key [] is not a string" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis fuzz of the CLI on malformed and well-formed JSON
+# ---------------------------------------------------------------------------
+
+SCHEMA_KEYS = ("divisor", "point", "coeff", "t", "x", "name", "rank", "rays",
+               "cones")
+RATIONALS = st.builds(lambda p, q: f"{p}/{q}", st.integers(-60, 60),
+                      st.integers(1, 50))
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), RATIONALS,
+                   st.sampled_from(SCHEMA_KEYS + ("fin", "inf", "lbl", "", "p")))
+JSON_DOCS = st.recursive(
+    LEAVES, lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.sampled_from(SCHEMA_KEYS), kids, max_size=4)),
+    max_leaves=10)
+POINTS = st.one_of(
+    st.fixed_dictionaries({"t": st.just("fin"),
+                           "x": st.one_of(RATIONALS, st.integers(-3, 3),
+                                          JSON_DOCS)}),
+    st.just({"t": "inf"}),
+    st.fixed_dictionaries({"t": st.just("lbl"),
+                           "name": st.sampled_from(["p", "q", ""])}),
+    JSON_DOCS)
+TERMS = st.one_of(
+    st.fixed_dictionaries({"point": POINTS,
+                           "coeff": st.one_of(RATIONALS, st.integers(-2, 4),
+                                              JSON_DOCS)}),
+    JSON_DOCS)
+COUPLE_DOCS = st.one_of(
+    st.fixed_dictionaries({"divisor": st.one_of(st.lists(TERMS, max_size=4),
+                                                JSON_DOCS)}),
+    JSON_DOCS)
+ROWS = st.one_of(st.lists(st.lists(st.one_of(st.integers(-2, 6), LEAVES),
+                                   max_size=4), max_size=6),
+                 JSON_DOCS)
+FAN_DOCS = st.one_of(
+    st.sampled_from([P2_FAN, {"rank": 1, "rays": [[1], [-1]],
+                              "cones": [[0], [1]]},
+                     {"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                          [-1, -1, -1]],
+                      "cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3],
+                                [1, 2, 3]]}]),
+    st.fixed_dictionaries({"rank": st.one_of(st.integers(-1, 3), LEAVES),
+                           "rays": ROWS, "cones": ROWS}),
+    JSON_DOCS)
+DIVISOR_DOCS = st.one_of(
+    st.lists(st.one_of(RATIONALS, st.integers(-2, 3), LEAVES), max_size=6),
+    JSON_DOCS)
+
+
+@st.composite
+def toric_inputs(draw):
+    """A fan document and a divisor document, often one well-formed
+    coefficient per ray of the fan."""
+    fan = draw(FAN_DOCS)
+    rays = fan.get("rays") if isinstance(fan, dict) else None
+    if isinstance(rays, list) and draw(st.booleans()):
+        coeff = st.one_of(RATIONALS, st.integers(0, 3))
+        return fan, draw(st.lists(coeff, min_size=len(rays),
+                                  max_size=len(rays)))
+    return fan, draw(DIVISOR_DOCS)
+
+
+def run_quietly(argv):
+    from conesing import cli
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@given(COUPLE_DOCS)
+def test_fuzz_describe_exits_0_2_or_3(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "couple.json"
+    path.write_text(json.dumps(doc))
+    assert run_quietly(["describe", "--couple", str(path)]) in (0, 2, 3)
+
+
+@given(toric_inputs())
+def test_fuzz_toric_check_exits_0_2_or_3(tmp_path_factory, inputs):
+    fan, divisor = inputs
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "fan.json").write_text(json.dumps(fan))
+    (directory / "div.json").write_text(json.dumps(divisor))
+    assert run_quietly(["toric-check", "--fan", str(directory / "fan.json"),
+                        "--divisor", str(directory / "div.json"),
+                        "--samples", "3", "--seed", "1"]) in (0, 2, 3)

@@ -4,26 +4,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conesing.counterexamples import (AnActionParams, an_action_weights,
-                                      an_is_cone_action, an_min_over_actions,
-                                      diagonal_cone_report, rnc_family_report)
+from conesing.counterexamples import (an_min_over_actions, diagonal_cone_report,
+                                      rnc_family_report)
 from conesing.errors import PreconditionError
 from helpers import an_min_scan
 
 F = Fraction
-
-
-def test_an_action_weights():
-    assert an_action_weights(AnActionParams(n=3, a=1, b=1)) == (4, 2, 2)
-    for n in (2, 5):
-        assert an_action_weights(AnActionParams(n=n, a=0, b=1)) == (n, n, 2)
-        assert an_action_weights(AnActionParams(n=n, a=3, b=0)) == (3, -3, 0)
-
-
-def test_an_is_cone_action():
-    assert not an_is_cone_action(AnActionParams(n=4, a=1, b=0))
-    assert an_is_cone_action(AnActionParams(n=4, a=1, b=1))
-    assert an_is_cone_action(AnActionParams(n=4, a=0, b=-2))
 
 
 def brute_min(n, box):

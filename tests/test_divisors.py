@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from conesing.divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
                                QDivisorP1, assign_coordinates, denominators_lcm,
                                finite_point, floor_multiple, infinity_point,
-                               isotropy_order, label_point, max_isotropy,
-                               normal_form)
+                               label_point, max_isotropy, normal_form)
 from conesing.errors import NotAmple, PreconditionError
 
 P0 = finite_point(0)
@@ -24,7 +23,7 @@ def D(*terms):
 def test_degree_examples():
     assert D((P0, 2)).degree() == 2
     assert D((P0, F(1, 2)), (P1, F(1, 3))).degree() == F(5, 6)
-    assert QDivisorP1.zero().degree() == 0
+    assert QDivisorP1.of([]).degree() == 0
 
 
 def test_floor_multiple_examples():
@@ -33,30 +32,31 @@ def test_floor_multiple_examples():
         IntegralDivisorP1.of({P0: 1, PINF: 2})
     assert floor_multiple(D((P0, F(-1, 2)), (PINF, 1)), 1) == \
         IntegralDivisorP1.of({P0: -1, PINF: 1})
-    assert floor_multiple(D((P0, F(1, 2))), 0) == IntegralDivisorP1.zero()
+    assert floor_multiple(D((P0, F(1, 2))), 0) == IntegralDivisorP1.of([])
 
 
 def test_weil_and_cartier_indices():
     # on the line the local Weil and Cartier indices of D coincide; both
-    # are the isotropy order of the invariant curve over the point
-    assert isotropy_order(CurveCouple.of({P0: F(1, 2)}), P0) == 2
-    assert isotropy_order(CurveCouple.of({P0: F(3, 2)}), P1) == 1
-    assert isotropy_order(CurveCouple.of({P0: 2}), P0) == 1
-    assert isotropy_order(CurveCouple.of({P0: F(5, 3)}), P0) == 3
-    assert isotropy_order(CurveCouple.of({P0: F(5, 3)}), PINF) == 1
-    assert isotropy_order(CurveCouple.of({P0: 7}), P0) == 1
+    # are the isotropy order of the invariant curve over the point, the
+    # denominator of the coefficient there
+    assert CurveCouple.of({P0: F(1, 2)}).divisor.coeff(P0).denominator == 2
+    assert CurveCouple.of({P0: F(3, 2)}).divisor.coeff(P1).denominator == 1
+    assert CurveCouple.of({P0: 2}).divisor.coeff(P0).denominator == 1
+    assert CurveCouple.of({P0: F(5, 3)}).divisor.coeff(P0).denominator == 3
+    assert CurveCouple.of({P0: F(5, 3)}).divisor.coeff(PINF).denominator == 1
+    assert CurveCouple.of({P0: 7}).divisor.coeff(P0).denominator == 1
 
 
 def test_isotropy_orders():
     for m in (1, 2, 5):
         C = CurveCouple.of({P0: m})
-        assert isotropy_order(C, P0) == 1
-        assert isotropy_order(C, P1) == 1
+        assert C.divisor.coeff(P0).denominator == 1
+        assert C.divisor.coeff(P1).denominator == 1
     C = CurveCouple.of({P0: F(1, 2), P1: F(1, 2)})
-    assert isotropy_order(C, P0) == 2
+    assert C.divisor.coeff(P0).denominator == 2
     for n in (2, 3, 7):
         C = CurveCouple.of({P0: F(1, n), PINF: F(1, n)})
-        assert isotropy_order(C, P0) == n
+        assert C.divisor.coeff(P0).denominator == n
 
 
 def test_max_isotropy():
@@ -171,6 +171,6 @@ def test_weil_le_cartier_everywhere(terms):
     C = CurveCouple(d)
     L = denominators_lcm(d)
     for p in d.points():
-        w = isotropy_order(C, p)
+        w = C.divisor.coeff(p).denominator
         assert L % w == 0 and w <= max_isotropy(C)
 

@@ -1,0 +1,65 @@
+"""Layout rule: src/ holds only code that the CLI and the catalog run.
+
+Every top-level function or class of a module in src/conesing must be
+referred to (by a Name, an Attribute or an import) from another module
+there, or from elsewhere in its own module.  The package __init__ only
+re-exports, so it does not count as a caller.  Reference oracles and
+other test-only code live in tests/helpers.py.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "conesing"
+
+
+def references(node):
+    """Names a syntax tree refers to through Name, Attribute or import."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.split(".")[-1] for alias in sub.names)
+    return out
+
+
+def unreferenced_definitions():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    unused = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        elsewhere = set()
+        for other, other_tree in trees.items():
+            if other not in (name, "__init__.py"):
+                elsewhere |= references(other_tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            own = set()
+            for stmt in tree.body:
+                if stmt is not node:
+                    own |= references(stmt)
+            if node.name not in elsewhere | own:
+                unused.append(f"{name[:-3]}.{node.name}")
+    return unused
+
+
+def test_every_top_level_definition_in_src_has_a_caller():
+    assert unreferenced_definitions() == []
+
+
+def test_layout_scan_flags_a_definition_without_caller(tmp_path, monkeypatch):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    with open(tmp_path / "linalg.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef only_tests_call_me():\n    return rank([[1]])\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert unreferenced_definitions() == ["linalg.only_tests_call_me"]

@@ -4,12 +4,13 @@ import pytest
 
 from conesing.divisors import (CurveCouple, IntegralDivisorP1, finite_point,
                                infinity_point, normal_form, QDivisorP1)
-from conesing.errors import BadEpsilon, NotLogFano, PreconditionError
+from conesing.catalog import SearchParams, _build_entry, audit_catalog
+from conesing.errors import BadEpsilon, NotKlt, PreconditionError
 from conesing.quotient import (StandardPair, cartier_index_of_kx,
                                curve_log_discrepancy, horizontal_log_discrepancy,
                                is_eps_lc_pair, is_log_fano, log_fano_quotient,
-                               necessary_eps_conditions, vertex_decomposition,
-                               vertex_log_discrepancy)
+                               vertex_decomposition, vertex_log_discrepancy)
+from conesing.resolution import build_graph
 from helpers import brute_min_decomposition, random_couples
 
 P0 = finite_point(0)
@@ -130,11 +131,14 @@ def test_vertex_log_discrepancy_normal_form_invariance():
 
 
 def test_not_log_fano_raises():
+    # a cone over a couple is klt exactly when its quotient pair is log Fano
     C = CurveCouple.of({P0: F(6, 7), P1: F(6, 7), PINF: F(6, 7)})
-    with pytest.raises(NotLogFano):
+    with pytest.raises(NotKlt, match="boundary degree 18/7 is >= 2"):
         vertex_decomposition(C)
-    with pytest.raises(NotLogFano):
+    with pytest.raises(NotKlt, match="boundary degree 18/7 is >= 2"):
         vertex_log_discrepancy(C)
+    with pytest.raises(NotKlt, match="boundary degree 18/7 is >= 2"):
+        build_graph(C)
 
 
 def test_horizontal_log_discrepancy_is_one():
@@ -159,13 +163,23 @@ def test_cartier_index_of_kx():
     assert cartier_index_of_kx(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)})) == 1
 
 
+def audit_failures(C, eps, N):
+    """Failures of the catalog audit on the honest entry of C."""
+    entry = _build_entry(C, build_graph(C), "entry")
+    params = SearchParams(epsilon=eps, isotropy_bound=N)
+    return [f.split(": ", 1)[1] for f in audit_catalog([entry], params).failures]
+
+
 def test_necessary_eps_conditions():
-    rep = necessary_eps_conditions(CurveCouple.of({P0: 2}), 1, 1)
-    assert rep.all_ok
-    rep = necessary_eps_conditions(CurveCouple.of({P0: 3}), 1, 1)
-    assert not rep.a_e0_ok and rep.a_e0 == F(2, 3)
-    rep = necessary_eps_conditions(
-        CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}), F(1, 2), 1)
-    assert not rep.isotropy_ok
+    # the audit checks the conditions every member of the eps-lc,
+    # isotropy <= N class satisfies: a_e0 >= eps, isotropy <= N and an
+    # eps/N-lc quotient pair
+    assert audit_failures(CurveCouple.of({P0: 2}), 1, 1) == []
+    assert "central log discrepancy out of range" in audit_failures(
+        CurveCouple.of({P0: 3}), 1, 1)
+    assert audit_failures(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}),
+                          F(1, 2), 1) == ["isotropy above the bound 1"]
+    assert audit_failures(CurveCouple.of({P0: F(2, 3)}), 1, 2) == [
+        "isotropy above the bound 2", "quotient pair fails eps/N"]
     with pytest.raises(BadEpsilon):
-        necessary_eps_conditions(CurveCouple.of({P0: 2}), 2, 1)
+        SearchParams(epsilon=F(2), isotropy_bound=1)

@@ -3,15 +3,14 @@ from fractions import Fraction
 import pytest
 
 from conesing.divisors import CurveCouple, finite_point, infinity_point
-from conesing.errors import (BadEpsilon, IntegralPoint, NotKlt,
-                             PreconditionError)
-from conesing.linalg import det_int, is_negative_definite
+from conesing.errors import IntegralPoint, NotKlt, PreconditionError
+from conesing.linalg import det_int
 from conesing.quotient import vertex_log_discrepancy
 from conesing.resolution import (LatticeCone2, blow_down, build_graph,
-                                 discrepancies, hj_chain, is_eps_lc_x,
-                                 local_cone_at, mld_vertex)
-from conesing.toric import ConeOfX, lattice_mld
-from helpers import random_couples
+                                 hj_chain, local_cone_at)
+from conesing.toric import ConeOfX
+from helpers import (discrepancies, intersection_matrix, is_negative_definite,
+                     lattice_mld, random_couples)
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -159,7 +158,7 @@ def test_dense_solve_agrees_with_chain_elimination():
 def test_matrix_negative_definite():
     for Cp in random_couples(seed=22, count=30, max_q=9):
         G = build_graph(Cp)
-        assert is_negative_definite(G.intersection_matrix())
+        assert is_negative_definite(intersection_matrix(G))
 
 
 def test_central_self_intersection_closed_form():
@@ -181,15 +180,19 @@ def test_discrepancy_examples():
     assert G.discrepancies == (F(0),)
 
 
+def mld_vertex(terms):
+    return build_graph(C(terms)).mld
+
+
 def test_mld_examples():
-    assert mld_vertex(C({P0: 1})) == 2
-    assert mld_vertex(C({P0: 2})) == 1
+    assert mld_vertex({P0: 1}) == 2
+    assert mld_vertex({P0: 2}) == 1
     for m in range(2, 12):
-        assert mld_vertex(C({P0: m})) == F(2, m)
-    assert mld_vertex(C({P0: F(1, 2), P1: F(1, 2)})) == 1
-    assert mld_vertex(C({P0: F(1, 2)})) == 2          # weighted plane, smooth
-    assert mld_vertex(C({P0: F(2, 3)})) == 1          # quadric cone again
-    assert mld_vertex(C({P0: F(1, 2), P1: F(1, 2), PINF: F(1, 2)})) == F(1, 3)
+        assert mld_vertex({P0: m}) == F(2, m)
+    assert mld_vertex({P0: F(1, 2), P1: F(1, 2)}) == 1
+    assert mld_vertex({P0: F(1, 2)}) == 2          # weighted plane, smooth
+    assert mld_vertex({P0: F(2, 3)}) == 1          # quadric cone again
+    assert mld_vertex({P0: F(1, 2), P1: F(1, 2), PINF: F(1, 2)}) == F(1, 3)
 
 
 def test_vertex_log_discrepancy_matches_graph():
@@ -240,27 +243,23 @@ def test_germ_mld_matches_chain_germ():
 
 
 def test_is_eps_lc_x():
-    assert is_eps_lc_x(C({P0: 2}), 1)
+    # X is eps-lc exactly when the vertex mld is at least eps: the vertex
+    # is the only singular point of a cone surface
     for m in range(1, 10):
         for eps in (F(1), F(1, 2), F(1, 3)):
             expected = (m == 1) or (F(2, m) >= eps)
-            assert is_eps_lc_x(C({P0: m}), eps) == expected
-    assert is_eps_lc_x(C({P0: F(1, 2), P1: F(1, 2)}), 1)
-    # not klt at all: simply not eps-lc
-    assert not is_eps_lc_x(C({P0: F(6, 7), P1: F(6, 7), PINF: F(6, 7)}), F(1, 2))
-    with pytest.raises(BadEpsilon):
-        is_eps_lc_x(C({P0: 2}), F(3, 2))
+            assert (mld_vertex({P0: m}) >= eps) == expected
+    assert mld_vertex({P0: F(1, 2), P1: F(1, 2)}) >= 1
+    # not klt at all, so not eps-lc for any eps
+    with pytest.raises(NotKlt):
+        build_graph(C({P0: F(6, 7), P1: F(6, 7), PINF: F(6, 7)}))
     # membership reads the vertex mld only: (2/3)[0] is A1, mld 1, then
     # A2 and a smooth point, although the chart germ of the partial
     # resolution over a 2/3 point has mld 2/3
-    assert is_eps_lc_x(C({P0: F(2, 3)}), 1)
+    assert mld_vertex({P0: F(2, 3)}) == 1
     for terms, mld in (({P0: F(2, 3), P1: F(2, 3), PINF: -1}, 1),
                        ({P0: F(2, 3), P1: F(1, 2), PINF: -1}, 2)):
-        assert mld_vertex(C(terms)) == mld
-        assert is_eps_lc_x(C(terms), 1)
-    for Cp in random_couples(seed=26, count=60, max_q=8):
-        for eps in (F(1), F(1, 2), F(1, 5)):
-            assert is_eps_lc_x(Cp, eps) == (mld_vertex(Cp) >= eps)
+        assert mld_vertex(terms) == mld
 
 
 def test_link_determinants():
@@ -277,11 +276,9 @@ def test_link_determinants():
 def test_canonical_entries_are_du_val():
     # eps = 1 with nonempty blow-down forces every self-intersection -2
     for Cp in random_couples(seed=25, count=80, max_q=6):
-        try:
-            if not is_eps_lc_x(Cp, 1):
-                continue
-        except NotKlt:
+        G = build_graph(Cp)
+        if G.mld < 1:
             continue
-        bd = blow_down(build_graph(Cp))
+        bd = blow_down(G)
         if not bd.empty:
             assert all(s == -2 for s in bd.self_intersections)

@@ -5,9 +5,9 @@ import pytest
 from conesing.divisors import (CurveCouple, finite_point, infinity_point,
                                label_point)
 from conesing.errors import BoundTooSmall
-from conesing.sections import (HilbertData, SectionSpace, embedding_dimension,
-                               h0, hilbert_series, is_smooth,
-                               multiplication_rank, presentation)
+from conesing.sections import (SectionSpace, default_presentation_bound,
+                               hilbert_series, presentation)
+from helpers import h0, multiplication_rank, scanned_generators
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -44,8 +44,7 @@ def test_hilbert_series_closed_forms():
 def test_hilbert_series_matches_h0(terms):
     C = CurveCouple.of(terms)
     hd = hilbert_series(C)
-    for n in range(0, 60):
-        assert hd.expand(n) == h0(C, n)
+    assert hd.expansion(59) == [h0(C, n) for n in range(60)]
 
 
 def test_section_basis_examples():
@@ -171,22 +170,27 @@ def test_presentation_refuses_rel_bound_below_forced_relation():
 
 
 def test_embedding_dimension_and_smoothness():
-    assert embedding_dimension(CurveCouple.of({P0: 1})) == 2
-    assert is_smooth(CurveCouple.of({P0: 1}))
-    assert embedding_dimension(CurveCouple.of({P0: 2})) == 3
-    assert not is_smooth(CurveCouple.of({P0: 2}))
-    assert embedding_dimension(
-        CurveCouple.of({P0: F(1, 2), P1: F(1, 2)})) == 3
-    assert is_smooth(CurveCouple.of({P0: F(1, 2)}))
+    # the generator count at the default bound; a two-dimensional cone is
+    # smooth exactly when two generators suffice
+    def embdim(terms):
+        C = CurveCouple.of(terms)
+        return len(scanned_generators(C, default_presentation_bound(C)))
+
+    assert embdim({P0: 1}) == 2
+    assert embdim({P0: 2}) == 3
+    assert embdim({P0: F(1, 2), P1: F(1, 2)}) == 3
+    assert embdim({P0: F(1, 2)}) == 2
     # the quadric cone again, reached through a fractional coefficient
-    assert embedding_dimension(CurveCouple.of({P0: F(2, 3)})) == 3
+    assert embdim({P0: F(2, 3)}) == 3
 
 
 def test_presentation_saturation_certificate():
     C = CurveCouple.of({P0: F(2, 3), P1: F(4, 5)})
-    pres = presentation(C, gen_bound=20, rel_bound=20, want_relations=False)
-    assert pres.verified_through == 40
+    # the generated subalgebra reproduces h through twice the bound,
+    # else the scan raises BoundTooSmall
+    assert scanned_generators(C, 20) == (1, 2, 2, 3, 3, 4, 5)
     hd = hilbert_series(C)
-    # spot check: the generated subalgebra reproduced h through the bound
-    for n in range(41):
-        assert hd.expand(n) == h0(C, n)
+    assert hd.expansion(40) == [h0(C, n) for n in range(41)]
+    pres = presentation(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}),
+                        gen_bound=5, rel_bound=7)
+    assert pres.verified_through == 14

@@ -9,16 +9,17 @@ from conesing import linalg, toric
 from conesing.divisors import CurveCouple, finite_point, infinity_point
 from conesing.errors import (FanInvalid, InternalInvariantError, NotAmple,
                              NotQGorenstein, PreconditionError)
-from conesing.resolution import mld_vertex
+from conesing.linalg import primitivize
+from conesing.resolution import build_graph
 from conesing.toric import (ComparisonCheck, ComparisonReport, Fan,
                             ToricDivisor, cartier_index_global,
-                            cartier_index_on_cone, cone_of_x, fan_p1,
-                            fan_p1xp1, fan_p2, fan_projective_space,
-                            fan_weighted_plane, is_ample, lattice_mld,
-                            log_discrepancy_x, log_discrepancy_y, primitivize,
-                            quotient_boundary, random_instances,
-                            random_primitive_samples, support_value,
-                            verify_comparison, weil_index)
+                            cartier_index_on_cone, cone_of_x,
+                            fan_projective_space, is_ample, log_discrepancy_x,
+                            quotient_boundary, random_primitive_samples,
+                            support_value, verify_comparison, weil_index)
+from helpers import (fan_p1, fan_p1xp1, fan_p2, fan_weighted_plane,
+                     lattice_mld, log_discrepancy_y, random_instances,
+                     simplicial_walls_ok)
 
 F2 = Fraction
 P0 = finite_point(0)
@@ -204,7 +205,7 @@ def test_lattice_mld_agrees_with_star_resolution():
         K = cone_of_x(F, D)
         if K.qgorenstein_form is None:
             continue
-        assert lattice_mld(K) == mld_vertex(C)
+        assert lattice_mld(K) == build_graph(C).mld
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +337,10 @@ def test_fan_cone_inequalities_are_integer_and_cached():
     for tests in F.cone_inequalities:
         for rows in tests:
             assert all(type(x) is int for row in rows for x in row)
-    # a non-simplicial cone skips the wall check, so this incomplete fan
-    # passes validation and only locate sees the gap
-    F = Fan(rank=2, rays=((1, 0), (1, 1), (0, 1)), max_cones=((0, 1, 2),))
-    assert F.locate((2, 1)) == 0
-    with pytest.raises(FanInvalid, match="outside the fan support"):
-        F.locate((-1, 0))
+    # a non-simplicial cone gets the wall check too, so this incomplete
+    # fan no longer reaches locate
+    with pytest.raises(FanInvalid, match="fan not complete"):
+        Fan(rank=2, rays=((1, 0), (1, 1), (0, 1)), max_cones=((0, 1, 2),))
 
 
 def test_degenerate_inputs_raise_contract_errors():
@@ -349,12 +348,91 @@ def test_degenerate_inputs_raise_contract_errors():
         Fan(rank=0, rays=(), max_cones=((),))
     with pytest.raises(InternalInvariantError):
         primitivize((0, 0))
-    for rank, count, box in [(2, -3, 5), (0, 1, 5), (2, 1, 0)]:
+    for rank, count in [(2, -3), (0, 1)]:
         with pytest.raises(PreconditionError):
-            random_primitive_samples(seed=1, rank=rank, count=count, box=box)
+            random_primitive_samples(seed=1, rank=rank, count=count)
     with pytest.raises(PreconditionError):
         fan_projective_space(0)
     with pytest.raises(PreconditionError):
         fan_weighted_plane(2, 4)
     with pytest.raises(PreconditionError):
         lattice_mld(cone_of_x(fan_p2(), ToricDivisor.of([0, 0, 1])))
+
+
+# ---------------------------------------------------------------------------
+# the wall check of Fan validation
+# ---------------------------------------------------------------------------
+
+def accepts(rank, rays, cones):
+    try:
+        Fan(rank=rank, rays=rays, max_cones=cones)
+    except FanInvalid:
+        return False
+    return True
+
+
+P2_RAYS = ((1, 0), (0, 1), (-1, -1))
+
+
+@pytest.mark.parametrize("rank, rays, cones, ok", [
+    (3, fan_projective_space(3).rays, fan_projective_space(3).max_cones, True),
+    (2, ((1, 0), (0, 1), (-1, -2)), ((0, 1), (1, 2), (0, 2)), True),
+    (3, fan_cube().rays, fan_cube().max_cones, True),
+    # five of the six faces of the cube
+    (3, fan_cube().rays, fan_cube().max_cones[:5], False),
+    # a ray index repeated inside a cone of P^2, also with a cone missing
+    # and then written without the repeat
+    (2, P2_RAYS, ((0, 0, 1), (1, 2), (0, 2)), False),
+    (2, P2_RAYS, ((0, 0, 1), (1, 2)), False),
+    (2, P2_RAYS, ((0, 1), (1, 2)), False),
+    # the cone over (1,0), (1,1) overlaps the cone over (1,0), (0,1)
+    (2, ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)),
+     ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4)), False),
+    # every ray lies in two cones, but the cones over 0-90 and 45-90
+    # degrees lie on the same side of their common ray
+    (2, ((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)),
+     ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), False),
+    # two half-planes cover the plane but are not strictly convex
+    (2, ((1, 0), (-1, 0), (0, 1), (0, -1)), ((0, 1, 2), (0, 1, 3)), False),
+    # a rank-1 fan needs one cone per ray
+    (1, ((1,), (-1,)), ((0,), (0,)), False),
+], ids=["P3", "P112", "cube", "cube_five_faces", "repeated_index",
+        "repeated_index_two_cones", "p2_two_cones", "overlap", "folded", "half_planes",
+        "rank1_one_ray"])
+def test_wall_check(rank, rays, cones, ok):
+    assert accepts(rank, rays, cones) == ok
+
+
+def stellar(rays, cones, ci):
+    """Star subdivision of cone ci at the sum of its rays."""
+    new = primitivize(tuple(map(sum, zip(*(rays[i] for i in cones[ci])))))
+    k = len(rays)
+    split = [tuple(sorted(set(cones[ci]) - {i} | {k})) for i in cones[ci]]
+    return rays + (new,), cones[:ci] + tuple(split) + cones[ci + 1:]
+
+
+SIMPLICIAL = [fan_p2(), fan_p1xp1(), fan_weighted_plane(2, 3),
+              fan_projective_space(3),
+              # the Hirzebruch surface F_2
+              Fan(rank=2, rays=((1, 0), (0, 1), (-1, 2), (0, -1)),
+                  max_cones=((0, 1), (1, 2), (2, 3), (0, 3))),
+              # (P^1)^3: rays +-e_i, one octant per cone
+              Fan(rank=3, rays=((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                (-1, 0, 0), (0, -1, 0), (0, 0, -1)),
+                  max_cones=tuple(itertools.product((0, 3), (1, 4), (2, 5))))]
+
+
+@pytest.mark.parametrize("index", range(len(SIMPLICIAL)))
+def test_wall_check_matches_simplicial_oracle(index):
+    # complete simplicial fans and star subdivisions of them, each also
+    # with one maximal cone dropped
+    F = SIMPLICIAL[index]
+    fans = [(F.rays, F.max_cones)]
+    fans += [stellar(F.rays, F.max_cones, ci) for ci in (0, len(F.max_cones) - 1)]
+    for rays, cones in fans:
+        assert accepts(F.rank, rays, cones)
+        assert simplicial_walls_ok(F.rank, cones)
+        for drop in range(len(cones)):
+            kept = cones[:drop] + cones[drop + 1:]
+            assert (accepts(F.rank, rays, kept),
+                    simplicial_walls_ok(F.rank, kept)) == (False, False)
