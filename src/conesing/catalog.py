@@ -18,6 +18,7 @@ tests.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,10 +26,9 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from .divisors import CurveCouple, canonical_couple, max_isotropy, normal_form
-from .errors import (BadEpsilon, CatalogMismatch, NotKlt, ParseError,
-                     PreconditionError)
-from .jsonio import fmt_q, parse_q
-from .quotient import (cartier_index_of_kx, log_fano_quotient,
+from .errors import CatalogMismatch, NotKlt, ParseError, PreconditionError
+from .jsonio import fmt_q, json_int, parse_q
+from .quotient import (cartier_index_of_kx, is_eps_lc_pair, log_fano_quotient,
                        validate_epsilon, vertex_log_discrepancy)
 from .resolution import ResolutionGraph, build_graph
 from .sections import hilbert_series
@@ -42,7 +42,8 @@ class SearchParams:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", validate_epsilon(self.epsilon))
         if self.isotropy_bound < 1:
-            raise BadEpsilon(f"isotropy bound {self.isotropy_bound} < 1")
+            raise PreconditionError(
+                f"isotropy bound {self.isotropy_bound} < 1")
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,6 @@ class CatalogEntry:
     embedding_dimension: int
     graph: GraphSummary
 
-    def couple(self) -> CurveCouple:
-        return couple_from_entry_data(self.fractional, self.degree)
-
     def to_json(self) -> dict:
         return {
             "key": self.key,
@@ -122,30 +120,6 @@ class CatalogEntry:
         }
 
 
-def entry_from_json(doc) -> CatalogEntry:
-    if not isinstance(doc["key"], str):
-        raise ParseError(f"catalog key {doc['key']!r} is not a string")
-    return CatalogEntry(
-        key=doc["key"],
-        degree=parse_q(doc["degree"]),
-        fractional=tuple((int(p), int(q)) for p, q in doc["fractional"]),
-        a_e0=parse_q(doc["a_e0"]),
-        mld=parse_q(doc["mld"]),
-        cartier_index_kx=int(doc["cartier_index_kx"]),
-        max_isotropy=int(doc["max_isotropy"]),
-        link_determinant=int(doc["link_determinant"]),
-        hilbert_numerator=tuple(int(x) for x in doc["hilbert_numerator"]),
-        hilbert_period=int(doc["hilbert_period"]),
-        embedding_dimension=int(doc["embedding_dimension"]),
-        graph=GraphSummary(
-            center=int(doc["graph"]["center"]),
-            chains=tuple(tuple(int(x) for x in c) for c in doc["graph"]["chains"]),
-            blown_down_vertices=(tuple(int(x) for x in doc["graph"]["blown_down"])
-                                 if doc["graph"]["blown_down"] is not None else None),
-        ),
-    )
-
-
 def couple_from_entry_data(fractional, degree: Fraction) -> CurveCouple:
     """Rebuild the canonical couple from its fractional type and degree."""
     return canonical_couple([Fraction(p, q) for p, q in fractional], degree)
@@ -160,15 +134,6 @@ def _fractional_coefficients(q_max: int) -> List[Fraction]:
     # canonical order: descending value, ties by denominator then numerator
     out.sort(key=lambda f: (-f, f.denominator, f.numerator))
     return out
-
-
-def _graph_summary(G: ResolutionGraph) -> GraphSummary:
-    bd = G.blown_down
-    return GraphSummary(
-        center=G.central_self_int,
-        chains=G.chains,
-        blown_down_vertices=None if bd.empty else bd.self_intersections,
-    )
 
 
 def _build_entry(C: CurveCouple, G: ResolutionGraph, key: str) -> CatalogEntry:
@@ -191,7 +156,11 @@ def _build_entry(C: CurveCouple, G: ResolutionGraph, key: str) -> CatalogEntry:
         hilbert_numerator=hd.numerator,
         hilbert_period=hd.period,
         embedding_dimension=embdim,
-        graph=_graph_summary(G),
+        graph=GraphSummary(
+            center=G.central_self_int,
+            chains=G.chains,
+            blown_down_vertices=None if bd.empty else bd.self_intersections,
+        ),
     )
 
 
@@ -275,61 +244,79 @@ class AuditReport:
                 "ok": self.ok}
 
 
-def audit_catalog(entries, params: SearchParams) -> AuditReport:
-    """Re-derive every entry from its defining data and re-check all
-    necessary conditions; reports failures instead of raising."""
-    from .quotient import is_eps_lc_pair
+def _defining_data(doc) -> Tuple[str, Tuple[Tuple[int, int], ...], Fraction]:
+    """Key, fractional type and degree of a stored entry, read strictly."""
+    try:
+        key, fractional, degree = doc["key"], doc["fractional"], doc["degree"]
+    except (KeyError, TypeError):
+        raise ParseError("catalog entry must be an object with key, "
+                         "fractional and degree") from None
+    if not isinstance(key, str):
+        raise ParseError(f"catalog key {key!r} is not a string")
+    if not isinstance(fractional, list) or any(
+            not isinstance(pq, list) or len(pq) != 2 for pq in fractional):
+        raise ParseError(f"entry {key}: fractional must be an array of "
+                         "[p, q] pairs")
+    what = f"entry {key}: fractional entry"
+    return (key, tuple((json_int(p, what), json_int(q, what))
+                       for p, q in fractional), parse_q(degree))
+
+
+def _canonical(doc: dict) -> dict:
+    """Each field as canonical JSON text, so that true or 1.0 is not 1."""
+    return {k: json.dumps(v, sort_keys=True) for k, v in doc.items()}
+
+
+def audit_catalog(docs, params: SearchParams) -> AuditReport:
+    """Rebuild every stored entry (a JSON object as read from the file)
+    from its key, fractional type and degree with the builder of the
+    enumerator, compare every stored field with the rebuilt one as
+    canonical JSON, and re-check the necessary conditions of membership.
+    An entry whose isotropy exceeds N is not built.  Malformed defining
+    data raises ParseError; everything else is reported, not raised."""
     eps, N = params.epsilon, params.isotropy_bound
+    data = [_defining_data(doc) for doc in docs]
     failures = []
     keys = set()
-    for e in entries:
-        tag = f"entry {e.key}"
-        if e.key in keys:
+    for doc, (key, fractional, degree) in zip(docs, data):
+        tag = f"entry {key}"
+        if key in keys:
             failures.append(f"{tag}: duplicate key")
-        keys.add(e.key)
+        keys.add(key)
         try:
-            C = e.couple()
-        except Exception as exc:
+            nf = normal_form(couple_from_entry_data(fractional, degree))
+        except (PreconditionError, ZeroDivisionError) as exc:
             failures.append(f"{tag}: cannot rebuild couple ({exc})")
             continue
-        if max_isotropy(C) != e.max_isotropy:
-            failures.append(f"{tag}: stored isotropy {e.max_isotropy} is wrong")
-        if e.max_isotropy > N:
+        C = nf.couple
+        if max_isotropy(C) > N:
             failures.append(f"{tag}: isotropy above the bound {N}")
+            continue
         try:
-            a0 = vertex_log_discrepancy(C)
             G = build_graph(C)
-        except PreconditionError as exc:
+        except NotKlt as exc:
             failures.append(f"{tag}: rebuilt couple is not klt ({exc})")
             continue
-        if a0 != e.a_e0:
-            failures.append(f"{tag}: stored a_e0 {e.a_e0} != {a0}")
+        e = _build_entry(C, G, nf.key_string())
+        stored, rebuilt = _canonical(doc), _canonical(e.to_json())
+        for field in sorted(stored.keys() | rebuilt.keys()):
+            if field not in stored:
+                failures.append(f"{tag}: stored entry has no {field}")
+            elif stored[field] != rebuilt.get(field):
+                failures.append(f"{tag}: stored {field} {stored[field]} is wrong")
         if 1 + G.discrepancies[0] != e.a_e0:
             failures.append(f"{tag}: a_e0 disagrees with the resolution oracle")
-        if G.mld != e.mld:
-            failures.append(f"{tag}: stored mld {e.mld} is wrong")
         if e.mld < eps:
             failures.append(f"{tag}: mld below epsilon")
-        if G.mld < eps:
-            failures.append(f"{tag}: fails the resolution eps-lc test")
-        B = log_fano_quotient(C)
-        if not is_eps_lc_pair(B, eps / N):
+        if not is_eps_lc_pair(log_fano_quotient(C), eps / N):
             failures.append(f"{tag}: quotient pair fails eps/N")
         if not (eps <= e.a_e0 and e.a_e0 * e.degree <= 2):
             failures.append(f"{tag}: central log discrepancy out of range")
-        if G.determinant != e.link_determinant:
-            failures.append(f"{tag}: stored determinant is wrong")
-        if G.blown_down.embedding_dimension != e.embedding_dimension:
-            failures.append(f"{tag}: stored embedding dimension "
-                            f"{e.embedding_dimension} is wrong")
-        if _graph_summary(G) != e.graph:
-            failures.append(f"{tag}: stored graph summary is wrong")
-    return AuditReport(checked=len(entries), failures=tuple(failures))
+    return AuditReport(checked=len(docs), failures=tuple(failures))
 
 
 def catalog_to_json(entries, params: SearchParams) -> dict:
     return {
-        "schema": "conesing/1",
         "params": {"epsilon": fmt_q(params.epsilon),
                    "isotropy_bound": params.isotropy_bound},
         "entries": [e.to_json() for e in entries],

@@ -14,15 +14,15 @@ import sys
 
 from . import __version__
 from .catalog import (SearchParams, audit_catalog, catalog_to_json,
-                      entry_from_json, enumerate_catalog, mld_spectrum,
-                      search_bounds)
+                      enumerate_catalog, search_bounds)
 from .counterexamples import (an_min_over_actions, diagonal_cone_report,
                               rnc_family_report)
 from .divisors import max_isotropy
 from .errors import (ConesingError, InternalInvariantError, ParseError,
                      PreconditionError)
 from .jsonio import (SCHEMA, couple_from_json, divisor_to_json, dumps, fmt_q,
-                     integral_divisor_to_json, loads, parse_q, point_to_json)
+                     integral_divisor_to_json, json_int, loads, parse_q,
+                     point_to_json)
 from .quotient import (horizontal_log_discrepancy, log_fano_quotient,
                        vertex_decomposition, vertex_log_discrepancy)
 from .resolution import build_graph
@@ -169,40 +169,26 @@ def cmd_enumerate(args) -> int:
 
 def cmd_mld_set(args) -> int:
     params = _search_params(args)
-    entries = enumerate_catalog(params, jobs=args.jobs)
-    doc = {"params": {"epsilon": fmt_q(params.epsilon),
-                      "isotropy_bound": params.isotropy_bound},
-           "mld_spectrum": [fmt_q(m) for m in mld_spectrum(entries)],
-           "count": len(entries)}
-    _emit(doc, args.out)
+    catalog = catalog_to_json(enumerate_catalog(params, jobs=args.jobs), params)
+    _emit({"params": catalog["params"], **catalog["summary"]}, args.out)
     return 0
 
 
 def cmd_audit(args) -> int:
     params = _search_params(args)
     doc = _read_json(args.catalog)
-    if not isinstance(doc, dict) or "entries" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ParseError("catalog file must carry an 'entries' array")
-    try:
-        entries = [entry_from_json(e) for e in doc["entries"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad catalog entry: {exc}")
-    report = audit_catalog(entries, params)
+    report = audit_catalog(doc["entries"], params)
     _emit(report.to_json(), args.out)
     return 0 if report.ok else 1
-
-
-def _json_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ParseError(f"fan {what} {x!r} is not an integer")
-    return x
 
 
 def _int_rows(fan_doc: dict, key: str):
     rows = fan_doc[key]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"fan {key!r} must be an array of integer arrays")
-    return tuple(tuple(_json_int(x, f"{key} entry") for x in r) for r in rows)
+    return tuple(tuple(json_int(x, f"fan {key} entry") for x in r) for r in rows)
 
 
 def cmd_toric_check(args) -> int:
@@ -210,7 +196,7 @@ def cmd_toric_check(args) -> int:
     for key in ("rank", "rays", "cones"):
         if not isinstance(fan_doc, dict) or key not in fan_doc:
             raise ParseError(f"fan file missing {key!r}")
-    F = Fan(rank=_json_int(fan_doc["rank"], "rank"),
+    F = Fan(rank=json_int(fan_doc["rank"], "fan rank"),
             rays=_int_rows(fan_doc, "rays"), max_cones=_int_rows(fan_doc, "cones"))
     div_doc = _read_json(args.divisor)
     if not isinstance(div_doc, list) or len(div_doc) != len(F.rays):

@@ -37,6 +37,13 @@ def parse_q(s) -> Fraction:
     raise ParseError(f"bad rational {s!r} (expected string)")
 
 
+def json_int(x, what: str) -> int:
+    """A JSON integer; booleans and floats are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParseError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def point_to_json(p: MarkedPoint) -> dict:
     if p.kind == "fin":
         return {"t": "fin", "x": fmt_q(p.x)}
@@ -89,7 +96,7 @@ def couple_from_json(doc) -> CurveCouple:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None

@@ -42,9 +42,10 @@ class Fan:
 
     Validation covers ray primitivity and distinctness, distinct rays
     within each maximal cone, full dimensionality and strict convexity
-    of the maximal cones, and the wall condition: every facet of a
+    of the maximal cones, the wall condition (every facet of a
     maximal cone is a facet of exactly one other, which lies on the
-    other side of it.
+    other side of it) and a single cover: the sum of each maximal
+    cone's rays lies in no other maximal cone.
     """
 
     rank: int
@@ -101,6 +102,18 @@ class Fan:
                         f"facet {sorted(wall)} of cone {c} is a facet of "
                         f"{len(others)} other cones, not of exactly one on "
                         "its other side; fan not complete")
+        # With the walls paired, the cones cover space k times, and k = 1
+        # exactly when the sum of each cone's rays, an interior point,
+        # lies in no other cone.  For k > 1 that of the last cone lies in
+        # an earlier one, so locate, which returns the first, finds it.
+        for ci, c in enumerate(self.max_cones):
+            inner = tuple(map(sum, zip(*(self.rays[i] for i in c))))
+            first = self.locate(inner)
+            if first != ci:
+                raise FanInvalid(
+                    f"the interior point {inner} of cone {c} lies in cone "
+                    f"{self.max_cones[first]} too; the cones cover space "
+                    "more than once")
 
     @cached_property
     def cone_inequalities(self) -> Tuple[Tuple[Tuple[Vector, ...], ...], ...]:

@@ -14,7 +14,8 @@ from math import gcd
 import pytest
 
 from conesing.catalog import (SearchParams, catalog_to_json,
-                              enumerate_catalog, mld_spectrum)
+                              couple_from_entry_data, enumerate_catalog,
+                              mld_spectrum)
 from conesing.counterexamples import an_min_over_actions, rnc_family_report
 from conesing.divisors import (CurveCouple, finite_point, infinity_point,
                                max_isotropy)
@@ -127,7 +128,7 @@ def test_c05_quotient_eps_over_n():
     checked = 0
     for eps, N in CATALOG_PARAMS:
         for entry in catalog(eps, N):
-            C = entry.couple()
+            C = couple_from_entry_data(entry.fractional, entry.degree)
             ok = ok and is_eps_lc_pair(log_fano_quotient(C), eps / N)
             checked += 1
     assert _report("C5 log Fano quotient is eps/N-lc on every entry", ok,
@@ -163,7 +164,7 @@ def test_c07_du_val():
     singular = 0
     for N in range(1, 7):
         for entry in catalog(F(1), N):
-            C = entry.couple()
+            C = couple_from_entry_data(entry.fractional, entry.degree)
             bd = blow_down(build_graph(C))
             if bd.empty:
                 continue
@@ -217,7 +218,8 @@ def test_c09_internal_consistency():
     # two-oracle mld agreement on couples with at most 2 fractional points
     pool = [CurveCouple.of(t) for t in TEST_COUPLES]
     for eps, N in CATALOG_PARAMS:
-        pool.extend(e.couple() for e in catalog(eps, N))
+        pool.extend(couple_from_entry_data(e.fractional, e.degree)
+                    for e in catalog(eps, N))
     compared = 0
     for C in pool:
         fracs = [(c.numerator % c.denominator, c.denominator)

@@ -5,19 +5,25 @@ import pytest
 
 from conesing.catalog import (SearchParams, _candidate_types, audit_catalog,
                               catalog_to_json, couple_from_entry_data,
-                              entry_from_json, enumerate_catalog, mld_spectrum,
-                              search_bounds)
-from conesing.errors import BadEpsilon, PreconditionError
+                              enumerate_catalog, mld_spectrum, search_bounds)
+from conesing.divisors import normal_form
+from conesing.errors import BadEpsilon, ParseError, PreconditionError
 from helpers import count_build_graph
 
 F = Fraction
 
 
+def stored(entries):
+    """Entries as audit reads them from a catalog file."""
+    return json.loads(json.dumps([e.to_json() for e in entries]))
+
+
 def test_search_params_validation():
     with pytest.raises(BadEpsilon):
         SearchParams(epsilon=F(3, 2), isotropy_bound=1)
-    with pytest.raises(BadEpsilon):
+    with pytest.raises(PreconditionError, match="isotropy bound 0 < 1") as exc:
         SearchParams(epsilon=F(1, 2), isotropy_bound=0)
+    assert not isinstance(exc.value, BadEpsilon)
 
 
 def test_search_bounds_examples():
@@ -86,10 +92,9 @@ def test_entry_round_trip_and_rebuild():
     params = SearchParams(epsilon=F(1), isotropy_bound=2)
     entries = enumerate_catalog(params)
     for e in entries:
-        back = entry_from_json(json.loads(json.dumps(e.to_json())))
-        assert back == e
         C = couple_from_entry_data(e.fractional, e.degree)
         assert C.degree() == e.degree
+        assert normal_form(C).key_string() == e.key
 
 
 def test_catalog_determinism():
@@ -109,7 +114,7 @@ def test_parallel_enumeration_matches_serial():
 def test_audit_clean_catalog():
     params = SearchParams(epsilon=F(1), isotropy_bound=2)
     entries = enumerate_catalog(params)
-    report = audit_catalog(entries, params)
+    report = audit_catalog(stored(entries), params)
     assert report.ok and report.checked == len(entries)
     report = audit_catalog([], params)
     assert report.ok and report.checked == 0
@@ -121,7 +126,7 @@ def test_audit_flags_tampered_entry():
     entries = list(enumerate_catalog(params))
     victim = next(e for e in entries if e.fractional)
     bad = dataclasses.replace(victim, fractional=((2, 3),), degree=F(5, 3))
-    report = audit_catalog([bad], params)
+    report = audit_catalog(stored([bad]), params)
     assert not report.ok
     assert any("isotropy" in f or "a_e0" in f or "mld" in f
                for f in report.failures)
@@ -129,12 +134,14 @@ def test_audit_flags_tampered_entry():
 
 def test_audit_reports_entry_rebuilt_to_non_klt_couple():
     import dataclasses
-    params = SearchParams(epsilon=F(1), isotropy_bound=2)
-    entries = list(enumerate_catalog(params))
-    # three 6/7 points: the quotient boundary has degree 18/7 >= 2
+    entries = list(enumerate_catalog(SearchParams(epsilon=F(1),
+                                                  isotropy_bound=2)))
+    # three 6/7 points: the quotient boundary has degree 18/7 >= 2; the
+    # audit bound admits isotropy 7, so the graph is built
     bad = dataclasses.replace(entries[0], fractional=((6, 7),) * 3,
                               degree=F(4, 7))
-    report = audit_catalog([bad] + entries[1:], params)
+    params = SearchParams(epsilon=F(1), isotropy_bound=7)
+    report = audit_catalog(stored([bad] + entries[1:]), params)
     assert not report.ok and report.checked == len(entries)
     assert any(f.startswith(f"entry {bad.key}: rebuilt couple is not klt")
                for f in report.failures)
@@ -148,7 +155,7 @@ def test_catalog_counts(eps, N, count):
     params = SearchParams(epsilon=eps, isotropy_bound=N)
     entries = enumerate_catalog(params, jobs=2)
     assert len(entries) == count
-    assert audit_catalog(entries, params).ok
+    assert audit_catalog(stored(entries), params).ok
 
 
 def test_catalog_keeps_canonical_couples_with_thirds():
@@ -171,7 +178,7 @@ def test_one_graph_per_candidate_and_per_audited_entry(monkeypatch):
     entries = enumerate_catalog(params, jobs=1)
     assert len(calls) == len(list(_candidate_types(params)))
     calls.clear()
-    assert audit_catalog(entries, params).ok
+    assert audit_catalog(stored(entries), params).ok
     assert len(calls) == len(entries)
 
 
@@ -185,21 +192,86 @@ def test_audit_refuses_entry_with_four_fractional_points():
                               degree=F(3))
     with pytest.raises(PreconditionError, match="canonical placement"):
         couple_from_entry_data(bad.fractional, bad.degree)
-    report = audit_catalog([bad], params)
+    report = audit_catalog(stored([bad]), params)
     assert report.failures == (
         f"entry {bad.key}: cannot rebuild couple (4 fractional points have "
         "no canonical placement (at most 3))",)
 
 
-def test_audit_flags_tampered_graph_summary():
-    import dataclasses
+# At least one tamper per stored field, each keeping the JSON
+# well-formed.  The defining fields (key, fractional, degree) are
+# tampered without changing the couple, so that only the tampered field
+# differs.  A JSON true or 2.0 must not pass for the integer 1 or 2.
+TAMPERS = [
+    ("key", "f[];deg=99"),
+    ("degree", "2/2"),
+    ("fractional", [[2, 4], [1, 2]]),
+    ("a_e0", "5"),
+    ("mld", "1/2"),
+    ("cartier_index_kx", 99),
+    ("cartier_index_kx", True),
+    ("max_isotropy", 1.5),
+    ("max_isotropy", 2.0),
+    ("link_determinant", True),
+    ("hilbert_numerator", [7, 7]),
+    ("hilbert_period", 5),
+    ("embedding_dimension", 5),
+    ("graph.center", -3),
+    ("graph.chains", [[-3]]),
+    ("graph.blown_down", None),
+]
+
+
+@pytest.mark.parametrize("path, value", TAMPERS,
+                         ids=[f"{p}={json.dumps(v)}" for p, v in TAMPERS])
+def test_audit_names_each_tampered_field(path, value):
     params = SearchParams(epsilon=F(1), isotropy_bound=2)
-    entries = list(enumerate_catalog(params))
-    victim = next(e for e in entries if e.graph.blown_down_vertices)
-    for graph in (dataclasses.replace(victim.graph, center=victim.graph.center - 1),
-                  dataclasses.replace(victim.graph, chains=((-3,),)),
-                  dataclasses.replace(victim.graph, blown_down_vertices=None)):
-        bad = dataclasses.replace(victim, graph=graph)
-        report = audit_catalog([bad], params)
-        assert report.failures == (
-            f"entry {bad.key}: stored graph summary is wrong",)
+    entries = stored(enumerate_catalog(params))
+    # the A3 cone xy = z^4: two fractional points, degree 1, Gorenstein,
+    # blown-down graph of three (-2)-curves
+    index, victim = next((i, e) for i, e in enumerate(entries)
+                         if e["fractional"] == [[1, 2], [1, 2]]
+                         and e["degree"] == "1")
+    assert victim["graph"]["blown_down"] == [-2, -2, -2]
+    assert victim["cartier_index_kx"] == 1 and victim["max_isotropy"] == 2
+    assert {p.split(".")[0] for p, _ in TAMPERS} == victim.keys()
+    *outer, field = path.split(".")
+    owner = victim
+    for part in outer:
+        owner = owner[part]
+    assert json.dumps(owner[field]) != json.dumps(value)
+    owner[field] = value
+    top = path.split(".")[0]
+    report = audit_catalog(entries, params)
+    assert report.checked == len(entries)
+    assert report.failures == (
+        f"entry {victim['key']}: stored {top} "
+        f"{json.dumps(victim[top], sort_keys=True)} is wrong",)
+    assert audit_catalog(entries[:index] + entries[index + 1:], params).ok
+
+
+def test_audit_flags_missing_and_extra_fields():
+    params = SearchParams(epsilon=F(1), isotropy_bound=1)
+    victim = stored(enumerate_catalog(params))[-1]
+    missing = {k: v for k, v in victim.items() if k != "mld"}
+    assert audit_catalog([missing], params).failures == (
+        f"entry {victim['key']}: stored entry has no mld",)
+    extra = {**victim, "note": 1}
+    assert audit_catalog([extra], params).failures == (
+        f"entry {victim['key']}: stored note 1 is wrong",)
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"fractional": [], "degree": "1"},
+    {"key": "k", "fractional": [[1, 2]]},
+    {"key": "k", "fractional": [[1, True]], "degree": "1/2"},
+    {"key": "k", "fractional": [[1.0, 2]], "degree": "1/2"},
+    {"key": "k", "fractional": [[1, 2, 3]], "degree": "1/2"},
+    {"key": "k", "fractional": {"p": 1}, "degree": "1/2"},
+    {"key": "k", "fractional": [[1, 2]], "degree": 0.5},
+])
+def test_audit_refuses_malformed_defining_data(doc):
+    params = SearchParams(epsilon=F(1), isotropy_bound=2)
+    with pytest.raises(ParseError):
+        audit_catalog([doc], params)

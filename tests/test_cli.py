@@ -373,8 +373,28 @@ def test_audit_of_tampered_embedding_dimension_exits_1(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["failures"] == [
-        f"entry {victim['key']}: stored embedding dimension "
+        f"entry {victim['key']}: stored embedding_dimension "
         f"{victim['embedding_dimension']} is wrong"]
+
+
+def test_audit_reports_entry_over_the_isotropy_bound_without_building_it(
+        tmp_path, monkeypatch, capsys):
+    import time
+    from conesing import cli
+    calls = count_build_graph(monkeypatch)
+    key = "f[1/1000000];deg=1000001/1000000"
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"entries": [
+        {"key": key, "fractional": [[1, 1000000]],
+         "degree": "1000001/1000000"}]}))
+    start = time.perf_counter()
+    code = cli.main(["audit", "--catalog", str(path), "--epsilon", "1",
+                     "--isotropy-bound", "1"])
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        f"entry {key}: isotropy above the bound 1"]
+    assert calls == []
 
 
 P2_FAN = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
@@ -402,15 +422,22 @@ def test_toric_check_bad_input_exits_without_traceback(tmp_path, fan, flags,
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("fan, samples", [
-    ({**P2_FAN, "cones": [[0, 0, 1], [1, 2]]}, "0"),
-    ({**P2_FAN, "cones": [[0, 1], [1, 2]]}, "0"),
+@pytest.mark.parametrize("fan, samples, reason", [
+    ({**P2_FAN, "cones": [[0, 0, 1], [1, 2]]}, "0", "repeats a ray"),
+    ({**P2_FAN, "cones": [[0, 1], [1, 2]]}, "0", "fan not complete"),
     ({"rank": 3, "rays": [[x, y, z] for x in (1, -1) for y in (1, -1)
                           for z in (1, -1)],
       "cones": [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5], [2, 3, 6, 7],
-                [0, 2, 4, 6]]}, "0"),
-], ids=["repeated_index", "p2_two_cones", "cube_five_faces"])
-def test_toric_check_refuses_incomplete_fans(tmp_path, fan, samples, capsys):
+                [0, 2, 4, 6]]}, "0", "fan not complete"),
+    # winds twice around the origin: every wall pairs up, yet (1, 1)
+    # lies in three cones
+    ({"rank": 2, "rays": [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0],
+                          [-1, -1], [0, -1], [1, -1]],
+      "cones": [[0, 2], [2, 4], [4, 6], [6, 0], [1, 3], [3, 5], [5, 7],
+                [7, 1]]}, "0", "cover space more than once"),
+], ids=["repeated_index", "p2_two_cones", "cube_five_faces", "winds_twice"])
+def test_toric_check_refuses_incomplete_fans(tmp_path, fan, samples, reason,
+                                            capsys):
     from conesing import cli
     fan_path = tmp_path / "fan.json"
     div_path = tmp_path / "div.json"
@@ -422,10 +449,11 @@ def test_toric_check_refuses_incomplete_fans(tmp_path, fan, samples, capsys):
     assert code == 3
     assert captured.out == ""
     assert "precondition violated" in captured.err
+    assert reason in captured.err
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
-@pytest.mark.parametrize("case", ["deep", "not_utf8", "boolean"])
+@pytest.mark.parametrize("case", ["deep", "not_utf8", "huge_int", "boolean"])
 @pytest.mark.parametrize("command", ["describe", "audit", "toric-check"])
 def test_malformed_json_exits_2_without_traceback(command, case, source,
                                                   tmp_path, monkeypatch,
@@ -436,6 +464,9 @@ def test_malformed_json_exits_2_without_traceback(command, case, source,
         data = b"[" * 100000
     elif case == "not_utf8":
         data = b"\xff\xfe{"
+    elif case == "huge_int":
+        # past the interpreter's digit limit for integer conversion
+        data = b"[" + b"9" * 5000 + b"]"
     elif command == "describe":
         data = couple_doc([({"t": "fin", "x": "0"}, True)]).encode()
     elif command == "audit":
@@ -560,6 +591,59 @@ def test_fuzz_describe_exits_0_2_or_3(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("fuzz") / "couple.json"
     path.write_text(json.dumps(doc))
     assert run_quietly(["describe", "--couple", str(path)]) in (0, 2, 3)
+
+
+BIG_RATIONALS = st.builds(lambda p, q: f"{p}/{q}",
+                          st.integers(-10**6, 10**6), st.integers(1, 10**6))
+PAIRS = st.lists(st.one_of(
+    st.lists(st.one_of(st.integers(-3, 10**6), LEAVES), min_size=2,
+             max_size=2),
+    JSON_DOCS), max_size=4)
+FIELD_VALUES = st.one_of(LEAVES, JSON_DOCS, BIG_RATIONALS, PAIRS,
+                         st.integers(-10**6, 10**6))
+
+
+@pytest.fixture(scope="module")
+def catalog_1_2():
+    from conesing.catalog import (SearchParams, catalog_to_json,
+                                  enumerate_catalog)
+    params = SearchParams(epsilon=1, isotropy_bound=2)
+    return catalog_to_json(enumerate_catalog(params), params)
+
+
+@st.composite
+def tampered_catalogs(draw, catalog):
+    """The (1, 2) catalog with entry fields replaced or dropped, entries
+    replaced, or the whole document replaced."""
+    doc = json.loads(json.dumps(catalog))
+    entries = doc["entries"]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(entries) - 1))
+        if not isinstance(entries[i], dict):
+            continue
+        field = draw(st.sampled_from(sorted(entries[i])))
+        if isinstance(entries[i][field], dict) and draw(st.booleans()):
+            # inside the graph summary
+            entries[i][field][draw(st.sampled_from(
+                ["center", "chains", "blown_down"]))] = draw(FIELD_VALUES)
+        elif draw(st.integers(0, 5)) == 0:
+            del entries[i][field]
+        else:
+            entries[i][field] = draw(FIELD_VALUES)
+    if draw(st.integers(0, 5)) == 0:
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(JSON_DOCS)
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_DOCS)
+    return doc
+
+
+@given(data=st.data())
+def test_fuzz_audit_exits_0_to_3(tmp_path_factory, catalog_1_2, data):
+    doc = data.draw(tampered_catalogs(catalog_1_2))
+    path = tmp_path_factory.mktemp("fuzz") / "catalog.json"
+    path.write_text(json.dumps(doc))
+    assert run_quietly(["audit", "--catalog", str(path), "--epsilon", "1",
+                        "--isotropy-bound", "2"]) in (0, 1, 2, 3)
 
 
 @given(toric_inputs())
