@@ -30,6 +30,10 @@ def parse_q(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
+        # "1e100000" would be a 100,001-digit rational from ten bytes
+        if "e" in s.lower():
+            raise ParseError(f"bad rational {s!r}: exponent notation is "
+                             "not accepted")
         try:
             return Fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -1,30 +1,45 @@
 """Small exact linear algebra helpers over the rationals.
 
-Everything here works on plain Python lists/tuples of Fraction (or int),
-or on sparse dicts in RowSpan, and never touches floating point.
-Matrices are small throughout the package, so simple Gaussian
-elimination with exact pivots is the right tool; determinants of
-integer matrices use fraction-free Bareiss elimination.
+Nothing here touches floating point.  The two inner loops, the
+incremental row space RowSpan and the kernel basis nullspace, eliminate
+fraction-free over the integers: each input row is scaled to integers
+once, rows combine as a*v - b*row and are divided by their content
+(fraction-free in the manner of Bareiss 1968), so Fractions appear only
+at the boundary, in the input and in rref/solve.  Those two stay on Fraction: their callers make a
+handful of small solves.  Determinants of integer matrices use Bareiss
+elimination too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import InternalInvariantError
+
+
+def _integer_scaling(values) -> Tuple[List[int], int]:
+    """(ints, den): the integers den * x for int or Fraction entries x,
+    with den > 0 the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def primitivize(v) -> Tuple[int, ...]:
     """The primitive integer vector on the ray of a nonzero vector with
     integer or Fraction entries."""
-    den = lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
+    ints, _ = _integer_scaling(v)
     g = gcd(*ints)
     if g == 0:
         raise InternalInvariantError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
+
+
+def _primitive(v: List[int]) -> List[int]:
+    """An integer vector divided by its content (unchanged when zero)."""
+    g = gcd(*v)
+    return v if g <= 1 else [x // g for x in v]
 
 
 def _as_fraction_rows(rows):
@@ -65,26 +80,52 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows):
+def nullspace(rows) -> List[List[int]]:
     """Basis of the right kernel of the matrix, deterministic order.
 
-    Each basis vector carries 1 at one free column and the forced pivot
-    entries elsewhere.
+    One vector per free column, in column order: the primitive integer
+    positive multiple of the reduced-echelon basis vector that carries
+    1 at the free column and the forced pivot entries elsewhere.  The
+    elimination is fraction-free Gauss-Jordan on the rows scaled to
+    integers; the reduced echelon form is unique, so the pivots are the
+    same as over Q.
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = rref(rows)
+    m = [_primitive(_integer_scaling(row)[0]) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        prow = m[r]
+        a = prow[c]
+        for i, row in enumerate(m):
+            b = row[c]
+            if i != r and b:
+                g = gcd(a, b)
+                m[i] = _primitive([(a // g) * x - (b // g) * y
+                                   for x, y in zip(row, prow)])
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        basis.append(v)
+        # the entries -m[k][free] / m[k][pc] over a common positive
+        # denominator
+        den = lcm(*(m[k][pc] for k, pc in enumerate(pivots) if m[k][free]))
+        v = [0] * ncols
+        v[free] = den
+        for k, pc in enumerate(pivots):
+            v[pc] = -m[k][free] * den // m[k][pc]
+        basis.append(_primitive(v))
     return basis
 
 
@@ -134,32 +175,44 @@ def det_int(matrix) -> int:
 class RowSpan:
     """Incrementally built row space over Q in sparse echelon form.
 
-    Vectors come as lists or as dicts (index -> coefficient).  Each
-    stored row is a dict keyed by index whose least index is its pivot,
-    where it carries 1.
+    Vectors come as lists or as dicts (index -> coefficient), with int
+    or Fraction entries.  Each stored row is a primitive integer dict
+    keyed by index whose least index is its pivot, where it is positive.
     """
 
     def __init__(self):
-        self.rows: Dict[int, Dict[int, Fraction]] = {}   # pivot -> row
+        self.rows: Dict[int, Dict[int, int]] = {}   # pivot -> row
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when the span grew."""
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {i: Fraction(c) for i, c in items if c != 0}
+        v = {i: c for i, c in items if c}
+        v = dict(zip(v, _integer_scaling(v.values())[0]))
         while v:
+            g = gcd(*v.values())
+            if g != 1:
+                v = {i: c // g for i, c in v.items()}
             p = min(v)
             row = self.rows.get(p)
             if row is None:
-                inv = v[p]
-                self.rows[p] = {i: c / inv for i, c in v.items()}
+                if v[p] < 0:
+                    v = {i: -c for i, c in v.items()}
+                self.rows[p] = v
                 return True
-            f = v[p]
+            # v <- a v - b row with a/b = row[p]/v[p] in lowest terms
+            # clears the pivot p
+            a, b = row[p], v[p]
+            h = gcd(a, b)
+            a, b = a // h, b // h
+            if a != 1:
+                v = {i: a * c for i, c in v.items()}
+            get = v.get
             for i, c in row.items():
-                nc = v.get(i, 0) - f * c
+                nc = get(i, 0) - b * c
                 if nc:
                     v[i] = nc
                 else:
-                    v.pop(i, None)
+                    del v[i]
         return False
 
     @property

@@ -8,8 +8,11 @@ in degree n is identified with the coefficient vector of its numerator
 polynomial.  Multiplying degrees a and b into a + b multiplies
 numerators and the correction polynomial prod (t - y)^{delta_y} with
 delta = floor((a+b)D) - floor(aD) - floor(bD) >= 0; the identification
-turns on the superadditivity of floors and keeps all linear algebra
-over exact rationals.
+turns on the superadditivity of floors.  Numerator coefficients are
+ints whenever every finite coordinate y is integral, as on the
+canonical placement 0, 1, infinity; a rational y brings in Fractions
+through Python's own int/Fraction arithmetic.  The linear algebra on
+them (RowSpan, nullspace) is fraction-free over the integers.
 
 The Hilbert series is the rational function numerator / ((1 - T)(1 - T^L))
 with L the lcm of the denominators (Pinkham 1977).  Its values
@@ -27,10 +30,11 @@ from fractions import Fraction
 from math import ceil
 from typing import Dict, List, Optional, Tuple
 
-from .divisors import (CurveCouple, assign_coordinates, denominators_lcm,
-                       floor_multiple)
-from .errors import BoundTooSmall, InternalInvariantError
-from .linalg import RowSpan, nullspace, primitivize
+from .divisors import (CurveCouple, Rational, assign_coordinates,
+                       denominators_lcm, floor_multiple)
+from .errors import BoundTooSmall, InternalInvariantError, NotKlt
+from .linalg import RowSpan, nullspace
+from .resolution import build_graph
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +116,10 @@ def hilbert_series(C: CurveCouple) -> HilbertData:
 # explicit bases and multiplication
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+def _poly_mul(a: List[Rational], b: List[Rational]) -> List[Rational]:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -124,11 +128,18 @@ def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     return out
 
 
-def _linear_factor_power(y: Fraction, e: int) -> List[Fraction]:
-    out = [Fraction(1)]
+def _linear_factor_power(y: Fraction, e: int) -> List[Rational]:
+    """(t - y)^e, with int coefficients when y is integral."""
+    if y.denominator == 1:
+        y = y.numerator
+    out = [1]
     for _ in range(e):
-        out = _poly_mul(out, [-y, Fraction(1)])
+        out = _poly_mul(out, [-y, 1])
     return out
+
+
+def _unit_vectors(dim: int) -> List[List[int]]:
+    return [[int(i == j) for i in range(dim)] for j in range(dim)]
 
 
 class SectionSpace:
@@ -138,7 +149,7 @@ class SectionSpace:
         self.couple = assign_coordinates(C)
         self.D = self.couple.divisor
         self._floor_cache: Dict[int, dict] = {}
-        self._shift_cache: Dict[Tuple[int, int], List[Fraction]] = {}
+        self._shift_cache: Dict[Tuple[int, int], List[Rational]] = {}
 
     def floor_data(self, n: int) -> dict:
         cached = self._floor_cache.get(n)
@@ -152,7 +163,7 @@ class SectionSpace:
     def dim(self, n: int) -> int:
         return max(0, self.floor_data(n)["deg"] + 1)
 
-    def shift_poly(self, a: int, b: int) -> List[Fraction]:
+    def shift_poly(self, a: int, b: int) -> List[Rational]:
         """prod (t - y)^{delta_y} with delta = floor((a+b)D) - floor(aD) - floor(bD)."""
         key = (a, b) if a <= b else (b, a)
         cached = self._shift_cache.get(key)
@@ -161,7 +172,7 @@ class SectionSpace:
         fa = self.floor_data(a)["fin"]
         fb = self.floor_data(b)["fin"]
         fab = self.floor_data(a + b)["fin"]
-        poly = [Fraction(1)]
+        poly = [1]
         for y in sorted(set(fa) | set(fb) | set(fab)):
             delta = fab.get(y, 0) - fa.get(y, 0) - fb.get(y, 0)
             if delta < 0:
@@ -171,15 +182,15 @@ class SectionSpace:
         self._shift_cache[key] = poly
         return poly
 
-    def multiply(self, a: int, va: List[Fraction], b: int,
-                 vb: List[Fraction]) -> List[Fraction]:
+    def multiply(self, a: int, va: List[Rational], b: int,
+                 vb: List[Rational]) -> List[Rational]:
         """Coordinates of the product of sections of degrees a and b
         inside degree a + b."""
         out = _poly_mul(_poly_mul(va, vb), self.shift_poly(a, b))
         target = self.dim(a + b)
         if len(out) > target:
             raise InternalInvariantError("product escapes the target space")
-        return out + [Fraction(0)] * (target - len(out))
+        return out + [0] * (target - len(out))
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +232,9 @@ def _monomials(gen_degrees: List[int], total: int) -> List[Tuple[int, ...]]:
     return sorted(out, reverse=True)
 
 
-def _equation_string(vec, monomials) -> str:
-    """Primitive-integer, leading-positive polynomial in x, y, z, w."""
-    ints = primitivize(vec)
+def _equation_string(ints, monomials) -> str:
+    """Leading-positive polynomial in x, y, z, w from a primitive
+    integer vector, as nullspace returns them."""
     lead = next(c for c in ints if c != 0)
     if lead < 0:
         ints = [-c for c in ints]
@@ -259,19 +270,10 @@ class _GeneratorScan:
     def __init__(self, space: SectionSpace):
         self.space = space
         self.period = denominators_lcm(space.D)
-        self.gens: List[Tuple[int, List[Fraction]]] = []   # (degree, vector)
-        self.basis: Dict[int, List[List[Fraction]]] = {}
+        self.gens: List[Tuple[int, List[Rational]]] = []   # (degree, vector)
+        self.basis: Dict[int, List[List[Rational]]] = {}
         self.full: Dict[int, bool] = {}
         self.achieved: Dict[int, int] = {}
-
-    def _canonical_basis(self, n: int) -> List[List[Fraction]]:
-        dim_n = self.space.dim(n)
-        out = []
-        for j in range(dim_n):
-            v = [Fraction(0)] * dim_n
-            v[j] = Fraction(1)
-            out.append(v)
-        return out
 
     def _period_step_applies(self, n: int) -> bool:
         L = self.period
@@ -293,10 +295,10 @@ class _GeneratorScan:
         if self._period_step_applies(n):
             self.full[n] = True
             self.achieved[n] = dim_n
-            self.basis[n] = self._canonical_basis(n)
+            self.basis[n] = _unit_vectors(dim_n)
             return 0
         span = RowSpan()
-        vectors: List[List[Fraction]] = []
+        vectors: List[List[Rational]] = []
         for d, gvec in self.gens:
             if d >= n or span.dim == dim_n:
                 continue
@@ -308,9 +310,7 @@ class _GeneratorScan:
                     break
         new = 0
         if allow_new_generators:
-            for j in range(dim_n):
-                e = [Fraction(0)] * dim_n
-                e[j] = Fraction(1)
+            for e in _unit_vectors(dim_n):
                 if span.add(e):
                     self.gens.append((n, e))
                     vectors.append(e)
@@ -358,6 +358,20 @@ def _hypersurface_relation_degree(hd: HilbertData,
     return r
 
 
+def _certify_generator_count(C: CurveCouple, count: int) -> None:
+    """For a klt couple the minimal generator count is the embedding
+    dimension, which Artin's formula reads off the blown-down graph."""
+    try:
+        G = build_graph(C)
+    except NotKlt:
+        return
+    expected = G.blown_down.embedding_dimension
+    if count != expected:
+        raise InternalInvariantError(
+            f"the scan found {count} generators, but the blown-down graph "
+            f"gives embedding dimension {expected}")
+
+
 def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
                  rel_bound: Optional[int] = None) -> Presentation:
     """Minimal generator degrees, minimal relation degrees, and explicit
@@ -366,6 +380,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     Correctness is certified by saturation: the subalgebra generated by
     the reported generators must reproduce the Hilbert function through
     verified_through = 2 max(gen_bound, rel_bound), else BoundTooSmall.
+    For a klt couple their number must be Artin's embedding dimension.
     With three generators the Hilbert series forces one relation of a
     known degree: a rel_bound below it is BoundTooSmall, and the search
     must find exactly that relation.
@@ -379,6 +394,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     space = SectionSpace(C)
     scan = _GeneratorScan(space)
     gen_degrees = scan.run(gen_bound, verified_through)
+    _certify_generator_count(C, len(gen_degrees))
     forced = None
     if len(gen_degrees) == 3:
         forced = _hypersurface_relation_degree(hilbert_series(C), gen_degrees)
@@ -393,11 +409,11 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
         gd = sorted(gen_degrees)
         gens_sorted = sorted(scan.gens, key=lambda g: g[0])
         # Cache of monomial evaluations, keyed by exponent tuple.
-        eval_cache: Dict[Tuple[int, ...], List[Fraction]] = {}
+        eval_cache: Dict[Tuple[int, ...], List[Rational]] = {}
 
-        def evaluate(expt: Tuple[int, ...], n: int) -> List[Fraction]:
+        def evaluate(expt: Tuple[int, ...], n: int) -> List[Rational]:
             if n == 0:
-                return [Fraction(1)]
+                return [1]
             cached = eval_cache.get(expt)
             if cached is not None:
                 return cached
@@ -410,7 +426,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
             eval_cache[expt] = val
             return val
 
-        relations: List[Tuple[int, Dict[Tuple[int, ...], Fraction]]] = []
+        relations: List[Tuple[int, Dict[Tuple[int, ...], int]]] = []
         for n in range(2, rel_bound + 1):
             monos = _monomials(gd, n)
             if len(monos) < 2:
@@ -426,11 +442,11 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
             old = RowSpan()
             for d_rel, rel in relations:
                 for shift in _monomials(gd, n - d_rel):
-                    shifted: Dict[int, Fraction] = {}
+                    shifted: Dict[int, int] = {}
                     for expt, c in rel.items():
                         combined = tuple(a + b for a, b in zip(expt, shift))
                         i = index[combined]
-                        shifted[i] = shifted.get(i, Fraction(0)) + c
+                        shifted[i] = shifted.get(i, 0) + c
                     old.add(shifted)
             new_count = kernel_dim - old.dim
             if new_count < 0:

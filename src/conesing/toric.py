@@ -23,7 +23,8 @@ from .errors import (FanInvalid, InternalInvariantError, NonCartierOnCone,
                      NotAmple, NotQCartierPair, NotQGorenstein,
                      PreconditionError)
 from .jsonio import fmt_q
-from .linalg import nullspace, primitivize, rank, rref, solve
+from .linalg import (_integer_scaling, nullspace, primitivize, rank, rref,
+                     solve)
 
 Vector = Tuple[int, ...]
 
@@ -251,22 +252,21 @@ def _facet_normals(rays: Sequence[Vector], dim: int) -> List[Vector]:
     normals = []
     seen = set()
     for subset in itertools.combinations(range(len(rays)), dim - 1):
-        mat = [[Fraction(x) for x in rays[i]] for i in subset]
-        kernel_basis = nullspace(mat) if mat else []
+        kernel_basis = nullspace([rays[i] for i in subset]) if subset else []
         if len(kernel_basis) != 1:
             continue
-        n = kernel_basis[0]
+        # nullspace returns primitive integer vectors
+        n = tuple(kernel_basis[0])
         pos = [i for i in range(len(rays)) if _dot(n, rays[i]) > 0]
         neg = [i for i in range(len(rays)) if _dot(n, rays[i]) < 0]
         if neg and pos:
             continue
         if neg:
             n = tuple(-x for x in n)
-        scaled = primitivize(n)
-        if scaled in seen:
+        if n in seen:
             continue
-        seen.add(scaled)
-        normals.append(scaled)
+        seen.add(n)
+        normals.append(n)
     return normals
 
 
@@ -372,6 +372,9 @@ def verify_comparison(F: Fan, D: ToricDivisor,
     if K.qgorenstein_form is None:
         raise NotQGorenstein("comparison needs a Q-Gorenstein lifted cone")
     B = quotient_boundary(F, D)
+    # Each linear form as (integer form, positive denominator), so a
+    # vector costs one integer dot and one Fraction per form.
+    qform, qden = _integer_scaling(K.qgorenstein_form)
     # (divisor form, pair form) per cone, built when the first vector
     # lands in the cone, so a non-Q-Cartier pair fails at that vector
     forms = {}
@@ -383,14 +386,15 @@ def verify_comparison(F: Fan, D: ToricDivisor,
         v = primitivize(v)
         ci = F.locate(v)
         if ci not in forms:
-            forms[ci] = (_cone_linear_form(F, D.coefficients, ci, "divisor"),
-                         _pair_form(F, B, ci))
-        divisor_form, pair_form = forms[ci]
-        s = _dot(divisor_form, v)
+            divisor_form = _cone_linear_form(F, D.coefficients, ci, "divisor")
+            forms[ci] = (_integer_scaling(divisor_form),
+                         _integer_scaling(_pair_form(F, B, ci)))
+        (dform, dden), (pform, pden) = forms[ci]
+        s = Fraction(_dot(dform, v), dden)
         lifted = primitivize(tuple(s.denominator * x for x in v) + (s.numerator,))
-        a_cone = log_discrepancy_x(K, lifted)
-        checks.append(ComparisonCheck(v=v, weil=s.denominator,
-                                      a_base=_dot(pair_form, v), a_cone=a_cone))
+        checks.append(ComparisonCheck(
+            v=v, weil=s.denominator, a_base=Fraction(_dot(pform, v), pden),
+            a_cone=Fraction(_dot(qform, lifted), qden)))
     violations = tuple(c for c in checks if not c.ok)
 
     e_last = tuple(0 for _ in range(F.rank)) + (1,)

@@ -6,13 +6,13 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Dict, Optional
 
 from conesing.divisors import (CurveCouple, QDivisorP1, finite_point,
                                floor_multiple, infinity_point)
 from conesing.errors import (InternalInvariantError, NotQGorenstein,
                              PreconditionError, SingularMatrix)
-from conesing.linalg import RowSpan, det_int, solve
+from conesing.linalg import RowSpan, det_int, rref, solve
 from conesing.sections import SectionSpace, _GeneratorScan
 from conesing.toric import (Fan, ToricDivisor, _dot, _pair_form, cone_of_x,
                             is_ample)
@@ -128,6 +128,63 @@ def count_build_graph(monkeypatch):
                 getattr(mod, "build_graph", None) is original:
             monkeypatch.setattr(mod, "build_graph", counting)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# Fraction elimination oracles
+# ---------------------------------------------------------------------------
+
+class FractionRowSpan:
+    """Oracle for linalg.RowSpan: the same echelon insertion over
+    Fraction, each stored row scaled to 1 at its pivot."""
+
+    def __init__(self):
+        self.rows: Dict[int, Dict[int, Fraction]] = {}   # pivot -> row
+
+    def add(self, vec) -> bool:
+        """Insert a vector; returns True when the span grew."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {i: Fraction(c) for i, c in items if c != 0}
+        while v:
+            p = min(v)
+            row = self.rows.get(p)
+            if row is None:
+                inv = v[p]
+                self.rows[p] = {i: c / inv for i, c in v.items()}
+                return True
+            f = v[p]
+            for i, c in row.items():
+                nc = v.get(i, 0) - f * c
+                if nc:
+                    v[i] = nc
+                else:
+                    v.pop(i, None)
+        return False
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def fraction_nullspace(rows):
+    """Oracle for linalg.nullspace: the kernel basis read off the
+    Fraction reduced echelon form, one vector per free column carrying 1
+    there and the forced pivot entries elsewhere."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = rref(rows)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------

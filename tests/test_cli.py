@@ -336,6 +336,23 @@ def test_section_invariant_breach_exits_4(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_presentation_generator_count_certificate_exits_4(tmp_path,
+                                                          monkeypatch, capsys):
+    from conesing import cli
+    from conesing.resolution import BlownDownGraph
+    f = tmp_path / "c.json"
+    f.write_text(A3)
+    # A3 has three generators; a blown-down graph that claims four makes
+    # the certificate fail
+    monkeypatch.setattr(BlownDownGraph, "embedding_dimension", 4)
+    code = cli.main(["presentation", "--couple", str(f)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "embedding dimension 4" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["enumerate", "mld-set"])
 @pytest.mark.parametrize("jobs", ["0", "cpus+1"])
 def test_jobs_outside_cpu_range_exit_3_before_any_pool(command, jobs,
@@ -453,7 +470,8 @@ def test_toric_check_refuses_incomplete_fans(tmp_path, fan, samples, reason,
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
-@pytest.mark.parametrize("case", ["deep", "not_utf8", "huge_int", "boolean"])
+@pytest.mark.parametrize("case", ["deep", "not_utf8", "huge_int", "boolean",
+                                  "exponent"])
 @pytest.mark.parametrize("command", ["describe", "audit", "toric-check"])
 def test_malformed_json_exits_2_without_traceback(command, case, source,
                                                   tmp_path, monkeypatch,
@@ -467,14 +485,18 @@ def test_malformed_json_exits_2_without_traceback(command, case, source,
     elif case == "huge_int":
         # past the interpreter's digit limit for integer conversion
         data = b"[" + b"9" * 5000 + b"]"
-    elif command == "describe":
-        data = couple_doc([({"t": "fin", "x": "0"}, True)]).encode()
-    elif command == "audit":
-        entry = enumerate_catalog(SearchParams(epsilon=1, isotropy_bound=1))[0]
-        data = json.dumps({"entries": [{**entry.to_json(),
-                                        "degree": True}]}).encode()
     else:
-        data = json.dumps([True, "1", "1"]).encode()
+        # a boolean, or a ten-byte rational with 100,001 digits
+        bad_q = True if case == "boolean" else "1e100000"
+        if command == "describe":
+            data = couple_doc([({"t": "fin", "x": "0"}, bad_q)]).encode()
+        elif command == "audit":
+            entry = enumerate_catalog(
+                SearchParams(epsilon=1, isotropy_bound=1))[0]
+            data = json.dumps({"entries": [{**entry.to_json(),
+                                            "degree": bad_q}]}).encode()
+        else:
+            data = json.dumps([bad_q, "1", "1"]).encode()
     bad = "-"
     if source == "stdin":
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data),
@@ -486,8 +508,10 @@ def test_malformed_json_exits_2_without_traceback(command, case, source,
     fan.write_text(json.dumps(P2_FAN))
     div = tmp_path / "div.json"
     div.write_text(json.dumps(["1", "1", "1"]))
-    # the boolean of toric-check sits in the divisor, the others in the fan
-    fan_arg, div_arg = (str(fan), bad) if case == "boolean" else (bad, str(div))
+    # the bad rational of toric-check sits in the divisor, the others in
+    # the fan
+    fan_arg, div_arg = ((str(fan), bad) if case in ("boolean", "exponent")
+                        else (bad, str(div)))
     argv = {"describe": ["describe", "--couple", bad],
             "audit": ["audit", "--catalog", bad, "--epsilon", "1",
                       "--isotropy-bound", "1"],

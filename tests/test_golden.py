@@ -1,7 +1,9 @@
 """Golden CLI output: the exact stdout bytes of fixed commands on the
 A1, A3, D4 and E6 couples, on three size-regime couples (a chain of
-length 200, index m = 36049 and lcm L = 1517), of two small catalogs and
-of the toric comparison on P^3 and on the weighted plane P(1,1,2).
+length 200, index m = 36049 and lcm L = 1517), of the presentation of
+the E8-type couple (1/2)[0] - (2/3)[1] + (6/5)[inf] at bounds 30, of two
+small catalogs and of the toric comparison on P^3 and on the weighted
+plane P(1,1,2).
 
 After an intended output change, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -33,6 +35,10 @@ CASES["discrepancy_index36049"] = [
     "discrepancy", "--couple", str(GOLDEN / "couples" / "index36049.json")]
 CASES["hilbert_lcm1517"] = ["hilbert", "--couple",
                             str(GOLDEN / "couples" / "lcm1517.json")]
+# four generators and three relations, with L = 30
+CASES["presentation_E8_b30"] = [
+    "presentation", "--couple", str(GOLDEN / "couples" / "E8.json"),
+    "--gen-bound", "30", "--rel-bound", "30"]
 CASES["enumerate_eps1_N3"] = ["enumerate", "--epsilon", "1",
                               "--isotropy-bound", "3", "--jobs", "1"]
 # embedding dimensions 4 and 5 appear from (1/2, 4) on

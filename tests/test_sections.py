@@ -1,10 +1,14 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from conesing import sections
 from conesing.divisors import (CurveCouple, finite_point, infinity_point,
                                label_point)
 from conesing.errors import BoundTooSmall
+from conesing.jsonio import couple_from_json
 from conesing.sections import (SectionSpace, default_presentation_bound,
                                hilbert_series, presentation)
 from helpers import h0, multiplication_rank, scanned_generators
@@ -194,3 +198,45 @@ def test_presentation_saturation_certificate():
     pres = presentation(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}),
                         gen_bound=5, rel_bound=7)
     assert pres.verified_through == 14
+
+
+GOLDEN_COUPLES = Path(__file__).resolve().parent / "golden" / "couples"
+
+
+def golden_couple(name):
+    return couple_from_json(json.loads(
+        (GOLDEN_COUPLES / f"{name}.json").read_text(encoding="utf-8")))
+
+
+def test_section_linear_algebra_stays_on_int(monkeypatch):
+    # on the canonical placement every numerator is integral, so every
+    # vector handed to a RowSpan, every stored row, and every generator
+    # and basis vector of the scan is an int: a stray Fraction(0) seed
+    # would leave Fractions behind
+    spans, scans = [], []
+    add, run = sections.RowSpan.add, sections._GeneratorScan.run
+
+    def recording_add(self, vec):
+        spans.append((self, vec))
+        return add(self, vec)
+
+    def recording_run(self, *args):
+        scans.append(self)
+        return run(self, *args)
+
+    monkeypatch.setattr(sections.RowSpan, "add", recording_add)
+    monkeypatch.setattr(sections._GeneratorScan, "run", recording_run)
+    presentation(golden_couple("D4"))
+    presentation(golden_couple("E6"), gen_bound=12, rel_bound=12)
+    assert scanned_generators(golden_couple("A3"), 8) == (1, 2, 2)
+    assert len(scans) == 3 and spans
+
+    def all_int(values):
+        return all(type(c) is int for c in values)
+
+    for span, vec in spans:
+        assert all_int(vec.values() if isinstance(vec, dict) else vec)
+        assert all(all_int(row.values()) for row in span.rows.values())
+    for scan in scans:
+        assert all(all_int(v) for _, v in scan.gens)
+        assert all(all_int(v) for vs in scan.basis.values() for v in vs)
