@@ -10,7 +10,7 @@ from .divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
                        normal_form)
 from .quotient import (StandardPair, VertexData, cartier_index_of_kx,
                        curve_log_discrepancy, horizontal_log_discrepancy,
-                       is_eps_lc_pair, is_log_fano, log_fano_quotient,
+                       is_log_fano, log_fano_quotient,
                        vertex_decomposition, vertex_log_discrepancy)
 from .resolution import (LatticeCone2, ResolutionGraph, build_graph, hj_chain,
                          local_cone_at)

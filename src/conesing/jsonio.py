@@ -24,21 +24,34 @@ def fmt_q(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# Numerators and denominators of parsed rationals have at most this many
+# digits.  A decimal "0.00...01" has a power of ten as its denominator,
+# one digit longer than the string's digits after the point, which could
+# otherwise pass the interpreter's limit on int-to-string conversion.
+MAX_DIGITS = 1000
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
+
+
 def parse_q(s) -> Fraction:
     if isinstance(s, bool):
         raise ParseError(f"bad rational {s!r} (a boolean)")
     if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
+        q = Fraction(s)
+    elif isinstance(s, str):
         # "1e100000" would be a 100,001-digit rational from ten bytes
         if "e" in s.lower():
             raise ParseError(f"bad rational {s!r}: exponent notation is "
                              "not accepted")
         try:
-            return Fraction(s.strip())
+            q = Fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {s!r}: {exc}") from None
-    raise ParseError(f"bad rational {s!r} (expected string)")
+    else:
+        raise ParseError(f"bad rational {s!r} (expected string)")
+    if abs(q.numerator) >= _DIGIT_LIMIT or q.denominator >= _DIGIT_LIMIT:
+        raise ParseError("bad rational: its numerator or denominator has "
+                         f"more than {MAX_DIGITS} digits")
+    return q
 
 
 def json_int(x, what: str) -> int:

@@ -69,11 +69,6 @@ def validate_epsilon(eps) -> Fraction:
     return eps
 
 
-def is_eps_lc_pair(P: StandardPair, eps) -> bool:
-    eps = validate_epsilon(eps)
-    return all(b <= 1 - eps for _, b in P.boundary)
-
-
 def is_log_fano(P: StandardPair) -> bool:
     # Coefficients below 1 are automatic for standard coefficients;
     # ampleness of -(K+B) on the line is a degree condition.

@@ -130,6 +130,40 @@ def count_build_graph(monkeypatch):
     return calls
 
 
+def is_eps_lc_pair(P, eps):
+    """Whether the standard pair P is eps-lc: every boundary coefficient
+    is at most 1 - eps.  The catalog needs no such test, since isotropy
+    at most N already makes its quotient pair eps/N-lc."""
+    from conesing.quotient import validate_epsilon
+
+    eps = validate_epsilon(eps)
+    return all(b <= 1 - eps for _, b in P.boundary)
+
+
+def unpruned_candidate_types(params):
+    """Oracle for catalog._candidate_types: every fractional type within
+    the search bounds, each swept through degree 2/eps, with no cap from
+    the type's quotient boundary."""
+    from conesing.catalog import _fractional_coefficients, search_bounds
+
+    bounds = search_bounds(params)
+    coeffs = _fractional_coefficients(bounds.q_max)
+    types = [()]
+    for k in (1, 2, 3):
+        types.extend(itertools.combinations_with_replacement(coeffs, k))
+    for fracs in types:
+        if sum((Fraction(f.denominator - 1, f.denominator) for f in fracs),
+               Fraction(0)) >= 2:
+            continue
+        fsum = sum(fracs, Fraction(0))
+        n0 = -int(fsum) if fsum else 1
+        while fsum + n0 <= 0:
+            n0 += 1
+        while fsum + n0 <= bounds.degree_max:
+            yield fracs, fsum + n0
+            n0 += 1
+
+
 # ---------------------------------------------------------------------------
 # Fraction elimination oracles
 # ---------------------------------------------------------------------------

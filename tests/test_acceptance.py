@@ -21,16 +21,16 @@ from conesing.divisors import (CurveCouple, finite_point, infinity_point,
                                max_isotropy)
 from conesing.errors import NotKlt
 from conesing.linalg import det_int
-from conesing.quotient import (horizontal_log_discrepancy, is_eps_lc_pair,
-                               log_fano_quotient, vertex_log_discrepancy)
+from conesing.quotient import (horizontal_log_discrepancy, log_fano_quotient,
+                               vertex_log_discrepancy)
 from conesing.resolution import blow_down, build_graph
 from conesing.sections import hilbert_series, presentation
 from conesing.toric import (ToricDivisor, cartier_index_on_cone, cone_of_x,
                             random_primitive_samples, verify_comparison,
                             weil_index)
 from helpers import (an_min_scan, fan_p1, h0, intersection_matrix,
-                     is_negative_definite, lattice_mld, random_couples,
-                     random_instances)
+                     is_eps_lc_pair, is_negative_definite, lattice_mld,
+                     random_couples, random_instances)
 
 F = Fraction
 P0 = finite_point(0)

@@ -1,14 +1,21 @@
+import concurrent.futures
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from conesing.catalog import (SearchParams, _candidate_types, audit_catalog,
-                              catalog_to_json, couple_from_entry_data,
-                              enumerate_catalog, mld_spectrum, search_bounds)
+from conesing import catalog
+from conesing.catalog import (MIN_CANDIDATES_PER_WORKER, SearchParams,
+                              _candidate_types, _evaluate_candidate,
+                              _worker_count, audit_catalog, catalog_to_json,
+                              couple_from_entry_data, enumerate_catalog,
+                              mld_spectrum, search_bounds)
 from conesing.divisors import normal_form
 from conesing.errors import BadEpsilon, ParseError, PreconditionError
-from helpers import count_build_graph
+from conesing.jsonio import dumps
+from helpers import count_build_graph, unpruned_candidate_types
 
 F = Fraction
 
@@ -104,11 +111,93 @@ def test_catalog_determinism():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_parallel_enumeration_matches_serial():
-    params = SearchParams(epsilon=F(1), isotropy_bound=3)
+def test_worker_count_sizing():
+    # the benchmark's sweeps run in-process for any job count
+    for eps, N in ((F(1), 6), (F(1, 2), 6), (F(1, 4), 4)):
+        count = len(list(_candidate_types(SearchParams(eps, N))))
+        assert count < MIN_CANDIDATES_PER_WORKER
+        assert _worker_count(2, count) == 1
+        assert _worker_count(64, count) == 1
+    # (1/8, 6) has 430 candidates, enough for two workers
+    count = len(list(_candidate_types(SearchParams(F(1, 8), 6))))
+    assert count == 430 and _worker_count(2, count) == 2
+    K = MIN_CANDIDATES_PER_WORKER
+    assert _worker_count(4, 2 * K - 1) == 1
+    assert _worker_count(4, 2 * K) == 2
+    assert _worker_count(4, 100 * K) == 4
+    assert _worker_count(1, 100 * K) == 1
+
+
+def test_parallel_enumeration_matches_serial(monkeypatch):
+    pools = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    params = SearchParams(epsilon=F(1, 8), isotropy_bound=6)
     serial = enumerate_catalog(params, jobs=1)
+    assert pools == []
     parallel = enumerate_catalog(params, jobs=2)
+    assert pools == [2]
     assert serial == parallel
+    # a sweep below the pool size runs in-process whatever jobs says
+    small = SearchParams(epsilon=F(1), isotropy_bound=6)
+    assert enumerate_catalog(small, jobs=2) == enumerate_catalog(small, jobs=1)
+    assert pools == [2]
+
+
+def test_degree_cap_is_inclusive():
+    # the A1 cone xy = z^2 (degree 2, no fractional points) has
+    # a_e0 = mld = 1, so at eps = 1 it sits exactly on the cap 2/eps
+    params = SearchParams(epsilon=F(1), isotropy_bound=1)
+    assert list(_candidate_types(params)) == [((), F(1)), ((), F(2))]
+    a1 = _evaluate_candidate(((), F(2), F(1)))
+    assert a1.a_e0 == a1.mld == 1 and a1.link_determinant == 2
+    # every fractional type is swept up to its cap and not one step past
+    params = SearchParams(epsilon=F(2, 5), isotropy_bound=5)
+    last = {}
+    for fracs, degree in _candidate_types(params):
+        last[fracs] = degree
+    for fracs, degree in last.items():
+        cap = (2 - sum(1 - F(1, f.denominator) for f in fracs)) / params.epsilon
+        assert degree <= cap < degree + 1
+
+
+# (eps, N) pairs on which the degree-capped sweep is compared with the
+# sweep through 2/eps for every fractional type
+CAP_ORACLE_GRID = [(F(1), 3), (F(1), 6), (F(1, 2), 6), (F(1, 4), 4),
+                   (F(2, 3), 9), (F(1, 8), 6)]
+
+
+@pytest.mark.parametrize("eps,N", CAP_ORACLE_GRID)
+def test_degree_cap_keeps_every_member(eps, N, monkeypatch):
+    params = SearchParams(epsilon=eps, isotropy_bound=N)
+    capped = enumerate_catalog(params, jobs=1)
+    monkeypatch.setattr(catalog, "_candidate_types", unpruned_candidate_types)
+    full = enumerate_catalog(params, jobs=1)
+    assert capped == full
+    assert dumps(catalog_to_json(capped, params)) == \
+        dumps(catalog_to_json(full, params))
+
+
+@given(st.data())
+def test_degree_cap_skips_only_rejected_candidates(data):
+    eps = data.draw(st.fractions(min_value=F(1, 8), max_value=1,
+                                 max_denominator=8).filter(lambda e: e > 0))
+    params = SearchParams(epsilon=eps,
+                          isotropy_bound=data.draw(st.integers(1, 6)))
+    capped = list(_candidate_types(params))
+    full = list(unpruned_candidate_types(params))
+    kept = set(capped)
+    assert [c for c in full if c in kept] == capped
+    skipped = [c for c in full if c not in kept]
+    assume(skipped)
+    for _ in range(3):
+        fracs, degree = data.draw(st.sampled_from(skipped))
+        assert _evaluate_candidate((fracs, degree, eps)) is None
 
 
 def test_audit_clean_catalog():

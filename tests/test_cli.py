@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -152,9 +153,10 @@ def test_enumerate_and_audit(tmp_path):
 
 
 def test_enumerate_deterministic_bytes(tmp_path):
+    # (1/8, 6) has enough candidates that --jobs 2 starts two workers
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target, jobs in ((a, "1"), (b, "2")):
-        res = run_cli("enumerate", "--epsilon", "1/2", "--isotropy-bound", "2",
+        res = run_cli("enumerate", "--epsilon", "1/8", "--isotropy-bound", "6",
                       "--jobs", jobs, "--out", str(target))
         assert res.returncode == 0
     assert a.read_bytes() == b.read_bytes()
@@ -471,7 +473,7 @@ def test_toric_check_refuses_incomplete_fans(tmp_path, fan, samples, reason,
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
 @pytest.mark.parametrize("case", ["deep", "not_utf8", "huge_int", "boolean",
-                                  "exponent"])
+                                  "exponent", "long_decimal"])
 @pytest.mark.parametrize("command", ["describe", "audit", "toric-check"])
 def test_malformed_json_exits_2_without_traceback(command, case, source,
                                                   tmp_path, monkeypatch,
@@ -486,8 +488,11 @@ def test_malformed_json_exits_2_without_traceback(command, case, source,
         # past the interpreter's digit limit for integer conversion
         data = b"[" + b"9" * 5000 + b"]"
     else:
-        # a boolean, or a ten-byte rational with 100,001 digits
-        bad_q = True if case == "boolean" else "1e100000"
+        # a boolean, a ten-byte rational with 100,001 digits, or a decimal
+        # whose denominator 10^4300 passes the interpreter's digit limit
+        # for integer-to-string conversion
+        bad_q = {"boolean": True, "exponent": "1e100000",
+                 "long_decimal": "0." + "0" * 4299 + "1"}[case]
         if command == "describe":
             data = couple_doc([({"t": "fin", "x": "0"}, bad_q)]).encode()
         elif command == "audit":
@@ -510,7 +515,8 @@ def test_malformed_json_exits_2_without_traceback(command, case, source,
     div.write_text(json.dumps(["1", "1", "1"]))
     # the bad rational of toric-check sits in the divisor, the others in
     # the fan
-    fan_arg, div_arg = ((str(fan), bad) if case in ("boolean", "exponent")
+    fan_arg, div_arg = ((str(fan), bad)
+                        if case in ("boolean", "exponent", "long_decimal")
                         else (bad, str(div)))
     argv = {"describe": ["describe", "--couple", bad],
             "audit": ["audit", "--catalog", bad, "--epsilon", "1",
@@ -523,6 +529,20 @@ def test_malformed_json_exits_2_without_traceback(command, case, source,
     assert captured.out == ""
     assert "parse error" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_parse_q_bounds_digits_of_numerator_and_denominator():
+    from conesing.errors import ParseError
+    from conesing.jsonio import MAX_DIGITS, fmt_q, parse_q
+    digits = "9" * MAX_DIGITS
+    for ok in (digits, "-" + digits, "1/" + digits,
+               "0." + "0" * (MAX_DIGITS - 2) + "1"):
+        assert parse_q(ok) == Fraction(ok)
+        fmt_q(parse_q(ok))
+    for bad in (digits + "9", "-" + digits + "9", "1/" + digits + "9",
+                "0." + "0" * (MAX_DIGITS - 1) + "1", int(digits + "9")):
+        with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
+            parse_q(bad)
 
 
 def test_audit_of_entry_with_non_string_key_exits_2(tmp_path, capsys):

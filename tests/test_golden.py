@@ -1,7 +1,7 @@
 """Golden CLI output: the exact stdout bytes of fixed commands on the
 A1, A3, D4 and E6 couples, on three size-regime couples (a chain of
 length 200, index m = 36049 and lcm L = 1517), of the presentation of
-the E8-type couple (1/2)[0] - (2/3)[1] + (6/5)[inf] at bounds 30, of two
+the E8-type couple (1/2)[0] - (2/3)[1] + (6/5)[inf] at bounds 30, of three
 small catalogs and of the toric comparison on P^3 and on the weighted
 plane P(1,1,2).
 
@@ -41,6 +41,10 @@ CASES["presentation_E8_b30"] = [
     "--gen-bound", "30", "--rel-bound", "30"]
 CASES["enumerate_eps1_N3"] = ["enumerate", "--epsilon", "1",
                               "--isotropy-bound", "3", "--jobs", "1"]
+# the benchmark's smallest sweep, where the degree cap skips 143 of the
+# 208 candidates through 2/eps
+CASES["enumerate_eps1_N6"] = ["enumerate", "--epsilon", "1",
+                              "--isotropy-bound", "6", "--jobs", "1"]
 # embedding dimensions 4 and 5 appear from (1/2, 4) on
 CASES["enumerate_eps1_2_N4"] = ["enumerate", "--epsilon", "1/2",
                                 "--isotropy-bound", "4", "--jobs", "1"]

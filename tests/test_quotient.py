@@ -8,10 +8,10 @@ from conesing.catalog import SearchParams, _build_entry, audit_catalog
 from conesing.errors import BadEpsilon, NotKlt, PreconditionError
 from conesing.quotient import (StandardPair, cartier_index_of_kx,
                                curve_log_discrepancy, horizontal_log_discrepancy,
-                               is_eps_lc_pair, is_log_fano, log_fano_quotient,
+                               is_log_fano, log_fano_quotient,
                                vertex_decomposition, vertex_log_discrepancy)
 from conesing.resolution import build_graph
-from helpers import brute_min_decomposition, random_couples
+from helpers import brute_min_decomposition, is_eps_lc_pair, random_couples
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -173,11 +173,12 @@ def audit_failures(C, eps, N):
 
 def test_necessary_eps_conditions():
     # the audit checks the conditions every member of the eps-lc,
-    # isotropy <= N class satisfies: a_e0 >= eps, isotropy <= N and an
-    # eps/N-lc quotient pair
+    # isotropy <= N class satisfies: mld >= eps and isotropy <= N; the
+    # quotient conditions follow (a_e0 >= mld >= eps, 1/q >= eps/N)
     assert audit_failures(CurveCouple.of({P0: 2}), 1, 1) == []
-    assert "central log discrepancy out of range" in audit_failures(
-        CurveCouple.of({P0: 3}), 1, 1)
+    # the cone over the twisted cubic: a_e0 = mld = 2/3
+    assert audit_failures(CurveCouple.of({P0: 3}), 1, 1) == [
+        "mld below epsilon"]
     assert audit_failures(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}),
                           F(1, 2), 1) == ["isotropy above the bound 1"]
     # an entry over the isotropy bound is not rebuilt, so the eps/N pair
