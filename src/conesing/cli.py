@@ -4,6 +4,9 @@ All output is JSON with rationals as reduced "p/q" strings and a
 top-level schema tag.  Exit codes: 0 success, 1 verification failure,
 2 parse error, 3 precondition violation, 4 internal invariant breach
 (never expected).  CONESING_SEED overrides the default sampling seed.
+
+Each handler imports the layers it runs in its own body, so a command
+loads only its own modules and `--version` loads none.
 """
 
 from __future__ import annotations
@@ -13,22 +16,8 @@ import os
 import sys
 
 from . import __version__
-from .catalog import (SearchParams, audit_catalog, catalog_to_json,
-                      enumerate_catalog, search_bounds)
-from .counterexamples import (an_min_over_actions, diagonal_cone_report,
-                              rnc_family_report)
-from .divisors import max_isotropy
 from .errors import (ConesingError, InternalInvariantError, ParseError,
                      PreconditionError)
-from .jsonio import (SCHEMA, couple_from_json, divisor_to_json, dumps, fmt_q,
-                     integral_divisor_to_json, json_int, loads, parse_q,
-                     point_to_json)
-from .quotient import (horizontal_log_discrepancy, log_fano_quotient,
-                       vertex_decomposition, vertex_log_discrepancy)
-from .resolution import build_graph
-from .sections import hilbert_series, hilbert_values, presentation
-from .toric import (Fan, ToricDivisor, random_primitive_samples,
-                    verify_comparison)
 
 DEFAULT_SEED = 20260801
 
@@ -46,6 +35,7 @@ def _seed(args) -> int:
 
 
 def _read_json(path: str):
+    from .jsonio import loads
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -60,10 +50,12 @@ def _read_json(path: str):
 
 
 def _load_couple(path: str):
+    from .jsonio import couple_from_json
     return couple_from_json(_read_json(path))
 
 
 def _emit(doc: dict, out: str | None) -> None:
+    from .jsonio import SCHEMA, dumps
     doc = {"schema": SCHEMA, **doc}
     text = dumps(doc)
     if out:
@@ -75,6 +67,9 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _discrepancy_doc(C) -> dict:
     """Quotient-side discrepancy data, shared by describe and discrepancy."""
+    from .jsonio import fmt_q, integral_divisor_to_json, point_to_json
+    from .quotient import (horizontal_log_discrepancy, log_fano_quotient,
+                           vertex_decomposition, vertex_log_discrepancy)
     vd = vertex_decomposition(C)
     return {
         "quotient": [{"point": point_to_json(p), "coeff": fmt_q(b)}
@@ -88,6 +83,10 @@ def _discrepancy_doc(C) -> dict:
 
 
 def cmd_describe(args) -> int:
+    from .divisors import max_isotropy
+    from .jsonio import divisor_to_json, fmt_q
+    from .resolution import build_graph
+    from .sections import hilbert_series
     C = _load_couple(args.couple)
     doc = _discrepancy_doc(C)
     G = build_graph(C)
@@ -108,6 +107,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from .sections import hilbert_series, hilbert_values
     if args.through is not None and args.through < 0:
         raise PreconditionError(f"--through {args.through} must be >= 0")
     C = _load_couple(args.couple)
@@ -120,6 +120,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_presentation(args) -> int:
+    from .sections import hilbert_series, presentation
     # Minimal generators have degree >= 1 and relations among them
     # degree >= 2, so smaller bounds search nothing.
     if args.gen_bound is not None and args.gen_bound < 1:
@@ -144,6 +145,8 @@ def cmd_discrepancy(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    from .jsonio import fmt_q
+    from .resolution import build_graph
     C = _load_couple(args.couple)
     G = build_graph(C)
     doc = G.to_json()
@@ -154,11 +157,14 @@ def cmd_resolve(args) -> int:
 
 
 def _search_params(args) -> SearchParams:
+    from .catalog import SearchParams
+    from .jsonio import parse_q
     return SearchParams(epsilon=parse_q(args.epsilon),
                         isotropy_bound=args.isotropy_bound)
 
 
 def cmd_enumerate(args) -> int:
+    from .catalog import catalog_to_json, enumerate_catalog, search_bounds
     params = _search_params(args)
     entries = enumerate_catalog(params, jobs=args.jobs)
     doc = catalog_to_json(entries, params)
@@ -168,6 +174,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_mld_set(args) -> int:
+    from .catalog import catalog_to_json, enumerate_catalog
     params = _search_params(args)
     catalog = catalog_to_json(enumerate_catalog(params, jobs=args.jobs), params)
     _emit({"params": catalog["params"], **catalog["summary"]}, args.out)
@@ -175,6 +182,7 @@ def cmd_mld_set(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .catalog import audit_catalog
     params = _search_params(args)
     doc = _read_json(args.catalog)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
@@ -185,6 +193,7 @@ def cmd_audit(args) -> int:
 
 
 def _int_rows(fan_doc: dict, key: str):
+    from .jsonio import json_int
     rows = fan_doc[key]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"fan {key!r} must be an array of integer arrays")
@@ -192,6 +201,9 @@ def _int_rows(fan_doc: dict, key: str):
 
 
 def cmd_toric_check(args) -> int:
+    from .jsonio import json_int, parse_q
+    from .toric import (Fan, ToricDivisor, random_primitive_samples,
+                        verify_comparison)
     fan_doc = _read_json(args.fan)
     for key in ("rank", "rays", "cones"):
         if not isinstance(fan_doc, dict) or key not in fan_doc:
@@ -209,6 +221,8 @@ def cmd_toric_check(args) -> int:
 
 
 def cmd_verify_examples(args) -> int:
+    from .counterexamples import (an_min_over_actions, diagonal_cone_report,
+                                  rnc_family_report)
     # The A-type family must have a member, and the index test below
     # (>= rnc_max // 2) must ask for more than the index 1 that every
     # member already has.

@@ -74,6 +74,34 @@ def local_cone_at(C: CurveCouple, pt: MarkedPoint) -> LatticeCone2:
     return LatticeCone2(q=q, p=p)
 
 
+# Longest chain hj_chain builds; the graph, its discrepancies and its
+# JSON are all linear in the chain length.
+CHAIN_LENGTH_MAX = 10**6
+
+
+def hj_chain_length(cone: LatticeCone2) -> int:
+    """Length of hj_chain(cone) in O(log q) steps.
+
+    hj_chain's recursion (a, b) -> (b, c b - a), c = ceil(a/b), keeps
+    r = a - b fixed while c = 2, that is while r <= b, so a run of 2s
+    from (a, b) has b // r entries and ends at (b - (k-1) r, b - k r)
+    with k = b // r.  Every other step is one entry; between runs this
+    is Euclid's algorithm, so the step count is logarithmic in q.
+    """
+    a, b = cone.q, cone.q - cone.p
+    length = 0
+    while b > 0:
+        r = a - b
+        if r <= b:
+            k = b // r
+            length += k
+            a, b = b - (k - 1) * r, b - k * r
+        else:
+            length += 1
+            a, b = b, -(-a // b) * b - a
+    return length
+
+
 def hj_chain(cone: LatticeCone2) -> Tuple[int, ...]:
     """Self-intersections [-c_1, ..., -c_k] of the chain resolving the
     cone, listed from the (0,1) side outward.
@@ -81,10 +109,16 @@ def hj_chain(cone: LatticeCone2) -> Tuple[int, ...]:
     The c_j are the ceiling continued fraction of q/(q-p).  The ray
     recursion v_{j+1} = c_j v_j - v_{j-1} starting from (0,1), (1,1) is
     replayed as a certificate: it must land exactly on (q,p) through
-    primitive interior rays.
+    primitive interior rays.  A chain longer than CHAIN_LENGTH_MAX is
+    refused before any of this linear work.
     """
     if cone.is_smooth():
         raise IntegralPoint("smooth chart has no chain")
+    length = hj_chain_length(cone)
+    if length > CHAIN_LENGTH_MAX:
+        raise PreconditionError(
+            f"chain length {length} of q/p = {cone.q}/{cone.p} exceeds "
+            f"CHAIN_LENGTH_MAX = {CHAIN_LENGTH_MAX}")
     q, p = cone.q, cone.p
     cs: List[int] = []
     a, b = q, q - p

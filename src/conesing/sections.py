@@ -12,7 +12,9 @@ turns on the superadditivity of floors.  Numerator coefficients are
 ints whenever every finite coordinate y is integral, as on the
 canonical placement 0, 1, infinity; a rational y brings in Fractions
 through Python's own int/Fraction arithmetic.  The linear algebra on
-them (RowSpan, nullspace) is fraction-free over the integers.
+them (RowSpan, nullspace) is fraction-free over the integers.  Only the
+presentation path imports linalg and resolution, so the Hilbert series
+loads neither.
 
 The Hilbert series is the rational function numerator / ((1 - T)(1 - T^L))
 with L the lcm of the denominators (Pinkham 1977).  Its values
@@ -32,14 +34,18 @@ from typing import Dict, List, Optional, Tuple
 
 from .divisors import (CurveCouple, Rational, assign_coordinates,
                        denominators_lcm, floor_multiple)
-from .errors import BoundTooSmall, InternalInvariantError, NotKlt
-from .linalg import RowSpan, nullspace
-from .resolution import build_graph
+from .errors import (BoundTooSmall, InternalInvariantError, NotKlt,
+                     PreconditionError)
 
 
 # ---------------------------------------------------------------------------
 # Hilbert series
 # ---------------------------------------------------------------------------
+
+# Largest lcm L of the denominators that hilbert_series and presentation
+# accept; both work through a few periods, degree by degree.
+PERIOD_MAX = 10**6
+
 
 @dataclass(frozen=True)
 class HilbertData:
@@ -68,6 +74,16 @@ class HilbertData:
         return {"numerator": list(self.numerator), "L": self.period}
 
 
+def _checked_period(D) -> int:
+    """L, refused above PERIOD_MAX: the Hilbert data and the generator
+    scan take time and memory linear in L."""
+    L = denominators_lcm(D)
+    if L > PERIOD_MAX:
+        raise PreconditionError(
+            f"period L = {L} exceeds PERIOD_MAX = {PERIOD_MAX}")
+    return L
+
+
 def hilbert_values(C: CurveCouple, through: int) -> List[int]:
     """h(0) .. h(through) as max(0, sum_p (n a_p) // b_p + 1), read off
     the integer pairs (a_p, b_p) of the coefficients of D."""
@@ -82,7 +98,7 @@ def hilbert_series(C: CurveCouple) -> HilbertData:
     nonnegative) and certified twice: the numerator must vanish past
     n0 + L, and its expansion must give back the values."""
     D = C.divisor
-    L = denominators_lcm(D)
+    L = _checked_period(D)
     deg = D.degree()
     npts = len(D.terms)
     # After n0 every floor degree is nonnegative and h is quasi-linear.
@@ -297,6 +313,7 @@ class _GeneratorScan:
             self.achieved[n] = dim_n
             self.basis[n] = _unit_vectors(dim_n)
             return 0
+        from .linalg import RowSpan
         span = RowSpan()
         vectors: List[List[Rational]] = []
         for d, gvec in self.gens:
@@ -361,6 +378,7 @@ def _hypersurface_relation_degree(hd: HilbertData,
 def _certify_generator_count(C: CurveCouple, count: int) -> None:
     """For a klt couple the minimal generator count is the embedding
     dimension, which Artin's formula reads off the blown-down graph."""
+    from .resolution import build_graph
     try:
         G = build_graph(C)
     except NotKlt:
@@ -385,6 +403,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     known degree: a rel_bound below it is BoundTooSmall, and the search
     must find exactly that relation.
     """
+    _checked_period(C.divisor)
     if gen_bound is None:
         gen_bound = default_presentation_bound(C)
     if rel_bound is None:
@@ -406,24 +425,27 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     relation_degrees: List[int] = []
     equations: List[str] = []
     if gen_degrees:
+        from .linalg import RowSpan, nullspace
         gd = sorted(gen_degrees)
         gens_sorted = sorted(scan.gens, key=lambda g: g[0])
         # Cache of monomial evaluations, keyed by exponent tuple.
         eval_cache: Dict[Tuple[int, ...], List[Rational]] = {}
 
         def evaluate(expt: Tuple[int, ...], n: int) -> List[Rational]:
-            if n == 0:
-                return [1]
-            cached = eval_cache.get(expt)
-            if cached is not None:
-                return cached
-            idx = next(i for i, e in enumerate(expt) if e > 0)
-            d = gens_sorted[idx][0]
-            sub = list(expt)
-            sub[idx] -= 1
-            lower = evaluate(tuple(sub), n - d)
-            val = space.multiply(d, gens_sorted[idx][1], n - d, lower)
-            eval_cache[expt] = val
+            # peel off one lowest-degree factor at a time down to a cached
+            # monomial (or 1), then multiply back up, caching each step
+            peeled = []
+            while n > 0 and expt not in eval_cache:
+                idx = next(i for i, e in enumerate(expt) if e > 0)
+                peeled.append((expt, idx, n))
+                sub = list(expt)
+                sub[idx] -= 1
+                expt, n = tuple(sub), n - gd[idx]
+            val = eval_cache[expt] if n > 0 else [1]
+            for expt, idx, n in reversed(peeled):
+                d = gd[idx]
+                val = space.multiply(d, gens_sorted[idx][1], n - d, val)
+                eval_cache[expt] = val
             return val
 
         relations: List[Tuple[int, Dict[Tuple[int, ...], int]]] = []
@@ -431,11 +453,12 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
             monos = _monomials(gd, n)
             if len(monos) < 2:
                 continue
-            rows = [evaluate(m, n) for m in monos]
-            ev = RowSpan()
-            for r in rows:
-                ev.add(r)
-            kernel_dim = len(monos) - ev.dim
+            # the scan certified that the generators span every degree
+            # through verified_through >= rel_bound, so evaluation is onto
+            kernel_dim = len(monos) - space.dim(n)
+            if kernel_dim < 0:
+                raise InternalInvariantError(
+                    f"{len(monos)} monomials cannot span degree {n}")
             if kernel_dim == 0:
                 continue
             index = {m: i for i, m in enumerate(monos)}
@@ -455,9 +478,14 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
                 continue
             # relations are left-kernel vectors: combinations of monomials
             # evaluating to zero
-            transposed = [list(col) for col in zip(*rows)]
+            rows = [evaluate(m, n) for m in monos]
+            kernel = nullspace([list(col) for col in zip(*rows)])
+            if len(kernel) != kernel_dim:
+                raise InternalInvariantError(
+                    f"degree {n} has a {len(kernel)}-dimensional relation "
+                    f"kernel, but the spanning certificate gives {kernel_dim}")
             found = 0
-            for kv in nullspace(transposed):
+            for kv in kernel:
                 if old.add(kv):
                     found += 1
                     relation_degrees.append(n)

@@ -13,7 +13,7 @@ from conesing.divisors import (CurveCouple, QDivisorP1, finite_point,
 from conesing.errors import (InternalInvariantError, NotQGorenstein,
                              PreconditionError, SingularMatrix)
 from conesing.linalg import RowSpan, det_int, rref, solve
-from conesing.sections import SectionSpace, _GeneratorScan
+from conesing.sections import SectionSpace, _GeneratorScan, _monomials
 from conesing.toric import (Fan, ToricDivisor, _dot, _pair_form, cone_of_x,
                             is_ample)
 
@@ -252,6 +252,43 @@ def scanned_generators(C, bound):
     the relation search: generators through `bound`, saturation checked
     through 2 * bound (BoundTooSmall otherwise)."""
     return tuple(sorted(_GeneratorScan(SectionSpace(C)).run(bound, 2 * bound)))
+
+
+def evaluation_kernel_dims(C, gen_bound, rel_bound):
+    """Per degree n = 2 .. rel_bound with at least two monomials in the
+    scanned generators: the number of monomials minus the rank of their
+    evaluations, eliminated in a RowSpan.  This is the relation kernel's
+    dimension as presentation computed it before reading it off the
+    spanning certificate (monomials minus dim of the degree-n piece)."""
+    space = SectionSpace(C)
+    scan = _GeneratorScan(space)
+    scan.run(gen_bound, 2 * max(gen_bound, rel_bound))
+    gens = sorted(scan.gens, key=lambda g: g[0])
+    degrees = [d for d, _ in gens]
+    cache = {}
+
+    def evaluate(expt, n):
+        if n == 0:
+            return [1]
+        if expt not in cache:
+            idx = next(i for i, e in enumerate(expt) if e > 0)
+            sub = list(expt)
+            sub[idx] -= 1
+            d, vec = gens[idx]
+            cache[expt] = space.multiply(d, vec, n - d,
+                                         evaluate(tuple(sub), n - d))
+        return cache[expt]
+
+    dims = {}
+    for n in range(2, rel_bound + 1):
+        monos = _monomials(degrees, n)
+        if len(monos) < 2:
+            continue
+        span = RowSpan()
+        for m in monos:
+            span.add(evaluate(m, n))
+        dims[n] = len(monos) - span.dim
+    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,9 @@ from conesing.jsonio import dumps
 from helpers import count_build_graph, unpruned_candidate_types
 
 F = Fraction
+# jobs above os.cpu_count() is a precondition error by contract
+TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                              reason="jobs=2 needs at least two CPUs")
 
 
 def stored(entries):
@@ -128,6 +132,7 @@ def test_worker_count_sizing():
     assert _worker_count(1, 100 * K) == 1
 
 
+@TWO_CPUS
 def test_parallel_enumeration_matches_serial(monkeypatch):
     pools = []
 
@@ -237,6 +242,7 @@ def test_audit_reports_entry_rebuilt_to_non_klt_couple():
     assert all(f.startswith(f"entry {bad.key}:") for f in report.failures)
 
 
+@TWO_CPUS
 @pytest.mark.parametrize("eps,N,count", [
     (F(1), 3, 15), (F(1), 6, 51), (F(1, 2), 6, 88), (F(1, 4), 4, 85),
 ])

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 from helpers import count_build_graph
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# --jobs above os.cpu_count() exits 3 by contract
+TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                              reason="--jobs 2 needs at least two CPUs")
 
 
 def run_cli(*args, input_text=None):
@@ -152,6 +156,7 @@ def test_enumerate_and_audit(tmp_path):
     assert res.returncode == 1
 
 
+@TWO_CPUS
 def test_enumerate_deterministic_bytes(tmp_path):
     # (1/8, 6) has enough candidates that --jobs 2 starts two workers
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -543,6 +548,27 @@ def test_parse_q_bounds_digits_of_numerator_and_denominator():
                 "0." + "0" * (MAX_DIGITS - 1) + "1", int(digits + "9")):
         with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
             parse_q(bad)
+
+
+CHAIN_TOO_LONG = f"chain length {10**30 - 1} of q/p = {10**30}/1 exceeds " \
+                 "CHAIN_LENGTH_MAX = 1000000"
+PERIOD_TOO_LONG = f"period L = {10**30} exceeds PERIOD_MAX = 1000000"
+
+
+@pytest.mark.parametrize("command,message", [
+    ("describe", CHAIN_TOO_LONG), ("resolve", CHAIN_TOO_LONG),
+    ("hilbert", PERIOD_TOO_LONG), ("presentation", PERIOD_TOO_LONG)])
+def test_denominator_10_to_30_exits_3_within_a_second(command, message):
+    # q = 10^30 from a 35-byte coefficient: the chain has q - 1 entries
+    # and the period is q, both far above their caps
+    import time
+    doc = couple_doc([({"t": "fin", "x": "0"}, "0." + "0" * 29 + "1")])
+    start = time.perf_counter()
+    res = run_cli(command, "--couple", "-", input_text=doc)
+    assert time.perf_counter() - start < 1.0
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == f"precondition violated: {message}\n"
 
 
 def test_audit_of_entry_with_non_string_key_exits_2(tmp_path, capsys):

@@ -1,13 +1,17 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conesing import resolution
 from conesing.divisors import CurveCouple, finite_point, infinity_point
 from conesing.errors import IntegralPoint, NotKlt, PreconditionError
 from conesing.linalg import det_int
 from conesing.quotient import vertex_log_discrepancy
 from conesing.resolution import (LatticeCone2, blow_down, build_graph,
-                                 hj_chain, local_cone_at)
+                                 hj_chain, hj_chain_length, local_cone_at)
 from conesing.toric import ConeOfX
 from helpers import (discrepancies, intersection_matrix, is_negative_definite,
                      lattice_mld, random_couples)
@@ -147,6 +151,35 @@ def test_build_graph_three_half_points():
 def test_build_graph_rejects_non_klt():
     with pytest.raises(NotKlt):
         build_graph(C({P0: F(6, 7), P1: F(6, 7), PINF: F(6, 7)}))
+
+
+@st.composite
+def coprime_cones(draw):
+    q = draw(st.integers(2, 3000))
+    p = draw(st.integers(1, q - 1).filter(lambda p: gcd(p, q) == 1))
+    return LatticeCone2(q, p)
+
+
+@given(coprime_cones())
+def test_chain_length_from_runs_is_the_chain_length(cone):
+    assert hj_chain_length(cone) == len(hj_chain(cone))
+
+
+def test_chain_length_is_logarithmic_in_q():
+    # q/1 is a run of q - 1 twos and (q^2 + 1)/q is [q + 1, 2, ..., 2]
+    q = 10**300
+    assert hj_chain_length(LatticeCone2(q, 1)) == q - 1
+    assert hj_chain_length(LatticeCone2(q * q + 1, q * q + 1 - q)) == q
+
+
+def test_chain_above_the_cap_is_a_precondition(monkeypatch):
+    cone = LatticeCone2(5, 1)               # [-2, -2, -2, -2]
+    monkeypatch.setattr(resolution, "CHAIN_LENGTH_MAX", 4)
+    assert hj_chain(cone) == (-2, -2, -2, -2)
+    monkeypatch.setattr(resolution, "CHAIN_LENGTH_MAX", 3)
+    with pytest.raises(PreconditionError,
+                       match="chain length 4 .* exceeds CHAIN_LENGTH_MAX = 3"):
+        hj_chain(cone)
 
 
 def test_dense_solve_agrees_with_chain_elimination():

@@ -3,15 +3,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from conesing import sections
+from conesing import linalg, sections
 from conesing.divisors import (CurveCouple, finite_point, infinity_point,
                                label_point)
-from conesing.errors import BoundTooSmall
+from conesing.errors import (BoundTooSmall, InternalInvariantError,
+                             PreconditionError)
 from conesing.jsonio import couple_from_json
-from conesing.sections import (SectionSpace, default_presentation_bound,
-                               hilbert_series, presentation)
-from helpers import h0, multiplication_rank, scanned_generators
+from conesing.sections import (SectionSpace, _monomials,
+                               default_presentation_bound, hilbert_series,
+                               presentation)
+from helpers import (evaluation_kernel_dims, h0, multiplication_rank,
+                     random_couples, scanned_generators)
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -200,6 +205,41 @@ def test_presentation_saturation_certificate():
     assert pres.verified_through == 14
 
 
+@given(st.integers(0, 10**6))
+def test_relation_kernel_is_monomials_minus_dimension(seed):
+    # the spanning certificate fixes the kernel of the evaluation map;
+    # the oracle eliminates every degree's evaluations to get it
+    C = random_couples(seed, 1, max_q=6, max_degree=3)[0]
+    try:
+        pres = presentation(C, gen_bound=8, rel_bound=8)
+    except BoundTooSmall:
+        assume(False)
+    degrees = list(pres.generator_degrees)
+    space = SectionSpace(C)
+    expected = {n: len(_monomials(degrees, n)) - space.dim(n)
+                for n in range(2, 9) if len(_monomials(degrees, n)) >= 2}
+    assert evaluation_kernel_dims(C, 8, 8) == expected
+
+
+def test_presentation_certifies_the_kernel_dimension(monkeypatch):
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows: nullspace(rows)[:-1])
+    with pytest.raises(InternalInvariantError, match="spanning certificate"):
+        presentation(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}))
+
+
+def test_period_above_the_cap_is_a_precondition(monkeypatch):
+    C = CurveCouple.of({P0: F(1, 2), P1: F(1, 3)})    # L = 6
+    monkeypatch.setattr(sections, "PERIOD_MAX", 6)
+    assert hilbert_series(C).period == 6
+    assert presentation(C).generator_degrees
+    monkeypatch.setattr(sections, "PERIOD_MAX", 5)
+    for compute in (hilbert_series, presentation):
+        with pytest.raises(PreconditionError,
+                           match="period L = 6 exceeds PERIOD_MAX = 5"):
+            compute(C)
+
+
 GOLDEN_COUPLES = Path(__file__).resolve().parent / "golden" / "couples"
 
 
@@ -214,7 +254,7 @@ def test_section_linear_algebra_stays_on_int(monkeypatch):
     # and basis vector of the scan is an int: a stray Fraction(0) seed
     # would leave Fractions behind
     spans, scans = [], []
-    add, run = sections.RowSpan.add, sections._GeneratorScan.run
+    add, run = linalg.RowSpan.add, sections._GeneratorScan.run
 
     def recording_add(self, vec):
         spans.append((self, vec))
@@ -224,7 +264,7 @@ def test_section_linear_algebra_stays_on_int(monkeypatch):
         scans.append(self)
         return run(self, *args)
 
-    monkeypatch.setattr(sections.RowSpan, "add", recording_add)
+    monkeypatch.setattr(linalg.RowSpan, "add", recording_add)
     monkeypatch.setattr(sections._GeneratorScan, "run", recording_run)
     presentation(golden_couple("D4"))
     presentation(golden_couple("E6"), gen_bound=12, rel_bound=12)
