@@ -24,10 +24,11 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 from typing import List, Optional, Tuple
 
-from .divisors import CurveCouple, canonical_couple, max_isotropy, normal_form
+from .divisors import (CurveCouple, _frac_part, canonical_couple,
+                       max_isotropy, normal_form)
 from .errors import CatalogMismatch, NotKlt, ParseError, PreconditionError
 from .jsonio import fmt_q, json_int, parse_q
 from .quotient import (cartier_index_of_kx, validate_epsilon,
@@ -148,7 +149,7 @@ def _build_entry(C: CurveCouple, G: ResolutionGraph, key: str) -> CatalogEntry:
     return CatalogEntry(
         key=key,
         degree=C.degree(),
-        fractional=tuple((c.numerator % c.denominator, c.denominator)
+        fractional=tuple((_frac_part(c).numerator, c.denominator)
                          for _, c in C.divisor.terms if c.denominator > 1),
         a_e0=vertex_log_discrepancy(C),
         mld=G.mld,
@@ -182,11 +183,8 @@ def _candidate_types(params: SearchParams):
         # deg D <= (2 - deg B)/eps, which is at most 2/eps
         deg_cap = (2 - deg_b) / params.epsilon
         fsum = sum(fracs, Fraction(0))
-        # degrees fsum + n0 in (0, deg_cap]
-        n0_lo = -int(fsum) if fsum else 1
-        while fsum + n0_lo <= 0:
-            n0_lo += 1
-        n0 = n0_lo
+        # degrees fsum + n0 in (0, deg_cap], from the least n0 > -fsum
+        n0 = floor(-fsum) + 1
         while fsum + n0 <= deg_cap:
             yield fracs, fsum + n0
             n0 += 1
@@ -194,8 +192,7 @@ def _candidate_types(params: SearchParams):
 
 def _evaluate_candidate(args):
     fracs, degree, eps = args
-    fractional = tuple((f.numerator, f.denominator) for f in fracs)
-    C = couple_from_entry_data(fractional, degree)
+    C = canonical_couple(fracs, degree)
     try:
         G = build_graph(C)
     except NotKlt:

@@ -20,6 +20,14 @@ from .errors import (ConesingError, InternalInvariantError, ParseError,
                      PreconditionError)
 
 DEFAULT_SEED = 20260801
+# Upper bounds on the count flags, so oversized input exits 3 at once
+# instead of running for minutes or exhausting memory.  hilbert_series
+# calls hilbert_values through about 2 * PERIOD_MAX, so THROUGH_MAX
+# bounds the flag here, not the function.
+THROUGH_MAX = 10**6
+SAMPLES_MAX = 10**5
+AN_N_MAX = 10**6
+RNC_DEGREE_MAX = 10**4
 
 
 def _seed(args) -> int:
@@ -110,6 +118,9 @@ def cmd_hilbert(args) -> int:
     from .sections import hilbert_series, hilbert_values
     if args.through is not None and args.through < 0:
         raise PreconditionError(f"--through {args.through} must be >= 0")
+    if args.through is not None and args.through > THROUGH_MAX:
+        raise PreconditionError(
+            f"--through {args.through} exceeds THROUGH_MAX = {THROUGH_MAX}")
     C = _load_couple(args.couple)
     hd = hilbert_series(C)
     doc = {"series": hd.to_json()}
@@ -204,6 +215,9 @@ def cmd_toric_check(args) -> int:
     from .jsonio import json_int, parse_q
     from .toric import (Fan, ToricDivisor, random_primitive_samples,
                         verify_comparison)
+    if args.samples > SAMPLES_MAX:
+        raise PreconditionError(
+            f"--samples {args.samples} exceeds SAMPLES_MAX = {SAMPLES_MAX}")
     fan_doc = _read_json(args.fan)
     for key in ("rank", "rays", "cones"):
         if not isinstance(fan_doc, dict) or key not in fan_doc:
@@ -228,8 +242,13 @@ def cmd_verify_examples(args) -> int:
     # member already has.
     if args.an_n < 1:
         raise PreconditionError(f"--an-n {args.an_n} must be >= 1")
+    if args.an_n > AN_N_MAX:
+        raise PreconditionError(f"--an-n {args.an_n} exceeds AN_N_MAX = {AN_N_MAX}")
     if args.rnc_max < 4:
         raise PreconditionError(f"--rnc-max {args.rnc_max} must be >= 4")
+    if args.rnc_max > RNC_DEGREE_MAX:
+        raise PreconditionError(
+            f"--rnc-max {args.rnc_max} exceeds RNC_DEGREE_MAX = {RNC_DEGREE_MAX}")
     checks = []
     ok = True
 

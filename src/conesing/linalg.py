@@ -2,12 +2,12 @@
 
 Nothing here touches floating point.  The two inner loops, the
 incremental row space RowSpan and the kernel basis nullspace, eliminate
-fraction-free over the integers: each input row is scaled to integers
-once, rows combine as a*v - b*row and are divided by their content
-(fraction-free in the manner of Bareiss 1968), so Fractions appear only
-at the boundary, in the input and in rref/solve.  Those two stay on Fraction: their callers make a
-handful of small solves.  Determinants of integer matrices use Bareiss
-elimination too.
+fraction-free over the integers.  Each input row is scaled to integers
+once.  Rows combine as a*v - b*row and are divided by their content
+(fraction-free in the manner of Bareiss 1968).  So Fractions appear
+only at the boundary: in the input, and in rref and solve.  Those two
+stay on Fraction, because their callers make a handful of small
+solves.  Determinants of integer matrices use Bareiss elimination too.
 """
 
 from __future__ import annotations

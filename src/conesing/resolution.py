@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .divisors import CurveCouple, MarkedPoint
+from .divisors import CurveCouple, MarkedPoint, _frac_part
 from .errors import (BadChain, IntegralPoint, InternalInvariantError,
                      InternalNonIntegral, PreconditionError, SingularMatrix)
 from .quotient import _log_fano_boundary
@@ -70,8 +70,7 @@ def local_cone_at(C: CurveCouple, pt: MarkedPoint) -> LatticeCone2:
     q = c.denominator
     if q == 1:
         raise IntegralPoint(f"coefficient {c} at {pt} is integral, chart smooth")
-    p = (c - (c.numerator // q)).numerator
-    return LatticeCone2(q=q, p=p)
+    return LatticeCone2(q=q, p=_frac_part(c).numerator)
 
 
 # Longest chain hj_chain builds; the graph, its discrepancies and its

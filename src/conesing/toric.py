@@ -23,8 +23,7 @@ from .errors import (FanInvalid, InternalInvariantError, NonCartierOnCone,
                      NotAmple, NotQCartierPair, NotQGorenstein,
                      PreconditionError)
 from .jsonio import fmt_q
-from .linalg import (_integer_scaling, nullspace, primitivize, rank, rref,
-                     solve)
+from .linalg import _integer_scaling, nullspace, primitivize, rank, solve
 
 Vector = Tuple[int, ...]
 
@@ -81,16 +80,9 @@ class Fan:
             mat = [list(self.rays[i]) for i in c]
             if rank(mat) != n:
                 raise FanInvalid(f"cone {c} is not full-dimensional")
-        if n == 1:
-            if set(self.rays) != {(1,), (-1,)}:
-                raise FanInvalid("a complete rank-1 fan has rays +1 and -1")
-            if sorted(self.max_cones) != [(0,), (1,)]:
-                raise FanInvalid("a complete rank-1 fan has one cone per ray")
-            return
         # per maximal cone: inward facet normal by the facet's ray set
         walls = []
-        for c in self.max_cones:
-            normals = _facet_normals([self.rays[i] for i in c], n)
+        for c, normals in zip(self.max_cones, self.facets):
             if rank(normals) != n:
                 raise FanInvalid(f"cone {c} is not strictly convex")
             walls.append({frozenset(i for i in c if _dot(u, self.rays[i]) == 0): u
@@ -117,37 +109,19 @@ class Fan:
                     "more than once")
 
     @cached_property
-    def cone_inequalities(self) -> Tuple[Tuple[Tuple[Vector, ...], ...], ...]:
-        """Per maximal cone, in cone order: for every full-rank subset of
-        rank-many of its rays, the rows of the subset's inverse matrix
-        scaled by the positive lcm of their denominators.  v lies in the
-        simplicial cone of a subset exactly when every row r has
-        r . v >= 0 (Caratheodory: the cone is the union of these)."""
-        n = self.rank
-        unit = [[int(i == j) for j in range(n)] for i in range(n)]
-        out = []
-        for c in self.max_cones:
-            tests = []
-            for subset in itertools.combinations(c, n):
-                # rows of [M | I] for the matrix M with the rays as columns
-                aug = [[self.rays[j][i] for j in subset] + unit[i]
-                       for i in range(n)]
-                red, pivots = rref(aug)
-                if pivots[:n] != list(range(n)):
-                    continue
-                inverse = [row[n:] for row in red]
-                scale = lcm(*(x.denominator for row in inverse for x in row))
-                tests.append(tuple(tuple(int(x * scale) for x in row)
-                                   for row in inverse))
-            out.append(tuple(tests))
-        return tuple(out)
+    def facets(self) -> Tuple[Tuple[Vector, ...], ...]:
+        """Per maximal cone, in cone order, the primitive inward normals
+        of its facets.  A pointed cone is the intersection of its facet
+        half-spaces, so v lies in the cone exactly when u . v >= 0 for
+        every normal u."""
+        return tuple(tuple(_facet_normals([self.rays[i] for i in c], self.rank))
+                     for c in self.max_cones)
 
     def locate(self, v: Sequence[int]) -> int:
         """Index of the first maximal cone containing v."""
-        for ci, tests in enumerate(self.cone_inequalities):
-            for rows in tests:
-                if all(_dot(row, v) >= 0 for row in rows):
-                    return ci
+        for ci, normals in enumerate(self.facets):
+            if all(_dot(u, v) >= 0 for u in normals):
+                return ci
         raise FanInvalid(f"{tuple(v)} is outside the fan support; fan not complete")
 
 
@@ -252,7 +226,8 @@ def _facet_normals(rays: Sequence[Vector], dim: int) -> List[Vector]:
     normals = []
     seen = set()
     for subset in itertools.combinations(range(len(rays)), dim - 1):
-        kernel_basis = nullspace([rays[i] for i in subset]) if subset else []
+        # in rank 1 the only facet is the origin, whose kernel is the line
+        kernel_basis = nullspace([rays[i] for i in subset]) if subset else [(1,)]
         if len(kernel_basis) != 1:
             continue
         # nullspace returns primitive integer vectors

@@ -571,6 +571,48 @@ def test_denominator_10_to_30_exits_3_within_a_second(command, message):
     assert res.stderr == f"precondition violated: {message}\n"
 
 
+FANS = Path(__file__).resolve().parent / "golden" / "fans"
+TORIC_P3 = ["toric-check", "--fan", str(FANS / "P3.json"),
+            "--divisor", str(FANS / "P3.divisor.json")]
+# (argv without the capped flag, flag, cap constant, oversized value)
+CAPPED_FLAGS = [
+    (["hilbert", "--couple", "-"], "--through", "THROUGH_MAX", 10**10),
+    (TORIC_P3, "--samples", "SAMPLES_MAX", 10**9),
+    (["verify-examples", "--an-box", "5"], "--an-n", "AN_N_MAX", 10**9),
+    (["verify-examples", "--an-box", "5"], "--rnc-max", "RNC_DEGREE_MAX",
+     10**6),
+]
+
+
+@pytest.mark.parametrize("argv,flag,cap,value", CAPPED_FLAGS,
+                         ids=[c[1] for c in CAPPED_FLAGS])
+def test_count_flag_above_its_cap_exits_3_within_a_second(argv, flag, cap,
+                                                          value):
+    import time
+    from conesing import cli
+    start = time.perf_counter()
+    res = run_cli(*argv, flag, str(value), input_text=A3)
+    assert time.perf_counter() - start < 1.0
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == (f"precondition violated: {flag} {value} exceeds "
+                          f"{cap} = {getattr(cli, cap)}\n")
+
+
+@pytest.mark.parametrize("argv,flag,cap,value", CAPPED_FLAGS,
+                         ids=[c[1] for c in CAPPED_FLAGS])
+def test_count_flag_at_its_cap_runs(argv, flag, cap, value, monkeypatch,
+                                    capsys):
+    # caps lowered to small values: the cap itself runs, one more exits 3
+    from conesing import cli
+    monkeypatch.setattr(cli, cap, 6)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(A3))
+    assert cli.main([*argv, flag, "6"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(A3))
+    assert cli.main([*argv, flag, "7"]) == 3
+    assert capsys.readouterr().err.endswith(f"{flag} 7 exceeds {cap} = 6\n")
+
+
 def test_audit_of_entry_with_non_string_key_exits_2(tmp_path, capsys):
     from conesing import cli
     path = tmp_path / "cat.json"

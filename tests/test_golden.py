@@ -2,8 +2,9 @@
 A1, A3, D4 and E6 couples, on three size-regime couples (a chain of
 length 200, index m = 36049 and lcm L = 1517), of the presentation of
 the E8-type couple (1/2)[0] - (2/3)[1] + (6/5)[inf] at bounds 30, of three
-small catalogs and of the toric comparison on P^3 and on the weighted
-plane P(1,1,2).
+small catalogs, of the toric comparison on P^3, on the weighted plane
+P(1,1,2) and on the non-simplicial cube fan, and of a small run of the
+counterexample families.
 
 After an intended output change, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -48,11 +49,13 @@ CASES["enumerate_eps1_N6"] = ["enumerate", "--epsilon", "1",
 # embedding dimensions 4 and 5 appear from (1/2, 4) on
 CASES["enumerate_eps1_2_N4"] = ["enumerate", "--epsilon", "1/2",
                                 "--isotropy-bound", "4", "--jobs", "1"]
-for name in ("P3", "P112"):
+for name in ("P3", "P112", "cube"):
     CASES[f"toric_check_{name}"] = [
         "toric-check", "--fan", str(GOLDEN / "fans" / f"{name}.json"),
         "--divisor", str(GOLDEN / "fans" / f"{name}.divisor.json"),
         "--samples", "200", "--seed", "1"]
+CASES["verify_examples_small"] = ["verify-examples", "--an-n", "12",
+                                  "--an-box", "5", "--rnc-max", "6"]
 
 
 def run(argv):

@@ -4,7 +4,9 @@ Every top-level function or class of a module in src/conesing must be
 referred to (by a Name, an Attribute or an import) from another module
 there, or from elsewhere in its own module.  The package __init__ only
 re-exports, so it does not count as a caller.  Reference oracles and
-other test-only code live in tests/helpers.py.
+other test-only code live in tests/helpers.py.  Every name a top-level
+import binds in such a module must be used in that module; the package
+__init__, which only re-exports, is exempt.
 """
 
 import ast
@@ -51,6 +53,26 @@ def unreferenced_definitions():
     return unused
 
 
+def unused_imports():
+    """Names bound by a top-level import that their module never reads."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.stem}.{bound}")
+    return unused
+
+
 def test_every_top_level_definition_in_src_has_a_caller():
     assert unreferenced_definitions() == []
 
@@ -63,3 +85,17 @@ def test_layout_scan_flags_a_definition_without_caller(tmp_path, monkeypatch):
         fh.write("\n\ndef only_tests_call_me():\n    return rank([[1]])\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert unreferenced_definitions() == ["linalg.only_tests_call_me"]
+
+
+def test_every_top_level_import_in_src_is_used():
+    assert unused_imports() == []
+
+
+def test_layout_scan_flags_an_unused_import(tmp_path, monkeypatch):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    with open(tmp_path / "toric.py", "a", encoding="utf-8") as fh:
+        fh.write("\nfrom .linalg import rref\nimport os.path as osp\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert unused_imports() == ["toric.rref", "toric.osp"]

@@ -313,7 +313,6 @@ def test_linear_algebra_calls_do_not_grow_with_samples(monkeypatch):
 
     monkeypatch.setattr(toric, "solve", counting("solve", toric.solve))
     monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
-    monkeypatch.setattr(toric, "rref", counting("rref", toric.rref))
     seen = []
     for n in (10, 300):
         counts.update(solve=0, rref=0)
@@ -329,14 +328,19 @@ def test_linear_algebra_calls_do_not_grow_with_samples(monkeypatch):
     assert 0 < seen[0]["solve"] < 30
 
 
-def test_fan_cone_inequalities_are_integer_and_cached():
+def test_fan_facets_are_cached_primitive_integer_normals():
     F = fan_cube()
-    assert F.cone_inequalities is F.cone_inequalities
-    # a square face has four rays, so four triangulating subsets
-    assert [len(tests) for tests in F.cone_inequalities] == [4] * 6
-    for tests in F.cone_inequalities:
-        for rows in tests:
-            assert all(type(x) is int for row in rows for x in row)
+    assert F.facets is F.facets
+    # a square face of the cube is a cone with four facets
+    assert [len(normals) for normals in F.facets] == [4] * 6
+    for c, normals in zip(F.max_cones, F.facets):
+        rays = [F.rays[i] for i in c]
+        for u in normals:
+            assert all(type(x) is int for x in u)
+            assert primitivize(u) == u
+            assert all(sum(a * b for a, b in zip(u, r)) >= 0 for r in rays)
+            on_facet = [r for r in rays if sum(a * b for a, b in zip(u, r)) == 0]
+            assert linalg.rank(on_facet) == F.rank - 1
     # a non-simplicial cone gets the wall check too, so this incomplete
     # fan no longer reaches locate
     with pytest.raises(FanInvalid, match="fan not complete"):
@@ -401,6 +405,23 @@ P2_RAYS = ((1, 0), (0, 1), (-1, -1))
         "rank1_one_ray"])
 def test_wall_check(rank, rays, cones, ok):
     assert accepts(rank, rays, cones) == ok
+
+
+@pytest.mark.parametrize("rays, cones, ok", [
+    (((1,), (-1,)), ((0,), (1,)), True),
+    (((-1,), (1,)), ((1,), (0,)), True),
+    (((1,),), ((0,),), False),
+    (((1,), (-1,)), ((0,),), False),
+    (((1,), (-1,)), ((0, 1),), False),
+    (((1,), (-1,)), ((0,), (1,), (0,)), False),
+])
+def test_rank1_fans_pass_the_general_checks(rays, cones, ok):
+    # the normal of a one-ray cone is its ray, so the strict-convexity
+    # test, the wall pairing and the single cover need no rank-1 case
+    assert accepts(1, rays, cones) == ok
+    if ok:
+        F = Fan(rank=1, rays=rays, max_cones=cones)
+        assert F.facets == tuple((F.rays[c[0]],) for c in F.max_cones)
 
 
 def stellar(rays, cones, ci):
