@@ -16,7 +16,7 @@ _EXPORTS = {
                  "normal_form"),
     "quotient": ("StandardPair", "VertexData", "cartier_index_of_kx",
                  "curve_log_discrepancy", "horizontal_log_discrepancy",
-                 "is_log_fano", "log_fano_quotient", "vertex_decomposition",
+                 "log_fano_quotient", "vertex_decomposition",
                  "vertex_log_discrepancy"),
     "resolution": ("LatticeCone2", "ResolutionGraph", "build_graph",
                    "hj_chain", "local_cone_at"),

@@ -22,40 +22,38 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 from typing import List, Optional, Tuple
 
-from .divisors import (CurveCouple, _frac_part, canonical_couple,
-                       max_isotropy, normal_form)
+from .divisors import CurveCouple, canonical_couple, max_isotropy, normal_form
 from .errors import CatalogMismatch, NotKlt, ParseError, PreconditionError
 from .jsonio import fmt_q, json_int, parse_q
 from .quotient import (cartier_index_of_kx, validate_epsilon,
                        vertex_log_discrepancy)
+from .records import Record
 from .resolution import ResolutionGraph, build_graph
 from .sections import hilbert_series
 
 
-@dataclass(frozen=True)
-class SearchParams:
-    epsilon: Fraction
-    isotropy_bound: int
+class SearchParams(Record):
+    _fields = ("epsilon", "isotropy_bound")
 
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", validate_epsilon(self.epsilon))
-        if self.isotropy_bound < 1:
-            raise PreconditionError(
-                f"isotropy bound {self.isotropy_bound} < 1")
+    def __init__(self, epsilon: Fraction, isotropy_bound: int):
+        epsilon = validate_epsilon(epsilon)
+        if isotropy_bound < 1:
+            raise PreconditionError(f"isotropy bound {isotropy_bound} < 1")
+        self.__dict__.update(epsilon=epsilon, isotropy_bound=isotropy_bound)
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    k_max: int
-    q_min: int
-    q_max: int
-    degree_max: Fraction
-    k_max_effective: int
+class SearchBounds(Record):
+    _fields = ("k_max", "q_min", "q_max", "degree_max", "k_max_effective")
+
+    def __init__(self, k_max: int, q_min: int, q_max: int,
+                 degree_max: Fraction, k_max_effective: int):
+        self.__dict__.update(k_max=k_max, q_min=q_min, q_max=q_max,
+                             degree_max=degree_max,
+                             k_max_effective=k_max_effective)
 
     def to_json(self) -> dict:
         return {
@@ -76,11 +74,16 @@ def search_bounds(params: SearchParams) -> SearchBounds:
                         k_max_effective=3 if N >= 2 else 0)
 
 
-@dataclass(frozen=True)
-class GraphSummary:
-    center: int
-    chains: Tuple[Tuple[int, ...], ...]
-    blown_down_vertices: Optional[Tuple[int, ...]]   # None means smooth
+class GraphSummary(Record):
+    _fields = ("center", "chains", "blown_down_vertices")
+
+    def __init__(self, center: int, chains: Tuple[Tuple[int, ...], ...],
+                 blown_down_vertices: Optional[Tuple[int, ...]]):
+        # blown_down_vertices None means smooth
+        d = self.__dict__
+        d["center"] = center
+        d["chains"] = chains
+        d["blown_down_vertices"] = blown_down_vertices
 
     def to_json(self) -> dict:
         return {
@@ -91,20 +94,32 @@ class GraphSummary:
         }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    key: str
-    degree: Fraction
-    fractional: Tuple[Tuple[int, int], ...]     # (p, q) pairs, canonical order
-    a_e0: Fraction
-    mld: Fraction
-    cartier_index_kx: int
-    max_isotropy: int
-    link_determinant: int
-    hilbert_numerator: Tuple[int, ...]
-    hilbert_period: int
-    embedding_dimension: int
-    graph: GraphSummary
+class CatalogEntry(Record):
+    _fields = ("key", "degree", "fractional", "a_e0", "mld",
+               "cartier_index_kx", "max_isotropy", "link_determinant",
+               "hilbert_numerator", "hilbert_period", "embedding_dimension",
+               "graph")
+
+    def __init__(self, key: str, degree: Fraction,
+                 fractional: Tuple[Tuple[int, int], ...], a_e0: Fraction,
+                 mld: Fraction, cartier_index_kx: int, max_isotropy: int,
+                 link_determinant: int, hilbert_numerator: Tuple[int, ...],
+                 hilbert_period: int, embedding_dimension: int,
+                 graph: GraphSummary):
+        # fractional: (p, q) pairs in canonical order
+        d = self.__dict__
+        d["key"] = key
+        d["degree"] = degree
+        d["fractional"] = fractional
+        d["a_e0"] = a_e0
+        d["mld"] = mld
+        d["cartier_index_kx"] = cartier_index_kx
+        d["max_isotropy"] = max_isotropy
+        d["link_determinant"] = link_determinant
+        d["hilbert_numerator"] = hilbert_numerator
+        d["hilbert_period"] = hilbert_period
+        d["embedding_dimension"] = embedding_dimension
+        d["graph"] = graph
 
     def to_json(self) -> dict:
         return {
@@ -149,7 +164,7 @@ def _build_entry(C: CurveCouple, G: ResolutionGraph, key: str) -> CatalogEntry:
     return CatalogEntry(
         key=key,
         degree=C.degree(),
-        fractional=tuple((_frac_part(c).numerator, c.denominator)
+        fractional=tuple((c.numerator % c.denominator, c.denominator)
                          for _, c in C.divisor.terms if c.denominator > 1),
         a_e0=vertex_log_discrepancy(C),
         mld=G.mld,
@@ -175,10 +190,14 @@ def _candidate_types(params: SearchParams):
     for k in (1, 2, 3):
         types.extend(itertools.combinations_with_replacement(coeffs, k))
     for fracs in types:
+        # deg B = sum (1 - 1/q) is below 2 at up to two points, and at
+        # three exactly when 1/q_1 + 1/q_2 + 1/q_3 > 1
+        if len(fracs) == 3:
+            q1, q2, q3 = (f.denominator for f in fracs)
+            if q2 * q3 + q1 * q3 + q1 * q2 <= q1 * q2 * q3:
+                continue
         deg_b = sum((Fraction(f.denominator - 1, f.denominator)
                      for f in fracs), Fraction(0))
-        if deg_b >= 2:
-            continue
         # mld <= a_e0 = (2 - deg B)/deg D, so an eps-lc member has
         # deg D <= (2 - deg B)/eps, which is at most 2/eps
         deg_cap = (2 - deg_b) / params.epsilon
@@ -249,10 +268,11 @@ def mld_spectrum(entries) -> Tuple[Fraction, ...]:
     return tuple(sorted({e.mld for e in entries}))
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    checked: int
-    failures: Tuple[str, ...]
+class AuditReport(Record):
+    _fields = ("checked", "failures")
+
+    def __init__(self, checked: int, failures: Tuple[str, ...]):
+        self.__dict__.update(checked=checked, failures=failures)
 
     @property
     def ok(self) -> bool:
@@ -281,16 +301,26 @@ def _defining_data(doc) -> Tuple[str, Tuple[Tuple[int, int], ...], Fraction]:
                        for p, q in fractional), parse_q(degree))
 
 
-def _canonical(doc: dict) -> dict:
-    """Each field as canonical JSON text, so that true or 1.0 is not 1."""
-    return {k: json.dumps(v, sort_keys=True) for k, v in doc.items()}
+def _field_failures(tag: str, doc: dict, rebuilt: dict) -> List[str]:
+    """One failure per field whose canonical JSON text differs, so that
+    true or 1.0 is not 1."""
+    stored, rebuilt = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()}
+                       for d in (doc, rebuilt))
+    out = []
+    for field in sorted(stored.keys() | rebuilt.keys()):
+        if field not in stored:
+            out.append(f"{tag}: stored entry has no {field}")
+        elif stored[field] != rebuilt.get(field):
+            out.append(f"{tag}: stored {field} {stored[field]} is wrong")
+    return out
 
 
 def audit_catalog(docs, params: SearchParams) -> AuditReport:
     """Rebuild every stored entry (a JSON object as read from the file)
     from its key, fractional type and degree with the builder of the
-    enumerator, compare every stored field with the rebuilt one as
-    canonical JSON, and re-check the necessary conditions of membership.
+    enumerator, compare the stored entry with the rebuilt one as
+    canonical JSON, field by field when they differ, and re-check the
+    necessary conditions of membership.
     An entry whose isotropy exceeds N is not built.  Malformed defining
     data raises ParseError; everything else is reported, not raised."""
     eps, N = params.epsilon, params.isotropy_bound
@@ -317,12 +347,11 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
             failures.append(f"{tag}: rebuilt couple is not klt ({exc})")
             continue
         e = _build_entry(C, G, nf.key_string())
-        stored, rebuilt = _canonical(doc), _canonical(e.to_json())
-        for field in sorted(stored.keys() | rebuilt.keys()):
-            if field not in stored:
-                failures.append(f"{tag}: stored entry has no {field}")
-            elif stored[field] != rebuilt.get(field):
-                failures.append(f"{tag}: stored {field} {stored[field]} is wrong")
+        rebuilt = e.to_json()
+        # the whole entry as canonical text first; field by field only
+        # when the texts differ
+        if json.dumps(doc, sort_keys=True) != json.dumps(rebuilt, sort_keys=True):
+            failures.extend(_field_failures(tag, doc, rebuilt))
         if 1 + G.discrepancies[0] != e.a_e0:
             failures.append(f"{tag}: a_e0 disagrees with the resolution oracle")
         if e.mld < eps:

@@ -14,7 +14,6 @@ unbounded isotropies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -22,6 +21,7 @@ from .divisors import CurveCouple, finite_point, max_isotropy
 from .errors import InternalInvariantError, PreconditionError
 from .jsonio import fmt_q
 from .quotient import cartier_index_of_kx, vertex_log_discrepancy
+from .records import Record
 from .resolution import build_graph
 from .toric import (ToricDivisor, cartier_index_global, cone_of_x,
                     fan_projective_space, log_discrepancy_x)
@@ -47,14 +47,15 @@ def an_min_over_actions(n: int, box: int) -> Tuple[int, Tuple[int, int]]:
     return best, (a, b)
 
 
-@dataclass(frozen=True)
-class RncRow:
-    m: int
-    a_e0: Fraction
-    cartier_index_kx: int
-    max_isotropy: int
-    mld: Fraction
-    link_determinant: int
+class RncRow(Record):
+    _fields = ("m", "a_e0", "cartier_index_kx", "max_isotropy", "mld",
+               "link_determinant")
+
+    def __init__(self, m: int, a_e0: Fraction, cartier_index_kx: int,
+                 max_isotropy: int, mld: Fraction, link_determinant: int):
+        self.__dict__.update(m=m, a_e0=a_e0, cartier_index_kx=cartier_index_kx,
+                             max_isotropy=max_isotropy, mld=mld,
+                             link_determinant=link_determinant)
 
     def to_json(self) -> dict:
         return {"m": self.m, "a_e0": fmt_q(self.a_e0),
@@ -87,12 +88,13 @@ def rnc_family_report(m_max: int) -> Tuple[RncRow, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class DiagonalConeRow:
-    d: int
-    a_e0: Fraction
-    max_isotropy: int
-    smooth: bool
+class DiagonalConeRow(Record):
+    _fields = ("d", "a_e0", "max_isotropy", "smooth")
+
+    def __init__(self, d: int, a_e0: Fraction, max_isotropy: int,
+                 smooth: bool):
+        self.__dict__.update(d=d, a_e0=a_e0, max_isotropy=max_isotropy,
+                             smooth=smooth)
 
     def to_json(self) -> dict:
         return {"d": self.d, "a_e0": fmt_q(self.a_e0),

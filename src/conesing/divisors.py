@@ -19,12 +19,12 @@ Conventions pinned once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import NotAmple, PreconditionError
+from .records import Record
 
 Rational = Union[int, Fraction]
 
@@ -33,8 +33,7 @@ Rational = Union[int, Fraction]
 # points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=False)
-class MarkedPoint:
+class MarkedPoint(Record):
     """A closed point of the line: finite coordinate, infinity, or a label.
 
     Label points are placeholders that receive deterministic coordinates
@@ -42,17 +41,31 @@ class MarkedPoint:
     computation needs them.
     """
 
-    kind: str                      # "fin" | "inf" | "lbl"
-    x: Optional[Fraction] = None
-    name: Optional[str] = None
+    _fields = ("kind", "x", "name")
 
-    def __post_init__(self):
-        if self.kind not in ("fin", "inf", "lbl"):
-            raise PreconditionError(f"bad point kind {self.kind!r}")
-        if self.kind == "fin":
-            object.__setattr__(self, "x", Fraction(self.x))
-        if self.kind == "lbl" and not self.name:
+    def __init__(self, kind: str, x: Optional[Fraction] = None,
+                 name: Optional[str] = None):
+        # kind is "fin" | "inf" | "lbl"
+        if kind not in ("fin", "inf", "lbl"):
+            raise PreconditionError(f"bad point kind {kind!r}")
+        if kind == "fin" and type(x) is not Fraction:
+            x = Fraction(x)
+        if kind == "lbl" and not name:
             raise PreconditionError("label point needs a name")
+        d = self.__dict__
+        d["kind"] = kind
+        d["x"] = x
+        d["name"] = name
+
+    # points are dictionary keys throughout, so these two are spelled out
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.x, self.name) == (other.kind, other.x,
+                                                  other.name)
+
+    def __hash__(self):
+        return hash((self.kind, self.x, self.name))
 
     def sort_key(self):
         if self.kind == "fin":
@@ -90,6 +103,15 @@ PINF = infinity_point()
 # divisors
 # ---------------------------------------------------------------------------
 
+def _fraction_sum(pairs) -> Fraction:
+    """The sum of the fractions a/b over (a, b) pairs, b > 0, built over
+    a common denominator in integers."""
+    num, den = 0, 1
+    for a, b in pairs:
+        num, den = num * b + a * den, den * b
+    return Fraction(num, den)
+
+
 def _merge_terms(items) -> Tuple[Tuple[MarkedPoint, Fraction], ...]:
     acc = {}
     for pt, c in items:
@@ -103,11 +125,14 @@ def _merge_terms(items) -> Tuple[Tuple[MarkedPoint, Fraction], ...]:
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class QDivisorP1:
-    """Finite formal sum of points with exact rational coefficients."""
+class QDivisorP1(Record):
+    """Finite formal sum of points with exact rational coefficients,
+    held as (point, coefficient) terms."""
 
-    terms: Tuple[Tuple[MarkedPoint, Fraction], ...]
+    _fields = ("terms",)
+
+    def __init__(self, terms: Tuple[Tuple[MarkedPoint, Fraction], ...]):
+        self.__dict__["terms"] = terms
 
     @staticmethod
     def of(data: Union[Mapping[MarkedPoint, Rational],
@@ -125,7 +150,13 @@ class QDivisorP1:
         return tuple(p for p, _ in self.terms)
 
     def degree(self) -> Fraction:
-        return sum((c for _, c in self.terms), Fraction(0))
+        """The sum of the coefficients, computed on the first call."""
+        d = self.__dict__
+        deg = d.get("_degree")
+        if deg is None:
+            deg = d["_degree"] = _fraction_sum(
+                (c.numerator, c.denominator) for _, c in self.terms)
+        return deg
 
     def __add__(self, other: "QDivisorP1") -> "QDivisorP1":
         return QDivisorP1(_merge_terms(list(self.terms) + list(other.terms)))
@@ -136,11 +167,13 @@ class QDivisorP1:
         return " + ".join(f"({c}){p}" for p, c in self.terms)
 
 
-@dataclass(frozen=True)
-class IntegralDivisorP1:
+class IntegralDivisorP1(Record):
     """Divisor with integer coefficients only."""
 
-    terms: Tuple[Tuple[MarkedPoint, int], ...]
+    _fields = ("terms",)
+
+    def __init__(self, terms: Tuple[Tuple[MarkedPoint, int], ...]):
+        self.__dict__["terms"] = terms
 
     @staticmethod
     def of(data) -> "IntegralDivisorP1":
@@ -169,20 +202,15 @@ class IntegralDivisorP1:
         return " + ".join(f"({c}){p}" for p, c in self.terms)
 
 
-# Fixed representative of the canonical class of the line.
-def canonical_divisor_p1() -> IntegralDivisorP1:
-    return IntegralDivisorP1.of({PINF: -2})
-
-
-@dataclass(frozen=True)
-class CurveCouple:
+class CurveCouple(Record):
     """The line together with an ample Q-divisor (positive degree)."""
 
-    divisor: QDivisorP1
+    _fields = ("divisor",)
 
-    def __post_init__(self):
-        if self.divisor.degree() <= 0:
-            raise NotAmple(f"degree {self.divisor.degree()} is not positive")
+    def __init__(self, divisor: QDivisorP1):
+        if divisor.degree().numerator <= 0:
+            raise NotAmple(f"degree {divisor.degree()} is not positive")
+        self.__dict__["divisor"] = divisor
 
     @staticmethod
     def of(data) -> "CurveCouple":
@@ -190,6 +218,18 @@ class CurveCouple:
 
     def degree(self) -> Fraction:
         return self.divisor.degree()
+
+    def boundary_degree(self) -> Fraction:
+        """Degree of the standard boundary sum (1 - 1/q_p) [p] over the
+        points whose coefficient has denominator q_p >= 2, computed on
+        the first call."""
+        d = self.__dict__
+        deg = d.get("_boundary_degree")
+        if deg is None:
+            deg = d["_boundary_degree"] = _fraction_sum(
+                (c.denominator - 1, c.denominator)
+                for _, c in self.divisor.terms)
+        return deg
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +267,12 @@ def denominators_lcm(D: QDivisorP1) -> int:
 CANONICAL_POSITIONS = (P0, P1, PINF)
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    couple: CurveCouple
-    key: Tuple[Tuple[Fraction, ...], Fraction]
-    moduli: bool
+class NormalForm(Record):
+    _fields = ("couple", "key", "moduli")
+
+    def __init__(self, couple: CurveCouple,
+                 key: Tuple[Tuple[Fraction, ...], Fraction], moduli: bool):
+        self.__dict__.update(couple=couple, key=key, moduli=moduli)
 
     def key_string(self) -> str:
         fracs, deg = self.key
@@ -240,7 +281,7 @@ class NormalForm:
 
 
 def _frac_part(c: Fraction) -> Fraction:
-    return c - (c.numerator // c.denominator)
+    return Fraction(c.numerator % c.denominator, c.denominator)
 
 
 def normal_form(C: CurveCouple) -> NormalForm:
@@ -280,14 +321,19 @@ def canonical_couple(fracs, degree) -> CurveCouple:
     if len(fracs) > len(CANONICAL_POSITIONS):
         raise PreconditionError(f"{len(fracs)} fractional points have no "
                                 "canonical placement (at most 3)")
-    leftover = Fraction(degree) - sum(fracs, Fraction(0))
+    coeffs = [f if type(f) is Fraction else Fraction(f) for f in fracs]
+    leftover = Fraction(degree) - _fraction_sum(
+        (c.numerator, c.denominator) for c in coeffs)
     if leftover.denominator != 1:
         raise PreconditionError("degree incompatible with fractional type")
-    coeffs = dict(zip(CANONICAL_POSITIONS, fracs))
     if leftover:
-        target = PINF if len(fracs) <= 2 else P0
-        coeffs[target] = coeffs.get(target, 0) + leftover
-    return CurveCouple.of(coeffs)
+        if len(coeffs) <= 2:
+            coeffs.extend([Fraction(0)] * (2 - len(coeffs)) + [leftover])
+        else:
+            coeffs[0] += leftover
+    # the positions are in point order already, so the terms need no merge
+    return CurveCouple(QDivisorP1(tuple(
+        (p, c) for p, c in zip(CANONICAL_POSITIONS, coeffs) if c)))
 
 
 def assign_coordinates(C: CurveCouple) -> CurveCouple:

@@ -13,30 +13,31 @@ is the positive number -u/m = deg(-(K+B)) / deg(D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Tuple
+from math import gcd, lcm
+from typing import Dict, Tuple
 
-from .divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
-                       canonical_divisor_p1)
+from .divisors import (PINF, CurveCouple, IntegralDivisorP1, MarkedPoint,
+                       denominators_lcm)
 from .errors import BadEpsilon, InternalNonIntegral, NotKlt, PreconditionError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class StandardPair:
+class StandardPair(Record):
     """Boundary with standard coefficients 1 - 1/q, q >= 2, on the line."""
 
-    boundary: Tuple[Tuple[MarkedPoint, Fraction], ...]
+    _fields = ("boundary",)
 
-    def __post_init__(self):
-        for p, b in self.boundary:
-            one_minus = 1 - b
-            if not (0 <= b < 1) or one_minus.numerator != 1:
+    def __init__(self, boundary: Tuple[Tuple[MarkedPoint, Fraction], ...]):
+        for p, b in boundary:
+            # b = n/d in lowest terms has 1 - b = (d - n)/d in lowest terms
+            n, d = b.numerator, b.denominator
+            if not (0 <= n < d) or d - n != 1:
                 raise PreconditionError(
                     f"coefficient {b} at {p} is not of the form 1 - 1/q")
-            if b == 0:
+            if n == 0:
                 raise PreconditionError("zero coefficients are not stored")
+        self.__dict__["boundary"] = boundary
 
     def coeff(self, pt: MarkedPoint) -> Fraction:
         for p, b in self.boundary:
@@ -69,62 +70,66 @@ def validate_epsilon(eps) -> Fraction:
     return eps
 
 
-def is_log_fano(P: StandardPair) -> bool:
-    # Coefficients below 1 are automatic for standard coefficients;
-    # ampleness of -(K+B) on the line is a degree condition.
-    return P.total() < 2
-
-
-@dataclass(frozen=True)
-class VertexData:
+class VertexData(Record):
     """Minimal decomposition m(K + B) = H + u D with H integral, deg 0."""
 
-    m: int
-    u: int
-    H: IntegralDivisorP1
+    _fields = ("m", "u", "H")
+
+    def __init__(self, m: int, u: int, H: IntegralDivisorP1):
+        self.__dict__.update(m=m, u=u, H=H)
 
 
-def _pair_degree(P: StandardPair) -> Fraction:
-    return Fraction(-2) + P.total()
+def _klt_boundary_degree(C: CurveCouple) -> Fraction:
+    """deg B of the quotient pair of C, which must be log Fano: otherwise
+    the cone is not klt.  The couple computes it once."""
+    deg_b = C.boundary_degree()
+    if deg_b.numerator >= 2 * deg_b.denominator:
+        raise NotKlt(f"boundary degree {deg_b} is >= 2")
+    return deg_b
 
 
-def _log_fano_boundary(C: CurveCouple) -> StandardPair:
-    """The quotient pair of C, which must be log Fano: otherwise the cone
-    is not klt."""
-    B = log_fano_quotient(C)
-    if not is_log_fano(B):
-        raise NotKlt(f"boundary degree {B.total()} is >= 2")
-    return B
+def _decomposition(C: CurveCouple) -> Tuple[int, int, Dict[MarkedPoint, int]]:
+    """m, u and the nonzero coefficients of H, in integers.
+
+    The least m > 0 in closed form: with r = deg(K+B)/deg D = s/t in
+    lowest terms, the coefficient of m(K+B) - m r D at a point p of D is
+    m (b_p - r c_p) (K is integral), so m(K+B) - uD is integral with
+    u = m r exactly when t and every den(b_p - r c_p) divide m.  Over the
+    lcm L of the denominators, b_p - r c_p = x_p / (t L) with the integer
+    x_p = (t (q_p - 1) - s a_p) L / q_p for c_p = a_p / q_p.  H is then
+    checked to be integral and of degree zero on these numerators."""
+    ratio = (_klt_boundary_degree(C) - 2) / C.degree()       # u/m, negative
+    s, t = ratio.numerator, ratio.denominator
+    D = C.divisor
+    L = denominators_lcm(D)
+    tl = t * L
+    xs = {p: (t * (c.denominator - 1) - s * c.numerator) * (L // c.denominator)
+          for p, c in D.terms}
+    m = lcm(t, *(tl // gcd(x, tl) for x in xs.values()))
+    u = m * s // t
+    H = {}
+    # K is the fixed divisor -2 [inf], and B lives on the points of D
+    for p in dict.fromkeys([*xs, PINF]):
+        k = -2 * m if p == PINF else 0
+        h, rest = divmod(m * xs.get(p, 0), tl)
+        if rest:
+            val = Fraction(m * xs[p], tl) + k
+            raise InternalNonIntegral(f"coefficient {val} at {p}")
+        if h + k:
+            H[p] = h + k
+    if sum(H.values()) != 0:
+        raise InternalNonIntegral(f"H has degree {sum(H.values())}")
+    return m, u, H
 
 
 def vertex_decomposition(C: CurveCouple) -> VertexData:
-    """The least m > 0 in closed form: with r = deg(K+B)/deg D, the
-    coefficient of m(K+B) - m r D at a point p of D is m (b_p - r c_p)
-    (K is integral), so m(K+B) - uD is integral with u = m r exactly
-    when den(r) and every den(b_p - r c_p) divide m."""
-    B = _log_fano_boundary(C)
-    D = C.divisor
-    ratio = _pair_degree(B) / D.degree()          # u/m, negative
-    m = lcm(ratio.denominator,
-            *((B.coeff(p) - ratio * c).denominator for p, c in D.terms))
-    u = int(m * ratio)
-    kcan = canonical_divisor_p1()
-    terms = {}
-    pts = set(D.points()) | set(kcan.points()) | {p for p, _ in B.boundary}
-    for p in pts:
-        val = m * (kcan.coeff(p) + B.coeff(p)) - u * D.coeff(p)
-        if val.denominator != 1:
-            raise InternalNonIntegral(f"coefficient {val} at {p}")
-        if val != 0:
-            terms[p] = int(val)
-    H = IntegralDivisorP1.of(terms)
-    if H.degree() != 0:
-        raise InternalNonIntegral(f"H has degree {H.degree()}")
-    return VertexData(m=m, u=u, H=H)
+    """The minimal decomposition m(K + B) = H + u D of _decomposition."""
+    m, u, H = _decomposition(C)
+    return VertexData(m=m, u=u, H=IntegralDivisorP1.of(H))
 
 
 def vertex_log_discrepancy(C: CurveCouple) -> Fraction:
-    return -_pair_degree(_log_fano_boundary(C)) / C.degree()
+    return (2 - _klt_boundary_degree(C)) / C.degree()
 
 
 def horizontal_log_discrepancy(C: CurveCouple, pt: MarkedPoint) -> Fraction:
@@ -133,9 +138,9 @@ def horizontal_log_discrepancy(C: CurveCouple, pt: MarkedPoint) -> Fraction:
     Equals (Weil index) * (pair log discrepancy) = q * (1/q) = 1 at
     stored points and 1 elsewhere; the product is asserted, not assumed.
     """
-    B = _log_fano_boundary(C)
+    _klt_boundary_degree(C)
     w = C.divisor.coeff(pt).denominator
-    a = w * curve_log_discrepancy(B, pt)
+    a = w * curve_log_discrepancy(log_fano_quotient(C), pt)
     if a != 1:
         raise InternalNonIntegral(f"horizontal log discrepancy {a} != 1 at {pt}")
     return a
@@ -143,5 +148,5 @@ def horizontal_log_discrepancy(C: CurveCouple, pt: MarkedPoint) -> Fraction:
 
 def cartier_index_of_kx(C: CurveCouple) -> int:
     """Least m making m K Cartier on the cone surface: the m of the
-    minimal decomposition."""
-    return vertex_decomposition(C).m
+    minimal decomposition, with its certificate checked."""
+    return _decomposition(C)[0]

@@ -28,33 +28,33 @@ intersection matrix is built; the dense solve is an oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .divisors import CurveCouple, MarkedPoint, _frac_part
+from .divisors import CurveCouple, MarkedPoint, _fraction_sum
 from .errors import (BadChain, IntegralPoint, InternalInvariantError,
                      InternalNonIntegral, PreconditionError, SingularMatrix)
-from .quotient import _log_fano_boundary
+from .quotient import _klt_boundary_degree
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
 # local lattice cones and their chains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeCone2:
+class LatticeCone2(Record):
     """Cone spanned by (0,1) and (q,p) in the rank-2 lattice,
     0 < p <= q, gcd(p,q) = 1.  p = q = 1 is the smooth chart."""
 
-    q: int
-    p: int
+    _fields = ("q", "p")
 
-    def __post_init__(self):
-        from math import gcd
-        if not (0 < self.p <= self.q) or gcd(self.p, self.q) != 1:
-            raise PreconditionError(f"bad cone data (q,p)=({self.q},{self.p})")
+    def __init__(self, q: int, p: int):
+        if not (0 < p <= q) or gcd(p, q) != 1:
+            raise PreconditionError(f"bad cone data (q,p)=({q},{p})")
+        self.__dict__.update(q=q, p=p)
 
     def is_smooth(self) -> bool:
         return self.q == 1
@@ -70,7 +70,8 @@ def local_cone_at(C: CurveCouple, pt: MarkedPoint) -> LatticeCone2:
     q = c.denominator
     if q == 1:
         raise IntegralPoint(f"coefficient {c} at {pt} is integral, chart smooth")
-    return LatticeCone2(q=q, p=_frac_part(c).numerator)
+    # the numerator of the fractional part c - floor(c)
+    return LatticeCone2(q=q, p=c.numerator % q)
 
 
 # Longest chain hj_chain builds; the graph, its discrepancies and its
@@ -128,7 +129,6 @@ def hj_chain(cone: LatticeCone2) -> Tuple[int, ...]:
     if any(c < 2 for c in cs):
         raise BadChain(f"chain {cs} has an entry below 2")
     # Certificate: replay the hull recursion.
-    from math import gcd
     v_prev, v = (0, 1), (1, 1)
     for c in cs:
         v_prev, v = v, (c * v[0] - v_prev[0], c * v[1] - v_prev[1])
@@ -143,29 +143,32 @@ def hj_chain(cone: LatticeCone2) -> Tuple[int, ...]:
 # the star graph
 # ---------------------------------------------------------------------------
 
-def _chain_alphas_betas(cs: List[int], ks: List[Fraction]):
-    """Eliminate a chain from the outer end.
+def _chain_continuants(cs: List[int]) -> Tuple[List[int], List[int]]:
+    """Eliminate a chain from its outer end, in integers.
 
-    Returns per-position (alpha, beta) with
-    d_j = alpha_j d_{j-1} + beta_j for the tridiagonal system
-    d_{j-1} - c_j d_j + d_{j+1} = k_j, outer boundary zero.
+    For the tridiagonal system d_{j-1} - c_j d_j + d_{j+1} = k_j with
+    k_j = c_j - 2 and outer boundary zero, the elimination
+    d_j = alpha_j d_{j-1} + beta_j has alpha_j = u_{j+1}/u_j and
+    beta_j = w_j/u_j, where u_j = c_j u_{j+1} - u_{j+2} with u = 1, 0
+    past the end, and w_j = w_{j+1} - k_j u_{j+1} with w = 0 past the
+    end.  Returns u_1 .. u_{n+1} and w_1 .. w_n; every pivot
+    c_j - alpha_{j+1} = u_j/u_{j+1} must be positive.
     """
     n = len(cs)
-    alphas = [Fraction(0)] * n
-    betas = [Fraction(0)] * n
-    a_next, b_next = Fraction(0), Fraction(0)
+    us = [0] * (n + 2)
+    ws = [0] * (n + 1)
+    us[n] = 1
     for j in range(n - 1, -1, -1):
-        den = Fraction(cs[j]) - a_next
-        if den <= 0:
+        c = cs[j]
+        u = c * us[j + 1] - us[j + 2]
+        if u <= 0:
             raise SingularMatrix("chain elimination lost definiteness")
-        alphas[j] = Fraction(1) / den
-        betas[j] = (b_next - ks[j]) / den
-        a_next, b_next = alphas[j], betas[j]
-    return alphas, betas
+        us[j] = u
+        ws[j] = ws[j + 1] - (c - 2) * us[j + 1]
+    return us[:n + 1], ws[:n]
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
+class ResolutionGraph(Record):
     """Star graph: central curve with one chain per fractional point.
 
     Vertex order everywhere: central curve first, then the chains in
@@ -174,10 +177,16 @@ class ResolutionGraph:
     first use and kept.
     """
 
-    central_self_int: int
-    chains: Tuple[Tuple[int, ...], ...]
-    discrepancies: Tuple[Fraction, ...]
-    determinant: int
+    _fields = ("central_self_int", "chains", "discrepancies", "determinant")
+
+    def __init__(self, central_self_int: int,
+                 chains: Tuple[Tuple[int, ...], ...],
+                 discrepancies: Tuple[Fraction, ...], determinant: int):
+        d = self.__dict__
+        d["central_self_int"] = central_self_int
+        d["chains"] = chains
+        d["discrepancies"] = discrepancies
+        d["determinant"] = determinant
 
     @property
     def size(self) -> int:
@@ -225,68 +234,73 @@ class ResolutionGraph:
         the graph contracts to nothing the point is smooth and the mld
         is 2.
         """
-        log_disc = self.log_discrepancies()
-        raw = min(log_disc)
+        disc = self.discrepancies
+        raw = 1 + min(disc)
         bd = self.blown_down
         if bd.empty:
             if raw != 2:
                 raise InternalNonIntegral(f"smooth cone with graph minimum {raw}")
             return Fraction(2)
-        if min(log_disc[v] for v in bd.surviving) != raw:
+        if 1 + min(disc[v] for v in bd.surviving) != raw:
             raise InternalNonIntegral("blow-down changed the graph minimum")
         return raw
 
 
 def build_graph(C: CurveCouple) -> ResolutionGraph:
-    _log_fano_boundary(C)           # NotKlt unless the quotient is log Fano
+    _klt_boundary_degree(C)         # NotKlt unless the quotient is log Fano
     D = C.divisor
+    deg = C.degree()
     frac = [(p, c) for p, c in D.terms if c.denominator > 1]
     frac.sort(key=lambda t: t[0].sort_key())
 
-    # One elimination per chain with the adjunction data k_j = c_j - 2:
-    # the alphas do not depend on the right side, the betas give the
-    # discrepancies below.
+    # One integer elimination per chain with the adjunction data
+    # k_j = c_j - 2: u gives the alphas, w the betas.
     chains = []
-    alphas_all = []
-    betas_all = []
+    elims = []
     for pt, _ in frac:
-        cone = local_cone_at(C, pt)
-        chain = hj_chain(cone)
+        chain = hj_chain(local_cone_at(C, pt))
         cs = [-e for e in chain]
-        alphas, betas = _chain_alphas_betas(cs, [Fraction(c - 2) for c in cs])
         chains.append(chain)
-        alphas_all.append(alphas)
-        betas_all.append(betas)
+        elims.append((cs, *_chain_continuants(cs)))
 
     # Central self-intersection from (central curve)^2 = -deg D.
-    b0 = D.degree() + sum((al[0] for al in alphas_all), Fraction(0))
+    alpha_sum = _fraction_sum((us[1], us[0]) for _, us, _ in elims)
+    b0 = deg + alpha_sum
     if b0.denominator != 1:
         raise InternalNonIntegral(f"central self-intersection -{b0} not integral")
     b0 = int(b0)
 
     # Negative definiteness: the chains are standard and the Schur
     # complement at the center is -(b0 - sum alpha_1) = -deg D < 0.
-    schur = b0 - sum((al[0] for al in alphas_all), Fraction(0))
-    if schur != D.degree() or schur <= 0:
+    schur = b0 - alpha_sum
+    if schur != deg or schur <= 0:
         raise SingularMatrix("central Schur complement is not -deg D")
 
     # Discrepancies from the chain betas and the central adjunction datum.
-    k_center = Fraction(b0 - 2)
-    num = k_center - sum((b[0] for b in betas_all), Fraction(0))
-    den = sum((al[0] for al in alphas_all), Fraction(0)) - b0
-    d_center = num / den
+    num = b0 - 2 - _fraction_sum((ws[0], us[0]) for _, us, ws in elims)
+    d_center = num / (alpha_sum - b0)
     disc = [d_center]
-    for chain, alphas, betas in zip(chains, alphas_all, betas_all):
-        prev = d_center
-        for a, b in zip(alphas, betas):
-            prev = a * prev + b
-            disc.append(prev)
+    # Along a chain with d_center = P/Q every discrepancy is N_j / (Q u_1)
+    # with N_j an integer: N_1 = u_2 P + w_1 Q from the elimination, then
+    # the chain equations d_{j+1} = c_j d_j - d_{j-1} + k_j, which must
+    # end at the outer boundary N_{n+1} = 0.  d > -1 is N_j > -Q u_1.
+    P, Q = d_center.numerator, d_center.denominator
+    if P <= -Q:
+        raise InternalNonIntegral(f"discrepancy {d_center} <= -1 on a klt cone")
+    for cs, us, ws in elims:
+        den = Q * us[0]
+        prev, cur = P * us[0], us[1] * P + ws[0] * Q
+        for c in cs:
+            d = Fraction(cur, den)
+            if cur <= -den:
+                raise InternalNonIntegral(f"discrepancy {d} <= -1 on a klt cone")
+            disc.append(d)
+            prev, cur = cur, c * cur - prev + (c - 2) * den
+        if cur != 0:
+            raise InternalInvariantError(
+                "chain discrepancies miss the outer boundary condition")
 
-    for d in disc:
-        if d <= -1:
-            raise InternalNonIntegral(f"discrepancy {d} <= -1 on a klt cone")
-
-    det = D.degree()
+    det = deg
     for _, c in frac:
         det *= c.denominator
     if det.denominator != 1:
@@ -304,13 +318,18 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
 # blow-down and mld
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlownDownGraph:
-    """What remains after iteratively contracting all (-1)-vertices."""
+class BlownDownGraph(Record):
+    """What remains after iteratively contracting all (-1)-vertices;
+    surviving holds the indices of the remaining vertices in the
+    original graph."""
 
-    self_intersections: Tuple[int, ...]
-    edges: Tuple[Tuple[int, int], ...]
-    surviving: Tuple[int, ...]      # indices into the original graph
+    _fields = ("self_intersections", "edges", "surviving")
+
+    def __init__(self, self_intersections: Tuple[int, ...],
+                 edges: Tuple[Tuple[int, int], ...],
+                 surviving: Tuple[int, ...]):
+        self.__dict__.update(self_intersections=self_intersections,
+                             edges=edges, surviving=surviving)
 
     @property
     def empty(self) -> bool:
@@ -362,43 +381,46 @@ class BlownDownGraph:
 
 
 def blow_down(G: ResolutionGraph) -> BlownDownGraph:
+    """Contract (-1)-vertices, always the lowest-index one first, until
+    none is left.  A contraction raises each neighbour's self-intersection
+    by one and joins the neighbours pairwise, so only a neighbour can
+    become a new (-1)-vertex; a heap holds the candidates, and a vertex
+    that has since left -1 is skipped when it comes up."""
     selfints = list(G.self_intersections())
-    mult: Dict[Tuple[int, int], int] = {e: 1 for e in G.edges()}
-    alive = set(range(len(selfints)))
-
-    def neighbors(v):
-        out = []
-        for (i, j), w in mult.items():
-            if i == v:
-                out.append((j, w))
-            elif j == v:
-                out.append((i, w))
-        return out
-
-    while True:
-        target = next((v for v in sorted(alive) if selfints[v] == -1), None)
-        if target is None:
-            break
-        nbrs = neighbors(target)
-        for v, w in nbrs:
+    nbrs: List[Dict[int, int]] = [{} for _ in selfints]     # neighbour -> weight
+    for i, j in G.edges():
+        nbrs[i][j] = nbrs[j][i] = 1
+    alive = [True] * len(selfints)
+    heap = [v for v, e in enumerate(selfints) if e == -1]
+    heapify(heap)
+    while heap:
+        target = heappop(heap)
+        if not alive[target] or selfints[target] != -1:
+            continue
+        around = nbrs[target]
+        for v, w in around.items():
             if w != 1:
                 raise InternalNonIntegral("contraction of a tangent curve")
             selfints[v] += 1
-        for (a, wa) in nbrs:
-            for (b, wb) in nbrs:
+        for a in around:
+            for b in around:
                 if a < b:
-                    key = (a, b)
-                    mult[key] = mult.get(key, 0) + wa * wb
-                    if mult[key] > 1:
+                    w = nbrs[a].get(b, 0) + 1
+                    if w > 1:
                         raise InternalNonIntegral("contraction created a tangency")
-        for key in [k for k in mult if target in k]:
-            del mult[key]
-        alive.remove(target)
+                    nbrs[a][b] = nbrs[b][a] = w
+        for v in around:
+            del nbrs[v][target]
+            if selfints[v] == -1:
+                heappush(heap, v)
+        nbrs[target] = {}
+        alive[target] = False
 
-    surviving = tuple(sorted(alive))
+    surviving = tuple(v for v, a in enumerate(alive) if a)
     remap = {v: i for i, v in enumerate(surviving)}
     return BlownDownGraph(
         self_intersections=tuple(selfints[v] for v in surviving),
-        edges=tuple(sorted((remap[i], remap[j]) for (i, j) in mult)),
+        edges=tuple(sorted((remap[i], remap[j])
+                           for i in surviving for j in nbrs[i] if i < j)),
         surviving=surviving,
     )

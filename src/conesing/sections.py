@@ -27,7 +27,6 @@ keep h0, which builds floor(nD) as a divisor, as the independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Dict, List, Optional, Tuple
@@ -36,6 +35,7 @@ from .divisors import (CurveCouple, Rational, assign_coordinates,
                        denominators_lcm, floor_multiple)
 from .errors import (BoundTooSmall, InternalInvariantError, NotKlt,
                      PreconditionError)
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
@@ -47,28 +47,26 @@ from .errors import (BoundTooSmall, InternalInvariantError, NotKlt,
 PERIOD_MAX = 10**6
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(Record):
     """The closed form numerator / ((1 - T)(1 - T^L)) of the Hilbert
     series, L = lcm of the denominators."""
 
-    period: int
-    numerator: Tuple[int, ...]
+    _fields = ("period", "numerator")
+
+    def __init__(self, period: int, numerator: Tuple[int, ...]):
+        self.__dict__.update(period=period, numerator=numerator)
 
     def expansion(self, through: int) -> List[int]:
         """Coefficients of T^0 .. T^through from the closed form."""
         L = self.period
-        h: List[int] = []
-        for k in range(through + 1):
-            val = self.numerator[k] if k < len(self.numerator) else 0
-            if k >= 1:
-                val += h[k - 1]
-            if k >= L:
-                val += h[k - L]
-            if k >= L + 1:
-                val -= h[k - L - 1]
-            h.append(val)
-        return h
+        num = list(self.numerator[:through + 1])
+        num += [0] * (through + 1 - len(num))
+        # h[k] = num[k] + h[k-1] + h[k-L] - h[k-L-1], with L + 1 zeros
+        # standing in for the negative degrees
+        h = [0] * (L + 1)
+        for k, c in enumerate(num):
+            h.append(c + h[-1] + h[k + 1] - h[k])
+        return h[L + 1:]
 
     def to_json(self) -> dict:
         return {"numerator": list(self.numerator), "L": self.period}
@@ -87,9 +85,10 @@ def _checked_period(D) -> int:
 def hilbert_values(C: CurveCouple, through: int) -> List[int]:
     """h(0) .. h(through) as max(0, sum_p (n a_p) // b_p + 1), read off
     the integer pairs (a_p, b_p) of the coefficients of D."""
-    pairs = [(c.numerator, c.denominator) for _, c in C.divisor.terms]
-    return [max(0, sum(n * a // b for a, b in pairs) + 1)
-            for n in range(through + 1)]
+    degrees = range(through + 1)
+    floors = [[n * c.numerator // c.denominator for n in degrees]
+              for _, c in C.divisor.terms]
+    return [max(0, s + 1) for s in map(sum, zip(*floors))]
 
 
 def hilbert_series(C: CurveCouple) -> HilbertData:
@@ -105,12 +104,9 @@ def hilbert_series(C: CurveCouple) -> HilbertData:
     n0 = max(0, ceil(npts / deg)) if deg > 0 else 0
     stop = n0 + 2 * L + 2
     values = hilbert_values(C, stop)
-
-    def hv(k: int) -> int:
-        return values[k] if k >= 0 else 0
-
-    coeffs = [hv(k) - hv(k - 1) - hv(k - L) + hv(k - L - 1)
-              for k in range(stop + 1)]
+    # h(k) - h(k-1) - h(k-L) + h(k-L-1), with h = 0 in negative degrees
+    h = [0] * (L + 1) + values
+    coeffs = [a - b - c + d for a, b, c, d in zip(h[L + 1:], h[L:], h[1:], h)]
     # The numerator must terminate; everything past n0 + L + 1 is zero.
     tail_start = n0 + L + 1
     for k in range(tail_start, stop + 1):
@@ -213,12 +209,17 @@ class SectionSpace:
 # minimal generators and relations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Presentation:
-    generator_degrees: Tuple[int, ...]
-    relation_degrees: Tuple[int, ...]
-    equations: Optional[Tuple[str, ...]]
-    verified_through: int
+class Presentation(Record):
+    _fields = ("generator_degrees", "relation_degrees", "equations",
+               "verified_through")
+
+    def __init__(self, generator_degrees: Tuple[int, ...],
+                 relation_degrees: Tuple[int, ...],
+                 equations: Optional[Tuple[str, ...]], verified_through: int):
+        self.__dict__.update(generator_degrees=generator_degrees,
+                             relation_degrees=relation_degrees,
+                             equations=equations,
+                             verified_through=verified_through)
 
 
 def default_presentation_bound(C: CurveCouple) -> int:

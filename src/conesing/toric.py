@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -24,6 +23,7 @@ from .errors import (FanInvalid, InternalInvariantError, NonCartierOnCone,
                      PreconditionError)
 from .jsonio import fmt_q
 from .linalg import _integer_scaling, nullspace, primitivize, rank, solve
+from .records import Record
 
 Vector = Tuple[int, ...]
 
@@ -36,8 +36,7 @@ def _dot(a, b):
 # fans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """Complete fan given by primitive rays and maximal cones.
 
     Validation covers ray primitivity and distinctness, distinct rays
@@ -48,15 +47,13 @@ class Fan:
     cone's rays lies in no other maximal cone.
     """
 
-    rank: int
-    rays: Tuple[Vector, ...]
-    max_cones: Tuple[Tuple[int, ...], ...]
+    _fields = ("rank", "rays", "max_cones")
 
-    def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
-        cones = tuple(tuple(sorted(c)) for c in self.max_cones)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "max_cones", cones)
+    def __init__(self, rank: int, rays: Tuple[Vector, ...],
+                 max_cones: Tuple[Tuple[int, ...], ...]):
+        self.__dict__.update(
+            rank=rank, rays=tuple(tuple(int(x) for x in r) for r in rays),
+            max_cones=tuple(tuple(sorted(c)) for c in max_cones))
         self._validate()
 
     def _validate(self):
@@ -125,11 +122,13 @@ class Fan:
         raise FanInvalid(f"{tuple(v)} is outside the fan support; fan not complete")
 
 
-@dataclass(frozen=True)
-class ToricDivisor:
+class ToricDivisor(Record):
     """One exact rational coefficient per ray."""
 
-    coefficients: Tuple[Fraction, ...]
+    _fields = ("coefficients",)
+
+    def __init__(self, coefficients: Tuple[Fraction, ...]):
+        self.__dict__["coefficients"] = coefficients
 
     @staticmethod
     def of(values) -> "ToricDivisor":
@@ -210,15 +209,17 @@ def is_ample(F: Fan, D: ToricDivisor) -> bool:
 # the lifted cone of the total space
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeOfX:
+class ConeOfX(Record):
     """Full-dimensional cone in rank d with one ray per fan ray,
     primitive generator W_rho * (v_rho, c_rho); the last coordinate
     vector is interior and names the central valuation."""
 
-    rank: int
-    rays: Tuple[Vector, ...]
-    qgorenstein_form: Optional[Tuple[Fraction, ...]]
+    _fields = ("rank", "rays", "qgorenstein_form")
+
+    def __init__(self, rank: int, rays: Tuple[Vector, ...],
+                 qgorenstein_form: Optional[Tuple[Fraction, ...]]):
+        self.__dict__.update(rank=rank, rays=rays,
+                             qgorenstein_form=qgorenstein_form)
 
 
 def _facet_normals(rays: Sequence[Vector], dim: int) -> List[Vector]:
@@ -283,12 +284,16 @@ def log_discrepancy_x(K: ConeOfX, w: Sequence[int]) -> Fraction:
 # the comparison identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComparisonCheck:
-    v: Vector
-    weil: int
-    a_base: Fraction
-    a_cone: Fraction
+class ComparisonCheck(Record):
+    _fields = ("v", "weil", "a_base", "a_cone")
+
+    def __init__(self, v: Vector, weil: int, a_base: Fraction,
+                 a_cone: Fraction):
+        d = self.__dict__
+        d["v"] = v
+        d["weil"] = weil
+        d["a_base"] = a_base
+        d["a_cone"] = a_cone
 
     @property
     def ok(self) -> bool:
@@ -300,13 +305,17 @@ class ComparisonCheck:
                 "ok": self.ok}
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    checks: Tuple[ComparisonCheck, ...]
-    violations: Tuple[ComparisonCheck, ...]
-    vertex_expected: Optional[Fraction]
-    vertex_actual: Fraction
-    vertex_ok: Optional[bool]
+class ComparisonReport(Record):
+    _fields = ("checks", "violations", "vertex_expected", "vertex_actual",
+               "vertex_ok")
+
+    def __init__(self, checks: Tuple[ComparisonCheck, ...],
+                 violations: Tuple[ComparisonCheck, ...],
+                 vertex_expected: Optional[Fraction], vertex_actual: Fraction,
+                 vertex_ok: Optional[bool]):
+        self.__dict__.update(checks=checks, violations=violations,
+                             vertex_expected=vertex_expected,
+                             vertex_actual=vertex_actual, vertex_ok=vertex_ok)
 
     def to_json(self) -> dict:
         return {

@@ -8,8 +8,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Optional
 
-from conesing.divisors import (CurveCouple, QDivisorP1, finite_point,
-                               floor_multiple, infinity_point)
+from conesing.divisors import (CurveCouple, IntegralDivisorP1, QDivisorP1,
+                               finite_point, floor_multiple, infinity_point)
 from conesing.errors import (InternalInvariantError, NotQGorenstein,
                              PreconditionError, SingularMatrix)
 from conesing.linalg import RowSpan, det_int, rref, solve
@@ -53,10 +53,50 @@ def random_couples(seed, count, max_q=12, max_degree=10, klt_only=True,
     return out
 
 
+def canonical_divisor_p1():
+    """The fixed representative -2 [inf] of the canonical class."""
+    return IntegralDivisorP1.of({infinity_point(): -2})
+
+
+def is_log_fano(P):
+    """Standard coefficients are below 1, so the pair (line, B) is log
+    Fano exactly when deg B < 2."""
+    return P.total() < 2
+
+
+def fraction_vertex_decomposition(C):
+    """The minimal decomposition m(K + B) = H + u D in Fractions: m from
+    the closed form, H from coefficient scans over the points of D, K and
+    B.  The oracle of the integer form in quotient."""
+    from math import lcm
+    from conesing.errors import InternalNonIntegral, NotKlt
+    from conesing.quotient import VertexData, log_fano_quotient
+    B = log_fano_quotient(C)
+    if not is_log_fano(B):
+        raise NotKlt(f"boundary degree {B.total()} is >= 2")
+    D = C.divisor
+    ratio = (B.total() - 2) / D.degree()          # u/m, negative
+    m = lcm(ratio.denominator,
+            *((B.coeff(p) - ratio * c).denominator for p, c in D.terms))
+    u = int(m * ratio)
+    kcan = canonical_divisor_p1()
+    terms = {}
+    pts = set(D.points()) | set(kcan.points()) | {p for p, _ in B.boundary}
+    for p in pts:
+        val = m * (kcan.coeff(p) + B.coeff(p)) - u * D.coeff(p)
+        if val.denominator != 1:
+            raise InternalNonIntegral(f"coefficient {val} at {p}")
+        if val != 0:
+            terms[p] = int(val)
+    H = IntegralDivisorP1.of(terms)
+    if H.degree() != 0:
+        raise InternalNonIntegral(f"H has degree {H.degree()}")
+    return VertexData(m=m, u=u, H=H)
+
+
 def brute_min_decomposition(C, cap=2000):
     """Independent oracle: scan m = 1, 2, ... for the least m such that
     m(K+B) - uD is integral of degree zero with u = m deg(K+B)/deg D."""
-    from conesing.divisors import canonical_divisor_p1
     from conesing.quotient import log_fano_quotient
 
     B = log_fano_quotient(C)
@@ -315,6 +355,73 @@ def discrepancies(G):
     if status != "unique":
         raise SingularMatrix("intersection matrix must be invertible")
     return tuple(x)
+
+
+def fraction_chain_alphas_betas(cs, ks):
+    """Eliminate a chain from the outer end in Fractions: per position
+    (alpha, beta) with d_j = alpha_j d_{j-1} + beta_j for the tridiagonal
+    system d_{j-1} - c_j d_j + d_{j+1} = k_j, outer boundary zero.  The
+    oracle of the integer continuants in resolution."""
+    n = len(cs)
+    alphas = [Fraction(0)] * n
+    betas = [Fraction(0)] * n
+    a_next, b_next = Fraction(0), Fraction(0)
+    for j in range(n - 1, -1, -1):
+        den = Fraction(cs[j]) - a_next
+        if den <= 0:
+            raise SingularMatrix("chain elimination lost definiteness")
+        alphas[j] = Fraction(1) / den
+        betas[j] = (b_next - ks[j]) / den
+        a_next, b_next = alphas[j], betas[j]
+    return alphas, betas
+
+
+def edge_scan_blow_down(G):
+    """Contract the lowest-index (-1)-vertex until none is left, scanning
+    every edge for the neighbours at each step: the quadratic oracle of
+    resolution.blow_down."""
+    from conesing.errors import InternalNonIntegral
+    from conesing.resolution import BlownDownGraph
+    selfints = list(G.self_intersections())
+    mult = {e: 1 for e in G.edges()}
+    alive = set(range(len(selfints)))
+
+    def neighbors(v):
+        out = []
+        for (i, j), w in mult.items():
+            if i == v:
+                out.append((j, w))
+            elif j == v:
+                out.append((i, w))
+        return out
+
+    while True:
+        target = next((v for v in sorted(alive) if selfints[v] == -1), None)
+        if target is None:
+            break
+        nbrs = neighbors(target)
+        for v, w in nbrs:
+            if w != 1:
+                raise InternalNonIntegral("contraction of a tangent curve")
+            selfints[v] += 1
+        for (a, wa) in nbrs:
+            for (b, wb) in nbrs:
+                if a < b:
+                    key = (a, b)
+                    mult[key] = mult.get(key, 0) + wa * wb
+                    if mult[key] > 1:
+                        raise InternalNonIntegral("contraction created a tangency")
+        for key in [k for k in mult if target in k]:
+            del mult[key]
+        alive.remove(target)
+
+    surviving = tuple(sorted(alive))
+    remap = {v: i for i, v in enumerate(surviving)}
+    return BlownDownGraph(
+        self_intersections=tuple(selfints[v] for v in surviving),
+        edges=tuple(sorted((remap[i], remap[j]) for (i, j) in mult)),
+        surviving=surviving,
+    )
 
 
 def is_negative_definite(matrix):

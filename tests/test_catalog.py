@@ -29,6 +29,11 @@ def stored(entries):
     return json.loads(json.dumps([e.to_json() for e in entries]))
 
 
+def replaced(entry, **changes):
+    """A copy of a catalog entry with some fields changed."""
+    return type(entry)(**{**vars(entry), **changes})
+
+
 def test_search_params_validation():
     with pytest.raises(BadEpsilon):
         SearchParams(epsilon=F(3, 2), isotropy_bound=1)
@@ -215,11 +220,10 @@ def test_audit_clean_catalog():
 
 
 def test_audit_flags_tampered_entry():
-    import dataclasses
     params = SearchParams(epsilon=F(1), isotropy_bound=2)
     entries = list(enumerate_catalog(params))
     victim = next(e for e in entries if e.fractional)
-    bad = dataclasses.replace(victim, fractional=((2, 3),), degree=F(5, 3))
+    bad = replaced(victim, fractional=((2, 3),), degree=F(5, 3))
     report = audit_catalog(stored([bad]), params)
     assert not report.ok
     assert any("isotropy" in f or "a_e0" in f or "mld" in f
@@ -227,13 +231,11 @@ def test_audit_flags_tampered_entry():
 
 
 def test_audit_reports_entry_rebuilt_to_non_klt_couple():
-    import dataclasses
     entries = list(enumerate_catalog(SearchParams(epsilon=F(1),
                                                   isotropy_bound=2)))
     # three 6/7 points: the quotient boundary has degree 18/7 >= 2; the
     # audit bound admits isotropy 7, so the graph is built
-    bad = dataclasses.replace(entries[0], fractional=((6, 7),) * 3,
-                              degree=F(4, 7))
+    bad = replaced(entries[0], fractional=((6, 7),) * 3, degree=F(4, 7))
     params = SearchParams(epsilon=F(1), isotropy_bound=7)
     report = audit_catalog(stored([bad] + entries[1:]), params)
     assert not report.ok and report.checked == len(entries)
@@ -278,13 +280,11 @@ def test_one_graph_per_candidate_and_per_audited_entry(monkeypatch):
 
 
 def test_audit_refuses_entry_with_four_fractional_points():
-    import dataclasses
     params = SearchParams(epsilon=F(1), isotropy_bound=2)
     entries = list(enumerate_catalog(params))
     # four halves at degree 3 have no canonical placement; they must not
     # rebuild to the three-point couple of degree 5/2
-    bad = dataclasses.replace(entries[0], fractional=((1, 2),) * 4,
-                              degree=F(3))
+    bad = replaced(entries[0], fractional=((1, 2),) * 4, degree=F(3))
     with pytest.raises(PreconditionError, match="canonical placement"):
         couple_from_entry_data(bad.fractional, bad.degree)
     report = audit_catalog(stored([bad]), params)

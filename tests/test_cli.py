@@ -198,6 +198,23 @@ def test_verify_examples_small():
     assert len(doc["checks"]) == 3
 
 
+def test_verify_examples_keeps_only_the_printed_rows(capsys):
+    import tracemalloc
+    from conesing.cli import main
+    tracemalloc.start()
+    try:
+        code = main(["verify-examples", "--an-n", "200000", "--an-box", "5",
+                     "--rnc-max", "4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # keeping a row dict per n peaked at about 82 MB at this size
+    assert peak < 4 * 2**20
+    rows = json.loads(capsys.readouterr().out)["checks"][0]["rows"]
+    assert [r["n"] for r in rows] == [1, 2, 3, 199998, 199999, 200000]
+
+
 def test_discrepancy_command(tmp_path):
     f = tmp_path / "c.json"
     f.write_text(A3)

@@ -1,11 +1,13 @@
 """The closed forms of the library against the scans they replaced.
 
 Each per-couple number with a closed form keeps an independent oracle
-here: the upward scan for the index m, Bareiss on the dense star matrix
-for the link determinant, the dense solve for the discrepancies, h0
-(built on floor_multiple) for the integer Hilbert values and the Hilbert
-series, and the generator scan for Artin's embedding dimension.  Couples are drawn by Hypothesis under the
-`repro` profile.
+here: the upward scan and the Fraction form for the index m and the
+decomposition, Bareiss on the dense star matrix for the link
+determinant, the dense solve and the Fraction elimination for the
+discrepancies, the edge scan for the blow-down, h0 (built on
+floor_multiple) for the integer Hilbert values and the Hilbert series,
+and the generator scan for Artin's embedding dimension.  Couples are
+drawn by Hypothesis under the `repro` profile.
 """
 
 import sys
@@ -13,20 +15,24 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conesing import sections
 from conesing.catalog import (SearchParams, audit_catalog,
                               couple_from_entry_data, enumerate_catalog)
-from conesing.divisors import CurveCouple, QDivisorP1, denominators_lcm
-from conesing.errors import InternalInvariantError
+from conesing.divisors import (CurveCouple, QDivisorP1, denominators_lcm,
+                               finite_point)
+from conesing.errors import InternalInvariantError, NotKlt, SingularMatrix
 from conesing.linalg import det_int
-from conesing.quotient import vertex_decomposition
-from conesing.resolution import BlownDownGraph, build_graph
+from conesing.quotient import cartier_index_of_kx, vertex_decomposition
+from conesing.resolution import (BlownDownGraph, _chain_continuants,
+                                 blow_down, build_graph)
 from conesing.sections import hilbert_series, presentation
-from helpers import (POSITIONS, brute_min_decomposition, discrepancies, h0,
-                     intersection_matrix, random_couples, scanned_generators)
+from helpers import (POSITIONS, brute_min_decomposition, discrepancies,
+                     edge_scan_blow_down, fraction_chain_alphas_betas,
+                     fraction_vertex_decomposition, h0, intersection_matrix,
+                     random_couples, scanned_generators)
 
 
 def fractions_up_to(max_q):
@@ -63,6 +69,68 @@ def test_index_m_matches_upward_scan(C):
     m, u, hterms = brute_min_decomposition(C, cap=vd.m)
     assert (vd.m, vd.u) == (m, u)
     assert dict(vd.H.terms) == hterms
+
+
+@given(st.integers(0, 10**6))
+def test_integer_decomposition_matches_fraction_form(seed):
+    for C in random_couples(seed, 4, klt_only=False):
+        try:
+            expected = fraction_vertex_decomposition(C)
+        except NotKlt:
+            for fn in (vertex_decomposition, cartier_index_of_kx):
+                with pytest.raises(NotKlt):
+                    fn(C)
+            continue
+        assert vertex_decomposition(C) == expected
+        assert cartier_index_of_kx(C) == expected.m
+
+
+def assert_continuants_match(cs):
+    us, ws = _chain_continuants(cs)
+    alphas, betas = fraction_chain_alphas_betas(
+        cs, [Fraction(c - 2) for c in cs])
+    assert [Fraction(us[j + 1], us[j]) for j in range(len(cs))] == alphas
+    assert [Fraction(ws[j], us[j]) for j in range(len(cs))] == betas
+
+
+@given(st.integers(0, 10**6))
+def test_integer_chain_elimination_matches_fractions(seed):
+    for C in random_couples(seed, 4):
+        for chain in build_graph(C).chains:
+            assert_continuants_match([-e for e in chain])
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=12))
+def test_integer_chain_elimination_loses_definiteness_with_fractions(cs):
+    try:
+        fraction_chain_alphas_betas(cs, [Fraction(c - 2) for c in cs])
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix, match="lost definiteness"):
+            _chain_continuants(cs)
+    else:
+        assert_continuants_match(cs)
+
+
+@given(st.integers(0, 10**6))
+def test_worklist_blow_down_matches_edge_scan(seed):
+    for C in random_couples(seed, 4):
+        G = build_graph(C)
+        assert blow_down(G) == edge_scan_blow_down(G)
+
+
+@settings(max_examples=6)
+@given(st.integers(1001, 1300),
+       st.sampled_from([0, 1, Fraction(1, 2), Fraction(2, 3), Fraction(5, 3)]))
+@example(q=1001, extra=0)
+@example(q=1299, extra=0)
+def test_worklist_blow_down_matches_edge_scan_on_long_chains(q, extra):
+    # (1/q)[0] resolves to a chain of q - 1 (-2)-curves; with extra = 0
+    # the center is -1 and the whole star contracts one curve at a time
+    C = CurveCouple.of({finite_point(0): Fraction(1, q),
+                        finite_point(1): extra})
+    G = build_graph(C)
+    assert len(G.chains[0]) >= 1000
+    assert blow_down(G) == edge_scan_blow_down(G)
 
 
 @given(klt_couples())

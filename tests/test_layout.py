@@ -99,3 +99,36 @@ def test_layout_scan_flags_an_unused_import(tmp_path, monkeypatch):
         fh.write("\nfrom .linalg import rref\nimport os.path as osp\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert unused_imports() == ["toric.rref", "toric.osp"]
+
+
+
+def dataclass_importers():
+    """Modules in src/ that import the dataclasses module anywhere."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(sub, ast.Import):
+                names = [alias.name for alias in sub.names]
+            elif isinstance(sub, ast.ImportFrom):
+                names = [sub.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                importers.append(path.stem)
+    return importers
+
+
+def test_src_does_not_import_dataclasses():
+    # importing dataclasses loads inspect, ast, dis and tokenize on every
+    # launch; records.Record gives the value semantics without them
+    assert dataclass_importers() == []
+
+
+def test_layout_scan_flags_a_dataclasses_import(tmp_path, monkeypatch):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    with open(tmp_path / "catalog.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef later():\n    from dataclasses import dataclass\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert dataclass_importers() == ["catalog"]

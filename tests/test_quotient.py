@@ -8,10 +8,11 @@ from conesing.catalog import SearchParams, _build_entry, audit_catalog
 from conesing.errors import BadEpsilon, NotKlt, PreconditionError
 from conesing.quotient import (StandardPair, cartier_index_of_kx,
                                curve_log_discrepancy, horizontal_log_discrepancy,
-                               is_log_fano, log_fano_quotient,
-                               vertex_decomposition, vertex_log_discrepancy)
+                               log_fano_quotient, vertex_decomposition,
+                               vertex_log_discrepancy)
 from conesing.resolution import build_graph
-from helpers import brute_min_decomposition, is_eps_lc_pair, random_couples
+from helpers import (brute_min_decomposition, is_eps_lc_pair, is_log_fano,
+                     random_couples)
 
 P0 = finite_point(0)
 P1 = finite_point(1)

@@ -1,5 +1,6 @@
-"""Start-up: each command imports only the layers it runs, and the
-package re-exports its API lazily."""
+"""Start-up: each command imports only the layers it runs and none of
+the heavy standard-library modules, and the package re-exports its API
+lazily."""
 
 import json
 import os
@@ -18,7 +19,8 @@ GOLDEN = ROOT / "tests" / "golden"
 E6 = str(GOLDEN / "couples" / "E6.json")
 
 # runs the package as `python -m conesing ARGS` does, then writes the
-# exit code and the conesing modules it loaded to the file OUT
+# exit code, the conesing modules it loaded and the top-level names of
+# all loaded modules to the file OUT
 PROBE = """
 import json, runpy, sys
 out, sys.argv = sys.argv[1], ["conesing", *sys.argv[2:]]
@@ -29,11 +31,16 @@ except SystemExit as exc:
     code = exc.code
 with open(out, "w", encoding="utf-8") as fh:
     json.dump({"code": code, "modules": sorted(
-        m for m in sys.modules if m.split(".")[0] == "conesing")}, fh)
+        m for m in sys.modules if m.split(".")[0] == "conesing"),
+        "toplevel": sorted({m.split(".")[0] for m in sys.modules})}, fh)
 """
 
+# standard-library modules that no command may load: dataclasses pulls
+# in inspect, ast, dis and tokenize at start-up
+HEAVY_STDLIB = {"dataclasses", "inspect"}
+
 BASE = {"cli", "errors"}
-COUPLE = BASE | {"jsonio", "divisors"}
+COUPLE = BASE | {"jsonio", "divisors", "records"}
 CATALOG = COUPLE | {"catalog", "quotient", "resolution", "sections"}
 COMMAND_MODULES = [
     (["--version"], BASE),
@@ -65,18 +72,32 @@ def fresh_env():
     return env
 
 
-@pytest.mark.parametrize("argv,layers", COMMAND_MODULES,
-                         ids=[argv[0].lstrip("-") for argv, _ in COMMAND_MODULES])
-def test_command_loads_only_its_modules(argv, layers, tmp_path):
+def probe(argv, tmp_path):
     out = tmp_path / "probe.json"
     res = subprocess.run([sys.executable, "-c", PROBE, str(out), *argv],
                          capture_output=True, text=True, env=fresh_env(),
                          cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    probe = json.loads(out.read_text(encoding="utf-8"))
-    assert probe["code"] == 0, res.stderr
-    assert probe["modules"] == sorted(
+    found = json.loads(out.read_text(encoding="utf-8"))
+    assert found["code"] == 0, res.stderr
+    return found
+
+
+@pytest.mark.parametrize("argv,layers", COMMAND_MODULES,
+                         ids=[argv[0].lstrip("-") for argv, _ in COMMAND_MODULES])
+def test_command_loads_only_its_modules(argv, layers, tmp_path):
+    found = probe(argv, tmp_path)
+    assert found["modules"] == sorted(
         ["conesing"] + [f"conesing.{m}" for m in layers])
+    assert not HEAVY_STDLIB & set(found["toplevel"])
+    if argv == ["--version"]:
+        assert "argparse" not in found["toplevel"]
+
+
+def test_probe_sees_the_standard_library(tmp_path):
+    # the probe runs argparse for every command but --version
+    assert "argparse" in probe(["describe", "--couple", E6],
+                               tmp_path)["toplevel"]
 
 
 def test_command_module_sets_keep_the_heavy_layers_apart():
