@@ -26,7 +26,8 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import List, Optional, Tuple
 
-from .divisors import CurveCouple, canonical_couple, max_isotropy, normal_form
+from .divisors import (CurveCouple, canonical_couple, _frac_numerator,
+                       max_isotropy, normal_form)
 from .errors import CatalogMismatch, NotKlt, ParseError, PreconditionError
 from .jsonio import fmt_q, json_int, parse_q
 from .quotient import (cartier_index_of_kx, validate_epsilon,
@@ -164,7 +165,7 @@ def _build_entry(C: CurveCouple, G: ResolutionGraph, key: str) -> CatalogEntry:
     return CatalogEntry(
         key=key,
         degree=C.degree(),
-        fractional=tuple((c.numerator % c.denominator, c.denominator)
+        fractional=tuple((_frac_numerator(c), c.denominator)
                          for _, c in C.divisor.terms if c.denominator > 1),
         a_e0=vertex_log_discrepancy(C),
         mld=G.mld,

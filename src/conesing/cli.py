@@ -6,14 +6,16 @@ top-level schema tag.  Exit codes: 0 success, 1 verification failure,
 (never expected).  CONESING_SEED overrides the default sampling seed.
 
 Each handler imports the layers it runs in its own body, so a command
-loads only its own modules.  `--version` alone is answered before
-argparse is loaded.
+loads only its own modules.  `--version` alone, and a subcommand with
+plain `--flag value` arguments, are answered without loading argparse;
+help, abbreviated or repeated flags and every refusal go through it.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import (ConesingError, InternalInvariantError, ParseError,
@@ -286,6 +288,48 @@ def cmd_verify_examples(args) -> int:
     return 0 if ok else 1
 
 
+def _commands() -> dict:
+    """Each subcommand's handler, help line and options in help order;
+    an option is (flag, type, required, default, help).  Built on every
+    call, so that a handler replaced in this module (by a profiler's
+    wrapper, say) is the one that runs."""
+    couple = ("--couple", str, True, None, "couple JSON file ('-' for stdin)")
+    out = ("--out", str, False, None, "write JSON here instead of stdout")
+    search = (("--epsilon", str, True, None, None),
+              ("--isotropy-bound", int, True, None, None))
+    jobs = ("--jobs", int, False, os.cpu_count() or 1, None)
+    return {
+        "describe": (cmd_describe, "full invariant report for a couple",
+                     (couple, out)),
+        "hilbert": (cmd_hilbert, "Hilbert series of the section ring",
+                    (couple, out,
+                     ("--through", int, False, None, "also list h(0..N)"))),
+        "presentation": (cmd_presentation, "generators and relations",
+                         (couple, out, ("--gen-bound", int, False, None, None),
+                          ("--rel-bound", int, False, None, None))),
+        "discrepancy": (cmd_discrepancy, "quotient-side discrepancy data",
+                        (couple, out)),
+        "resolve": (cmd_resolve, "star-shaped resolution graph",
+                    (couple, out)),
+        "enumerate": (cmd_enumerate, "catalog of eps-lc cone singularities",
+                      (*search, jobs, out)),
+        "mld-set": (cmd_mld_set, "mld spectrum of a catalog",
+                    (*search, jobs, out)),
+        "audit": (cmd_audit, "re-verify a catalog file",
+                  (("--catalog", str, True, None, None), *search, out)),
+        "toric-check": (cmd_toric_check, "discrepancy comparison on a fan",
+                        (("--fan", str, True, None, None),
+                         ("--divisor", str, True, None, None),
+                         ("--samples", int, False, 20, None),
+                         ("--seed", int, False, None, None), out)),
+        "verify-examples": (cmd_verify_examples,
+                            "run the counterexample families",
+                            (("--an-n", int, False, 200, None),
+                             ("--an-box", int, False, 500, None),
+                             ("--rnc-max", int, False, 50, None), out)),
+    }
+
+
 def build_parser():
     import argparse
     ap = argparse.ArgumentParser(
@@ -293,85 +337,58 @@ def build_parser():
         description="exact invariants of cone surface singularities")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_couple(p):
-        p.add_argument("--couple", required=True,
-                       help="couple JSON file ('-' for stdin)")
-
-    def add_out(p):
-        p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-
-    def add_search(p):
-        p.add_argument("--epsilon", required=True)
-        p.add_argument("--isotropy-bound", type=int, required=True)
-
-    p = sub.add_parser("describe", help="full invariant report for a couple")
-    add_couple(p); add_out(p)
-    p.set_defaults(func=cmd_describe)
-
-    p = sub.add_parser("hilbert", help="Hilbert series of the section ring")
-    add_couple(p); add_out(p)
-    p.add_argument("--through", type=int, default=None,
-                   help="also list h(0..N)")
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("presentation", help="generators and relations")
-    add_couple(p); add_out(p)
-    p.add_argument("--gen-bound", type=int, default=None)
-    p.add_argument("--rel-bound", type=int, default=None)
-    p.set_defaults(func=cmd_presentation)
-
-    p = sub.add_parser("discrepancy", help="quotient-side discrepancy data")
-    add_couple(p); add_out(p)
-    p.set_defaults(func=cmd_discrepancy)
-
-    p = sub.add_parser("resolve", help="star-shaped resolution graph")
-    add_couple(p); add_out(p)
-    p.set_defaults(func=cmd_resolve)
-
-    for name, func, text in (
-            ("enumerate", cmd_enumerate, "catalog of eps-lc cone singularities"),
-            ("mld-set", cmd_mld_set, "mld spectrum of a catalog")):
+    for name, (func, text, options) in _commands().items():
         p = sub.add_parser(name, help=text)
-        add_search(p)
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        add_out(p)
+        for flag, kind, required, default, helptext in options:
+            p.add_argument(flag, type=kind, required=required,
+                           default=default, help=helptext)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("audit", help="re-verify a catalog file")
-    p.add_argument("--catalog", required=True)
-    add_search(p)
-    add_out(p)
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("toric-check", help="discrepancy comparison on a fan")
-    p.add_argument("--fan", required=True)
-    p.add_argument("--divisor", required=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
-    add_out(p)
-    p.set_defaults(func=cmd_toric_check)
-
-    p = sub.add_parser("verify-examples", help="run the counterexample families")
-    p.add_argument("--an-n", type=int, default=200)
-    p.add_argument("--an-box", type=int, default=500)
-    p.add_argument("--rnc-max", type=int, default=50)
-    add_out(p)
-    p.set_defaults(func=cmd_verify_examples)
-
     return ap
 
 
+def _plain_args(argv):
+    """The arguments argparse would parse from argv, when argv is a
+    subcommand followed by `--flag value` pairs of its own flags, each
+    flag once, every required flag present, no value starting with "-"
+    and every int value an int; None for any other argv, which argparse
+    then parses or refuses with its own messages."""
+    spec = _commands().get(argv[0]) if argv else None
+    if spec is None or len(argv) % 2 == 0:
+        return None
+    func, _, options = spec
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2:
+        return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, kind, required, default, _ in options:
+        value = given.pop(flag, None)
+        if value is None:
+            if required:
+                return None
+            value = default
+        elif value.startswith("-"):
+            return None
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return None if given else args
+
+
 def main(argv=None) -> int:
-    if (sys.argv[1:] if argv is None else list(argv)) == ["--version"]:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv == ["--version"]:
         sys.stdout.write(__version__ + "\n")
         return 0
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, which matches the parse-error code
-        return int(exc.code or 0)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on bad flags, which matches the parse-error code
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except ParseError as exc:

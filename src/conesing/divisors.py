@@ -57,16 +57,6 @@ class MarkedPoint(Record):
         d["x"] = x
         d["name"] = name
 
-    # points are dictionary keys throughout, so these two are spelled out
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.x, self.name) == (other.kind, other.x,
-                                                  other.name)
-
-    def __hash__(self):
-        return hash((self.kind, self.x, self.name))
-
     def sort_key(self):
         if self.kind == "fin":
             return (0, self.x, "")
@@ -104,12 +94,11 @@ PINF = infinity_point()
 # ---------------------------------------------------------------------------
 
 def _fraction_sum(pairs) -> Fraction:
-    """The sum of the fractions a/b over (a, b) pairs, b > 0, built over
-    a common denominator in integers."""
-    num, den = 0, 1
-    for a, b in pairs:
-        num, den = num * b + a * den, den * b
-    return Fraction(num, den)
+    """The sum of the fractions a/b over (a, b) pairs, b > 0, built in
+    integers over the lcm of the denominators."""
+    pairs = list(pairs)
+    den = lcm(*(b for _, b in pairs))
+    return Fraction(sum(a * (den // b) for a, b in pairs), den)
 
 
 def _merge_terms(items) -> Tuple[Tuple[MarkedPoint, Fraction], ...]:
@@ -280,8 +269,10 @@ class NormalForm(Record):
         return f"f[{body}];deg={deg}" + (";moduli" if self.moduli else "")
 
 
-def _frac_part(c: Fraction) -> Fraction:
-    return Fraction(c.numerator % c.denominator, c.denominator)
+def _frac_numerator(c: Fraction) -> int:
+    """Numerator of the fractional part c - floor(c), whose denominator
+    is that of c."""
+    return c.numerator % c.denominator
 
 
 def normal_form(C: CurveCouple) -> NormalForm:
@@ -298,7 +289,7 @@ def normal_form(C: CurveCouple) -> NormalForm:
     D = C.divisor
     fracs = []
     for p, c in D.terms:
-        f = _frac_part(c)
+        f = Fraction(_frac_numerator(c), c.denominator)
         if f != 0:
             fracs.append((f, c.denominator, c.numerator))
     fracs.sort(key=lambda t: (-t[0], t[1], t[2]))

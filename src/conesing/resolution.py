@@ -34,7 +34,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .divisors import CurveCouple, MarkedPoint, _fraction_sum
+from .divisors import (CurveCouple, MarkedPoint, _fraction_sum,
+                       _frac_numerator)
 from .errors import (BadChain, IntegralPoint, InternalInvariantError,
                      InternalNonIntegral, PreconditionError, SingularMatrix)
 from .quotient import _klt_boundary_degree
@@ -70,8 +71,7 @@ def local_cone_at(C: CurveCouple, pt: MarkedPoint) -> LatticeCone2:
     q = c.denominator
     if q == 1:
         raise IntegralPoint(f"coefficient {c} at {pt} is integral, chart smooth")
-    # the numerator of the fractional part c - floor(c)
-    return LatticeCone2(q=q, p=c.numerator % q)
+    return LatticeCone2(q=q, p=_frac_numerator(c))
 
 
 # Longest chain hj_chain builds; the graph, its discrepancies and its

@@ -28,7 +28,9 @@ keep h0, which builds floor(nD) as a divisor, as the independent oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice, repeat
 from math import ceil
+from operator import add, floordiv
 from typing import Dict, List, Optional, Tuple
 
 from .divisors import (CurveCouple, Rational, assign_coordinates,
@@ -85,10 +87,13 @@ def _checked_period(D) -> int:
 def hilbert_values(C: CurveCouple, through: int) -> List[int]:
     """h(0) .. h(through) as max(0, sum_p (n a_p) // b_p + 1), read off
     the integer pairs (a_p, b_p) of the coefficients of D."""
-    degrees = range(through + 1)
-    floors = [[n * c.numerator // c.denominator for n in degrees]
-              for _, c in C.divisor.terms]
-    return [max(0, s + 1) for s in map(sum, zip(*floors))]
+    # one running column of sums, so memory stays linear in through
+    sums = [1] * (through + 1)
+    for _, c in C.divisor.terms:
+        a, b = c.numerator, c.denominator
+        na = range(0, a * (through + 1), a)  # n a for n = 0 .. through
+        sums = list(map(add, sums, map(floordiv, na, repeat(b))))
+    return [s if s > 0 else 0 for s in sums]
 
 
 def hilbert_series(C: CurveCouple) -> HilbertData:
@@ -106,7 +111,9 @@ def hilbert_series(C: CurveCouple) -> HilbertData:
     values = hilbert_values(C, stop)
     # h(k) - h(k-1) - h(k-L) + h(k-L-1), with h = 0 in negative degrees
     h = [0] * (L + 1) + values
-    coeffs = [a - b - c + d for a, b, c, d in zip(h[L + 1:], h[L:], h[1:], h)]
+    coeffs = [a - b - c + d for a, b, c, d in
+              zip(islice(h, L + 1, None), islice(h, L, None),
+                  islice(h, 1, None), h)]
     # The numerator must terminate; everything past n0 + L + 1 is zero.
     tail_start = n0 + L + 1
     for k in range(tail_start, stop + 1):

@@ -262,6 +262,69 @@ def test_unknown_flag_exit_2():
     assert res.returncode == 2
 
 
+ARG_VALUES = st.sampled_from(["0", "7", "-3", "-", "x.json", "", "1_0", " 4",
+                              "+2", "4.5", "--out", "--couple", "-h",
+                              "resolve", "\u0663"])
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand (or not) with most of its flags and plain values,
+    plus odd flags, odd values and stray tokens now and then."""
+    from conesing import cli
+    commands = cli._commands()
+    name = draw(st.sampled_from([*commands, "bogus", "--version"]))
+    options = commands[name][2] if name in commands else ()
+    pairs = []
+    for flag, kind, required, _, _ in options:
+        if draw(st.integers(0, 3)) < (3 if required else 2):
+            plain = st.integers(0, 99).map(str) if kind is int else \
+                st.sampled_from(["c.json", "1/2", "7"])
+            pairs.append((flag, draw(st.one_of(plain, ARG_VALUES))))
+    pairs += draw(st.lists(st.tuples(
+        st.sampled_from([*(o[0] for o in options), "--nope", "-h", "--coup"]),
+        ARG_VALUES), max_size=2))
+    pairs = draw(st.permutations(pairs))
+    tail = draw(st.lists(ARG_VALUES, max_size=1))
+    return [name, *(x for pair in pairs for x in pair), *tail]
+
+
+@given(cli_argvs())
+def test_plain_args_agree_with_argparse(argv):
+    from conesing import cli
+    plain = cli._plain_args(argv)
+    if plain is None:
+        return
+    with contextlib.redirect_stderr(io.StringIO()):
+        parsed = cli.build_parser().parse_args(argv)
+    assert vars(parsed) == vars(plain)
+
+
+def test_plain_argv_runs_a_handler_replaced_in_the_module(monkeypatch):
+    # a profiler wraps cmd_* in place; the plain path must call the wrapper
+    from conesing import cli
+    seen = []
+    monkeypatch.setattr(cli, "cmd_resolve", lambda args: seen.append(args) or 0)
+    assert cli.main(["resolve", "--couple", "c.json"]) == 0
+    assert [a.couple for a in seen] == ["c.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["describe", "--couple", "c.json"],
+    ["hilbert", "--out", "o.json", "--through", "12", "--couple", "c.json"],
+    ["enumerate", "--epsilon", "1/2", "--isotropy-bound", "6"],
+    ["audit", "--catalog", "k.json", "--epsilon", "1", "--isotropy-bound",
+     "3", "--out", "o.json"],
+    ["toric-check", "--fan", "f.json", "--divisor", "d.json", "--seed", "5"],
+    ["verify-examples", "--an-n", "3"],
+])
+def test_plain_argv_is_parsed_without_argparse(argv):
+    from conesing import cli
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+
+
 def test_cli_import_leaves_numpy_unloaded():
     import os
     env = dict(os.environ)

@@ -280,3 +280,20 @@ def test_section_linear_algebra_stays_on_int(monkeypatch):
     for scan in scans:
         assert all(all_int(v) for _, v in scan.gens)
         assert all(all_int(v) for vs in scan.basis.values() for v in vs)
+
+
+def test_hilbert_values_memory_is_linear_in_through():
+    import tracemalloc
+    # 20 points: one floor column per point held at once peaked at
+    # about 16 MB here
+    C = CurveCouple.of({finite_point(k): F(2 * k + 1, 7) for k in range(20)})
+    tracemalloc.start()
+    try:
+        values = sections.hilbert_values(C, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    for n in (0, 1, 6, 7, 12345, 20000):
+        assert values[n] == max(0, sum(n * (2 * k + 1) // 7
+                                       for k in range(20)) + 1)
