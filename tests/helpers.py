@@ -204,6 +204,88 @@ def unpruned_candidate_types(params):
             n0 += 1
 
 
+def continuant(cs):
+    """The continuant of [c_1, ..., c_k]: the numerator of the
+    Hirzebruch-Jung fraction c_1 - 1/(c_2 - 1/(... - 1/c_k)); 1 when
+    empty."""
+    u, u_next = 1, 0
+    for c in reversed(cs):
+        u, u_next = c * u - u_next, u
+    return u
+
+
+def hj_chains_through(N):
+    """Every Hirzebruch-Jung chain [c_1, ..., c_k], all c_j >= 2, whose
+    continuant alpha is at most N, as (chain, alpha, beta) with beta the
+    continuant of [c_2, ..., c_k], so alpha/beta = [c_1, ..., c_k].
+    Appending an entry, or raising one, raises the continuant, so a
+    depth-first walk stops at the first entry past N."""
+    out = []
+
+    def walk(prefix):
+        c = 2
+        while continuant(prefix + [c]) <= N:
+            chain = prefix + [c]
+            out.append((tuple(chain), continuant(chain), continuant(chain[1:])))
+            walk(chain)
+            c += 1
+
+    walk([])
+    return out
+
+
+def graph_side_catalog(eps, N):
+    """The catalog at (eps, N) built from the graph side, independent of
+    the catalog's generator: every star graph with central curve -b and
+    at most three Hirzebruch-Jung chains of determinant alpha <= N, mapped
+    back to its couple by Pinkham's inverse construction
+    D = b [inf] - sum (beta_i/alpha_i) [x_i] (Pinkham 1977; Orlik-Wagreich
+    1971), kept when 0 < deg D <= 2/eps and the mld from the dense solve
+    is at least eps.  Returns {normal-form key: mld}."""
+    import numpy as np
+    from conesing.divisors import normal_form
+    from conesing.resolution import ResolutionGraph
+
+    eps = Fraction(eps)
+    chains = hj_chains_through(N)
+    out = {}
+    for r in range(4):
+        for star in itertools.combinations_with_replacement(chains, r):
+            tail = sum((Fraction(beta, alpha) for _, alpha, beta in star),
+                       Fraction(0))
+            b = 1
+            while b - tail <= 2 / eps:
+                degree = b - tail
+                b += 1
+                if degree <= 0:
+                    continue
+                G = ResolutionGraph(
+                    central_self_int=-(b - 1),
+                    chains=tuple(tuple(-c for c in chain)
+                                 for chain, _, _ in star),
+                    discrepancies=(), determinant=0)
+                # a float solve screens out the graphs far below eps; the
+                # rest get the exact dense solve
+                M = np.array(intersection_matrix(G), dtype=float)
+                k = -2.0 - np.diag(M)
+                if 1 + np.linalg.solve(M, k).min() < float(eps) - 1e-6:
+                    continue
+                # a graph that contracts to nothing is a smooth point, of
+                # mld 2; any resolution of one has log discrepancies >= 2
+                raw = 1 + min(discrepancies(G))
+                if raw < eps:
+                    continue
+                mld = raw if edge_scan_blow_down(G).self_intersections else 2
+                C = CurveCouple.of(
+                    [(infinity_point(), b - 1)]
+                    + [(finite_point(i), Fraction(-beta, alpha))
+                       for i, (_, alpha, beta) in enumerate(star)])
+                key = normal_form(C).key_string()
+                assert key not in out, key
+                out[key] = mld
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Fraction elimination oracles
 # ---------------------------------------------------------------------------

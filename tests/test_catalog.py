@@ -16,7 +16,8 @@ from conesing.catalog import (MIN_CANDIDATES_PER_WORKER, SearchParams,
 from conesing.divisors import normal_form
 from conesing.errors import BadEpsilon, ParseError, PreconditionError
 from conesing.jsonio import dumps
-from helpers import count_build_graph, unpruned_candidate_types
+from helpers import (count_build_graph, graph_side_catalog,
+                     unpruned_candidate_types)
 
 F = Fraction
 # jobs above os.cpu_count() is a precondition error by contract
@@ -208,6 +209,24 @@ def test_degree_cap_skips_only_rejected_candidates(data):
     for _ in range(3):
         fracs, degree = data.draw(st.sampled_from(skipped))
         assert _evaluate_candidate((fracs, degree, eps)) is None
+
+
+# (eps, N) pairs, N <= 6, on which the catalog is compared with the
+# graph-side enumeration of tests/helpers.py
+COMPLETENESS_GRID = [(F(1), 1), (F(1), 3), (F(1), 6), (F(1, 2), 6),
+                     (F(1, 4), 4), (F(2, 3), 5), (F(1, 3), 5), (F(2, 5), 6),
+                     (F(1, 6), 3)]
+
+
+@pytest.mark.parametrize("eps,N", COMPLETENESS_GRID)
+def test_catalog_equals_graph_side_enumeration(eps, N):
+    # audit checks the entries a catalog holds; this is the check that
+    # none is missing: the same keys, each with the same mld
+    params = SearchParams(epsilon=eps, isotropy_bound=N)
+    entries = enumerate_catalog(params, jobs=1)
+    graph_side = graph_side_catalog(eps, N)
+    assert {e.key: e.mld for e in entries} == graph_side
+    assert mld_spectrum(entries) == tuple(sorted(set(graph_side.values())))
 
 
 def test_audit_clean_catalog():
