@@ -20,8 +20,8 @@ _EXPORTS = {
                  "vertex_log_discrepancy"),
     "resolution": ("LatticeCone2", "ResolutionGraph", "build_graph",
                    "hj_chain", "local_cone_at"),
-    "sections": ("HilbertData", "Presentation", "hilbert_series",
-                 "hilbert_values", "presentation"),
+    "hilbert": ("HilbertData", "hilbert_series", "hilbert_values"),
+    "sections": ("Presentation", "presentation"),
     "catalog": ("CatalogEntry", "SearchParams", "audit_catalog",
                 "enumerate_catalog", "mld_spectrum", "search_bounds"),
 }

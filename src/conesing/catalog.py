@@ -1,20 +1,24 @@
 """Exhaustive catalog of eps-lc cone surface singularities with bounded
 isotropies.
 
-The search space is finite: the quotient pair forces at most three
-fractional points (which line automorphisms pin to 0, 1, infinity, so
-normal-form keys classify couples up to isomorphism) and denominators
-are bounded by the isotropy bound.  The mld is at most the central log
-discrepancy a_e0 = (2 - deg B)/deg D, with B the quotient boundary, so
-a fractional type is swept only through degree (2 - deg B)/eps, at most
-the 2/eps of the search bounds.  That cap only skips couples the
-resolution oracle would reject; membership is the oracle's call on
-every candidate swept.
+The quotient pair forces at most three fractional points (which line
+automorphisms pin to 0, 1, infinity, so normal-form keys classify
+couples up to isomorphism), with denominators up to the isotropy bound.
+The sweep visits only the types with deg B = sum (1 - 1/q_i) < 2.  A
+type's chains do not depend on the degree, which moves only the central
+curve, of self-intersection -(n + r) at degree sum p_i/q_i + n with r
+points (Orlik-Wagreich 1971; Pinkham 1977).  Each chain is solved once,
+in integers: vertex v has log discrepancy a_v = (S_v a_e0 + X_v)/q with
+a_e0 = (2 - deg B)/deg D.  So the mld, min(a_e0, min_v a_v), does not
+increase with the degree: a type's members are its degrees up to a
+closed-form cap, each entry is read off the type's integers and its
+degree, and only a central (-1)-curve needs a blow-down.  The embedding
+dimension is Artin's 1 - Z^2 (klt surface singularities are rational).
 
-The embedding dimension of an entry is Artin's 1 - Z^2 on the
-blown-down graph (klt surface singularities are rational), not a
-generator count; the generator scan of sections is its oracle in the
-tests.
+audit rebuilds stored entries by the same path and checks a_e0 and the
+mld against build_graph, which solves each couple's star graph alone.
+The tests keep the per-candidate path, the unpruned generator and a
+graph-side enumeration as oracles.
 """
 
 from __future__ import annotations
@@ -23,18 +27,20 @@ import itertools
 import json
 import os
 from fractions import Fraction
-from math import floor, gcd
+from functools import lru_cache
+from math import gcd, lcm, prod
 from typing import List, Optional, Tuple
 
-from .divisors import (CurveCouple, canonical_couple, _frac_numerator,
-                       max_isotropy, normal_form)
-from .errors import CatalogMismatch, NotKlt, ParseError, PreconditionError
+from .divisors import (CurveCouple, canonical_couple, max_isotropy,
+                       normal_form)
+from .errors import (CatalogMismatch, InternalInvariantError, NotKlt,
+                     ParseError, PreconditionError)
+from .hilbert import PERIOD_MAX
 from .jsonio import fmt_q, json_int, parse_q
-from .quotient import (cartier_index_of_kx, validate_epsilon,
-                       vertex_log_discrepancy)
+from .quotient import validate_epsilon
 from .records import Record
-from .resolution import ResolutionGraph, build_graph
-from .sections import hilbert_series
+from .resolution import (LatticeCone2, ResolutionGraph, _chain_continuants,
+                         build_graph, hj_chain)
 
 
 class SearchParams(Record):
@@ -57,13 +63,8 @@ class SearchBounds(Record):
                              k_max_effective=k_max_effective)
 
     def to_json(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "q_min": self.q_min,
-            "q_max": self.q_max,
-            "degree_max": fmt_q(self.degree_max),
-            "k_max_effective": self.k_max_effective,
-        }
+        return {**{f: getattr(self, f) for f in self._fields},
+                "degree_max": fmt_q(self.degree_max)}
 
 
 def search_bounds(params: SearchParams) -> SearchBounds:
@@ -81,10 +82,8 @@ class GraphSummary(Record):
     def __init__(self, center: int, chains: Tuple[Tuple[int, ...], ...],
                  blown_down_vertices: Optional[Tuple[int, ...]]):
         # blown_down_vertices None means smooth
-        d = self.__dict__
-        d["center"] = center
-        d["chains"] = chains
-        d["blown_down_vertices"] = blown_down_vertices
+        self.__dict__.update(center=center, chains=chains,
+                             blown_down_vertices=blown_down_vertices)
 
     def to_json(self) -> dict:
         return {
@@ -108,19 +107,12 @@ class CatalogEntry(Record):
                  hilbert_period: int, embedding_dimension: int,
                  graph: GraphSummary):
         # fractional: (p, q) pairs in canonical order
-        d = self.__dict__
-        d["key"] = key
-        d["degree"] = degree
-        d["fractional"] = fractional
-        d["a_e0"] = a_e0
-        d["mld"] = mld
-        d["cartier_index_kx"] = cartier_index_kx
-        d["max_isotropy"] = max_isotropy
-        d["link_determinant"] = link_determinant
-        d["hilbert_numerator"] = hilbert_numerator
-        d["hilbert_period"] = hilbert_period
-        d["embedding_dimension"] = embedding_dimension
-        d["graph"] = graph
+        self.__dict__.update(
+            key=key, degree=degree, fractional=fractional, a_e0=a_e0,
+            mld=mld, cartier_index_kx=cartier_index_kx,
+            max_isotropy=max_isotropy, link_determinant=link_determinant,
+            hilbert_numerator=hilbert_numerator, hilbert_period=hilbert_period,
+            embedding_dimension=embedding_dimension, graph=graph)
 
     def to_json(self) -> dict:
         return {
@@ -145,92 +137,178 @@ def couple_from_entry_data(fractional, degree: Fraction) -> CurveCouple:
 
 
 def _fractional_coefficients(q_max: int) -> List[Fraction]:
-    out = []
-    for q in range(2, q_max + 1):
-        for p in range(1, q):
-            if gcd(p, q) == 1:
-                out.append(Fraction(p, q))
     # canonical order: descending value, ties by denominator then numerator
-    out.sort(key=lambda f: (-f, f.denominator, f.numerator))
-    return out
+    return sorted((Fraction(p, q) for q in range(2, q_max + 1)
+                   for p in range(1, q) if gcd(p, q) == 1),
+                  key=lambda f: (-f, f.denominator, f.numerator))
 
 
-def _build_entry(C: CurveCouple, G: ResolutionGraph, key: str) -> CatalogEntry:
-    bd = G.blown_down
-    hd = hilbert_series(C)
-    embdim = bd.embedding_dimension
-    if bd.empty != (embdim == 2):
-        raise CatalogMismatch(f"{key}: graph blow-down and embedding "
-                              f"dimension {embdim} disagree")
-    return CatalogEntry(
-        key=key,
-        degree=C.degree(),
-        fractional=tuple((_frac_numerator(c), c.denominator)
-                         for _, c in C.divisor.terms if c.denominator > 1),
-        a_e0=vertex_log_discrepancy(C),
-        mld=G.mld,
-        cartier_index_kx=cartier_index_of_kx(C),
-        max_isotropy=max_isotropy(C),
-        link_determinant=G.determinant,
-        hilbert_numerator=hd.numerator,
-        hilbert_period=hd.period,
-        embedding_dimension=embdim,
-        graph=GraphSummary(
-            center=G.central_self_int,
-            chains=G.chains,
-            blown_down_vertices=None if bd.empty else bd.self_intersections,
-        ),
-    )
+def _admissible_types(coeffs: List[Fraction]):
+    """The types with deg B < 2, in combinations_with_replacement order.
+    A triple with 1/q_1 + 1/q_2 + 1/q_3 > 1 holds a 1/2, and its other
+    denominators are 2 and any, or 3 and one of 3..5: O(len(coeffs))
+    triples, not a cubic scan."""
+    yield ()
+    yield from itertools.combinations_with_replacement(coeffs, 1)
+    yield from itertools.combinations_with_replacement(coeffs, 2)
+    if Fraction(1, 2) not in coeffs:
+        return
+    h = coeffs.index(Fraction(1, 2))
+    small = [i for i, f in enumerate(coeffs) if f.denominator <= 5]
+    triples = {tuple(sorted((h, h, i))) for i in range(len(coeffs))}
+    triples.update(tuple(sorted((h, i, j))) for i in small for j in small)
+    for triple in sorted(triples):
+        q1, q2, q3 = (coeffs[i].denominator for i in triple)
+        if q2 * q3 + q1 * q3 + q1 * q2 > q1 * q2 * q3:
+            yield tuple(coeffs[i] for i in triple)
+
+
+@lru_cache(maxsize=None)
+def _chain_solve(p: int, q: int):
+    """The chain over a point p/q and, per vertex from the centre out,
+    (S_v, X_v) with a_v = (S_v a_e0 + X_v)/q.  The a_v solve
+    a_{v-1} - c_v a_v + a_{v+1} = 0 from a_e0 at the centre to 1 past
+    the end; so do S_v = u_{v+1} of the elimination (q, then 0 past the
+    end) and the first coordinate X_v of the hull ray (0, then q)."""
+    chain = hj_chain(LatticeCone2(q=q, p=p))
+    cs = [-e for e in chain]
+    us, _ = _chain_continuants(cs)
+    xs, x_prev, x = [], 0, 1
+    for c in cs:
+        xs.append(x)
+        x_prev, x = x, c * x - x_prev
+    # u_1 = q - p makes the central self-intersection integral
+    if us[0] != q or us[1] != q - p or x != q:
+        raise InternalInvariantError(f"chain over {p}/{q} misses its ends")
+    return chain, tuple(zip(us[1:], xs))
+
+
+@lru_cache(maxsize=None)
+def _type_member(fracs: Tuple[Fraction, ...]):
+    """member(degree) -> the entry of the type at that degree, whatever
+    its mld, from the type's integers, computed on the first call for a
+    type; enumerate and audit clear the cache when they end."""
+    pairs = tuple((f.numerator, f.denominator) for f in fracs)
+    r = len(pairs)
+    deg_b = sum((Fraction(q - 1, q) for _, q in pairs), Fraction(0))
+    if deg_b >= 2:
+        raise NotKlt(f"boundary degree {deg_b} is >= 2")
+    L = lcm(*(q for _, q in pairs))
+    if L > PERIOD_MAX:
+        raise PreconditionError(
+            f"period L = {L} exceeds PERIOD_MAX = {PERIOD_MAX}")
+    solved = [_chain_solve(p, q) for p, q in pairs]
+    chains = tuple(chain for chain, _ in solved)
+    # (S_v, X_v) over the common denominator L, the centre first
+    vertices = ((L, 0), *((s * (L // q), x * (L // q)) for (_, sx), (_, q)
+                          in zip(solved, pairs) for s, x in sx))
+    tn, td = (2 - deg_b).numerator, (2 - deg_b).denominator
+    fsum = sum(fracs, Fraction(0))
+    qprod = prod(q for _, q in pairs)
+    # h(n) = 1 + n n0 + F(n), F(n) = sum floor(n p_i/q_i), is never
+    # clamped at 0 when deg B < 2, so the Hilbert numerator
+    # (1 - T)(1 - T^L) sum h(n) T^n is 1 + sum_{k=1..L} (F(k) - F(k-1)
+    # + n0) T^k - T^L
+    F = [sum(k * p // q for p, q in pairs) for k in range(L + 1)]
+    steps = [b - a for a, b in zip(F, F[1:])]
+    prefix = "f[" + ",".join(str(f) for f in fracs) + "];deg="
+    tail = tuple(e for chain in chains for e in chain)
+    excess = sum(-e - 2 for e in tail)
+
+    def member(degree: Fraction) -> CatalogEntry:
+        dn, dd = degree.numerator, degree.denominator
+        # degree = fsum + n has the denominator of fsum
+        if dd != fsum.denominator or dn <= 0:
+            raise PreconditionError("degree incompatible with fractional type")
+        n = (dn - fsum.numerator) // dd
+        b0 = n + r
+        # a_e0 = A/B, and a_v = (S_v A + X_v B)/(L B)
+        A, B = tn * dd, td * dn
+        a_e0 = Fraction(A, B)
+        mld = Fraction(min(s * A + x * B for s, x in vertices), L * B)
+        if b0 >= max(r, 2):
+            # all curves are (-2)-curves or below, so the star graph is
+            # minimal, and Z = sum E_v has every Z.E_v <= 0, so it is the
+            # fundamental cycle: 1 - Z^2 = 1 + b0 + sum (c_v - 2)
+            blown_down, embdim = (-b0, *tail), 1 + b0 + excess
+        else:
+            # a central (-1)-curve is blown down; three chains on a
+            # (-2)-curve take Laufer's loop
+            G = ResolutionGraph(-b0, chains, tuple(
+                Fraction(s * A + x * B, L * B) - 1 for s, x in vertices), 0)
+            bd, mld = G.blown_down, G.mld
+            embdim = bd.embedding_dimension
+            if bd.empty != (embdim == 2):
+                raise CatalogMismatch(f"{prefix}{degree}: graph blow-down "
+                                      f"and embedding dimension {embdim} "
+                                      "disagree")
+            blown_down = None if bd.empty else bd.self_intersections
+        # the least m with m(K + B) - u D integral, u/m = s/t = -a_e0: t
+        # divides m, and at p/q, q divides (m/t)(t(q - 1) - s p)
+        s, t = -a_e0.numerator, a_e0.denominator
+        numerator = [1, *(c + n for c in steps)]
+        numerator[-1] -= 1
+        while numerator and numerator[-1] == 0:
+            numerator.pop()
+        return CatalogEntry(
+            prefix + str(degree), degree, pairs, a_e0, mld,
+            t * lcm(*(q // gcd(q, t + s * p) for p, q in pairs)),
+            max((q for _, q in pairs), default=1), dn * qprod // dd,
+            tuple(numerator), L, embdim,
+            GraphSummary(-b0, chains, blown_down))
+
+    return member
 
 
 def _candidate_types(params: SearchParams):
-    """Fractional multisets within bounds, plus the degree offsets."""
-    bounds = search_bounds(params)
-    coeffs = _fractional_coefficients(bounds.q_max)
-    types = [()]
-    for k in (1, 2, 3):
-        types.extend(itertools.combinations_with_replacement(coeffs, k))
-    for fracs in types:
-        # deg B = sum (1 - 1/q) is below 2 at up to two points, and at
-        # three exactly when 1/q_1 + 1/q_2 + 1/q_3 > 1
-        if len(fracs) == 3:
-            q1, q2, q3 = (f.denominator for f in fracs)
-            if q2 * q3 + q1 * q3 + q1 * q2 <= q1 * q2 * q3:
-                continue
-        deg_b = sum((Fraction(f.denominator - 1, f.denominator)
-                     for f in fracs), Fraction(0))
-        # mld <= a_e0 = (2 - deg B)/deg D, so an eps-lc member has
-        # deg D <= (2 - deg B)/eps, which is at most 2/eps
-        deg_cap = (2 - deg_b) / params.epsilon
-        fsum = sum(fracs, Fraction(0))
-        # degrees fsum + n0 in (0, deg_cap], from the least n0 > -fsum
-        n0 = floor(-fsum) + 1
-        while fsum + n0 <= deg_cap:
-            yield fracs, fsum + n0
-            n0 += 1
+    """(type, degree) for every member: each admissible type through its
+    mld cap, 2 - deg B times the least of 1/eps (from a_e0 >= eps) and,
+    where X_v < eps q, S_v/(eps q - X_v) (from a_v >= eps).  Integer
+    pairs keep the O(k^2) types of k coefficients cheap."""
+    en, ed = params.epsilon.numerator, params.epsilon.denominator
+    coeffs = _fractional_coefficients(search_bounds(params).q_max)
+    point = {}
+    for f in coeffs:
+        p, q = f.numerator, f.denominator
+        cn, cd = ed, en                     # the factor cn/cd, first 1/eps
+        for s, x in _chain_solve(p, q)[1]:
+            gap = en * q - x * ed           # (eps q - X_v) ed
+            if gap > 0 and s * ed * cd < cn * gap:
+                cn, cd = s * ed, gap
+        point[f] = (p, q, cn, cd)
+    for fracs in _admissible_types(coeffs):
+        P, R, Q = 0, 0, 1                   # fsum = P/Q, sum 1/q_i = R/Q
+        cn, cd = ed, en
+        for f in fracs:
+            p, q, a, b = point[f]
+            P, R, Q = P * q + p * Q, R * q + Q, Q * q
+            if a * cd < cn * b:
+                cn, cd = a, b
+        top = (2 - len(fracs)) * Q + R      # (2 - deg B) Q
+        # degrees P/Q + n in (0, cap]
+        lo, hi = -P // Q + 1, (top * cn - P * cd) // (Q * cd)
+        fsum = Fraction(P, Q)
+        for n in range(lo, hi + 1):
+            yield fracs, fsum + n
 
 
 def _evaluate_candidate(args):
+    """The entry of a (fracs, degree, eps) candidate, or None when it is
+    not klt or its mld is below eps."""
     fracs, degree, eps = args
-    C = canonical_couple(fracs, degree)
     try:
-        G = build_graph(C)
+        entry = _type_member(fracs)(degree)
     except NotKlt:
         return None
-    if G.mld < eps:
-        return None
-    nf = normal_form(C)
-    if nf.couple.divisor != C.divisor:
-        raise CatalogMismatch("candidate was not constructed in normal form")
-    return _build_entry(C, G, nf.key_string())
+    return entry if entry.mld >= eps else None
 
 
 # A process pool pays only when each worker gets at least this many
-# candidates.  Measured on a 2-CPU x86-64 host: a 2-worker pool costs
-# about 30-40 ms to start and feed, and a candidate within the degree cap
-# takes about 0.4-0.7 ms, so 2 workers break even near 120 candidates;
-# 128 per worker leaves a margin of about two.
-MIN_CANDIDATES_PER_WORKER = 128
+# candidates.  Measured on a 2-CPU x86-64 host: a member takes 35-90 us
+# to build and about 45 us to pickle back, so 2 workers lost at every
+# size tried, up to (1/1000, 3): 12,501 candidates in 0.51-0.70 s
+# in-process against 0.90-1.5 s.
+MIN_CANDIDATES_PER_WORKER = 1 << 14
 
 
 def _worker_count(jobs: int, candidates: int) -> int:
@@ -252,17 +330,18 @@ def enumerate_catalog(params: SearchParams, jobs: int = 1) -> List[CatalogEntry]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_evaluate_candidate, cands, chunksize=8))
+            results = list(ex.map(_evaluate_candidate, cands, chunksize=256))
     else:
         results = [_evaluate_candidate(c) for c in cands]
-    entries = [e for e in results if e is not None]
+    _type_member.cache_clear()
     seen = {}
-    for e in entries:
+    for e in results:
+        if e is None:
+            continue
         if e.key in seen:
             raise CatalogMismatch(f"duplicate catalog key {e.key}")
         seen[e.key] = e
-    out = sorted(seen.values(), key=lambda e: (e.degree, e.key))
-    return out
+    return sorted(seen.values(), key=lambda e: (e.degree, e.key))
 
 
 def mld_spectrum(entries) -> Tuple[Fraction, ...]:
@@ -318,10 +397,11 @@ def _field_failures(tag: str, doc: dict, rebuilt: dict) -> List[str]:
 
 def audit_catalog(docs, params: SearchParams) -> AuditReport:
     """Rebuild every stored entry (a JSON object as read from the file)
-    from its key, fractional type and degree with the builder of the
-    enumerator, compare the stored entry with the rebuilt one as
+    from its key, fractional type and degree by the enumerator's path,
+    once per type, compare the stored entry with the rebuilt one as
     canonical JSON, field by field when they differ, and re-check the
-    necessary conditions of membership.
+    necessary conditions of membership, with each couple's own star graph
+    as the oracle of a_e0 and the mld.
     An entry whose isotropy exceeds N is not built.  Malformed defining
     data raises ParseError; everything else is reported, not raised."""
     eps, N = params.epsilon, params.isotropy_bound
@@ -347,16 +427,19 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
         except NotKlt as exc:
             failures.append(f"{tag}: rebuilt couple is not klt ({exc})")
             continue
-        e = _build_entry(C, G, nf.key_string())
+        e = _type_member(nf.key[0])(nf.key[1])
         rebuilt = e.to_json()
         # the whole entry as canonical text first; field by field only
         # when the texts differ
         if json.dumps(doc, sort_keys=True) != json.dumps(rebuilt, sort_keys=True):
             failures.extend(_field_failures(tag, doc, rebuilt))
-        if 1 + G.discrepancies[0] != e.a_e0:
-            failures.append(f"{tag}: a_e0 disagrees with the resolution oracle")
+        for name, oracle in (("a_e0", 1 + G.discrepancies[0]), ("mld", G.mld)):
+            if oracle != getattr(e, name):
+                failures.append(
+                    f"{tag}: {name} disagrees with the resolution oracle")
         if e.mld < eps:
             failures.append(f"{tag}: mld below epsilon")
+    _type_member.cache_clear()
     return AuditReport(checked=len(docs), failures=tuple(failures))
 
 

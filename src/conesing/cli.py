@@ -95,8 +95,8 @@ def _discrepancy_doc(C) -> dict:
 def cmd_describe(args) -> int:
     from .divisors import max_isotropy
     from .jsonio import divisor_to_json, fmt_q
+    from .hilbert import hilbert_series
     from .resolution import build_graph
-    from .sections import hilbert_series
     C = _load_couple(args.couple)
     doc = _discrepancy_doc(C)
     G = build_graph(C)
@@ -117,7 +117,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    from .sections import hilbert_series, hilbert_values
+    from .hilbert import hilbert_series, hilbert_values
     if args.through is not None and args.through < 0:
         raise PreconditionError(f"--through {args.through} must be >= 0")
     if args.through is not None and args.through > THROUGH_MAX:

@@ -263,11 +263,6 @@ class NormalForm(Record):
                  key: Tuple[Tuple[Fraction, ...], Fraction], moduli: bool):
         self.__dict__.update(couple=couple, key=key, moduli=moduli)
 
-    def key_string(self) -> str:
-        fracs, deg = self.key
-        body = ",".join(str(f) for f in fracs)
-        return f"f[{body}];deg={deg}" + (";moduli" if self.moduli else "")
-
 
 def _frac_numerator(c: Fraction) -> int:
     """Numerator of the fractional part c - floor(c), whose denominator

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
                        QDivisorP1, finite_point, infinity_point, label_point)
@@ -120,4 +121,38 @@ def loads(text: str):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, written
+    directly: with an indent json runs its pure-Python encoder, while
+    this writer escapes strings in C and joins each integer list at once."""
+    out = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline: str, out) -> None:
+    """Append the text of obj, nested at the indent `newline` carries."""
+    if isinstance(obj, str):
+        return out(_encode_str(obj))
+    if type(obj) is int:
+        return out(int.__repr__(obj))
+    if not obj or not isinstance(obj, (list, tuple, dict)):
+        # null, booleans, floats and empty containers: json's own text
+        return out(json.dumps(obj))
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        # json writes a non-string key as its scalar JSON text
+        items = [(_encode_str(k if isinstance(k, str) else json.dumps(k))
+                  + ": ", v) for k, v in sorted(obj.items())]
+        ends = "{}"
+    elif all(type(x) is int for x in obj):
+        return out("[" + inner + ("," + inner).join(map(int.__repr__, obj))
+                   + newline + "]")
+    else:
+        items, ends = [("", v) for v in obj], "[]"
+    sep = ends[0] + inner
+    for key, value in items:
+        out(sep + key)
+        _write(value, inner, out)
+        sep = "," + inner
+    out(newline + ends[1])

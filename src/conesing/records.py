@@ -16,20 +16,28 @@ with one dictionary update.
 """
 
 
+from operator import itemgetter
+
+
 class Record:
     _fields = ()
 
-    def _astuple(self) -> tuple:
-        d = self.__dict__
-        return tuple([d[f] for f in self._fields])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # _values reads the field tuple off the instance dictionary in one
+        # C call; itemgetter of a single key gives the bare value
+        get = itemgetter(*cls._fields)
+        cls._values = staticmethod(
+            get if len(cls._fields) > 1 else lambda d: (get(d),))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._astuple() == other._astuple()
+        values = self._values
+        return values(self.__dict__) == values(other.__dict__)
 
     def __hash__(self):
-        return hash(self._astuple())
+        return hash(self._values(self.__dict__))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

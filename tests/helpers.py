@@ -3,6 +3,7 @@ stock fans, and the reference oracles that the library's closed forms
 and fast paths are checked against."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -180,6 +181,93 @@ def is_eps_lc_pair(P, eps):
     return all(b <= 1 - eps for _, b in P.boundary)
 
 
+def key_string(nf):
+    """The catalog key of a normal form: its fractional values and its
+    degree, flagged when the positions are moduli."""
+    fracs, deg = nf.key
+    body = ",".join(str(f) for f in fracs)
+    return f"f[{body}];deg={deg}" + (";moduli" if nf.moduli else "")
+
+
+def capped_candidate_types(params):
+    """Oracle for catalog._candidate_types: every fractional multiset of
+    combinations_with_replacement whose quotient boundary has degree
+    below 2, each swept through its central cap (2 - deg B)/eps, the
+    bound a_e0 >= mld >= eps gives.  A superset of the members."""
+    from conesing.catalog import _fractional_coefficients, search_bounds
+
+    coeffs = _fractional_coefficients(search_bounds(params).q_max)
+    types = [()]
+    for k in (1, 2, 3):
+        types.extend(itertools.combinations_with_replacement(coeffs, k))
+    for fracs in types:
+        deg_b = sum((Fraction(f.denominator - 1, f.denominator)
+                     for f in fracs), Fraction(0))
+        if deg_b >= 2:
+            continue
+        deg_cap = (2 - deg_b) / params.epsilon
+        fsum = sum(fracs, Fraction(0))
+        n0 = math.floor(-fsum) + 1
+        while fsum + n0 <= deg_cap:
+            yield fracs, fsum + n0
+            n0 += 1
+
+
+def per_candidate_entry(fracs, degree, eps):
+    """Oracle for catalog._evaluate_candidate: the catalog entry of one
+    candidate built from its own couple (canonical placement, star graph,
+    blow-down, normal form, Hilbert series, the index of K_X), or None
+    when the couple is not klt or its mld is below eps."""
+    from conesing.catalog import CatalogEntry, GraphSummary
+    from conesing.divisors import (_frac_numerator, canonical_couple,
+                                   max_isotropy, normal_form)
+    from conesing.errors import NotKlt
+    from conesing.hilbert import hilbert_series
+    from conesing.quotient import cartier_index_of_kx, vertex_log_discrepancy
+    from conesing.resolution import build_graph
+
+    C = canonical_couple(fracs, degree)
+    try:
+        G = build_graph(C)
+    except NotKlt:
+        return None
+    if G.mld < eps:
+        return None
+    nf = normal_form(C)
+    assert nf.couple.divisor == C.divisor, "candidate not in normal form"
+    bd = G.blown_down
+    hd = hilbert_series(C)
+    assert bd.empty == (bd.embedding_dimension == 2)
+    return CatalogEntry(
+        key=key_string(nf),
+        degree=C.degree(),
+        fractional=tuple((_frac_numerator(c), c.denominator)
+                         for _, c in C.divisor.terms if c.denominator > 1),
+        a_e0=vertex_log_discrepancy(C),
+        mld=G.mld,
+        cartier_index_kx=cartier_index_of_kx(C),
+        max_isotropy=max_isotropy(C),
+        link_determinant=G.determinant,
+        hilbert_numerator=hd.numerator,
+        hilbert_period=hd.period,
+        embedding_dimension=bd.embedding_dimension,
+        graph=GraphSummary(
+            center=G.central_self_int,
+            chains=G.chains,
+            blown_down_vertices=None if bd.empty else bd.self_intersections,
+        ),
+    )
+
+
+def per_candidate_catalog(params, candidates=capped_candidate_types):
+    """Oracle for catalog.enumerate_catalog: per_candidate_entry on every
+    candidate, sorted as the catalog is."""
+    entries = [per_candidate_entry(fracs, degree, params.epsilon)
+               for fracs, degree in candidates(params)]
+    return sorted((e for e in entries if e is not None),
+                  key=lambda e: (e.degree, e.key))
+
+
 def unpruned_candidate_types(params):
     """Oracle for catalog._candidate_types: every fractional type within
     the search bounds, each swept through degree 2/eps, with no cap from
@@ -280,7 +368,7 @@ def graph_side_catalog(eps, N):
                     [(infinity_point(), b - 1)]
                     + [(finite_point(i), Fraction(-beta, alpha))
                        for i, (_, alpha, beta) in enumerate(star)])
-                key = normal_form(C).key_string()
+                key = key_string(normal_form(C))
                 assert key not in out, key
                 out[key] = mld
     return out

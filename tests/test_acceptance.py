@@ -24,7 +24,8 @@ from conesing.linalg import det_int
 from conesing.quotient import (horizontal_log_discrepancy, log_fano_quotient,
                                vertex_log_discrepancy)
 from conesing.resolution import blow_down, build_graph
-from conesing.sections import hilbert_series, presentation
+from conesing.hilbert import hilbert_series
+from conesing.sections import presentation
 from conesing.toric import (ToricDivisor, cartier_index_on_cone, cone_of_x,
                             random_primitive_samples, verify_comparison,
                             weil_index)

@@ -1,22 +1,27 @@
 import concurrent.futures
+import itertools
 import json
 import os
 from fractions import Fraction
+from math import floor
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conesing import catalog
+from conesing import catalog, cli
 from conesing.catalog import (MIN_CANDIDATES_PER_WORKER, SearchParams,
-                              _candidate_types, _evaluate_candidate,
+                              _admissible_types, _candidate_types,
+                              _evaluate_candidate, _fractional_coefficients,
                               _worker_count, audit_catalog, catalog_to_json,
                               couple_from_entry_data, enumerate_catalog,
                               mld_spectrum, search_bounds)
 from conesing.divisors import normal_form
 from conesing.errors import BadEpsilon, ParseError, PreconditionError
 from conesing.jsonio import dumps
-from helpers import (count_build_graph, graph_side_catalog,
+from conesing.resolution import ResolutionGraph
+from helpers import (count_build_graph, graph_side_catalog, key_string,
+                     per_candidate_catalog, per_candidate_entry,
                      unpruned_candidate_types)
 
 F = Fraction
@@ -111,7 +116,7 @@ def test_entry_round_trip_and_rebuild():
     for e in entries:
         C = couple_from_entry_data(e.fractional, e.degree)
         assert C.degree() == e.degree
-        assert normal_form(C).key_string() == e.key
+        assert key_string(normal_form(C)) == e.key
 
 
 def test_catalog_determinism():
@@ -122,15 +127,16 @@ def test_catalog_determinism():
 
 
 def test_worker_count_sizing():
-    # the benchmark's sweeps run in-process for any job count
-    for eps, N in ((F(1), 6), (F(1, 2), 6), (F(1, 4), 4)):
+    # the benchmark's sweeps and every sweep the pool was measured on run
+    # in-process for any job count
+    for eps, N in ((F(1), 6), (F(1, 2), 6), (F(1, 4), 4), (F(1, 8), 6),
+                   (F(1, 10), 10), (F(1, 1000), 3)):
         count = len(list(_candidate_types(SearchParams(eps, N))))
         assert count < MIN_CANDIDATES_PER_WORKER
         assert _worker_count(2, count) == 1
         assert _worker_count(64, count) == 1
-    # (1/8, 6) has 430 candidates, enough for two workers
-    count = len(list(_candidate_types(SearchParams(F(1, 8), 6))))
-    assert count == 430 and _worker_count(2, count) == 2
+    # (1/8, 6) has 430 members, all of them candidates
+    assert len(list(_candidate_types(SearchParams(F(1, 8), 6)))) == 430
     K = MIN_CANDIDATES_PER_WORKER
     assert _worker_count(4, 2 * K - 1) == 1
     assert _worker_count(4, 2 * K) == 2
@@ -148,6 +154,9 @@ def test_parallel_enumeration_matches_serial(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    # a pool pays for no sweep that runs in seconds, so the threshold is
+    # lowered to send (1/8, 6), 430 candidates, through two workers
+    monkeypatch.setattr(catalog, "MIN_CANDIDATES_PER_WORKER", 128)
     params = SearchParams(epsilon=F(1, 8), isotropy_bound=6)
     serial = enumerate_catalog(params, jobs=1)
     assert pools == []
@@ -167,48 +176,75 @@ def test_degree_cap_is_inclusive():
     assert list(_candidate_types(params)) == [((), F(1)), ((), F(2))]
     a1 = _evaluate_candidate(((), F(2), F(1)))
     assert a1.a_e0 == a1.mld == 1 and a1.link_determinant == 2
-    # every fractional type is swept up to its cap and not one step past
-    params = SearchParams(epsilon=F(2, 5), isotropy_bound=5)
+    # every type with members is swept through its last member, which
+    # the per-candidate oracle accepts, and not one step past
+    eps = F(2, 5)
     last = {}
-    for fracs, degree in _candidate_types(params):
+    for fracs, degree in _candidate_types(SearchParams(eps, 5)):
         last[fracs] = degree
     for fracs, degree in last.items():
-        cap = (2 - sum(1 - F(1, f.denominator) for f in fracs)) / params.epsilon
-        assert degree <= cap < degree + 1
+        assert per_candidate_entry(fracs, degree, eps) is not None
+        assert per_candidate_entry(fracs, degree + 1, eps) is None
 
 
-# (eps, N) pairs on which the degree-capped sweep is compared with the
-# sweep through 2/eps for every fractional type
-CAP_ORACLE_GRID = [(F(1), 3), (F(1), 6), (F(1, 2), 6), (F(1, 4), 4),
-                   (F(2, 3), 9), (F(1, 8), 6)]
+# (eps, N) pairs on which the sweep by type is compared with the
+# per-candidate oracle, entry by entry and byte by byte
+ORACLE_GRID = [(F(1), 3), (F(1), 6), (F(1, 2), 6), (F(1, 4), 4),
+               (F(2, 3), 9), (F(1, 8), 6), (F(1), 8), (F(1, 4), 7),
+               (F(1, 3), 6), (F(1, 10), 10)]
 
 
-@pytest.mark.parametrize("eps,N", CAP_ORACLE_GRID)
-def test_degree_cap_keeps_every_member(eps, N, monkeypatch):
+@pytest.mark.parametrize("eps,N", ORACLE_GRID)
+def test_sweep_by_type_matches_the_per_candidate_oracle(eps, N):
+    params = SearchParams(epsilon=eps, isotropy_bound=N)
+    entries = enumerate_catalog(params, jobs=1)
+    oracle = per_candidate_catalog(params)
+    assert entries == oracle
+    assert dumps(catalog_to_json(entries, params)) == \
+        dumps(catalog_to_json(oracle, params))
+
+
+@pytest.mark.parametrize("eps,N", [(F(1), 6), (F(2, 5), 5), (F(1, 8), 4)])
+def test_evaluate_candidate_rejects_every_non_member(eps, N, monkeypatch):
+    # through 2/eps for every type, the rejections are _evaluate_candidate's
     params = SearchParams(epsilon=eps, isotropy_bound=N)
     capped = enumerate_catalog(params, jobs=1)
     monkeypatch.setattr(catalog, "_candidate_types", unpruned_candidate_types)
-    full = enumerate_catalog(params, jobs=1)
-    assert capped == full
-    assert dumps(catalog_to_json(capped, params)) == \
-        dumps(catalog_to_json(full, params))
+    assert enumerate_catalog(params, jobs=1) == capped
 
 
 @given(st.data())
-def test_degree_cap_skips_only_rejected_candidates(data):
-    eps = data.draw(st.fractions(min_value=F(1, 8), max_value=1,
-                                 max_denominator=8).filter(lambda e: e > 0))
+def test_mld_cap_is_the_last_degree_the_oracle_accepts(data):
+    # per type, the swept degrees are exactly those the per-candidate
+    # oracle accepts below the central cap (2 - deg B)/eps: a prefix, and
+    # the closed-form cap is its last degree
+    eps = data.draw(st.fractions(min_value=F(1, 10), max_value=1,
+                                 max_denominator=10).filter(lambda e: e > 0))
     params = SearchParams(epsilon=eps,
-                          isotropy_bound=data.draw(st.integers(1, 6)))
-    capped = list(_candidate_types(params))
-    full = list(unpruned_candidate_types(params))
-    kept = set(capped)
-    assert [c for c in full if c in kept] == capped
-    skipped = [c for c in full if c not in kept]
-    assume(skipped)
-    for _ in range(3):
-        fracs, degree = data.draw(st.sampled_from(skipped))
-        assert _evaluate_candidate((fracs, degree, eps)) is None
+                          isotropy_bound=data.draw(st.integers(1, 9)))
+    types = list(_admissible_types(_fractional_coefficients(
+        params.isotropy_bound)))
+    fracs = data.draw(st.sampled_from(types))
+    swept = [d for f, d in _candidate_types(params) if f == fracs]
+    fsum = sum(fracs, F(0))
+    deg_cap = (2 - sum(1 - F(1, f.denominator) for f in fracs)) / eps
+    # degrees fsum + n in (0, deg_cap]
+    degrees = [fsum + n for n in range(floor(-fsum) + 1,
+                                        floor(deg_cap - fsum) + 1)]
+    accepted = [d for d in degrees
+                if per_candidate_entry(fracs, d, eps) is not None]
+    assert swept == accepted
+
+
+def test_admissible_types_are_those_of_the_cubic_scan():
+    for N in (1, 2, 3, 6, 12):
+        coeffs = _fractional_coefficients(N)
+        scan = [()]
+        for k in (1, 2, 3):
+            scan.extend(
+                t for t in itertools.combinations_with_replacement(coeffs, k)
+                if sum(1 - F(1, f.denominator) for f in t) < 2)
+        assert list(_admissible_types(coeffs)) == scan
 
 
 # (eps, N) pairs, N <= 6, on which the catalog is compared with the
@@ -288,14 +324,63 @@ def test_catalog_keeps_canonical_couples_with_thirds():
         assert entries[key].graph.blown_down_vertices == blown_down
 
 
-def test_one_graph_per_candidate_and_per_audited_entry(monkeypatch):
+def test_no_graph_per_candidate_and_one_per_audited_entry(monkeypatch):
     params = SearchParams(epsilon=F(1), isotropy_bound=3)
     calls = count_build_graph(monkeypatch)
     entries = enumerate_catalog(params, jobs=1)
-    assert len(calls) == len(list(_candidate_types(params)))
-    calls.clear()
+    # the sweep solves each chain once per type and builds no star graph
+    assert calls == []
     assert audit_catalog(stored(entries), params).ok
     assert len(calls) == len(entries)
+
+
+def test_audit_exits_1_on_a_repeated_entry(tmp_path, capsys):
+    params = SearchParams(epsilon=F(1), isotropy_bound=3)
+    docs = stored(enumerate_catalog(params))
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"entries": docs + docs[:1]}), encoding="utf-8")
+    code = cli.main(["audit", "--catalog", str(path), "--epsilon", "1",
+                     "--isotropy-bound", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["checked"] == len(docs) + 1
+    assert report["failures"] == [f"entry {docs[0]['key']}: duplicate key"]
+
+
+def tampered_oracle(monkeypatch, tamper):
+    """Route audit's build_graph through tamper(G)."""
+    build = catalog.build_graph
+    monkeypatch.setattr(catalog, "build_graph", lambda C: tamper(build(C)))
+
+
+def test_audit_checks_a_e0_against_the_resolution_oracle(monkeypatch):
+    params = SearchParams(epsilon=F(1), isotropy_bound=2)
+    docs = stored(enumerate_catalog(params))
+
+    def shift_center(G):
+        H = ResolutionGraph(G.central_self_int, G.chains,
+                            (G.discrepancies[0] + 1, *G.discrepancies[1:]),
+                            G.determinant)
+        H.__dict__["mld"] = G.mld       # only the central value is off
+        return H
+
+    tampered_oracle(monkeypatch, shift_center)
+    assert audit_catalog(docs, params).failures == tuple(
+        f"entry {d['key']}: a_e0 disagrees with the resolution oracle"
+        for d in docs)
+
+
+def test_audit_checks_the_mld_against_the_resolution_oracle(monkeypatch):
+    params = SearchParams(epsilon=F(1), isotropy_bound=2)
+    docs = stored(enumerate_catalog(params))
+
+    def raise_mld(G):
+        G.__dict__["mld"] = G.mld + 1
+        return G
+
+    tampered_oracle(monkeypatch, raise_mld)
+    assert audit_catalog(docs, params).failures == tuple(
+        f"entry {d['key']}: mld disagrees with the resolution oracle"
+        for d in docs)
 
 
 def test_audit_refuses_entry_with_four_fractional_points():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conesing import sections
+from conesing import hilbert, sections
 from conesing.catalog import (SearchParams, audit_catalog,
                               couple_from_entry_data, enumerate_catalog)
 from conesing.divisors import (CurveCouple, QDivisorP1, denominators_lcm,
@@ -28,7 +28,8 @@ from conesing.linalg import det_int
 from conesing.quotient import cartier_index_of_kx, vertex_decomposition
 from conesing.resolution import (BlownDownGraph, _chain_continuants,
                                  blow_down, build_graph)
-from conesing.sections import hilbert_series, presentation
+from conesing.hilbert import hilbert_series
+from conesing.sections import presentation
 from helpers import (POSITIONS, brute_min_decomposition, discrepancies,
                      edge_scan_blow_down, fraction_chain_alphas_betas,
                      fraction_vertex_decomposition, h0, intersection_matrix,
@@ -168,7 +169,7 @@ def any_couples(draw):
 @example(CurveCouple.of({POSITIONS[0]: Fraction(-1, 2), POSITIONS[1]: 3,
                          POSITIONS[2]: Fraction(-2, 3)}), 13)
 def test_integer_hilbert_values_match_h0(C, through):
-    assert sections.hilbert_values(C, through) == \
+    assert hilbert.hilbert_values(C, through) == \
         [h0(C, n) for n in range(through + 1)]
 
 

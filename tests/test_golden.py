@@ -12,11 +12,15 @@ After an intended output change, regenerate the files with
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conesing import cli
+from conesing.jsonio import dumps
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COUPLES = ("A1", "A3", "D4", "E6")
@@ -70,6 +74,32 @@ def test_golden_stdout(name):
     code, out = run(CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def json_oracle(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_matches_json_on_every_golden_file():
+    paths = sorted(GOLDEN.rglob("*.json"))
+    assert len(paths) > 40
+    for path in paths:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert dumps(doc) == json_oracle(doc), path.name
+
+
+# documents as json.loads gives them: nested objects and arrays, strings
+# with escapes and non-ASCII text, negative integers, booleans and null
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30)
+
+
+@given(JSON_DOCS)
+def test_dumps_matches_json_on_drawn_documents(doc):
+    assert dumps(doc) == json_oracle(doc)
 
 
 def regenerate(directory=GOLDEN):

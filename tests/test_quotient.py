@@ -4,7 +4,7 @@ import pytest
 
 from conesing.divisors import (CurveCouple, IntegralDivisorP1, finite_point,
                                infinity_point, normal_form, QDivisorP1)
-from conesing.catalog import SearchParams, _build_entry, audit_catalog
+from conesing.catalog import SearchParams, audit_catalog
 from conesing.errors import BadEpsilon, NotKlt, PreconditionError
 from conesing.quotient import (StandardPair, cartier_index_of_kx,
                                curve_log_discrepancy, horizontal_log_discrepancy,
@@ -12,7 +12,7 @@ from conesing.quotient import (StandardPair, cartier_index_of_kx,
                                vertex_log_discrepancy)
 from conesing.resolution import build_graph
 from helpers import (brute_min_decomposition, is_eps_lc_pair, is_log_fano,
-                     random_couples)
+                     per_candidate_entry, random_couples)
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -166,7 +166,8 @@ def test_cartier_index_of_kx():
 
 def audit_failures(C, eps, N):
     """Failures of the catalog audit on the honest entry of C."""
-    entry = _build_entry(C, build_graph(C), normal_form(C).key_string())
+    fracs, degree = normal_form(C).key
+    entry = per_candidate_entry(fracs, degree, F(0))
     params = SearchParams(epsilon=eps, isotropy_bound=N)
     return [f.split(": ", 1)[1]
             for f in audit_catalog([entry.to_json()], params).failures]

@@ -18,7 +18,8 @@ from conesing.errors import PreconditionError
 from conesing.quotient import log_fano_quotient, vertex_decomposition
 from conesing.records import Record
 from conesing.resolution import LatticeCone2, build_graph
-from conesing.sections import Presentation, hilbert_series
+from conesing.hilbert import hilbert_series
+from conesing.sections import Presentation
 from conesing.toric import (ComparisonCheck, ToricDivisor, cone_of_x,
                             fan_projective_space, verify_comparison)
 
@@ -126,10 +127,10 @@ INSTANCES = make_all()
 
 
 def test_every_record_class_is_covered():
-    from conesing import (catalog, counterexamples, divisors, quotient,
-                          resolution, sections, toric)
-    classes = {cls for mod in (catalog, counterexamples, divisors, quotient,
-                               resolution, sections, toric)
+    from conesing import (catalog, counterexamples, divisors, hilbert,
+                          quotient, resolution, sections, toric)
+    classes = {cls for mod in (catalog, counterexamples, divisors, hilbert,
+                               quotient, resolution, sections, toric)
                for cls in vars(mod).values()
                if isinstance(cls, type) and cls.__module__ == mod.__name__
                and issubclass(cls, Record)}

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conesing import linalg, sections
+from conesing import hilbert, linalg, sections
 from conesing.divisors import (CurveCouple, finite_point, infinity_point,
                                label_point)
 from conesing.errors import (BoundTooSmall, InternalInvariantError,
                              PreconditionError)
 from conesing.jsonio import couple_from_json
+from conesing.hilbert import hilbert_series
 from conesing.sections import (SectionSpace, _monomials,
-                               default_presentation_bound, hilbert_series,
-                               presentation)
+                               default_presentation_bound, presentation)
 from helpers import (evaluation_kernel_dims, h0, multiplication_rank,
                      random_couples, scanned_generators)
 
@@ -230,10 +230,10 @@ def test_presentation_certifies_the_kernel_dimension(monkeypatch):
 
 def test_period_above_the_cap_is_a_precondition(monkeypatch):
     C = CurveCouple.of({P0: F(1, 2), P1: F(1, 3)})    # L = 6
-    monkeypatch.setattr(sections, "PERIOD_MAX", 6)
+    monkeypatch.setattr(hilbert, "PERIOD_MAX", 6)
     assert hilbert_series(C).period == 6
     assert presentation(C).generator_degrees
-    monkeypatch.setattr(sections, "PERIOD_MAX", 5)
+    monkeypatch.setattr(hilbert, "PERIOD_MAX", 5)
     for compute in (hilbert_series, presentation):
         with pytest.raises(PreconditionError,
                            match="period L = 6 exceeds PERIOD_MAX = 5"):
@@ -289,7 +289,7 @@ def test_hilbert_values_memory_is_linear_in_through():
     C = CurveCouple.of({finite_point(k): F(2 * k + 1, 7) for k in range(20)})
     tracemalloc.start()
     try:
-        values = sections.hilbert_values(C, 20000)
+        values = hilbert.hilbert_values(C, 20000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

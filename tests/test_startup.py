@@ -41,16 +41,16 @@ HEAVY_STDLIB = {"dataclasses", "inspect"}
 
 BASE = {"cli", "errors"}
 COUPLE = BASE | {"jsonio", "divisors", "records"}
-CATALOG = COUPLE | {"catalog", "quotient", "resolution", "sections"}
+CATALOG = COUPLE | {"catalog", "quotient", "resolution", "hilbert"}
 COMMAND_MODULES = [
     (["--version"], BASE),
     (["describe", "--couple", E6], COUPLE | {"quotient", "resolution",
-                                           "sections"}),
+                                           "hilbert"}),
     (["resolve", "--couple", E6], COUPLE | {"quotient", "resolution"}),
     (["discrepancy", "--couple", E6], COUPLE | {"quotient"}),
-    (["hilbert", "--couple", E6], COUPLE | {"sections"}),
+    (["hilbert", "--couple", E6], COUPLE | {"hilbert"}),
     (["presentation", "--couple", str(GOLDEN / "couples" / "D4.json")],
-     COUPLE | {"quotient", "resolution", "sections", "linalg"}),
+     COUPLE | {"quotient", "resolution", "sections", "hilbert", "linalg"}),
     (["enumerate", "--epsilon", "1", "--isotropy-bound", "3", "--jobs", "1"],
      CATALOG),
     (["mld-set", "--epsilon", "1", "--isotropy-bound", "3", "--jobs", "1"],
@@ -102,11 +102,15 @@ def test_probe_sees_the_standard_library(tmp_path):
 
 def test_command_module_sets_keep_the_heavy_layers_apart():
     loads = {argv[0]: layers for argv, layers in COMMAND_MODULES}
-    layers = {"divisors", "quotient", "resolution", "sections", "linalg",
-              "toric", "catalog", "counterexamples", "jsonio"}
+    layers = {"divisors", "quotient", "resolution", "sections", "hilbert",
+              "linalg", "toric", "catalog", "counterexamples", "jsonio"}
     assert not loads["--version"] & layers
     for command in ("enumerate", "audit"):
         assert not loads[command] & {"toric", "counterexamples", "linalg"}
+    # only presentation compiles the section spaces; the rest that need
+    # the Hilbert series read it from the hilbert module
+    for command in ("enumerate", "audit", "mld-set", "describe", "hilbert"):
+        assert "sections" not in loads[command]
     assert not loads["discrepancy"] & {"resolution", "sections"}
     assert not loads["toric-check"] & {"catalog", "sections", "resolution"}
 
