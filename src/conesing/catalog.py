@@ -63,8 +63,13 @@ class SearchBounds(Record):
                              k_max_effective=k_max_effective)
 
     def to_json(self) -> dict:
-        return {**{f: getattr(self, f) for f in self._fields},
-                "degree_max": fmt_q(self.degree_max)}
+        return {
+            "k_max": self.k_max,
+            "q_min": self.q_min,
+            "q_max": self.q_max,
+            "degree_max": fmt_q(self.degree_max),
+            "k_max_effective": self.k_max_effective,
+        }
 
 
 def search_bounds(params: SearchParams) -> SearchBounds:
@@ -82,8 +87,10 @@ class GraphSummary(Record):
     def __init__(self, center: int, chains: Tuple[Tuple[int, ...], ...],
                  blown_down_vertices: Optional[Tuple[int, ...]]):
         # blown_down_vertices None means smooth
-        self.__dict__.update(center=center, chains=chains,
-                             blown_down_vertices=blown_down_vertices)
+        d = self.__dict__
+        d["center"] = center
+        d["chains"] = chains
+        d["blown_down_vertices"] = blown_down_vertices
 
     def to_json(self) -> dict:
         return {
@@ -107,12 +114,19 @@ class CatalogEntry(Record):
                  hilbert_period: int, embedding_dimension: int,
                  graph: GraphSummary):
         # fractional: (p, q) pairs in canonical order
-        self.__dict__.update(
-            key=key, degree=degree, fractional=fractional, a_e0=a_e0,
-            mld=mld, cartier_index_kx=cartier_index_kx,
-            max_isotropy=max_isotropy, link_determinant=link_determinant,
-            hilbert_numerator=hilbert_numerator, hilbert_period=hilbert_period,
-            embedding_dimension=embedding_dimension, graph=graph)
+        d = self.__dict__
+        d["key"] = key
+        d["degree"] = degree
+        d["fractional"] = fractional
+        d["a_e0"] = a_e0
+        d["mld"] = mld
+        d["cartier_index_kx"] = cartier_index_kx
+        d["max_isotropy"] = max_isotropy
+        d["link_determinant"] = link_determinant
+        d["hilbert_numerator"] = hilbert_numerator
+        d["hilbert_period"] = hilbert_period
+        d["embedding_dimension"] = embedding_dimension
+        d["graph"] = graph
 
     def to_json(self) -> dict:
         return {
@@ -137,10 +151,14 @@ def couple_from_entry_data(fractional, degree: Fraction) -> CurveCouple:
 
 
 def _fractional_coefficients(q_max: int) -> List[Fraction]:
+    out = []
+    for q in range(2, q_max + 1):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                out.append(Fraction(p, q))
     # canonical order: descending value, ties by denominator then numerator
-    return sorted((Fraction(p, q) for q in range(2, q_max + 1)
-                   for p in range(1, q) if gcd(p, q) == 1),
-                  key=lambda f: (-f, f.denominator, f.numerator))
+    out.sort(key=lambda f: (-f, f.denominator, f.numerator))
+    return out
 
 
 def _admissible_types(coeffs: List[Fraction]):

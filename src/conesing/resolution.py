@@ -192,6 +192,9 @@ class ResolutionGraph(Record):
     def size(self) -> int:
         return len(self.discrepancies)
 
+    def log_discrepancies(self) -> Tuple[Fraction, ...]:
+        return tuple(1 + d for d in self.discrepancies)
+
     def self_intersections(self) -> Tuple[int, ...]:
         out = [self.central_self_int]
         for chain in self.chains:

@@ -208,7 +208,7 @@ def test_discrepancy_examples():
     for m in range(2, 9):
         G = build_graph(C({P0: m}))
         assert G.discrepancies == (F(2 - m, m),)
-        assert tuple(1 + d for d in G.discrepancies) == (F(2, m),)
+        assert G.log_discrepancies() == (F(2, m),)
     G = build_graph(C({P0: 2}))
     assert G.discrepancies == (F(0),)
 
