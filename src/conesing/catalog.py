@@ -29,13 +29,13 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import add
 from typing import List, Optional, Tuple
 
 from .divisors import (CurveCouple, canonical_couple, max_isotropy,
                        normal_form)
 from .errors import (CatalogMismatch, InternalInvariantError, NotKlt,
                      ParseError, PreconditionError)
-from .hilbert import PERIOD_MAX
 from .jsonio import fmt_q, json_int, parse_q
 from .quotient import validate_epsilon
 from .records import Record
@@ -205,30 +205,32 @@ def _chain_solve(p: int, q: int):
 def _type_member(fracs: Tuple[Fraction, ...]):
     """member(degree) -> the entry of the type at that degree, whatever
     its mld, from the type's integers, computed on the first call for a
-    type; enumerate and audit clear the cache when they end."""
+    type; enumerate and audit clear the cache when they end.  The setup
+    is linear in the period L = lcm q_i: audit refuses L above PERIOD_MAX
+    first, and a sweep's types have L <= N^2."""
     pairs = tuple((f.numerator, f.denominator) for f in fracs)
     r = len(pairs)
-    deg_b = sum((Fraction(q - 1, q) for _, q in pairs), Fraction(0))
-    if deg_b >= 2:
-        raise NotKlt(f"boundary degree {deg_b} is >= 2")
     L = lcm(*(q for _, q in pairs))
-    if L > PERIOD_MAX:
-        raise PreconditionError(
-            f"period L = {L} exceeds PERIOD_MAX = {PERIOD_MAX}")
+    # 2 - deg B = 2 - r + sum 1/q_i
+    top = Fraction((2 - r) * L + sum(L // q for _, q in pairs), L)
+    if top <= 0:
+        raise NotKlt(f"boundary degree {2 - top} is >= 2")
     solved = [_chain_solve(p, q) for p, q in pairs]
     chains = tuple(chain for chain, _ in solved)
     # (S_v, X_v) over the common denominator L, the centre first
     vertices = ((L, 0), *((s * (L // q), x * (L // q)) for (_, sx), (_, q)
                           in zip(solved, pairs) for s, x in sx))
-    tn, td = (2 - deg_b).numerator, (2 - deg_b).denominator
-    fsum = sum(fracs, Fraction(0))
+    tn, td = top.numerator, top.denominator
+    fsum = Fraction(sum(p * (L // q) for p, q in pairs), L)
     qprod = prod(q for _, q in pairs)
     # h(n) = 1 + n n0 + F(n), F(n) = sum floor(n p_i/q_i), is never
     # clamped at 0 when deg B < 2, so the Hilbert numerator
     # (1 - T)(1 - T^L) sum h(n) T^n is 1 + sum_{k=1..L} (F(k) - F(k-1)
-    # + n0) T^k - T^L
-    F = [sum(k * p // q for p, q in pairs) for k in range(L + 1)]
-    steps = [b - a for a, b in zip(F, F[1:])]
+    # + n0) T^k - T^L; each point's steps repeat with period q
+    steps = [0] * L
+    for p, q in pairs:
+        steps = list(map(add, steps, [k * p // q - (k - 1) * p // q
+                                      for k in range(1, q + 1)] * (L // q)))
     prefix = "f[" + ",".join(str(f) for f in fracs) + "];deg="
     tail = tuple(e for chain in chains for e in chain)
     excess = sum(-e - 2 for e in tail)
@@ -422,6 +424,7 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
     as the oracle of a_e0 and the mld.
     An entry whose isotropy exceeds N is not built.  Malformed defining
     data raises ParseError; everything else is reported, not raised."""
+    from .hilbert import _checked_period
     eps, N = params.epsilon, params.isotropy_bound
     data = [_defining_data(doc) for doc in docs]
     failures = []
@@ -445,6 +448,8 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
         except NotKlt as exc:
             failures.append(f"{tag}: rebuilt couple is not klt ({exc})")
             continue
+        # the Hilbert numerator takes time linear in the period
+        _checked_period(C.divisor)
         e = _type_member(nf.key[0])(nf.key[1])
         rebuilt = e.to_json()
         # the whole entry as canonical text first; field by field only

@@ -124,35 +124,29 @@ def dumps(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) plus a newline, written
     directly: with an indent json runs its pure-Python encoder, while
     this writer escapes strings in C and joins each integer list at once."""
-    out = []
-    _write(obj, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
+    return _text(obj, "\n") + "\n"
 
 
-def _write(obj, newline: str, out) -> None:
-    """Append the text of obj, nested at the indent `newline` carries."""
-    if isinstance(obj, str):
-        return out(_encode_str(obj))
+def _text(obj, newline: str) -> str:
+    """The text of obj, nested at the indent that `newline` carries."""
+    if type(obj) is str:
+        return _encode_str(obj)
     if type(obj) is int:
-        return out(int.__repr__(obj))
+        return int.__repr__(obj)
     if not obj or not isinstance(obj, (list, tuple, dict)):
-        # null, booleans, floats and empty containers: json's own text
-        return out(json.dumps(obj))
+        # null, booleans, floats, empty containers and str or int
+        # subclasses: json's own text
+        return json.dumps(obj)
     inner = newline + "  "
+    sep = "," + inner
     if isinstance(obj, dict):
         # json writes a non-string key as its scalar JSON text
-        items = [(_encode_str(k if isinstance(k, str) else json.dumps(k))
-                  + ": ", v) for k, v in sorted(obj.items())]
-        ends = "{}"
-    elif all(type(x) is int for x in obj):
-        return out("[" + inner + ("," + inner).join(map(int.__repr__, obj))
-                   + newline + "]")
+        body = sep.join([
+            _encode_str(k if isinstance(k, str) else json.dumps(k)) + ": "
+            + _text(v, inner) for k, v in sorted(obj.items())])
+        return "{" + inner + body + newline + "}"
+    if all(type(x) is int for x in obj):
+        body = sep.join(map(int.__repr__, obj))
     else:
-        items, ends = [("", v) for v in obj], "[]"
-    sep = ends[0] + inner
-    for key, value in items:
-        out(sep + key)
-        _write(value, inner, out)
-        sep = "," + inner
-    out(newline + ends[1])
+        body = sep.join([_text(x, inner) for x in obj])
+    return "[" + inner + body + newline + "]"

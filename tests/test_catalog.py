@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conesing import catalog, cli
+from conesing import catalog, cli, hilbert
 from conesing.catalog import (MIN_CANDIDATES_PER_WORKER, SearchParams,
                               _admissible_types, _candidate_types,
                               _evaluate_candidate, _fractional_coefficients,
@@ -458,6 +458,19 @@ def test_audit_flags_missing_and_extra_fields():
     extra = {**victim, "note": 1}
     assert audit_catalog([extra], params).failures == (
         f"entry {victim['key']}: stored note 1 is wrong",)
+
+
+def test_audit_refuses_a_period_above_the_cap(monkeypatch):
+    # the rebuilt Hilbert numerator takes time linear in the period, so
+    # audit refuses it before the type is built, as hilbert_series does
+    params = SearchParams(epsilon=F(1), isotropy_bound=3)
+    docs = [d for d in stored(enumerate_catalog(params))
+            if d["fractional"] == [[1, 2], [1, 3]]]
+    assert docs and audit_catalog(docs, params).ok
+    monkeypatch.setattr(hilbert, "PERIOD_MAX", 5)
+    with pytest.raises(PreconditionError,
+                       match="period L = 6 exceeds PERIOD_MAX = 5"):
+        audit_catalog(docs, params)
 
 
 @pytest.mark.parametrize("doc", [

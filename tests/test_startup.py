@@ -41,7 +41,7 @@ HEAVY_STDLIB = {"dataclasses", "inspect"}
 
 BASE = {"cli", "errors"}
 COUPLE = BASE | {"jsonio", "divisors", "records"}
-CATALOG = COUPLE | {"catalog", "quotient", "resolution", "hilbert"}
+CATALOG = COUPLE | {"catalog", "quotient", "resolution"}
 COMMAND_MODULES = [
     (["--version"], BASE),
     (["describe", "--couple", E6], COUPLE | {"quotient", "resolution",
@@ -56,7 +56,7 @@ COMMAND_MODULES = [
     (["mld-set", "--epsilon", "1", "--isotropy-bound", "3", "--jobs", "1"],
      CATALOG),
     (["audit", "--catalog", str(GOLDEN / "enumerate_eps1_N3.json"),
-      "--epsilon", "1", "--isotropy-bound", "3"], CATALOG),
+      "--epsilon", "1", "--isotropy-bound", "3"], CATALOG | {"hilbert"}),
     (["toric-check", "--fan", str(GOLDEN / "fans" / "P3.json"),
       "--divisor", str(GOLDEN / "fans" / "P3.divisor.json")],
      COUPLE | {"toric", "linalg"}),
