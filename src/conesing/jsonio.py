@@ -127,26 +127,33 @@ def dumps(obj) -> str:
     return _text(obj, "\n") + "\n"
 
 
+# the text json gives each exact scalar type
+_SCALARS = {str: _encode_str, int: int.__repr__,
+            type(None): lambda _: "null", bool: lambda b: "true" if b else "false"}
+
+
 def _text(obj, newline: str) -> str:
-    """The text of obj, nested at the indent that `newline` carries."""
-    if type(obj) is str:
-        return _encode_str(obj)
-    if type(obj) is int:
-        return int.__repr__(obj)
+    """The text of obj, nested at the indent that `newline` carries;
+    scalar members are written in place, without a call of their own."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
     if not obj or not isinstance(obj, (list, tuple, dict)):
-        # null, booleans, floats, empty containers and str or int
-        # subclasses: json's own text
+        # floats, empty containers and str or int subclasses
         return json.dumps(obj)
     inner = newline + "  "
     sep = "," + inner
+    get = _SCALARS.get
     if isinstance(obj, dict):
         # json writes a non-string key as its scalar JSON text
         body = sep.join([
             _encode_str(k if isinstance(k, str) else json.dumps(k)) + ": "
-            + _text(v, inner) for k, v in sorted(obj.items())])
+            + (f(v) if (f := get(type(v))) else _text(v, inner))
+            for k, v in sorted(obj.items())])
         return "{" + inner + body + newline + "}"
     if all(type(x) is int for x in obj):
         body = sep.join(map(int.__repr__, obj))
     else:
-        body = sep.join([_text(x, inner) for x in obj])
+        body = sep.join([f(v) if (f := get(type(v))) else _text(v, inner)
+                         for v in obj])
     return "[" + inner + body + newline + "]"

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import floor
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conesing import catalog, cli, hilbert
@@ -204,13 +204,39 @@ def test_sweep_by_type_matches_the_per_candidate_oracle(eps, N):
         dumps(catalog_to_json(oracle, params))
 
 
-@pytest.mark.parametrize("eps,N", [(F(1), 6), (F(2, 5), 5), (F(1, 8), 4)])
-def test_evaluate_candidate_rejects_every_non_member(eps, N, monkeypatch):
-    # through 2/eps for every type, the rejections are _evaluate_candidate's
+# (eps, N) pairs on which the degree-capped sweep is compared with the
+# sweep through 2/eps for every fractional type
+CAP_ORACLE_GRID = [(F(1), 3), (F(1), 6), (F(1, 2), 6), (F(1, 4), 4),
+                   (F(2, 3), 9), (F(1, 8), 6)]
+
+
+@pytest.mark.parametrize("eps,N", CAP_ORACLE_GRID)
+def test_degree_cap_keeps_every_member(eps, N, monkeypatch):
     params = SearchParams(epsilon=eps, isotropy_bound=N)
     capped = enumerate_catalog(params, jobs=1)
     monkeypatch.setattr(catalog, "_candidate_types", unpruned_candidate_types)
-    assert enumerate_catalog(params, jobs=1) == capped
+    full = enumerate_catalog(params, jobs=1)
+    assert capped == full
+    assert dumps(catalog_to_json(capped, params)) == \
+        dumps(catalog_to_json(full, params))
+
+
+@given(st.data())
+def test_degree_cap_skips_only_rejected_candidates(data):
+    eps = data.draw(st.fractions(min_value=F(1, 8), max_value=1,
+                                 max_denominator=8).filter(lambda e: e > 0))
+    params = SearchParams(epsilon=eps,
+                          isotropy_bound=data.draw(st.integers(1, 6)))
+    capped = list(_candidate_types(params))
+    full = list(unpruned_candidate_types(params))
+    kept = set(capped)
+    assert [c for c in full if c in kept] == capped
+    skipped = [c for c in full if c not in kept]
+    assume(skipped)
+    for _ in range(3):
+        fracs, degree = data.draw(st.sampled_from(skipped))
+        assert _evaluate_candidate((fracs, degree, eps)) is None
+        assert per_candidate_entry(fracs, degree, eps) is None
 
 
 @given(st.data())
