@@ -94,8 +94,8 @@ def _discrepancy_doc(C) -> dict:
 
 def cmd_describe(args) -> int:
     from .divisors import max_isotropy
-    from .jsonio import divisor_to_json, fmt_q
     from .hilbert import hilbert_series
+    from .jsonio import divisor_to_json, fmt_q
     from .resolution import build_graph
     C = _load_couple(args.couple)
     doc = _discrepancy_doc(C)
