@@ -323,30 +323,35 @@ def _evaluate_candidate(args):
     return entry if entry.mld >= eps else None
 
 
-# A process pool pays only when each worker gets at least this many
-# candidates.  Measured on a 2-CPU x86-64 host: a member takes 35-90 us
-# to build and about 45 us to pickle back, so 2 workers lost at every
-# size tried, up to (1/1000, 3): 12,501 candidates in 0.51-0.70 s
-# in-process against 0.90-1.5 s.
-MIN_CANDIDATES_PER_WORKER = 1 << 14
+# A type's setup is the work worth sharing; a member takes about as long
+# to build as to pickle back from a worker.  On a 2-CPU x86-64 host, 2
+# workers took 0.76-1.02 times the in-process time on each of the 11
+# sweeps measured where half the candidates open a type and there are
+# 2,048 types or more, from (1/4, 20) to (1, 80), and 1.3-1.6 times on
+# (1/30, 20) and (1/3000, 3), where few candidates open a type.
+MIN_TYPES_PER_WORKER = 1024
 
 
-def _worker_count(jobs: int, candidates: int) -> int:
-    """At most jobs workers, each with MIN_CANDIDATES_PER_WORKER
-    candidates or more; 1 means in-process."""
-    return max(1, min(jobs, candidates // MIN_CANDIDATES_PER_WORKER))
+def _worker_count(jobs: int, candidates: int, types: int) -> int:
+    """At most jobs workers, each with MIN_TYPES_PER_WORKER types or
+    more, and none unless half the candidates open a type; 1 means
+    in-process."""
+    if 2 * types < candidates:
+        return 1
+    return max(1, min(jobs, types // MIN_TYPES_PER_WORKER))
 
 
 def enumerate_catalog(params: SearchParams, jobs: int = 1) -> List[CatalogEntry]:
     """The catalog at params.  jobs bounds the worker processes; a sweep
-    too small to pay for a pool runs in-process."""
+    that a pool does not pay for runs in-process."""
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise PreconditionError(f"jobs {jobs} is outside 1..{cpus} "
                                 "(the CPU count)")
     cands = [(fracs, degree, params.epsilon)
              for fracs, degree in _candidate_types(params)]
-    workers = _worker_count(jobs, len(cands))
+    # _candidate_types yields one tuple per type, so its identity names it
+    workers = _worker_count(jobs, len(cands), len({id(c[0]) for c in cands}))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:

@@ -241,8 +241,7 @@ class ResolutionGraph(Record):
             if raw != 2:
                 raise InternalNonIntegral(f"smooth cone with graph minimum {raw}")
             return Fraction(2)
-        if len(bd.surviving) < len(disc) and \
-                1 + min(disc[v] for v in bd.surviving) != raw:
+        if 1 + min(disc[v] for v in bd.surviving) != raw:
             raise InternalNonIntegral("blow-down changed the graph minimum")
         return raw
 
@@ -388,14 +387,11 @@ def blow_down(G: ResolutionGraph) -> BlownDownGraph:
     become a new (-1)-vertex; a heap holds the candidates, and a vertex
     that has since left -1 is skipped when it comes up."""
     selfints = list(G.self_intersections())
-    heap = [v for v, e in enumerate(selfints) if e == -1]
-    if not heap:
-        return BlownDownGraph(tuple(selfints), tuple(sorted(G.edges())),
-                              tuple(range(len(selfints))))
     nbrs: List[Dict[int, int]] = [{} for _ in selfints]     # neighbour -> weight
     for i, j in G.edges():
         nbrs[i][j] = nbrs[j][i] = 1
     alive = [True] * len(selfints)
+    heap = [v for v, e in enumerate(selfints) if e == -1]
     heapify(heap)
     while heap:
         target = heappop(heap)

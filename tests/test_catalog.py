@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conesing import catalog, cli, hilbert
-from conesing.catalog import (MIN_CANDIDATES_PER_WORKER, SearchParams,
+from conesing.catalog import (MIN_TYPES_PER_WORKER, SearchParams,
                               _admissible_types, _candidate_types,
                               _evaluate_candidate, _fractional_coefficients,
                               _worker_count, audit_catalog, catalog_to_json,
@@ -127,21 +127,28 @@ def test_catalog_determinism():
 
 
 def test_worker_count_sizing():
-    # the benchmark's sweeps and every sweep the pool was measured on run
-    # in-process for any job count
+    # the benchmark's sweeps and the measured sweeps on which two workers
+    # lost run in-process for any job count
     for eps, N in ((F(1), 6), (F(1, 2), 6), (F(1, 4), 4), (F(1, 8), 6),
-                   (F(1, 10), 10), (F(1, 1000), 3)):
-        count = len(list(_candidate_types(SearchParams(eps, N))))
-        assert count < MIN_CANDIDATES_PER_WORKER
-        assert _worker_count(2, count) == 1
-        assert _worker_count(64, count) == 1
-    # (1/8, 6) has 430 members, all of them candidates
-    assert len(list(_candidate_types(SearchParams(F(1, 8), 6)))) == 430
-    K = MIN_CANDIDATES_PER_WORKER
-    assert _worker_count(4, 2 * K - 1) == 1
-    assert _worker_count(4, 2 * K) == 2
-    assert _worker_count(4, 100 * K) == 4
-    assert _worker_count(1, 100 * K) == 1
+                   (F(1, 10), 10), (F(1, 1000), 3), (F(1), 30),
+                   (F(1, 30), 20)):
+        cands = list(_candidate_types(SearchParams(eps, N)))
+        types = len({fracs for fracs, _ in cands})
+        assert _worker_count(2, len(cands), types) == 1
+        assert _worker_count(64, len(cands), types) == 1
+    # (1/2, 30), on which two workers won: 2,733 types of 2,827 candidates
+    cands = list(_candidate_types(SearchParams(F(1, 2), 30)))
+    types = len({fracs for fracs, _ in cands})
+    assert (len(cands), types) == (2827, 2733)
+    assert _worker_count(2, len(cands), types) == 2
+    assert _worker_count(1, len(cands), types) == 1
+    K = MIN_TYPES_PER_WORKER
+    assert _worker_count(4, 2 * K, 2 * K - 1) == 1
+    assert _worker_count(4, 2 * K, 2 * K) == 2
+    assert _worker_count(4, 100 * K, 100 * K) == 4
+    assert _worker_count(1, 100 * K, 100 * K) == 1
+    # fewer than half the candidates open a type
+    assert _worker_count(4, 200 * K + 1, 100 * K) == 1
 
 
 @TWO_CPUS
@@ -154,18 +161,20 @@ def test_parallel_enumeration_matches_serial(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    # a pool pays for no sweep that runs in seconds, so the threshold is
-    # lowered to send (1/8, 6), 430 candidates, through two workers
-    monkeypatch.setattr(catalog, "MIN_CANDIDATES_PER_WORKER", 128)
-    params = SearchParams(epsilon=F(1, 8), isotropy_bound=6)
+    # the threshold is lowered to send (1, 12), 195 types of 207
+    # candidates, through two workers
+    monkeypatch.setattr(catalog, "MIN_TYPES_PER_WORKER", 64)
+    params = SearchParams(epsilon=F(1), isotropy_bound=12)
     serial = enumerate_catalog(params, jobs=1)
     assert pools == []
     parallel = enumerate_catalog(params, jobs=2)
     assert pools == [2]
     assert serial == parallel
-    # a sweep below the pool size runs in-process whatever jobs says
-    small = SearchParams(epsilon=F(1), isotropy_bound=6)
-    assert enumerate_catalog(small, jobs=2) == enumerate_catalog(small, jobs=1)
+    # a sweep with too few types, or with most candidates in types
+    # opened before, runs in-process whatever jobs says
+    for eps, N in ((F(1), 6), (F(1, 8), 6)):
+        small = SearchParams(epsilon=eps, isotropy_bound=N)
+        assert enumerate_catalog(small, jobs=2) == enumerate_catalog(small, jobs=1)
     assert pools == [2]
 
 
