@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -162,23 +161,25 @@ def _fractional_coefficients(q_max: int) -> List[Fraction]:
 
 
 def _admissible_types(coeffs: List[Fraction]):
-    """The types with deg B < 2, in combinations_with_replacement order.
-    A triple with 1/q_1 + 1/q_2 + 1/q_3 > 1 holds a 1/2, and its other
-    denominators are 2 and any, or 3 and one of 3..5: O(len(coeffs))
-    triples, not a cubic scan."""
+    """The types with deg B < 2 as index tuples into coeffs, in
+    combinations_with_replacement order.  A triple with
+    1/q_1 + 1/q_2 + 1/q_3 > 1 holds a 1/2, and its other denominators are
+    2 and any, or 3 and one of 3..5: O(len(coeffs)) triples, not a cubic
+    scan."""
+    indices = range(len(coeffs))
     yield ()
-    yield from itertools.combinations_with_replacement(coeffs, 1)
-    yield from itertools.combinations_with_replacement(coeffs, 2)
+    yield from itertools.combinations_with_replacement(indices, 1)
+    yield from itertools.combinations_with_replacement(indices, 2)
     if Fraction(1, 2) not in coeffs:
         return
     h = coeffs.index(Fraction(1, 2))
     small = [i for i, f in enumerate(coeffs) if f.denominator <= 5]
-    triples = {tuple(sorted((h, h, i))) for i in range(len(coeffs))}
+    triples = {tuple(sorted((h, h, i))) for i in indices}
     triples.update(tuple(sorted((h, i, j))) for i in small for j in small)
     for triple in sorted(triples):
         q1, q2, q3 = (coeffs[i].denominator for i in triple)
         if q2 * q3 + q1 * q3 + q1 * q2 > q1 * q2 * q3:
-            yield tuple(coeffs[i] for i in triple)
+            yield triple
 
 
 @lru_cache(maxsize=None)
@@ -284,10 +285,11 @@ def _candidate_types(params: SearchParams):
     """(type, degree) for every member: each admissible type through its
     mld cap, 2 - deg B times the least of 1/eps (from a_e0 >= eps) and,
     where X_v < eps q, S_v/(eps q - X_v) (from a_v >= eps).  Integer
-    pairs keep the O(k^2) types of k coefficients cheap."""
+    pairs looked up by coefficient index keep the O(k^2) types of k
+    coefficients cheap; only a type with members gets its Fractions."""
     en, ed = params.epsilon.numerator, params.epsilon.denominator
     coeffs = _fractional_coefficients(search_bounds(params).q_max)
-    point = {}
+    points = []
     for f in coeffs:
         p, q = f.numerator, f.denominator
         cn, cd = ed, en                     # the factor cn/cd, first 1/eps
@@ -295,18 +297,21 @@ def _candidate_types(params: SearchParams):
             gap = en * q - x * ed           # (eps q - X_v) ed
             if gap > 0 and s * ed * cd < cn * gap:
                 cn, cd = s * ed, gap
-        point[f] = (p, q, cn, cd)
-    for fracs in _admissible_types(coeffs):
+        points.append((p, q, cn, cd))
+    for indices in _admissible_types(coeffs):
         P, R, Q = 0, 0, 1                   # fsum = P/Q, sum 1/q_i = R/Q
         cn, cd = ed, en
-        for f in fracs:
-            p, q, a, b = point[f]
+        for i in indices:
+            p, q, a, b = points[i]
             P, R, Q = P * q + p * Q, R * q + Q, Q * q
             if a * cd < cn * b:
                 cn, cd = a, b
-        top = (2 - len(fracs)) * Q + R      # (2 - deg B) Q
+        top = (2 - len(indices)) * Q + R    # (2 - deg B) Q
         # degrees P/Q + n in (0, cap]
         lo, hi = -P // Q + 1, (top * cn - P * cd) // (Q * cd)
+        if lo > hi:
+            continue
+        fracs = tuple(coeffs[i] for i in indices)
         fsum = Fraction(P, Q)
         for n in range(lo, hi + 1):
             yield fracs, fsum + n
@@ -323,50 +328,26 @@ def _evaluate_candidate(args):
     return entry if entry.mld >= eps else None
 
 
-# A type's setup is the work worth sharing; a member takes about as long
-# to build as to pickle back from a worker.  On a 2-CPU x86-64 host, 2
-# workers took 0.76-1.02 times the in-process time on each of the 11
-# sweeps measured where half the candidates open a type and there are
-# 2,048 types or more, from (1/4, 20) to (1, 80), and 1.3-1.6 times on
-# (1/30, 20) and (1/3000, 3), where few candidates open a type.
-MIN_TYPES_PER_WORKER = 1024
-
-
-def _worker_count(jobs: int, candidates: int, types: int) -> int:
-    """At most jobs workers, each with MIN_TYPES_PER_WORKER types or
-    more, and none unless half the candidates open a type; 1 means
-    in-process."""
-    if 2 * types < candidates:
-        return 1
-    return max(1, min(jobs, types // MIN_TYPES_PER_WORKER))
-
-
-def enumerate_catalog(params: SearchParams, jobs: int = 1) -> List[CatalogEntry]:
-    """The catalog at params.  jobs bounds the worker processes; a sweep
-    that a pool does not pay for runs in-process."""
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise PreconditionError(f"jobs {jobs} is outside 1..{cpus} "
-                                "(the CPU count)")
-    cands = [(fracs, degree, params.epsilon)
-             for fracs, degree in _candidate_types(params)]
-    # _candidate_types yields one tuple per type, so its identity names it
-    workers = _worker_count(jobs, len(cands), len({id(c[0]) for c in cands}))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_evaluate_candidate, cands, chunksize=256))
-    else:
-        results = [_evaluate_candidate(c) for c in cands]
-    _type_member.cache_clear()
+def enumerate_catalog(params: SearchParams) -> List[CatalogEntry]:
+    """The catalog at params, ordered by degree, then key.  The sweep
+    always runs in this process; the CLI's --jobs is range-checked for
+    compatibility and changes nothing."""
+    eps = params.epsilon
     seen = {}
-    for e in results:
-        if e is None:
-            continue
-        if e.key in seen:
-            raise CatalogMismatch(f"duplicate catalog key {e.key}")
-        seen[e.key] = e
-    return sorted(seen.values(), key=lambda e: (e.degree, e.key))
+    try:
+        for fracs, degree in _candidate_types(params):
+            e = _evaluate_candidate((fracs, degree, eps))
+            if e is None:
+                continue
+            if e.key in seen:
+                raise CatalogMismatch(f"duplicate catalog key {e.key}")
+            seen[e.key] = e
+    finally:
+        _type_member.cache_clear()
+    # degrees over their common denominator M compare as integers
+    M = lcm(*(e.degree.denominator for e in seen.values()))
+    return sorted(seen.values(), key=lambda e: (
+        e.degree.numerator * (M // e.degree.denominator), e.key))
 
 
 def mld_spectrum(entries) -> Tuple[Fraction, ...]:
@@ -428,7 +409,9 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
     necessary conditions of membership, with each couple's own star graph
     as the oracle of a_e0 and the mld.
     An entry whose isotropy exceeds N is not built.  Malformed defining
-    data raises ParseError; everything else is reported, not raised."""
+    data raises ParseError, and a period lcm q_i above PERIOD_MAX raises
+    PreconditionError before its type is built; everything else is
+    reported, not raised."""
     from .hilbert import _checked_period
     eps, N = params.epsilon, params.isotropy_bound
     data = [_defining_data(doc) for doc in docs]

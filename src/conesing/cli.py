@@ -4,6 +4,8 @@ All output is JSON with rationals as reduced "p/q" strings and a
 top-level schema tag.  Exit codes: 0 success, 1 verification failure,
 2 parse error, 3 precondition violation, 4 internal invariant breach
 (never expected).  CONESING_SEED overrides the default sampling seed.
+Every command runs in one process: `enumerate` and `mld-set` accept and
+range-check `--jobs` for compatibility, and it changes nothing.
 
 Each handler imports the layers it runs in its own body, so a command
 loads only its own modules.  `--version` alone, and a subcommand with
@@ -176,10 +178,20 @@ def _search_params(args) -> SearchParams:
                         isotropy_bound=args.isotropy_bound)
 
 
+def _check_jobs(jobs: int) -> None:
+    """Refuse --jobs outside 1..os.cpu_count().  The sweep always runs
+    in one process; the flag is kept, and checked, for compatibility."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise PreconditionError(f"jobs {jobs} is outside 1..{cpus} "
+                                "(the CPU count)")
+
+
 def cmd_enumerate(args) -> int:
     from .catalog import catalog_to_json, enumerate_catalog, search_bounds
     params = _search_params(args)
-    entries = enumerate_catalog(params, jobs=args.jobs)
+    _check_jobs(args.jobs)
+    entries = enumerate_catalog(params)
     doc = catalog_to_json(entries, params)
     doc["bounds"] = search_bounds(params).to_json()
     _emit(doc, args.out)
@@ -189,7 +201,8 @@ def cmd_enumerate(args) -> int:
 def cmd_mld_set(args) -> int:
     from .catalog import catalog_to_json, enumerate_catalog
     params = _search_params(args)
-    catalog = catalog_to_json(enumerate_catalog(params, jobs=args.jobs), params)
+    _check_jobs(args.jobs)
+    catalog = catalog_to_json(enumerate_catalog(params), params)
     _emit({"params": catalog["params"], **catalog["summary"]}, args.out)
     return 0
 

@@ -1,7 +1,5 @@
-import concurrent.futures
 import itertools
 import json
-import os
 from fractions import Fraction
 from math import floor
 
@@ -10,12 +8,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conesing import catalog, cli, hilbert
-from conesing.catalog import (MIN_TYPES_PER_WORKER, SearchParams,
-                              _admissible_types, _candidate_types,
-                              _evaluate_candidate, _fractional_coefficients,
-                              _worker_count, audit_catalog, catalog_to_json,
-                              couple_from_entry_data, enumerate_catalog,
-                              mld_spectrum, search_bounds)
+from conesing.catalog import (SearchParams, _admissible_types,
+                              _candidate_types, _evaluate_candidate,
+                              _fractional_coefficients, audit_catalog,
+                              catalog_to_json, couple_from_entry_data,
+                              enumerate_catalog, mld_spectrum, search_bounds)
 from conesing.divisors import normal_form
 from conesing.errors import BadEpsilon, ParseError, PreconditionError
 from conesing.jsonio import dumps
@@ -25,9 +22,6 @@ from helpers import (count_build_graph, graph_side_catalog, key_string,
                      unpruned_candidate_types)
 
 F = Fraction
-# jobs above os.cpu_count() is a precondition error by contract
-TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                              reason="jobs=2 needs at least two CPUs")
 
 
 def stored(entries):
@@ -126,58 +120,6 @@ def test_catalog_determinism():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_worker_count_sizing():
-    # the benchmark's sweeps and the measured sweeps on which two workers
-    # lost run in-process for any job count
-    for eps, N in ((F(1), 6), (F(1, 2), 6), (F(1, 4), 4), (F(1, 8), 6),
-                   (F(1, 10), 10), (F(1, 1000), 3), (F(1), 30),
-                   (F(1, 30), 20)):
-        cands = list(_candidate_types(SearchParams(eps, N)))
-        types = len({fracs for fracs, _ in cands})
-        assert _worker_count(2, len(cands), types) == 1
-        assert _worker_count(64, len(cands), types) == 1
-    # (1/2, 30), on which two workers won: 2,733 types of 2,827 candidates
-    cands = list(_candidate_types(SearchParams(F(1, 2), 30)))
-    types = len({fracs for fracs, _ in cands})
-    assert (len(cands), types) == (2827, 2733)
-    assert _worker_count(2, len(cands), types) == 2
-    assert _worker_count(1, len(cands), types) == 1
-    K = MIN_TYPES_PER_WORKER
-    assert _worker_count(4, 2 * K, 2 * K - 1) == 1
-    assert _worker_count(4, 2 * K, 2 * K) == 2
-    assert _worker_count(4, 100 * K, 100 * K) == 4
-    assert _worker_count(1, 100 * K, 100 * K) == 1
-    # fewer than half the candidates open a type
-    assert _worker_count(4, 200 * K + 1, 100 * K) == 1
-
-
-@TWO_CPUS
-def test_parallel_enumeration_matches_serial(monkeypatch):
-    pools = []
-
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    # the threshold is lowered to send (1, 12), 195 types of 207
-    # candidates, through two workers
-    monkeypatch.setattr(catalog, "MIN_TYPES_PER_WORKER", 64)
-    params = SearchParams(epsilon=F(1), isotropy_bound=12)
-    serial = enumerate_catalog(params, jobs=1)
-    assert pools == []
-    parallel = enumerate_catalog(params, jobs=2)
-    assert pools == [2]
-    assert serial == parallel
-    # a sweep with too few types, or with most candidates in types
-    # opened before, runs in-process whatever jobs says
-    for eps, N in ((F(1), 6), (F(1, 8), 6)):
-        small = SearchParams(epsilon=eps, isotropy_bound=N)
-        assert enumerate_catalog(small, jobs=2) == enumerate_catalog(small, jobs=1)
-    assert pools == [2]
-
-
 def test_degree_cap_is_inclusive():
     # the A1 cone xy = z^2 (degree 2, no fractional points) has
     # a_e0 = mld = 1, so at eps = 1 it sits exactly on the cap 2/eps
@@ -206,7 +148,7 @@ ORACLE_GRID = [(F(1), 3), (F(1), 6), (F(1, 2), 6), (F(1, 4), 4),
 @pytest.mark.parametrize("eps,N", ORACLE_GRID)
 def test_sweep_by_type_matches_the_per_candidate_oracle(eps, N):
     params = SearchParams(epsilon=eps, isotropy_bound=N)
-    entries = enumerate_catalog(params, jobs=1)
+    entries = enumerate_catalog(params)
     oracle = per_candidate_catalog(params)
     assert entries == oracle
     assert dumps(catalog_to_json(entries, params)) == \
@@ -222,9 +164,9 @@ CAP_ORACLE_GRID = [(F(1), 3), (F(1), 6), (F(1, 2), 6), (F(1, 4), 4),
 @pytest.mark.parametrize("eps,N", CAP_ORACLE_GRID)
 def test_degree_cap_keeps_every_member(eps, N, monkeypatch):
     params = SearchParams(epsilon=eps, isotropy_bound=N)
-    capped = enumerate_catalog(params, jobs=1)
+    capped = enumerate_catalog(params)
     monkeypatch.setattr(catalog, "_candidate_types", unpruned_candidate_types)
-    full = enumerate_catalog(params, jobs=1)
+    full = enumerate_catalog(params)
     assert capped == full
     assert dumps(catalog_to_json(capped, params)) == \
         dumps(catalog_to_json(full, params))
@@ -257,9 +199,9 @@ def test_mld_cap_is_the_last_degree_the_oracle_accepts(data):
                                  max_denominator=10).filter(lambda e: e > 0))
     params = SearchParams(epsilon=eps,
                           isotropy_bound=data.draw(st.integers(1, 9)))
-    types = list(_admissible_types(_fractional_coefficients(
-        params.isotropy_bound)))
-    fracs = data.draw(st.sampled_from(types))
+    coeffs = _fractional_coefficients(params.isotropy_bound)
+    fracs = data.draw(st.sampled_from(
+        [tuple(coeffs[i] for i in t) for t in _admissible_types(coeffs)]))
     swept = [d for f, d in _candidate_types(params) if f == fracs]
     fsum = sum(fracs, F(0))
     deg_cap = (2 - sum(1 - F(1, f.denominator) for f in fracs)) / eps
@@ -279,7 +221,8 @@ def test_admissible_types_are_those_of_the_cubic_scan():
             scan.extend(
                 t for t in itertools.combinations_with_replacement(coeffs, k)
                 if sum(1 - F(1, f.denominator) for f in t) < 2)
-        assert list(_admissible_types(coeffs)) == scan
+        assert [tuple(coeffs[i] for i in t)
+                for t in _admissible_types(coeffs)] == scan
 
 
 # (eps, N) pairs, N <= 6, on which the catalog is compared with the
@@ -294,7 +237,7 @@ def test_catalog_equals_graph_side_enumeration(eps, N):
     # audit checks the entries a catalog holds; this is the check that
     # none is missing: the same keys, each with the same mld
     params = SearchParams(epsilon=eps, isotropy_bound=N)
-    entries = enumerate_catalog(params, jobs=1)
+    entries = enumerate_catalog(params)
     graph_side = graph_side_catalog(eps, N)
     assert {e.key: e.mld for e in entries} == graph_side
     assert mld_spectrum(entries) == tuple(sorted(set(graph_side.values())))
@@ -334,13 +277,12 @@ def test_audit_reports_entry_rebuilt_to_non_klt_couple():
     assert all(f.startswith(f"entry {bad.key}:") for f in report.failures)
 
 
-@TWO_CPUS
 @pytest.mark.parametrize("eps,N,count", [
     (F(1), 3, 15), (F(1), 6, 51), (F(1, 2), 6, 88), (F(1, 4), 4, 85),
 ])
 def test_catalog_counts(eps, N, count):
     params = SearchParams(epsilon=eps, isotropy_bound=N)
-    entries = enumerate_catalog(params, jobs=2)
+    entries = enumerate_catalog(params)
     assert len(entries) == count
     assert audit_catalog(stored(entries), params).ok
 
@@ -362,7 +304,7 @@ def test_catalog_keeps_canonical_couples_with_thirds():
 def test_no_graph_per_candidate_and_one_per_audited_entry(monkeypatch):
     params = SearchParams(epsilon=F(1), isotropy_bound=3)
     calls = count_build_graph(monkeypatch)
-    entries = enumerate_catalog(params, jobs=1)
+    entries = enumerate_catalog(params)
     # the sweep solves each chain once per type and builds no star graph
     assert calls == []
     assert audit_catalog(stored(entries), params).ok

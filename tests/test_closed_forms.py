@@ -281,6 +281,6 @@ def test_catalog_never_runs_the_generator_scan(monkeypatch):
             monkeypatch.setattr(mod, "presentation", refuse)
     assert sections.presentation is refuse
     params = SearchParams(epsilon=Fraction(1, 2), isotropy_bound=4)
-    entries = enumerate_catalog(params, jobs=1)
+    entries = enumerate_catalog(params)
     assert len(entries) == 40
     assert audit_catalog([e.to_json() for e in entries], params).ok

@@ -101,10 +101,10 @@ def test_layout_scan_flags_an_unused_import(tmp_path, monkeypatch):
     assert unused_imports() == ["toric.rref", "toric.osp"]
 
 
-
-def dataclass_importers():
-    """Modules in src/ that import the dataclasses module anywhere."""
-    importers = []
+def importers(modules):
+    """Modules in src/ that import any of the named top-level modules
+    anywhere."""
+    found = []
     for path in sorted(SRC.glob("*.py")):
         for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(sub, ast.Import):
@@ -113,15 +113,19 @@ def dataclass_importers():
                 names = [sub.module or ""]
             else:
                 continue
-            if any(n.split(".")[0] == "dataclasses" for n in names):
-                importers.append(path.stem)
-    return importers
+            if any(n.split(".")[0] in modules for n in names):
+                found.append(path.stem)
+    return found
+
+
+# the catalog sweep and every other command run in one process
+ONE_PROCESS = ("concurrent", "multiprocessing", "threading")
 
 
 def test_src_does_not_import_dataclasses():
     # importing dataclasses loads inspect, ast, dis and tokenize on every
     # launch; records.Record gives the value semantics without them
-    assert dataclass_importers() == []
+    assert importers(("dataclasses",)) == []
 
 
 def test_layout_scan_flags_a_dataclasses_import(tmp_path, monkeypatch):
@@ -131,4 +135,23 @@ def test_layout_scan_flags_a_dataclasses_import(tmp_path, monkeypatch):
     with open(tmp_path / "catalog.py", "a", encoding="utf-8") as fh:
         fh.write("\n\ndef later():\n    from dataclasses import dataclass\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
-    assert dataclass_importers() == ["catalog"]
+    assert importers(("dataclasses",)) == ["catalog"]
+
+
+def test_src_does_not_import_a_pool():
+    assert importers(ONE_PROCESS) == []
+
+
+def test_layout_scan_flags_a_pool_import(tmp_path, monkeypatch):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    with open(tmp_path / "catalog.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef later():\n"
+                 "    from concurrent.futures import ProcessPoolExecutor\n")
+    with open(tmp_path / "cli.py", "a", encoding="utf-8") as fh:
+        fh.write("\nimport multiprocessing.pool\n")
+    with open(tmp_path / "toric.py", "a", encoding="utf-8") as fh:
+        fh.write("\nimport threading as th\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert importers(ONE_PROCESS) == ["catalog", "cli", "toric"]
