@@ -17,6 +17,8 @@ dimension is Artin's 1 - Z^2 (klt surface singularities are rational).
 
 audit rebuilds stored entries by the same path and checks a_e0 and the
 mld against build_graph, which solves each couple's star graph alone.
+Only the audit path imports divisors, json and build_graph, in its own
+functions: the sweep does not load the couple layers.
 The tests keep the per-candidate path, the unpruned generator and a
 graph-side enumeration as oracles.
 """
@@ -24,22 +26,29 @@ graph-side enumeration as oracles.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import add
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .divisors import (CurveCouple, canonical_couple, max_isotropy,
-                       normal_form)
-from .errors import (CatalogMismatch, InternalInvariantError, NotKlt,
-                     ParseError, PreconditionError)
+from .errors import (BadEpsilon, CatalogMismatch, InternalInvariantError,
+                     NotKlt, ParseError, PreconditionError)
 from .jsonio import fmt_q, json_int, parse_q
-from .quotient import validate_epsilon
 from .records import Record
 from .resolution import (LatticeCone2, ResolutionGraph, _chain_continuants,
-                         build_graph, hj_chain)
+                         hj_chain)
+
+if TYPE_CHECKING:
+    from .divisors import CurveCouple
+
+
+def validate_epsilon(eps) -> Fraction:
+    """eps as a Fraction, checked to lie in (0, 1]."""
+    eps = Fraction(eps)
+    if not (0 < eps <= 1):
+        raise BadEpsilon(f"epsilon {eps} outside (0, 1]")
+    return eps
 
 
 class SearchParams(Record):
@@ -146,6 +155,7 @@ class CatalogEntry(Record):
 
 def couple_from_entry_data(fractional, degree: Fraction) -> CurveCouple:
     """Rebuild the canonical couple from its fractional type and degree."""
+    from .divisors import canonical_couple
     return canonical_couple([Fraction(p, q) for p, q in fractional], degree)
 
 
@@ -390,6 +400,7 @@ def _defining_data(doc) -> Tuple[str, Tuple[Tuple[int, int], ...], Fraction]:
 def _field_failures(tag: str, doc: dict, rebuilt: dict) -> List[str]:
     """One failure per field whose canonical JSON text differs, so that
     true or 1.0 is not 1."""
+    import json
     stored, rebuilt = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()}
                        for d in (doc, rebuilt))
     out = []
@@ -412,7 +423,11 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
     data raises ParseError, and a period lcm q_i above PERIOD_MAX raises
     PreconditionError before its type is built; everything else is
     reported, not raised."""
+    import json
+
+    from .divisors import max_isotropy, normal_form
     from .hilbert import _checked_period
+    from .resolution import build_graph
     eps, N = params.epsilon, params.isotropy_bound
     data = [_defining_data(doc) for doc in docs]
     failures = []
@@ -423,6 +438,8 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
             failures.append(f"{tag}: duplicate key")
         keys.add(key)
         try:
+            # a stored entry in canonical order is its own normal form,
+            # which normal_form keeps instead of building it again
             nf = normal_form(couple_from_entry_data(fractional, degree))
         except (PreconditionError, ZeroDivisionError) as exc:
             failures.append(f"{tag}: cannot rebuild couple ({exc})")

@@ -279,7 +279,8 @@ def normal_form(C: CurveCouple) -> NormalForm:
     integral degree sits at infinity when free, otherwise it is folded
     into the coefficient at 0.  With more than three fractional points
     the positions are genuine moduli: the input is returned unchanged
-    and the key is flagged.
+    and the key is flagged.  A couple already in normal form is returned
+    as it is.
     """
     D = C.divisor
     fracs = []
@@ -294,8 +295,9 @@ def normal_form(C: CurveCouple) -> NormalForm:
 
     if len(fracs) > 3:
         return NormalForm(couple=C, key=key, moduli=True)
-    return NormalForm(couple=canonical_couple(frac_values, deg), key=key,
-                      moduli=False)
+    if D.terms != _canonical_terms(frac_values, deg):
+        C = canonical_couple(frac_values, deg)
+    return NormalForm(couple=C, key=key, moduli=False)
 
 
 def canonical_couple(fracs, degree) -> CurveCouple:
@@ -304,6 +306,12 @@ def canonical_couple(fracs, degree) -> CurveCouple:
     integral degree sits at infinity when free, otherwise it is folded
     into the coefficient at 0.  More than three fractional points have
     no canonical placement and are refused."""
+    # the positions are in point order already, so the terms need no merge
+    return CurveCouple(QDivisorP1(_canonical_terms(fracs, degree)))
+
+
+def _canonical_terms(fracs, degree):
+    """The divisor terms of canonical_couple(fracs, degree)."""
     if len(fracs) > len(CANONICAL_POSITIONS):
         raise PreconditionError(f"{len(fracs)} fractional points have no "
                                 "canonical placement (at most 3)")
@@ -317,9 +325,7 @@ def canonical_couple(fracs, degree) -> CurveCouple:
             coeffs.extend([Fraction(0)] * (2 - len(coeffs)) + [leftover])
         else:
             coeffs[0] += leftover
-    # the positions are in point order already, so the terms need no merge
-    return CurveCouple(QDivisorP1(tuple(
-        (p, c) for p, c in zip(CANONICAL_POSITIONS, coeffs) if c)))
+    return tuple((p, c) for p, c in zip(CANONICAL_POSITIONS, coeffs) if c)
 
 
 def assign_coordinates(C: CurveCouple) -> CurveCouple:

@@ -2,7 +2,9 @@
 
 Every CLI command and every module that serializes data goes through
 these helpers so that the wire format stays identical everywhere.
-Schema version key: "conesing/1".
+Schema version key: "conesing/1".  Only the couple (de)serializers
+import `divisors`, in their own bodies, so that a command that reads
+no couple does not load it.
 """
 
 from __future__ import annotations
@@ -10,10 +12,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import TYPE_CHECKING
 
-from .divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
-                       QDivisorP1, finite_point, infinity_point, label_point)
 from .errors import ParseError
+
+if TYPE_CHECKING:
+    from .divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
+                           QDivisorP1)
 
 SCHEMA = "conesing/1"
 
@@ -71,6 +76,7 @@ def point_to_json(p: MarkedPoint) -> dict:
 
 
 def point_from_json(doc) -> MarkedPoint:
+    from .divisors import finite_point, infinity_point, label_point
     if not isinstance(doc, dict) or "t" not in doc:
         raise ParseError(f"bad point {doc!r}")
     t = doc["t"]
@@ -91,6 +97,7 @@ def divisor_to_json(D) -> list:
 
 
 def divisor_from_json(doc) -> QDivisorP1:
+    from .divisors import QDivisorP1
     if not isinstance(doc, list):
         raise ParseError("divisor must be an array of {point, coeff}")
     items = []
@@ -106,6 +113,7 @@ def integral_divisor_to_json(H: IntegralDivisorP1) -> list:
 
 
 def couple_from_json(doc) -> CurveCouple:
+    from .divisors import CurveCouple
     if not isinstance(doc, dict) or "divisor" not in doc:
         raise ParseError("couple file must be an object with a 'divisor' key")
     return CurveCouple(divisor_from_json(doc["divisor"]))

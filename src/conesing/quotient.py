@@ -19,7 +19,7 @@ from typing import Dict, Tuple
 
 from .divisors import (PINF, CurveCouple, IntegralDivisorP1, MarkedPoint,
                        denominators_lcm)
-from .errors import BadEpsilon, InternalNonIntegral, NotKlt, PreconditionError
+from .errors import InternalNonIntegral, NotKlt, PreconditionError
 from .records import Record
 
 
@@ -60,14 +60,6 @@ def log_fano_quotient(C: CurveCouple) -> StandardPair:
 
 def curve_log_discrepancy(P: StandardPair, pt: MarkedPoint) -> Fraction:
     return 1 - P.coeff(pt)
-
-
-def validate_epsilon(eps) -> Fraction:
-    """eps as a Fraction, checked to lie in (0, 1]."""
-    eps = Fraction(eps)
-    if not (0 < eps <= 1):
-        raise BadEpsilon(f"epsilon {eps} outside (0, 1]")
-    return eps
 
 
 class VertexData(Record):

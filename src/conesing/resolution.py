@@ -24,6 +24,10 @@ follows from the chain elimination (every pivot positive) and the
 central Schur complement -deg D < 0.  The link determinant is the
 closed form deg D * prod q_i (Orlik-Wagreich 1971).  No dense
 intersection matrix is built; the dense solve is an oracle in the tests.
+
+Only local_cone_at and build_graph read a couple, and they import
+divisors and quotient in their own bodies: the catalog sweep, which
+solves chains and builds graphs from integers, loads neither.
 """
 
 from __future__ import annotations
@@ -32,14 +36,14 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .divisors import (CurveCouple, MarkedPoint, _fraction_sum,
-                       _frac_numerator)
 from .errors import (BadChain, IntegralPoint, InternalInvariantError,
                      InternalNonIntegral, PreconditionError, SingularMatrix)
-from .quotient import _klt_boundary_degree
 from .records import Record
+
+if TYPE_CHECKING:
+    from .divisors import CurveCouple, MarkedPoint
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +71,7 @@ def local_cone_at(C: CurveCouple, pt: MarkedPoint) -> LatticeCone2:
     Only the fractional part of the coefficient matters: adding
     integral multiples of the point is a unimodular change of chart.
     """
+    from .divisors import _frac_numerator
     c = C.divisor.coeff(pt)
     q = c.denominator
     if q == 1:
@@ -247,6 +252,8 @@ class ResolutionGraph(Record):
 
 
 def build_graph(C: CurveCouple) -> ResolutionGraph:
+    from .divisors import _fraction_sum
+    from .quotient import _klt_boundary_degree
     _klt_boundary_degree(C)         # NotKlt unless the quotient is log Fano
     D = C.divisor
     deg = C.degree()

@@ -175,7 +175,7 @@ def is_eps_lc_pair(P, eps):
     """Whether the standard pair P is eps-lc: every boundary coefficient
     is at most 1 - eps.  The catalog needs no such test, since isotropy
     at most N already makes its quotient pair eps/N-lc."""
-    from conesing.quotient import validate_epsilon
+    from conesing.catalog import validate_epsilon
 
     eps = validate_epsilon(eps)
     return all(b <= 1 - eps for _, b in P.boundary)

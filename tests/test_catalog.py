@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conesing import catalog, cli, hilbert
+from conesing import catalog, cli, divisors, hilbert, resolution
 from conesing.catalog import (SearchParams, _admissible_types,
                               _candidate_types, _evaluate_candidate,
                               _fractional_coefficients, audit_catalog,
@@ -311,6 +311,30 @@ def test_no_graph_per_candidate_and_one_per_audited_entry(monkeypatch):
     assert len(calls) == len(entries)
 
 
+def test_audit_builds_each_stored_couple_once(monkeypatch):
+    params = SearchParams(epsilon=F(1, 4), isotropy_bound=4)
+    docs = stored(enumerate_catalog(params))
+    build = divisors.canonical_couple
+    calls = []
+
+    def counting(fracs, degree):
+        calls.append(degree)
+        return build(fracs, degree)
+
+    monkeypatch.setattr(divisors, "canonical_couple", counting)
+    assert audit_catalog(docs, params).ok
+    assert len(calls) == len(docs)
+
+
+def test_audit_flags_an_entry_stored_out_of_canonical_order():
+    params = SearchParams(epsilon=F(1), isotropy_bound=3)
+    docs = stored(enumerate_catalog(params))
+    victim = next(d for d in docs if d["fractional"] == [[2, 3], [1, 2]])
+    victim["fractional"] = [[1, 2], [2, 3]]
+    assert audit_catalog(docs, params).failures == (
+        f"entry {victim['key']}: stored fractional [[1, 2], [2, 3]] is wrong",)
+
+
 def test_audit_exits_1_on_a_repeated_entry(tmp_path, capsys):
     params = SearchParams(epsilon=F(1), isotropy_bound=3)
     docs = stored(enumerate_catalog(params))
@@ -325,8 +349,8 @@ def test_audit_exits_1_on_a_repeated_entry(tmp_path, capsys):
 
 def tampered_oracle(monkeypatch, tamper):
     """Route audit's build_graph through tamper(G)."""
-    build = catalog.build_graph
-    monkeypatch.setattr(catalog, "build_graph", lambda C: tamper(build(C)))
+    build = resolution.build_graph
+    monkeypatch.setattr(resolution, "build_graph", lambda C: tamper(build(C)))
 
 
 def test_audit_checks_a_e0_against_the_resolution_oracle(monkeypatch):

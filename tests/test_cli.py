@@ -302,9 +302,10 @@ def test_plain_args_agree_with_argparse(argv):
 
 def test_plain_argv_runs_a_handler_replaced_in_the_module(monkeypatch):
     # a profiler wraps cmd_* in place; the plain path must call the wrapper
-    from conesing import cli
+    from conesing import cli, cli_couple
     seen = []
-    monkeypatch.setattr(cli, "cmd_resolve", lambda args: seen.append(args) or 0)
+    monkeypatch.setattr(cli_couple, "cmd_resolve",
+                        lambda args: seen.append(args) or 0)
     assert cli.main(["resolve", "--couple", "c.json"]) == 0
     assert [a.couple for a in seen] == ["c.json"]
 
@@ -648,38 +649,43 @@ def test_denominator_10_to_30_exits_3_within_a_second(command, message):
 FANS = Path(__file__).resolve().parent / "golden" / "fans"
 TORIC_P3 = ["toric-check", "--fan", str(FANS / "P3.json"),
             "--divisor", str(FANS / "P3.divisor.json")]
-# (argv without the capped flag, flag, cap constant, oversized value)
+# (argv without the capped flag, flag, handler module, cap constant,
+# oversized value)
 CAPPED_FLAGS = [
-    (["hilbert", "--couple", "-"], "--through", "THROUGH_MAX", 10**10),
-    (TORIC_P3, "--samples", "SAMPLES_MAX", 10**9),
-    (["verify-examples", "--an-box", "5"], "--an-n", "AN_N_MAX", 10**9),
-    (["verify-examples", "--an-box", "5"], "--rnc-max", "RNC_DEGREE_MAX",
-     10**6),
+    (["hilbert", "--couple", "-"], "--through", "cli_couple", "THROUGH_MAX",
+     10**10),
+    (TORIC_P3, "--samples", "cli_checks", "SAMPLES_MAX", 10**9),
+    (["verify-examples", "--an-box", "5"], "--an-n", "cli_checks", "AN_N_MAX",
+     10**9),
+    (["verify-examples", "--an-box", "5"], "--rnc-max", "cli_checks",
+     "RNC_DEGREE_MAX", 10**6),
 ]
 
 
-@pytest.mark.parametrize("argv,flag,cap,value", CAPPED_FLAGS,
+@pytest.mark.parametrize("argv,flag,module,cap,value", CAPPED_FLAGS,
                          ids=[c[1] for c in CAPPED_FLAGS])
-def test_count_flag_above_its_cap_exits_3_within_a_second(argv, flag, cap,
-                                                          value):
+def test_count_flag_above_its_cap_exits_3_within_a_second(argv, flag, module,
+                                                          cap, value):
+    import importlib
     import time
-    from conesing import cli
     start = time.perf_counter()
     res = run_cli(*argv, flag, str(value), input_text=A3)
     assert time.perf_counter() - start < 1.0
     assert res.returncode == 3
     assert res.stdout == ""
+    limit = getattr(importlib.import_module(f"conesing.{module}"), cap)
     assert res.stderr == (f"precondition violated: {flag} {value} exceeds "
-                          f"{cap} = {getattr(cli, cap)}\n")
+                          f"{cap} = {limit}\n")
 
 
-@pytest.mark.parametrize("argv,flag,cap,value", CAPPED_FLAGS,
+@pytest.mark.parametrize("argv,flag,module,cap,value", CAPPED_FLAGS,
                          ids=[c[1] for c in CAPPED_FLAGS])
-def test_count_flag_at_its_cap_runs(argv, flag, cap, value, monkeypatch,
-                                    capsys):
+def test_count_flag_at_its_cap_runs(argv, flag, module, cap, value,
+                                    monkeypatch, capsys):
     # caps lowered to small values: the cap itself runs, one more exits 3
+    import importlib
     from conesing import cli
-    monkeypatch.setattr(cli, cap, 6)
+    monkeypatch.setattr(importlib.import_module(f"conesing.{module}"), cap, 6)
     monkeypatch.setattr(sys, "stdin", io.StringIO(A3))
     assert cli.main([*argv, flag, "6"]) == 0
     monkeypatch.setattr(sys, "stdin", io.StringIO(A3))
@@ -841,3 +847,60 @@ def test_fuzz_toric_check_exits_0_2_or_3(tmp_path_factory, inputs):
     assert run_quietly(["toric-check", "--fan", str(directory / "fan.json"),
                         "--divisor", str(directory / "div.json"),
                         "--samples", "3", "--seed", "1"]) in (0, 2, 3)
+
+
+E6_FILE = str(Path(__file__).resolve().parent / "golden" / "couples" / "E6.json")
+# --version writes one line, describe a few kilobytes, enumerate more
+# than an output buffer holds
+WRITERS = [["--version"], ["describe", "--couple", E6_FILE],
+           ["enumerate", "--epsilon", "1/2", "--isotropy-bound", "6"]]
+
+
+def run_into(stdout, argv, buffered):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "conesing", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env)
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", WRITERS, ids=[a[0] for a in WRITERS])
+def test_stdout_into_a_closed_pipe_exits_3_without_a_traceback(argv,
+                                                               buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = run_into(write_end, argv, buffered)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 3
+    assert res.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", WRITERS, ids=[a[0] for a in WRITERS])
+def test_stdout_into_a_full_device_exits_3_without_a_traceback(argv,
+                                                               buffered):
+    with open("/dev/full", "w") as full:
+        res = run_into(full, argv, buffered)
+    assert res.returncode == 3
+    assert res.stderr == ("error: cannot write output: [Errno 28] No space "
+                          "left on device\n")
+
+
+def test_out_file_that_cannot_be_written_exits_3(tmp_path, capsys):
+    from conesing import cli
+    target = tmp_path / "missing" / "out.json"
+    assert cli.main(["describe", "--couple", E6_FILE, "--out",
+                     str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot write output: [Errno 2] No such "
+                            f"file or directory: {str(target)!r}\n")

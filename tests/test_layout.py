@@ -2,7 +2,9 @@
 
 Every top-level function or class of a module in src/conesing must be
 referred to (by a Name, an Attribute or an import) from another module
-there, or from elsewhere in its own module.  The package __init__ only
+there, or from elsewhere in its own module; the dispatcher in cli
+calls the handler `cmd_<name>` of `cli_<family>` by name, for each
+command that its table maps to that family.  The package __init__ only
 re-exports, so it does not count as a caller.  Reference oracles and
 other test-only code live in tests/helpers.py.  Every name a top-level
 import binds in such a module must be used in that module; the package
@@ -29,9 +31,17 @@ def references(node):
     return out
 
 
+def dispatched_handlers():
+    """module.function of the handler of every command in the CLI table."""
+    from conesing import cli
+    return {f"cli_{family}.cmd_{name.replace('-', '_')}"
+            for name, (family, _, _) in cli._commands().items()}
+
+
 def unreferenced_definitions():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
+    dispatched = dispatched_handlers()
     unused = []
     for name, tree in trees.items():
         if name == "__init__.py":
@@ -48,8 +58,9 @@ def unreferenced_definitions():
             for stmt in tree.body:
                 if stmt is not node:
                     own |= references(stmt)
-            if node.name not in elsewhere | own:
-                unused.append(f"{name[:-3]}.{node.name}")
+            qualified = f"{name[:-3]}.{node.name}"
+            if node.name not in elsewhere | own and qualified not in dispatched:
+                unused.append(qualified)
     return unused
 
 
@@ -85,6 +96,12 @@ def test_layout_scan_flags_a_definition_without_caller(tmp_path, monkeypatch):
         fh.write("\n\ndef only_tests_call_me():\n    return rank([[1]])\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert unreferenced_definitions() == ["linalg.only_tests_call_me"]
+
+
+def test_every_command_dispatches_to_a_handler():
+    from conesing import cli
+    for name in cli._commands():
+        assert callable(cli._handler(name)), name
 
 
 def test_every_top_level_import_in_src_is_used():
@@ -155,3 +172,16 @@ def test_layout_scan_flags_a_pool_import(tmp_path, monkeypatch):
         fh.write("\nimport threading as th\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert importers(ONE_PROCESS) == ["catalog", "cli", "toric"]
+
+
+def test_only_main_exits_without_teardown_and_no_module_uses_atexit():
+    # __main__ ends the process with os._exit, which skips atexit hooks
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(sub, ast.Attribute) and sub.attr == "_exit") or (
+                    isinstance(sub, ast.ImportFrom)
+                    and any(a.name == "_exit" for a in sub.names)):
+                callers.append(path.stem)
+    assert callers == ["__main__"]
+    assert importers(("atexit",)) == []

@@ -20,11 +20,17 @@ E6 = str(GOLDEN / "couples" / "E6.json")
 
 # runs the package as `python -m conesing ARGS` does, then writes the
 # exit code, the conesing modules it loaded and the top-level names of
-# all loaded modules to the file OUT
+# all loaded modules to the file OUT; os._exit raises SystemExit here, so
+# that the fast exit of __main__ returns to the probe
 PROBE = """
-import json, runpy, sys
+import json, os, runpy, sys
 out, sys.argv = sys.argv[1], ["conesing", *sys.argv[2:]]
 code = None
+
+def fast_exit(code):
+    raise SystemExit(code)
+
+os._exit = fast_exit
 try:
     runpy.run_module("conesing", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -39,9 +45,12 @@ with open(out, "w", encoding="utf-8") as fh:
 # in inspect, ast, dis and tokenize at start-up
 HEAVY_STDLIB = {"dataclasses", "inspect"}
 
-BASE = {"cli", "errors"}
-COUPLE = BASE | {"jsonio", "divisors", "records"}
-CATALOG = COUPLE | {"catalog", "quotient", "resolution"}
+# the dispatcher, then each family's handler module with what it loads
+BASE = {"cli"}
+HANDLER = BASE | {"errors", "jsonio", "records"}
+COUPLE = HANDLER | {"cli_couple", "divisors"}
+CATALOG = HANDLER | {"cli_catalog", "catalog", "resolution"}
+CHECKS = HANDLER | {"cli_checks", "toric", "linalg"}
 COMMAND_MODULES = [
     (["--version"], BASE),
     (["describe", "--couple", E6], COUPLE | {"quotient", "resolution",
@@ -56,13 +65,12 @@ COMMAND_MODULES = [
     (["mld-set", "--epsilon", "1", "--isotropy-bound", "3", "--jobs", "1"],
      CATALOG),
     (["audit", "--catalog", str(GOLDEN / "enumerate_eps1_N3.json"),
-      "--epsilon", "1", "--isotropy-bound", "3"], CATALOG | {"hilbert"}),
+      "--epsilon", "1", "--isotropy-bound", "3"],
+     CATALOG | {"divisors", "quotient", "hilbert"}),
     (["toric-check", "--fan", str(GOLDEN / "fans" / "P3.json"),
-      "--divisor", str(GOLDEN / "fans" / "P3.divisor.json")],
-     COUPLE | {"toric", "linalg"}),
+      "--divisor", str(GOLDEN / "fans" / "P3.divisor.json")], CHECKS),
     (["verify-examples", "--an-n", "3", "--an-box", "5", "--rnc-max", "4"],
-     COUPLE | {"counterexamples", "quotient", "resolution", "toric",
-               "linalg"}),
+     CHECKS | {"counterexamples", "divisors", "quotient", "resolution"}),
 ]
 
 
@@ -102,9 +110,16 @@ def test_probe_sees_the_standard_library(tmp_path):
 
 def test_command_module_sets_keep_the_heavy_layers_apart():
     loads = {argv[0]: layers for argv, layers in COMMAND_MODULES}
-    layers = {"divisors", "quotient", "resolution", "sections", "hilbert",
-              "linalg", "toric", "catalog", "counterexamples", "jsonio"}
-    assert not loads["--version"] & layers
+    # --version loads the dispatcher alone, and each command the handler
+    # module of its own family only
+    assert loads["--version"] == {"cli"}
+    for command, modules in loads.items():
+        handlers = {m for m in modules if m.startswith("cli_")}
+        assert len(handlers) == (0 if command == "--version" else 1)
+    # the sweep reads no couple, and toric-check none either
+    for command in ("enumerate", "mld-set"):
+        assert not loads[command] & {"divisors", "quotient"}
+    assert "divisors" not in loads["toric-check"]
     for command in ("enumerate", "audit"):
         assert not loads[command] & {"toric", "counterexamples", "linalg"}
     # only presentation compiles the section spaces; the rest that need
@@ -146,3 +161,37 @@ def test_readme_example_runs_in_a_fresh_interpreter():
                          text=True, env=fresh_env())
     assert res.returncode == 0, res.stderr
 
+
+
+# `python -m conesing --version` with an atexit hook registered first and
+# INSTALL run before it: the fast exit of __main__ skips the hook, the
+# normal exit taken under a tracer or a profiler runs it
+HOOKED = """
+import atexit, runpy, sys
+atexit.register(print, "atexit hook ran")
+{install}
+sys.argv = ["conesing", "--version"]
+runpy.run_module("conesing", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("install,hook_runs", [
+    ("", False),
+    ("sys.settrace(lambda *args: None)", True),
+    ("sys.setprofile(lambda *args: None)", True),
+], ids=["plain", "tracer", "profiler"])
+def test_fast_exit_is_skipped_under_a_tracer_or_profiler(install, hook_runs):
+    res = subprocess.run([sys.executable, "-c", HOOKED.format(install=install)],
+                         capture_output=True, text=True, env=fresh_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (conesing.__version__ + "\n"
+                          + ("atexit hook ran\n" if hook_runs else ""))
+
+
+def test_cprofile_still_prints_its_report():
+    res = subprocess.run([sys.executable, "-m", "cProfile", "-m", "conesing",
+                          "--version"], capture_output=True, text=True,
+                         env=fresh_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith(conesing.__version__ + "\n")
+    assert "function calls" in res.stdout
