@@ -33,11 +33,11 @@ from operator import add
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .errors import (BadEpsilon, CatalogMismatch, InternalInvariantError,
-                     NotKlt, ParseError, PreconditionError)
+                     InternalNonIntegral, NotKlt, ParseError, PreconditionError)
 from .jsonio import fmt_q, json_int, parse_q
 from .records import Record
-from .resolution import (LatticeCone2, ResolutionGraph, _chain_continuants,
-                         hj_chain)
+from .resolution import (LatticeCone2, _chain_continuants, blow_down,
+                         hj_chain, star_edges)
 
 if TYPE_CHECKING:
     from .divisors import CurveCouple
@@ -256,7 +256,7 @@ def _type_member(fracs: Tuple[Fraction, ...]):
         # a_e0 = A/B, and a_v = (S_v A + X_v B)/(L B)
         A, B = tn * dd, td * dn
         a_e0 = Fraction(A, B)
-        mld = Fraction(min(s * A + x * B for s, x in vertices), L * B)
+        low = min(s * A + x * B for s, x in vertices)      # L B mld
         if b0 >= max(r, 2):
             # all curves are (-2)-curves or below, so the star graph is
             # minimal, and Z = sum E_v has every Z.E_v <= 0, so it is the
@@ -264,10 +264,17 @@ def _type_member(fracs: Tuple[Fraction, ...]):
             blown_down, embdim = (-b0, *tail), 1 + b0 + excess
         else:
             # a central (-1)-curve is blown down; three chains on a
-            # (-2)-curve take Laufer's loop
-            G = ResolutionGraph(-b0, chains, tuple(
-                Fraction(s * A + x * B, L * B) - 1 for s, x in vertices), 0)
-            bd, mld = G.blown_down, G.mld
+            # (-2)-curve take Laufer's loop.  The checks of
+            # ResolutionGraph.mld: a smooth cone has mld 2, and the
+            # blow-down keeps the graph minimum.
+            bd = blow_down((-b0, *tail), star_edges(chains))
+            if bd.empty:
+                if low != 2 * L * B:
+                    raise InternalNonIntegral("smooth cone with graph minimum "
+                                              f"{Fraction(low, L * B)}")
+            elif low != min(vertices[v][0] * A + vertices[v][1] * B
+                            for v in bd.surviving):
+                raise InternalNonIntegral("blow-down changed the graph minimum")
             embdim = bd.embedding_dimension
             if bd.empty != (embdim == 2):
                 raise CatalogMismatch(f"{prefix}{degree}: graph blow-down "
@@ -282,7 +289,7 @@ def _type_member(fracs: Tuple[Fraction, ...]):
         while numerator and numerator[-1] == 0:
             numerator.pop()
         return CatalogEntry(
-            prefix + str(degree), degree, pairs, a_e0, mld,
+            prefix + str(degree), degree, pairs, a_e0, Fraction(low, L * B),
             t * lcm(*(q // gcd(q, t + s * p) for p, q in pairs)),
             max((q for _, q in pairs), default=1), dn * qprod // dd,
             tuple(numerator), L, embdim,

@@ -132,7 +132,17 @@ def _handler(command: str):
 
 def build_parser():
     import argparse
-    ap = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse drops a failed write; one to stdout (help, the
+            # version) raises instead, so that main reports it
+            if message and file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
+    ap = Parser(
         prog="conesing",
         description="exact invariants of cone surface singularities")
     ap.add_argument("--version", action="version", version=__version__)
@@ -187,6 +197,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             # argparse exits 2 on bad flags, which matches the parse-error code
             return int(exc.code or 0)
+        except OSError as exc:
+            return write_failed(exc)
     from .errors import (ConesingError, InternalInvariantError, ParseError,
                          PreconditionError)
     try:

@@ -1,10 +1,8 @@
 """Handlers of the cross-checks: toric-check and verify-examples.  Each
-imports the layers it runs in its own body.  CONESING_SEED overrides
-the default sampling seed of toric-check."""
+imports the layers it runs in its own body.  toric-check samples with
+--seed, or with DEFAULT_SEED when that is not given."""
 
 from __future__ import annotations
-
-import os
 
 from .cli import _emit, _read_json
 from .errors import ParseError, PreconditionError
@@ -15,18 +13,6 @@ DEFAULT_SEED = 20260801
 SAMPLES_MAX = 10**5
 AN_N_MAX = 10**6
 RNC_DEGREE_MAX = 10**4
-
-
-def _seed(args) -> int:
-    env = os.environ.get("CONESING_SEED")
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"CONESING_SEED {env!r} is not an integer")
-    return DEFAULT_SEED
 
 
 def _int_rows(fan_doc: dict, key: str):
@@ -54,7 +40,8 @@ def cmd_toric_check(args) -> int:
     if not isinstance(div_doc, list) or len(div_doc) != len(F.rays):
         raise ParseError("divisor file must list one coefficient per ray")
     D = ToricDivisor.of([parse_q(c) for c in div_doc])
-    samples = random_primitive_samples(_seed(args), F.rank, args.samples)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    samples = random_primitive_samples(seed, F.rank, args.samples)
     report = verify_comparison(F, D, samples)
     _emit(report.to_json(), args.out)
     return 0 if not report.violations and report.vertex_ok is not False else 1

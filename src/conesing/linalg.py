@@ -1,13 +1,14 @@
 """Small exact linear algebra helpers over the rationals.
 
-Nothing here touches floating point.  The two inner loops, the
-incremental row space RowSpan and the kernel basis nullspace, eliminate
-fraction-free over the integers.  Each input row is scaled to integers
-once.  Rows combine as a*v - b*row and are divided by their content
-(fraction-free in the manner of Bareiss 1968).  So Fractions appear
-only at the boundary: in the input, and in rref and solve.  Those two
-stay on Fraction, because their callers make a handful of small
-solves.  Determinants of integer matrices use Bareiss elimination too.
+Nothing here touches floating point.  Every elimination is
+fraction-free over the integers.  rank, solve and nullspace read one
+Gauss-Jordan echelon form, and the incremental row space RowSpan keeps
+its own sparse one.  Each input row is scaled to integers once.  Rows
+combine as a*v - b*row and are divided by their content (fraction-free
+in the manner of Bareiss 1968).  So Fractions appear only at the
+boundary: in the input, and in the solution that solve returns.
+Determinants of integer matrices use Bareiss elimination, which keeps
+the scale factors that primitive rows drop.
 """
 
 from __future__ import annotations
@@ -42,61 +43,18 @@ def _primitive(v: List[int]) -> List[int]:
     return v if g <= 1 else [x // g for x in v]
 
 
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rref(rows):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    m = _as_fraction_rows(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
-def nullspace(rows) -> List[List[int]]:
-    """Basis of the right kernel of the matrix, deterministic order.
-
-    One vector per free column, in column order: the primitive integer
-    positive multiple of the reduced-echelon basis vector that carries
-    1 at the free column and the forced pivot entries elsewhere.  The
+def _echelon(rows) -> Tuple[List[List[int]], List[int]]:
+    """(m, pivots): the reduced row echelon form of the matrix up to a
+    nonzero scale per row, and its pivot columns.  Row k of m is a
+    primitive integer row with a nonzero entry at pivots[k] and zeros
+    at the other pivot columns; rows past the pivots are zero.  The
     elimination is fraction-free Gauss-Jordan on the rows scaled to
     integers; the reduced echelon form is unique, so the pivots are the
-    same as over Q.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
+    same as over Q."""
     m = [_primitive(_integer_scaling(row)[0]) for row in rows]
     pivots = []
-    r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
@@ -110,9 +68,26 @@ def nullspace(rows) -> List[List[int]]:
                 m[i] = _primitive([(a // g) * x - (b // g) * y
                                    for x, y in zip(row, prow)])
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if r + 1 == len(m):
             break
+    return m, pivots
+
+
+def rank(rows) -> int:
+    return len(_echelon(rows)[1])
+
+
+def nullspace(rows) -> List[List[int]]:
+    """Basis of the right kernel of the matrix, deterministic order.
+
+    One vector per free column, in column order: the primitive integer
+    positive multiple of the reduced-echelon basis vector that carries
+    1 at the free column and the forced pivot entries elsewhere.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m, pivots = _echelon(rows)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -132,21 +107,20 @@ def nullspace(rows) -> List[List[int]]:
 def solve(rows, rhs):
     """Solve A x = rhs exactly.
 
-    Returns (status, x) where status is "unique", "many" (x is one
-    particular solution) or "none" (x is None).
+    Returns (status, x) where status is "unique", "many" (x is the
+    particular solution whose free unknowns are 0) or "none" (x is
+    None).  The entries of x are Fractions.
     """
     if not rows:
         return "many", []
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
     ncols = len(rows[0])
+    m, pivots = _echelon([[*row, b] for row, b in zip(rows, rhs)])
     if ncols in pivots:
         return "none", None
     x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    status = "unique" if len(pivots) == ncols else "many"
-    return status, x
+    for row, pc in zip(m, pivots):
+        x[pc] = Fraction(row[ncols], row[pc])
+    return ("unique" if len(pivots) == ncols else "many"), x
 
 
 def det_int(matrix) -> int:

@@ -173,6 +173,18 @@ def _chain_continuants(cs: List[int]) -> Tuple[List[int], List[int]]:
     return us[:n + 1], ws[:n]
 
 
+def star_edges(chains) -> Tuple[Tuple[int, int], ...]:
+    """Edges (i, j), i < j, of the star graph with these chains, each of
+    weight 1, in the vertex order of ResolutionGraph."""
+    out = []
+    idx = 1
+    for chain in chains:
+        for j in range(len(chain)):
+            out.append((0 if j == 0 else idx - 1, idx))
+            idx += 1
+    return tuple(out)
+
+
 class ResolutionGraph(Record):
     """Star graph: central curve with one chain per fractional point.
 
@@ -197,23 +209,10 @@ class ResolutionGraph(Record):
     def size(self) -> int:
         return len(self.discrepancies)
 
-    def log_discrepancies(self) -> Tuple[Fraction, ...]:
-        return tuple(1 + d for d in self.discrepancies)
-
     def self_intersections(self) -> Tuple[int, ...]:
         out = [self.central_self_int]
         for chain in self.chains:
             out.extend(chain)
-        return tuple(out)
-
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        """Edges (i, j), i < j, of the star, each of weight 1."""
-        out = []
-        idx = 1
-        for chain in self.chains:
-            for j in range(len(chain)):
-                out.append((0 if j == 0 else idx - 1, idx))
-                idx += 1
         return tuple(out)
 
     def to_json(self) -> dict:
@@ -227,7 +226,7 @@ class ResolutionGraph(Record):
 
     @cached_property
     def blown_down(self) -> BlownDownGraph:
-        return blow_down(self)
+        return blow_down(self.self_intersections(), star_edges(self.chains))
 
     @cached_property
     def mld(self) -> Fraction:
@@ -387,15 +386,17 @@ class BlownDownGraph(Record):
                 "edges": [list(e) for e in self.edges]}
 
 
-def blow_down(G: ResolutionGraph) -> BlownDownGraph:
-    """Contract (-1)-vertices, always the lowest-index one first, until
-    none is left.  A contraction raises each neighbour's self-intersection
-    by one and joins the neighbours pairwise, so only a neighbour can
+def blow_down(self_intersections: Tuple[int, ...],
+              edges: Tuple[Tuple[int, int], ...]) -> BlownDownGraph:
+    """Contract (-1)-vertices of the graph with these self-intersections
+    and weight-1 edges, always the lowest-index one first, until none is
+    left.  A contraction raises each neighbour's self-intersection by
+    one and joins the neighbours pairwise, so only a neighbour can
     become a new (-1)-vertex; a heap holds the candidates, and a vertex
     that has since left -1 is skipped when it comes up."""
-    selfints = list(G.self_intersections())
+    selfints = list(self_intersections)
     nbrs: List[Dict[int, int]] = [{} for _ in selfints]     # neighbour -> weight
-    for i, j in G.edges():
+    for i, j in edges:
         nbrs[i][j] = nbrs[j][i] = 1
     alive = [True] * len(selfints)
     heap = [v for v, e in enumerate(selfints) if e == -1]

@@ -196,7 +196,6 @@ class _GeneratorScan:
         self.gens: List[Tuple[int, List[Rational]]] = []   # (degree, vector)
         self.basis: Dict[int, List[List[Rational]]] = {}
         self.full: Dict[int, bool] = {}
-        self.achieved: Dict[int, int] = {}
 
     def _period_step_applies(self, n: int) -> bool:
         L = self.period
@@ -217,7 +216,6 @@ class _GeneratorScan:
         dim_n = space.dim(n)
         if self._period_step_applies(n):
             self.full[n] = True
-            self.achieved[n] = dim_n
             self.basis[n] = _unit_vectors(dim_n)
             return 0
         from .linalg import RowSpan
@@ -240,7 +238,6 @@ class _GeneratorScan:
                     vectors.append(e)
                     new += 1
         self.full[n] = span.dim == dim_n
-        self.achieved[n] = span.dim
         self.basis[n] = vectors
         return new
 

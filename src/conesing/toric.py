@@ -151,29 +151,21 @@ def _cone_linear_form(F: Fan, values: Sequence[Fraction], cone_index: int,
     return tuple(m)
 
 
-def support_value(F: Fan, D: ToricDivisor, v: Sequence[int]) -> Fraction:
-    """Value at v of the piecewise-linear extension of the ray data."""
-    if all(x == 0 for x in v):
-        return Fraction(0)
-    ci = F.locate(v)
-    m = _cone_linear_form(F, D.coefficients, ci, "divisor")
-    return _dot(m, v)
-
-
-def weil_index(F: Fan, D: ToricDivisor, v: Sequence[int]) -> int:
-    """Denominator of the support value at a primitive lattice point."""
-    return support_value(F, D, v).denominator
-
-
-def cartier_index_on_cone(F: Fan, D: ToricDivisor, cone_index: int) -> int:
-    """Least mu making mu D integral-linear on the cone."""
-    m = _cone_linear_form(F, D.coefficients, cone_index, "divisor")
-    return lcm(*(x.denominator for x in m))
+def _divisor_form(F: Fan, D: ToricDivisor, cone_index: int) -> Tuple[Fraction, ...]:
+    """The linear form matching D's coefficients at the rays of one
+    cone, solved on first use and kept in the fan's instance dictionary,
+    so that each (fan, divisor, cone) is solved once."""
+    forms = F.__dict__.setdefault("_divisor_forms", {})
+    key = (D.coefficients, cone_index)
+    if key not in forms:
+        forms[key] = _cone_linear_form(F, D.coefficients, cone_index, "divisor")
+    return forms[key]
 
 
 def cartier_index_global(F: Fan, D: ToricDivisor) -> int:
-    return lcm(*(cartier_index_on_cone(F, D, ci)
-                 for ci in range(len(F.max_cones))))
+    """Least mu making mu D integral-linear on every cone."""
+    return lcm(*(x.denominator for ci in range(len(F.max_cones))
+                 for x in _divisor_form(F, D, ci)))
 
 
 def quotient_boundary(F: Fan, D: ToricDivisor) -> ToricDivisor:
@@ -195,14 +187,10 @@ def is_ample(F: Fan, D: ToricDivisor) -> bool:
     """Strict convexity of the support function across every wall:
     for each maximal cone, the cone's linear form undershoots the
     prescribed value at every ray outside the cone."""
-    for ci, cone in enumerate(F.max_cones):
-        m = _cone_linear_form(F, D.coefficients, ci, "divisor")
-        for ri, ray in enumerate(F.rays):
-            if ri in cone:
-                continue
-            if not _dot(m, ray) < D.coefficients[ri]:
-                return False
-    return True
+    return all(_dot(_divisor_form(F, D, ci), ray) < c
+               for ci, cone in enumerate(F.max_cones)
+               for ri, (ray, c) in enumerate(zip(F.rays, D.coefficients))
+               if ri not in cone)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +243,7 @@ def cone_of_x(F: Fan, D: ToricDivisor) -> ConeOfX:
         lifted = tuple(c.denominator * x for x in v) + (c.numerator,)
         if primitivize(lifted) != lifted:
             raise InternalInvariantError("lifted ray is not primitive")
-        w = weil_index(F, D, v)
+        w = _dot(_divisor_form(F, D, F.locate(v)), v).denominator
         expect = tuple(w * Fraction(x) for x in v) + (w * c,)
         if tuple(Fraction(x) for x in lifted) != expect:
             raise InternalInvariantError("lifted ray disagrees with the Weil index")
@@ -332,14 +320,9 @@ def _vertex_ratio(F: Fan, D: ToricDivisor) -> Optional[Fraction]:
     """-lambda when the pair canonical class is lambda times the divisor
     class; None when the two are not proportional."""
     B = quotient_boundary(F, D)
-    n = F.rank
     # unknowns: lambda, m_1..m_n; equations: lambda c_rho + <m, v_rho> = b_rho - 1
-    rows = []
-    rhs = []
-    for v, c, b in zip(F.rays, D.coefficients, B.coefficients):
-        rows.append([c] + list(v))
-        rhs.append(b - 1)
-    status, sol = solve(rows, rhs)
+    status, sol = solve([[c, *v] for v, c in zip(F.rays, D.coefficients)],
+                        [b - 1 for b in B.coefficients])
     if status == "none":
         return None
     if status != "unique":
@@ -370,8 +353,7 @@ def verify_comparison(F: Fan, D: ToricDivisor,
         v = primitivize(v)
         ci = F.locate(v)
         if ci not in forms:
-            divisor_form = _cone_linear_form(F, D.coefficients, ci, "divisor")
-            forms[ci] = (_integer_scaling(divisor_form),
+            forms[ci] = (_integer_scaling(_divisor_form(F, D, ci)),
                          _integer_scaling(_pair_form(F, B, ci)))
         (dform, dden), (pform, pden) = forms[ci]
         s = Fraction(_dot(dform, v), dden)

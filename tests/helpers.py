@@ -6,17 +6,17 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Optional
 
 from conesing.divisors import (CurveCouple, IntegralDivisorP1, QDivisorP1,
                                finite_point, floor_multiple, infinity_point)
 from conesing.errors import (InternalInvariantError, NotQGorenstein,
                              PreconditionError, SingularMatrix)
-from conesing.linalg import RowSpan, det_int, rref, solve
+from conesing.linalg import RowSpan, det_int, solve
 from conesing.sections import SectionSpace, _GeneratorScan, _monomials
-from conesing.toric import (Fan, ToricDivisor, _dot, _pair_form, cone_of_x,
-                            is_ample)
+from conesing.toric import (Fan, ToricDivisor, _cone_linear_form, _dot,
+                            _pair_form, cone_of_x, is_ample)
 
 POSITIONS = [finite_point(0), finite_point(1), infinity_point(),
              finite_point(2), finite_point(-1), finite_point(Fraction(1, 2)),
@@ -378,6 +378,37 @@ def graph_side_catalog(eps, N):
 # Fraction elimination oracles
 # ---------------------------------------------------------------------------
 
+def rref(rows):
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
+    The Fraction oracle of the fraction-free elimination in linalg."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
 class FractionRowSpan:
     """Oracle for linalg.RowSpan: the same echelon insertion over
     Fraction, each stored row scaled to 1 at its pivot."""
@@ -408,6 +439,21 @@ class FractionRowSpan:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+
+def fraction_solve(rows, rhs):
+    """Oracle for linalg.solve: the Fraction reduced echelon form of the
+    augmented matrix, with the free unknowns set to 0."""
+    if not rows:
+        return "many", []
+    ncols = len(rows[0])
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return "none", None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return ("unique" if len(pivots) == ncols else "many"), x
 
 
 def fraction_nullspace(rows):
@@ -507,11 +553,12 @@ def evaluation_kernel_dims(C, gen_bound, rel_bound):
 
 def intersection_matrix(G):
     """The dense intersection matrix of a star graph."""
+    from conesing.resolution import star_edges
     selfints = G.self_intersections()
     m = [[0] * len(selfints) for _ in selfints]
     for i, e in enumerate(selfints):
         m[i][i] = e
-    for i, j in G.edges():
+    for i, j in star_edges(G.chains):
         m[i][j] = m[j][i] = 1
     return m
 
@@ -551,9 +598,9 @@ def edge_scan_blow_down(G):
     every edge for the neighbours at each step: the quadratic oracle of
     resolution.blow_down."""
     from conesing.errors import InternalNonIntegral
-    from conesing.resolution import BlownDownGraph
+    from conesing.resolution import BlownDownGraph, star_edges
     selfints = list(G.self_intersections())
-    mult = {e: 1 for e in G.edges()}
+    mult = {e: 1 for e in star_edges(G.chains)}
     alive = set(range(len(selfints)))
 
     def neighbors(v):
@@ -609,6 +656,25 @@ def is_negative_definite(matrix):
 # ---------------------------------------------------------------------------
 # toric oracles, stock fans and seeded instances
 # ---------------------------------------------------------------------------
+
+def support_value(F, D, v):
+    """Value at v of the piecewise-linear extension of the ray data,
+    locating v and solving its cone's form again in every call."""
+    if all(x == 0 for x in v):
+        return Fraction(0)
+    return _dot(_cone_linear_form(F, D.coefficients, F.locate(v), "divisor"), v)
+
+
+def weil_index(F, D, v):
+    """Denominator of the support value at a primitive lattice point."""
+    return support_value(F, D, v).denominator
+
+
+def cartier_index_on_cone(F, D, cone_index):
+    """Least mu making mu D integral-linear on the cone."""
+    m = _cone_linear_form(F, D.coefficients, cone_index, "divisor")
+    return lcm(*(x.denominator for x in m))
+
 
 def log_discrepancy_y(F, B, v):
     """Value at v of the piecewise-linear form equal to 1 - b_rho at rays."""

@@ -23,15 +23,14 @@ from conesing.errors import NotKlt
 from conesing.linalg import det_int
 from conesing.quotient import (horizontal_log_discrepancy, log_fano_quotient,
                                vertex_log_discrepancy)
-from conesing.resolution import blow_down, build_graph
+from conesing.resolution import build_graph
 from conesing.hilbert import hilbert_series
 from conesing.sections import presentation
-from conesing.toric import (ToricDivisor, cartier_index_on_cone, cone_of_x,
-                            random_primitive_samples, verify_comparison,
-                            weil_index)
-from helpers import (an_min_scan, fan_p1, h0, intersection_matrix,
-                     is_eps_lc_pair, is_negative_definite, lattice_mld,
-                     random_couples, random_instances)
+from conesing.toric import (ToricDivisor, cone_of_x, random_primitive_samples,
+                            verify_comparison)
+from helpers import (an_min_scan, cartier_index_on_cone, fan_p1, h0,
+                     intersection_matrix, is_eps_lc_pair, is_negative_definite,
+                     lattice_mld, random_couples, random_instances, weil_index)
 
 F = Fraction
 P0 = finite_point(0)
@@ -166,7 +165,7 @@ def test_c07_du_val():
     for N in range(1, 7):
         for entry in catalog(F(1), N):
             C = couple_from_entry_data(entry.fractional, entry.degree)
-            bd = blow_down(build_graph(C))
+            bd = build_graph(C).blown_down
             if bd.empty:
                 continue
             singular += 1

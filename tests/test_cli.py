@@ -228,23 +228,33 @@ def test_discrepancy_command(tmp_path):
 
 
 def test_seed_env_var(tmp_path):
+    # the sampling seed is --seed or the default; no environment
+    # variable, CONESING_SEED included, changes it
     import os
     fan = tmp_path / "fan.json"
-    fan.write_text(json.dumps({"rank": 1, "rays": [[1], [-1]],
-                               "cones": [[0], [1]]}))
+    fan.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                               "cones": [[0, 1], [1, 2], [0, 2]]}))
     div = tmp_path / "div.json"
-    div.write_text(json.dumps(["1/2", "1/3"]))
-    outs = []
-    for _ in range(2):
+    div.write_text(json.dumps(["0", "1/2", "1"]))
+
+    def toric_check(seed_env, *flags):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        env["CONESING_SEED"] = "77"
+        env.pop("CONESING_SEED", None)
+        if seed_env is not None:
+            env["CONESING_SEED"] = seed_env
         res = subprocess.run([sys.executable, "-m", "conesing", "toric-check",
-                              "--fan", str(fan), "--divisor", str(div)],
-                             capture_output=True, text=True, env=env)
-        assert res.returncode == 0
-        outs.append(res.stdout)
-    assert outs[0] == outs[1]
+                              "--fan", str(fan), "--divisor", str(div),
+                              *flags], capture_output=True, text=True, env=env)
+        assert res.returncode == 0 and res.stderr == ""
+        return res.stdout
+
+    seeded = toric_check(None, "--seed", "77")
+    assert toric_check(None, "--seed", "77") == seeded
+    assert toric_check("5", "--seed", "77") == seeded
+    default = toric_check(None)
+    assert default != seeded
+    assert toric_check("77") == toric_check("not a number") == default
 
 
 def test_describe_output_reparses(tmp_path):
@@ -853,7 +863,10 @@ E6_FILE = str(Path(__file__).resolve().parent / "golden" / "couples" / "E6.json"
 # --version writes one line, describe a few kilobytes, enumerate more
 # than an output buffer holds
 WRITERS = [["--version"], ["describe", "--couple", E6_FILE],
-           ["enumerate", "--epsilon", "1/2", "--isotropy-bound", "6"]]
+           ["enumerate", "--epsilon", "1/2", "--isotropy-bound", "6"],
+           # argparse's help, whose own writer drops a failed write
+           ["--help"], ["describe", "--help"]]
+WRITER_IDS = [" ".join(a) if "--help" in a else a[0] for a in WRITERS]
 
 
 def run_into(stdout, argv, buffered):
@@ -869,7 +882,7 @@ def run_into(stdout, argv, buffered):
 
 @pytest.mark.parametrize("buffered", [True, False],
                          ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", WRITERS, ids=[a[0] for a in WRITERS])
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
 def test_stdout_into_a_closed_pipe_exits_3_without_a_traceback(argv,
                                                                buffered):
     read_end, write_end = os.pipe()
@@ -885,7 +898,7 @@ def test_stdout_into_a_closed_pipe_exits_3_without_a_traceback(argv,
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("buffered", [True, False],
                          ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", WRITERS, ids=[a[0] for a in WRITERS])
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
 def test_stdout_into_a_full_device_exits_3_without_a_traceback(argv,
                                                                buffered):
     with open("/dev/full", "w") as full:

@@ -27,7 +27,7 @@ from conesing.errors import InternalInvariantError, NotKlt, SingularMatrix
 from conesing.linalg import det_int
 from conesing.quotient import cartier_index_of_kx, vertex_decomposition
 from conesing.resolution import (BlownDownGraph, _chain_continuants,
-                                 blow_down, build_graph)
+                                 blow_down, build_graph, star_edges)
 from conesing.hilbert import hilbert_series
 from conesing.sections import presentation
 from helpers import (POSITIONS, brute_min_decomposition, discrepancies,
@@ -116,7 +116,8 @@ def test_integer_chain_elimination_loses_definiteness_with_fractions(cs):
 def test_worklist_blow_down_matches_edge_scan(seed):
     for C in random_couples(seed, 4):
         G = build_graph(C)
-        assert blow_down(G) == edge_scan_blow_down(G)
+        assert blow_down(G.self_intersections(), star_edges(G.chains)) == \
+            edge_scan_blow_down(G)
 
 
 @settings(max_examples=6)
@@ -131,7 +132,8 @@ def test_worklist_blow_down_matches_edge_scan_on_long_chains(q, extra):
                         finite_point(1): extra})
     G = build_graph(C)
     assert len(G.chains[0]) >= 1000
-    assert blow_down(G) == edge_scan_blow_down(G)
+    assert blow_down(G.self_intersections(), star_edges(G.chains)) == \
+        edge_scan_blow_down(G)
 
 
 @given(klt_couples())
@@ -178,7 +180,7 @@ def test_star_edges_and_matrix():
                         POSITIONS[1]: Fraction(1, 2)})
     G = build_graph(C)
     assert G.chains == ((-2, -2), (-2,))
-    assert G.edges() == ((0, 1), (1, 2), (0, 3))
+    assert star_edges(G.chains) == ((0, 1), (1, 2), (0, 3))
     assert G.determinant == 5       # deg D * 3 * 2 with deg D = 5/6
     assert intersection_matrix(G) == [[-2, 1, 0, 1],
                                        [1, -2, 1, 0],

@@ -4,8 +4,10 @@ Every top-level function or class of a module in src/conesing must be
 referred to (by a Name, an Attribute or an import) from another module
 there, or from elsewhere in its own module; the dispatcher in cli
 calls the handler `cmd_<name>` of `cli_<family>` by name, for each
-command that its table maps to that family.  The package __init__ only
-re-exports, so it does not count as a caller.  Reference oracles and
+command that its table maps to that family.  Every method of a class
+there, dunders aside, must be referred to by name somewhere in src/
+outside its own body.  The package __init__ only re-exports, so it
+does not count as a caller.  Reference oracles and
 other test-only code live in tests/helpers.py.  Every name a top-level
 import binds in such a module must be used in that module; the package
 __init__, which only re-exports, is exempt.
@@ -18,16 +20,22 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "conesing"
 
 
-def references(node):
-    """Names a syntax tree refers to through Name, Attribute or import."""
+def references(node, skip=None):
+    """Names a syntax tree refers to through Name, Attribute or import,
+    leaving out the subtree skip."""
     out = set()
-    for sub in ast.walk(node):
+    todo = [node]
+    while todo:
+        sub = todo.pop()
+        if sub is skip:
+            continue
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
         elif isinstance(sub, (ast.Import, ast.ImportFrom)):
             out.update(alias.name.split(".")[-1] for alias in sub.names)
+        todo.extend(ast.iter_child_nodes(sub))
     return out
 
 
@@ -64,6 +72,37 @@ def unreferenced_definitions():
     return unused
 
 
+# methods that code outside src/ reads: the benchmark's tracer counts
+# graph vertices by ResolutionGraph.size
+METHODS_READ_OUTSIDE = {"resolution.ResolutionGraph.size"}
+
+
+def unreferenced_methods():
+    """module.Class.method for each method of a top-level class in src/,
+    dunders aside, whose name nothing in src/ refers to outside its own
+    body."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    everywhere = {name: references(tree) for name, tree in trees.items()}
+    unused = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(refs for other, refs in everywhere.items()
+                                  if other != name))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or (node.name.startswith("__") and node.name.endswith("__")):
+                    continue
+                qualified = f"{name[:-3]}.{cls.name}.{node.name}"
+                if (node.name not in elsewhere
+                        and node.name not in references(tree, skip=node)
+                        and qualified not in METHODS_READ_OUTSIDE):
+                    unused.append(qualified)
+    return unused
+
+
 def unused_imports():
     """Names bound by a top-level import that their module never reads."""
     unused = []
@@ -96,6 +135,25 @@ def test_layout_scan_flags_a_definition_without_caller(tmp_path, monkeypatch):
         fh.write("\n\ndef only_tests_call_me():\n    return rank([[1]])\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert unreferenced_definitions() == ["linalg.only_tests_call_me"]
+
+
+def test_every_method_in_src_has_a_caller():
+    assert unreferenced_methods() == []
+
+
+def test_layout_scan_flags_a_method_without_caller(tmp_path, monkeypatch):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    with open(tmp_path / "linalg.py", "a", encoding="utf-8") as fh:
+        # a method that only calls itself and a dunder: neither counts
+        fh.write("\n\nclass Extra:\n"
+                 "    def __len__(self):\n        return 0\n\n"
+                 "    def only_tests_call_me(self):\n"
+                 "        return self.only_tests_call_me()\n\n\n"
+                 "def keep_extra():\n    return Extra()\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert unreferenced_methods() == ["linalg.Extra.only_tests_call_me"]
 
 
 def test_every_command_dispatches_to_a_handler():

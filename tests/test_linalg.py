@@ -1,7 +1,7 @@
-"""The fraction-free RowSpan and nullspace against their Fraction
-oracles in helpers, as properties over random integer and rational
-matrices with zero rows, repeated rows, negative entries and rank
-deficiency."""
+"""The fraction-free RowSpan, nullspace, solve and rank against their
+Fraction oracles in helpers, as properties over random integer and
+rational matrices with zero rows, repeated rows, negative entries and
+rank deficiency."""
 
 from fractions import Fraction
 from math import gcd
@@ -9,8 +9,8 @@ from math import gcd
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conesing.linalg import RowSpan, nullspace
-from helpers import FractionRowSpan, fraction_nullspace
+from conesing.linalg import RowSpan, nullspace, rank, solve
+from helpers import FractionRowSpan, fraction_nullspace, fraction_solve, rref
 
 INTS = st.integers(-6, 6)
 RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
@@ -35,6 +35,21 @@ def matrices(draw):
             s, t = draw(entries), draw(entries)
             rows.append([s * x + t * y for x, y in zip(a, b)])
     return draw(st.permutations(rows))
+
+
+@st.composite
+def systems(draw):
+    """(rows, rhs): a drawn matrix with a right-hand side that is either
+    A x for a drawn x, so consistent, or drawn freely, so often not."""
+    rows = draw(matrices())
+    entries = st.one_of(INTS, RATIONALS)
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=len(rows[0]),
+                          max_size=len(rows[0])))
+        rhs = [sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
 
 
 def positive_multiple(v, w):
@@ -70,6 +85,39 @@ def test_nullspace_matches_fraction_oracle(rows):
         assert positive_multiple(v, w)
         assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0
                    for row in rows)
+
+
+@given(systems())
+def test_solve_and_rank_match_fraction_oracle(system):
+    rows, rhs = system
+    status, x = solve(rows, rhs)
+    assert (status, x) == fraction_solve(rows, rhs)
+    pivots = rref(rows)[1]
+    assert rank(rows) == len(pivots)
+    if status == "none":
+        assert x is None
+        return
+    assert all(type(a) is Fraction for a in x)
+    assert [sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows] == rhs
+    # "many" gives the solution whose free unknowns are 0
+    assert status == ("unique" if len(pivots) == len(x) else "many")
+    assert all(x[c] == 0 for c in range(len(x)) if c not in pivots)
+
+
+def test_solve_and_rank_examples():
+    assert solve([], []) == ("many", [])
+    assert solve([[1, 1], [1, 1]], [1, 2]) == ("none", None)
+    assert solve([[1, 1], [2, 2]], [3, 6]) == ("many", [3, 0])
+    assert solve([[0, 2, 4]], [Fraction(1, 3)]) == ("many",
+                                                   [0, Fraction(1, 6), 0])
+    assert solve([[2, 0], [0, 3]], [1, 1]) == ("unique",
+                                               [Fraction(1, 2), Fraction(1, 3)])
+    assert solve([[Fraction(1, 2), 1], [1, -1]], [1, 0]) == (
+        "unique", [Fraction(2, 3), Fraction(2, 3)])
+    assert rank([]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[1, 2], [2, 4], [Fraction(1, 2), 1]]) == 1
+    assert rank([[1, 2, 3], [0, 1, 1], [1, 3, 4], [0, 0, 5]]) == 3
 
 
 def test_nullspace_examples():

@@ -12,14 +12,14 @@ from conesing.errors import (FanInvalid, InternalInvariantError, NotAmple,
 from conesing.linalg import primitivize
 from conesing.resolution import build_graph
 from conesing.toric import (ComparisonCheck, ComparisonReport, Fan,
-                            ToricDivisor, cartier_index_global,
-                            cartier_index_on_cone, cone_of_x,
+                            ToricDivisor, cartier_index_global, cone_of_x,
                             fan_projective_space, is_ample, log_discrepancy_x,
                             quotient_boundary, random_primitive_samples,
-                            support_value, verify_comparison, weil_index)
-from helpers import (fan_p1, fan_p1xp1, fan_p2, fan_weighted_plane,
-                     lattice_mld, log_discrepancy_y, random_instances,
-                     simplicial_walls_ok)
+                            verify_comparison)
+from helpers import (cartier_index_on_cone, fan_p1, fan_p1xp1, fan_p2,
+                     fan_weighted_plane, lattice_mld, log_discrepancy_y,
+                     random_instances, simplicial_walls_ok, support_value,
+                     weil_index)
 
 F2 = Fraction
 P0 = finite_point(0)
@@ -302,30 +302,48 @@ def test_verify_comparison_matches_per_vector_reference(data):
     assert verify_comparison(F, D, samples).checks == expected, label
 
 
+# the benchmark's fans and divisors: P^3 and the weighted plane P(1,1,2)
+BENCHMARK_FANS = [
+    (lambda: fan_projective_space(3), P3_DIVISOR),
+    (lambda: Fan(rank=2, rays=((1, 0), (0, 1), (-1, -2)),
+                 max_cones=((0, 1), (1, 2), (0, 2))),
+     ToricDivisor.of([F2(1, 2), F2(2, 3), 1])),
+]
+
+
 def test_linear_algebra_calls_do_not_grow_with_samples(monkeypatch):
-    counts = {}
+    calls = []
+    solve = toric.solve
 
-    def counting(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
 
-    monkeypatch.setattr(toric, "solve", counting("solve", toric.solve))
-    monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
+    monkeypatch.setattr(toric, "solve", counting)
     seen = []
-    for n in (10, 300):
-        counts.update(solve=0, rref=0)
-        F = fan_projective_space(3)     # fresh fan: its cone data is rebuilt
-        # one interior vector per cone, so both runs build every cone's forms
-        interiors = [tuple(map(sum, zip(*(F.rays[i] for i in c))))
-                     for c in F.max_cones]
-        samples = interiors + random_primitive_samples(seed=1, rank=3, count=n)
-        report = verify_comparison(F, P3_DIVISOR, samples)
-        assert not report.violations and len(report.checks) == 8 + n
-        seen.append(dict(counts))
-    assert seen[0] == seen[1]
-    assert 0 < seen[0]["solve"] < 30
+    for make_fan, D in BENCHMARK_FANS:
+        for n in (10, 1000):
+            F = make_fan()      # fresh fan: its cone data is rebuilt
+            # one interior vector per cone, so both runs build every
+            # cone's forms
+            interiors = [tuple(map(sum, zip(*(F.rays[i] for i in c))))
+                         for c in F.max_cones]
+            samples = interiors + random_primitive_samples(
+                seed=1, rank=F.rank, count=n)
+            calls.clear()
+            report = verify_comparison(F, D, samples)
+            assert not report.violations
+            assert len(report.checks) == len(F.rays) + len(samples)
+            seen.append(len(calls))
+            # the divisor forms stay on the fan for every later reader
+            calls.clear()
+            assert is_ample(F, D)
+            cartier_index_global(F, D)
+            cone_of_x(F, D)
+            assert len(calls) == 1      # the Q-Gorenstein solve
+    # one divisor form and one pair form per cone, the Q-Gorenstein
+    # solve and the vertex-ratio solve
+    assert seen == [10, 10, 8, 8]
 
 
 def test_fan_facets_are_cached_primitive_integer_normals():
