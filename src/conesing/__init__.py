@@ -22,8 +22,8 @@ _EXPORTS = {
                    "hj_chain", "local_cone_at"),
     "hilbert": ("HilbertData", "hilbert_series", "hilbert_values"),
     "sections": ("Presentation", "presentation"),
-    "catalog": ("CatalogEntry", "SearchParams", "audit_catalog",
-                "enumerate_catalog", "mld_spectrum", "search_bounds"),
+    "catalog": ("SearchParams", "audit_catalog", "enumerate_catalog",
+                "mld_spectrum", "search_bounds"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -14,9 +14,13 @@ increase with the degree: a type's members are its degrees up to a
 closed-form cap, each entry is read off the type's integers and its
 degree, and only a central (-1)-curve needs a blow-down.  The embedding
 dimension is Artin's 1 - Z^2 (klt surface singularities are rational).
+Each entry is built once, as the JSON object the catalog file holds:
+rationals are fmt_q strings, and the sweep keeps only the mld as a
+Fraction, next to the object, to compare it with eps.
 
-audit rebuilds stored entries by the same path and checks a_e0 and the
-mld against build_graph, which solves each couple's star graph alone.
+audit rebuilds stored entries by the same path, compares the objects,
+and checks a_e0 and the mld against build_graph, which solves each
+couple's star graph alone.
 Only the audit path imports divisors, json and build_graph, in its own
 functions: the sweep does not load the couple layers.
 The tests keep the per-candidate path, the unpruned generator and a
@@ -30,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import add
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import (BadEpsilon, CatalogMismatch, InternalInvariantError,
                      InternalNonIntegral, NotKlt, ParseError, PreconditionError)
@@ -38,9 +42,6 @@ from .jsonio import fmt_q, json_int, parse_q
 from .records import Record
 from .resolution import (LatticeCone2, _chain_continuants, blow_down,
                          hj_chain, star_edges)
-
-if TYPE_CHECKING:
-    from .divisors import CurveCouple
 
 
 def validate_epsilon(eps) -> Fraction:
@@ -61,102 +62,14 @@ class SearchParams(Record):
         self.__dict__.update(epsilon=epsilon, isotropy_bound=isotropy_bound)
 
 
-class SearchBounds(Record):
-    _fields = ("k_max", "q_min", "q_max", "degree_max", "k_max_effective")
-
-    def __init__(self, k_max: int, q_min: int, q_max: int,
-                 degree_max: Fraction, k_max_effective: int):
-        self.__dict__.update(k_max=k_max, q_min=q_min, q_max=q_max,
-                             degree_max=degree_max,
-                             k_max_effective=k_max_effective)
-
-    def to_json(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "q_min": self.q_min,
-            "q_max": self.q_max,
-            "degree_max": fmt_q(self.degree_max),
-            "k_max_effective": self.k_max_effective,
-        }
-
-
-def search_bounds(params: SearchParams) -> SearchBounds:
-    """At most three fractional points (the quotient pair is log Fano),
-    denominators 2..N, degree at most 2/eps."""
+def search_bounds(params: SearchParams) -> dict:
+    """The bounds object of an enumerate document: at most three
+    fractional points (the quotient pair is log Fano), denominators 2..N,
+    degree at most 2/eps."""
     N = params.isotropy_bound
-    return SearchBounds(k_max=3, q_min=2, q_max=N,
-                        degree_max=Fraction(2) / params.epsilon,
-                        k_max_effective=3 if N >= 2 else 0)
-
-
-class GraphSummary(Record):
-    _fields = ("center", "chains", "blown_down_vertices")
-
-    def __init__(self, center: int, chains: Tuple[Tuple[int, ...], ...],
-                 blown_down_vertices: Optional[Tuple[int, ...]]):
-        # blown_down_vertices None means smooth
-        d = self.__dict__
-        d["center"] = center
-        d["chains"] = chains
-        d["blown_down_vertices"] = blown_down_vertices
-
-    def to_json(self) -> dict:
-        return {
-            "center": self.center,
-            "chains": [list(c) for c in self.chains],
-            "blown_down": (list(self.blown_down_vertices)
-                           if self.blown_down_vertices is not None else None),
-        }
-
-
-class CatalogEntry(Record):
-    _fields = ("key", "degree", "fractional", "a_e0", "mld",
-               "cartier_index_kx", "max_isotropy", "link_determinant",
-               "hilbert_numerator", "hilbert_period", "embedding_dimension",
-               "graph")
-
-    def __init__(self, key: str, degree: Fraction,
-                 fractional: Tuple[Tuple[int, int], ...], a_e0: Fraction,
-                 mld: Fraction, cartier_index_kx: int, max_isotropy: int,
-                 link_determinant: int, hilbert_numerator: Tuple[int, ...],
-                 hilbert_period: int, embedding_dimension: int,
-                 graph: GraphSummary):
-        # fractional: (p, q) pairs in canonical order
-        d = self.__dict__
-        d["key"] = key
-        d["degree"] = degree
-        d["fractional"] = fractional
-        d["a_e0"] = a_e0
-        d["mld"] = mld
-        d["cartier_index_kx"] = cartier_index_kx
-        d["max_isotropy"] = max_isotropy
-        d["link_determinant"] = link_determinant
-        d["hilbert_numerator"] = hilbert_numerator
-        d["hilbert_period"] = hilbert_period
-        d["embedding_dimension"] = embedding_dimension
-        d["graph"] = graph
-
-    def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "degree": fmt_q(self.degree),
-            "fractional": [[p, q] for p, q in self.fractional],
-            "a_e0": fmt_q(self.a_e0),
-            "mld": fmt_q(self.mld),
-            "cartier_index_kx": self.cartier_index_kx,
-            "max_isotropy": self.max_isotropy,
-            "link_determinant": self.link_determinant,
-            "hilbert_numerator": list(self.hilbert_numerator),
-            "hilbert_period": self.hilbert_period,
-            "embedding_dimension": self.embedding_dimension,
-            "graph": self.graph.to_json(),
-        }
-
-
-def couple_from_entry_data(fractional, degree: Fraction) -> CurveCouple:
-    """Rebuild the canonical couple from its fractional type and degree."""
-    from .divisors import canonical_couple
-    return canonical_couple([Fraction(p, q) for p, q in fractional], degree)
+    return {"k_max": 3, "q_min": 2, "q_max": N,
+            "degree_max": fmt_q(Fraction(2) / params.epsilon),
+            "k_max_effective": 3 if N >= 2 else 0}
 
 
 def _fractional_coefficients(q_max: int) -> List[Fraction]:
@@ -214,10 +127,12 @@ def _chain_solve(p: int, q: int):
 
 @lru_cache(maxsize=None)
 def _type_member(fracs: Tuple[Fraction, ...]):
-    """member(degree) -> the entry of the type at that degree, whatever
-    its mld, from the type's integers, computed on the first call for a
-    type; enumerate and audit clear the cache when they end.  The setup
-    is linear in the period L = lcm q_i: audit refuses L above PERIOD_MAX
+    """member(degree) -> (mld, entry): the type's member at that degree,
+    whatever its mld, with its entry built once, as the JSON object that
+    a catalog file holds (rationals as fmt_q strings, arrays as lists),
+    from the type's integers.  The setup runs on the first call for a
+    type; enumerate and audit clear the cache when they end.  It is
+    linear in the period L = lcm q_i: audit refuses L above PERIOD_MAX
     first, and a sweep's types have L <= N^2."""
     pairs = tuple((f.numerator, f.denominator) for f in fracs)
     r = len(pairs)
@@ -246,7 +161,7 @@ def _type_member(fracs: Tuple[Fraction, ...]):
     tail = tuple(e for chain in chains for e in chain)
     excess = sum(-e - 2 for e in tail)
 
-    def member(degree: Fraction) -> CatalogEntry:
+    def member(degree: Fraction) -> Tuple[Fraction, dict]:
         dn, dd = degree.numerator, degree.denominator
         # degree = fsum + n has the denominator of fsum
         if dd != fsum.denominator or dn <= 0:
@@ -261,7 +176,7 @@ def _type_member(fracs: Tuple[Fraction, ...]):
             # all curves are (-2)-curves or below, so the star graph is
             # minimal, and Z = sum E_v has every Z.E_v <= 0, so it is the
             # fundamental cycle: 1 - Z^2 = 1 + b0 + sum (c_v - 2)
-            blown_down, embdim = (-b0, *tail), 1 + b0 + excess
+            blown_down, embdim = [-b0, *tail], 1 + b0 + excess
         else:
             # a central (-1)-curve is blown down; three chains on a
             # (-2)-curve take Laufer's loop.  The checks of
@@ -280,7 +195,7 @@ def _type_member(fracs: Tuple[Fraction, ...]):
                 raise CatalogMismatch(f"{prefix}{degree}: graph blow-down "
                                       f"and embedding dimension {embdim} "
                                       "disagree")
-            blown_down = None if bd.empty else bd.self_intersections
+            blown_down = None if bd.empty else list(bd.self_intersections)
         # the least m with m(K + B) - u D integral, u/m = s/t = -a_e0: t
         # divides m, and at p/q, q divides (m/t)(t(q - 1) - s p)
         s, t = -a_e0.numerator, a_e0.denominator
@@ -288,12 +203,24 @@ def _type_member(fracs: Tuple[Fraction, ...]):
         numerator[-1] -= 1
         while numerator and numerator[-1] == 0:
             numerator.pop()
-        return CatalogEntry(
-            prefix + str(degree), degree, pairs, a_e0, Fraction(low, L * B),
-            t * lcm(*(q // gcd(q, t + s * p) for p, q in pairs)),
-            max((q for _, q in pairs), default=1), dn * qprod // dd,
-            tuple(numerator), L, embdim,
-            GraphSummary(-b0, chains, blown_down))
+        mld = Fraction(low, L * B)
+        deg = fmt_q(degree)
+        return mld, {
+            "key": prefix + deg,
+            "degree": deg,
+            "fractional": [[p, q] for p, q in pairs],
+            "a_e0": fmt_q(a_e0),
+            "mld": fmt_q(mld),
+            "cartier_index_kx": t * lcm(*(q // gcd(q, t + s * p)
+                                          for p, q in pairs)),
+            "max_isotropy": max((q for _, q in pairs), default=1),
+            "link_determinant": dn * qprod // dd,
+            "hilbert_numerator": numerator,
+            "hilbert_period": L,
+            "embedding_dimension": embdim,
+            "graph": {"center": -b0, "chains": [list(c) for c in chains],
+                      "blown_down": blown_down},
+        }
 
     return member
 
@@ -305,7 +232,7 @@ def _candidate_types(params: SearchParams):
     pairs looked up by coefficient index keep the O(k^2) types of k
     coefficients cheap; only a type with members gets its Fractions."""
     en, ed = params.epsilon.numerator, params.epsilon.denominator
-    coeffs = _fractional_coefficients(search_bounds(params).q_max)
+    coeffs = _fractional_coefficients(params.isotropy_bound)
     points = []
     for f in coeffs:
         p, q = f.numerator, f.denominator
@@ -339,16 +266,16 @@ def _evaluate_candidate(args):
     not klt or its mld is below eps."""
     fracs, degree, eps = args
     try:
-        entry = _type_member(fracs)(degree)
+        mld, entry = _type_member(fracs)(degree)
     except NotKlt:
         return None
-    return entry if entry.mld >= eps else None
+    return entry if mld >= eps else None
 
 
-def enumerate_catalog(params: SearchParams) -> List[CatalogEntry]:
-    """The catalog at params, ordered by degree, then key.  The sweep
-    always runs in this process; the CLI's --jobs is range-checked for
-    compatibility and changes nothing."""
+def enumerate_catalog(params: SearchParams) -> List[dict]:
+    """The catalog at params as entry objects, ordered by degree, then
+    key.  The sweep always runs in this process; the CLI's --jobs is
+    range-checked for compatibility and changes nothing."""
     eps = params.epsilon
     seen = {}
     try:
@@ -356,19 +283,21 @@ def enumerate_catalog(params: SearchParams) -> List[CatalogEntry]:
             e = _evaluate_candidate((fracs, degree, eps))
             if e is None:
                 continue
-            if e.key in seen:
-                raise CatalogMismatch(f"duplicate catalog key {e.key}")
-            seen[e.key] = e
+            key = e["key"]
+            if key in seen:
+                raise CatalogMismatch(f"duplicate catalog key {key}")
+            seen[key] = degree, e
     finally:
         _type_member.cache_clear()
     # degrees over their common denominator M compare as integers
-    M = lcm(*(e.degree.denominator for e in seen.values()))
-    return sorted(seen.values(), key=lambda e: (
-        e.degree.numerator * (M // e.degree.denominator), e.key))
+    M = lcm(*(d.denominator for d, _ in seen.values()))
+    return [e for _, e in sorted(seen.values(), key=lambda de: (
+        de[0].numerator * (M // de[0].denominator), de[1]["key"]))]
 
 
 def mld_spectrum(entries) -> Tuple[Fraction, ...]:
-    return tuple(sorted({e.mld for e in entries}))
+    """The distinct mlds of the entries, ascending."""
+    return tuple(sorted(map(parse_q, {e["mld"] for e in entries})))
 
 
 class AuditReport(Record):
@@ -432,7 +361,7 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
     reported, not raised."""
     import json
 
-    from .divisors import max_isotropy, normal_form
+    from .divisors import canonical_couple, max_isotropy, normal_form
     from .hilbert import _checked_period
     from .resolution import build_graph
     eps, N = params.epsilon, params.isotropy_bound
@@ -447,7 +376,8 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
         try:
             # a stored entry in canonical order is its own normal form,
             # which normal_form keeps instead of building it again
-            nf = normal_form(couple_from_entry_data(fractional, degree))
+            nf = normal_form(canonical_couple(
+                [Fraction(p, q) for p, q in fractional], degree))
         except (PreconditionError, ZeroDivisionError) as exc:
             failures.append(f"{tag}: cannot rebuild couple ({exc})")
             continue
@@ -462,17 +392,17 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
             continue
         # the Hilbert numerator takes time linear in the period
         _checked_period(C.divisor)
-        e = _type_member(nf.key[0])(nf.key[1])
-        rebuilt = e.to_json()
+        mld, rebuilt = _type_member(nf.key[0])(nf.key[1])
         # the whole entry as canonical text first; field by field only
         # when the texts differ
         if json.dumps(doc, sort_keys=True) != json.dumps(rebuilt, sort_keys=True):
             failures.extend(_field_failures(tag, doc, rebuilt))
+        # fmt_q is canonical: the strings are equal when the rationals are
         for name, oracle in (("a_e0", 1 + G.discrepancies[0]), ("mld", G.mld)):
-            if oracle != getattr(e, name):
+            if fmt_q(oracle) != rebuilt[name]:
                 failures.append(
                     f"{tag}: {name} disagrees with the resolution oracle")
-        if e.mld < eps:
+        if mld < eps:
             failures.append(f"{tag}: mld below epsilon")
     _type_member.cache_clear()
     return AuditReport(checked=len(docs), failures=tuple(failures))
@@ -482,7 +412,7 @@ def catalog_to_json(entries, params: SearchParams) -> dict:
     return {
         "params": {"epsilon": fmt_q(params.epsilon),
                    "isotropy_bound": params.isotropy_bound},
-        "entries": [e.to_json() for e in entries],
+        "entries": entries,
         "summary": {
             "count": len(entries),
             "mld_spectrum": [fmt_q(m) for m in mld_spectrum(entries)],

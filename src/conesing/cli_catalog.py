@@ -31,7 +31,7 @@ def cmd_enumerate(args) -> int:
     _check_jobs(args.jobs)
     entries = enumerate_catalog(params)
     doc = catalog_to_json(entries, params)
-    doc["bounds"] = search_bounds(params).to_json()
+    doc["bounds"] = search_bounds(params)
     _emit(doc, args.out)
     return 0
 

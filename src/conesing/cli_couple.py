@@ -77,7 +77,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_presentation(args) -> int:
-    from .sections import hilbert_series, presentation
+    from .sections import presentation
     # Minimal generators have degree >= 1 and relations among them
     # degree >= 2, so smaller bounds search nothing.
     if args.gen_bound is not None and args.gen_bound < 1:
@@ -86,8 +86,7 @@ def cmd_presentation(args) -> int:
         raise PreconditionError(f"--rel-bound {args.rel_bound} must be >= 2")
     C = _load_couple(args.couple)
     pres = presentation(C, gen_bound=args.gen_bound, rel_bound=args.rel_bound)
-    hd = hilbert_series(C)
-    doc = {"series": hd.to_json(),
+    doc = {"series": pres.series.to_json(),
            "generators": list(pres.generator_degrees),
            "relations": list(pres.relation_degrees),
            "equations": list(pres.equations or []),

@@ -257,11 +257,11 @@ CANONICAL_POSITIONS = (P0, P1, PINF)
 
 
 class NormalForm(Record):
-    _fields = ("couple", "key", "moduli")
+    _fields = ("couple", "key")
 
     def __init__(self, couple: CurveCouple,
-                 key: Tuple[Tuple[Fraction, ...], Fraction], moduli: bool):
-        self.__dict__.update(couple=couple, key=key, moduli=moduli)
+                 key: Tuple[Tuple[Fraction, ...], Fraction]):
+        self.__dict__.update(couple=couple, key=key)
 
 
 def _frac_numerator(c: Fraction) -> int:
@@ -277,10 +277,9 @@ def normal_form(C: CurveCouple) -> NormalForm:
     Fractional parts land at 0, 1, infinity in descending order (ties by
     denominator, then numerator of the stored coefficient); the leftover
     integral degree sits at infinity when free, otherwise it is folded
-    into the coefficient at 0.  With more than three fractional points
-    the positions are genuine moduli: the input is returned unchanged
-    and the key is flagged.  A couple already in normal form is returned
-    as it is.
+    into the coefficient at 0.  More than three fractional points have
+    no canonical placement and are refused with PreconditionError.  A
+    couple already in normal form is returned as it is.
     """
     D = C.divisor
     fracs = []
@@ -291,13 +290,9 @@ def normal_form(C: CurveCouple) -> NormalForm:
     fracs.sort(key=lambda t: (-t[0], t[1], t[2]))
     frac_values = tuple(f for f, _, _ in fracs)
     deg = D.degree()
-    key = (frac_values, deg)
-
-    if len(fracs) > 3:
-        return NormalForm(couple=C, key=key, moduli=True)
     if D.terms != _canonical_terms(frac_values, deg):
         C = canonical_couple(frac_values, deg)
-    return NormalForm(couple=C, key=key, moduli=False)
+    return NormalForm(couple=C, key=(frac_values, deg))
 
 
 def canonical_couple(fracs, degree) -> CurveCouple:

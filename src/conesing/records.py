@@ -10,10 +10,12 @@ repr names the class and its fields in order.  Values computed on
 first use (by functools.cached_property, or by a method that stores its
 result under a private name) go into the instance dictionary next to
 the fields and take no part in equality or the repr.  The types built
-in inner loops (per catalog entry, per toric sample) store each
+in inner loops (per point, per star graph, per toric sample) store each
 field under its key, which is the fastest form; the others set theirs
 with one dictionary update.  Equality and the hash read the field tuple
-with one operator.itemgetter call per record.
+with one operator.itemgetter call per record.  Catalog entries are not
+records: the sweep builds each one directly as the JSON object its
+file holds.
 """
 
 

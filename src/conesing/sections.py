@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from .divisors import (CurveCouple, Rational, assign_coordinates,
                        denominators_lcm, floor_multiple)
 from .errors import BoundTooSmall, InternalInvariantError, NotKlt
-from .hilbert import HilbertData, _checked_period, hilbert_series
+from .hilbert import HilbertData, hilbert_series
 from .records import Record
 
 
@@ -74,7 +74,7 @@ class SectionSpace:
         if cached is None:
             E = floor_multiple(self.D, n)
             fin = {p.x: c for p, c in E.terms if p.kind == "fin"}
-            cached = {"deg": E.degree(), "fin": fin, "E": E}
+            cached = {"deg": E.degree(), "fin": fin}
             self._floor_cache[n] = cached
         return cached
 
@@ -117,15 +117,17 @@ class SectionSpace:
 
 class Presentation(Record):
     _fields = ("generator_degrees", "relation_degrees", "equations",
-               "verified_through")
+               "verified_through", "series")
 
     def __init__(self, generator_degrees: Tuple[int, ...],
                  relation_degrees: Tuple[int, ...],
-                 equations: Optional[Tuple[str, ...]], verified_through: int):
+                 equations: Optional[Tuple[str, ...]], verified_through: int,
+                 series: HilbertData):
         self.__dict__.update(generator_degrees=generator_degrees,
                              relation_degrees=relation_degrees,
                              equations=equations,
-                             verified_through=verified_through)
+                             verified_through=verified_through,
+                             series=series)
 
 
 def default_presentation_bound(C: CurveCouple) -> int:
@@ -305,9 +307,11 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     For a klt couple their number must be Artin's embedding dimension.
     With three generators the Hilbert series forces one relation of a
     known degree: a rel_bound below it is BoundTooSmall, and the search
-    must find exactly that relation.
+    must find exactly that relation.  The Hilbert series is returned as
+    the series field; computing it first refuses a period above
+    PERIOD_MAX before the scan starts.
     """
-    _checked_period(C.divisor)
+    hd = hilbert_series(C)
     if gen_bound is None:
         gen_bound = default_presentation_bound(C)
     if rel_bound is None:
@@ -320,7 +324,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     _certify_generator_count(C, len(gen_degrees))
     forced = None
     if len(gen_degrees) == 3:
-        forced = _hypersurface_relation_degree(hilbert_series(C), gen_degrees)
+        forced = _hypersurface_relation_degree(hd, gen_degrees)
         if rel_bound < forced:
             raise BoundTooSmall(
                 f"relation bound {rel_bound} is below the degree {forced} "
@@ -409,4 +413,5 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
         relation_degrees=tuple(sorted(relation_degrees)),
         equations=eqs,
         verified_through=verified_through,
+        series=hd,
     )

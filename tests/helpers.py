@@ -183,10 +183,19 @@ def is_eps_lc_pair(P, eps):
 
 def key_string(nf):
     """The catalog key of a normal form: its fractional values and its
-    degree, flagged when the positions are moduli."""
+    degree."""
     fracs, deg = nf.key
     body = ",".join(str(f) for f in fracs)
-    return f"f[{body}];deg={deg}" + (";moduli" if nf.moduli else "")
+    return f"f[{body}];deg={deg}"
+
+
+def entry_couple(entry):
+    """The canonical couple of a catalog entry's fractional type and
+    degree."""
+    from conesing.divisors import canonical_couple
+
+    return canonical_couple([Fraction(p, q) for p, q in entry["fractional"]],
+                            Fraction(entry["degree"]))
 
 
 def capped_candidate_types(params):
@@ -194,9 +203,9 @@ def capped_candidate_types(params):
     combinations_with_replacement whose quotient boundary has degree
     below 2, each swept through its central cap (2 - deg B)/eps, the
     bound a_e0 >= mld >= eps gives.  A superset of the members."""
-    from conesing.catalog import _fractional_coefficients, search_bounds
+    from conesing.catalog import _fractional_coefficients
 
-    coeffs = _fractional_coefficients(search_bounds(params).q_max)
+    coeffs = _fractional_coefficients(params.isotropy_bound)
     types = [()]
     for k in (1, 2, 3):
         types.extend(itertools.combinations_with_replacement(coeffs, k))
@@ -215,14 +224,15 @@ def capped_candidate_types(params):
 
 def per_candidate_entry(fracs, degree, eps):
     """Oracle for catalog._evaluate_candidate: the catalog entry of one
-    candidate built from its own couple (canonical placement, star graph,
-    blow-down, normal form, Hilbert series, the index of K_X), or None
-    when the couple is not klt or its mld is below eps."""
-    from conesing.catalog import CatalogEntry, GraphSummary
+    candidate, as the JSON object a catalog file holds, built from its
+    own couple (canonical placement, star graph, blow-down, normal form,
+    Hilbert series, the index of K_X), or None when the couple is not
+    klt or its mld is below eps."""
     from conesing.divisors import (_frac_numerator, canonical_couple,
                                    max_isotropy, normal_form)
     from conesing.errors import NotKlt
     from conesing.hilbert import hilbert_series
+    from conesing.jsonio import fmt_q
     from conesing.quotient import cartier_index_of_kx, vertex_log_discrepancy
     from conesing.resolution import build_graph
 
@@ -238,25 +248,25 @@ def per_candidate_entry(fracs, degree, eps):
     bd = G.blown_down
     hd = hilbert_series(C)
     assert bd.empty == (bd.embedding_dimension == 2)
-    return CatalogEntry(
-        key=key_string(nf),
-        degree=C.degree(),
-        fractional=tuple((_frac_numerator(c), c.denominator)
-                         for _, c in C.divisor.terms if c.denominator > 1),
-        a_e0=vertex_log_discrepancy(C),
-        mld=G.mld,
-        cartier_index_kx=cartier_index_of_kx(C),
-        max_isotropy=max_isotropy(C),
-        link_determinant=G.determinant,
-        hilbert_numerator=hd.numerator,
-        hilbert_period=hd.period,
-        embedding_dimension=bd.embedding_dimension,
-        graph=GraphSummary(
-            center=G.central_self_int,
-            chains=G.chains,
-            blown_down_vertices=None if bd.empty else bd.self_intersections,
-        ),
-    )
+    return {
+        "key": key_string(nf),
+        "degree": fmt_q(C.degree()),
+        "fractional": [[_frac_numerator(c), c.denominator]
+                       for _, c in C.divisor.terms if c.denominator > 1],
+        "a_e0": fmt_q(vertex_log_discrepancy(C)),
+        "mld": fmt_q(G.mld),
+        "cartier_index_kx": cartier_index_of_kx(C),
+        "max_isotropy": max_isotropy(C),
+        "link_determinant": G.determinant,
+        "hilbert_numerator": list(hd.numerator),
+        "hilbert_period": hd.period,
+        "embedding_dimension": bd.embedding_dimension,
+        "graph": {
+            "center": G.central_self_int,
+            "chains": [list(c) for c in G.chains],
+            "blown_down": None if bd.empty else list(bd.self_intersections),
+        },
+    }
 
 
 def per_candidate_catalog(params, candidates=capped_candidate_types):
@@ -265,17 +275,17 @@ def per_candidate_catalog(params, candidates=capped_candidate_types):
     entries = [per_candidate_entry(fracs, degree, params.epsilon)
                for fracs, degree in candidates(params)]
     return sorted((e for e in entries if e is not None),
-                  key=lambda e: (e.degree, e.key))
+                  key=lambda e: (Fraction(e["degree"]), e["key"]))
 
 
 def unpruned_candidate_types(params):
     """Oracle for catalog._candidate_types: every fractional type within
     the search bounds, each swept through degree 2/eps, with no cap from
     the type's quotient boundary."""
-    from conesing.catalog import _fractional_coefficients, search_bounds
+    from conesing.catalog import _fractional_coefficients
 
-    bounds = search_bounds(params)
-    coeffs = _fractional_coefficients(bounds.q_max)
+    coeffs = _fractional_coefficients(params.isotropy_bound)
+    degree_max = 2 / params.epsilon
     types = [()]
     for k in (1, 2, 3):
         types.extend(itertools.combinations_with_replacement(coeffs, k))
@@ -287,7 +297,7 @@ def unpruned_candidate_types(params):
         n0 = -int(fsum) if fsum else 1
         while fsum + n0 <= 0:
             n0 += 1
-        while fsum + n0 <= bounds.degree_max:
+        while fsum + n0 <= degree_max:
             yield fracs, fsum + n0
             n0 += 1
 

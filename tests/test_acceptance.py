@@ -14,8 +14,7 @@ from math import gcd
 import pytest
 
 from conesing.catalog import (SearchParams, catalog_to_json,
-                              couple_from_entry_data, enumerate_catalog,
-                              mld_spectrum)
+                              enumerate_catalog, mld_spectrum)
 from conesing.counterexamples import an_min_over_actions, rnc_family_report
 from conesing.divisors import (CurveCouple, finite_point, infinity_point,
                                max_isotropy)
@@ -28,9 +27,10 @@ from conesing.hilbert import hilbert_series
 from conesing.sections import presentation
 from conesing.toric import (ToricDivisor, cone_of_x, random_primitive_samples,
                             verify_comparison)
-from helpers import (an_min_scan, cartier_index_on_cone, fan_p1, h0,
-                     intersection_matrix, is_eps_lc_pair, is_negative_definite,
-                     lattice_mld, random_couples, random_instances, weil_index)
+from helpers import (an_min_scan, cartier_index_on_cone, entry_couple, fan_p1,
+                     h0, intersection_matrix, is_eps_lc_pair,
+                     is_negative_definite, lattice_mld, random_couples,
+                     random_instances, weil_index)
 
 F = Fraction
 P0 = finite_point(0)
@@ -128,7 +128,7 @@ def test_c05_quotient_eps_over_n():
     checked = 0
     for eps, N in CATALOG_PARAMS:
         for entry in catalog(eps, N):
-            C = couple_from_entry_data(entry.fractional, entry.degree)
+            C = entry_couple(entry)
             ok = ok and is_eps_lc_pair(log_fano_quotient(C), eps / N)
             checked += 1
     assert _report("C5 log Fano quotient is eps/N-lc on every entry", ok,
@@ -151,8 +151,8 @@ def test_c06_boundedness_and_mld_finiteness():
             json.dumps(catalog_to_json(entries, params))
     chain = [catalog(*p) for p in CATALOG_PARAMS]
     for small, big in zip(chain, chain[1:]):
-        keys_small = {e.key for e in small}
-        keys_big = {e.key for e in big}
+        keys_small = {e["key"] for e in small}
+        keys_big = {e["key"] for e in big}
         ok = ok and keys_small <= keys_big
     assert _report("C6 finite deterministic catalogs, spectra above eps, "
                    "monotone containment", ok,
@@ -164,7 +164,7 @@ def test_c07_du_val():
     singular = 0
     for N in range(1, 7):
         for entry in catalog(F(1), N):
-            C = couple_from_entry_data(entry.fractional, entry.degree)
+            C = entry_couple(entry)
             bd = build_graph(C).blown_down
             if bd.empty:
                 continue
@@ -218,8 +218,7 @@ def test_c09_internal_consistency():
     # two-oracle mld agreement on couples with at most 2 fractional points
     pool = [CurveCouple.of(t) for t in TEST_COUPLES]
     for eps, N in CATALOG_PARAMS:
-        pool.extend(couple_from_entry_data(e.fractional, e.degree)
-                    for e in catalog(eps, N))
+        pool.extend(entry_couple(e) for e in catalog(eps, N))
     compared = 0
     for C in pool:
         fracs = [(c.numerator % c.denominator, c.denominator)

@@ -11,14 +11,14 @@ from conesing import catalog, cli, divisors, hilbert, resolution
 from conesing.catalog import (SearchParams, _admissible_types,
                               _candidate_types, _evaluate_candidate,
                               _fractional_coefficients, audit_catalog,
-                              catalog_to_json, couple_from_entry_data,
-                              enumerate_catalog, mld_spectrum, search_bounds)
+                              catalog_to_json, enumerate_catalog,
+                              mld_spectrum, search_bounds)
 from conesing.divisors import normal_form
 from conesing.errors import BadEpsilon, ParseError, PreconditionError
 from conesing.jsonio import dumps
 from conesing.resolution import ResolutionGraph
-from helpers import (count_build_graph, graph_side_catalog, key_string,
-                     per_candidate_catalog, per_candidate_entry,
+from helpers import (count_build_graph, entry_couple, graph_side_catalog,
+                     key_string, per_candidate_catalog, per_candidate_entry,
                      unpruned_candidate_types)
 
 F = Fraction
@@ -26,12 +26,12 @@ F = Fraction
 
 def stored(entries):
     """Entries as audit reads them from a catalog file."""
-    return json.loads(json.dumps([e.to_json() for e in entries]))
+    return json.loads(json.dumps(entries))
 
 
 def replaced(entry, **changes):
     """A copy of a catalog entry with some fields changed."""
-    return type(entry)(**{**vars(entry), **changes})
+    return {**entry, **changes}
 
 
 def test_search_params_validation():
@@ -44,37 +44,39 @@ def test_search_params_validation():
 
 def test_search_bounds_examples():
     b = search_bounds(SearchParams(epsilon=F(1), isotropy_bound=1))
-    assert b.k_max_effective == 0 and b.degree_max == 2
+    assert b["k_max_effective"] == 0 and b["degree_max"] == "2"
     b = search_bounds(SearchParams(epsilon=F(1, 2), isotropy_bound=2))
-    assert b.q_max == 2 and b.degree_max == 4
+    assert b["q_max"] == 2 and b["degree_max"] == "4"
     b = search_bounds(SearchParams(epsilon=F(1), isotropy_bound=7))
-    assert b.q_min == 2 and b.q_max == 7 and b.degree_max == 2
+    assert b["q_min"] == 2 and b["q_max"] == 7 and b["degree_max"] == "2"
+    assert b == {"k_max": 3, "q_min": 2, "q_max": 7, "degree_max": "2",
+                 "k_max_effective": 3}
 
 
 def test_catalog_1_1():
     entries = enumerate_catalog(SearchParams(epsilon=F(1), isotropy_bound=1))
     assert len(entries) == 2
-    degrees = sorted(e.degree for e in entries)
+    degrees = sorted(F(e["degree"]) for e in entries)
     assert degrees == [1, 2]
     assert mld_spectrum(entries) == (F(1), F(2))
-    by_degree = {e.degree: e for e in entries}
-    assert by_degree[F(1)].embedding_dimension == 2
-    assert by_degree[F(2)].embedding_dimension == 3
-    assert by_degree[F(2)].mld == 1
-    assert by_degree[F(2)].link_determinant == 2
+    by_degree = {e["degree"]: e for e in entries}
+    assert by_degree["1"]["embedding_dimension"] == 2
+    assert by_degree["2"]["embedding_dimension"] == 3
+    assert by_degree["2"]["mld"] == "1"
+    assert by_degree["2"]["link_determinant"] == 2
 
 
 def test_catalog_1_2_contains_a3_and_d4():
     entries = enumerate_catalog(SearchParams(epsilon=F(1), isotropy_bound=2))
     assert len(entries) == 6
-    frac_types = {(e.fractional, e.degree) for e in entries}
-    assert (((1, 2), (1, 2)), F(1)) in frac_types          # the xy = z^4 cone
-    assert (((1, 2), (1, 2), (1, 2)), F(1, 2)) in frac_types   # the D4 star
+    frac_types = [(e["fractional"], e["degree"]) for e in entries]
+    assert ([[1, 2], [1, 2]], "1") in frac_types          # the xy = z^4 cone
+    assert ([[1, 2], [1, 2], [1, 2]], "1/2") in frac_types   # the D4 star
     a3 = next(e for e in entries
-              if e.fractional == ((1, 2), (1, 2)) and e.degree == 1)
-    assert a3.mld == 1
-    assert a3.link_determinant == 4
-    assert a3.cartier_index_kx == 1
+              if e["fractional"] == [[1, 2], [1, 2]] and e["degree"] == "1")
+    assert a3["mld"] == "1"
+    assert a3["link_determinant"] == 4
+    assert a3["cartier_index_kx"] == 1
     assert mld_spectrum(entries) == (F(1), F(2))
 
 
@@ -84,10 +86,11 @@ def test_catalog_integral_only_family():
     for m0 in (3, 5):
         eps = F(2, m0)
         entries = enumerate_catalog(SearchParams(epsilon=eps, isotropy_bound=1))
-        assert [e.degree for e in entries] == list(range(1, m0 + 1))
+        assert [e["degree"] for e in entries] == [
+            str(d) for d in range(1, m0 + 1)]
         for e in entries:
-            assert e.a_e0 == F(2, e.degree)
-            assert e.max_isotropy == 1
+            assert F(e["a_e0"]) == 2 / F(e["degree"])
+            assert e["max_isotropy"] == 1
 
 
 def test_mld_spectrum_examples():
@@ -99,8 +102,8 @@ def test_mld_spectrum_examples():
 def test_monotonicity_in_params():
     small = enumerate_catalog(SearchParams(epsilon=F(1), isotropy_bound=2))
     big = enumerate_catalog(SearchParams(epsilon=F(1, 2), isotropy_bound=3))
-    keys_small = {e.key for e in small}
-    keys_big = {e.key for e in big}
+    keys_small = {e["key"] for e in small}
+    keys_big = {e["key"] for e in big}
     assert keys_small <= keys_big
 
 
@@ -108,9 +111,19 @@ def test_entry_round_trip_and_rebuild():
     params = SearchParams(epsilon=F(1), isotropy_bound=2)
     entries = enumerate_catalog(params)
     for e in entries:
-        C = couple_from_entry_data(e.fractional, e.degree)
-        assert C.degree() == e.degree
-        assert key_string(normal_form(C)) == e.key
+        C = entry_couple(e)
+        assert C.degree() == F(e["degree"])
+        assert key_string(normal_form(C)) == e["key"]
+
+
+@pytest.mark.parametrize("eps,N", [(F(1), 3), (F(1, 2), 6), (F(1, 4), 4),
+                                   (F(1, 10), 5)])
+def test_entries_are_json_values(eps, N):
+    # each entry is already the object the file holds: no Fraction, no
+    # tuple, nothing that a JSON round trip would change
+    entries = enumerate_catalog(SearchParams(epsilon=eps, isotropy_bound=N))
+    assert entries and json.loads(json.dumps(entries)) == entries
+    assert all(type(e) is dict for e in entries)
 
 
 def test_catalog_determinism():
@@ -126,7 +139,7 @@ def test_degree_cap_is_inclusive():
     params = SearchParams(epsilon=F(1), isotropy_bound=1)
     assert list(_candidate_types(params)) == [((), F(1)), ((), F(2))]
     a1 = _evaluate_candidate(((), F(2), F(1)))
-    assert a1.a_e0 == a1.mld == 1 and a1.link_determinant == 2
+    assert a1["a_e0"] == a1["mld"] == "1" and a1["link_determinant"] == 2
     # every type with members is swept through its last member, which
     # the per-candidate oracle accepts, and not one step past
     eps = F(2, 5)
@@ -239,7 +252,7 @@ def test_catalog_equals_graph_side_enumeration(eps, N):
     params = SearchParams(epsilon=eps, isotropy_bound=N)
     entries = enumerate_catalog(params)
     graph_side = graph_side_catalog(eps, N)
-    assert {e.key: e.mld for e in entries} == graph_side
+    assert {e["key"]: F(e["mld"]) for e in entries} == graph_side
     assert mld_spectrum(entries) == tuple(sorted(set(graph_side.values())))
 
 
@@ -255,8 +268,8 @@ def test_audit_clean_catalog():
 def test_audit_flags_tampered_entry():
     params = SearchParams(epsilon=F(1), isotropy_bound=2)
     entries = list(enumerate_catalog(params))
-    victim = next(e for e in entries if e.fractional)
-    bad = replaced(victim, fractional=((2, 3),), degree=F(5, 3))
+    victim = next(e for e in entries if e["fractional"])
+    bad = replaced(victim, fractional=[[2, 3]], degree="5/3")
     report = audit_catalog(stored([bad]), params)
     assert not report.ok
     assert any("isotropy" in f or "a_e0" in f or "mld" in f
@@ -268,13 +281,13 @@ def test_audit_reports_entry_rebuilt_to_non_klt_couple():
                                                   isotropy_bound=2)))
     # three 6/7 points: the quotient boundary has degree 18/7 >= 2; the
     # audit bound admits isotropy 7, so the graph is built
-    bad = replaced(entries[0], fractional=((6, 7),) * 3, degree=F(4, 7))
+    bad = replaced(entries[0], fractional=[[6, 7]] * 3, degree="4/7")
     params = SearchParams(epsilon=F(1), isotropy_bound=7)
     report = audit_catalog(stored([bad] + entries[1:]), params)
     assert not report.ok and report.checked == len(entries)
-    assert any(f.startswith(f"entry {bad.key}: rebuilt couple is not klt")
+    assert any(f.startswith(f"entry {bad['key']}: rebuilt couple is not klt")
                for f in report.failures)
-    assert all(f.startswith(f"entry {bad.key}:") for f in report.failures)
+    assert all(f.startswith(f"entry {bad['key']}:") for f in report.failures)
 
 
 @pytest.mark.parametrize("eps,N,count", [
@@ -291,14 +304,14 @@ def test_catalog_keeps_canonical_couples_with_thirds():
     # membership is the vertex mld: these are A1, A2 and a smooth point,
     # although the chart germ of the partial resolution over a 2/3 point
     # has mld 2/3
-    entries = {e.key: e for e in
+    entries = {e["key"]: e for e in
                enumerate_catalog(SearchParams(epsilon=F(1), isotropy_bound=3))}
-    expected = {"f[2/3];deg=2/3": (F(1), (-2,)),
-                "f[2/3,2/3];deg=1/3": (F(1), (-2, -2)),
-                "f[2/3,1/2];deg=1/6": (F(2), None)}
+    expected = {"f[2/3];deg=2/3": ("1", [-2]),
+                "f[2/3,2/3];deg=1/3": ("1", [-2, -2]),
+                "f[2/3,1/2];deg=1/6": ("2", None)}
     for key, (mld, blown_down) in expected.items():
-        assert entries[key].mld == mld
-        assert entries[key].graph.blown_down_vertices == blown_down
+        assert entries[key]["mld"] == mld
+        assert entries[key]["graph"]["blown_down"] == blown_down
 
 
 def test_no_graph_per_candidate_and_one_per_audited_entry(monkeypatch):
@@ -389,12 +402,12 @@ def test_audit_refuses_entry_with_four_fractional_points():
     entries = list(enumerate_catalog(params))
     # four halves at degree 3 have no canonical placement; they must not
     # rebuild to the three-point couple of degree 5/2
-    bad = replaced(entries[0], fractional=((1, 2),) * 4, degree=F(3))
+    bad = replaced(entries[0], fractional=[[1, 2]] * 4, degree="3")
     with pytest.raises(PreconditionError, match="canonical placement"):
-        couple_from_entry_data(bad.fractional, bad.degree)
+        entry_couple(bad)
     report = audit_catalog(stored([bad]), params)
     assert report.failures == (
-        f"entry {bad.key}: cannot rebuild couple (4 fractional points have "
+        f"entry {bad['key']}: cannot rebuild couple (4 fractional points have "
         "no canonical placement (at most 3))",)
 
 

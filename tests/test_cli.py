@@ -588,7 +588,7 @@ def test_malformed_json_exits_2_without_traceback(command, case, source,
         elif command == "audit":
             entry = enumerate_catalog(
                 SearchParams(epsilon=1, isotropy_bound=1))[0]
-            data = json.dumps({"entries": [{**entry.to_json(),
+            data = json.dumps({"entries": [{**entry,
                                             "degree": bad_q}]}).encode()
         else:
             data = json.dumps([bad_q, "1", "1"]).encode()

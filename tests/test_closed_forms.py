@@ -19,10 +19,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conesing import hilbert, sections
-from conesing.catalog import (SearchParams, audit_catalog,
-                              couple_from_entry_data, enumerate_catalog)
-from conesing.divisors import (CurveCouple, QDivisorP1, denominators_lcm,
-                               finite_point)
+from conesing.catalog import SearchParams, audit_catalog, enumerate_catalog
+from conesing.divisors import (CurveCouple, QDivisorP1, canonical_couple,
+                               denominators_lcm, finite_point)
 from conesing.errors import InternalInvariantError, NotKlt, SingularMatrix
 from conesing.linalg import det_int
 from conesing.quotient import cartier_index_of_kx, vertex_decomposition
@@ -31,7 +30,8 @@ from conesing.resolution import (BlownDownGraph, _chain_continuants,
 from conesing.hilbert import hilbert_series
 from conesing.sections import presentation
 from helpers import (POSITIONS, brute_min_decomposition, discrepancies,
-                     edge_scan_blow_down, fraction_chain_alphas_betas,
+                     edge_scan_blow_down, entry_couple,
+                     fraction_chain_alphas_betas,
                      fraction_vertex_decomposition, h0, intersection_matrix,
                      random_couples, scanned_generators)
 
@@ -230,8 +230,9 @@ def test_catalog_embedding_dimensions_match_generator_scan(eps, N):
     entries = enumerate_catalog(SearchParams(epsilon=eps, isotropy_bound=N))
     assert entries
     for e in entries:
-        C = couple_from_entry_data(e.fractional, e.degree)
-        assert e.embedding_dimension == scanned_embedding_dimension(C), e.key
+        C = entry_couple(e)
+        assert e["embedding_dimension"] == scanned_embedding_dimension(C), \
+            e["key"]
 
 
 @pytest.mark.parametrize("fractional,degree,embdim", [
@@ -243,7 +244,7 @@ def test_catalog_embedding_dimensions_match_generator_scan(eps, N):
     ((), Fraction(5), 6),                   # rational normal cone, degree 5
 ])
 def test_artin_examples(fractional, degree, embdim):
-    C = couple_from_entry_data(fractional, degree)
+    C = canonical_couple([Fraction(p, q) for p, q in fractional], degree)
     assert build_graph(C).blown_down.embedding_dimension == embdim
 
 
@@ -285,4 +286,4 @@ def test_catalog_never_runs_the_generator_scan(monkeypatch):
     params = SearchParams(epsilon=Fraction(1, 2), isotropy_bound=4)
     entries = enumerate_catalog(params)
     assert len(entries) == 40
-    assert audit_catalog([e.to_json() for e in entries], params).ok
+    assert audit_catalog(entries, params).ok

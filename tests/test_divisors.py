@@ -95,7 +95,6 @@ def test_normal_form_examples():
     nf = normal_form(CurveCouple.of({finite_point(5): F(1, 2),
                                      finite_point(7): F(3, 2)}))
     assert nf.key == ((F(1, 2), F(1, 2)), F(2))
-    assert not nf.moduli
     assert nf.couple.divisor == D((P0, F(1, 2)), (P1, F(1, 2)), (PINF, 1))
 
     nf = normal_form(CurveCouple.of({finite_point(3): 4}))
@@ -119,13 +118,14 @@ def test_normal_form_idempotent_and_shift_invariant():
     assert normal_form(shifted).couple == nf.couple
 
 
-def test_normal_form_moduli_flag():
+def test_normal_form_refuses_four_fractional_points():
+    # four fractional points have no canonical placement: their positions
+    # are moduli, so there is no normal form to return
     C = CurveCouple.of({P0: F(1, 2), P1: F(1, 3), finite_point(2): F(1, 5),
                         finite_point(7): F(1, 7)})
-    nf = normal_form(C)
-    assert nf.moduli
-    assert nf.couple == C
-    assert nf.key[0] == (F(1, 2), F(1, 3), F(1, 5), F(1, 7))
+    with pytest.raises(PreconditionError, match="4 fractional points have no "
+                       r"canonical placement \(at most 3\)"):
+        normal_form(C)
 
 
 def test_assign_coordinates_skips_used():

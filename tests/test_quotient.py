@@ -122,9 +122,9 @@ def test_vertex_log_discrepancy_equals_ratio_and_decomposition():
 
 def test_vertex_log_discrepancy_normal_form_invariance():
     for C in random_couples(seed=12, count=20):
+        if sum(c.denominator > 1 for _, c in C.divisor.terms) > 3:
+            continue                    # no normal form: positions are moduli
         nf = normal_form(C)
-        if nf.moduli:
-            continue
         assert vertex_log_discrepancy(nf.couple) == vertex_log_discrepancy(C)
         shifted = CurveCouple(C.divisor + QDivisorP1.of({finite_point(11): 3,
                                                          finite_point(13): -3}))
@@ -170,7 +170,7 @@ def audit_failures(C, eps, N):
     entry = per_candidate_entry(fracs, degree, F(0))
     params = SearchParams(epsilon=eps, isotropy_bound=N)
     return [f.split(": ", 1)[1]
-            for f in audit_catalog([entry.to_json()], params).failures]
+            for f in audit_catalog([entry], params).failures]
 
 
 def test_necessary_eps_conditions():

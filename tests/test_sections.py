@@ -7,8 +7,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conesing import hilbert, linalg, sections
-from conesing.divisors import (CurveCouple, finite_point, infinity_point,
-                               label_point)
+from conesing.divisors import (CurveCouple, finite_point, floor_multiple,
+                               infinity_point, label_point)
 from conesing.errors import (BoundTooSmall, InternalInvariantError,
                              PreconditionError)
 from conesing.jsonio import couple_from_json
@@ -62,15 +62,18 @@ def test_section_basis_examples():
     # the numerator degree
     space = SectionSpace(CurveCouple.of({PINF: 1}))
     assert space.dim(1) == 2
-    assert dict(space.floor_data(1)["E"].terms) == {PINF: 1}
+    assert dict(floor_multiple(space.D, 1).terms) == {PINF: 1}
+    assert space.floor_data(1) == {"deg": 1, "fin": {}}
 
     space = SectionSpace(CurveCouple.of({P0: F(1, 2)}))
     assert space.dim(2) == 2
-    assert dict(space.floor_data(2)["E"].terms) == {P0: 1}
+    assert dict(floor_multiple(space.D, 2).terms) == {P0: 1}
+    assert space.floor_data(2) == {"deg": 1, "fin": {0: 1}}
 
     space = SectionSpace(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}))
     assert space.dim(2) == 3
-    assert dict(space.floor_data(2)["E"].terms) == {P0: 1, P1: 1}
+    assert dict(floor_multiple(space.D, 2).terms) == {P0: 1, P1: 1}
+    assert space.floor_data(2) == {"deg": 2, "fin": {0: 1, 1: 1}}
 
 
 def test_section_basis_with_labels():
@@ -297,3 +300,27 @@ def test_hilbert_values_memory_is_linear_in_through():
     for n in (0, 1, 6, 7, 12345, 20000):
         assert values[n] == max(0, sum(n * (2 * k + 1) // 7
                                        for k in range(20)) + 1)
+
+
+def test_presentation_command_computes_the_hilbert_series_once(monkeypatch,
+                                                                capsys):
+    # the presentation needs the series for the forced relation degree of
+    # three generators, and returns it for the command to print
+    from conesing import cli
+    calls = []
+    series = hilbert.hilbert_series
+
+    def counting(C):
+        calls.append(C)
+        return series(C)
+
+    for mod in (hilbert, sections):
+        monkeypatch.setattr(mod, "hilbert_series", counting)
+    golden = GOLDEN_COUPLES.parent / "presentation_E6.json"
+    code = cli.main(["presentation", "--couple",
+                     str(GOLDEN_COUPLES / "E6.json"), "--gen-bound", "12",
+                     "--rel-bound", "12"])
+    assert code == 0 and len(calls) == 1
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    pres = presentation(golden_couple("E6"), gen_bound=12, rel_bound=12)
+    assert len(calls) == 2 and pres.series == series(golden_couple("E6"))
