@@ -20,7 +20,8 @@ Fraction, next to the object, to compare it with eps.
 
 audit rebuilds stored entries by the same path, compares the objects,
 and checks a_e0 and the mld against build_graph, which solves each
-couple's star graph alone.
+couple's star graph alone; its report is the JSON object the audit
+command prints.
 Only the audit path imports divisors, json and build_graph, in its own
 functions: the sweep does not load the couple layers.
 The tests keep the per-candidate path, the unpruned generator and a
@@ -300,21 +301,6 @@ def mld_spectrum(entries) -> Tuple[Fraction, ...]:
     return tuple(sorted(map(parse_q, {e["mld"] for e in entries})))
 
 
-class AuditReport(Record):
-    _fields = ("checked", "failures")
-
-    def __init__(self, checked: int, failures: Tuple[str, ...]):
-        self.__dict__.update(checked=checked, failures=failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {"checked": self.checked, "failures": list(self.failures),
-                "ok": self.ok}
-
-
 def _defining_data(doc) -> Tuple[str, Tuple[Tuple[int, int], ...], Fraction]:
     """Key, fractional type and degree of a stored entry, read strictly."""
     try:
@@ -348,7 +334,7 @@ def _field_failures(tag: str, doc: dict, rebuilt: dict) -> List[str]:
     return out
 
 
-def audit_catalog(docs, params: SearchParams) -> AuditReport:
+def audit_catalog(docs, params: SearchParams) -> dict:
     """Rebuild every stored entry (a JSON object as read from the file)
     from its key, fractional type and degree by the enumerator's path,
     once per type, compare the stored entry with the rebuilt one as
@@ -357,8 +343,8 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
     as the oracle of a_e0 and the mld.
     An entry whose isotropy exceeds N is not built.  Malformed defining
     data raises ParseError, and a period lcm q_i above PERIOD_MAX raises
-    PreconditionError before its type is built; everything else is
-    reported, not raised."""
+    PreconditionError before its type is built; everything else goes
+    into the report, the JSON object that the audit command prints."""
     import json
 
     from .divisors import canonical_couple, max_isotropy, normal_form
@@ -405,7 +391,7 @@ def audit_catalog(docs, params: SearchParams) -> AuditReport:
         if mld < eps:
             failures.append(f"{tag}: mld below epsilon")
     _type_member.cache_clear()
-    return AuditReport(checked=len(docs), failures=tuple(failures))
+    return {"checked": len(docs), "failures": failures, "ok": not failures}
 
 
 def catalog_to_json(entries, params: SearchParams) -> dict:

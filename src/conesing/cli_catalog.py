@@ -52,5 +52,5 @@ def cmd_audit(args) -> int:
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ParseError("catalog file must carry an 'entries' array")
     report = audit_catalog(doc["entries"], params)
-    _emit(report.to_json(), args.out)
-    return 0 if report.ok else 1
+    _emit(report, args.out)
+    return 0 if report["ok"] else 1

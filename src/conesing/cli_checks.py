@@ -50,6 +50,7 @@ def cmd_toric_check(args) -> int:
 def cmd_verify_examples(args) -> int:
     from .counterexamples import (an_min_over_actions, diagonal_cone_report,
                                   rnc_family_report)
+    from .jsonio import parse_q
     # The A-type family must have a member, and the index test below
     # (>= rnc_max // 2) must ask for more than the index 1 that every
     # member already has.
@@ -80,20 +81,21 @@ def cmd_verify_examples(args) -> int:
                    "box": args.an_box, "ok": an_ok, "rows": an_rows})
 
     rnc_rows = rnc_family_report(args.rnc_max)
-    rnc_ok = all(r.a_e0 * r.m == 2 and r.max_isotropy == 1
-                 and r.link_determinant == r.m for r in rnc_rows)
-    index_unbounded = max(r.cartier_index_kx for r in rnc_rows) >= args.rnc_max // 2
+    # the rows hold rationals as strings, which parse_q reads back exactly
+    rnc_ok = all(parse_q(r["a_e0"]) * r["m"] == 2 and r["max_isotropy"] == 1
+                 and r["link_determinant"] == r["m"] for r in rnc_rows)
+    index_unbounded = (max(r["cartier_index_kx"] for r in rnc_rows)
+                       >= args.rnc_max // 2)
     ok = ok and rnc_ok and index_unbounded
     checks.append({"name": "rational_normal_cone_family",
-                   "ok": rnc_ok and index_unbounded,
-                   "rows": [r.to_json() for r in rnc_rows]})
+                   "ok": rnc_ok and index_unbounded, "rows": rnc_rows})
 
     diag_rows = [diagonal_cone_report(d) for d in (1, 2, 3)]
-    diag_ok = all(r.a_e0 == r.d + 1 and r.max_isotropy == 1 and r.smooth
-                  for r in diag_rows)
+    diag_ok = all(parse_q(r["a_e0"]) == r["d"] + 1 and r["max_isotropy"] == 1
+                  and r["smooth"] for r in diag_rows)
     ok = ok and diag_ok
     checks.append({"name": "diagonal_cone_family", "ok": diag_ok,
-                   "rows": [r.to_json() for r in diag_rows]})
+                   "rows": diag_rows})
 
     _emit({"ok": ok, "checks": checks}, args.out)
     return 0 if ok else 1

@@ -10,18 +10,18 @@ unbounded isotropies.
 * the A-type hypersurface x y = z^n: every torus action giving it a
   cone structure has isotropy at least n along one of the two
   coordinate curves, because max(|a+bn|, |-a+bn|) = |a| + |b| n.
+
+The reports return their rows as the JSON objects verify-examples prints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
 from .divisors import CurveCouple, finite_point, max_isotropy
 from .errors import InternalInvariantError, PreconditionError
 from .jsonio import fmt_q
 from .quotient import cartier_index_of_kx, vertex_log_discrepancy
-from .records import Record
 from .resolution import build_graph
 from .toric import (ToricDivisor, cartier_index_global, cone_of_x,
                     fan_projective_space, log_discrepancy_x)
@@ -47,26 +47,9 @@ def an_min_over_actions(n: int, box: int) -> Tuple[int, Tuple[int, int]]:
     return best, (a, b)
 
 
-class RncRow(Record):
-    _fields = ("m", "a_e0", "cartier_index_kx", "max_isotropy", "mld",
-               "link_determinant")
-
-    def __init__(self, m: int, a_e0: Fraction, cartier_index_kx: int,
-                 max_isotropy: int, mld: Fraction, link_determinant: int):
-        self.__dict__.update(m=m, a_e0=a_e0, cartier_index_kx=cartier_index_kx,
-                             max_isotropy=max_isotropy, mld=mld,
-                             link_determinant=link_determinant)
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "a_e0": fmt_q(self.a_e0),
-                "cartier_index_kx": self.cartier_index_kx,
-                "max_isotropy": self.max_isotropy,
-                "mld": fmt_q(self.mld),
-                "link_determinant": self.link_determinant}
-
-
-def rnc_family_report(m_max: int) -> Tuple[RncRow, ...]:
-    """Cones over rational normal curves of degree 1..m_max.
+def rnc_family_report(m_max: int) -> List[dict]:
+    """Cones over rational normal curves of degree 1..m_max, one row
+    per degree, as the JSON object verify-examples prints.
 
     The family keeps trivial isotropies while the mld 2/m tends to zero
     and the index data grows without bound.
@@ -77,45 +60,24 @@ def rnc_family_report(m_max: int) -> Tuple[RncRow, ...]:
     for m in range(1, m_max + 1):
         C = CurveCouple.of({finite_point(0): m})
         G = build_graph(C)
-        rows.append(RncRow(
-            m=m,
-            a_e0=vertex_log_discrepancy(C),
-            cartier_index_kx=cartier_index_of_kx(C),
-            max_isotropy=max_isotropy(C),
-            mld=G.mld,
-            link_determinant=G.determinant,
-        ))
-    return tuple(rows)
+        rows.append({"m": m, "a_e0": fmt_q(vertex_log_discrepancy(C)),
+                     "cartier_index_kx": cartier_index_of_kx(C),
+                     "max_isotropy": max_isotropy(C), "mld": fmt_q(G.mld),
+                     "link_determinant": G.determinant})
+    return rows
 
 
-class DiagonalConeRow(Record):
-    _fields = ("d", "a_e0", "max_isotropy", "smooth")
-
-    def __init__(self, d: int, a_e0: Fraction, max_isotropy: int,
-                 smooth: bool):
-        self.__dict__.update(d=d, a_e0=a_e0, max_isotropy=max_isotropy,
-                             smooth=smooth)
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "a_e0": fmt_q(self.a_e0),
-                "max_isotropy": self.max_isotropy, "smooth": self.smooth}
-
-
-def diagonal_cone_report(d: int) -> DiagonalConeRow:
+def diagonal_cone_report(d: int) -> dict:
     """The diagonal action on affine (d+1)-space via the hyperplane
     class on d-dimensional projective space (d <= 3 for the lattice
-    computations)."""
+    computations), as the JSON row verify-examples prints."""
     if not (1 <= d <= 3):
         raise PreconditionError(f"d {d} must be between 1 and 3")
     F = fan_projective_space(d)
-    coeffs = [Fraction(0)] * d + [Fraction(1)]
-    D = ToricDivisor.of(coeffs)
+    D = ToricDivisor.of([0] * d + [1])
     K = cone_of_x(F, D)
-    e_last = tuple([0] * d + [1])
-    a0 = log_discrepancy_x(K, e_last)
-    iso = cartier_index_global(F, D)
     # smooth <=> the lifted rays form a unimodular simplex
     from .linalg import det_int
-    smooth = abs(det_int([list(r) for r in K.rays[: d + 1]])) == 1 \
-        and len(K.rays) == d + 1
-    return DiagonalConeRow(d=d, a_e0=a0, max_isotropy=iso, smooth=smooth)
+    smooth = len(K.rays) == d + 1 and abs(det_int(K.rays)) == 1
+    return {"d": d, "a_e0": fmt_q(log_discrepancy_x(K, (0,) * d + (1,))),
+            "max_isotropy": cartier_index_global(F, D), "smooth": smooth}

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .errors import NotAmple, PreconditionError
+from .errors import NotAmple, NotKlt, PreconditionError
 from .records import Record
 
 Rational = Union[int, Fraction]
@@ -219,6 +219,15 @@ class CurveCouple(Record):
                 (c.denominator - 1, c.denominator)
                 for _, c in self.divisor.terms)
         return deg
+
+
+def _klt_boundary_degree(C: CurveCouple) -> Fraction:
+    """deg B of the quotient pair of C, which must be log Fano: otherwise
+    the cone is not klt.  The couple computes it once."""
+    deg_b = C.boundary_degree()
+    if deg_b.numerator >= 2 * deg_b.denominator:
+        raise NotKlt(f"boundary degree {deg_b} is >= 2")
+    return deg_b
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
@@ -25,9 +26,13 @@ SCHEMA = "conesing/1"
 
 def fmt_q(x) -> str:
     f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return fmt_ratio(f.numerator, f.denominator)
+
+
+def fmt_ratio(n: int, d: int) -> str:
+    """fmt_q of n/d for integers n and d > 0, without a Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 # Numerators and denominators of parsed rationals have at most this many

@@ -18,8 +18,8 @@ from math import gcd, lcm
 from typing import Dict, Tuple
 
 from .divisors import (PINF, CurveCouple, IntegralDivisorP1, MarkedPoint,
-                       denominators_lcm)
-from .errors import InternalNonIntegral, NotKlt, PreconditionError
+                       _klt_boundary_degree, denominators_lcm)
+from .errors import InternalNonIntegral, PreconditionError
 from .records import Record
 
 
@@ -45,9 +45,6 @@ class StandardPair(Record):
                 return b
         return Fraction(0)
 
-    def total(self) -> Fraction:
-        return sum((b for _, b in self.boundary), Fraction(0))
-
 
 def log_fano_quotient(C: CurveCouple) -> StandardPair:
     terms = []
@@ -69,15 +66,6 @@ class VertexData(Record):
 
     def __init__(self, m: int, u: int, H: IntegralDivisorP1):
         self.__dict__.update(m=m, u=u, H=H)
-
-
-def _klt_boundary_degree(C: CurveCouple) -> Fraction:
-    """deg B of the quotient pair of C, which must be log Fano: otherwise
-    the cone is not klt.  The couple computes it once."""
-    deg_b = C.boundary_degree()
-    if deg_b.numerator >= 2 * deg_b.denominator:
-        raise NotKlt(f"boundary degree {deg_b} is >= 2")
-    return deg_b
 
 
 def _decomposition(C: CurveCouple) -> Tuple[int, int, Dict[MarkedPoint, int]]:

@@ -10,12 +10,13 @@ repr names the class and its fields in order.  Values computed on
 first use (by functools.cached_property, or by a method that stores its
 result under a private name) go into the instance dictionary next to
 the fields and take no part in equality or the repr.  The types built
-in inner loops (per point, per star graph, per toric sample) store each
-field under its key, which is the fastest form; the others set theirs
-with one dictionary update.  Equality and the hash read the field tuple
-with one operator.itemgetter call per record.  Catalog entries are not
-records: the sweep builds each one directly as the JSON object its
-file holds.
+in inner loops (per point, per star graph) store each field under its
+key, which is the fastest form; the others set theirs with one
+dictionary update.  Equality and the hash read the field tuple with one
+operator.itemgetter call per record, so a record whose fields hold JSON
+objects has no hash.  Catalog entries and the rows of the check reports
+are not records: each is built directly as the JSON object that its
+file or command holds.
 """
 
 

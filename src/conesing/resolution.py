@@ -26,8 +26,9 @@ closed form deg D * prod q_i (Orlik-Wagreich 1971).  No dense
 intersection matrix is built; the dense solve is an oracle in the tests.
 
 Only local_cone_at and build_graph read a couple, and they import
-divisors and quotient in their own bodies: the catalog sweep, which
-solves chains and builds graphs from integers, loads neither.
+divisors, which also holds build_graph's klt gate, in their own bodies:
+the catalog sweep, which solves chains and builds graphs from integers,
+does not load it.  No function here loads quotient.
 """
 
 from __future__ import annotations
@@ -251,8 +252,7 @@ class ResolutionGraph(Record):
 
 
 def build_graph(C: CurveCouple) -> ResolutionGraph:
-    from .divisors import _fraction_sum
-    from .quotient import _klt_boundary_degree
+    from .divisors import _fraction_sum, _klt_boundary_degree
     _klt_boundary_degree(C)         # NotKlt unless the quotient is log Fano
     D = C.divisor
     deg = C.degree()

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import (FanInvalid, InternalInvariantError, NonCartierOnCone,
                      NotAmple, NotQCartierPair, NotQGorenstein,
                      PreconditionError)
-from .jsonio import fmt_q
+from .jsonio import fmt_q, fmt_ratio
 from .linalg import _integer_scaling, nullspace, primitivize, rank, solve
 from .records import Record
 
@@ -272,33 +272,11 @@ def log_discrepancy_x(K: ConeOfX, w: Sequence[int]) -> Fraction:
 # the comparison identity
 # ---------------------------------------------------------------------------
 
-class ComparisonCheck(Record):
-    _fields = ("v", "weil", "a_base", "a_cone")
-
-    def __init__(self, v: Vector, weil: int, a_base: Fraction,
-                 a_cone: Fraction):
-        d = self.__dict__
-        d["v"] = v
-        d["weil"] = weil
-        d["a_base"] = a_base
-        d["a_cone"] = a_cone
-
-    @property
-    def ok(self) -> bool:
-        return self.a_cone == self.weil * self.a_base
-
-    def to_json(self) -> dict:
-        return {"v": list(self.v), "weil": self.weil,
-                "a_base": fmt_q(self.a_base), "a_cone": fmt_q(self.a_cone),
-                "ok": self.ok}
-
-
 class ComparisonReport(Record):
     _fields = ("checks", "violations", "vertex_expected", "vertex_actual",
                "vertex_ok")
 
-    def __init__(self, checks: Tuple[ComparisonCheck, ...],
-                 violations: Tuple[ComparisonCheck, ...],
+    def __init__(self, checks: List[dict], violations: List[dict],
                  vertex_expected: Optional[Fraction], vertex_actual: Fraction,
                  vertex_ok: Optional[bool]):
         self.__dict__.update(checks=checks, violations=violations,
@@ -306,14 +284,11 @@ class ComparisonReport(Record):
                              vertex_actual=vertex_actual, vertex_ok=vertex_ok)
 
     def to_json(self) -> dict:
-        return {
-            "checks": [c.to_json() for c in self.checks],
-            "violations": [c.to_json() for c in self.violations],
-            "vertex_expected": (fmt_q(self.vertex_expected)
-                                if self.vertex_expected is not None else None),
-            "vertex_actual": fmt_q(self.vertex_actual),
-            "vertex_ok": self.vertex_ok,
-        }
+        expected = self.vertex_expected
+        return {"checks": self.checks, "violations": self.violations,
+                "vertex_expected": None if expected is None else fmt_q(expected),
+                "vertex_actual": fmt_q(self.vertex_actual),
+                "vertex_ok": self.vertex_ok}
 
 
 def _vertex_ratio(F: Fan, D: ToricDivisor) -> Optional[Fraction]:
@@ -333,41 +308,48 @@ def _vertex_ratio(F: Fan, D: ToricDivisor) -> Optional[Fraction]:
 def verify_comparison(F: Fan, D: ToricDivisor,
                       samples: Sequence[Sequence[int]]) -> ComparisonReport:
     """Check a_cone(lifted v) = weil(v) * a_base(v) at every ray and
-    every sample, plus the central degree-ratio identity when the pair
-    canonical class is proportional to the divisor."""
+    every nonzero integer sample, plus the central degree-ratio identity
+    when the pair canonical class is proportional to the divisor.  Each
+    vector gives one row, the JSON object toric-check prints."""
     K = cone_of_x(F, D)
     if K.qgorenstein_form is None:
         raise NotQGorenstein("comparison needs a Q-Gorenstein lifted cone")
     B = quotient_boundary(F, D)
     # Each linear form as (integer form, positive denominator), so a
-    # vector costs one integer dot and one Fraction per form.
+    # vector costs integer dots only.
     qform, qden = _integer_scaling(K.qgorenstein_form)
     # (divisor form, pair form) per cone, built when the first vector
     # lands in the cone, so a non-Q-Cartier pair fails at that vector
     forms = {}
     checks = []
-    vectors = [tuple(r) for r in F.rays] + [tuple(v) for v in samples]
-    for v in vectors:
-        if all(x == 0 for x in v):
+    for v in [*F.rays, *samples]:
+        g = gcd(*v)
+        if g == 0:
             continue
-        v = primitivize(v)
+        v = [x // g for x in v]
         ci = F.locate(v)
         if ci not in forms:
             forms[ci] = (_integer_scaling(_divisor_form(F, D, ci)),
                          _integer_scaling(_pair_form(F, B, ci)))
         (dform, dden), (pform, pden) = forms[ci]
-        s = Fraction(_dot(dform, v), dden)
-        lifted = primitivize(tuple(s.denominator * x for x in v) + (s.numerator,))
-        checks.append(ComparisonCheck(
-            v=v, weil=s.denominator, a_base=Fraction(_dot(pform, v), pden),
-            a_cone=Fraction(_dot(qform, lifted), qden)))
-    violations = tuple(c for c in checks if not c.ok)
+        # D_sigma . v = s / weil in lowest terms; the lift (weil v, s) is
+        # primitive, since v is and gcd(weil, s) = 1
+        s = _dot(dform, v)
+        g = gcd(s, dden)
+        s, weil = s // g, dden // g
+        base = _dot(pform, v)                           # a_base = base / pden
+        cone = weil * _dot(qform, v) + qform[-1] * s    # a_cone = cone / qden
+        checks.append({"v": v, "weil": weil,
+                       "a_base": fmt_ratio(base, pden),
+                       "a_cone": fmt_ratio(cone, qden),
+                       "ok": cone * pden == weil * base * qden})
+    violations = [c for c in checks if not c["ok"]]
 
     e_last = tuple(0 for _ in range(F.rank)) + (1,)
     vertex_actual = log_discrepancy_x(K, e_last)
     vertex_expected = _vertex_ratio(F, D)
     vertex_ok = None if vertex_expected is None else vertex_actual == vertex_expected
-    return ComparisonReport(checks=tuple(checks), violations=violations,
+    return ComparisonReport(checks=checks, violations=violations,
                             vertex_expected=vertex_expected,
                             vertex_actual=vertex_actual, vertex_ok=vertex_ok)
 
@@ -400,7 +382,7 @@ def random_primitive_samples(seed: int, rank: int, count: int) -> List[Vector]:
     out = []
     while len(out) < count:
         v = tuple(rng.randint(-SAMPLE_BOX, SAMPLE_BOX) for _ in range(rank))
-        if all(x == 0 for x in v):
-            continue
-        out.append(primitivize(v))
+        g = gcd(*v)
+        if g:               # not the zero vector
+            out.append(tuple(x // g for x in v))
     return out

@@ -59,10 +59,15 @@ def canonical_divisor_p1():
     return IntegralDivisorP1.of({infinity_point(): -2})
 
 
+def pair_boundary_degree(P):
+    """deg B of a standard pair: the sum of its boundary coefficients."""
+    return sum((b for _, b in P.boundary), Fraction(0))
+
+
 def is_log_fano(P):
     """Standard coefficients are below 1, so the pair (line, B) is log
     Fano exactly when deg B < 2."""
-    return P.total() < 2
+    return pair_boundary_degree(P) < 2
 
 
 def fraction_vertex_decomposition(C):
@@ -74,9 +79,9 @@ def fraction_vertex_decomposition(C):
     from conesing.quotient import VertexData, log_fano_quotient
     B = log_fano_quotient(C)
     if not is_log_fano(B):
-        raise NotKlt(f"boundary degree {B.total()} is >= 2")
+        raise NotKlt(f"boundary degree {pair_boundary_degree(B)} is >= 2")
     D = C.divisor
-    ratio = (B.total() - 2) / D.degree()          # u/m, negative
+    ratio = (pair_boundary_degree(B) - 2) / D.degree()     # u/m, negative
     m = lcm(ratio.denominator,
             *((B.coeff(p) - ratio * c).denominator for p, c in D.terms))
     u = int(m * ratio)

@@ -260,9 +260,9 @@ def test_audit_clean_catalog():
     params = SearchParams(epsilon=F(1), isotropy_bound=2)
     entries = enumerate_catalog(params)
     report = audit_catalog(stored(entries), params)
-    assert report.ok and report.checked == len(entries)
+    assert report["ok"] and report["checked"] == len(entries)
     report = audit_catalog([], params)
-    assert report.ok and report.checked == 0
+    assert report["ok"] and report["checked"] == 0
 
 
 def test_audit_flags_tampered_entry():
@@ -271,9 +271,9 @@ def test_audit_flags_tampered_entry():
     victim = next(e for e in entries if e["fractional"])
     bad = replaced(victim, fractional=[[2, 3]], degree="5/3")
     report = audit_catalog(stored([bad]), params)
-    assert not report.ok
+    assert not report["ok"]
     assert any("isotropy" in f or "a_e0" in f or "mld" in f
-               for f in report.failures)
+               for f in report["failures"])
 
 
 def test_audit_reports_entry_rebuilt_to_non_klt_couple():
@@ -284,10 +284,10 @@ def test_audit_reports_entry_rebuilt_to_non_klt_couple():
     bad = replaced(entries[0], fractional=[[6, 7]] * 3, degree="4/7")
     params = SearchParams(epsilon=F(1), isotropy_bound=7)
     report = audit_catalog(stored([bad] + entries[1:]), params)
-    assert not report.ok and report.checked == len(entries)
+    assert not report["ok"] and report["checked"] == len(entries)
     assert any(f.startswith(f"entry {bad['key']}: rebuilt couple is not klt")
-               for f in report.failures)
-    assert all(f.startswith(f"entry {bad['key']}:") for f in report.failures)
+               for f in report["failures"])
+    assert all(f.startswith(f"entry {bad['key']}:") for f in report["failures"])
 
 
 @pytest.mark.parametrize("eps,N,count", [
@@ -297,7 +297,7 @@ def test_catalog_counts(eps, N, count):
     params = SearchParams(epsilon=eps, isotropy_bound=N)
     entries = enumerate_catalog(params)
     assert len(entries) == count
-    assert audit_catalog(stored(entries), params).ok
+    assert audit_catalog(stored(entries), params)["ok"]
 
 
 def test_catalog_keeps_canonical_couples_with_thirds():
@@ -320,7 +320,7 @@ def test_no_graph_per_candidate_and_one_per_audited_entry(monkeypatch):
     entries = enumerate_catalog(params)
     # the sweep solves each chain once per type and builds no star graph
     assert calls == []
-    assert audit_catalog(stored(entries), params).ok
+    assert audit_catalog(stored(entries), params)["ok"]
     assert len(calls) == len(entries)
 
 
@@ -335,7 +335,7 @@ def test_audit_builds_each_stored_couple_once(monkeypatch):
         return build(fracs, degree)
 
     monkeypatch.setattr(divisors, "canonical_couple", counting)
-    assert audit_catalog(docs, params).ok
+    assert audit_catalog(docs, params)["ok"]
     assert len(calls) == len(docs)
 
 
@@ -344,8 +344,8 @@ def test_audit_flags_an_entry_stored_out_of_canonical_order():
     docs = stored(enumerate_catalog(params))
     victim = next(d for d in docs if d["fractional"] == [[2, 3], [1, 2]])
     victim["fractional"] = [[1, 2], [2, 3]]
-    assert audit_catalog(docs, params).failures == (
-        f"entry {victim['key']}: stored fractional [[1, 2], [2, 3]] is wrong",)
+    assert audit_catalog(docs, params)["failures"] == [
+        f"entry {victim['key']}: stored fractional [[1, 2], [2, 3]] is wrong"]
 
 
 def test_audit_exits_1_on_a_repeated_entry(tmp_path, capsys):
@@ -378,9 +378,9 @@ def test_audit_checks_a_e0_against_the_resolution_oracle(monkeypatch):
         return H
 
     tampered_oracle(monkeypatch, shift_center)
-    assert audit_catalog(docs, params).failures == tuple(
+    assert audit_catalog(docs, params)["failures"] == [
         f"entry {d['key']}: a_e0 disagrees with the resolution oracle"
-        for d in docs)
+        for d in docs]
 
 
 def test_audit_checks_the_mld_against_the_resolution_oracle(monkeypatch):
@@ -392,9 +392,9 @@ def test_audit_checks_the_mld_against_the_resolution_oracle(monkeypatch):
         return G
 
     tampered_oracle(monkeypatch, raise_mld)
-    assert audit_catalog(docs, params).failures == tuple(
+    assert audit_catalog(docs, params)["failures"] == [
         f"entry {d['key']}: mld disagrees with the resolution oracle"
-        for d in docs)
+        for d in docs]
 
 
 def test_audit_refuses_entry_with_four_fractional_points():
@@ -406,9 +406,9 @@ def test_audit_refuses_entry_with_four_fractional_points():
     with pytest.raises(PreconditionError, match="canonical placement"):
         entry_couple(bad)
     report = audit_catalog(stored([bad]), params)
-    assert report.failures == (
+    assert report["failures"] == [
         f"entry {bad['key']}: cannot rebuild couple (4 fractional points have "
-        "no canonical placement (at most 3))",)
+        "no canonical placement (at most 3))"]
 
 
 # At least one tamper per stored field, each keeping the JSON
@@ -456,22 +456,22 @@ def test_audit_names_each_tampered_field(path, value):
     owner[field] = value
     top = path.split(".")[0]
     report = audit_catalog(entries, params)
-    assert report.checked == len(entries)
-    assert report.failures == (
+    assert report["checked"] == len(entries)
+    assert report["failures"] == [
         f"entry {victim['key']}: stored {top} "
-        f"{json.dumps(victim[top], sort_keys=True)} is wrong",)
-    assert audit_catalog(entries[:index] + entries[index + 1:], params).ok
+        f"{json.dumps(victim[top], sort_keys=True)} is wrong"]
+    assert audit_catalog(entries[:index] + entries[index + 1:], params)["ok"]
 
 
 def test_audit_flags_missing_and_extra_fields():
     params = SearchParams(epsilon=F(1), isotropy_bound=1)
     victim = stored(enumerate_catalog(params))[-1]
     missing = {k: v for k, v in victim.items() if k != "mld"}
-    assert audit_catalog([missing], params).failures == (
-        f"entry {victim['key']}: stored entry has no mld",)
+    assert audit_catalog([missing], params)["failures"] == [
+        f"entry {victim['key']}: stored entry has no mld"]
     extra = {**victim, "note": 1}
-    assert audit_catalog([extra], params).failures == (
-        f"entry {victim['key']}: stored note 1 is wrong",)
+    assert audit_catalog([extra], params)["failures"] == [
+        f"entry {victim['key']}: stored note 1 is wrong"]
 
 
 def test_audit_refuses_a_period_above_the_cap(monkeypatch):
@@ -480,7 +480,7 @@ def test_audit_refuses_a_period_above_the_cap(monkeypatch):
     params = SearchParams(epsilon=F(1), isotropy_bound=3)
     docs = [d for d in stored(enumerate_catalog(params))
             if d["fractional"] == [[1, 2], [1, 3]]]
-    assert docs and audit_catalog(docs, params).ok
+    assert docs and audit_catalog(docs, params)["ok"]
     monkeypatch.setattr(hilbert, "PERIOD_MAX", 5)
     with pytest.raises(PreconditionError,
                        match="period L = 6 exceeds PERIOD_MAX = 5"):

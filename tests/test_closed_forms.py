@@ -286,4 +286,4 @@ def test_catalog_never_runs_the_generator_scan(monkeypatch):
     params = SearchParams(epsilon=Fraction(1, 2), isotropy_bound=4)
     entries = enumerate_catalog(params)
     assert len(entries) == 40
-    assert audit_catalog(entries, params).ok
+    assert audit_catalog(entries, params)["ok"]

@@ -5,8 +5,10 @@ referred to (by a Name, an Attribute or an import) from another module
 there, or from elsewhere in its own module; the dispatcher in cli
 calls the handler `cmd_<name>` of `cli_<family>` by name, for each
 command that its table maps to that family.  Every method of a class
-there, dunders aside, must be referred to by name somewhere in src/
-outside its own body.  The package __init__ only re-exports, so it
+there, dunders aside, must be read as an attribute (obj.name or
+Class.name) or imported somewhere in src/ outside its own body; a bare
+name, such as a parameter that shares the method's name, does not
+count.  The package __init__ only re-exports, so it
 does not count as a caller.  Reference oracles and
 other test-only code live in tests/helpers.py.  Every name a top-level
 import binds in such a module must be used in that module; the package
@@ -20,9 +22,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "conesing"
 
 
-def references(node, skip=None):
-    """Names a syntax tree refers to through Name, Attribute or import,
-    leaving out the subtree skip."""
+def references(node, skip=None, names=True):
+    """Names a syntax tree refers to through Attribute or import, and
+    through Name unless names is false, leaving out the subtree skip."""
     out = set()
     todo = [node]
     while todo:
@@ -30,7 +32,8 @@ def references(node, skip=None):
         if sub is skip:
             continue
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            if names:
+                out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
         elif isinstance(sub, (ast.Import, ast.ImportFrom)):
@@ -79,11 +82,12 @@ METHODS_READ_OUTSIDE = {"resolution.ResolutionGraph.size"}
 
 def unreferenced_methods():
     """module.Class.method for each method of a top-level class in src/,
-    dunders aside, whose name nothing in src/ refers to outside its own
-    body."""
+    dunders aside, that nothing in src/ reads as an attribute or imports
+    outside its own body."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
-    everywhere = {name: references(tree) for name, tree in trees.items()}
+    everywhere = {name: references(tree, names=False)
+                  for name, tree in trees.items()}
     unused = []
     for name, tree in trees.items():
         elsewhere = set().union(*(refs for other, refs in everywhere.items()
@@ -97,7 +101,8 @@ def unreferenced_methods():
                     continue
                 qualified = f"{name[:-3]}.{cls.name}.{node.name}"
                 if (node.name not in elsewhere
-                        and node.name not in references(tree, skip=node)
+                        and node.name not in references(tree, skip=node,
+                                                        names=False)
                         and qualified not in METHODS_READ_OUTSIDE):
                     unused.append(qualified)
     return unused
@@ -154,6 +159,22 @@ def test_layout_scan_flags_a_method_without_caller(tmp_path, monkeypatch):
                  "def keep_extra():\n    return Extra()\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert unreferenced_methods() == ["linalg.Extra.only_tests_call_me"]
+
+
+def test_layout_scan_flags_a_method_named_like_a_parameter(tmp_path,
+                                                           monkeypatch):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    with open(tmp_path / "linalg.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\nclass Extra:\n"
+                 "    def shared(self):\n        return 0\n")
+    with open(tmp_path / "toric.py", "a", encoding="utf-8") as fh:
+        # a parameter read by its bare name is not a call of the method
+        fh.write("\n\ndef keep_extra(shared=1):\n"
+                 "    return Extra(), shared\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert unreferenced_methods() == ["linalg.Extra.shared"]
 
 
 def test_every_command_dispatches_to_a_handler():

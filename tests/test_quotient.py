@@ -12,7 +12,7 @@ from conesing.quotient import (StandardPair, cartier_index_of_kx,
                                vertex_log_discrepancy)
 from conesing.resolution import build_graph
 from helpers import (brute_min_decomposition, is_eps_lc_pair, is_log_fano,
-                     per_candidate_entry, random_couples)
+                     pair_boundary_degree, per_candidate_entry, random_couples)
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -115,7 +115,7 @@ def test_vertex_log_discrepancy_equals_ratio_and_decomposition():
     for C in random_couples(seed=11, count=30):
         a0 = vertex_log_discrepancy(C)
         assert a0 > 0
-        assert a0 * C.degree() == 2 - log_fano_quotient(C).total()
+        assert a0 * C.degree() == 2 - pair_boundary_degree(log_fano_quotient(C))
         vd = vertex_decomposition(C)
         assert a0 == Fraction(-vd.u, vd.m)
 
@@ -170,7 +170,7 @@ def audit_failures(C, eps, N):
     entry = per_candidate_entry(fracs, degree, F(0))
     params = SearchParams(epsilon=eps, isotropy_bound=N)
     return [f.split(": ", 1)[1]
-            for f in audit_catalog([entry], params).failures]
+            for f in audit_catalog([entry], params)["failures"]]
 
 
 def test_necessary_eps_conditions():
