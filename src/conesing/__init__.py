@@ -21,7 +21,7 @@ _EXPORTS = {
     "resolution": ("LatticeCone2", "ResolutionGraph", "build_graph",
                    "hj_chain", "local_cone_at"),
     "hilbert": ("HilbertData", "hilbert_series", "hilbert_values"),
-    "sections": ("Presentation", "presentation"),
+    "sections": ("presentation",),
     "catalog": ("SearchParams", "audit_catalog", "enumerate_catalog",
                 "mld_spectrum", "search_bounds"),
 }

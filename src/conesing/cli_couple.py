@@ -8,9 +8,8 @@ from .cli import _emit, _read_json
 from .errors import PreconditionError
 
 # Upper bound on --through, so oversized input exits 3 at once instead
-# of running for minutes or exhausting memory.  hilbert_series calls
-# hilbert_values through about 2 * PERIOD_MAX, so THROUGH_MAX bounds the
-# flag here, not the function.
+# of exhausting memory.  The values are read off the certified series,
+# in time and memory linear in L + through.
 THROUGH_MAX = 10**6
 
 
@@ -61,7 +60,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    from .hilbert import hilbert_series, hilbert_values
+    from .hilbert import hilbert_series
     if args.through is not None and args.through < 0:
         raise PreconditionError(f"--through {args.through} must be >= 0")
     if args.through is not None and args.through > THROUGH_MAX:
@@ -71,7 +70,7 @@ def cmd_hilbert(args) -> int:
     hd = hilbert_series(C)
     doc = {"series": hd.to_json()}
     if args.through is not None:
-        doc["values"] = hilbert_values(C, args.through)
+        doc["values"] = hd.expansion(args.through)
     _emit(doc, args.out)
     return 0
 
@@ -85,13 +84,8 @@ def cmd_presentation(args) -> int:
     if args.rel_bound is not None and args.rel_bound < 2:
         raise PreconditionError(f"--rel-bound {args.rel_bound} must be >= 2")
     C = _load_couple(args.couple)
-    pres = presentation(C, gen_bound=args.gen_bound, rel_bound=args.rel_bound)
-    doc = {"series": pres.series.to_json(),
-           "generators": list(pres.generator_degrees),
-           "relations": list(pres.relation_degrees),
-           "equations": list(pres.equations or []),
-           "verified_through": pres.verified_through}
-    _emit(doc, args.out)
+    _emit(presentation(C, gen_bound=args.gen_bound, rel_bound=args.rel_bound),
+          args.out)
     return 0
 
 

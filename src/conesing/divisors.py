@@ -20,6 +20,7 @@ Conventions pinned once and used everywhere:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, count
 from math import lcm
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
@@ -342,31 +343,8 @@ def assign_coordinates(C: CurveCouple) -> CurveCouple:
                     key=lambda p: p.name)
     if not labels:
         return C
-    used_fin = {p.x for p in C.divisor.points() if p.kind == "fin"}
-    has_inf = any(p.kind == "inf" for p in C.divisor.points())
-
-    def candidates():
-        yield finite_point(0)
-        yield finite_point(1)
-        yield infinity_point()
-        k = 2
-        while True:
-            yield finite_point(k)
-            k += 1
-
-    mapping = {}
-    gen = candidates()
-    for lbl in labels:
-        while True:
-            cand = next(gen)
-            if cand.kind == "inf":
-                if not has_inf:
-                    has_inf = True
-                    mapping[lbl] = cand
-                    break
-            elif cand.x not in used_fin:
-                used_fin.add(cand.x)
-                mapping[lbl] = cand
-                break
-    new_terms = [(mapping.get(p, p), c) for p, c in C.divisor.terms]
-    return CurveCouple.of(new_terms)
+    taken = set(C.divisor.points())
+    free = (p for p in chain(CANONICAL_POSITIONS, map(finite_point, count(2)))
+            if p not in taken)
+    mapping = dict(zip(labels, free))
+    return CurveCouple.of((mapping.get(p, p), c) for p, c in C.divisor.terms)

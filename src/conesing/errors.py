@@ -37,7 +37,7 @@ class IntegralPoint(PreconditionError):
 
 
 class BoundTooSmall(PreconditionError):
-    """Presentation search bounds too small to certify the answer."""
+    """Bounds of the presentation search too small to certify the answer."""
 
 
 class NotQGorenstein(PreconditionError):

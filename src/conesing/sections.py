@@ -27,7 +27,6 @@ from .divisors import (CurveCouple, Rational, assign_coordinates,
                        denominators_lcm, floor_multiple)
 from .errors import BoundTooSmall, InternalInvariantError, NotKlt
 from .hilbert import HilbertData, hilbert_series
-from .records import Record
 
 
 # ---------------------------------------------------------------------------
@@ -114,21 +113,6 @@ class SectionSpace:
 # ---------------------------------------------------------------------------
 # minimal generators and relations
 # ---------------------------------------------------------------------------
-
-class Presentation(Record):
-    _fields = ("generator_degrees", "relation_degrees", "equations",
-               "verified_through", "series")
-
-    def __init__(self, generator_degrees: Tuple[int, ...],
-                 relation_degrees: Tuple[int, ...],
-                 equations: Optional[Tuple[str, ...]], verified_through: int,
-                 series: HilbertData):
-        self.__dict__.update(generator_degrees=generator_degrees,
-                             relation_degrees=relation_degrees,
-                             equations=equations,
-                             verified_through=verified_through,
-                             series=series)
-
 
 def default_presentation_bound(C: CurveCouple) -> int:
     L = denominators_lcm(C.divisor)
@@ -297,9 +281,11 @@ def _certify_generator_count(C: CurveCouple, count: int) -> None:
 
 
 def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
-                 rel_bound: Optional[int] = None) -> Presentation:
-    """Minimal generator degrees, minimal relation degrees, and explicit
-    equations when at most four generators.
+                 rel_bound: Optional[int] = None) -> dict:
+    """The JSON object of the presentation command: the Hilbert series,
+    minimal generator degrees, minimal relation degrees (ascending),
+    explicit equations (empty above four generators) and
+    verified_through.
 
     Correctness is certified by saturation: the subalgebra generated by
     the reported generators must reproduce the Hilbert function through
@@ -307,12 +293,18 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     For a klt couple their number must be Artin's embedding dimension.
     With three generators the Hilbert series forces one relation of a
     known degree: a rel_bound below it is BoundTooSmall, and the search
-    must find exactly that relation.  The Hilbert series is returned as
-    the series field; computing it first refuses a period above
-    PERIOD_MAX before the scan starts.
+    must find exactly that relation.  Computing the Hilbert series first
+    refuses a period above PERIOD_MAX before the scan starts.  Only
+    Artin's count checks the default gen_bound, so a non-klt couple,
+    which has none, needs an explicit gen_bound (NotKlt otherwise).
     """
     hd = hilbert_series(C)
     if gen_bound is None:
+        deg_b = C.boundary_degree()
+        if deg_b >= 2:
+            raise NotKlt(f"boundary degree {deg_b} is >= 2, and the default "
+                         "generator bound is certified only on a klt "
+                         "couple; give --gen-bound")
         gen_bound = default_presentation_bound(C)
     if rel_bound is None:
         rel_bound = gen_bound
@@ -407,11 +399,6 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     if forced is not None and relation_degrees != [forced]:
         raise InternalInvariantError(
             f"relation degrees {relation_degrees} differ from the forced {forced}")
-    eqs = tuple(equations) if len(gen_degrees) <= len(VARIABLE_NAMES) else None
-    return Presentation(
-        generator_degrees=tuple(sorted(gen_degrees)),
-        relation_degrees=tuple(sorted(relation_degrees)),
-        equations=eqs,
-        verified_through=verified_through,
-        series=hd,
-    )
+    return {"series": hd.to_json(), "generators": sorted(gen_degrees),
+            "relations": relation_degrees, "equations": equations,
+            "verified_through": verified_through}

@@ -181,24 +181,24 @@ def test_c08_section_ring():
         hd = hilbert_series(C)
         ok = ok and hd.expansion(200) == [h0(C, n) for n in range(201)]
     pres = presentation(CurveCouple.of({P0: 2}))
-    ok = ok and pres.generator_degrees == (1, 1, 1)
-    ok = ok and pres.relation_degrees == (2,)
+    ok = ok and pres["generators"] == [1, 1, 1]
+    ok = ok and pres["relations"] == [2]
     for n in range(1, 7):
         C = CurveCouple.of({P0: F(1, n), PINF: F(1, n)})
         pres = presentation(C, gen_bound=2 * n + 2, rel_bound=2 * n + 2)
-        expected_gens = (1, 1, 1) if n == 1 else (1, n, n)
-        ok = ok and pres.generator_degrees == expected_gens
-        ok = ok and pres.relation_degrees == (2 * n,)
-        ok = ok and len(pres.equations) == 1
+        expected_gens = [1, 1, 1] if n == 1 else [1, n, n]
+        ok = ok and pres["generators"] == expected_gens
+        ok = ok and pres["relations"] == [2 * n]
+        ok = ok and len(pres["equations"]) == 1
         # structure x y = z^{2n}: the two degree-n generators multiply to
         # the 2n-th power of the degree-1 generator
-        eq = pres.equations[0]
+        eq = pres["equations"][0]
         if n > 1:
             ok = ok and (f"x**{2 * n}" in eq) and ("y*z" in eq)
     a = presentation(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}))
     b = presentation(CurveCouple.of({P0: F(1, 2), PINF: F(1, 2)}))
-    ok = ok and a.generator_degrees == b.generator_degrees
-    ok = ok and a.relation_degrees == b.relation_degrees
+    ok = ok and a["generators"] == b["generators"]
+    ok = ok and a["relations"] == b["relations"]
     assert _report("C8 Hilbert data through degree 200; quadric and x y = "
                    "z^{2n} presentations; linear equivalence invariance", ok)
 

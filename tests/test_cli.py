@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,13 +20,13 @@ TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2,
                               reason="--jobs 2 needs at least two CPUs")
 
 
-def run_cli(*args, input_text=None):
+def run_cli(*args, input_text=None, timeout=None):
     import os
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "conesing", *args],
                           capture_output=True, text=True, input=input_text,
-                          env=env)
+                          env=env, timeout=timeout)
 
 
 def couple_doc(terms):
@@ -103,6 +104,35 @@ def test_hilbert_and_presentation(tmp_path):
     assert doc["generators"] == [1, 1, 1]
     assert doc["relations"] == [2]
     assert len(doc["equations"]) == 1
+
+
+def test_hilbert_through_on_many_points_reads_the_series(tmp_path):
+    # recomputing h(n) from 20,000 points cost O(points x through): over
+    # a minute at this --through
+    f = tmp_path / "c.json"
+    f.write_text(couple_doc([({"t": "fin", "x": str(k)}, "1/2")
+                             for k in range(20000)]))
+    start = time.perf_counter()
+    res = run_cli("hilbert", "--couple", str(f), "--through", "100000",
+                  timeout=60)
+    assert time.perf_counter() - start < 3
+    assert res.returncode == 0, res.stderr
+    values = json.loads(res.stdout)["values"]
+    assert values == [1 + 20000 * (n // 2) for n in range(100001)]
+
+
+def test_presentation_default_bound_on_non_klt_couple_exits_3_at_once(
+        tmp_path):
+    # only Artin's count checks the default bound, and a non-klt couple
+    # has none; the search it asked for ran for minutes
+    f = tmp_path / "c.json"
+    f.write_text(NOT_FANO)
+    start = time.perf_counter()
+    res = run_cli("presentation", "--couple", str(f), timeout=60)
+    assert time.perf_counter() - start < 1
+    assert res.returncode == 3 and res.stdout == ""
+    assert "--gen-bound" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_hilbert_negative_through_exits_3(tmp_path, capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conesing.divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
@@ -137,6 +137,39 @@ def test_assign_coordinates_skips_used():
     assert finite_point(1) in pts and infinity_point() in pts
     assert fixed.divisor.coeff(finite_point(1)) == F(1, 3)
     assert fixed.divisor.coeff(infinity_point()) == F(1, 2)
+
+
+def canonical_rank(p):
+    """The place of p in 0, 1, infinity, 2, 3, ..., or None off it."""
+    if p.kind == "inf":
+        return 2
+    if p.x.denominator != 1 or p.x < 0:
+        return None
+    return int(p.x) if p.x < 2 else int(p.x) + 1
+
+
+@given(st.dictionaries(
+    st.sampled_from([label_point(n) for n in "dbcae"]
+                    + [P0, P1, PINF, finite_point(2), finite_point(3),
+                       finite_point(F(1, 2)), finite_point(-1)]),
+    st.fractions(min_value=F(1, 5), max_value=3, max_denominator=5),
+    min_size=1, max_size=8))
+def test_assign_coordinates_gives_labels_the_first_free_points(terms):
+    labels = sorted(p.name for p in terms if p.kind == "lbl")
+    assume(labels)
+    taken = {p for p in terms if p.kind != "lbl"}
+    fixed = assign_coordinates(CurveCouple.of(terms)).divisor
+    # other terms are unchanged, and no label lands on a taken point or
+    # on another label: the terms keep their number
+    assert len(fixed.terms) == len(terms)
+    assert all(fixed.coeff(p) == terms[p] for p in taken)
+    assigned = sorted((p for p in fixed.points() if p not in taken),
+                      key=canonical_rank)
+    assert [fixed.coeff(p) for p in assigned] == [
+        terms[label_point(n)] for n in labels]
+    # the first free points: every earlier place is taken
+    ranks = {canonical_rank(p) for p in taken | set(assigned)}
+    assert set(range(canonical_rank(assigned[-1]) + 1)) <= ranks
 
 
 coeff_strategy = st.fractions(min_value=-3, max_value=4,

@@ -1,10 +1,12 @@
 """Golden CLI output: the exact stdout bytes of fixed commands on the
 A1, A3, D4 and E6 couples, on three size-regime couples (a chain of
-length 200, index m = 36049 and lcm L = 1517), of the presentation of
-the E8-type couple (1/2)[0] - (2/3)[1] + (6/5)[inf] at bounds 30, of three
-small catalogs, of the toric comparison on P^3, on the weighted plane
-P(1,1,2) and on the non-simplicial cube fan, and of a small run of the
-counterexample families.
+length 200, index m = 36049 and lcm L = 1517), of Hilbert values through
+degree 40, of the presentation of the E8-type couple
+(1/2)[0] - (2/3)[1] + (6/5)[inf] at bounds 30, of a couple with two label
+points and of the non-klt couple (6/7)([0] + [1] + [inf]) at explicit
+bounds, of three small catalogs, of the toric comparison on P^3, on the
+weighted plane P(1,1,2) and on the non-simplicial cube fan, and of a
+small run of the counterexample families.
 
 After an intended output change, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -40,10 +42,25 @@ CASES["discrepancy_index36049"] = [
     "discrepancy", "--couple", str(GOLDEN / "couples" / "index36049.json")]
 CASES["hilbert_lcm1517"] = ["hilbert", "--couple",
                             str(GOLDEN / "couples" / "lcm1517.json")]
+# values read off the certified series, across several periods
+for name in ("A3", "lcm1517"):
+    CASES[f"hilbert_{name}_through40"] = [
+        "hilbert", "--couple", str(GOLDEN / "couples" / f"{name}.json"),
+        "--through", "40"]
 # four generators and three relations, with L = 30
 CASES["presentation_E8_b30"] = [
     "presentation", "--couple", str(GOLDEN / "couples" / "E8.json"),
     "--gen-bound", "30", "--rel-bound", "30"]
+# two label points beside the finite point 0: they take 1 and infinity
+CASES["describe_labels"] = ["describe", "--couple",
+                            str(GOLDEN / "couples" / "labels.json")]
+CASES["presentation_labels_b10"] = [
+    "presentation", "--couple", str(GOLDEN / "couples" / "labels.json"),
+    "--gen-bound", "10", "--rel-bound", "10"]
+# not klt: the default generator bound is refused, explicit ones run
+CASES["presentation_not_fano_g9_r4"] = [
+    "presentation", "--couple", str(GOLDEN / "couples" / "not_fano.json"),
+    "--gen-bound", "9", "--rel-bound", "4"]
 CASES["enumerate_eps1_N3"] = ["enumerate", "--epsilon", "1",
                               "--isotropy-bound", "3", "--jobs", "1"]
 # the benchmark's smallest sweep, where the degree cap skips 143 of the

@@ -19,7 +19,7 @@ from conesing.quotient import log_fano_quotient, vertex_decomposition
 from conesing.records import Record
 from conesing.resolution import LatticeCone2, build_graph
 from conesing.hilbert import hilbert_series
-from conesing.sections import Presentation
+from conesing.sections import presentation
 from conesing.toric import (Fan, ToricDivisor, cone_of_x,
                             fan_projective_space, random_primitive_samples,
                             verify_comparison)
@@ -47,10 +47,6 @@ def make_all():
         "ResolutionGraph": G,
         "BlownDownGraph": G.blown_down,
         "HilbertData": hilbert_series(E6),
-        "Presentation": Presentation(generator_degrees=(2, 3, 6),
-                                     relation_degrees=(12,), equations=None,
-                                     verified_through=24,
-                                     series=hilbert_series(E6)),
         "Fan": fan,
         "ToricDivisor": td,
         "ConeOfX": cone_of_x(fan, td),
@@ -88,8 +84,6 @@ EXPECTED = {
         'BlownDownGraph(self_intersections=(-2, -2, -2, -2, -2, -2), edges=((0, 1), (0, 2), (0, 4), (2, 3), (4, 5)), surviving=(0, 1, 2, 3, 4, 5))'),
     'HilbertData': (('period', 'numerator'),
         'HilbertData(period=6, numerator=(1, -1, 0, 1, 0, -1, 1))'),
-    'Presentation': (('generator_degrees', 'relation_degrees', 'equations', 'verified_through', 'series'),
-        'Presentation(generator_degrees=(2, 3, 6), relation_degrees=(12,), equations=None, verified_through=24, series=HilbertData(period=6, numerator=(1, -1, 0, 1, 0, -1, 1)))'),
     'Fan': (('rank', 'rays', 'max_cones'),
         'Fan(rank=2, rays=((1, 0), (0, 1), (-1, -1)), max_cones=((0, 1), (0, 2), (1, 2)))'),
     'ToricDivisor': (('coefficients',),
@@ -114,7 +108,7 @@ def test_every_record_class_is_covered():
                if isinstance(cls, type) and cls.__module__ == mod.__name__
                and issubclass(cls, Record)}
     assert {type(v) for v in INSTANCES.values()} == classes
-    assert len(classes) == 17
+    assert len(classes) == 16
 
 
 def assert_same_hash(*objs):
@@ -195,9 +189,9 @@ def test_catalog_entries_survive_pickle():
 
 
 def test_check_rows_are_json_values():
-    # the rows of toric-check, verify-examples and audit are built as the
-    # objects the commands print: no Fraction, no tuple, nothing that a
-    # JSON round trip would change
+    # the rows of toric-check, verify-examples and audit, and the result
+    # of presentation, are built as the objects the commands print: no
+    # Fraction, no tuple, nothing that a JSON round trip would change
     fan = Fan(rank=2, rays=((1, 0), (0, 1), (-1, -2)),
               max_cones=((0, 1), (1, 2), (0, 2)))
     D = ToricDivisor.of([F(1, 2), F(2, 3), 1])
@@ -208,8 +202,11 @@ def test_check_rows_are_json_values():
     audits = [audit_catalog(docs, params) for docs in (entries, tampered)]
     assert audits[0]["ok"] and audits[1]["failures"]
     rnc = rnc_family_report(6)
+    pres = presentation(CurveCouple.of({finite_point(0): F(1, 2),
+                                        finite_point(1): F(1, 2)}))
+    assert pres["equations"]
     values = [report.checks, report.to_json(), rnc,
-              [diagonal_cone_report(d) for d in (1, 2, 3)], *audits]
+              [diagonal_cone_report(d) for d in (1, 2, 3)], *audits, pres]
     assert any(c["weil"] > 1 for c in report.checks)
     assert any("/" in r["a_e0"] for r in rnc)
     for value in values:

@@ -160,7 +160,7 @@ def test_readme_example_runs_in_a_fresh_interpreter():
             "assert [m for m in sys.modules if m.startswith('conesing.')] == []\n"
             + readme_library_example()
             + "\nassert build_graph(C).mld == 1\n"
-            "assert presentation(C).relation_degrees == (4,)\n")
+            "assert presentation(C)[\"relations\"] == [4]\n")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=fresh_env())
     assert res.returncode == 0, res.stderr
