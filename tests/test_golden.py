@@ -5,8 +5,10 @@ degree 40, of the presentation of the E8-type couple
 (1/2)[0] - (2/3)[1] + (6/5)[inf] at bounds 30, of a couple with two label
 points and of the non-klt couple (6/7)([0] + [1] + [inf]) at explicit
 bounds, of three small catalogs, of the toric comparison on P^3, on the
-weighted plane P(1,1,2) and on the non-simplicial cube fan, and of a
-small run of the counterexample families.
+weighted plane P(1,1,2) and on the non-simplicial cube fan, of a
+small run of the counterexample families, and of `audit` on the (1, 3)
+catalog and on damaged copies of it (in `golden/catalogs`, written by
+`damaged_catalogs`), one report per kind of damage.
 
 After an intended output change, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -79,6 +81,59 @@ CASES["verify_examples_small"] = ["verify-examples", "--an-n", "12",
                                   "--an-box", "5", "--rnc-max", "6"]
 
 
+def damaged_catalogs():
+    """name -> catalog document: a clean entry of the (1, 3) catalog
+    beside entries damaged in one way each.  The entries that audit
+    cannot take at face value (a type out of canonical order, not
+    reduced or not in (0, 1), a zero denominator, too many points, a
+    degree that does not fit the type) are gathered in rebuild_paths."""
+    entries = json.loads((GOLDEN / "enumerate_eps1_N3.json").read_text(
+        encoding="utf-8"))["entries"]
+    by_key = {e["key"]: e for e in entries}
+    a2, a3 = by_key["f[2/3];deg=2/3"], by_key["f[1/2,1/2];deg=1"]
+    smooth = by_key["f[2/3,1/2];deg=1/6"]
+
+    def damaged(entry, **changes):
+        return {**entry, **changes}
+
+    catalogs = {
+        "mld_changed": [a3, damaged(a2, mld="1/2")],
+        "duplicate_key": [a2, a3, a2],
+        "out_of_order": [a3, damaged(smooth, fractional=[[1, 2], [2, 3]])],
+        # deg B = 3 (2/3) = 2
+        "not_klt": [a3, damaged(a2, fractional=[[2, 3]] * 3, degree="2")],
+        "isotropy_above_n": [a3, damaged(a2, fractional=[[1, 5]],
+                                         degree="1/5")],
+        "missing_and_extra_field": [
+            {k: v for k, v in a2.items() if k != "mld"}, {**a3, "note": 1}],
+        "rebuild_paths": [
+            damaged(a3, fractional=[[2, 4], [1, 2]]),
+            damaged(a3, fractional=[[3, 2], [1, 2]], degree="2"),
+            damaged(a3, fractional=[[1, -2], [1, 2]], degree="1"),
+            damaged(a3, fractional=[[0, 2], [1, 2], [1, 2]]),
+            damaged(a3, fractional=[[4, 2], [1, 2], [1, 2]], degree="3"),
+            damaged(a2, fractional=[[2, 3], [2, 3]], degree="4/3"),
+            damaged(a2, fractional=[[1, 0]]),
+            damaged(a2, fractional=[[1, 2]] * 3 + [[2, 1]], degree="7/2"),
+            damaged(a2, degree="1/3"),
+            damaged(a2, degree="-1/3"),
+            damaged(a2, cartier_index_kx=True),
+        ],
+    }
+    return {name: {"entries": docs} for name, docs in catalogs.items()}
+
+
+CATALOGS = GOLDEN / "catalogs"
+AUDIT_ARGS = ["--epsilon", "1", "--isotropy-bound", "3"]
+CASES["audit_clean"] = ["audit", "--catalog",
+                        str(GOLDEN / "enumerate_eps1_N3.json"), *AUDIT_ARGS]
+for name in damaged_catalogs():
+    CASES[f"audit_{name}"] = ["audit", "--catalog",
+                              str(CATALOGS / f"{name}.json"), *AUDIT_ARGS]
+# audit exits 1 when it reports a failure
+EXIT_CODES = {f"audit_{name}": 1 for name in damaged_catalogs()}
+
+
 def run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -89,7 +144,7 @@ def run(argv):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_stdout(name):
     code, out = run(CASES[name])
-    assert code == 0
+    assert code == EXIT_CODES.get(name, 0)
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
@@ -119,10 +174,18 @@ def test_dumps_matches_json_on_drawn_documents(doc):
     assert dumps(doc) == json_oracle(doc)
 
 
+def test_damaged_catalogs_are_the_committed_files():
+    for name, doc in damaged_catalogs().items():
+        assert (CATALOGS / f"{name}.json").read_text(
+            encoding="utf-8") == dumps(doc)
+
+
 def regenerate(directory=GOLDEN):
+    for name, doc in damaged_catalogs().items():
+        (CATALOGS / f"{name}.json").write_text(dumps(doc), encoding="utf-8")
     for name, argv in sorted(CASES.items()):
         code, out = run(argv)
-        if code != 0:
+        if code != EXIT_CODES.get(name, 0):
             raise SystemExit(f"{name}: exit code {code}")
         (Path(directory) / f"{name}.json").write_text(out, encoding="utf-8")
 
