@@ -19,11 +19,12 @@ _EXPORTS = {
                  "log_fano_quotient", "vertex_decomposition",
                  "vertex_log_discrepancy"),
     "resolution": ("LatticeCone2", "ResolutionGraph", "build_graph",
-                   "hj_chain", "local_cone_at"),
+                   "hj_chain"),
     "hilbert": ("HilbertData", "hilbert_series", "hilbert_values"),
     "sections": ("presentation",),
-    "catalog": ("SearchParams", "audit_catalog", "enumerate_catalog",
-                "mld_spectrum", "search_bounds"),
+    "catalog": ("SearchParams", "enumerate_catalog", "mld_spectrum",
+                "search_bounds"),
+    "audit": ("audit_catalog",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

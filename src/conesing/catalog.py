@@ -38,8 +38,8 @@ from operator import add
 from typing import List, Tuple
 
 from .errors import (BadEpsilon, CatalogMismatch, InternalInvariantError,
-                     InternalNonIntegral, NotKlt, ParseError, PreconditionError)
-from .jsonio import fmt_q, json_int, parse_q
+                     InternalNonIntegral, NotKlt, PreconditionError)
+from .jsonio import fmt_q, fmt_ratio, parse_q
 from .records import Record
 from .resolution import (LatticeCone2, _chain_continuants, blow_down,
                          hj_chain, star_edges)
@@ -127,51 +127,60 @@ def _chain_solve(p: int, q: int):
 
 
 @lru_cache(maxsize=None)
+def _floor_steps(p: int, q: int) -> Tuple[int, ...]:
+    """floor(k p/q) - floor((k - 1) p/q) for k = 1..q, one period."""
+    return tuple(k * p // q - (k - 1) * p // q for k in range(1, q + 1))
+
+
+@lru_cache(maxsize=None)
 def _type_member(fracs: Tuple[Fraction, ...]):
-    """member(degree) -> (mld, entry): the type's member at that degree,
-    whatever its mld, with its entry built once, as the JSON object that
-    a catalog file holds (rationals as fmt_q strings, arrays as lists),
-    from the type's integers.  The setup runs on the first call for a
-    type; enumerate and audit clear the cache when they end.  It is
-    linear in the period L = lcm q_i: audit refuses L above PERIOD_MAX
-    first, and a sweep's types have L <= N^2."""
+    """member(degree, graph=None) -> (mld, entry): the type's member at
+    that degree, whatever its mld, with its entry built once, as the JSON
+    object that a catalog file holds (rationals as fmt_q strings, arrays
+    as lists), from the type's integers.  A caller that holds the
+    member's star graph passes it as graph, and a blow-down is read off
+    it when its vertices are the member's own.  The setup runs on the
+    first call for a type; enumerate and audit clear the cache when they
+    end.  It is linear in the period L = lcm q_i: audit refuses L above
+    PERIOD_MAX first, and a sweep's types have L <= N^2."""
     pairs = tuple((f.numerator, f.denominator) for f in fracs)
     r = len(pairs)
     L = lcm(*(q for _, q in pairs))
-    # 2 - deg B = 2 - r + sum 1/q_i
-    top = Fraction((2 - r) * L + sum(L // q for _, q in pairs), L)
+    # 2 - deg B = 2 - r + sum 1/q_i = top/L
+    top = (2 - r) * L + sum(L // q for _, q in pairs)
     if top <= 0:
-        raise NotKlt(f"boundary degree {2 - top} is >= 2")
+        raise NotKlt(f"boundary degree {Fraction(2 * L - top, L)} is >= 2")
     solved = [_chain_solve(p, q) for p, q in pairs]
     chains = tuple(chain for chain, _ in solved)
     # (S_v, X_v) over the common denominator L, the centre first
     vertices = ((L, 0), *((s * (L // q), x * (L // q)) for (_, sx), (_, q)
                           in zip(solved, pairs) for s, x in sx))
-    tn, td = top.numerator, top.denominator
-    fsum = Fraction(sum(p * (L // q) for p, q in pairs), L)
+    # sum p_i/q_i = fn/fd in lowest terms
+    fn = sum(p * (L // q) for p, q in pairs)
+    g = gcd(fn, L)
+    fn, fd = fn // g, L // g
     qprod = prod(q for _, q in pairs)
+    max_q = max((q for _, q in pairs), default=1)
     # h(n) = 1 + n n0 + F(n), F(n) = sum floor(n p_i/q_i), is never
     # clamped at 0 when deg B < 2, so the Hilbert numerator
     # (1 - T)(1 - T^L) sum h(n) T^n is 1 + sum_{k=1..L} (F(k) - F(k-1)
     # + n0) T^k - T^L; each point's steps repeat with period q
     steps = [0] * L
     for p, q in pairs:
-        steps = list(map(add, steps, [k * p // q - (k - 1) * p // q
-                                      for k in range(1, q + 1)] * (L // q)))
-    prefix = "f[" + ",".join(str(f) for f in fracs) + "];deg="
+        steps = list(map(add, steps, _floor_steps(p, q) * (L // q)))
+    prefix = "f[" + ",".join(f"{p}/{q}" for p, q in pairs) + "];deg="
     tail = tuple(e for chain in chains for e in chain)
     excess = sum(-e - 2 for e in tail)
 
-    def member(degree: Fraction) -> Tuple[Fraction, dict]:
+    def member(degree: Fraction, graph=None) -> Tuple[Fraction, dict]:
         dn, dd = degree.numerator, degree.denominator
-        # degree = fsum + n has the denominator of fsum
-        if dd != fsum.denominator or dn <= 0:
+        # degree = fn/fd + n has the denominator fd
+        if dd != fd or dn <= 0:
             raise PreconditionError("degree incompatible with fractional type")
-        n = (dn - fsum.numerator) // dd
+        n = (dn - fn) // dd
         b0 = n + r
         # a_e0 = A/B, and a_v = (S_v A + X_v B)/(L B)
-        A, B = tn * dd, td * dn
-        a_e0 = Fraction(A, B)
+        A, B = top * dd, L * dn
         low = min(s * A + x * B for s, x in vertices)      # L B mld
         if b0 >= max(r, 2):
             # all curves are (-2)-curves or below, so the star graph is
@@ -183,7 +192,11 @@ def _type_member(fracs: Tuple[Fraction, ...]):
             # (-2)-curve take Laufer's loop.  The checks of
             # ResolutionGraph.mld: a smooth cone has mld 2, and the
             # blow-down keeps the graph minimum.
-            bd = blow_down((-b0, *tail), star_edges(chains))
+            if (graph is not None and graph.central_self_int == -b0
+                    and graph.chains == chains):
+                bd = graph.blown_down   # the caller's graph is this one
+            else:
+                bd = blow_down((-b0, *tail), star_edges(chains))
             if bd.empty:
                 if low != 2 * L * B:
                     raise InternalNonIntegral("smooth cone with graph minimum "
@@ -199,28 +212,29 @@ def _type_member(fracs: Tuple[Fraction, ...]):
             blown_down = None if bd.empty else list(bd.self_intersections)
         # the least m with m(K + B) - u D integral, u/m = s/t = -a_e0: t
         # divides m, and at p/q, q divides (m/t)(t(q - 1) - s p)
-        s, t = -a_e0.numerator, a_e0.denominator
-        numerator = [1, *(c + n for c in steps)]
+        g = gcd(A, B)
+        s, t = -A // g, B // g
+        numerator = [1, *map(n.__add__, steps)]
         numerator[-1] -= 1
         while numerator and numerator[-1] == 0:
             numerator.pop()
-        mld = Fraction(low, L * B)
-        deg = fmt_q(degree)
-        return mld, {
-            "key": prefix + deg,
-            "degree": deg,
-            "fractional": [[p, q] for p, q in pairs],
-            "a_e0": fmt_q(a_e0),
-            "mld": fmt_q(mld),
+        deg = fmt_ratio(dn, dd)
+        # the keys in sorted order, the order of a catalog file
+        return Fraction(low, L * B), {
+            "a_e0": fmt_ratio(A, B),
             "cartier_index_kx": t * lcm(*(q // gcd(q, t + s * p)
                                           for p, q in pairs)),
-            "max_isotropy": max((q for _, q in pairs), default=1),
-            "link_determinant": dn * qprod // dd,
+            "degree": deg,
+            "embedding_dimension": embdim,
+            "fractional": [[p, q] for p, q in pairs],
+            "graph": {"blown_down": blown_down, "center": -b0,
+                      "chains": [list(c) for c in chains]},
             "hilbert_numerator": numerator,
             "hilbert_period": L,
-            "embedding_dimension": embdim,
-            "graph": {"center": -b0, "chains": [list(c) for c in chains],
-                      "blown_down": blown_down},
+            "key": prefix + deg,
+            "link_determinant": dn * qprod // dd,
+            "max_isotropy": max_q,
+            "mld": fmt_ratio(low, L * B),
         }
 
     return member
@@ -299,99 +313,6 @@ def enumerate_catalog(params: SearchParams) -> List[dict]:
 def mld_spectrum(entries) -> Tuple[Fraction, ...]:
     """The distinct mlds of the entries, ascending."""
     return tuple(sorted(map(parse_q, {e["mld"] for e in entries})))
-
-
-def _defining_data(doc) -> Tuple[str, Tuple[Tuple[int, int], ...], Fraction]:
-    """Key, fractional type and degree of a stored entry, read strictly."""
-    try:
-        key, fractional, degree = doc["key"], doc["fractional"], doc["degree"]
-    except (KeyError, TypeError):
-        raise ParseError("catalog entry must be an object with key, "
-                         "fractional and degree") from None
-    if not isinstance(key, str):
-        raise ParseError(f"catalog key {key!r} is not a string")
-    if not isinstance(fractional, list) or any(
-            not isinstance(pq, list) or len(pq) != 2 for pq in fractional):
-        raise ParseError(f"entry {key}: fractional must be an array of "
-                         "[p, q] pairs")
-    what = f"entry {key}: fractional entry"
-    return (key, tuple((json_int(p, what), json_int(q, what))
-                       for p, q in fractional), parse_q(degree))
-
-
-def _field_failures(tag: str, doc: dict, rebuilt: dict) -> List[str]:
-    """One failure per field whose canonical JSON text differs, so that
-    true or 1.0 is not 1."""
-    import json
-    stored, rebuilt = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()}
-                       for d in (doc, rebuilt))
-    out = []
-    for field in sorted(stored.keys() | rebuilt.keys()):
-        if field not in stored:
-            out.append(f"{tag}: stored entry has no {field}")
-        elif stored[field] != rebuilt.get(field):
-            out.append(f"{tag}: stored {field} {stored[field]} is wrong")
-    return out
-
-
-def audit_catalog(docs, params: SearchParams) -> dict:
-    """Rebuild every stored entry (a JSON object as read from the file)
-    from its key, fractional type and degree by the enumerator's path,
-    once per type, compare the stored entry with the rebuilt one as
-    canonical JSON, field by field when they differ, and re-check the
-    necessary conditions of membership, with each couple's own star graph
-    as the oracle of a_e0 and the mld.
-    An entry whose isotropy exceeds N is not built.  Malformed defining
-    data raises ParseError, and a period lcm q_i above PERIOD_MAX raises
-    PreconditionError before its type is built; everything else goes
-    into the report, the JSON object that the audit command prints."""
-    import json
-
-    from .divisors import canonical_couple, max_isotropy, normal_form
-    from .hilbert import _checked_period
-    from .resolution import build_graph
-    eps, N = params.epsilon, params.isotropy_bound
-    data = [_defining_data(doc) for doc in docs]
-    failures = []
-    keys = set()
-    for doc, (key, fractional, degree) in zip(docs, data):
-        tag = f"entry {key}"
-        if key in keys:
-            failures.append(f"{tag}: duplicate key")
-        keys.add(key)
-        try:
-            # a stored entry in canonical order is its own normal form,
-            # which normal_form keeps instead of building it again
-            nf = normal_form(canonical_couple(
-                [Fraction(p, q) for p, q in fractional], degree))
-        except (PreconditionError, ZeroDivisionError) as exc:
-            failures.append(f"{tag}: cannot rebuild couple ({exc})")
-            continue
-        C = nf.couple
-        if max_isotropy(C) > N:
-            failures.append(f"{tag}: isotropy above the bound {N}")
-            continue
-        try:
-            G = build_graph(C)
-        except NotKlt as exc:
-            failures.append(f"{tag}: rebuilt couple is not klt ({exc})")
-            continue
-        # the Hilbert numerator takes time linear in the period
-        _checked_period(C.divisor)
-        mld, rebuilt = _type_member(nf.key[0])(nf.key[1])
-        # the whole entry as canonical text first; field by field only
-        # when the texts differ
-        if json.dumps(doc, sort_keys=True) != json.dumps(rebuilt, sort_keys=True):
-            failures.extend(_field_failures(tag, doc, rebuilt))
-        # fmt_q is canonical: the strings are equal when the rationals are
-        for name, oracle in (("a_e0", 1 + G.discrepancies[0]), ("mld", G.mld)):
-            if fmt_q(oracle) != rebuilt[name]:
-                failures.append(
-                    f"{tag}: {name} disagrees with the resolution oracle")
-        if mld < eps:
-            failures.append(f"{tag}: mld below epsilon")
-    _type_member.cache_clear()
-    return {"checked": len(docs), "failures": failures, "ok": not failures}
 
 
 def catalog_to_json(entries, params: SearchParams) -> dict:

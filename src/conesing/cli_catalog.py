@@ -46,7 +46,7 @@ def cmd_mld_set(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    from .catalog import audit_catalog
+    from .audit import audit_catalog
     params = _search_params(args)
     doc = _read_json(args.catalog)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):

@@ -117,7 +117,7 @@ def _merge_terms(items) -> Tuple[Tuple[MarkedPoint, Fraction], ...]:
 
 class QDivisorP1(Record):
     """Finite formal sum of points with exact rational coefficients,
-    held as (point, coefficient) terms."""
+    held as (point, coefficient) terms in point order."""
 
     _fields = ("terms",)
 
@@ -311,23 +311,31 @@ def canonical_couple(fracs, degree) -> CurveCouple:
     integral degree sits at infinity when free, otherwise it is folded
     into the coefficient at 0.  More than three fractional points have
     no canonical placement and are refused."""
-    # the positions are in point order already, so the terms need no merge
-    return CurveCouple(QDivisorP1(_canonical_terms(fracs, degree)))
+    degree = degree if type(degree) is Fraction else Fraction(degree)
+    # the positions are in point order already, so the terms need no
+    # merge, and they sum to the degree, which the divisor keeps
+    D = QDivisorP1(_canonical_terms(fracs, degree))
+    D.__dict__["_degree"] = degree
+    return CurveCouple(D)
 
 
-def _canonical_terms(fracs, degree):
+def _canonical_terms(fracs, degree: Fraction):
     """The divisor terms of canonical_couple(fracs, degree)."""
     if len(fracs) > len(CANONICAL_POSITIONS):
         raise PreconditionError(f"{len(fracs)} fractional points have no "
                                 "canonical placement (at most 3)")
     coeffs = [f if type(f) is Fraction else Fraction(f) for f in fracs]
-    leftover = Fraction(degree) - _fraction_sum(
-        (c.numerator, c.denominator) for c in coeffs)
-    if leftover.denominator != 1:
+    # the integral leftover degree - sum coeffs, over M = lcm of the
+    # denominators
+    dd = degree.denominator
+    M = lcm(dd, *(c.denominator for c in coeffs))
+    leftover, rest = divmod(degree.numerator * (M // dd) - sum(
+        c.numerator * (M // c.denominator) for c in coeffs), M)
+    if rest:
         raise PreconditionError("degree incompatible with fractional type")
     if leftover:
         if len(coeffs) <= 2:
-            coeffs.extend([Fraction(0)] * (2 - len(coeffs)) + [leftover])
+            coeffs.extend([0] * (2 - len(coeffs)) + [Fraction(leftover)])
         else:
             coeffs[0] += leftover
     return tuple((p, c) for p, c in zip(CANONICAL_POSITIONS, coeffs) if c)

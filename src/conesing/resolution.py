@@ -25,18 +25,27 @@ central Schur complement -deg D < 0.  The link determinant is the
 closed form deg D * prod q_i (Orlik-Wagreich 1971).  No dense
 intersection matrix is built; the dense solve is an oracle in the tests.
 
-Only local_cone_at and build_graph read a couple, and they import
-divisors, which also holds build_graph's klt gate, in their own bodies:
-the catalog sweep, which solves chains and builds graphs from integers,
-does not load it.  No function here loads quotient.
+build_graph works in integers.  Each chain is eliminated once per
+(q, p) into the continuants u and w; every discrepancy is an integer
+numerator over one common denominator, and the vertex mld is read off
+those integers, with a blow-down only when the graph has a (-1)-curve.
+The Fractions of the discrepancies are built only when they are read,
+as resolve and describe do to print them.  build_graph is the oracle
+that audit holds the catalog's entries against, so it never calls the
+catalog's own chain solver.
+
+Only build_graph reads a couple.  It imports divisors, which words its
+klt refusal, in its own body and only to refuse: the catalog sweep,
+which solves chains and builds graphs from integers, does not load it.
+No function here loads quotient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import (BadChain, IntegralPoint, InternalInvariantError,
@@ -44,7 +53,7 @@ from .errors import (BadChain, IntegralPoint, InternalInvariantError,
 from .records import Record
 
 if TYPE_CHECKING:
-    from .divisors import CurveCouple, MarkedPoint
+    from .divisors import CurveCouple
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +74,6 @@ class LatticeCone2(Record):
     def is_smooth(self) -> bool:
         return self.q == 1
 
-
-def local_cone_at(C: CurveCouple, pt: MarkedPoint) -> LatticeCone2:
-    """Chart cone of the partial resolution over a stored point.
-
-    Only the fractional part of the coefficient matters: adding
-    integral multiples of the point is a unimodular change of chart.
-    """
-    from .divisors import _frac_numerator
-    c = C.divisor.coeff(pt)
-    q = c.denominator
-    if q == 1:
-        raise IntegralPoint(f"coefficient {c} at {pt} is integral, chart smooth")
-    return LatticeCone2(q=q, p=_frac_numerator(c))
 
 
 # Longest chain hj_chain builds; the graph, its discrepancies and its
@@ -174,6 +170,17 @@ def _chain_continuants(cs: List[int]) -> Tuple[List[int], List[int]]:
     return us[:n + 1], ws[:n]
 
 
+@lru_cache(maxsize=None)
+def _chain_elimination(q: int, p: int):
+    """The chain over a point with fractional coefficient p/q, its
+    entries c_j, and u_1, u_2 and w_1 of its elimination, once per
+    (q, p)."""
+    chain = hj_chain(LatticeCone2(q=q, p=p))
+    cs = tuple(-e for e in chain)
+    us, ws = _chain_continuants(cs)
+    return chain, cs, us[0], us[1], ws[0]
+
+
 def star_edges(chains) -> Tuple[Tuple[int, int], ...]:
     """Edges (i, j), i < j, of the star graph with these chains, each of
     weight 1, in the vertex order of ResolutionGraph."""
@@ -191,24 +198,33 @@ class ResolutionGraph(Record):
 
     Vertex order everywhere: central curve first, then the chains in
     the canonical order of their base points, each from the central
-    side outward.  The blow-down and the vertex mld are computed on
-    first use and kept.
+    side outward.  The discrepancy of vertex v is numerators[v] over
+    the common denominator, kept in integers; the Fractions, the
+    blow-down and the vertex mld are computed on first use and kept.
     """
 
-    _fields = ("central_self_int", "chains", "discrepancies", "determinant")
+    _fields = ("central_self_int", "chains", "numerators", "denominator",
+               "determinant")
 
     def __init__(self, central_self_int: int,
                  chains: Tuple[Tuple[int, ...], ...],
-                 discrepancies: Tuple[Fraction, ...], determinant: int):
+                 numerators: Tuple[int, ...], denominator: int,
+                 determinant: int):
         d = self.__dict__
         d["central_self_int"] = central_self_int
         d["chains"] = chains
-        d["discrepancies"] = discrepancies
+        d["numerators"] = numerators
+        d["denominator"] = denominator
         d["determinant"] = determinant
 
     @property
     def size(self) -> int:
-        return len(self.discrepancies)
+        return 1 + sum(map(len, self.chains))
+
+    @cached_property
+    def discrepancies(self) -> Tuple[Fraction, ...]:
+        den = self.denominator
+        return tuple(Fraction(n, den) for n in self.numerators)
 
     def self_intersections(self) -> Tuple[int, ...]:
         out = [self.central_self_int]
@@ -237,86 +253,95 @@ class ResolutionGraph(Record):
         over any partial blow-down of it (contractions only remove
         divisors whose log discrepancy is a sum of surviving ones); if
         the graph contracts to nothing the point is smooth and the mld
-        is 2.
+        is 2.  A graph without (-1)-curves is its own blow-down, so
+        only a graph with one is blown down here.
         """
-        disc = self.discrepancies
-        raw = 1 + min(disc)
-        bd = self.blown_down
-        if bd.empty:
-            if raw != 2:
-                raise InternalNonIntegral(f"smooth cone with graph minimum {raw}")
-            return Fraction(2)
-        if 1 + min(disc[v] for v in bd.surviving) != raw:
-            raise InternalNonIntegral("blow-down changed the graph minimum")
-        return raw
+        nums, den = self.numerators, self.denominator
+        low = min(nums)
+        if self.central_self_int == -1 or any(-1 in c for c in self.chains):
+            bd = self.blown_down
+            if bd.empty:
+                if low != den:
+                    raise InternalNonIntegral("smooth cone with graph minimum "
+                                              f"{Fraction(den + low, den)}")
+                return Fraction(2)
+            if min(nums[v] for v in bd.surviving) != low:
+                raise InternalNonIntegral("blow-down changed the graph minimum")
+        return Fraction(den + low, den)
 
 
 def build_graph(C: CurveCouple) -> ResolutionGraph:
-    from .divisors import _fraction_sum, _klt_boundary_degree
-    _klt_boundary_degree(C)         # NotKlt unless the quotient is log Fano
-    D = C.divisor
     deg = C.degree()
-    frac = [(p, c) for p, c in D.terms if c.denominator > 1]
-    frac.sort(key=lambda t: t[0].sort_key())
+    dn, dd = deg.numerator, deg.denominator
+    # the terms are held in point order, the order of the chains
+    frac = [c for _, c in C.divisor.terms if c.denominator > 1]
+    # the klt gate: deg B = sum (1 - 1/q) < 2, over M = lcm q
+    qs = [c.denominator for c in frac]
+    M = lcm(*qs)
+    if sum(M - M // q for q in qs) >= 2 * M:
+        from .divisors import _klt_boundary_degree
+        _klt_boundary_degree(C)     # raises NotKlt, naming deg B
 
     # One integer elimination per chain with the adjunction data
     # k_j = c_j - 2: u gives the alphas, w the betas.
-    chains = []
-    elims = []
-    for pt, _ in frac:
-        chain = hj_chain(local_cone_at(C, pt))
-        cs = [-e for e in chain]
-        chains.append(chain)
-        elims.append((cs, *_chain_continuants(cs)))
+    elims = [_chain_elimination(q, c.numerator % q)
+             for c, q in zip(frac, qs)]
+
+    # Over A = lcm u_1, the chains' alpha_1 = u_2/u_1 sum to alpha/A and
+    # their beta_1 = w_1/u_1 to beta/A.
+    A = lcm(*(u1 for _, _, u1, _, _ in elims))
+    alpha = sum(u2 * (A // u1) for _, _, u1, u2, _ in elims)
+    beta = sum(w1 * (A // u1) for _, _, u1, _, w1 in elims)
 
     # Central self-intersection from (central curve)^2 = -deg D.
-    alpha_sum = _fraction_sum((us[1], us[0]) for _, us, _ in elims)
-    b0 = deg + alpha_sum
-    if b0.denominator != 1:
-        raise InternalNonIntegral(f"central self-intersection -{b0} not integral")
-    b0 = int(b0)
+    b0, rest = divmod(dn * A + alpha * dd, dd * A)
+    if rest:
+        raise InternalNonIntegral("central self-intersection "
+                                  f"-{Fraction(dn * A + alpha * dd, dd * A)} "
+                                  "not integral")
 
     # Negative definiteness: the chains are standard and the Schur
     # complement at the center is -(b0 - sum alpha_1) = -deg D < 0.
-    schur = b0 - alpha_sum
-    if schur != deg or schur <= 0:
+    if (b0 * A - alpha) * dd != dn * A or dn <= 0:
         raise SingularMatrix("central Schur complement is not -deg D")
 
-    # Discrepancies from the chain betas and the central adjunction datum.
-    num = b0 - 2 - _fraction_sum((ws[0], us[0]) for _, us, ws in elims)
-    d_center = num / (alpha_sum - b0)
-    disc = [d_center]
-    # Along a chain with d_center = P/Q every discrepancy is N_j / (Q u_1)
-    # with N_j an integer: N_1 = u_2 P + w_1 Q from the elimination, then
-    # the chain equations d_{j+1} = c_j d_j - d_{j-1} + k_j, which must
-    # end at the outer boundary N_{n+1} = 0.  d > -1 is N_j > -Q u_1.
-    P, Q = d_center.numerator, d_center.denominator
+    # The central discrepancy from the chain betas and the central
+    # adjunction datum: (b0 - 2 - sum beta_1)/(sum alpha_1 - b0) = P/Q.
+    P, Q = (b0 - 2) * A - beta, b0 * A - alpha
+    g = gcd(P, Q)
+    P, Q = -P // g, Q // g
     if P <= -Q:
-        raise InternalNonIntegral(f"discrepancy {d_center} <= -1 on a klt cone")
-    for cs, us, ws in elims:
-        den = Q * us[0]
-        prev, cur = P * us[0], us[1] * P + ws[0] * Q
+        raise InternalNonIntegral(f"discrepancy {Fraction(P, Q)} <= -1 on a "
+                                  "klt cone")
+    # Every discrepancy is N_v/(Q A) with N_v an integer.  Along a chain,
+    # N_1 = (u_2 P + w_1 Q) A/u_1 from the elimination, then the chain
+    # equations d_{j+1} = c_j d_j - d_{j-1} + k_j, which must end at the
+    # outer boundary N_{n+1} = 0.  d > -1 is N_v > -Q A.
+    den = Q * A
+    nums = [P * A]
+    for _, cs, u1, u2, w1 in elims:
+        prev, cur = P * A, (u2 * P + w1 * Q) * (A // u1)
         for c in cs:
-            d = Fraction(cur, den)
             if cur <= -den:
-                raise InternalNonIntegral(f"discrepancy {d} <= -1 on a klt cone")
-            disc.append(d)
+                raise InternalNonIntegral(f"discrepancy {Fraction(cur, den)} "
+                                          "<= -1 on a klt cone")
+            nums.append(cur)
             prev, cur = cur, c * cur - prev + (c - 2) * den
         if cur != 0:
             raise InternalInvariantError(
                 "chain discrepancies miss the outer boundary condition")
 
-    det = deg
-    for _, c in frac:
-        det *= c.denominator
-    if det.denominator != 1:
-        raise InternalNonIntegral(f"link determinant {det} not integral")
+    det, rest = divmod(dn * prod(qs), dd)
+    if rest:
+        raise InternalNonIntegral(f"link determinant {deg * prod(qs)} not "
+                                  "integral")
 
     return ResolutionGraph(
         central_self_int=-b0,
-        chains=tuple(chains),
-        discrepancies=tuple(disc),
-        determinant=int(det),
+        chains=tuple(chain for chain, *_ in elims),
+        numerators=tuple(nums),
+        denominator=den,
+        determinant=det,
     )
 
 

@@ -366,7 +366,7 @@ def graph_side_catalog(eps, N):
                     central_self_int=-(b - 1),
                     chains=tuple(tuple(-c for c in chain)
                                  for chain, _, _ in star),
-                    discrepancies=(), determinant=0)
+                    numerators=(), denominator=1, determinant=0)
                 # a float solve screens out the graphs far below eps; the
                 # rest get the exact dense solve
                 M = np.array(intersection_matrix(G), dtype=float)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conesing import catalog, cli, divisors, hilbert, resolution
+from conesing import audit, catalog, cli, hilbert, resolution
+from conesing.audit import audit_catalog
 from conesing.catalog import (SearchParams, _admissible_types,
                               _candidate_types, _evaluate_candidate,
-                              _fractional_coefficients, audit_catalog,
-                              catalog_to_json, enumerate_catalog,
-                              mld_spectrum, search_bounds)
+                              _fractional_coefficients, catalog_to_json,
+                              enumerate_catalog, mld_spectrum, search_bounds)
 from conesing.divisors import normal_form
 from conesing.errors import BadEpsilon, ParseError, PreconditionError
 from conesing.jsonio import dumps
@@ -327,14 +327,14 @@ def test_no_graph_per_candidate_and_one_per_audited_entry(monkeypatch):
 def test_audit_builds_each_stored_couple_once(monkeypatch):
     params = SearchParams(epsilon=F(1, 4), isotropy_bound=4)
     docs = stored(enumerate_catalog(params))
-    build = divisors.canonical_couple
+    build = audit.canonical_couple
     calls = []
 
     def counting(fracs, degree):
         calls.append(degree)
         return build(fracs, degree)
 
-    monkeypatch.setattr(divisors, "canonical_couple", counting)
+    monkeypatch.setattr(audit, "canonical_couple", counting)
     assert audit_catalog(docs, params)["ok"]
     assert len(calls) == len(docs)
 
@@ -363,7 +363,7 @@ def test_audit_exits_1_on_a_repeated_entry(tmp_path, capsys):
 def tampered_oracle(monkeypatch, tamper):
     """Route audit's build_graph through tamper(G)."""
     build = resolution.build_graph
-    monkeypatch.setattr(resolution, "build_graph", lambda C: tamper(build(C)))
+    monkeypatch.setattr(audit, "build_graph", lambda C: tamper(build(C)))
 
 
 def test_audit_checks_a_e0_against_the_resolution_oracle(monkeypatch):
@@ -372,8 +372,9 @@ def test_audit_checks_a_e0_against_the_resolution_oracle(monkeypatch):
 
     def shift_center(G):
         H = ResolutionGraph(G.central_self_int, G.chains,
-                            (G.discrepancies[0] + 1, *G.discrepancies[1:]),
-                            G.determinant)
+                            (G.numerators[0] + G.denominator,
+                             *G.numerators[1:]),
+                            G.denominator, G.determinant)
         H.__dict__["mld"] = G.mld       # only the central value is off
         return H
 

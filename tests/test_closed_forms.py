@@ -19,7 +19,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conesing import hilbert, sections
-from conesing.catalog import SearchParams, audit_catalog, enumerate_catalog
+from conesing.audit import audit_catalog
+from conesing.catalog import SearchParams, enumerate_catalog
 from conesing.divisors import (CurveCouple, QDivisorP1, canonical_couple,
                                denominators_lcm, finite_point)
 from conesing.errors import InternalInvariantError, NotKlt, SingularMatrix

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from conesing.audit import audit_catalog
 from conesing.divisors import (CurveCouple, IntegralDivisorP1, finite_point,
                                infinity_point, normal_form, QDivisorP1)
-from conesing.catalog import SearchParams, audit_catalog
+from conesing.catalog import SearchParams
 from conesing.errors import BadEpsilon, NotKlt, PreconditionError
 from conesing.quotient import (StandardPair, cartier_index_of_kx,
                                curve_log_discrepancy, horizontal_log_discrepancy,

@@ -9,7 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conesing.catalog import SearchParams, audit_catalog, enumerate_catalog
+from conesing.audit import audit_catalog
+from conesing.catalog import SearchParams, enumerate_catalog
 from conesing.counterexamples import diagonal_cone_report, rnc_family_report
 from conesing.divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
                                QDivisorP1, finite_point, infinity_point,
@@ -78,8 +79,9 @@ EXPECTED = {
         'VertexData(m=1, u=-1, H=(1)[1] + (-1)[inf])'),
     'LatticeCone2': (('q', 'p'),
         'LatticeCone2(q=5, p=2)'),
-    'ResolutionGraph': (('central_self_int', 'chains', 'discrepancies', 'determinant'),
-        'ResolutionGraph(central_self_int=-2, chains=((-2,), (-2, -2), (-2, -2)), discrepancies=(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), determinant=3)'),
+    # the discrepancies are held as integers over one denominator
+    'ResolutionGraph': (('central_self_int', 'chains', 'numerators', 'denominator', 'determinant'),
+        'ResolutionGraph(central_self_int=-2, chains=((-2,), (-2, -2), (-2, -2)), numerators=(0, 0, 0, 0, 0, 0), denominator=6, determinant=3)'),
     'BlownDownGraph': (('self_intersections', 'edges', 'surviving'),
         'BlownDownGraph(self_intersections=(-2, -2, -2, -2, -2, -2), edges=((0, 1), (0, 2), (0, 4), (2, 3), (4, 5)), surviving=(0, 1, 2, 3, 4, 5))'),
     'HilbertData': (('period', 'numerator'),

@@ -66,7 +66,7 @@ COMMAND_MODULES = [
      CATALOG),
     (["audit", "--catalog", str(GOLDEN / "enumerate_eps1_N3.json"),
       "--epsilon", "1", "--isotropy-bound", "3"],
-     CATALOG | {"divisors", "hilbert"}),
+     CATALOG | {"audit", "divisors", "hilbert"}),
     (["toric-check", "--fan", str(GOLDEN / "fans" / "P3.json"),
       "--divisor", str(GOLDEN / "fans" / "P3.divisor.json")], CHECKS),
     (["verify-examples", "--an-n", "3", "--an-box", "5", "--rnc-max", "4"],
@@ -116,9 +116,10 @@ def test_command_module_sets_keep_the_heavy_layers_apart():
     for command, modules in loads.items():
         handlers = {m for m in modules if m.startswith("cli_")}
         assert len(handlers) == (0 if command == "--version" else 1)
-    # the sweep reads no couple, and toric-check none either
+    # the sweep reads no couple and compiles no audit code, and
+    # toric-check reads no couple either
     for command in ("enumerate", "mld-set"):
-        assert not loads[command] & {"divisors", "quotient"}
+        assert not loads[command] & {"audit", "divisors", "quotient"}
     assert "divisors" not in loads["toric-check"]
     for command in ("enumerate", "audit"):
         assert not loads[command] & {"toric", "counterexamples", "linalg"}
