@@ -589,6 +589,55 @@ def discrepancies(G):
     return tuple(x)
 
 
+def fraction_star_graph(C):
+    """(chains, discrepancies, vertex mld) of the star graph of C by the
+    Fraction elimination: the alphas and betas summed as Fractions, the
+    central discrepancy divided out in Fractions, and each chain's
+    discrepancies as Fractions; the mld is 1 + the least of them, read
+    on the blown-down graph, or 2 when the graph blows down to nothing.
+    The oracle of the integer numerators of build_graph."""
+    from conesing.divisors import _fraction_sum, _klt_boundary_degree
+    from conesing.resolution import (LatticeCone2, _chain_continuants,
+                                     blow_down, hj_chain, star_edges)
+
+    _klt_boundary_degree(C)
+    deg = C.degree()
+    frac = sorted(((p, c) for p, c in C.divisor.terms if c.denominator > 1),
+                  key=lambda t: t[0].sort_key())
+    chains, elims = [], []
+    for _, c in frac:
+        chain = hj_chain(LatticeCone2(q=c.denominator,
+                                      p=c.numerator % c.denominator))
+        cs = [-e for e in chain]
+        chains.append(chain)
+        elims.append((cs, *_chain_continuants(cs)))
+    alpha_sum = _fraction_sum((us[1], us[0]) for _, us, _ in elims)
+    b0 = deg + alpha_sum
+    assert b0.denominator == 1 and b0 - alpha_sum == deg > 0
+    num = b0 - 2 - _fraction_sum((ws[0], us[0]) for _, us, ws in elims)
+    d_center = num / (alpha_sum - b0)
+    disc = [d_center]
+    P, Q = d_center.numerator, d_center.denominator
+    for cs, us, ws in elims:
+        den = Q * us[0]
+        prev, cur = P * us[0], us[1] * P + ws[0] * Q
+        for c in cs:
+            disc.append(Fraction(cur, den))
+            prev, cur = cur, c * cur - prev + (c - 2) * den
+        assert cur == 0
+    assert min(disc) > -1
+    raw = 1 + min(disc)
+    bd = blow_down((-int(b0), *(e for chain in chains for e in chain)),
+                   star_edges(chains))
+    if bd.empty:
+        assert raw == 2
+        mld = Fraction(2)
+    else:
+        assert 1 + min(disc[v] for v in bd.surviving) == raw
+        mld = raw
+    return tuple(chains), tuple(disc), mld
+
+
 def fraction_chain_alphas_betas(cs, ks):
     """Eliminate a chain from the outer end in Fractions: per position
     (alpha, beta) with d_j = alpha_j d_{j-1} + beta_j for the tridiagonal

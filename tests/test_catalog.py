@@ -398,6 +398,55 @@ def test_audit_checks_the_mld_against_the_resolution_oracle(monkeypatch):
         for d in docs]
 
 
+def test_audit_checks_the_mld_of_blown_down_entries_against_the_oracle(
+        monkeypatch):
+    # where the centre is a (-1)-curve, the oracle and the rebuilt entry
+    # share one blow-down; a wrong oracle mld there must still show, and
+    # only there
+    params = SearchParams(epsilon=F(1, 2), isotropy_bound=6)
+    docs = stored(enumerate_catalog(params))
+
+    def raise_mld_over_a_minus_one_curve(G):
+        if G.central_self_int == -1:
+            G.__dict__["mld"] = G.mld + 1
+        return G
+
+    tampered_oracle(monkeypatch, raise_mld_over_a_minus_one_curve)
+    flagged = [d for d in docs if d["graph"]["center"] == -1]
+    assert 0 < len(flagged) < len(docs)
+    assert audit_catalog(docs, params)["failures"] == [
+        f"entry {d['key']}: mld disagrees with the resolution oracle"
+        for d in flagged]
+
+
+def test_audit_blows_down_each_entry_at_most_once(monkeypatch):
+    params = SearchParams(epsilon=F(1, 2), isotropy_bound=6)
+    docs = stored(enumerate_catalog(params))
+    original = resolution.blow_down
+    calls = []
+
+    def counting(self_intersections, edges):
+        calls.append(self_intersections)
+        return original(self_intersections, edges)
+
+    monkeypatch.setattr(resolution, "blow_down", counting)
+    monkeypatch.setattr(catalog, "blow_down", counting)
+    assert audit_catalog(docs, params)["ok"]
+    # a central (-1)-curve, and three chains on a (-2)-curve for the
+    # fundamental cycle; no other graph is blown down
+    blown = [d for d in docs if d["graph"]["center"] == -1
+             or (d["graph"]["center"] == -2 and len(d["fractional"]) == 3)]
+    assert len(calls) == len(blown) < len(docs)
+
+
+def test_audit_accepts_entries_with_their_keys_in_another_order():
+    params = SearchParams(epsilon=F(1), isotropy_bound=3)
+    docs = [dict(reversed(d.items())) for d in stored(enumerate_catalog(params))]
+    for d in docs:
+        d["graph"] = dict(reversed(d["graph"].items()))
+    assert audit_catalog(docs, params)["ok"]
+
+
 def test_audit_refuses_entry_with_four_fractional_points():
     params = SearchParams(epsilon=F(1), isotropy_bound=2)
     entries = list(enumerate_catalog(params))

@@ -1,20 +1,27 @@
+import contextlib
+import io
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conesing import resolution
-from conesing.divisors import CurveCouple, finite_point, infinity_point
+from conesing import catalog, cli, resolution
+from conesing.divisors import (CurveCouple, QDivisorP1, finite_point,
+                               infinity_point)
 from conesing.errors import IntegralPoint, NotKlt, PreconditionError
 from conesing.linalg import det_int
 from conesing.quotient import vertex_log_discrepancy
 from conesing.resolution import (LatticeCone2, build_graph, hj_chain,
                                  hj_chain_length)
 from conesing.toric import ConeOfX
-from helpers import (discrepancies, intersection_matrix, is_negative_definite,
-                     lattice_mld, random_couples)
+from helpers import (POSITIONS, discrepancies, fraction_star_graph,
+                     intersection_matrix, is_negative_definite, lattice_mld,
+                     random_couples)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -187,6 +194,61 @@ def test_chain_above_the_cap_is_a_precondition(monkeypatch):
     with pytest.raises(PreconditionError,
                        match="chain length 4 .* exceeds CHAIN_LENGTH_MAX = 3"):
         hj_chain(cone)
+
+
+@st.composite
+def klt_couples(draw):
+    """Couples with at most three fractional points of denominator at
+    most 40, at drawn positions, with drawn integral parts."""
+    fracs = [f for f in (F(draw(st.integers(1, q - 1)), q) for q in
+                         draw(st.lists(st.integers(2, 40), max_size=3)))
+             if f.denominator > 1]
+    assume(sum(1 - F(1, f.denominator) for f in fracs) < 2)
+    points = draw(st.permutations(POSITIONS))
+    terms = [(pt, f + draw(st.integers(-3, 3)))
+             for pt, f in zip(points, fracs)]
+    terms.append((points[3], draw(st.integers(-4, 6))))
+    D = QDivisorP1.of(terms)
+    assume(D.degree() > 0)
+    return CurveCouple(D)
+
+
+@given(klt_couples())
+def test_integer_graph_matches_the_fraction_elimination(Cp):
+    G = build_graph(Cp)
+    chains, disc, mld = fraction_star_graph(Cp)
+    den = G.denominator
+    assert G.chains == chains
+    # a_e0 and the mld as audit reads them
+    assert F(den + G.numerators[0], den) == 1 + disc[0]
+    assert G.mld == mld
+    assert G.discrepancies == disc
+    assert G.size == len(G.discrepancies)
+
+
+def test_build_graph_does_not_call_the_catalog(monkeypatch):
+    # build_graph is audit's oracle of the catalog's entries: it must
+    # give the same graphs with the catalog's chain solver and entry
+    # builder out of reach
+    couples = random_couples(seed=27, count=40, max_q=40)
+    expected = [fraction_star_graph(Cp) for Cp in couples]
+
+    def refuse(*args):
+        raise AssertionError("build_graph called the catalog")
+
+    monkeypatch.setattr(catalog, "_chain_solve", refuse)
+    monkeypatch.setattr(catalog, "_type_member", refuse)
+    for Cp, want in zip(couples, expected):
+        G = build_graph(Cp)
+        assert (G.chains, G.discrepancies, G.mld) == want
+    for name in ("A1", "A3", "D4", "E6", "chain200"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["resolve", "--couple",
+                             str(GOLDEN / "couples" / f"{name}.json")])
+        assert code == 0
+        assert out.getvalue() == (GOLDEN / f"resolve_{name}.json").read_text(
+            encoding="utf-8")
 
 
 def test_dense_solve_agrees_with_chain_elimination():
