@@ -19,7 +19,7 @@ _EXPORTS = {
                  "log_fano_quotient", "vertex_decomposition",
                  "vertex_log_discrepancy"),
     "resolution": ("LatticeCone2", "ResolutionGraph", "build_graph",
-                   "hj_chain"),
+                   "hj_chain", "local_cone_at"),
     "hilbert": ("HilbertData", "hilbert_series", "hilbert_values"),
     "sections": ("presentation",),
     "catalog": ("SearchParams", "enumerate_catalog", "mld_spectrum",

@@ -19,7 +19,6 @@ not compile it.
 from __future__ import annotations
 
 import json
-import marshal
 from fractions import Fraction
 from math import gcd
 from typing import List, Tuple
@@ -63,6 +62,19 @@ def _is_normal_type(pairs) -> bool:
     return True
 
 
+def _plain(value) -> bool:
+    """Whether a JSON value holds no boolean and no float.  The rebuilt
+    entry holds neither, so a stored entry equal to it that is plain has
+    the same JSON text: true == 1 and 1.0 == 1 in Python, but not in
+    JSON."""
+    t = type(value)
+    if t is dict:
+        return all(map(_plain, value.values()))
+    if t is list:
+        return all(map(_plain, value))
+    return t is not bool and t is not float
+
+
 def _field_failures(tag: str, doc: dict, rebuilt: dict) -> List[str]:
     """One failure per field whose canonical JSON text differs, so that
     true or 1.0 is not 1."""
@@ -88,7 +100,6 @@ def audit_catalog(docs, params: SearchParams) -> dict:
     data = [_defining_data(doc) for doc in docs]
     failures = []
     keys = set()
-    members = {}            # normal type as integer pairs -> its member
     for doc, (key, pairs, degree) in zip(docs, data):
         tag = f"entry {key}"
         if key in keys:
@@ -112,20 +123,11 @@ def audit_catalog(docs, params: SearchParams) -> dict:
         except NotKlt as exc:
             failures.append(f"{tag}: rebuilt couple is not klt ({exc})")
             continue
-        member = members.get(pairs)
-        if member is None:
-            # the Hilbert numerator takes time linear in the period
-            _checked_period(C.divisor)
-            member = members[pairs] = _type_member(fracs)
-        mld, rebuilt = member(degree, G)
-        # version 0 of marshal writes a value by its exact types, in
-        # dictionary order, with no back references, so equal bytes mean
-        # equal JSON texts, and the rebuilt keys are in a catalog file's
-        # order; then the whole entry as canonical text, and field by
-        # field only when the texts differ
-        if marshal.dumps(doc, 0) != marshal.dumps(rebuilt, 0) and (
-                json.dumps(doc, sort_keys=True)
-                != json.dumps(rebuilt, sort_keys=True)):
+        # the Hilbert numerator takes time linear in the period
+        _checked_period(C.divisor)
+        mld, rebuilt = _type_member(fracs)(degree, G)
+        # field by field only when the entries differ
+        if doc != rebuilt or not _plain(doc):
             failures.extend(_field_failures(tag, doc, rebuilt))
         # the strings are canonical: equal exactly when the rationals are
         den, m = G.denominator, G.mld

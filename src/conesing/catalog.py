@@ -15,15 +15,12 @@ closed-form cap, each entry is read off the type's integers and its
 degree, and only a central (-1)-curve needs a blow-down.  The embedding
 dimension is Artin's 1 - Z^2 (klt surface singularities are rational).
 Each entry is built once, as the JSON object the catalog file holds:
-rationals are fmt_q strings, and the sweep keeps only the mld as a
-Fraction, next to the object, to compare it with eps.
+rationals are fmt_q strings written from integer pairs, and the sweep
+keeps only the mld as a Fraction, next to the object, to compare it
+with eps.
 
-audit rebuilds stored entries by the same path, compares the objects,
-and checks a_e0 and the mld against build_graph, which solves each
-couple's star graph alone; its report is the JSON object the audit
-command prints.
-Only the audit path imports divisors, json and build_graph, in its own
-functions: the sweep does not load the couple layers.
+audit (conesing.audit) rebuilds stored entries by the same path; only
+the audit command loads it, and the sweep loads no couple layer.
 The tests keep the per-candidate path, the unpruned generator and a
 graph-side enumeration as oracles.
 """
@@ -127,12 +124,6 @@ def _chain_solve(p: int, q: int):
 
 
 @lru_cache(maxsize=None)
-def _floor_steps(p: int, q: int) -> Tuple[int, ...]:
-    """floor(k p/q) - floor((k - 1) p/q) for k = 1..q, one period."""
-    return tuple(k * p // q - (k - 1) * p // q for k in range(1, q + 1))
-
-
-@lru_cache(maxsize=None)
 def _type_member(fracs: Tuple[Fraction, ...]):
     """member(degree, graph=None) -> (mld, entry): the type's member at
     that degree, whatever its mld, with its entry built once, as the JSON
@@ -167,7 +158,8 @@ def _type_member(fracs: Tuple[Fraction, ...]):
     # + n0) T^k - T^L; each point's steps repeat with period q
     steps = [0] * L
     for p, q in pairs:
-        steps = list(map(add, steps, _floor_steps(p, q) * (L // q)))
+        steps = list(map(add, steps, [k * p // q - (k - 1) * p // q
+                                      for k in range(1, q + 1)] * (L // q)))
     prefix = "f[" + ",".join(f"{p}/{q}" for p, q in pairs) + "];deg="
     tail = tuple(e for chain in chains for e in chain)
     excess = sum(-e - 2 for e in tail)
@@ -219,22 +211,21 @@ def _type_member(fracs: Tuple[Fraction, ...]):
         while numerator and numerator[-1] == 0:
             numerator.pop()
         deg = fmt_ratio(dn, dd)
-        # the keys in sorted order, the order of a catalog file
         return Fraction(low, L * B), {
+            "key": prefix + deg,
+            "degree": deg,
+            "fractional": [[p, q] for p, q in pairs],
             "a_e0": fmt_ratio(A, B),
+            "mld": fmt_ratio(low, L * B),
             "cartier_index_kx": t * lcm(*(q // gcd(q, t + s * p)
                                           for p, q in pairs)),
-            "degree": deg,
-            "embedding_dimension": embdim,
-            "fractional": [[p, q] for p, q in pairs],
-            "graph": {"blown_down": blown_down, "center": -b0,
-                      "chains": [list(c) for c in chains]},
+            "max_isotropy": max_q,
+            "link_determinant": dn * qprod // dd,
             "hilbert_numerator": numerator,
             "hilbert_period": L,
-            "key": prefix + deg,
-            "link_determinant": dn * qprod // dd,
-            "max_isotropy": max_q,
-            "mld": fmt_ratio(low, L * B),
+            "embedding_dimension": embdim,
+            "graph": {"center": -b0, "chains": [list(c) for c in chains],
+                      "blown_down": blown_down},
         }
 
     return member

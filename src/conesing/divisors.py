@@ -117,7 +117,7 @@ def _merge_terms(items) -> Tuple[Tuple[MarkedPoint, Fraction], ...]:
 
 class QDivisorP1(Record):
     """Finite formal sum of points with exact rational coefficients,
-    held as (point, coefficient) terms in point order."""
+    held as (point, coefficient) terms."""
 
     _fields = ("terms",)
 

@@ -25,19 +25,19 @@ central Schur complement -deg D < 0.  The link determinant is the
 closed form deg D * prod q_i (Orlik-Wagreich 1971).  No dense
 intersection matrix is built; the dense solve is an oracle in the tests.
 
-build_graph works in integers.  Each chain is eliminated once per
-(q, p) into the continuants u and w; every discrepancy is an integer
-numerator over one common denominator, and the vertex mld is read off
-those integers, with a blow-down only when the graph has a (-1)-curve.
-The Fractions of the discrepancies are built only when they are read,
-as resolve and describe do to print them.  build_graph is the oracle
-that audit holds the catalog's entries against, so it never calls the
-catalog's own chain solver.
+build_graph works in integers: every discrepancy is an integer
+numerator over one common denominator, from the continuants u and w of
+each chain's elimination (done once per chart cone), and the vertex mld
+is read off those integers, with a blow-down only when the graph has a
+(-1)-curve.  The Fractions of the discrepancies are built only when
+they are read, as resolve and describe do to print them.  build_graph
+is the oracle that audit holds the catalog's entries against, so it
+never calls the catalog's own chain solver.
 
-Only build_graph reads a couple.  It imports divisors, which words its
-klt refusal, in its own body and only to refuse: the catalog sweep,
-which solves chains and builds graphs from integers, does not load it.
-No function here loads quotient.
+Only local_cone_at and build_graph read a couple, and they import
+divisors, which also holds build_graph's klt gate, in their own bodies:
+the catalog sweep, which solves chains and builds graphs from integers,
+does not load it.  No function here loads quotient.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (BadChain, IntegralPoint, InternalInvariantError,
 from .records import Record
 
 if TYPE_CHECKING:
-    from .divisors import CurveCouple
+    from .divisors import CurveCouple, MarkedPoint
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,19 @@ class LatticeCone2(Record):
     def is_smooth(self) -> bool:
         return self.q == 1
 
+
+def local_cone_at(C: CurveCouple, pt: MarkedPoint) -> LatticeCone2:
+    """Chart cone of the partial resolution over a stored point.
+
+    Only the fractional part of the coefficient matters: adding
+    integral multiples of the point is a unimodular change of chart.
+    """
+    from .divisors import _frac_numerator
+    c = C.divisor.coeff(pt)
+    q = c.denominator
+    if q == 1:
+        raise IntegralPoint(f"coefficient {c} at {pt} is integral, chart smooth")
+    return LatticeCone2(q=q, p=_frac_numerator(c))
 
 
 # Longest chain hj_chain builds; the graph, its discrepancies and its
@@ -171,11 +184,12 @@ def _chain_continuants(cs: List[int]) -> Tuple[List[int], List[int]]:
 
 
 @lru_cache(maxsize=None)
-def _chain_elimination(q: int, p: int):
-    """The chain over a point with fractional coefficient p/q, its
-    entries c_j, and u_1, u_2 and w_1 of its elimination, once per
-    (q, p)."""
-    chain = hj_chain(LatticeCone2(q=q, p=p))
+def _chain_elimination(cone: LatticeCone2):
+    """The chain resolving the cone, its entries c_j, and u_1, u_2 and
+    w_1 of its elimination (_chain_continuants), once per cone for the
+    life of the process: the cones met are few (a catalog's are the
+    p/q with q <= N), and audit meets each again for every entry."""
+    chain = hj_chain(cone)
     cs = tuple(-e for e in chain)
     us, ws = _chain_continuants(cs)
     return chain, cs, us[0], us[1], ws[0]
@@ -271,21 +285,16 @@ class ResolutionGraph(Record):
 
 
 def build_graph(C: CurveCouple) -> ResolutionGraph:
+    from .divisors import _klt_boundary_degree
+    _klt_boundary_degree(C)         # NotKlt unless the quotient is log Fano
     deg = C.degree()
     dn, dd = deg.numerator, deg.denominator
-    # the terms are held in point order, the order of the chains
-    frac = [c for _, c in C.divisor.terms if c.denominator > 1]
-    # the klt gate: deg B = sum (1 - 1/q) < 2, over M = lcm q
-    qs = [c.denominator for c in frac]
-    M = lcm(*qs)
-    if sum(M - M // q for q in qs) >= 2 * M:
-        from .divisors import _klt_boundary_degree
-        _klt_boundary_degree(C)     # raises NotKlt, naming deg B
+    frac = [(p, c) for p, c in C.divisor.terms if c.denominator > 1]
+    frac.sort(key=lambda t: t[0].sort_key())
 
     # One integer elimination per chain with the adjunction data
     # k_j = c_j - 2: u gives the alphas, w the betas.
-    elims = [_chain_elimination(q, c.numerator % q)
-             for c, q in zip(frac, qs)]
+    elims = [_chain_elimination(local_cone_at(C, pt)) for pt, _ in frac]
 
     # Over A = lcm u_1, the chains' alpha_1 = u_2/u_1 sum to alpha/A and
     # their beta_1 = w_1/u_1 to beta/A.
@@ -331,9 +340,10 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
             raise InternalInvariantError(
                 "chain discrepancies miss the outer boundary condition")
 
-    det, rest = divmod(dn * prod(qs), dd)
+    qprod = prod(c.denominator for _, c in frac)
+    det, rest = divmod(dn * qprod, dd)
     if rest:
-        raise InternalNonIntegral(f"link determinant {deg * prod(qs)} not "
+        raise InternalNonIntegral(f"link determinant {deg * qprod} not "
                                   "integral")
 
     return ResolutionGraph(

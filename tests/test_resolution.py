@@ -15,7 +15,7 @@ from conesing.errors import IntegralPoint, NotKlt, PreconditionError
 from conesing.linalg import det_int
 from conesing.quotient import vertex_log_discrepancy
 from conesing.resolution import (LatticeCone2, build_graph, hj_chain,
-                                 hj_chain_length)
+                                 hj_chain_length, local_cone_at)
 from conesing.toric import ConeOfX
 from helpers import (POSITIONS, discrepancies, fraction_star_graph,
                      intersection_matrix, is_negative_definite, lattice_mld,
@@ -37,21 +37,14 @@ def C(terms):
 # local cones and chains
 # ---------------------------------------------------------------------------
 
-def test_chart_cone_examples():
-    # the chart over a point of coefficient c is the cone of (q, p), with
-    # p/q the fractional part of c: adding integral multiples of the
-    # point is a unimodular change of chart
-    def chains(terms):
-        return build_graph(C(terms)).chains
-
-    assert chains({P0: F(1, 2)}) == (hj_chain(LatticeCone2(2, 1)),)
-    assert chains({P0: F(2, 3)}) == (hj_chain(LatticeCone2(3, 2)),)
-    assert chains({P0: 1}) == ()
+def test_local_cone_examples():
+    assert local_cone_at(C({P0: F(1, 2)}), P0) == LatticeCone2(2, 1)
+    assert local_cone_at(C({P0: F(2, 3)}), P0) == LatticeCone2(3, 2)
     with pytest.raises(IntegralPoint):
-        hj_chain(LatticeCone2(1, 1))
+        local_cone_at(C({P0: 1}), P0)
     # only the fractional part matters
-    assert chains({P0: F(5, 3)}) == chains({P0: F(2, 3)})
-    assert chains({P0: F(-1, 2), P1: 1}) == chains({P0: F(1, 2)})
+    assert local_cone_at(C({P0: F(5, 3)}), P0) == LatticeCone2(3, 2)
+    assert local_cone_at(C({P0: F(-1, 2), P1: 1}), P0) == LatticeCone2(2, 1)
 
 
 def test_bad_cone_data_is_a_precondition():
