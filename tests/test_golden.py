@@ -124,14 +124,15 @@ def damaged_catalogs():
 
 
 CATALOGS = GOLDEN / "catalogs"
+DAMAGED = damaged_catalogs()
 AUDIT_ARGS = ["--epsilon", "1", "--isotropy-bound", "3"]
 CASES["audit_clean"] = ["audit", "--catalog",
                         str(GOLDEN / "enumerate_eps1_N3.json"), *AUDIT_ARGS]
-for name in damaged_catalogs():
+for name in DAMAGED:
     CASES[f"audit_{name}"] = ["audit", "--catalog",
                               str(CATALOGS / f"{name}.json"), *AUDIT_ARGS]
 # audit exits 1 when it reports a failure
-EXIT_CODES = {f"audit_{name}": 1 for name in damaged_catalogs()}
+EXIT_CODES = {f"audit_{name}": 1 for name in DAMAGED}
 
 
 def run(argv):
@@ -175,13 +176,13 @@ def test_dumps_matches_json_on_drawn_documents(doc):
 
 
 def test_damaged_catalogs_are_the_committed_files():
-    for name, doc in damaged_catalogs().items():
+    for name, doc in DAMAGED.items():
         assert (CATALOGS / f"{name}.json").read_text(
             encoding="utf-8") == dumps(doc)
 
 
 def regenerate(directory=GOLDEN):
-    for name, doc in damaged_catalogs().items():
+    for name, doc in DAMAGED.items():
         (CATALOGS / f"{name}.json").write_text(dumps(doc), encoding="utf-8")
     for name, argv in sorted(CASES.items()):
         code, out = run(argv)
