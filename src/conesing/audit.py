@@ -6,11 +6,9 @@ catalog._type_member, once per type, and compared with the stored entry
 as canonical JSON, field by field when they differ.  Its couple's own
 star graph, resolution.build_graph, is the independent oracle of a_e0
 and the mld; it solves the couple's chains from the couple and never
-calls the sweep's chain solver.  A stored type that is its own normal
-form (at most three reduced p/q in (0, 1), in descending order) is read
-off its integer pairs and its couple built once; any other type goes
-through normal_form.  An entry whose central curve is a (-1)-curve is
-blown down once, for the oracle and the rebuilt entry alike.
+calls the sweep's chain solver.  Each entry's couple is built once (a
+stored couple in normal form is its own normal form), and its graph is
+blown down at most once, for the oracle and the rebuilt entry alike.
 
 Only the audit command imports this module: enumerate and mld-set do
 not compile it.
@@ -20,7 +18,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
 from typing import List, Tuple
 
 from .catalog import SearchParams, _type_member
@@ -47,19 +44,6 @@ def _defining_data(doc) -> Tuple[str, Tuple[Tuple[int, int], ...], Fraction]:
     what = f"entry {key}: fractional entry"
     return (key, tuple((json_int(p, what), json_int(q, what))
                        for p, q in fractional), parse_q(degree))
-
-
-def _is_normal_type(pairs) -> bool:
-    """Whether the fractional type is its own normal form: at most three
-    reduced p/q in (0, 1), in descending order."""
-    if len(pairs) > 3:
-        return False
-    r, s = 1, 1
-    for p, q in pairs:
-        if not 0 < p < q or gcd(p, q) != 1 or p * s > r * q:
-            return False
-        r, s = p, q
-    return True
 
 
 def _plain(value) -> bool:
@@ -106,16 +90,13 @@ def audit_catalog(docs, params: SearchParams) -> dict:
             failures.append(f"{tag}: duplicate key")
         keys.add(key)
         try:
-            fracs = tuple(Fraction(p, q) for p, q in pairs)
-            C = canonical_couple(fracs, degree)
-            if not _is_normal_type(pairs):
-                nf = normal_form(C)
-                C, (fracs, degree) = nf.couple, nf.key
-                pairs = tuple((f.numerator, f.denominator) for f in fracs)
+            nf = normal_form(canonical_couple(
+                tuple(Fraction(p, q) for p, q in pairs), degree))
         except (PreconditionError, ZeroDivisionError) as exc:
             failures.append(f"{tag}: cannot rebuild couple ({exc})")
             continue
-        if max((q for _, q in pairs), default=1) > N:
+        C, (fracs, degree) = nf.couple, nf.key
+        if max((f.denominator for f in fracs), default=1) > N:
             failures.append(f"{tag}: isotropy above the bound {N}")
             continue
         try:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, count
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import NotAmple, NotKlt, PreconditionError
@@ -294,10 +295,13 @@ def normal_form(C: CurveCouple) -> NormalForm:
     D = C.divisor
     fracs = []
     for p, c in D.terms:
-        f = Fraction(_frac_numerator(c), c.denominator)
-        if f != 0:
+        r = _frac_numerator(c)
+        if r:
+            f = c if r == c.numerator else Fraction(r, c.denominator)
             fracs.append((f, c.denominator, c.numerator))
-    fracs.sort(key=lambda t: (-t[0], t[1], t[2]))
+    # descending, ties by (denominator, numerator): the sorts are stable
+    fracs.sort(key=itemgetter(1, 2))
+    fracs.sort(key=itemgetter(0), reverse=True)
     frac_values = tuple(f for f, _, _ in fracs)
     deg = D.degree()
     if D.terms != _canonical_terms(frac_values, deg):
@@ -313,7 +317,9 @@ def canonical_couple(fracs, degree) -> CurveCouple:
     no canonical placement and are refused."""
     degree = degree if type(degree) is Fraction else Fraction(degree)
     # the positions are in point order already, so the terms need no
-    # merge, and they sum to the degree, which the divisor keeps
+    # merge.  _canonical_terms folds the leftover degree - sum fracs into
+    # them and refuses it unless integral, so they sum to exactly
+    # `degree`, which the divisor keeps instead of summing them again
     D = QDivisorP1(_canonical_terms(fracs, degree))
     D.__dict__["_degree"] = degree
     return CurveCouple(D)

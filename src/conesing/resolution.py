@@ -28,11 +28,12 @@ intersection matrix is built; the dense solve is an oracle in the tests.
 build_graph works in integers: every discrepancy is an integer
 numerator over one common denominator, from the continuants u and w of
 each chain's elimination (done once per chart cone), and the vertex mld
-is read off those integers, with a blow-down only when the graph has a
-(-1)-curve.  The Fractions of the discrepancies are built only when
-they are read, as resolve and describe do to print them.  build_graph
-is the oracle that audit holds the catalog's entries against, so it
-never calls the catalog's own chain solver.
+is read off those integers, with a blow-down only when the central
+curve is a (-1)-curve, the one curve a star graph can contract.  The
+Fractions of the discrepancies are built only when they are read, as
+resolve and describe do to print them.  build_graph is the oracle that
+audit holds the catalog's entries against, so it never calls the
+catalog's own chain solver.
 
 Only local_cone_at and build_graph read a couple, and they import
 divisors, which also holds build_graph's klt gate, in their own bodies:
@@ -183,12 +184,12 @@ def _chain_continuants(cs: List[int]) -> Tuple[List[int], List[int]]:
     return us[:n + 1], ws[:n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _chain_elimination(cone: LatticeCone2):
     """The chain resolving the cone, its entries c_j, and u_1, u_2 and
-    w_1 of its elimination (_chain_continuants), once per cone for the
-    life of the process: the cones met are few (a catalog's are the
-    p/q with q <= N), and audit meets each again for every entry."""
+    w_1 of its elimination (_chain_continuants), kept for the most
+    recent cones: audit meets a catalog's cones (the p/q with q <= N,
+    about 1,100 at N = 60) again for every entry."""
     chain = hj_chain(cone)
     cs = tuple(-e for e in chain)
     us, ws = _chain_continuants(cs)
@@ -267,12 +268,13 @@ class ResolutionGraph(Record):
         over any partial blow-down of it (contractions only remove
         divisors whose log discrepancy is a sum of surviving ones); if
         the graph contracts to nothing the point is smooth and the mld
-        is 2.  A graph without (-1)-curves is its own blow-down, so
-        only a graph with one is blown down here.
+        is 2.  Chain curves are (-2)-curves or below (hj_chain), so only
+        a central (-1)-curve can be contracted, and any other graph is
+        its own blow-down.
         """
         nums, den = self.numerators, self.denominator
         low = min(nums)
-        if self.central_self_int == -1 or any(-1 in c for c in self.chains):
+        if self.central_self_int == -1:
             bd = self.blown_down
             if bd.empty:
                 if low != den:

@@ -5,9 +5,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conesing.divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
-                               QDivisorP1, assign_coordinates, denominators_lcm,
-                               finite_point, floor_multiple, infinity_point,
-                               label_point, max_isotropy, normal_form)
+                               QDivisorP1, assign_coordinates, canonical_couple,
+                               denominators_lcm, finite_point, floor_multiple,
+                               infinity_point, label_point, max_isotropy,
+                               normal_form)
 from conesing.errors import NotAmple, PreconditionError
 
 P0 = finite_point(0)
@@ -116,6 +117,19 @@ def test_normal_form_idempotent_and_shift_invariant():
                                                      PINF: -5}))
     assert normal_form(shifted).key == nf.key
     assert normal_form(shifted).couple == nf.couple
+
+
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(2, 40)), max_size=3),
+       st.integers(-2, 5))
+def test_canonical_couple_keeps_the_degree_its_terms_sum_to(pqs, n):
+    # canonical_couple presets the divisor's degree instead of summing
+    # the terms; the preset must be their sum
+    fracs = [F(p % q, q) for p, q in pqs]
+    degree = sum(fracs, F(n))
+    assume(all(fracs) and degree > 0)
+    C = canonical_couple(fracs, degree)
+    assert C.degree() == degree == sum(c for _, c in C.divisor.terms)
+    assert QDivisorP1(C.divisor.terms).degree() == degree
 
 
 def test_normal_form_refuses_four_fractional_points():
