@@ -15,11 +15,9 @@ _EXPORTS = {
                  "infinity_point", "label_point", "max_isotropy",
                  "normal_form"),
     "quotient": ("StandardPair", "VertexData", "cartier_index_of_kx",
-                 "curve_log_discrepancy", "horizontal_log_discrepancy",
-                 "log_fano_quotient", "vertex_decomposition",
-                 "vertex_log_discrepancy"),
-    "resolution": ("LatticeCone2", "ResolutionGraph", "build_graph",
-                   "hj_chain", "local_cone_at"),
+                 "horizontal_log_discrepancies", "log_fano_quotient",
+                 "vertex_decomposition", "vertex_log_discrepancy"),
+    "resolution": ("ResolutionGraph", "build_graph", "hj_chain"),
     "hilbert": ("HilbertData", "hilbert_series", "hilbert_values"),
     "sections": ("presentation",),
     "catalog": ("SearchParams", "enumerate_catalog", "mld_spectrum",

@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 from typing import List, Tuple
 
-from .catalog import SearchParams, _type_member
+from .catalog import SearchParams, _chain_solve, _type_member
 from .divisors import canonical_couple, normal_form
 from .errors import NotKlt, ParseError, PreconditionError
 from .hilbert import _checked_period
@@ -84,40 +84,44 @@ def audit_catalog(docs, params: SearchParams) -> dict:
     data = [_defining_data(doc) for doc in docs]
     failures = []
     keys = set()
-    for doc, (key, pairs, degree) in zip(docs, data):
-        tag = f"entry {key}"
-        if key in keys:
-            failures.append(f"{tag}: duplicate key")
-        keys.add(key)
-        try:
-            nf = normal_form(canonical_couple(
-                tuple(Fraction(p, q) for p, q in pairs), degree))
-        except (PreconditionError, ZeroDivisionError) as exc:
-            failures.append(f"{tag}: cannot rebuild couple ({exc})")
-            continue
-        C, (fracs, degree) = nf.couple, nf.key
-        if max((f.denominator for f in fracs), default=1) > N:
-            failures.append(f"{tag}: isotropy above the bound {N}")
-            continue
-        try:
-            G = build_graph(C)
-        except NotKlt as exc:
-            failures.append(f"{tag}: rebuilt couple is not klt ({exc})")
-            continue
-        # the Hilbert numerator takes time linear in the period
-        _checked_period(C.divisor)
-        mld, rebuilt = _type_member(fracs)(degree, G)
-        # field by field only when the entries differ
-        if doc != rebuilt or not _plain(doc):
-            failures.extend(_field_failures(tag, doc, rebuilt))
-        # the strings are canonical: equal exactly when the rationals are
-        den, m = G.denominator, G.mld
-        for name, oracle in (("a_e0", fmt_ratio(den + G.numerators[0], den)),
-                             ("mld", fmt_ratio(m.numerator, m.denominator))):
-            if oracle != rebuilt[name]:
-                failures.append(
-                    f"{tag}: {name} disagrees with the resolution oracle")
-        if mld < eps:
-            failures.append(f"{tag}: mld below epsilon")
-    _type_member.cache_clear()
+    try:
+        for doc, (key, pairs, degree) in zip(docs, data):
+            tag = f"entry {key}"
+            if key in keys:
+                failures.append(f"{tag}: duplicate key")
+            keys.add(key)
+            try:
+                nf = normal_form(canonical_couple(
+                    tuple(Fraction(p, q) for p, q in pairs), degree))
+            except (PreconditionError, ZeroDivisionError) as exc:
+                failures.append(f"{tag}: cannot rebuild couple ({exc})")
+                continue
+            C, (fracs, degree) = nf.couple, nf.key
+            if max((f.denominator for f in fracs), default=1) > N:
+                failures.append(f"{tag}: isotropy above the bound {N}")
+                continue
+            try:
+                G = build_graph(C)
+            except NotKlt as exc:
+                failures.append(f"{tag}: rebuilt couple is not klt ({exc})")
+                continue
+            # the Hilbert numerator takes time linear in the period
+            _checked_period(C.divisor)
+            mld, rebuilt = _type_member(fracs)(degree, G)
+            # field by field only when the entries differ
+            if doc != rebuilt or not _plain(doc):
+                failures.extend(_field_failures(tag, doc, rebuilt))
+            # the strings are canonical: equal exactly when the rationals are
+            den, m = G.denominator, G.mld
+            for name, oracle in (
+                    ("a_e0", fmt_ratio(den + G.numerators[0], den)),
+                    ("mld", fmt_ratio(m.numerator, m.denominator))):
+                if oracle != rebuilt[name]:
+                    failures.append(
+                        f"{tag}: {name} disagrees with the resolution oracle")
+            if mld < eps:
+                failures.append(f"{tag}: mld below epsilon")
+    finally:
+        _chain_solve.cache_clear()
+        _type_member.cache_clear()
     return {"checked": len(docs), "failures": failures, "ok": not failures}

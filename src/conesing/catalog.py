@@ -7,8 +7,10 @@ couples up to isomorphism), with denominators up to the isotropy bound.
 The sweep visits only the types with deg B = sum (1 - 1/q_i) < 2.  A
 type's chains do not depend on the degree, which moves only the central
 curve, of self-intersection -(n + r) at degree sum p_i/q_i + n with r
-points (Orlik-Wagreich 1971; Pinkham 1977).  Each chain is solved once,
-in integers: vertex v has log discrepancy a_v = (S_v a_e0 + X_v)/q with
+points (Orlik-Wagreich 1971; Pinkham 1977).  Each chain is solved once
+per sweep, in integers, by hj_chain on its pair (q, p); enumerate and
+audit empty the caches of chains and types when they end, by a return
+or a raise.  Vertex v has log discrepancy a_v = (S_v a_e0 + X_v)/q with
 a_e0 = (2 - deg B)/deg D.  So the mld, min(a_e0, min_v a_v), does not
 increase with the degree: a type's members are its degrees up to a
 closed-form cap, each entry is read off the type's integers and its
@@ -38,8 +40,7 @@ from .errors import (BadEpsilon, CatalogMismatch, InternalInvariantError,
                      InternalNonIntegral, NotKlt, PreconditionError)
 from .jsonio import fmt_q, fmt_ratio, parse_q
 from .records import Record
-from .resolution import (LatticeCone2, _chain_continuants, blow_down,
-                         hj_chain, star_edges)
+from .resolution import _chain_continuants, blow_down, hj_chain, star_edges
 
 
 def validate_epsilon(eps) -> Fraction:
@@ -110,7 +111,7 @@ def _chain_solve(p: int, q: int):
     a_{v-1} - c_v a_v + a_{v+1} = 0 from a_e0 at the centre to 1 past
     the end; so do S_v = u_{v+1} of the elimination (q, then 0 past the
     end) and the first coordinate X_v of the hull ray (0, then q)."""
-    chain = hj_chain(LatticeCone2(q=q, p=p))
+    chain = hj_chain(q, p)
     cs = [-e for e in chain]
     us, _ = _chain_continuants(cs)
     xs, x_prev, x = [], 0, 1
@@ -131,9 +132,10 @@ def _type_member(fracs: Tuple[Fraction, ...]):
     as lists), from the type's integers.  A caller that holds the
     member's star graph passes it as graph, and a blow-down is read off
     it when its vertices are the member's own.  The setup runs on the
-    first call for a type; enumerate and audit clear the cache when they
-    end.  It is linear in the period L = lcm q_i: audit refuses L above
-    PERIOD_MAX first, and a sweep's types have L <= N^2."""
+    first call for a type; enumerate and audit clear this cache and
+    _chain_solve's when they end, by a return or a raise.  It is linear
+    in the period L = lcm q_i: audit refuses L above PERIOD_MAX first,
+    and a sweep's types have L <= N^2."""
     pairs = tuple((f.numerator, f.denominator) for f in fracs)
     r = len(pairs)
     L = lcm(*(q for _, q in pairs))
@@ -294,6 +296,7 @@ def enumerate_catalog(params: SearchParams) -> List[dict]:
                 raise CatalogMismatch(f"duplicate catalog key {key}")
             seen[key] = degree, e
     finally:
+        _chain_solve.cache_clear()
         _type_member.cache_clear()
     # degrees over their common denominator M compare as integers
     M = lcm(*(d.denominator for d, _ in seen.values()))

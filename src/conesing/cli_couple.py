@@ -21,15 +21,15 @@ def _load_couple(path: str):
 def _discrepancy_doc(C) -> dict:
     """Quotient-side discrepancy data, shared by describe and discrepancy."""
     from .jsonio import fmt_q, integral_divisor_to_json, point_to_json
-    from .quotient import (horizontal_log_discrepancy, log_fano_quotient,
+    from .quotient import (horizontal_log_discrepancies, log_fano_quotient,
                            vertex_decomposition, vertex_log_discrepancy)
     vd = vertex_decomposition(C)
     return {
         "quotient": [{"point": point_to_json(p), "coeff": fmt_q(b)}
                      for p, b in log_fano_quotient(C).boundary],
         "a_e0": fmt_q(vertex_log_discrepancy(C)),
-        "horizontal": {repr(p): fmt_q(horizontal_log_discrepancy(C, p))
-                       for p, _ in C.divisor.terms},
+        "horizontal": {repr(p): fmt_q(a)
+                       for p, a in horizontal_log_discrepancies(C)},
         "m": vd.m, "u": vd.u, "H": integral_divisor_to_json(vd.H),
         "cartier_index_kx": vd.m,
     }

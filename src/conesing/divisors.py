@@ -118,7 +118,7 @@ def _merge_terms(items) -> Tuple[Tuple[MarkedPoint, Fraction], ...]:
 
 class QDivisorP1(Record):
     """Finite formal sum of points with exact rational coefficients,
-    held as (point, coefficient) terms."""
+    held as (point, coefficient) terms in point order (sort_key)."""
 
     _fields = ("terms",)
 
@@ -130,15 +130,6 @@ class QDivisorP1(Record):
                        Iterable[Tuple[MarkedPoint, Rational]]]) -> "QDivisorP1":
         items = data.items() if isinstance(data, Mapping) else data
         return QDivisorP1(_merge_terms(items))
-
-    def coeff(self, pt: MarkedPoint) -> Fraction:
-        for p, c in self.terms:
-            if p == pt:
-                return c
-        return Fraction(0)
-
-    def points(self) -> Tuple[MarkedPoint, ...]:
-        return tuple(p for p, _ in self.terms)
 
     def degree(self) -> Fraction:
         """The sum of the coefficients, computed on the first call."""
@@ -174,15 +165,6 @@ class IntegralDivisorP1(Record):
             if c.denominator != 1:
                 raise PreconditionError(f"non-integer coefficient {c}")
         return IntegralDivisorP1(tuple((p, int(c)) for p, c in merged))
-
-    def coeff(self, pt: MarkedPoint) -> int:
-        for p, c in self.terms:
-            if p == pt:
-                return c
-        return 0
-
-    def points(self):
-        return tuple(p for p, _ in self.terms)
 
     def degree(self) -> int:
         return sum(c for _, c in self.terms)
@@ -275,12 +257,6 @@ class NormalForm(Record):
         self.__dict__.update(couple=couple, key=key)
 
 
-def _frac_numerator(c: Fraction) -> int:
-    """Numerator of the fractional part c - floor(c), whose denominator
-    is that of c."""
-    return c.numerator % c.denominator
-
-
 def normal_form(C: CurveCouple) -> NormalForm:
     """Canonical representative of the couple up to line automorphisms
     and adding integral degree-zero divisors.
@@ -295,7 +271,7 @@ def normal_form(C: CurveCouple) -> NormalForm:
     D = C.divisor
     fracs = []
     for p, c in D.terms:
-        r = _frac_numerator(c)
+        r = c.numerator % c.denominator     # numerator of c - floor(c)
         if r:
             f = c if r == c.numerator else Fraction(r, c.denominator)
             fracs.append((f, c.denominator, c.numerator))
@@ -353,11 +329,11 @@ def assign_coordinates(C: CurveCouple) -> CurveCouple:
     Labels are processed in name order and receive 0, 1, infinity,
     2, 3, ... skipping coordinates already present in the divisor.
     """
-    labels = sorted((p for p in C.divisor.points() if p.kind == "lbl"),
+    labels = sorted((p for p, _ in C.divisor.terms if p.kind == "lbl"),
                     key=lambda p: p.name)
     if not labels:
         return C
-    taken = set(C.divisor.points())
+    taken = {p for p, _ in C.divisor.terms}
     free = (p for p in chain(CANONICAL_POSITIONS, map(finite_point, count(2)))
             if p not in taken)
     mapping = dict(zip(labels, free))

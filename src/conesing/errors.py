@@ -32,10 +32,6 @@ class BadEpsilon(PreconditionError):
     """epsilon outside (0, 1]."""
 
 
-class IntegralPoint(PreconditionError):
-    """Local cone requested at a point with integral coefficient (smooth chart)."""
-
-
 class BoundTooSmall(PreconditionError):
     """Bounds of the presentation search too small to certify the answer."""
 

@@ -5,7 +5,8 @@ B = sum (1 - 1/q_i) [y_i].  Log discrepancies of the cone surface are
 controlled by this pair: horizontal valuations (over points of the
 line) have log discrepancy exactly 1, and the central exceptional curve
 has log discrepancy -u/m where m(K + B) = H + u D with H integral of
-degree zero and m minimal positive.
+degree zero and m minimal positive.  Each point's data is read off its
+own term p/q of D, in one pass over the terms.
 
 Sign convention: m > 0, u < 0, and the returned vertex log discrepancy
 is the positive number -u/m = deg(-(K+B)) / deg(D).
@@ -39,12 +40,6 @@ class StandardPair(Record):
                 raise PreconditionError("zero coefficients are not stored")
         self.__dict__["boundary"] = boundary
 
-    def coeff(self, pt: MarkedPoint) -> Fraction:
-        for p, b in self.boundary:
-            if p == pt:
-                return b
-        return Fraction(0)
-
 
 def log_fano_quotient(C: CurveCouple) -> StandardPair:
     terms = []
@@ -53,10 +48,6 @@ def log_fano_quotient(C: CurveCouple) -> StandardPair:
         if q >= 2:
             terms.append((p, Fraction(q - 1, q)))
     return StandardPair(tuple(terms))
-
-
-def curve_log_discrepancy(P: StandardPair, pt: MarkedPoint) -> Fraction:
-    return 1 - P.coeff(pt)
 
 
 class VertexData(Record):
@@ -112,18 +103,25 @@ def vertex_log_discrepancy(C: CurveCouple) -> Fraction:
     return (2 - _klt_boundary_degree(C)) / C.degree()
 
 
-def horizontal_log_discrepancy(C: CurveCouple, pt: MarkedPoint) -> Fraction:
-    """Log discrepancy of the invariant curve over a point of the line.
-
-    Equals (Weil index) * (pair log discrepancy) = q * (1/q) = 1 at
-    stored points and 1 elsewhere; the product is asserted, not assumed.
-    """
+def horizontal_log_discrepancies(
+        C: CurveCouple) -> Tuple[Tuple[MarkedPoint, Fraction], ...]:
+    """(point, log discrepancy of the invariant curve over it) for each
+    term of D, in term order: (Weil index) * (pair log discrepancy) =
+    q (1 - b) = 1, with q the denominator of the point's own coefficient
+    and b = 1 - 1/q or 0 its boundary coefficient.  The boundary is
+    built once and the product is asserted, not assumed."""
     _klt_boundary_degree(C)
-    w = C.divisor.coeff(pt).denominator
-    a = w * curve_log_discrepancy(log_fano_quotient(C), pt)
-    if a != 1:
-        raise InternalNonIntegral(f"horizontal log discrepancy {a} != 1 at {pt}")
-    return a
+    boundary = dict(log_fano_quotient(C).boundary)
+    zero, one = Fraction(0), Fraction(1)
+    out = []
+    for p, c in C.divisor.terms:
+        q, b = c.denominator, boundary.get(p, zero)
+        # q (1 - b) = 1 in integers: b = n/d gives q (d - n) = d
+        if q * (b.denominator - b.numerator) != b.denominator:
+            raise InternalNonIntegral(f"horizontal log discrepancy "
+                                      f"{q * (1 - b)} != 1 at {p}")
+        out.append((p, one))
+    return tuple(out)
 
 
 def cartier_index_of_kx(C: CurveCouple) -> int:

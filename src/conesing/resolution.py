@@ -35,10 +35,11 @@ resolve and describe do to print them.  build_graph is the oracle that
 audit holds the catalog's entries against, so it never calls the
 catalog's own chain solver.
 
-Only local_cone_at and build_graph read a couple, and they import
-divisors, which also holds build_graph's klt gate, in their own bodies:
-the catalog sweep, which solves chains and builds graphs from integers,
-does not load it.  No function here loads quotient.
+Only build_graph reads a couple.  It reads each chart cone (q, p) off
+its point's own term, in one pass over the terms, and imports divisors,
+which holds its klt gate, in its own body: the catalog sweep, which
+solves chains and builds graphs from integers, does not load it.  No
+function here loads quotient.
 """
 
 from __future__ import annotations
@@ -49,54 +50,26 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .errors import (BadChain, IntegralPoint, InternalInvariantError,
-                     InternalNonIntegral, PreconditionError, SingularMatrix)
+from .errors import (BadChain, InternalInvariantError, InternalNonIntegral,
+                     PreconditionError, SingularMatrix)
 from .records import Record
 
 if TYPE_CHECKING:
-    from .divisors import CurveCouple, MarkedPoint
+    from .divisors import CurveCouple
 
 
 # ---------------------------------------------------------------------------
-# local lattice cones and their chains
+# chart cones and their chains
 # ---------------------------------------------------------------------------
-
-class LatticeCone2(Record):
-    """Cone spanned by (0,1) and (q,p) in the rank-2 lattice,
-    0 < p <= q, gcd(p,q) = 1.  p = q = 1 is the smooth chart."""
-
-    _fields = ("q", "p")
-
-    def __init__(self, q: int, p: int):
-        if not (0 < p <= q) or gcd(p, q) != 1:
-            raise PreconditionError(f"bad cone data (q,p)=({q},{p})")
-        self.__dict__.update(q=q, p=p)
-
-    def is_smooth(self) -> bool:
-        return self.q == 1
-
-
-def local_cone_at(C: CurveCouple, pt: MarkedPoint) -> LatticeCone2:
-    """Chart cone of the partial resolution over a stored point.
-
-    Only the fractional part of the coefficient matters: adding
-    integral multiples of the point is a unimodular change of chart.
-    """
-    from .divisors import _frac_numerator
-    c = C.divisor.coeff(pt)
-    q = c.denominator
-    if q == 1:
-        raise IntegralPoint(f"coefficient {c} at {pt} is integral, chart smooth")
-    return LatticeCone2(q=q, p=_frac_numerator(c))
-
 
 # Longest chain hj_chain builds; the graph, its discrepancies and its
 # JSON are all linear in the chain length.
 CHAIN_LENGTH_MAX = 10**6
 
 
-def hj_chain_length(cone: LatticeCone2) -> int:
-    """Length of hj_chain(cone) in O(log q) steps.
+def hj_chain_length(q: int, p: int) -> int:
+    """Length of hj_chain(q, p) in O(log q) steps, for a chart cone:
+    0 < p < q with gcd(p, q) = 1, or PreconditionError.
 
     hj_chain's recursion (a, b) -> (b, c b - a), c = ceil(a/b), keeps
     r = a - b fixed while c = 2, that is while r <= b, so a run of 2s
@@ -104,7 +77,9 @@ def hj_chain_length(cone: LatticeCone2) -> int:
     with k = b // r.  Every other step is one entry; between runs this
     is Euclid's algorithm, so the step count is logarithmic in q.
     """
-    a, b = cone.q, cone.q - cone.p
+    if not (0 < p < q) or gcd(p, q) != 1:
+        raise PreconditionError(f"bad cone data (q,p)=({q},{p})")
+    a, b = q, q - p
     length = 0
     while b > 0:
         r = a - b
@@ -118,9 +93,9 @@ def hj_chain_length(cone: LatticeCone2) -> int:
     return length
 
 
-def hj_chain(cone: LatticeCone2) -> Tuple[int, ...]:
+def hj_chain(q: int, p: int) -> Tuple[int, ...]:
     """Self-intersections [-c_1, ..., -c_k] of the chain resolving the
-    cone, listed from the (0,1) side outward.
+    chart cone (q, p) of hj_chain_length, from the (0,1) side outward.
 
     The c_j are the ceiling continued fraction of q/(q-p).  The ray
     recursion v_{j+1} = c_j v_j - v_{j-1} starting from (0,1), (1,1) is
@@ -128,14 +103,11 @@ def hj_chain(cone: LatticeCone2) -> Tuple[int, ...]:
     primitive interior rays.  A chain longer than CHAIN_LENGTH_MAX is
     refused before any of this linear work.
     """
-    if cone.is_smooth():
-        raise IntegralPoint("smooth chart has no chain")
-    length = hj_chain_length(cone)
+    length = hj_chain_length(q, p)
     if length > CHAIN_LENGTH_MAX:
         raise PreconditionError(
-            f"chain length {length} of q/p = {cone.q}/{cone.p} exceeds "
+            f"chain length {length} of q/p = {q}/{p} exceeds "
             f"CHAIN_LENGTH_MAX = {CHAIN_LENGTH_MAX}")
-    q, p = cone.q, cone.p
     cs: List[int] = []
     a, b = q, q - p
     while b > 0:
@@ -185,12 +157,12 @@ def _chain_continuants(cs: List[int]) -> Tuple[List[int], List[int]]:
 
 
 @lru_cache(maxsize=4096)
-def _chain_elimination(cone: LatticeCone2):
-    """The chain resolving the cone, its entries c_j, and u_1, u_2 and
-    w_1 of its elimination (_chain_continuants), kept for the most
-    recent cones: audit meets a catalog's cones (the p/q with q <= N,
-    about 1,100 at N = 60) again for every entry."""
-    chain = hj_chain(cone)
+def _chain_elimination(q: int, p: int):
+    """The chain resolving the chart cone (q, p), its entries c_j, and
+    u_1, u_2 and w_1 of its elimination (_chain_continuants), kept for
+    the most recent cones: audit meets a catalog's cones (the p/q with
+    q <= N, about 1,100 at N = 60) again for every entry."""
+    chain = hj_chain(q, p)
     cs = tuple(-e for e in chain)
     us, ws = _chain_continuants(cs)
     return chain, cs, us[0], us[1], ws[0]
@@ -291,12 +263,14 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
     _klt_boundary_degree(C)         # NotKlt unless the quotient is log Fano
     deg = C.degree()
     dn, dd = deg.numerator, deg.denominator
-    frac = [(p, c) for p, c in C.divisor.terms if c.denominator > 1]
-    frac.sort(key=lambda t: t[0].sort_key())
+    # the terms are in point order, which is the order of the chains
+    frac = [c for _, c in C.divisor.terms if c.denominator > 1]
 
     # One integer elimination per chain with the adjunction data
-    # k_j = c_j - 2: u gives the alphas, w the betas.
-    elims = [_chain_elimination(local_cone_at(C, pt)) for pt, _ in frac]
+    # k_j = c_j - 2: u gives the alphas, w the betas.  The chart cone
+    # (q, p) is read off the fractional part p/q of the coefficient.
+    elims = [_chain_elimination(c.denominator, c.numerator % c.denominator)
+             for c in frac]
 
     # Over A = lcm u_1, the chains' alpha_1 = u_2/u_1 sum to alpha/A and
     # their beta_1 = w_1/u_1 to beta/A.
@@ -342,7 +316,7 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
             raise InternalInvariantError(
                 "chain discrepancies miss the outer boundary condition")
 
-    qprod = prod(c.denominator for _, c in frac)
+    qprod = prod(c.denominator for c in frac)
     det, rest = divmod(dn * qprod, dd)
     if rest:
         raise InternalNonIntegral(f"link determinant {deg * qprod} not "

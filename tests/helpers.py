@@ -59,6 +59,39 @@ def canonical_divisor_p1():
     return IntegralDivisorP1.of({infinity_point(): -2})
 
 
+def coeff(D, pt):
+    """The coefficient at pt of a divisor (its terms) or of a standard
+    pair (its boundary), by a scan of the terms; 0 off the support.  The
+    library reads each point's coefficient off its own term instead."""
+    terms = D.boundary if hasattr(D, "boundary") else D.terms
+    return next((c for p, c in terms if p == pt), 0)
+
+
+def support(D):
+    """The points of a divisor's terms, in term order."""
+    return tuple(p for p, _ in D.terms)
+
+
+def chart_cone(C, pt):
+    """(q, p) of the chart cone over a point of C, by a scan of the terms
+    for the point: q is the denominator of its coefficient and p the
+    numerator of the fractional part (adding integral multiples of the
+    point is a unimodular change of chart).  The oracle of the pair that
+    build_graph reads off each term."""
+    c = Fraction(coeff(C.divisor, pt))
+    return c.denominator, c.numerator % c.denominator
+
+
+def horizontal_log_discrepancy(C, pt):
+    """The log discrepancy w (1 - b_p) of the invariant curve over pt,
+    with w the denominator of the coefficient of D at pt and b_p that of
+    the quotient boundary, each found by a scan of the terms.  The
+    per-point oracle of quotient.horizontal_log_discrepancies."""
+    from conesing.quotient import log_fano_quotient
+    w = Fraction(coeff(C.divisor, pt)).denominator
+    return w * (1 - Fraction(coeff(log_fano_quotient(C), pt)))
+
+
 def pair_boundary_degree(P):
     """deg B of a standard pair: the sum of its boundary coefficients."""
     return sum((b for _, b in P.boundary), Fraction(0))
@@ -83,13 +116,13 @@ def fraction_vertex_decomposition(C):
     D = C.divisor
     ratio = (pair_boundary_degree(B) - 2) / D.degree()     # u/m, negative
     m = lcm(ratio.denominator,
-            *((B.coeff(p) - ratio * c).denominator for p, c in D.terms))
+            *((coeff(B, p) - ratio * c).denominator for p, c in D.terms))
     u = int(m * ratio)
     kcan = canonical_divisor_p1()
     terms = {}
-    pts = set(D.points()) | set(kcan.points()) | {p for p, _ in B.boundary}
+    pts = set(support(D)) | set(support(kcan)) | {p for p, _ in B.boundary}
     for p in pts:
-        val = m * (kcan.coeff(p) + B.coeff(p)) - u * D.coeff(p)
+        val = m * (coeff(kcan, p) + coeff(B, p)) - u * coeff(D, p)
         if val.denominator != 1:
             raise InternalNonIntegral(f"coefficient {val} at {p}")
         if val != 0:
@@ -115,8 +148,9 @@ def brute_min_decomposition(C, cap=2000):
         if u.denominator != 1:
             continue
         u = int(u)
-        pts = set(D.points()) | set(kcan.points()) | {p for p, _ in B.boundary}
-        vals = {p: m * (kcan.coeff(p) + B.coeff(p)) - u * D.coeff(p) for p in pts}
+        pts = set(support(D)) | set(support(kcan)) | {p for p, _ in B.boundary}
+        vals = {p: m * (coeff(kcan, p) + coeff(B, p)) - u * coeff(D, p)
+                for p in pts}
         if all(v.denominator == 1 for v in vals.values()):
             assert sum(vals.values()) == 0
             return m, u, {p: int(v) for p, v in vals.items() if v != 0}
@@ -233,8 +267,7 @@ def per_candidate_entry(fracs, degree, eps):
     own couple (canonical placement, star graph, blow-down, normal form,
     Hilbert series, the index of K_X), or None when the couple is not
     klt or its mld is below eps."""
-    from conesing.divisors import (_frac_numerator, canonical_couple,
-                                   max_isotropy, normal_form)
+    from conesing.divisors import canonical_couple, max_isotropy, normal_form
     from conesing.errors import NotKlt
     from conesing.hilbert import hilbert_series
     from conesing.jsonio import fmt_q
@@ -256,7 +289,7 @@ def per_candidate_entry(fracs, degree, eps):
     return {
         "key": key_string(nf),
         "degree": fmt_q(C.degree()),
-        "fractional": [[_frac_numerator(c), c.denominator]
+        "fractional": [[c.numerator % c.denominator, c.denominator]
                        for _, c in C.divisor.terms if c.denominator > 1],
         "a_e0": fmt_q(vertex_log_discrepancy(C)),
         "mld": fmt_q(G.mld),
@@ -597,8 +630,8 @@ def fraction_star_graph(C):
     on the blown-down graph, or 2 when the graph blows down to nothing.
     The oracle of the integer numerators of build_graph."""
     from conesing.divisors import _fraction_sum, _klt_boundary_degree
-    from conesing.resolution import (LatticeCone2, _chain_continuants,
-                                     blow_down, hj_chain, star_edges)
+    from conesing.resolution import (_chain_continuants, blow_down,
+                                     hj_chain, star_edges)
 
     _klt_boundary_degree(C)
     deg = C.degree()
@@ -606,8 +639,7 @@ def fraction_star_graph(C):
                   key=lambda t: t[0].sort_key())
     chains, elims = [], []
     for _, c in frac:
-        chain = hj_chain(LatticeCone2(q=c.denominator,
-                                      p=c.numerator % c.denominator))
+        chain = hj_chain(c.denominator, c.numerator % c.denominator)
         cs = [-e for e in chain]
         chains.append(chain)
         elims.append((cs, *_chain_continuants(cs)))

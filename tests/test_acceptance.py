@@ -20,8 +20,8 @@ from conesing.divisors import (CurveCouple, finite_point, infinity_point,
                                max_isotropy)
 from conesing.errors import NotKlt
 from conesing.linalg import det_int
-from conesing.quotient import (horizontal_log_discrepancy, log_fano_quotient,
-                               vertex_log_discrepancy)
+from conesing.quotient import (horizontal_log_discrepancies,
+                               log_fano_quotient, vertex_log_discrepancy)
 from conesing.resolution import build_graph
 from conesing.hilbert import hilbert_series
 from conesing.sections import presentation
@@ -86,8 +86,9 @@ def test_c02_comparison_on_curve_base():
     couples = random_couples(seed=101, count=500, max_q=12, max_degree=10)
     ok = True
     for C in couples:
-        for pt, _ in C.divisor.terms:
-            ok = ok and horizontal_log_discrepancy(C, pt) == 1
+        rows = horizontal_log_discrepancies(C)
+        ok = ok and [p for p, _ in rows] == [p for p, _ in C.divisor.terms]
+        ok = ok and all(a == 1 for _, a in rows)
         G = build_graph(C)
         ok = ok and 1 + G.discrepancies[0] == vertex_log_discrepancy(C)
     assert _report("C2 curve-base comparison, 500 couples", ok)

@@ -537,6 +537,56 @@ def test_audit_refuses_a_period_above_the_cap(monkeypatch):
         audit_catalog(docs, params)
 
 
+def cache_sizes():
+    """Entries held by the catalog's chain cache and its type cache."""
+    return (catalog._chain_solve.cache_info().currsize,
+            catalog._type_member.cache_info().currsize)
+
+
+def test_enumerate_empties_the_chain_and_type_caches(monkeypatch):
+    params = SearchParams(epsilon=F(1, 2), isotropy_bound=6)
+    assert enumerate_catalog(params)
+    assert cache_sizes() == (0, 0)
+    evaluate, calls = catalog._evaluate_candidate, []
+
+    def stop_at_the_third(args):
+        calls.append(cache_sizes())
+        if len(calls) == 3:
+            raise PreconditionError("stopped")
+        return evaluate(args)
+
+    monkeypatch.setattr(catalog, "_evaluate_candidate", stop_at_the_third)
+    with pytest.raises(PreconditionError, match="stopped"):
+        enumerate_catalog(params)
+    # both caches held entries when the sweep raised
+    assert all(calls[-1])
+    assert cache_sizes() == (0, 0)
+
+
+def test_audit_empties_the_chain_and_type_caches(monkeypatch):
+    params = SearchParams(epsilon=F(1), isotropy_bound=3)
+    docs = stored(enumerate_catalog(params))
+    assert audit_catalog(docs, params)["ok"]
+    assert cache_sizes() == (0, 0)
+    # an entry of period 2, then one of period 6, above the cap
+    docs = [next(d for d in docs if d["fractional"] == pairs)
+            for pairs in ([[1, 2]], [[1, 2], [1, 3]])]
+    checked, sizes = audit._checked_period, []
+
+    def record_sizes(D):
+        sizes.append(cache_sizes())
+        return checked(D)
+
+    monkeypatch.setattr(audit, "_checked_period", record_sizes)
+    monkeypatch.setattr(hilbert, "PERIOD_MAX", 5)
+    with pytest.raises(PreconditionError,
+                       match="period L = 6 exceeds PERIOD_MAX = 5"):
+        audit_catalog(docs, params)
+    # the first entry filled both caches before the second one raised
+    assert len(sizes) == 2 and all(sizes[-1])
+    assert cache_sizes() == (0, 0)
+
+
 @pytest.mark.parametrize("doc", [
     [],
     {"fractional": [], "degree": "1"},

@@ -121,6 +121,20 @@ def test_hilbert_through_on_many_points_reads_the_series(tmp_path):
     assert values == [1 + 20000 * (n // 2) for n in range(100001)]
 
 
+@pytest.mark.parametrize("command", ["discrepancy", "describe"])
+def test_quotient_data_of_many_points_is_linear(tmp_path, command):
+    # looking each point's coefficient up again by a scan of the terms
+    # made these commands quadratic: about 200 s at 20,000 points
+    f = tmp_path / "c.json"
+    f.write_text(couple_doc([({"t": "fin", "x": str(k)}, "1")
+                             for k in range(20000)]))
+    res = run_cli(command, "--couple", str(f), timeout=30)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert len(doc["horizontal"]) == 20000
+    assert set(doc["horizontal"].values()) == {"1"}
+
+
 def test_presentation_default_bound_on_non_klt_couple_exits_3_at_once(
         tmp_path):
     # only Artin's count checks the default bound, and a non-klt couple

@@ -10,6 +10,7 @@ from conesing.divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
                                infinity_point, label_point, max_isotropy,
                                normal_form)
 from conesing.errors import NotAmple, PreconditionError
+from helpers import coeff, support
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -40,24 +41,24 @@ def test_weil_and_cartier_indices():
     # on the line the local Weil and Cartier indices of D coincide; both
     # are the isotropy order of the invariant curve over the point, the
     # denominator of the coefficient there
-    assert CurveCouple.of({P0: F(1, 2)}).divisor.coeff(P0).denominator == 2
-    assert CurveCouple.of({P0: F(3, 2)}).divisor.coeff(P1).denominator == 1
-    assert CurveCouple.of({P0: 2}).divisor.coeff(P0).denominator == 1
-    assert CurveCouple.of({P0: F(5, 3)}).divisor.coeff(P0).denominator == 3
-    assert CurveCouple.of({P0: F(5, 3)}).divisor.coeff(PINF).denominator == 1
-    assert CurveCouple.of({P0: 7}).divisor.coeff(P0).denominator == 1
+    assert coeff(CurveCouple.of({P0: F(1, 2)}).divisor, P0).denominator == 2
+    assert coeff(CurveCouple.of({P0: F(3, 2)}).divisor, P1).denominator == 1
+    assert coeff(CurveCouple.of({P0: 2}).divisor, P0).denominator == 1
+    assert coeff(CurveCouple.of({P0: F(5, 3)}).divisor, P0).denominator == 3
+    assert coeff(CurveCouple.of({P0: F(5, 3)}).divisor, PINF).denominator == 1
+    assert coeff(CurveCouple.of({P0: 7}).divisor, P0).denominator == 1
 
 
 def test_isotropy_orders():
     for m in (1, 2, 5):
         C = CurveCouple.of({P0: m})
-        assert C.divisor.coeff(P0).denominator == 1
-        assert C.divisor.coeff(P1).denominator == 1
+        assert coeff(C.divisor, P0).denominator == 1
+        assert coeff(C.divisor, P1).denominator == 1
     C = CurveCouple.of({P0: F(1, 2), P1: F(1, 2)})
-    assert C.divisor.coeff(P0).denominator == 2
+    assert coeff(C.divisor, P0).denominator == 2
     for n in (2, 3, 7):
         C = CurveCouple.of({P0: F(1, n), PINF: F(1, n)})
-        assert C.divisor.coeff(P0).denominator == n
+        assert coeff(C.divisor, P0).denominator == n
 
 
 def test_max_isotropy():
@@ -146,11 +147,11 @@ def test_assign_coordinates_skips_used():
     C = CurveCouple.of({label_point("b"): F(1, 2), label_point("a"): F(1, 3),
                         P0: 1})
     fixed = assign_coordinates(C)
-    pts = {p for p in fixed.divisor.points()}
+    pts = {p for p in support(fixed.divisor)}
     # label 'a' takes 1 (0 is used), label 'b' takes infinity
     assert finite_point(1) in pts and infinity_point() in pts
-    assert fixed.divisor.coeff(finite_point(1)) == F(1, 3)
-    assert fixed.divisor.coeff(infinity_point()) == F(1, 2)
+    assert coeff(fixed.divisor, finite_point(1)) == F(1, 3)
+    assert coeff(fixed.divisor, infinity_point()) == F(1, 2)
 
 
 def canonical_rank(p):
@@ -176,10 +177,10 @@ def test_assign_coordinates_gives_labels_the_first_free_points(terms):
     # other terms are unchanged, and no label lands on a taken point or
     # on another label: the terms keep their number
     assert len(fixed.terms) == len(terms)
-    assert all(fixed.coeff(p) == terms[p] for p in taken)
-    assigned = sorted((p for p in fixed.points() if p not in taken),
+    assert all(coeff(fixed, p) == terms[p] for p in taken)
+    assigned = sorted((p for p in support(fixed) if p not in taken),
                       key=canonical_rank)
-    assert [fixed.coeff(p) for p in assigned] == [
+    assert [coeff(fixed, p) for p in assigned] == [
         terms[label_point(n)] for n in labels]
     # the first free points: every earlier place is taken
     ranks = {canonical_rank(p) for p in taken | set(assigned)}
@@ -197,8 +198,8 @@ divisor_strategy = st.dictionaries(
 def test_floor_superadditivity(terms, a, b):
     d = QDivisorP1.of(terms)
     fa, fb, fab = floor_multiple(d, a), floor_multiple(d, b), floor_multiple(d, a + b)
-    for p in set(fa.points()) | set(fb.points()) | set(fab.points()):
-        assert fab.coeff(p) >= fa.coeff(p) + fb.coeff(p)
+    for p in set(support(fa)) | set(support(fb)) | set(support(fab)):
+        assert coeff(fab, p) >= coeff(fa, p) + coeff(fb, p)
 
 
 @given(divisor_strategy, st.integers(1, 8))
@@ -217,7 +218,7 @@ def test_weil_le_cartier_everywhere(terms):
         return
     C = CurveCouple(d)
     L = denominators_lcm(d)
-    for p in d.points():
-        w = C.divisor.coeff(p).denominator
+    for p in support(d):
+        w = coeff(C.divisor, p).denominator
         assert L % w == 0 and w <= max_isotropy(C)
 

@@ -1,18 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conesing.audit import audit_catalog
 from conesing.divisors import (CurveCouple, IntegralDivisorP1, finite_point,
                                infinity_point, normal_form, QDivisorP1)
 from conesing.catalog import SearchParams
-from conesing.errors import BadEpsilon, NotKlt, PreconditionError
+from conesing.errors import (BadEpsilon, InternalNonIntegral, NotKlt,
+                             PreconditionError)
+from conesing import quotient
 from conesing.quotient import (StandardPair, cartier_index_of_kx,
-                               curve_log_discrepancy, horizontal_log_discrepancy,
+                               horizontal_log_discrepancies,
                                log_fano_quotient, vertex_decomposition,
                                vertex_log_discrepancy)
 from conesing.resolution import build_graph
-from helpers import (brute_min_decomposition, is_eps_lc_pair, is_log_fano,
+from helpers import (POSITIONS, brute_min_decomposition, coeff,
+                     horizontal_log_discrepancy, is_eps_lc_pair, is_log_fano,
                      pair_boundary_degree, per_candidate_entry, random_couples)
 
 P0 = finite_point(0)
@@ -24,7 +29,7 @@ F = Fraction
 def test_log_fano_quotient_examples():
     assert log_fano_quotient(CurveCouple.of({P0: 5})).boundary == ()
     B = log_fano_quotient(CurveCouple.of({P0: F(1, 2), P1: F(2, 3)}))
-    assert B.coeff(P0) == F(1, 2) and B.coeff(P1) == F(2, 3)
+    assert coeff(B, P0) == F(1, 2) and coeff(B, P1) == F(2, 3)
     B = log_fano_quotient(CurveCouple.of({P0: F(5, 3)}))
     assert B.boundary == ((P0, F(2, 3)),)
 
@@ -37,14 +42,6 @@ def test_non_standard_coefficient_is_a_precondition():
 def test_zero_standard_coefficient_is_a_precondition():
     with pytest.raises(PreconditionError):
         StandardPair(((P0, F(0)),))
-
-
-def test_curve_log_discrepancy():
-    B = StandardPair(((P0, F(1, 2)),))
-    assert curve_log_discrepancy(B, P0) == F(1, 2)
-    assert curve_log_discrepancy(B, P1) == 1
-    B = StandardPair(((PINF, F(6, 7)),))
-    assert curve_log_discrepancy(B, PINF) == F(1, 7)
 
 
 def test_is_eps_lc_pair():
@@ -146,11 +143,49 @@ def test_not_log_fano_raises():
 def test_horizontal_log_discrepancy_is_one():
     cases = [
         (CurveCouple.of({P0: F(1, 2)}), P0),
-        (CurveCouple.of({P0: F(2, 3)}), PINF),
         (CurveCouple.of({P0: 5}), P0),
     ]
     for C, pt in cases:
-        assert horizontal_log_discrepancy(C, pt) == 1
+        assert dict(horizontal_log_discrepancies(C))[pt] == 1
+
+
+def test_horizontal_log_discrepancies_one_row_per_term():
+    for C in random_couples(seed=31, count=60, max_q=20):
+        rows = horizontal_log_discrepancies(C)
+        assert [p for p, _ in rows] == [p for p, _ in C.divisor.terms]
+        assert all(a == 1 for _, a in rows)
+
+
+@st.composite
+def klt_divisor_couples(draw):
+    """Klt couples on up to five points, with integral, negative and
+    above-one coefficients."""
+    terms = draw(st.dictionaries(
+        st.sampled_from(POSITIONS[:5]),
+        st.fractions(min_value=-3, max_value=4, max_denominator=9),
+        min_size=1, max_size=5))
+    D = QDivisorP1.of(terms)
+    assume(D.degree() > 0)
+    couple = CurveCouple(D)
+    assume(couple.boundary_degree() < 2)
+    return couple
+
+
+@given(klt_divisor_couples())
+def test_horizontal_log_discrepancies_match_the_per_point_formula(C):
+    rows = horizontal_log_discrepancies(C)
+    assert rows == tuple((p, horizontal_log_discrepancy(C, p))
+                         for p, _ in C.divisor.terms)
+
+
+def test_horizontal_log_discrepancies_check_the_boundary(monkeypatch):
+    # a boundary that misses a point of D breaks q (1 - b) = 1 there
+    C = CurveCouple.of({P0: F(1, 2), P1: F(2, 3)})
+    monkeypatch.setattr(quotient, "log_fano_quotient",
+                        lambda C: StandardPair(((P0, F(1, 2)),)))
+    with pytest.raises(InternalNonIntegral,
+                       match=r"horizontal log discrepancy 3 != 1 at \[1\]"):
+        horizontal_log_discrepancies(C)
 
 
 def test_cartier_index_of_kx():

@@ -18,7 +18,7 @@ from conesing.divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
 from conesing.errors import PreconditionError
 from conesing.quotient import log_fano_quotient, vertex_decomposition
 from conesing.records import Record
-from conesing.resolution import LatticeCone2, build_graph
+from conesing.resolution import build_graph
 from conesing.hilbert import hilbert_series
 from conesing.sections import presentation
 from conesing.toric import (Fan, ToricDivisor, cone_of_x,
@@ -44,7 +44,6 @@ def make_all():
         "NormalForm": normal_form(E6),
         "StandardPair": log_fano_quotient(E6),
         "VertexData": vertex_decomposition(E6),
-        "LatticeCone2": LatticeCone2(q=5, p=2),
         "ResolutionGraph": G,
         "BlownDownGraph": G.blown_down,
         "HilbertData": hilbert_series(E6),
@@ -77,8 +76,6 @@ EXPECTED = {
         'StandardPair(boundary=(([0], Fraction(1, 2)), ([1], Fraction(2, 3)), ([inf], Fraction(2, 3))))'),
     'VertexData': (('m', 'u', 'H'),
         'VertexData(m=1, u=-1, H=(1)[1] + (-1)[inf])'),
-    'LatticeCone2': (('q', 'p'),
-        'LatticeCone2(q=5, p=2)'),
     # the discrepancies are held as integers over one denominator
     'ResolutionGraph': (('central_self_int', 'chains', 'numerators', 'denominator', 'determinant'),
         'ResolutionGraph(central_self_int=-2, chains=((-2,), (-2, -2), (-2, -2)), numerators=(0, 0, 0, 0, 0, 0), denominator=6, determinant=3)'),
@@ -110,7 +107,7 @@ def test_every_record_class_is_covered():
                if isinstance(cls, type) and cls.__module__ == mod.__name__
                and issubclass(cls, Record)}
     assert {type(v) for v in INSTANCES.values()} == classes
-    assert len(classes) == 16
+    assert len(classes) == 15
 
 
 def assert_same_hash(*objs):
@@ -163,8 +160,6 @@ def test_constructors_still_validate():
     with pytest.raises(PreconditionError, match="label point needs a name"):
         MarkedPoint("lbl")
     assert MarkedPoint("fin", 2).x == F(2) and type(MarkedPoint("fin", 2).x) is F
-    with pytest.raises(PreconditionError, match="bad cone data"):
-        LatticeCone2(q=4, p=2)
     with pytest.raises(PreconditionError, match="isotropy bound 0 < 1"):
         SearchParams(epsilon=F(1), isotropy_bound=0)
 

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from conesing import catalog, cli, resolution
 from conesing.divisors import (CurveCouple, QDivisorP1, finite_point,
                                infinity_point)
-from conesing.errors import IntegralPoint, NotKlt, PreconditionError
+from conesing.errors import NotKlt, PreconditionError
 from conesing.linalg import det_int
 from conesing.quotient import vertex_log_discrepancy
-from conesing.resolution import (LatticeCone2, build_graph, hj_chain,
-                                 hj_chain_length, local_cone_at)
+from conesing.resolution import build_graph, hj_chain, hj_chain_length
 from conesing.toric import ConeOfX
-from helpers import (POSITIONS, discrepancies, fraction_star_graph,
-                     intersection_matrix, is_negative_definite, lattice_mld,
-                     random_couples)
+from helpers import (POSITIONS, chart_cone, discrepancies,
+                     fraction_star_graph, intersection_matrix,
+                     is_negative_definite, lattice_mld, random_couples)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -38,19 +37,23 @@ def C(terms):
 # ---------------------------------------------------------------------------
 
 def test_local_cone_examples():
-    assert local_cone_at(C({P0: F(1, 2)}), P0) == LatticeCone2(2, 1)
-    assert local_cone_at(C({P0: F(2, 3)}), P0) == LatticeCone2(3, 2)
-    with pytest.raises(IntegralPoint):
-        local_cone_at(C({P0: 1}), P0)
+    assert chart_cone(C({P0: F(1, 2)}), P0) == (2, 1)
+    assert chart_cone(C({P0: F(2, 3)}), P0) == (3, 2)
+    # an integral point has the smooth chart, which has no chain
+    with pytest.raises(PreconditionError):
+        hj_chain(*chart_cone(C({P0: 1}), P0))
     # only the fractional part matters
-    assert local_cone_at(C({P0: F(5, 3)}), P0) == LatticeCone2(3, 2)
-    assert local_cone_at(C({P0: F(-1, 2), P1: 1}), P0) == LatticeCone2(2, 1)
+    assert chart_cone(C({P0: F(5, 3)}), P0) == (3, 2)
+    assert chart_cone(C({P0: F(-1, 2), P1: 1}), P0) == (2, 1)
 
 
 def test_bad_cone_data_is_a_precondition():
-    for q, p in ((3, 0), (2, 3), (4, 2)):
-        with pytest.raises(PreconditionError):
-            LatticeCone2(q, p)
+    # (1, 1) is the smooth chart of an integral point
+    for q, p in ((3, 0), (2, 3), (4, 2), (1, 1)):
+        with pytest.raises(PreconditionError, match="bad cone data"):
+            hj_chain(q, p)
+        with pytest.raises(PreconditionError, match="bad cone data"):
+            hj_chain_length(q, p)
 
 
 def cf_expand(a, b):
@@ -110,7 +113,7 @@ def hull_chain(q, p):
     (7, 5, (-4, -2)),
 ])
 def test_hj_chain_frozen(q, p, expected):
-    assert hj_chain(LatticeCone2(q, p)) == expected
+    assert hj_chain(q, p) == expected
 
 
 @pytest.mark.parametrize("q", range(2, 13))
@@ -119,7 +122,7 @@ def test_hj_chain_against_hull_oracle(q):
     for p in range(1, q):
         if gcd(p, q) != 1:
             continue
-        chain = hj_chain(LatticeCone2(q, p))
+        chain = hj_chain(q, p)
         assert list(chain) == hull_chain(q, p)
         # continued fraction of q/(q-p), and the continuant recovers q
         assert [-c for c in chain] == cf_expand(q, q - p)
@@ -164,29 +167,29 @@ def test_build_graph_rejects_non_klt():
 def coprime_cones(draw):
     q = draw(st.integers(2, 3000))
     p = draw(st.integers(1, q - 1).filter(lambda p: gcd(p, q) == 1))
-    return LatticeCone2(q, p)
+    return q, p
 
 
 @given(coprime_cones())
 def test_chain_length_from_runs_is_the_chain_length(cone):
-    assert hj_chain_length(cone) == len(hj_chain(cone))
+    assert hj_chain_length(*cone) == len(hj_chain(*cone))
 
 
 def test_chain_length_is_logarithmic_in_q():
     # q/1 is a run of q - 1 twos and (q^2 + 1)/q is [q + 1, 2, ..., 2]
     q = 10**300
-    assert hj_chain_length(LatticeCone2(q, 1)) == q - 1
-    assert hj_chain_length(LatticeCone2(q * q + 1, q * q + 1 - q)) == q
+    assert hj_chain_length(q, 1) == q - 1
+    assert hj_chain_length(q * q + 1, q * q + 1 - q) == q
 
 
 def test_chain_above_the_cap_is_a_precondition(monkeypatch):
-    cone = LatticeCone2(5, 1)               # [-2, -2, -2, -2]
+    cone = (5, 1)                           # [-2, -2, -2, -2]
     monkeypatch.setattr(resolution, "CHAIN_LENGTH_MAX", 4)
-    assert hj_chain(cone) == (-2, -2, -2, -2)
+    assert hj_chain(*cone) == (-2, -2, -2, -2)
     monkeypatch.setattr(resolution, "CHAIN_LENGTH_MAX", 3)
     with pytest.raises(PreconditionError,
                        match="chain length 4 .* exceeds CHAIN_LENGTH_MAX = 3"):
-        hj_chain(cone)
+        hj_chain(*cone)
 
 
 @st.composite
@@ -204,6 +207,16 @@ def klt_couples(draw):
     D = QDivisorP1.of(terms)
     assume(D.degree() > 0)
     return CurveCouple(D)
+
+
+@given(klt_couples())
+def test_chains_are_those_of_the_chart_cones(Cp):
+    # the chart cone of each fractional point, found by a scan of the
+    # terms, against the pair build_graph reads off the point's own term
+    frac = sorted((pt for pt, c in Cp.divisor.terms if c.denominator > 1),
+                  key=lambda pt: pt.sort_key())
+    assert build_graph(Cp).chains == tuple(hj_chain(*chart_cone(Cp, pt))
+                                           for pt in frac)
 
 
 @given(klt_couples())
@@ -322,7 +335,7 @@ def test_germ_mld_matches_chain_germ():
         for p in range(1, q):
             if gcd(p, q) != 1:
                 continue
-            chain = hj_chain(LatticeCone2(q, p))
+            chain = hj_chain(q, p)
             k = len(chain)
             mat = [[chain[i] if i == j else (1 if abs(i - j) == 1 else 0)
                     for j in range(k)] for i in range(k)]

@@ -16,7 +16,7 @@ from conesing.hilbert import hilbert_series
 from conesing.sections import (SectionSpace, _monomials,
                                default_presentation_bound, presentation)
 from helpers import (evaluation_kernel_dims, h0, multiplication_rank,
-                     random_couples, scanned_generators)
+                     random_couples, scanned_generators, support)
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -101,7 +101,7 @@ def test_section_basis_with_labels():
     space = SectionSpace(CurveCouple.of({label_point("p"): F(1, 2),
                                          label_point("q"): F(1, 2)}))
     assert space.dim(2) == 3
-    assert all(p.kind != "lbl" for p in space.D.points())
+    assert all(p.kind != "lbl" for p in support(space.D))
 
 
 def test_multiplication_rank_examples():

@@ -16,7 +16,7 @@ from conesing.toric import (Fan, ToricDivisor, cartier_index_global, cone_of_x,
                             fan_projective_space, is_ample, log_discrepancy_x,
                             quotient_boundary, random_primitive_samples,
                             verify_comparison)
-from helpers import (cartier_index_on_cone, fan_p1, fan_p1xp1, fan_p2,
+from helpers import (cartier_index_on_cone, coeff, fan_p1, fan_p1xp1, fan_p2,
                      fan_weighted_plane, lattice_mld, log_discrepancy_y,
                      random_instances, simplicial_walls_ok, support_value,
                      weil_index)
@@ -28,8 +28,8 @@ PINF = infinity_point()
 
 def toric_model_of_couple(C: CurveCouple):
     """Couple supported in {0, infinity} as a fan-plus-divisor."""
-    c0 = C.divisor.coeff(P0)
-    cinf = C.divisor.coeff(PINF)
+    c0 = coeff(C.divisor, P0)
+    cinf = coeff(C.divisor, PINF)
     for p, _ in C.divisor.terms:
         assert p in (P0, PINF)
     return fan_p1(), ToricDivisor.of([c0, cinf])
