@@ -4,7 +4,10 @@ length 200, index m = 36049 and lcm L = 1517), of Hilbert values through
 degree 40, of the presentation of the E8-type couple
 (1/2)[0] - (2/3)[1] + (6/5)[inf] at bounds 30, of a couple with two label
 points and of the non-klt couple (6/7)([0] + [1] + [inf]) at explicit
-bounds, of three small catalogs, of the toric comparison on P^3, on the
+bounds, of `describe`, `discrepancy` and `presentation` at bounds 30 on
+two couples whose files need the term merge (labels beside [inf] and
+the finite point 1/2; a repeated point, a zero and a negative
+coefficient), of three small catalogs, of the toric comparison on P^3, on the
 weighted plane P(1,1,2) and on the non-simplicial cube fan, of a
 small run of the counterexample families, and of `audit` on the (1, 3)
 catalog and on damaged copies of it (in `golden/catalogs`, written by
@@ -59,6 +62,17 @@ CASES["describe_labels"] = ["describe", "--couple",
 CASES["presentation_labels_b10"] = [
     "presentation", "--couple", str(GOLDEN / "couples" / "labels.json"),
     "--gen-bound", "10", "--rel-bound", "10"]
+# couples whose terms are merged and sorted when read: two label points
+# (named out of order) beside an [inf] term and the finite point 1/2,
+# and a file that repeats [0] and [2] (whose terms cancel), holds a zero
+# at [inf] and a negative coefficient at [1]
+for name in ("labels_inf", "merged"):
+    path = str(GOLDEN / "couples" / f"{name}.json")
+    CASES[f"describe_{name}"] = ["describe", "--couple", path]
+    CASES[f"discrepancy_{name}"] = ["discrepancy", "--couple", path]
+    CASES[f"presentation_{name}_b30"] = [
+        "presentation", "--couple", path, "--gen-bound", "30",
+        "--rel-bound", "30"]
 # not klt: the default generator bound is refused, explicit ones run
 CASES["presentation_not_fano_g9_r4"] = [
     "presentation", "--couple", str(GOLDEN / "couples" / "not_fano.json"),
