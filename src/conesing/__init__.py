@@ -10,10 +10,9 @@ importing the package itself loads no layer.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "divisors": ("CurveCouple", "IntegralDivisorP1", "MarkedPoint",
-                 "QDivisorP1", "finite_point", "floor_multiple",
-                 "infinity_point", "label_point", "max_isotropy",
-                 "normal_form"),
+    "divisors": ("CurveCouple", "MarkedPoint", "finite_point",
+                 "floor_multiple", "infinity_point", "label_point",
+                 "max_isotropy", "normal_form"),
     "quotient": ("StandardPair", "VertexData", "cartier_index_of_kx",
                  "horizontal_log_discrepancies", "log_fano_quotient",
                  "vertex_decomposition", "vertex_log_discrepancy"),

@@ -106,7 +106,7 @@ def audit_catalog(docs, params: SearchParams) -> dict:
                 failures.append(f"{tag}: rebuilt couple is not klt ({exc})")
                 continue
             # the Hilbert numerator takes time linear in the period
-            _checked_period(C.divisor)
+            _checked_period(C)
             mld, rebuilt = _type_member(fracs)(degree, G)
             # field by field only when the entries differ
             if doc != rebuilt or not _plain(doc):

@@ -270,14 +270,15 @@ def _candidate_types(params: SearchParams):
 
 
 def _evaluate_candidate(args):
-    """The entry of a (fracs, degree, eps) candidate, or None when it is
-    not klt or its mld is below eps."""
+    """The entry of a (fracs, degree, eps) candidate.  The sweep yields
+    admissible types only, so none is refused as not klt, and each only
+    through its mld cap, so a member below eps is a CatalogMismatch."""
     fracs, degree, eps = args
-    try:
-        mld, entry = _type_member(fracs)(degree)
-    except NotKlt:
-        return None
-    return entry if mld >= eps else None
+    mld, entry = _type_member(fracs)(degree)
+    if mld < eps:
+        raise CatalogMismatch(f"{entry['key']}: mld {entry['mld']} is below "
+                              f"epsilon {fmt_q(eps)} under the degree cap")
+    return entry
 
 
 def enumerate_catalog(params: SearchParams) -> List[dict]:
@@ -289,8 +290,6 @@ def enumerate_catalog(params: SearchParams) -> List[dict]:
     try:
         for fracs, degree in _candidate_types(params):
             e = _evaluate_candidate((fracs, degree, eps))
-            if e is None:
-                continue
             key = e["key"]
             if key in seen:
                 raise CatalogMismatch(f"duplicate catalog key {key}")

@@ -45,14 +45,14 @@ def cmd_describe(args) -> int:
     G = build_graph(C)
     hd = hilbert_series(C)
     doc.update({
-        "divisor": divisor_to_json(C.divisor),
+        "divisor": divisor_to_json(C),
         "degree": fmt_q(C.degree()),
         "mld": fmt_q(G.mld),
         "graph": G.to_json(),
         "blown_down": G.blown_down.to_json(),
         "det": G.determinant,
         "hilbert": hd.to_json(),
-        "isotropies": {repr(p): c.denominator for p, c in C.divisor.terms},
+        "isotropies": {repr(p): c.denominator for p, c in C.terms},
         "max_isotropy": max_isotropy(C),
     })
     _emit(doc, args.out)

@@ -1,7 +1,8 @@
-"""Q-divisors on the projective line and the couples they define.
+"""Couples: the projective line with an ample Q-divisor, held as its terms.
 
 A couple is the projective line together with an ample Q-divisor
-D = sum (p_i/q_i) [y_i] with reduced coefficients.  The couple encodes a
+D = sum (p_i/q_i) [y_i] with reduced coefficients.  The line is fixed,
+so a couple is the terms of D and nothing more.  The couple encodes a
 normal affine surface with an effective one-torus action through its
 graded section ring; every invariant of that surface computed in this
 package starts from the data held here.
@@ -10,7 +11,10 @@ Conventions pinned once and used everywhere:
 
 * all rationals are exact (fractions.Fraction), never floats;
 * coefficients are stored reduced with positive denominator, zero
-  coefficients are dropped;
+  coefficients are dropped, and the terms are in point order with no
+  point repeated; CurveCouple.of is the one place that merges terms;
+* an integral divisor such as floor(n D) is a tuple of (point, int)
+  terms in point order;
 * n D is read pointwise through floors, floor(n p/q), including for
   negative coefficients;
 * the canonical divisor of the line is represented by the fixed divisor
@@ -90,9 +94,12 @@ P0 = finite_point(0)
 P1 = finite_point(1)
 PINF = infinity_point()
 
+# an integral divisor, such as floor(n D) or H: its terms in point order
+IntegralTerms = Tuple[Tuple[MarkedPoint, int], ...]
+
 
 # ---------------------------------------------------------------------------
-# divisors
+# couples
 # ---------------------------------------------------------------------------
 
 def _fraction_sum(pairs) -> Fraction:
@@ -116,20 +123,28 @@ def _merge_terms(items) -> Tuple[Tuple[MarkedPoint, Fraction], ...]:
     return tuple(terms)
 
 
-class QDivisorP1(Record):
-    """Finite formal sum of points with exact rational coefficients,
-    held as (point, coefficient) terms in point order (sort_key)."""
+class CurveCouple(Record):
+    """The line together with an ample Q-divisor D, held as its terms:
+    (point, reduced Fraction) pairs in point order (sort_key), with no
+    repeated point and no zero coefficient.  D must have positive
+    degree; a caller that knows the degree passes it instead of having
+    the terms summed."""
 
     _fields = ("terms",)
 
-    def __init__(self, terms: Tuple[Tuple[MarkedPoint, Fraction], ...]):
-        self.__dict__["terms"] = terms
+    def __init__(self, terms: Tuple[Tuple[MarkedPoint, Fraction], ...],
+                 degree: Optional[Fraction] = None):
+        self.__dict__.update(terms=terms, _degree=degree)
+        if self.degree().numerator <= 0:
+            raise NotAmple(f"degree {self.degree()} is not positive")
 
     @staticmethod
     def of(data: Union[Mapping[MarkedPoint, Rational],
-                       Iterable[Tuple[MarkedPoint, Rational]]]) -> "QDivisorP1":
+                       Iterable[Tuple[MarkedPoint, Rational]]]) -> "CurveCouple":
+        """The couple of any terms: repeated points are summed, zero
+        coefficients dropped and the points sorted."""
         items = data.items() if isinstance(data, Mapping) else data
-        return QDivisorP1(_merge_terms(items))
+        return CurveCouple(_merge_terms(items))
 
     def degree(self) -> Fraction:
         """The sum of the coefficients, computed on the first call."""
@@ -140,58 +155,6 @@ class QDivisorP1(Record):
                 (c.numerator, c.denominator) for _, c in self.terms)
         return deg
 
-    def __add__(self, other: "QDivisorP1") -> "QDivisorP1":
-        return QDivisorP1(_merge_terms(list(self.terms) + list(other.terms)))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c}){p}" for p, c in self.terms)
-
-
-class IntegralDivisorP1(Record):
-    """Divisor with integer coefficients only."""
-
-    _fields = ("terms",)
-
-    def __init__(self, terms: Tuple[Tuple[MarkedPoint, int], ...]):
-        self.__dict__["terms"] = terms
-
-    @staticmethod
-    def of(data) -> "IntegralDivisorP1":
-        items = data.items() if isinstance(data, Mapping) else data
-        merged = _merge_terms(items)
-        for _, c in merged:
-            if c.denominator != 1:
-                raise PreconditionError(f"non-integer coefficient {c}")
-        return IntegralDivisorP1(tuple((p, int(c)) for p, c in merged))
-
-    def degree(self) -> int:
-        return sum(c for _, c in self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c}){p}" for p, c in self.terms)
-
-
-class CurveCouple(Record):
-    """The line together with an ample Q-divisor (positive degree)."""
-
-    _fields = ("divisor",)
-
-    def __init__(self, divisor: QDivisorP1):
-        if divisor.degree().numerator <= 0:
-            raise NotAmple(f"degree {divisor.degree()} is not positive")
-        self.__dict__["divisor"] = divisor
-
-    @staticmethod
-    def of(data) -> "CurveCouple":
-        return CurveCouple(QDivisorP1.of(data))
-
-    def degree(self) -> Fraction:
-        return self.divisor.degree()
-
     def boundary_degree(self) -> Fraction:
         """Degree of the standard boundary sum (1 - 1/q_p) [p] over the
         points whose coefficient has denominator q_p >= 2, computed on
@@ -200,8 +163,7 @@ class CurveCouple(Record):
         deg = d.get("_boundary_degree")
         if deg is None:
             deg = d["_boundary_degree"] = _fraction_sum(
-                (c.denominator - 1, c.denominator)
-                for _, c in self.divisor.terms)
+                (c.denominator - 1, c.denominator) for _, c in self.terms)
         return deg
 
 
@@ -218,28 +180,28 @@ def _klt_boundary_degree(C: CurveCouple) -> Fraction:
 # index calculus
 # ---------------------------------------------------------------------------
 
-def floor_multiple(D: QDivisorP1, n: int) -> IntegralDivisorP1:
-    """Pointwise floor of n D.  Points whose floor vanishes are dropped."""
+def floor_multiple(C: CurveCouple, n: int) -> IntegralTerms:
+    """The terms of floor(n D), pointwise, in point order.  Points whose
+    floor vanishes are dropped."""
     if n < 0:
         raise PreconditionError(f"multiple {n} must be nonnegative")
     out = []
-    for p, c in D.terms:
+    for p, c in C.terms:
         f = (n * c.numerator) // c.denominator
         if f != 0:
             out.append((p, f))
-    return IntegralDivisorP1.of(out)
+    return tuple(out)
 
 
 def max_isotropy(C: CurveCouple) -> int:
     """Largest isotropy order.  Over a point it is the denominator of the
     coefficient of D there: on a smooth curve the local Weil and Cartier
     indices of D coincide."""
-    qs = [c.denominator for _, c in C.divisor.terms]
-    return max(qs, default=1)
+    return max((c.denominator for _, c in C.terms), default=1)
 
 
-def denominators_lcm(D: QDivisorP1) -> int:
-    return lcm(*(c.denominator for _, c in D.terms))
+def denominators_lcm(C: CurveCouple) -> int:
+    return lcm(*(c.denominator for _, c in C.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +230,8 @@ def normal_form(C: CurveCouple) -> NormalForm:
     no canonical placement and are refused with PreconditionError.  A
     couple already in normal form is returned as it is.
     """
-    D = C.divisor
     fracs = []
-    for p, c in D.terms:
+    for p, c in C.terms:
         r = c.numerator % c.denominator     # numerator of c - floor(c)
         if r:
             f = c if r == c.numerator else Fraction(r, c.denominator)
@@ -279,8 +240,8 @@ def normal_form(C: CurveCouple) -> NormalForm:
     fracs.sort(key=itemgetter(1, 2))
     fracs.sort(key=itemgetter(0), reverse=True)
     frac_values = tuple(f for f, _, _ in fracs)
-    deg = D.degree()
-    if D.terms != _canonical_terms(frac_values, deg):
+    deg = C.degree()
+    if C.terms != _canonical_terms(frac_values, deg):
         C = canonical_couple(frac_values, deg)
     return NormalForm(couple=C, key=(frac_values, deg))
 
@@ -295,10 +256,8 @@ def canonical_couple(fracs, degree) -> CurveCouple:
     # the positions are in point order already, so the terms need no
     # merge.  _canonical_terms folds the leftover degree - sum fracs into
     # them and refuses it unless integral, so they sum to exactly
-    # `degree`, which the divisor keeps instead of summing them again
-    D = QDivisorP1(_canonical_terms(fracs, degree))
-    D.__dict__["_degree"] = degree
-    return CurveCouple(D)
+    # `degree`, which the couple keeps instead of summing them again
+    return CurveCouple(_canonical_terms(fracs, degree), degree)
 
 
 def _canonical_terms(fracs, degree: Fraction):
@@ -329,12 +288,12 @@ def assign_coordinates(C: CurveCouple) -> CurveCouple:
     Labels are processed in name order and receive 0, 1, infinity,
     2, 3, ... skipping coordinates already present in the divisor.
     """
-    labels = sorted((p for p, _ in C.divisor.terms if p.kind == "lbl"),
+    labels = sorted((p for p, _ in C.terms if p.kind == "lbl"),
                     key=lambda p: p.name)
     if not labels:
         return C
-    taken = {p for p, _ in C.divisor.terms}
+    taken = {p for p, _ in C.terms}
     free = (p for p in chain(CANONICAL_POSITIONS, map(finite_point, count(2)))
             if p not in taken)
     mapping = dict(zip(labels, free))
-    return CurveCouple.of((mapping.get(p, p), c) for p, c in C.divisor.terms)
+    return CurveCouple.of((mapping.get(p, p), c) for p, c in C.terms)

@@ -6,7 +6,8 @@ h(n) = max(0, deg floor(nD) + 1) come from integers alone: with each
 coefficient a_p/b_p of D in lowest terms, deg floor(nD) is the sum of
 (n a_p) // b_p.  hilbert_series reads the numerator off these values and
 checks it by expanding the closed form once against them; the tests
-keep h0, which builds floor(nD) as a divisor, as the independent oracle.
+keep h0, which sums the terms of floor(nD) that floor_multiple builds,
+as the independent oracle.
 Commands that need only the series load this module, not sections.
 """
 
@@ -52,10 +53,10 @@ class HilbertData(Record):
         return {"numerator": list(self.numerator), "L": self.period}
 
 
-def _checked_period(D) -> int:
+def _checked_period(C: CurveCouple) -> int:
     """L, refused above PERIOD_MAX: the Hilbert data and the generator
     scan take time and memory linear in L."""
-    L = denominators_lcm(D)
+    L = denominators_lcm(C)
     if L > PERIOD_MAX:
         raise PreconditionError(
             f"period L = {L} exceeds PERIOD_MAX = {PERIOD_MAX}")
@@ -67,7 +68,7 @@ def hilbert_values(C: CurveCouple, through: int) -> List[int]:
     the integer pairs (a_p, b_p) of the coefficients of D."""
     # one running column of sums, so memory stays linear in through
     sums = [1] * (through + 1)
-    for _, c in C.divisor.terms:
+    for _, c in C.terms:
         a, b = c.numerator, c.denominator
         na = range(0, a * (through + 1), a)  # n a for n = 0 .. through
         sums = list(map(add, sums, map(floordiv, na, repeat(b))))
@@ -79,12 +80,9 @@ def hilbert_series(C: CurveCouple) -> HilbertData:
     through n0 + 2L + 2 (n0: the degree from which every floor degree is
     nonnegative) and certified twice: the numerator must vanish past
     n0 + L, and its expansion must give back the values."""
-    D = C.divisor
-    L = _checked_period(D)
-    deg = D.degree()
-    npts = len(D.terms)
+    L = _checked_period(C)
     # After n0 every floor degree is nonnegative and h is quasi-linear.
-    n0 = max(0, ceil(npts / deg)) if deg > 0 else 0
+    n0 = ceil(len(C.terms) / C.degree())
     stop = n0 + 2 * L + 2
     values = hilbert_values(C, stop)
     # h(k) - h(k-1) - h(k-L) + h(k-L-1), with h = 0 in negative degrees

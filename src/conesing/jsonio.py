@@ -2,7 +2,9 @@
 
 Every CLI command and every module that serializes data goes through
 these helpers so that the wire format stays identical everywhere.
-Schema version key: "conesing/1".  Only the couple (de)serializers
+Schema version key: "conesing/1".  A couple is written as the
+"divisor" array of its terms, and an integral divisor such as H as the
+array of its (point, int) terms.  Only the couple (de)serializers
 import `divisors`, in their own bodies, so that a command that reads
 no couple does not load it.
 """
@@ -18,8 +20,7 @@ from typing import TYPE_CHECKING
 from .errors import ParseError
 
 if TYPE_CHECKING:
-    from .divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
-                           QDivisorP1)
+    from .divisors import CurveCouple, IntegralTerms, MarkedPoint
 
 SCHEMA = "conesing/1"
 
@@ -97,31 +98,31 @@ def point_from_json(doc) -> MarkedPoint:
     raise ParseError(f"unknown point tag {t!r}")
 
 
-def divisor_to_json(D) -> list:
-    return [{"point": point_to_json(p), "coeff": fmt_q(c)} for p, c in D.terms]
+def divisor_to_json(C: CurveCouple) -> list:
+    """The "divisor" array of a couple: one {point, coeff} per term."""
+    return [{"point": point_to_json(p), "coeff": fmt_q(c)} for p, c in C.terms]
 
 
-def divisor_from_json(doc) -> QDivisorP1:
-    from .divisors import QDivisorP1
-    if not isinstance(doc, list):
-        raise ParseError("divisor must be an array of {point, coeff}")
-    items = []
-    for entry in doc:
-        if not isinstance(entry, dict) or "point" not in entry or "coeff" not in entry:
-            raise ParseError(f"bad divisor term {entry!r}")
-        items.append((point_from_json(entry["point"]), parse_q(entry["coeff"])))
-    return QDivisorP1.of(items)
-
-
-def integral_divisor_to_json(H: IntegralDivisorP1) -> list:
-    return [{"point": point_to_json(p), "coeff": c} for p, c in H.terms]
+def integral_divisor_to_json(H: IntegralTerms) -> list:
+    """The array of integral (point, int) terms, such as those of H."""
+    return [{"point": point_to_json(p), "coeff": c} for p, c in H]
 
 
 def couple_from_json(doc) -> CurveCouple:
+    """The couple of a {"divisor": [{point, coeff}, ...]} object; its
+    terms are merged by CurveCouple.of."""
     from .divisors import CurveCouple
     if not isinstance(doc, dict) or "divisor" not in doc:
         raise ParseError("couple file must be an object with a 'divisor' key")
-    return CurveCouple(divisor_from_json(doc["divisor"]))
+    terms = doc["divisor"]
+    if not isinstance(terms, list):
+        raise ParseError("divisor must be an array of {point, coeff}")
+    items = []
+    for entry in terms:
+        if not isinstance(entry, dict) or "point" not in entry or "coeff" not in entry:
+            raise ParseError(f"bad divisor term {entry!r}")
+        items.append((point_from_json(entry["point"]), parse_q(entry["coeff"])))
+    return CurveCouple.of(items)
 
 
 def loads(text: str):

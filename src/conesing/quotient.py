@@ -5,8 +5,9 @@ B = sum (1 - 1/q_i) [y_i].  Log discrepancies of the cone surface are
 controlled by this pair: horizontal valuations (over points of the
 line) have log discrepancy exactly 1, and the central exceptional curve
 has log discrepancy -u/m where m(K + B) = H + u D with H integral of
-degree zero and m minimal positive.  Each point's data is read off its
-own term p/q of D, in one pass over the terms.
+degree zero and m minimal positive; H is built in integers as its terms,
+in point order.  Each point's data is read off its own term p/q of D,
+in one pass over the terms.
 
 Sign convention: m > 0, u < 0, and the returned vertex log discrepancy
 is the positive number -u/m = deg(-(K+B)) / deg(D).
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Tuple
+from typing import Tuple
 
-from .divisors import (PINF, CurveCouple, IntegralDivisorP1, MarkedPoint,
+from .divisors import (PINF, CurveCouple, IntegralTerms, MarkedPoint,
                        _klt_boundary_degree, denominators_lcm)
 from .errors import InternalNonIntegral, PreconditionError
 from .records import Record
@@ -43,7 +44,7 @@ class StandardPair(Record):
 
 def log_fano_quotient(C: CurveCouple) -> StandardPair:
     terms = []
-    for p, c in C.divisor.terms:
+    for p, c in C.terms:
         q = c.denominator
         if q >= 2:
             terms.append((p, Fraction(q - 1, q)))
@@ -51,16 +52,17 @@ def log_fano_quotient(C: CurveCouple) -> StandardPair:
 
 
 class VertexData(Record):
-    """Minimal decomposition m(K + B) = H + u D with H integral, deg 0."""
+    """Minimal decomposition m(K + B) = H + u D with H integral, deg 0,
+    held as its (point, int) terms in point order."""
 
     _fields = ("m", "u", "H")
 
-    def __init__(self, m: int, u: int, H: IntegralDivisorP1):
+    def __init__(self, m: int, u: int, H: IntegralTerms):
         self.__dict__.update(m=m, u=u, H=H)
 
 
-def _decomposition(C: CurveCouple) -> Tuple[int, int, Dict[MarkedPoint, int]]:
-    """m, u and the nonzero coefficients of H, in integers.
+def _decomposition(C: CurveCouple) -> Tuple[int, int, IntegralTerms]:
+    """m, u and the nonzero terms of H in point order, in integers.
 
     The least m > 0 in closed form: with r = deg(K+B)/deg D = s/t in
     lowest terms, the coefficient of m(K+B) - m r D at a point p of D is
@@ -71,32 +73,34 @@ def _decomposition(C: CurveCouple) -> Tuple[int, int, Dict[MarkedPoint, int]]:
     checked to be integral and of degree zero on these numerators."""
     ratio = (_klt_boundary_degree(C) - 2) / C.degree()       # u/m, negative
     s, t = ratio.numerator, ratio.denominator
-    D = C.divisor
-    L = denominators_lcm(D)
+    L = denominators_lcm(C)
     tl = t * L
     xs = {p: (t * (c.denominator - 1) - s * c.numerator) * (L // c.denominator)
-          for p, c in D.terms}
+          for p, c in C.terms}
     m = lcm(t, *(tl // gcd(x, tl) for x in xs.values()))
     u = m * s // t
-    H = {}
-    # K is the fixed divisor -2 [inf], and B lives on the points of D
-    for p in dict.fromkeys([*xs, PINF]):
+    # K is the fixed divisor -2 [inf], and B lives on the points of D,
+    # which are in point order: [inf] follows the finite points
+    points = list(xs)
+    if PINF not in xs:
+        points.insert(sum(p.kind == "fin" for p in points), PINF)
+    H = []
+    for p in points:
         k = -2 * m if p == PINF else 0
         h, rest = divmod(m * xs.get(p, 0), tl)
         if rest:
             val = Fraction(m * xs[p], tl) + k
             raise InternalNonIntegral(f"coefficient {val} at {p}")
         if h + k:
-            H[p] = h + k
-    if sum(H.values()) != 0:
-        raise InternalNonIntegral(f"H has degree {sum(H.values())}")
-    return m, u, H
+            H.append((p, h + k))
+    if sum(h for _, h in H) != 0:
+        raise InternalNonIntegral(f"H has degree {sum(h for _, h in H)}")
+    return m, u, tuple(H)
 
 
 def vertex_decomposition(C: CurveCouple) -> VertexData:
     """The minimal decomposition m(K + B) = H + u D of _decomposition."""
-    m, u, H = _decomposition(C)
-    return VertexData(m=m, u=u, H=IntegralDivisorP1.of(H))
+    return VertexData(*_decomposition(C))
 
 
 def vertex_log_discrepancy(C: CurveCouple) -> Fraction:
@@ -114,7 +118,7 @@ def horizontal_log_discrepancies(
     boundary = dict(log_fano_quotient(C).boundary)
     zero, one = Fraction(0), Fraction(1)
     out = []
-    for p, c in C.divisor.terms:
+    for p, c in C.terms:
         q, b = c.denominator, boundary.get(p, zero)
         # q (1 - b) = 1 in integers: b = n/d gives q (d - n) = d
         if q * (b.denominator - b.numerator) != b.denominator:

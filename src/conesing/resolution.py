@@ -264,7 +264,7 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
     deg = C.degree()
     dn, dd = deg.numerator, deg.denominator
     # the terms are in point order, which is the order of the chains
-    frac = [c for _, c in C.divisor.terms if c.denominator > 1]
+    frac = [c for _, c in C.terms if c.denominator > 1]
 
     # One integer elimination per chain with the adjunction data
     # k_j = c_j - 2: u gives the alphas, w the betas.  The chart cone

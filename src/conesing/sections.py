@@ -64,16 +64,15 @@ class SectionSpace:
 
     def __init__(self, C: CurveCouple):
         self.couple = assign_coordinates(C)
-        self.D = self.couple.divisor
         self._floor_cache: Dict[int, dict] = {}
         self._shift_cache: Dict[Tuple[int, int], List[Rational]] = {}
 
     def floor_data(self, n: int) -> dict:
         cached = self._floor_cache.get(n)
         if cached is None:
-            E = floor_multiple(self.D, n)
-            fin = {p.x: c for p, c in E.terms if p.kind == "fin"}
-            cached = {"deg": E.degree(), "fin": fin}
+            E = floor_multiple(self.couple, n)
+            fin = {p.x: c for p, c in E if p.kind == "fin"}
+            cached = {"deg": sum(c for _, c in E), "fin": fin}
             self._floor_cache[n] = cached
         return cached
 
@@ -115,7 +114,7 @@ class SectionSpace:
 # ---------------------------------------------------------------------------
 
 def default_presentation_bound(C: CurveCouple) -> int:
-    L = denominators_lcm(C.divisor)
+    L = denominators_lcm(C)
     return 4 * L * max(1, ceil(1 / C.degree()))
 
 
@@ -178,7 +177,7 @@ class _GeneratorScan:
 
     def __init__(self, space: SectionSpace):
         self.space = space
-        self.period = denominators_lcm(space.D)
+        self.period = denominators_lcm(space.couple)
         self.gens: List[Tuple[int, List[Rational]]] = []   # (degree, vector)
         self.basis: Dict[int, List[List[Rational]]] = {}
         self.full: Dict[int, bool] = {}

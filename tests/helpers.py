@@ -7,10 +7,11 @@ import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from types import SimpleNamespace
 from typing import Dict, Optional
 
-from conesing.divisors import (CurveCouple, IntegralDivisorP1, QDivisorP1,
-                               finite_point, floor_multiple, infinity_point)
+from conesing.divisors import (CurveCouple, finite_point, floor_multiple,
+                               infinity_point)
 from conesing.errors import (InternalInvariantError, NotQGorenstein,
                              PreconditionError, SingularMatrix)
 from conesing.linalg import RowSpan, det_int, solve
@@ -46,30 +47,74 @@ def random_couples(seed, count, max_q=12, max_degree=10, klt_only=True,
         if klt_only and boundary_total >= 2:
             continue
         terms[positions[k]] = terms.get(positions[k], 0) + rng.randint(-2, 4)
-        D = QDivisorP1.of(terms)
-        deg = D.degree()
-        if not (0 < deg <= max_degree):
+        if not (0 < divisor_degree(terms) <= max_degree):
             continue
-        out.append(CurveCouple(D))
+        out.append(CurveCouple.of(terms))
     return out
+
+
+def merged_terms(items):
+    """The terms of a divisor given as a mapping or as (point,
+    coefficient) pairs: coefficients summed per point, zeros dropped, the
+    points sorted.  The oracle of CurveCouple.of's merge."""
+    acc = {}
+    for p, c in (items.items() if isinstance(items, dict) else items):
+        acc[p] = acc.get(p, 0) + Fraction(c)
+    return tuple(sorted(((p, c) for p, c in acc.items() if c),
+                        key=lambda t: t[0].sort_key()))
+
+
+def integral_terms(items):
+    """The (point, int) terms of an integral divisor, merged as by
+    merged_terms: the shape of floor_multiple's result and of H."""
+    terms = merged_terms(items)
+    assert all(c.denominator == 1 for _, c in terms), terms
+    return tuple((p, int(c)) for p, c in terms)
+
+
+def plus(C, items):
+    """The couple whose divisor is that of C plus the divisor of items."""
+    items = items.items() if isinstance(items, dict) else items
+    return CurveCouple(merged_terms([*C.terms, *items]))
+
+
+def divisor(items):
+    """A Q-divisor that need not be ample, held as a couple holds its
+    terms: what floor_multiple and denominators_lcm read."""
+    return SimpleNamespace(terms=merged_terms(items))
+
+
+def terms_of(D):
+    """The terms of a couple or a divisor, the boundary of a standard
+    pair, or a bare tuple of terms itself."""
+    if hasattr(D, "boundary"):
+        return D.boundary
+    return getattr(D, "terms", D)
+
+
+def divisor_degree(D):
+    """The sum of the coefficients of a divisor, of its terms or of a
+    mapping from points to coefficients."""
+    terms = D.items() if isinstance(D, dict) else terms_of(D)
+    return sum((c for _, c in terms), Fraction(0))
 
 
 def canonical_divisor_p1():
     """The fixed representative -2 [inf] of the canonical class."""
-    return IntegralDivisorP1.of({infinity_point(): -2})
+    return integral_terms({infinity_point(): -2})
 
 
 def coeff(D, pt):
-    """The coefficient at pt of a divisor (its terms) or of a standard
-    pair (its boundary), by a scan of the terms; 0 off the support.  The
-    library reads each point's coefficient off its own term instead."""
-    terms = D.boundary if hasattr(D, "boundary") else D.terms
-    return next((c for p, c in terms if p == pt), 0)
+    """The coefficient at pt of a couple or a divisor (its terms) or of a
+    standard pair (its boundary), by a scan of the terms; 0 off the
+    support.  The library reads each point's coefficient off its own
+    term instead."""
+    return next((c for p, c in terms_of(D) if p == pt), 0)
 
 
 def support(D):
     """The points of a divisor's terms, in term order."""
-    return tuple(p for p, _ in D.terms)
+    return tuple(p for p, _ in terms_of(D))
 
 
 def chart_cone(C, pt):
@@ -78,7 +123,7 @@ def chart_cone(C, pt):
     numerator of the fractional part (adding integral multiples of the
     point is a unimodular change of chart).  The oracle of the pair that
     build_graph reads off each term."""
-    c = Fraction(coeff(C.divisor, pt))
+    c = Fraction(coeff(C, pt))
     return c.denominator, c.numerator % c.denominator
 
 
@@ -88,7 +133,7 @@ def horizontal_log_discrepancy(C, pt):
     the quotient boundary, each found by a scan of the terms.  The
     per-point oracle of quotient.horizontal_log_discrepancies."""
     from conesing.quotient import log_fano_quotient
-    w = Fraction(coeff(C.divisor, pt)).denominator
+    w = Fraction(coeff(C, pt)).denominator
     return w * (1 - Fraction(coeff(log_fano_quotient(C), pt)))
 
 
@@ -113,23 +158,22 @@ def fraction_vertex_decomposition(C):
     B = log_fano_quotient(C)
     if not is_log_fano(B):
         raise NotKlt(f"boundary degree {pair_boundary_degree(B)} is >= 2")
-    D = C.divisor
-    ratio = (pair_boundary_degree(B) - 2) / D.degree()     # u/m, negative
+    ratio = (pair_boundary_degree(B) - 2) / C.degree()     # u/m, negative
     m = lcm(ratio.denominator,
-            *((coeff(B, p) - ratio * c).denominator for p, c in D.terms))
+            *((coeff(B, p) - ratio * c).denominator for p, c in C.terms))
     u = int(m * ratio)
     kcan = canonical_divisor_p1()
     terms = {}
-    pts = set(support(D)) | set(support(kcan)) | {p for p, _ in B.boundary}
+    pts = set(support(C)) | set(support(kcan)) | {p for p, _ in B.boundary}
     for p in pts:
-        val = m * (coeff(kcan, p) + coeff(B, p)) - u * coeff(D, p)
+        val = m * (coeff(kcan, p) + coeff(B, p)) - u * coeff(C, p)
         if val.denominator != 1:
             raise InternalNonIntegral(f"coefficient {val} at {p}")
         if val != 0:
             terms[p] = int(val)
-    H = IntegralDivisorP1.of(terms)
-    if H.degree() != 0:
-        raise InternalNonIntegral(f"H has degree {H.degree()}")
+    H = integral_terms(terms)
+    if divisor_degree(H) != 0:
+        raise InternalNonIntegral(f"H has degree {divisor_degree(H)}")
     return VertexData(m=m, u=u, H=H)
 
 
@@ -139,17 +183,16 @@ def brute_min_decomposition(C, cap=2000):
     from conesing.quotient import log_fano_quotient
 
     B = log_fano_quotient(C)
-    D = C.divisor
     kb_deg = Fraction(-2) + sum((b for _, b in B.boundary), Fraction(0))
-    ratio = kb_deg / D.degree()
+    ratio = kb_deg / C.degree()
     kcan = canonical_divisor_p1()
     for m in range(1, cap + 1):
         u = m * ratio
         if u.denominator != 1:
             continue
         u = int(u)
-        pts = set(support(D)) | set(support(kcan)) | {p for p, _ in B.boundary}
-        vals = {p: m * (coeff(kcan, p) + coeff(B, p)) - u * coeff(D, p)
+        pts = set(support(C)) | set(support(kcan)) | {p for p, _ in B.boundary}
+        vals = {p: m * (coeff(kcan, p) + coeff(B, p)) - u * coeff(C, p)
                 for p in pts}
         if all(v.denominator == 1 for v in vals.values()):
             assert sum(vals.values()) == 0
@@ -282,7 +325,7 @@ def per_candidate_entry(fracs, degree, eps):
     if G.mld < eps:
         return None
     nf = normal_form(C)
-    assert nf.couple.divisor == C.divisor, "candidate not in normal form"
+    assert nf.couple == C, "candidate not in normal form"
     bd = G.blown_down
     hd = hilbert_series(C)
     assert bd.empty == (bd.embedding_dimension == 2)
@@ -290,7 +333,7 @@ def per_candidate_entry(fracs, degree, eps):
         "key": key_string(nf),
         "degree": fmt_q(C.degree()),
         "fractional": [[c.numerator % c.denominator, c.denominator]
-                       for _, c in C.divisor.terms if c.denominator > 1],
+                       for _, c in C.terms if c.denominator > 1],
         "a_e0": fmt_q(vertex_log_discrepancy(C)),
         "mld": fmt_q(G.mld),
         "cartier_index_kx": cartier_index_of_kx(C),
@@ -338,6 +381,26 @@ def unpruned_candidate_types(params):
         while fsum + n0 <= degree_max:
             yield fracs, fsum + n0
             n0 += 1
+
+
+def uncapped_catalog(params):
+    """The catalog swept through degree 2/eps for every type
+    (unpruned_candidate_types), each member kept when its mld is at
+    least eps, sorted as the catalog is: the oracle of the mld cap,
+    which enumerate_catalog checks instead of filtering."""
+    from conesing.catalog import _chain_solve, _type_member
+
+    members = []
+    try:
+        for fracs, degree in unpruned_candidate_types(params):
+            mld, entry = _type_member(fracs)(degree)
+            if mld >= params.epsilon:
+                members.append((degree, entry))
+    finally:
+        _chain_solve.cache_clear()
+        _type_member.cache_clear()
+    members.sort(key=lambda de: (de[0], de[1]["key"]))
+    return [e for _, e in members]
 
 
 def continuant(cs):
@@ -531,8 +594,8 @@ def fraction_nullspace(rows):
 
 def h0(C, n):
     """Dimension of the degree-n piece: max(0, deg floor(nD) + 1), with
-    floor(nD) built as a divisor."""
-    return max(0, floor_multiple(C.divisor, n).degree() + 1)
+    floor(nD) built as its terms."""
+    return max(0, divisor_degree(floor_multiple(C, n)) + 1)
 
 
 def multiplication_rank(C, a, b):
@@ -635,7 +698,7 @@ def fraction_star_graph(C):
 
     _klt_boundary_degree(C)
     deg = C.degree()
-    frac = sorted(((p, c) for p, c in C.divisor.terms if c.denominator > 1),
+    frac = sorted(((p, c) for p, c in C.terms if c.denominator > 1),
                   key=lambda t: t[0].sort_key())
     chains, elims = [], []
     for _, c in frac:

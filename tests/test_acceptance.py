@@ -87,7 +87,7 @@ def test_c02_comparison_on_curve_base():
     ok = True
     for C in couples:
         rows = horizontal_log_discrepancies(C)
-        ok = ok and [p for p, _ in rows] == [p for p, _ in C.divisor.terms]
+        ok = ok and [p for p, _ in rows] == [p for p, _ in C.terms]
         ok = ok and all(a == 1 for _, a in rows)
         G = build_graph(C)
         ok = ok and 1 + G.discrepancies[0] == vertex_log_discrepancy(C)
@@ -223,7 +223,7 @@ def test_c09_internal_consistency():
     compared = 0
     for C in pool:
         fracs = [(c.numerator % c.denominator, c.denominator)
-                 for _, c in C.divisor.terms if c.denominator > 1]
+                 for _, c in C.terms if c.denominator > 1]
         if len(fracs) > 2:
             continue
         c0 = F(fracs[0][0], fracs[0][1]) if fracs else F(0)

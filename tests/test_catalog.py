@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import floor
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conesing import audit, catalog, cli, divisors, hilbert, resolution
@@ -14,12 +14,13 @@ from conesing.catalog import (SearchParams, _admissible_types,
                               _fractional_coefficients, catalog_to_json,
                               enumerate_catalog, mld_spectrum, search_bounds)
 from conesing.divisors import normal_form
-from conesing.errors import BadEpsilon, ParseError, PreconditionError
+from conesing.errors import (BadEpsilon, CatalogMismatch, ParseError,
+                             PreconditionError)
 from conesing.jsonio import dumps
 from conesing.resolution import ResolutionGraph
 from helpers import (count_build_graph, entry_couple, graph_side_catalog,
                      key_string, per_candidate_catalog, per_candidate_entry,
-                     unpruned_candidate_types)
+                     uncapped_catalog, unpruned_candidate_types)
 
 F = Fraction
 
@@ -175,11 +176,10 @@ CAP_ORACLE_GRID = [(F(1), 3), (F(1), 6), (F(1, 2), 6), (F(1, 4), 4),
 
 
 @pytest.mark.parametrize("eps,N", CAP_ORACLE_GRID)
-def test_degree_cap_keeps_every_member(eps, N, monkeypatch):
+def test_degree_cap_keeps_every_member(eps, N):
     params = SearchParams(epsilon=eps, isotropy_bound=N)
     capped = enumerate_catalog(params)
-    monkeypatch.setattr(catalog, "_candidate_types", unpruned_candidate_types)
-    full = enumerate_catalog(params)
+    full = uncapped_catalog(params)
     assert capped == full
     assert dumps(catalog_to_json(capped, params)) == \
         dumps(catalog_to_json(full, params))
@@ -199,7 +199,8 @@ def test_degree_cap_skips_only_rejected_candidates(data):
     assume(skipped)
     for _ in range(3):
         fracs, degree = data.draw(st.sampled_from(skipped))
-        assert _evaluate_candidate((fracs, degree, eps)) is None
+        with pytest.raises(CatalogMismatch, match="is below epsilon"):
+            _evaluate_candidate((fracs, degree, eps))
         assert per_candidate_entry(fracs, degree, eps) is None
 
 
@@ -254,6 +255,54 @@ def test_catalog_equals_graph_side_enumeration(eps, N):
     graph_side = graph_side_catalog(eps, N)
     assert {e["key"]: F(e["mld"]) for e in entries} == graph_side
     assert mld_spectrum(entries) == tuple(sorted(set(graph_side.values())))
+
+
+# eps = a/b with 1 <= a <= b <= 8
+small_epsilons = st.integers(1, 8).flatmap(
+    lambda b: st.integers(1, b).map(lambda a: F(a, b)))
+
+
+def completeness_examples(test):
+    for eps, N in COMPLETENESS_GRID:
+        test = example(eps, N)(test)
+    return test
+
+
+@settings(max_examples=20, deadline=5000)
+@given(small_epsilons, st.integers(1, 6))
+@completeness_examples
+def test_catalog_equals_graph_side_enumeration_on_drawn_bounds(eps, N):
+    # the graph-side oracle takes up to about 0.35 s at N = 6, eps = 1/8
+    params = SearchParams(epsilon=eps, isotropy_bound=N)
+    entries = enumerate_catalog(params)
+    graph_side = graph_side_catalog(eps, N)
+    assert {e["key"]: F(e["mld"]) for e in entries} == graph_side
+    assert mld_spectrum(entries) == tuple(sorted(set(graph_side.values())))
+
+
+def test_sweep_checks_that_the_degree_cap_keeps_every_member_eps_lc(
+        monkeypatch, tmp_path):
+    # a candidate one degree past its type's cap has mld below eps: the
+    # sweep refuses it as an invariant breach instead of dropping it
+    params = SearchParams(epsilon=F(1), isotropy_bound=3)
+    candidates = catalog._candidate_types
+
+    def one_past_the_cap(params):
+        last = {}
+        for fracs, degree in candidates(params):
+            yield fracs, degree
+            last[fracs] = degree
+        yield from ((fracs, degree + 1) for fracs, degree in last.items())
+
+    monkeypatch.setattr(catalog, "_candidate_types", one_past_the_cap)
+    with pytest.raises(CatalogMismatch, match="is below epsilon 1 under the "
+                       "degree cap"):
+        enumerate_catalog(params)
+    assert cache_sizes() == (0, 0)
+    out = tmp_path / "catalog.json"
+    assert cli.main(["enumerate", "--epsilon", "1", "--isotropy-bound", "3",
+                     "--out", str(out)]) == 4
+    assert not out.exists()
 
 
 def test_audit_clean_catalog():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conesing import hilbert, sections
 from conesing.audit import audit_catalog
 from conesing.catalog import SearchParams, enumerate_catalog
-from conesing.divisors import (CurveCouple, QDivisorP1, canonical_couple,
+from conesing.divisors import (CurveCouple, canonical_couple,
                                denominators_lcm, finite_point)
 from conesing.errors import InternalInvariantError, NotKlt, SingularMatrix
 from conesing.linalg import det_int
@@ -31,7 +31,7 @@ from conesing.resolution import (BlownDownGraph, _chain_continuants,
 from conesing.hilbert import hilbert_series
 from conesing.sections import presentation
 from helpers import (POSITIONS, brute_min_decomposition, discrepancies,
-                     edge_scan_blow_down, entry_couple,
+                     divisor_degree, edge_scan_blow_down, entry_couple,
                      fraction_chain_alphas_betas,
                      fraction_vertex_decomposition, h0, intersection_matrix,
                      random_couples, scanned_generators)
@@ -59,9 +59,8 @@ def klt_couples(draw, max_q=9):
     fsum = sum(terms.values(), Fraction(0))
     # the integral point brings the degree into [t, t + 1)
     terms[positions[len(fracs)]] = -floor(fsum) + draw(st.integers(0, 3))
-    D = QDivisorP1.of(terms)
-    assume(D.degree() > 0)
-    return CurveCouple(D)
+    assume(divisor_degree(terms) > 0)
+    return CurveCouple.of(terms)
 
 
 @given(klt_couples())
@@ -70,7 +69,7 @@ def test_index_m_matches_upward_scan(C):
     # the scan stops at the least valid m, so a cap of vd.m suffices
     m, u, hterms = brute_min_decomposition(C, cap=vd.m)
     assert (vd.m, vd.u) == (m, u)
-    assert dict(vd.H.terms) == hterms
+    assert dict(vd.H) == hterms
 
 
 @given(st.integers(0, 10**6))
@@ -163,9 +162,8 @@ def any_couples(draw):
     coeff = st.fractions(min_value=-4, max_value=5, max_denominator=11)
     terms = draw(st.dictionaries(st.sampled_from(POSITIONS), coeff,
                                  min_size=1, max_size=5))
-    D = QDivisorP1.of(terms)
-    assume(D.degree() > 0)
-    return CurveCouple(D)
+    assume(divisor_degree(terms) > 0)
+    return CurveCouple.of(terms)
 
 
 @given(any_couples(), st.integers(0, 40))
@@ -215,8 +213,8 @@ def scanned_embedding_dimension(C):
     whose predecessor one period down is nonempty, so generators stop
     by L + ceil(k / deg D); one extra period is kept as margin.
     """
-    L = denominators_lcm(C.divisor)
-    k = len(C.divisor.terms)
+    L = denominators_lcm(C)
+    k = len(C.terms)
     return len(scanned_generators(C, 2 * L + ceil(Fraction(k) / C.degree())))
 
 

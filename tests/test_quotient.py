@@ -1,12 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conesing.audit import audit_catalog
-from conesing.divisors import (CurveCouple, IntegralDivisorP1, finite_point,
-                               infinity_point, normal_form, QDivisorP1)
+from conesing.divisors import (CurveCouple, finite_point, infinity_point,
+                               label_point, normal_form)
 from conesing.catalog import SearchParams
 from conesing.errors import (BadEpsilon, InternalNonIntegral, NotKlt,
                              PreconditionError)
@@ -16,9 +16,11 @@ from conesing.quotient import (StandardPair, cartier_index_of_kx,
                                log_fano_quotient, vertex_decomposition,
                                vertex_log_discrepancy)
 from conesing.resolution import build_graph
-from helpers import (POSITIONS, brute_min_decomposition, coeff,
-                     horizontal_log_discrepancy, is_eps_lc_pair, is_log_fano,
-                     pair_boundary_degree, per_candidate_entry, random_couples)
+from helpers import (POSITIONS, brute_min_decomposition, coeff, divisor_degree,
+                     fraction_vertex_decomposition, horizontal_log_discrepancy,
+                     integral_terms, is_eps_lc_pair, is_log_fano,
+                     pair_boundary_degree, per_candidate_entry, plus,
+                     random_couples)
 
 P0 = finite_point(0)
 P1 = finite_point(1)
@@ -67,7 +69,7 @@ def test_vertex_decomposition_integral_cone():
     C = CurveCouple.of({P0: 3})
     vd = vertex_decomposition(C)
     assert (vd.m, vd.u) == (3, -2)
-    assert vd.H == IntegralDivisorP1.of({P0: 6, PINF: -6})
+    assert vd.H == integral_terms({P0: 6, PINF: -6})
     for e in range(1, 9):
         vd = vertex_decomposition(CurveCouple.of({P0: e}))
         assert Fraction(vd.u, vd.m) == Fraction(-2, e)
@@ -87,7 +89,7 @@ def test_vertex_decomposition_matches_brute_force():
         vd = vertex_decomposition(C)
         m, u, hterms = brute_min_decomposition(C)
         assert vd.m == m and vd.u == u
-        assert dict(vd.H.terms) == hterms
+        assert dict(vd.H) == hterms
         assert vd.m > 0 and vd.u < 0
         # no smaller positive m works: scan below m directly
         for smaller in range(1, m):
@@ -120,12 +122,11 @@ def test_vertex_log_discrepancy_equals_ratio_and_decomposition():
 
 def test_vertex_log_discrepancy_normal_form_invariance():
     for C in random_couples(seed=12, count=20):
-        if sum(c.denominator > 1 for _, c in C.divisor.terms) > 3:
+        if sum(c.denominator > 1 for _, c in C.terms) > 3:
             continue                    # no normal form: positions are moduli
         nf = normal_form(C)
         assert vertex_log_discrepancy(nf.couple) == vertex_log_discrepancy(C)
-        shifted = CurveCouple(C.divisor + QDivisorP1.of({finite_point(11): 3,
-                                                         finite_point(13): -3}))
+        shifted = plus(C, {finite_point(11): 3, finite_point(13): -3})
         assert vertex_log_discrepancy(shifted) == vertex_log_discrepancy(C)
 
 
@@ -152,7 +153,7 @@ def test_horizontal_log_discrepancy_is_one():
 def test_horizontal_log_discrepancies_one_row_per_term():
     for C in random_couples(seed=31, count=60, max_q=20):
         rows = horizontal_log_discrepancies(C)
-        assert [p for p, _ in rows] == [p for p, _ in C.divisor.terms]
+        assert [p for p, _ in rows] == [p for p, _ in C.terms]
         assert all(a == 1 for _, a in rows)
 
 
@@ -164,18 +165,51 @@ def klt_divisor_couples(draw):
         st.sampled_from(POSITIONS[:5]),
         st.fractions(min_value=-3, max_value=4, max_denominator=9),
         min_size=1, max_size=5))
-    D = QDivisorP1.of(terms)
-    assume(D.degree() > 0)
-    couple = CurveCouple(D)
+    assume(divisor_degree(terms) > 0)
+    couple = CurveCouple.of(terms)
     assume(couple.boundary_degree() < 2)
     return couple
+
+
+@st.composite
+def labelled_klt_couples(draw):
+    """Klt couples on finite points and label points, with a term at
+    infinity or without one."""
+    points = [P0, P1, finite_point(F(1, 2)), finite_point(-2),
+              label_point("a"), label_point("b")]
+    if draw(st.booleans()):
+        points.append(PINF)
+    terms = draw(st.dictionaries(
+        st.sampled_from(points),
+        st.fractions(min_value=-3, max_value=4, max_denominator=9),
+        min_size=1, max_size=5))
+    assume(divisor_degree(terms) > 0)
+    couple = CurveCouple.of(terms)
+    assume(couple.boundary_degree() < 2)
+    return couple
+
+
+@given(labelled_klt_couples())
+@example(CurveCouple.of({label_point("b"): F(1, 2), P0: F(1, 2),
+                         label_point("a"): 1}))
+@example(CurveCouple.of({label_point("a"): F(1, 3), PINF: F(-2, 3),
+                         finite_point(F(1, 2)): F(1, 2)}))
+def test_decomposition_terms_are_in_point_order_with_degree_zero(C):
+    # H is built in point order, with [inf] after the finite points and
+    # before the labels, and no zero term
+    H = vertex_decomposition(C).H
+    keys = [p.sort_key() for p, _ in H]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(type(h) is int and h != 0 for _, h in H)
+    assert sum(h for _, h in H) == 0
+    assert H == fraction_vertex_decomposition(C).H
 
 
 @given(klt_divisor_couples())
 def test_horizontal_log_discrepancies_match_the_per_point_formula(C):
     rows = horizontal_log_discrepancies(C)
     assert rows == tuple((p, horizontal_log_discrepancy(C, p))
-                         for p, _ in C.divisor.terms)
+                         for p, _ in C.terms)
 
 
 def test_horizontal_log_discrepancies_check_the_boundary(monkeypatch):

@@ -12,9 +12,8 @@ import pytest
 from conesing.audit import audit_catalog
 from conesing.catalog import SearchParams, enumerate_catalog
 from conesing.counterexamples import diagonal_cone_report, rnc_family_report
-from conesing.divisors import (CurveCouple, IntegralDivisorP1, MarkedPoint,
-                               QDivisorP1, finite_point, infinity_point,
-                               label_point, normal_form)
+from conesing.divisors import (CurveCouple, MarkedPoint, finite_point,
+                               infinity_point, label_point, normal_form)
 from conesing.errors import PreconditionError
 from conesing.quotient import log_fano_quotient, vertex_decomposition
 from conesing.records import Record
@@ -38,8 +37,6 @@ def make_all():
         "MarkedPoint": finite_point(F(1, 2)),
         "MarkedPoint.inf": pinf,
         "MarkedPoint.lbl": label_point("a"),
-        "QDivisorP1": QDivisorP1.of({p0: F(1, 2), pinf: 3}),
-        "IntegralDivisorP1": IntegralDivisorP1.of({p0: 2, pinf: -2}),
         "CurveCouple": E6,
         "NormalForm": normal_form(E6),
         "StandardPair": log_fano_quotient(E6),
@@ -64,18 +61,15 @@ EXPECTED = {
         '[inf]'),
     'MarkedPoint.lbl': (('kind', 'x', 'name'),
         '[a]'),
-    'QDivisorP1': (('terms',),
-        '(1/2)[0] + (3)[inf]'),
-    'IntegralDivisorP1': (('terms',),
-        '(2)[0] + (-2)[inf]'),
-    'CurveCouple': (('divisor',),
-        'CurveCouple(divisor=(-1/2)[0] + (1/3)[1] + (1/3)[inf])'),
+    # a couple is its terms, and H the tuple of its integral terms
+    'CurveCouple': (('terms',),
+        'CurveCouple(terms=(([0], Fraction(-1, 2)), ([1], Fraction(1, 3)), ([inf], Fraction(1, 3))))'),
     'NormalForm': (('couple', 'key'),
-        'NormalForm(couple=CurveCouple(divisor=(-1/2)[0] + (1/3)[1] + (1/3)[inf]), key=((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)), Fraction(1, 6)))'),
+        'NormalForm(couple=CurveCouple(terms=(([0], Fraction(-1, 2)), ([1], Fraction(1, 3)), ([inf], Fraction(1, 3)))), key=((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)), Fraction(1, 6)))'),
     'StandardPair': (('boundary',),
         'StandardPair(boundary=(([0], Fraction(1, 2)), ([1], Fraction(2, 3)), ([inf], Fraction(2, 3))))'),
     'VertexData': (('m', 'u', 'H'),
-        'VertexData(m=1, u=-1, H=(1)[1] + (-1)[inf])'),
+        'VertexData(m=1, u=-1, H=(([1], 1), ([inf], -1)))'),
     # the discrepancies are held as integers over one denominator
     'ResolutionGraph': (('central_self_int', 'chains', 'numerators', 'denominator', 'determinant'),
         'ResolutionGraph(central_self_int=-2, chains=((-2,), (-2, -2), (-2, -2)), numerators=(0, 0, 0, 0, 0, 0), denominator=6, determinant=3)'),
@@ -107,7 +101,7 @@ def test_every_record_class_is_covered():
                if isinstance(cls, type) and cls.__module__ == mod.__name__
                and issubclass(cls, Record)}
     assert {type(v) for v in INSTANCES.values()} == classes
-    assert len(classes) == 15
+    assert len(classes) == 13
 
 
 def assert_same_hash(*objs):

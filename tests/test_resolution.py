@@ -9,14 +9,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conesing import catalog, cli, resolution
-from conesing.divisors import (CurveCouple, QDivisorP1, finite_point,
+from conesing.divisors import (CurveCouple, finite_point,
                                infinity_point)
 from conesing.errors import NotKlt, PreconditionError
 from conesing.linalg import det_int
 from conesing.quotient import vertex_log_discrepancy
 from conesing.resolution import build_graph, hj_chain, hj_chain_length
 from conesing.toric import ConeOfX
-from helpers import (POSITIONS, chart_cone, discrepancies,
+from helpers import (POSITIONS, chart_cone, discrepancies, divisor_degree,
                      fraction_star_graph, intersection_matrix,
                      is_negative_definite, lattice_mld, random_couples)
 
@@ -204,16 +204,15 @@ def klt_couples(draw):
     terms = [(pt, f + draw(st.integers(-3, 3)))
              for pt, f in zip(points, fracs)]
     terms.append((points[3], draw(st.integers(-4, 6))))
-    D = QDivisorP1.of(terms)
-    assume(D.degree() > 0)
-    return CurveCouple(D)
+    assume(divisor_degree(terms) > 0)
+    return CurveCouple.of(terms)
 
 
 @given(klt_couples())
 def test_chains_are_those_of_the_chart_cones(Cp):
     # the chart cone of each fractional point, found by a scan of the
     # terms, against the pair build_graph reads off the point's own term
-    frac = sorted((pt for pt, c in Cp.divisor.terms if c.denominator > 1),
+    frac = sorted((pt for pt, c in Cp.terms if c.denominator > 1),
                   key=lambda pt: pt.sort_key())
     assert build_graph(Cp).chains == tuple(hj_chain(*chart_cone(Cp, pt))
                                            for pt in frac)
@@ -273,9 +272,8 @@ def test_central_self_intersection_closed_form():
     # b0 = sum of floors + number of fractional points
     for Cp in random_couples(seed=23, count=40):
         G = build_graph(Cp)
-        D = Cp.divisor
-        b0 = sum(c.numerator // c.denominator for _, c in D.terms) + \
-            sum(1 for _, c in D.terms if c.denominator > 1)
+        b0 = sum(c.numerator // c.denominator for _, c in Cp.terms) + \
+            sum(1 for _, c in Cp.terms if c.denominator > 1)
         assert G.central_self_int == -b0
 
 

@@ -83,17 +83,17 @@ def test_section_basis_examples():
     # the numerator degree
     space = SectionSpace(CurveCouple.of({PINF: 1}))
     assert space.dim(1) == 2
-    assert dict(floor_multiple(space.D, 1).terms) == {PINF: 1}
+    assert dict(floor_multiple(space.couple, 1)) == {PINF: 1}
     assert space.floor_data(1) == {"deg": 1, "fin": {}}
 
     space = SectionSpace(CurveCouple.of({P0: F(1, 2)}))
     assert space.dim(2) == 2
-    assert dict(floor_multiple(space.D, 2).terms) == {P0: 1}
+    assert dict(floor_multiple(space.couple, 2)) == {P0: 1}
     assert space.floor_data(2) == {"deg": 1, "fin": {0: 1}}
 
     space = SectionSpace(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}))
     assert space.dim(2) == 3
-    assert dict(floor_multiple(space.D, 2).terms) == {P0: 1, P1: 1}
+    assert dict(floor_multiple(space.couple, 2)) == {P0: 1, P1: 1}
     assert space.floor_data(2) == {"deg": 2, "fin": {0: 1, 1: 1}}
 
 
@@ -101,7 +101,7 @@ def test_section_basis_with_labels():
     space = SectionSpace(CurveCouple.of({label_point("p"): F(1, 2),
                                          label_point("q"): F(1, 2)}))
     assert space.dim(2) == 3
-    assert all(p.kind != "lbl" for p in support(space.D))
+    assert all(p.kind != "lbl" for p in support(space.couple))
 
 
 def test_multiplication_rank_examples():

@@ -28,9 +28,9 @@ PINF = infinity_point()
 
 def toric_model_of_couple(C: CurveCouple):
     """Couple supported in {0, infinity} as a fan-plus-divisor."""
-    c0 = coeff(C.divisor, P0)
-    cinf = coeff(C.divisor, PINF)
-    for p, _ in C.divisor.terms:
+    c0 = coeff(C, P0)
+    cinf = coeff(C, PINF)
+    for p, _ in C.terms:
         assert p in (P0, PINF)
     return fan_p1(), ToricDivisor.of([c0, cinf])
 
