@@ -283,8 +283,7 @@ def _evaluate_candidate(args):
 
 def enumerate_catalog(params: SearchParams) -> List[dict]:
     """The catalog at params as entry objects, ordered by degree, then
-    key.  The sweep always runs in this process; the CLI's --jobs is
-    range-checked for compatibility and changes nothing."""
+    key, swept in this process whatever the CLI's --jobs."""
     eps = params.epsilon
     seen = {}
     try:

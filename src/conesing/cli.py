@@ -12,8 +12,9 @@ verify-examples).  `main` imports only the module of the command it
 runs, and each handler imports the layers it runs in its own body, so
 a command loads only its own modules.  `--version` alone, and a
 subcommand with plain `--flag value` arguments, are answered without
-loading argparse; help, abbreviated or repeated flags and every refusal
-go through it.
+loading argparse; help, abbreviated or repeated flags and argparse's
+refusals go through it.  An int flag outside the range that the option
+table accepts exits 3 before any handler is imported.
 """
 
 from __future__ import annotations
@@ -84,22 +85,29 @@ def write_failed(exc: OSError) -> int:
 
 def _commands() -> dict:
     """Each subcommand's family, help line and options in help order;
-    an option is (flag, type, required, default, help).  The handler of
+    an option is (flag, type, required, default, help, accepted), with
+    accepted the (least, greatest) int values, either end None when it
+    is open, or None for a flag that is not ranged.  The handler of
     command `name` is `cmd_<name>` of the module `cli_<family>`."""
-    couple = ("--couple", str, True, None, "couple JSON file ('-' for stdin)")
-    out = ("--out", str, False, None, "write JSON here instead of stdout")
-    search = (("--epsilon", str, True, None, None),
-              ("--isotropy-bound", int, True, None, None))
-    jobs = ("--jobs", int, False, os.cpu_count() or 1, None)
+    couple = ("--couple", str, True, None, "couple JSON file ('-' for stdin)",
+              None)
+    out = ("--out", str, False, None, "write JSON here instead of stdout",
+           None)
+    search = (("--epsilon", str, True, None, None, None),
+              ("--isotropy-bound", int, True, None, None, (1, None)))
+    cpus = os.cpu_count() or 1
+    jobs = ("--jobs", int, False, cpus, None, (1, cpus))
+    # upper ends stop runs of minutes, lower ends checks that are vacuous
     return {
         "describe": ("couple", "full invariant report for a couple",
                      (couple, out)),
         "hilbert": ("couple", "Hilbert series of the section ring",
-                    (couple, out,
-                     ("--through", int, False, None, "also list h(0..N)"))),
+                    (couple, out, ("--through", int, False, None,
+                                   "also list h(0..N)", (0, 10**6)))),
         "presentation": ("couple", "generators and relations",
-                         (couple, out, ("--gen-bound", int, False, None, None),
-                          ("--rel-bound", int, False, None, None))),
+                         (couple, out,
+                          ("--gen-bound", int, False, None, None, (1, None)),
+                          ("--rel-bound", int, False, None, None, (2, None)))),
         "discrepancy": ("couple", "quotient-side discrepancy data",
                         (couple, out)),
         "resolve": ("couple", "star-shaped resolution graph", (couple, out)),
@@ -108,16 +116,17 @@ def _commands() -> dict:
         "mld-set": ("catalog", "mld spectrum of a catalog",
                     (*search, jobs, out)),
         "audit": ("catalog", "re-verify a catalog file",
-                  (("--catalog", str, True, None, None), *search, out)),
+                  (("--catalog", str, True, None, None, None), *search, out)),
         "toric-check": ("checks", "discrepancy comparison on a fan",
-                        (("--fan", str, True, None, None),
-                         ("--divisor", str, True, None, None),
-                         ("--samples", int, False, 20, None),
-                         ("--seed", int, False, None, None), out)),
+                        (("--fan", str, True, None, None, None),
+                         ("--divisor", str, True, None, None, None),
+                         ("--samples", int, False, 20, None, (0, 10**5)),
+                         ("--seed", int, False, None, None, None), out)),
         "verify-examples": ("checks", "run the counterexample families",
-                            (("--an-n", int, False, 200, None),
-                             ("--an-box", int, False, 500, None),
-                             ("--rnc-max", int, False, 50, None), out)),
+                            (("--an-n", int, False, 200, None, (1, 10**6)),
+                             ("--an-box", int, False, 500, None, (1, None)),
+                             ("--rnc-max", int, False, 50, None, (4, 10**4)),
+                             out)),
     }
 
 
@@ -149,7 +158,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, text, options) in _commands().items():
         p = sub.add_parser(name, help=text)
-        for flag, kind, required, default, helptext in options:
+        for flag, kind, required, default, helptext, _ in options:
             p.add_argument(flag, type=kind, required=required,
                            default=default, help=helptext)
     return ap
@@ -169,7 +178,7 @@ def _plain_args(argv):
     if len(given) != len(argv) // 2:
         return None
     args = SimpleNamespace(command=argv[0])
-    for flag, kind, required, default, _ in options:
+    for flag, kind, required, default, _, _ in options:
         value = given.pop(flag, None)
         if value is None:
             if required:
@@ -202,6 +211,13 @@ def main(argv=None) -> int:
     from .errors import (ConesingError, InternalInvariantError, ParseError,
                          PreconditionError)
     try:
+        for flag, *_, accepted in _commands()[args.command][2]:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            least, greatest = accepted or (None, None)
+            if value is not None and least is not None and value < least:
+                raise PreconditionError(f"{flag} {value} must be >= {least}")
+            if value is not None and greatest is not None and value > greatest:
+                raise PreconditionError(f"{flag} {value} exceeds {greatest}")
         return _handler(args.command)(args)
     except _StdoutFailed:
         return 3

@@ -3,10 +3,8 @@ Each imports the layers it runs in its own body."""
 
 from __future__ import annotations
 
-import os
-
 from .cli import _emit, _read_json
-from .errors import ParseError, PreconditionError
+from .errors import ParseError
 
 
 def _search_params(args):
@@ -16,19 +14,9 @@ def _search_params(args):
                         isotropy_bound=args.isotropy_bound)
 
 
-def _check_jobs(jobs: int) -> None:
-    """Refuse --jobs outside 1..os.cpu_count().  The sweep always runs
-    in one process; the flag is kept, and checked, for compatibility."""
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise PreconditionError(f"jobs {jobs} is outside 1..{cpus} "
-                                "(the CPU count)")
-
-
 def cmd_enumerate(args) -> int:
     from .catalog import catalog_to_json, enumerate_catalog, search_bounds
     params = _search_params(args)
-    _check_jobs(args.jobs)
     entries = enumerate_catalog(params)
     doc = catalog_to_json(entries, params)
     doc["bounds"] = search_bounds(params)
@@ -39,7 +27,6 @@ def cmd_enumerate(args) -> int:
 def cmd_mld_set(args) -> int:
     from .catalog import catalog_to_json, enumerate_catalog
     params = _search_params(args)
-    _check_jobs(args.jobs)
     catalog = catalog_to_json(enumerate_catalog(params), params)
     _emit({"params": catalog["params"], **catalog["summary"]}, args.out)
     return 0

@@ -79,7 +79,7 @@ class MarkedPoint(Record):
 
 
 def finite_point(x: Rational) -> MarkedPoint:
-    return MarkedPoint("fin", Fraction(x))
+    return MarkedPoint("fin", x)
 
 
 def infinity_point() -> MarkedPoint:
@@ -113,11 +113,9 @@ def _fraction_sum(pairs) -> Fraction:
 def _merge_terms(items) -> Tuple[Tuple[MarkedPoint, Fraction], ...]:
     acc = {}
     for pt, c in items:
-        c = Fraction(c)
-        if pt in acc:
-            acc[pt] += c
-        else:
-            acc[pt] = c
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        acc[pt] = acc[pt] + c if pt in acc else c
     terms = [(pt, c) for pt, c in acc.items() if c != 0]
     terms.sort(key=lambda t: t[0].sort_key())
     return tuple(terms)

@@ -264,7 +264,8 @@ def _hypersurface_relation_degree(hd: HilbertData,
     return r
 
 
-def _certify_generator_count(C: CurveCouple, count: int) -> None:
+def _certify_generator_count(C: CurveCouple, count: int,
+                             gen_bound: Optional[int]) -> None:
     """For a klt couple the minimal generator count is the embedding
     dimension, which Artin's formula reads off the blown-down graph."""
     from .resolution import build_graph
@@ -273,6 +274,9 @@ def _certify_generator_count(C: CurveCouple, count: int) -> None:
     except NotKlt:
         return
     expected = G.blown_down.embedding_dimension
+    if gen_bound is not None and count < expected:
+        raise BoundTooSmall(f"generator bound {gen_bound} finds {count} "
+                            f"generators, below embedding dimension {expected}")
     if count != expected:
         raise InternalInvariantError(
             f"the scan found {count} generators, but the blown-down graph "
@@ -289,7 +293,8 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     Correctness is certified by saturation: the subalgebra generated by
     the reported generators must reproduce the Hilbert function through
     verified_through = 2 max(gen_bound, rel_bound), else BoundTooSmall.
-    For a klt couple their number must be Artin's embedding dimension.
+    For a klt couple their number must be Artin's embedding dimension;
+    fewer under an explicit gen_bound mean it is BoundTooSmall.
     With three generators the Hilbert series forces one relation of a
     known degree: a rel_bound below it is BoundTooSmall, and the search
     must find exactly that relation.  Computing the Hilbert series first
@@ -298,6 +303,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     which has none, needs an explicit gen_bound (NotKlt otherwise).
     """
     hd = hilbert_series(C)
+    explicit = gen_bound
     if gen_bound is None:
         deg_b = C.boundary_degree()
         if deg_b >= 2:
@@ -312,7 +318,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     space = SectionSpace(C)
     scan = _GeneratorScan(space)
     gen_degrees = scan.run(gen_bound, verified_through)
-    _certify_generator_count(C, len(gen_degrees))
+    _certify_generator_count(C, len(gen_degrees), explicit)
     forced = None
     if len(gen_degrees) == 3:
         forced = _hypersurface_relation_degree(hd, gen_degrees)

@@ -330,7 +330,7 @@ def cli_argvs(draw):
     name = draw(st.sampled_from([*commands, "bogus", "--version"]))
     options = commands[name][2] if name in commands else ()
     pairs = []
-    for flag, kind, required, _, _ in options:
+    for flag, kind, required, *_ in options:
         if draw(st.integers(0, 3)) < (3 if required else 2):
             plain = st.integers(0, 99).map(str) if kind is int else \
                 st.sampled_from(["c.json", "1/2", "7"])
@@ -495,21 +495,17 @@ def test_presentation_generator_count_certificate_exits_4(tmp_path,
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("command", ["enumerate", "mld-set"])
-@pytest.mark.parametrize("jobs", ["0", "cpus+1"])
-def test_jobs_outside_cpu_range_exit_3_before_any_pool(command, jobs,
-                                                        capsys):
-    import os
-    from conesing import cli
-    cpus = os.cpu_count() or 1
-    value = str(cpus + 1) if jobs == "cpus+1" else jobs
-    code = cli.main([command, "--epsilon", "1", "--isotropy-bound", "2",
-                     "--jobs", value])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert f"jobs {value} is outside 1..{cpus}" in captured.err
-    assert "Traceback" not in captured.err
+def test_presentation_bound_below_a_generator_exits_3():
+    # (1/200)[0] has generators in degrees 1 and 200: every degree below
+    # 200 is one-dimensional, so the scan to 30 saturates through 60 and
+    # only Artin's count sees the missing generator
+    chain200 = Path(__file__).resolve().parent / "golden" / "couples" / \
+        "chain200.json"
+    res = run_cli("presentation", "--couple", str(chain200), "--gen-bound",
+                  "30", "--rel-bound", "30")
+    assert (res.returncode, res.stdout, res.stderr) == (
+        3, "", "precondition violated: generator bound 30 finds 1 "
+        "generators, below embedding dimension 2\n")
 
 
 def test_audit_of_tampered_embedding_dimension_exits_1(tmp_path, capsys):
@@ -700,51 +696,126 @@ def test_denominator_10_to_30_exits_3_within_a_second(command, message):
     assert res.stderr == f"precondition violated: {message}\n"
 
 
-FANS = Path(__file__).resolve().parent / "golden" / "fans"
-TORIC_P3 = ["toric-check", "--fan", str(FANS / "P3.json"),
-            "--divisor", str(FANS / "P3.divisor.json")]
-# (argv without the capped flag, flag, handler module, cap constant,
-# oversized value)
-CAPPED_FLAGS = [
-    (["hilbert", "--couple", "-"], "--through", "cli_couple", "THROUGH_MAX",
-     10**10),
-    (TORIC_P3, "--samples", "cli_checks", "SAMPLES_MAX", 10**9),
-    (["verify-examples", "--an-box", "5"], "--an-n", "cli_checks", "AN_N_MAX",
-     10**9),
-    (["verify-examples", "--an-box", "5"], "--rnc-max", "cli_checks",
-     "RNC_DEGREE_MAX", 10**6),
-]
-
-
-@pytest.mark.parametrize("argv,flag,module,cap,value", CAPPED_FLAGS,
-                         ids=[c[1] for c in CAPPED_FLAGS])
-def test_count_flag_above_its_cap_exits_3_within_a_second(argv, flag, module,
-                                                          cap, value):
-    import importlib
-    import time
-    start = time.perf_counter()
-    res = run_cli(*argv, flag, str(value), input_text=A3)
-    assert time.perf_counter() - start < 1.0
-    assert res.returncode == 3
-    assert res.stdout == ""
-    limit = getattr(importlib.import_module(f"conesing.{module}"), cap)
-    assert res.stderr == (f"precondition violated: {flag} {value} exceeds "
-                          f"{cap} = {limit}\n")
-
-
-@pytest.mark.parametrize("argv,flag,module,cap,value", CAPPED_FLAGS,
-                         ids=[c[1] for c in CAPPED_FLAGS])
-def test_count_flag_at_its_cap_runs(argv, flag, module, cap, value,
-                                    monkeypatch, capsys):
-    # caps lowered to small values: the cap itself runs, one more exits 3
-    import importlib
+def ranged_options():
+    """(command, flag, least, greatest) of every ranged option in the
+    CLI's option table."""
     from conesing import cli
-    monkeypatch.setattr(importlib.import_module(f"conesing.{module}"), cap, 6)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(A3))
-    assert cli.main([*argv, flag, "6"]) == 0
-    monkeypatch.setattr(sys, "stdin", io.StringIO(A3))
-    assert cli.main([*argv, flag, "7"]) == 3
-    assert capsys.readouterr().err.endswith(f"{flag} 7 exceeds {cap} = 6\n")
+    return [(name, flag, *accepted)
+            for name, (_, _, options) in cli._commands().items()
+            for flag, *_, accepted in options if accepted is not None]
+
+
+def flags_with(end):
+    """Each flag whose range has a least (end 0) or a greatest (end 1),
+    mapped to the commands that take it, each with that end."""
+    found = {}
+    for command, flag, *accepted in ranged_options():
+        if accepted[end] is not None:
+            found.setdefault(flag, []).append((command, accepted[end]))
+    return found
+
+
+def argv_with(command, flag, value):
+    """command with flag at value and every other required flag at a
+    value in its range or a path that does not exist, which no handler
+    reads before the range check."""
+    from conesing import cli
+    argv = [command]
+    for other, kind, required, *_, accepted in cli._commands()[command][2]:
+        if required and other != flag:
+            argv += [other, str(accepted[0]) if kind is int else "missing"]
+    return [*argv, flag, str(value)]
+
+
+def refusal(flag, value, least, greatest):
+    """The stderr of main's refusal of flag at value, outside the range
+    from least to greatest."""
+    if least is not None and value < least:
+        return f"precondition violated: {flag} {value} must be >= {least}\n"
+    assert greatest is not None and value > greatest
+    return f"precondition violated: {flag} {value} exceeds {greatest}\n"
+
+
+def assert_refused_within_a_second(command, flag, value, least, greatest):
+    start = time.perf_counter()
+    res = run_cli(*argv_with(command, flag, value))
+    assert time.perf_counter() - start < 1.0
+    assert (res.returncode, res.stdout, res.stderr) == (
+        3, "", refusal(flag, value, least, greatest))
+
+
+@pytest.mark.parametrize("flag", sorted(flags_with(1)))
+def test_count_flag_above_its_cap_exits_3_within_a_second(flag):
+    for command, greatest in flags_with(1)[flag]:
+        assert_refused_within_a_second(command, flag, greatest + 1, None,
+                                       greatest)
+
+
+@pytest.mark.parametrize("flag", sorted(flags_with(0)))
+def test_flag_below_its_least_exits_3_within_a_second(flag):
+    # refused before the handler reads a file or parses --epsilon
+    for command, least in flags_with(0)[flag]:
+        assert_refused_within_a_second(command, flag, least - 1, least, None)
+
+
+def narrow(monkeypatch, flag):
+    """Patch the option table so that flag accepts 3 to 6, and the
+    handlers so that they record their arguments; returns the record."""
+    from conesing import cli
+    table = cli._commands()
+
+    def narrowed(option):
+        return (*option[:5], (3, 6)) if option[0] == flag else option
+
+    monkeypatch.setattr(cli, "_commands", lambda: {
+        name: (family, text, tuple(map(narrowed, options)))
+        for name, (family, text, options) in table.items()})
+    seen = []
+    monkeypatch.setattr(cli, "_handler",
+                        lambda command: lambda args: seen.append(args) or 0)
+    return seen
+
+
+@pytest.mark.parametrize("flag", sorted(flags_with(1)))
+def test_count_flag_at_its_cap_runs(flag, monkeypatch, capsys):
+    # the range narrowed to 3..6: the cap itself runs, one more exits 3
+    from conesing import cli
+    seen = narrow(monkeypatch, flag)
+    for command, _ in flags_with(1)[flag]:
+        assert cli.main(argv_with(command, flag, 6)) == 0
+        assert getattr(seen.pop(), flag[2:].replace("-", "_")) == 6
+        assert cli.main(argv_with(command, flag, 7)) == 3
+        assert capsys.readouterr().err == refusal(flag, 7, None, 6)
+
+
+@pytest.mark.parametrize("flag", sorted(flags_with(0)))
+def test_flag_at_its_least_runs(flag, monkeypatch, capsys):
+    # the range narrowed to 3..6: the least itself runs, one less exits 3
+    from conesing import cli
+    seen = narrow(monkeypatch, flag)
+    for command, _ in flags_with(0)[flag]:
+        assert cli.main(argv_with(command, flag, 3)) == 0
+        assert getattr(seen.pop(), flag[2:].replace("-", "_")) == 3
+        assert cli.main(argv_with(command, flag, 2)) == 3
+        assert capsys.readouterr().err == refusal(flag, 2, 3, None)
+
+
+@given(st.data())
+def test_any_value_outside_its_range_exits_3(data):
+    from conesing import cli
+    command, flag, least, greatest = data.draw(
+        st.sampled_from(ranged_options()))
+    outside = []
+    if least is not None:
+        outside.append(st.integers(-10**12, least - 1))
+    if greatest is not None:
+        outside.append(st.integers(greatest + 1, 10**12))
+    value = data.draw(st.one_of(outside))
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv_with(command, flag, value))
+    assert (code, out.getvalue(), err.getvalue()) == (
+        3, "", refusal(flag, value, least, greatest))
 
 
 def test_audit_of_entry_with_non_string_key_exits_2(tmp_path, capsys):

@@ -183,6 +183,21 @@ def test_every_command_dispatches_to_a_handler():
         assert callable(cli._handler(name)), name
 
 
+def test_every_int_flag_declares_its_range():
+    # main refuses a value outside the range before any handler runs;
+    # only --seed, which any int fits, is open at both ends; a default
+    # outside its range would refuse the command without the flag
+    from conesing import cli
+    for name, (_, _, options) in cli._commands().items():
+        for flag, kind, _, default, _, accepted in options:
+            if kind is int and flag != "--seed":
+                assert accepted is not None, (name, flag)
+            if accepted is not None and default is not None:
+                least, greatest = accepted
+                assert least is None or default >= least, (name, flag)
+                assert greatest is None or default <= greatest, (name, flag)
+
+
 def test_every_top_level_import_in_src_is_used():
     assert unused_imports() == []
 

@@ -80,14 +80,14 @@ def fresh_env():
     return env
 
 
-def probe(argv, tmp_path):
+def probe(argv, tmp_path, code=0):
     out = tmp_path / "probe.json"
     res = subprocess.run([sys.executable, "-c", PROBE, str(out), *argv],
                          capture_output=True, text=True, env=fresh_env(),
                          cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     found = json.loads(out.read_text(encoding="utf-8"))
-    assert found["code"] == 0, res.stderr
+    assert found["code"] == code, res.stderr
     return found
 
 
@@ -101,6 +101,21 @@ def test_command_loads_only_its_modules(argv, layers, tmp_path):
     # every argv above is plain `--flag value` pairs, which cli parses
     # without argparse
     assert "argparse" not in found["toplevel"]
+
+
+# one flag out of its range per family of commands, each with the
+# others at values that no handler has read yet
+REFUSED = [
+    ["hilbert", "--couple", E6, "--through", str(10**6 + 1)],
+    ["enumerate", "--epsilon", "1", "--isotropy-bound", "3", "--jobs", "0"],
+    ["verify-examples", "--an-n", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=[argv[0] for argv in REFUSED])
+def test_refused_flag_loads_only_the_dispatcher(argv, tmp_path):
+    found = probe(argv, tmp_path, code=3)
+    assert found["modules"] == ["conesing", "conesing.cli", "conesing.errors"]
 
 
 def test_probe_sees_the_standard_library(tmp_path):
