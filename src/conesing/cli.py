@@ -106,8 +106,11 @@ def _commands() -> dict:
                                    "also list h(0..N)", (0, 10**6)))),
         "presentation": ("couple", "generators and relations",
                          (couple, out,
-                          ("--gen-bound", int, False, None, None, (1, None)),
-                          ("--rel-bound", int, False, None, None, (2, None)))),
+                          ("--gen-bound", int, False, None, "cap on the "
+                           "generator degrees; klt needs none", (1, None)),
+                          ("--rel-bound", int, False, None, "cap on the "
+                           "relation degrees; klt needs none, else it "
+                           "defaults to --gen-bound", (2, None)))),
         "discrepancy": ("couple", "quotient-side discrepancy data",
                         (couple, out)),
         "resolve": ("couple", "star-shaped resolution graph", (couple, out)),

@@ -63,6 +63,12 @@ def _checked_period(C: CurveCouple) -> int:
     return L
 
 
+def nonnegative_from(C: CurveCouple) -> int:
+    """A degree n0 from which every deg floor(nD) is nonnegative:
+    ceil(#terms / deg D), since each term's floor loses less than 1."""
+    return ceil(len(C.terms) / C.degree())
+
+
 def hilbert_values(C: CurveCouple, through: int) -> List[int]:
     """h(0) .. h(through) as max(0, sum_p (n a_p) // b_p + 1), read off
     the integer pairs (a_p, b_p) of the coefficients of D."""
@@ -77,12 +83,12 @@ def hilbert_values(C: CurveCouple, through: int) -> List[int]:
 
 def hilbert_series(C: CurveCouple) -> HilbertData:
     """The closed form of the Hilbert series, read off hilbert_values
-    through n0 + 2L + 2 (n0: the degree from which every floor degree is
-    nonnegative) and certified twice: the numerator must vanish past
-    n0 + L, and its expansion must give back the values."""
+    through n0 + 2L + 2 (n0 = nonnegative_from(C)) and certified twice:
+    the numerator must vanish past n0 + L, and its expansion must give
+    back the values."""
     L = _checked_period(C)
     # After n0 every floor degree is nonnegative and h is quasi-linear.
-    n0 = ceil(len(C.terms) / C.degree())
+    n0 = nonnegative_from(C)
     stop = n0 + 2 * L + 2
     values = hilbert_values(C, stop)
     # h(k) - h(k-1) - h(k-L) + h(k-L-1), with h = 0 in negative degrees

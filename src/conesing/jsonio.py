@@ -6,16 +6,21 @@ Schema version key: "conesing/1".  A couple is written as the
 "divisor" array of its terms, and an integral divisor such as H as the
 array of its (point, int) terms.  Only the couple (de)serializers
 import `divisors`, in their own bodies, so that a command that reads
-no couple does not load it.
+no couple does not load it.  Writing needs only the C string escaper,
+so the json package is imported only by `loads` and for floats and
+subclasses, and a command that reads no JSON does not load it.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 from typing import TYPE_CHECKING
+
+try:
+    from _json import encode_basestring_ascii as _encode_str
+except ImportError:     # an interpreter without json's C accelerator
+    from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import ParseError
 
@@ -126,6 +131,7 @@ def couple_from_json(doc) -> CurveCouple:
 
 
 def loads(text: str):
+    import json
     try:
         return json.loads(text)
     except ValueError as exc:   # also an integer past the digit limit
@@ -152,16 +158,18 @@ def _text(obj, newline: str) -> str:
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
-    if not obj or not isinstance(obj, (list, tuple, dict)):
-        # floats, empty containers and str or int subclasses
+    if not isinstance(obj, (list, tuple, dict)):
+        import json     # floats and str or int subclasses
         return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
     inner = newline + "  "
     sep = "," + inner
     get = _SCALARS.get
     if isinstance(obj, dict):
         # json writes a non-string key as its scalar JSON text
         body = sep.join([
-            _encode_str(k if isinstance(k, str) else json.dumps(k)) + ": "
+            _encode_str(k if isinstance(k, str) else _text(k, "")) + ": "
             + (f(v) if (f := get(type(v))) else _text(v, inner))
             for k, v in sorted(obj.items())])
         return "{" + inner + body + newline + "}"

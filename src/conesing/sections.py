@@ -20,13 +20,11 @@ lives in the hilbert module, which the presentation reads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
 from typing import Dict, List, Optional, Tuple
 
-from .divisors import (CurveCouple, Rational, assign_coordinates,
-                       denominators_lcm, floor_multiple)
+from .divisors import CurveCouple, Rational, assign_coordinates, floor_multiple
 from .errors import BoundTooSmall, InternalInvariantError, NotKlt
-from .hilbert import HilbertData, hilbert_series
+from .hilbert import HilbertData, hilbert_series, nonnegative_from
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +111,6 @@ class SectionSpace:
 # minimal generators and relations
 # ---------------------------------------------------------------------------
 
-def default_presentation_bound(C: CurveCouple) -> int:
-    L = denominators_lcm(C)
-    return 4 * L * max(1, ceil(1 / C.degree()))
-
-
 VARIABLE_NAMES = ("x", "y", "z", "w")
 
 
@@ -165,45 +158,21 @@ def _equation_string(ints, monomials) -> str:
 
 
 class _GeneratorScan:
-    """Incremental span of the subalgebra generated so far, degree by degree.
-
-    Degrees are processed explicitly until fullness becomes
-    self-propagating: when one period L back the piece is already full
-    and the floor deficit of (L, n - L) vanishes, multiplication by the
-    degree-L piece is onto (numerator spaces multiply without
-    constraint), so degree n is full without building vectors.  The
-    precondition of that step is checked each time it is taken.
-    """
+    """Incremental span of the subalgebra generated so far, degree by
+    degree: products of the generators with the spanning vectors of lower
+    degrees, and the unit vectors they leave out as new generators."""
 
     def __init__(self, space: SectionSpace):
         self.space = space
-        self.period = denominators_lcm(space.couple)
         self.gens: List[Tuple[int, List[Rational]]] = []   # (degree, vector)
         self.basis: Dict[int, List[List[Rational]]] = {}
-        self.full: Dict[int, bool] = {}
 
-    def _period_step_applies(self, n: int) -> bool:
-        L = self.period
-        prev = n - L
-        if prev < 1 or not self.full.get(prev) or not self.full.get(L):
-            return False
-        if self.space.dim(prev) < 1 or self.space.dim(L) < 1:
-            return False
-        # zero floor deficit at every point, infinity included
-        if len(self.space.shift_poly(L, prev)) != 1:
-            return False
-        return self.space.dim(n) == self.space.dim(L) + self.space.dim(prev) - 1
-
-    def _ensure_degree(self, n: int, allow_new_generators: bool) -> int:
-        """Builds the subalgebra span in degree n; returns the number of
-        new generators added (0 unless allowed)."""
+    def _span_degree(self, n: int, allow_new_generators: bool) -> int:
+        """Spans degree n; returns the dimension the products leave out,
+        which become that many new generators when they are allowed."""
+        from .linalg import RowSpan
         space = self.space
         dim_n = space.dim(n)
-        if self._period_step_applies(n):
-            self.full[n] = True
-            self.basis[n] = _unit_vectors(dim_n)
-            return 0
-        from .linalg import RowSpan
         span = RowSpan()
         vectors: List[List[Rational]] = []
         for d, gvec in self.gens:
@@ -215,30 +184,30 @@ class _GeneratorScan:
                     vectors.append(prod)
                 if span.dim == dim_n:
                     break
-        new = 0
+        missing = dim_n - span.dim
         if allow_new_generators:
             for e in _unit_vectors(dim_n):
                 if span.add(e):
                     self.gens.append((n, e))
                     vectors.append(e)
-                    new += 1
-        self.full[n] = span.dim == dim_n
         self.basis[n] = vectors
-        return new
+        return missing
 
-    def run(self, gen_bound: int, verify_through: int):
-        degrees = []
-        for n in range(1, gen_bound + 1):
-            added = self._ensure_degree(n, allow_new_generators=True)
-            degrees.extend([n] * added)
-            if not self.full[n]:
-                raise InternalInvariantError(
-                    "generator scan failed to saturate its degree")
-        for n in range(gen_bound + 1, verify_through + 1):
-            self._ensure_degree(n, allow_new_generators=False)
-            if not self.full[n]:
+    def run(self, gen_bound: int, through: int,
+            count: Optional[int] = None) -> List[int]:
+        """Generator degrees from a scan of degrees 1 .. through that takes
+        new generators through gen_bound and stops after the degree where
+        it holds `count` of them; a degree above gen_bound that the
+        generators do not span is BoundTooSmall."""
+        degrees: List[int] = []
+        for n in range(1, through + 1):
+            missing = self._span_degree(n, n <= gen_bound)
+            if n > gen_bound and missing:
                 raise BoundTooSmall(
                     f"generators through degree {gen_bound} do not span degree {n}")
+            degrees.extend([n] * missing)
+            if count is not None and len(degrees) >= count:
+                break
         return degrees
 
 
@@ -264,146 +233,150 @@ def _hypersurface_relation_degree(hd: HilbertData,
     return r
 
 
-def _certify_generator_count(C: CurveCouple, count: int,
-                             gen_bound: Optional[int]) -> None:
-    """For a klt couple the minimal generator count is the embedding
-    dimension, which Artin's formula reads off the blown-down graph."""
-    from .resolution import build_graph
-    try:
-        G = build_graph(C)
-    except NotKlt:
-        return
-    expected = G.blown_down.embedding_dimension
-    if gen_bound is not None and count < expected:
-        raise BoundTooSmall(f"generator bound {gen_bound} finds {count} "
-                            f"generators, below embedding dimension {expected}")
-    if count != expected:
-        raise InternalInvariantError(
-            f"the scan found {count} generators, but the blown-down graph "
-            f"gives embedding dimension {expected}")
-
-
 def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
                  rel_bound: Optional[int] = None) -> dict:
     """The JSON object of the presentation command: the Hilbert series,
     minimal generator degrees, minimal relation degrees (ascending),
     explicit equations (empty above four generators) and
-    verified_through.
+    verified_through, the last degree the generator scan spanned.
 
-    Correctness is certified by saturation: the subalgebra generated by
-    the reported generators must reproduce the Hilbert function through
-    verified_through = 2 max(gen_bound, rel_bound), else BoundTooSmall.
-    For a klt couple their number must be Artin's embedding dimension;
-    fewer under an explicit gen_bound mean it is BoundTooSmall.
-    With three generators the Hilbert series forces one relation of a
-    known degree: a rel_bound below it is BoundTooSmall, and the search
-    must find exactly that relation.  Computing the Hilbert series first
-    refuses a period above PERIOD_MAX before the scan starts.  Only
-    Artin's count checks the default gen_bound, so a non-klt couple,
-    which has none, needs an explicit gen_bound (NotKlt otherwise).
+    The theory says where each search stops; the bounds only cap it
+    (README).  Each degree past c = n0 + L - 1 is the degree-L piece
+    times a lower one, so a scan that spans degrees 1 .. c has found
+    every generator.  On a klt couple the scan stops at Artin's count e
+    of generators, and the relation search at Wahl's count
+    (e - 1)(e - 2)/2 of relations, each of degree at most twice the top
+    generator degree; a given bound reached first is BoundTooSmall, any
+    other shortfall an invariant breach.  Otherwise the scan spans every
+    degree through c, and relations are listed through rel_bound
+    (default gen_bound; NotKlt without either).  Three generators make a
+    hypersurface, whose relation degree the Hilbert series forces.
     """
+    from .resolution import build_graph
     hd = hilbert_series(C)
-    explicit = gen_bound
-    if gen_bound is None:
-        deg_b = C.boundary_degree()
-        if deg_b >= 2:
-            raise NotKlt(f"boundary degree {deg_b} is >= 2, and the default "
-                         "generator bound is certified only on a klt "
-                         "couple; give --gen-bound")
-        gen_bound = default_presentation_bound(C)
-    if rel_bound is None:
-        rel_bound = gen_bound
-    verified_through = 2 * max(gen_bound, rel_bound)
-
+    try:    # Artin's count of generators, as graded Nakayama reads it
+        embdim = build_graph(C).blown_down.embedding_dimension
+    except NotKlt:
+        embdim = None
+    if embdim is None and gen_bound is None and rel_bound is None:
+        raise NotKlt("the couple is not klt, so no count of minimal "
+                     "relations ends their search; give --rel-bound")
+    certificate = nonnegative_from(C) + hd.period - 1
+    new_through = certificate if gen_bound is None else min(gen_bound,
+                                                             certificate)
     space = SectionSpace(C)
     scan = _GeneratorScan(space)
-    gen_degrees = scan.run(gen_bound, verified_through)
-    _certify_generator_count(C, len(gen_degrees), explicit)
-    forced = None
-    if len(gen_degrees) == 3:
-        forced = _hypersurface_relation_degree(hd, gen_degrees)
-        if rel_bound < forced:
+    if embdim is None:
+        gd = scan.run(new_through, certificate)
+        verified_through, wanted = certificate, None
+        rel_cap = gen_bound if rel_bound is None else rel_bound
+    else:
+        gd = scan.run(new_through, new_through, embdim)
+        count = len(gd)
+        if count < embdim and new_through < certificate:
             raise BoundTooSmall(
-                f"relation bound {rel_bound} is below the degree {forced} "
-                f"of the relation that the Hilbert series forces")
+                f"generator bound {gen_bound} finds {count} generators, "
+                f"below embedding dimension {embdim}")
+        if count != embdim:
+            raise InternalInvariantError(
+                f"the scan found {count} generators, but the blown-down "
+                f"graph gives embedding dimension {embdim}")
+        verified_through = gd[-1]
+        wanted = (embdim - 1) * (embdim - 2) // 2
+        rel_cap = 2 * verified_through if rel_bound is None else rel_bound
+
+    from .linalg import RowSpan, nullspace
+    # Cache of monomial evaluations, keyed by exponent tuple.
+    eval_cache: Dict[Tuple[int, ...], List[Rational]] = {}
+
+    def evaluate(expt: Tuple[int, ...], n: int) -> List[Rational]:
+        # peel off one lowest-degree factor at a time down to a cached
+        # monomial (or 1), then multiply back up, caching each step
+        peeled = []
+        while n > 0 and expt not in eval_cache:
+            idx = next(i for i, e in enumerate(expt) if e > 0)
+            peeled.append((expt, idx, n))
+            sub = list(expt)
+            sub[idx] -= 1
+            expt, n = tuple(sub), n - gd[idx]
+        val = eval_cache[expt] if n > 0 else [1]
+        for expt, idx, n in reversed(peeled):
+            d = gd[idx]
+            # the scan lists the generators in increasing degree, as gd
+            val = space.multiply(d, scan.gens[idx][1], n - d, val)
+            eval_cache[expt] = val
+        return val
 
     relation_degrees: List[int] = []
     equations: List[str] = []
-    if gen_degrees:
-        from .linalg import RowSpan, nullspace
-        gd = sorted(gen_degrees)
-        gens_sorted = sorted(scan.gens, key=lambda g: g[0])
-        # Cache of monomial evaluations, keyed by exponent tuple.
-        eval_cache: Dict[Tuple[int, ...], List[Rational]] = {}
+    relations: List[Tuple[int, Dict[Tuple[int, ...], int]]] = []
+    for n in range(2, rel_cap + 1):
+        if wanted is not None and len(relation_degrees) >= wanted:
+            break
+        monos = _monomials(gd, n)
+        if len(monos) < 2:
+            continue
+        # the generators span every degree, so evaluation is onto
+        kernel_dim = len(monos) - space.dim(n)
+        if kernel_dim < 0:
+            raise InternalInvariantError(
+                f"{len(monos)} monomials cannot span degree {n}")
+        if kernel_dim == 0:
+            continue
+        index = {m: i for i, m in enumerate(monos)}
+        old = RowSpan()
+        for d_rel, rel in relations:
+            for shift in _monomials(gd, n - d_rel):
+                shifted: Dict[int, int] = {}
+                for expt, c in rel.items():
+                    combined = tuple(a + b for a, b in zip(expt, shift))
+                    i = index[combined]
+                    shifted[i] = shifted.get(i, 0) + c
+                old.add(shifted)
+        new_count = kernel_dim - old.dim
+        if new_count < 0:
+            raise InternalInvariantError("shifted relations escaped the kernel")
+        if new_count == 0:
+            continue
+        # relations are left-kernel vectors: combinations of monomials
+        # evaluating to zero
+        rows = [evaluate(m, n) for m in monos]
+        kernel = nullspace([list(col) for col in zip(*rows)])
+        if len(kernel) != kernel_dim:
+            raise InternalInvariantError(
+                f"degree {n} has a {len(kernel)}-dimensional relation "
+                f"kernel, but the spanning certificate gives {kernel_dim}")
+        found = 0
+        for kv in kernel:
+            if old.add(kv):
+                found += 1
+                relation_degrees.append(n)
+                relations.append(
+                    (n, {m: c for m, c in zip(monos, kv) if c != 0}))
+                if len(gd) <= len(VARIABLE_NAMES):
+                    equations.append(_equation_string(kv, monos))
+        if found != new_count:
+            raise InternalInvariantError("kernel extraction missed new relations")
 
-        def evaluate(expt: Tuple[int, ...], n: int) -> List[Rational]:
-            # peel off one lowest-degree factor at a time down to a cached
-            # monomial (or 1), then multiply back up, caching each step
-            peeled = []
-            while n > 0 and expt not in eval_cache:
-                idx = next(i for i, e in enumerate(expt) if e > 0)
-                peeled.append((expt, idx, n))
-                sub = list(expt)
-                sub[idx] -= 1
-                expt, n = tuple(sub), n - gd[idx]
-            val = eval_cache[expt] if n > 0 else [1]
-            for expt, idx, n in reversed(peeled):
-                d = gd[idx]
-                val = space.multiply(d, gens_sorted[idx][1], n - d, val)
-                eval_cache[expt] = val
-            return val
-
-        relations: List[Tuple[int, Dict[Tuple[int, ...], int]]] = []
-        for n in range(2, rel_bound + 1):
-            monos = _monomials(gd, n)
-            if len(monos) < 2:
-                continue
-            # the scan certified that the generators span every degree
-            # through verified_through >= rel_bound, so evaluation is onto
-            kernel_dim = len(monos) - space.dim(n)
-            if kernel_dim < 0:
-                raise InternalInvariantError(
-                    f"{len(monos)} monomials cannot span degree {n}")
-            if kernel_dim == 0:
-                continue
-            index = {m: i for i, m in enumerate(monos)}
-            old = RowSpan()
-            for d_rel, rel in relations:
-                for shift in _monomials(gd, n - d_rel):
-                    shifted: Dict[int, int] = {}
-                    for expt, c in rel.items():
-                        combined = tuple(a + b for a, b in zip(expt, shift))
-                        i = index[combined]
-                        shifted[i] = shifted.get(i, 0) + c
-                    old.add(shifted)
-            new_count = kernel_dim - old.dim
-            if new_count < 0:
-                raise InternalInvariantError("shifted relations escaped the kernel")
-            if new_count == 0:
-                continue
-            # relations are left-kernel vectors: combinations of monomials
-            # evaluating to zero
-            rows = [evaluate(m, n) for m in monos]
-            kernel = nullspace([list(col) for col in zip(*rows)])
-            if len(kernel) != kernel_dim:
-                raise InternalInvariantError(
-                    f"degree {n} has a {len(kernel)}-dimensional relation "
-                    f"kernel, but the spanning certificate gives {kernel_dim}")
-            found = 0
-            for kv in kernel:
-                if old.add(kv):
-                    found += 1
-                    relation_degrees.append(n)
-                    relations.append(
-                        (n, {m: c for m, c in zip(monos, kv) if c != 0}))
-                    if len(gd) <= len(VARIABLE_NAMES):
-                        equations.append(_equation_string(kv, monos))
-            if found != new_count:
-                raise InternalInvariantError("kernel extraction missed new relations")
-
-    if forced is not None and relation_degrees != [forced]:
+    listed = len(relation_degrees)
+    if wanted is not None and listed != wanted:
+        if listed < wanted and rel_bound is not None:
+            raise BoundTooSmall(
+                f"relation bound {rel_bound} finds {listed} relations, below "
+                f"Wahl's count {wanted} for {embdim} generators")
         raise InternalInvariantError(
-            f"relation degrees {relation_degrees} differ from the forced {forced}")
-    return {"series": hd.to_json(), "generators": sorted(gen_degrees),
+            f"the search listed {listed} relations through degree {rel_cap}, "
+            f"but Wahl's count for {embdim} generators is {wanted}")
+    if len(gd) == 3:
+        forced = _hypersurface_relation_degree(hd, gd)
+        if not relation_degrees and rel_cap < forced:
+            raise BoundTooSmall(
+                f"relation bound {rel_cap} is below the degree {forced} "
+                f"of the relation that the Hilbert series forces")
+        if relation_degrees != [forced]:
+            raise InternalInvariantError(
+                f"relation degrees {relation_degrees} differ from the "
+                f"forced {forced}")
+    return {"series": hd.to_json(), "generators": gd,
             "relations": relation_degrees, "equations": equations,
             "verified_through": verified_through}

@@ -10,12 +10,13 @@ from math import gcd, lcm
 from types import SimpleNamespace
 from typing import Dict, Optional
 
-from conesing.divisors import (CurveCouple, finite_point, floor_multiple,
-                               infinity_point)
+from conesing.divisors import (CurveCouple, denominators_lcm, finite_point,
+                               floor_multiple, infinity_point)
 from conesing.errors import (InternalInvariantError, NotQGorenstein,
                              PreconditionError, SingularMatrix)
-from conesing.linalg import RowSpan, det_int, solve
-from conesing.sections import SectionSpace, _GeneratorScan, _monomials
+from conesing.linalg import RowSpan, det_int, nullspace, solve
+from conesing.sections import (SectionSpace, _equation_string,
+                               _GeneratorScan, _monomials)
 from conesing.toric import (Fan, ToricDivisor, _cone_linear_form, _dot,
                             _pair_form, cone_of_x, is_ample)
 
@@ -621,17 +622,10 @@ def scanned_generators(C, bound):
     return tuple(sorted(_GeneratorScan(SectionSpace(C)).run(bound, 2 * bound)))
 
 
-def evaluation_kernel_dims(C, gen_bound, rel_bound):
-    """Per degree n = 2 .. rel_bound with at least two monomials in the
-    scanned generators: the number of monomials minus the rank of their
-    evaluations, eliminated in a RowSpan.  This is the relation kernel's
-    dimension as presentation computed it before reading it off the
-    spanning certificate (monomials minus dim of the degree-n piece)."""
-    space = SectionSpace(C)
-    scan = _GeneratorScan(space)
-    scan.run(gen_bound, 2 * max(gen_bound, rel_bound))
-    gens = sorted(scan.gens, key=lambda g: g[0])
-    degrees = [d for d, _ in gens]
+def monomial_evaluator(space, gens):
+    """evaluate(expt, n): the coordinates in degree n of the monomial
+    with exponents expt in the (degree, vector) generators, which the
+    scan lists in increasing degree; each monomial is built once."""
     cache = {}
 
     def evaluate(expt, n):
@@ -646,6 +640,69 @@ def evaluation_kernel_dims(C, gen_bound, rel_bound):
                                          evaluate(tuple(sub), n - d))
         return cache[expt]
 
+    return evaluate
+
+
+def default_presentation_bound(C):
+    """The generator bound that presentation guessed before its stopping
+    rules came from the theory: 4 L ceil(1 / deg D)."""
+    return 4 * denominators_lcm(C) * max(1, math.ceil(1 / C.degree()))
+
+
+def saturated_presentation(C, gen_bound=None, rel_bound=None):
+    """Generators, relations and equations as presentation found them
+    before its stopping rules came from the theory: new generators
+    through gen_bound (default_presentation_bound by default), every
+    degree through 2 max(gen_bound, rel_bound) checked to be spanned
+    (BoundTooSmall otherwise), and every minimal relation through
+    rel_bound (gen_bound by default), with no count to stop at."""
+    if gen_bound is None:
+        gen_bound = default_presentation_bound(C)
+    if rel_bound is None:
+        rel_bound = gen_bound
+    space = SectionSpace(C)
+    scan = _GeneratorScan(space)
+    degrees = scan.run(gen_bound, 2 * max(gen_bound, rel_bound))
+    evaluate = monomial_evaluator(space, scan.gens)
+    relations, equations = [], []
+    for n in range(2, rel_bound + 1):
+        monos = _monomials(degrees, n)
+        # the scan spans degree n, so evaluation is onto
+        kernel_dim = len(monos) - space.dim(n)
+        if len(monos) < 2 or kernel_dim <= 0:
+            continue
+        index = {m: i for i, m in enumerate(monos)}
+        old = RowSpan()
+        for d, rel in relations:
+            for shift in _monomials(degrees, n - d):
+                shifted = {}
+                for expt, c in rel.items():
+                    i = index[tuple(a + b for a, b in zip(expt, shift))]
+                    shifted[i] = shifted.get(i, 0) + c
+                old.add(shifted)
+        if old.dim == kernel_dim:
+            continue
+        kernel = nullspace([list(col) for col in
+                            zip(*[evaluate(m, n) for m in monos])])
+        for kv in kernel:
+            if old.add(kv):
+                relations.append((n, {m: c for m, c in zip(monos, kv) if c}))
+                if len(degrees) <= 4:
+                    equations.append(_equation_string(kv, monos))
+    return {"generators": sorted(degrees),
+            "relations": [d for d, _ in relations], "equations": equations}
+
+
+def evaluation_kernel_dims(C, gen_bound, rel_bound):
+    """Per degree n = 2 .. rel_bound with at least two monomials in the
+    scanned generators: the number of monomials minus the rank of their
+    evaluations, eliminated in a RowSpan.  This is the relation kernel's
+    dimension as presentation computed it before reading it off the
+    spanning certificate (monomials minus dim of the degree-n piece)."""
+    space = SectionSpace(C)
+    scan = _GeneratorScan(space)
+    degrees = scan.run(gen_bound, 2 * max(gen_bound, rel_bound))
+    evaluate = monomial_evaluator(space, scan.gens)
     dims = {}
     for n in range(2, rel_bound + 1):
         monos = _monomials(degrees, n)

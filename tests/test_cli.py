@@ -137,15 +137,15 @@ def test_quotient_data_of_many_points_is_linear(tmp_path, command):
 
 def test_presentation_default_bound_on_non_klt_couple_exits_3_at_once(
         tmp_path):
-    # only Artin's count checks the default bound, and a non-klt couple
-    # has none; the search it asked for ran for minutes
+    # Wahl's count ends the relation search on a klt couple only; a
+    # non-klt couple has none, so without a bound the search has no end
     f = tmp_path / "c.json"
     f.write_text(NOT_FANO)
     start = time.perf_counter()
     res = run_cli("presentation", "--couple", str(f), timeout=60)
     assert time.perf_counter() - start < 1
     assert res.returncode == 3 and res.stdout == ""
-    assert "--gen-bound" in res.stderr
+    assert "--rel-bound" in res.stderr
     assert "Traceback" not in res.stderr
 
 
@@ -497,8 +497,7 @@ def test_presentation_generator_count_certificate_exits_4(tmp_path,
 
 def test_presentation_bound_below_a_generator_exits_3():
     # (1/200)[0] has generators in degrees 1 and 200: every degree below
-    # 200 is one-dimensional, so the scan to 30 saturates through 60 and
-    # only Artin's count sees the missing generator
+    # 200 is one-dimensional, and Artin's count asks for a second one
     chain200 = Path(__file__).resolve().parent / "golden" / "couples" / \
         "chain200.json"
     res = run_cli("presentation", "--couple", str(chain200), "--gen-bound",
@@ -506,6 +505,57 @@ def test_presentation_bound_below_a_generator_exits_3():
     assert (res.returncode, res.stdout, res.stderr) == (
         3, "", "precondition violated: generator bound 30 finds 1 "
         "generators, below embedding dimension 2\n")
+
+
+COUPLES = Path(__file__).resolve().parent / "golden" / "couples"
+# D = (1/200)([0] + [1] + [2] + [3]) is not klt: h(n) = 1 below degree
+# 200 and h(200) = 5
+FOUR_POINTS_200 = couple_doc([({"t": "fin", "x": str(x)}, "1/200")
+                              for x in range(4)])
+# (1/2)[0] - (1/3)[1] + (1/3)[3] + 2[5]: klt, six generators
+SIX_GENERATORS = couple_doc([({"t": "fin", "x": "0"}, "1/2"),
+                             ({"t": "fin", "x": "1"}, "-1/3"),
+                             ({"t": "fin", "x": "3"}, "1/3"),
+                             ({"t": "fin", "x": "5"}, "2")])
+
+
+@pytest.mark.parametrize("couple,flags,code,answer", [
+    # the scan runs to the certificate degree n0 + L - 1 = 399 and meets
+    # the unspanned degree 200
+    (FOUR_POINTS_200, ["--gen-bound", "30"], 3,
+     "precondition violated: generators through degree 30 do not span "
+     "degree 200\n"),
+    (FOUR_POINTS_200, ["--gen-bound", "200", "--rel-bound", "4"], 0,
+     ([1, 200, 200, 200, 200], [], 399)),
+    # Wahl's count for four generators is three relations: [5, 7, 8]
+    (COUPLES / "E8.json", ["--gen-bound", "30", "--rel-bound", "6"], 3,
+     "precondition violated: relation bound 6 finds 1 relations, below "
+     "Wahl's count 3 for 4 generators\n"),
+    (COUPLES / "E8.json", [], 0, ([1, 2, 3, 5], [5, 7, 8], 5)),
+    (COUPLES / "chain200.json", [], 0, ([1, 200], [], 200)),
+    (SIX_GENERATORS, [], 0,
+     ([1, 1, 2, 2, 3, 3], [3, 3, 4, 4, 4, 4, 5, 5, 5, 6], 3)),
+], ids=["four_points_g30", "four_points_g200_r4", "E8_g30_r6", "E8",
+        "chain200", "six_generators"])
+def test_presentation_stops_where_the_theory_says(couple, flags, code, answer,
+                                                  tmp_path):
+    # each of these ran for more than 15 s, or exited 0 with a list that
+    # missed generators or relations, while the search saturated through
+    # twice its bounds
+    path = couple
+    if isinstance(couple, str):
+        path = tmp_path / "c.json"
+        path.write_text(couple)
+    start = time.perf_counter()
+    res = run_cli("presentation", "--couple", str(path), *flags, timeout=30)
+    assert time.perf_counter() - start < 2
+    assert res.returncode == code, res.stderr
+    if code:
+        assert (res.stdout, res.stderr) == ("", answer)
+    else:
+        doc = json.loads(res.stdout)
+        assert (doc["generators"], doc["relations"],
+                doc["verified_through"]) == answer
 
 
 def test_audit_of_tampered_embedding_dimension_exits_1(tmp_path, capsys):

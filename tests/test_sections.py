@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
+from math import floor, gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conesing import hilbert, linalg, sections
@@ -13,15 +14,22 @@ from conesing.errors import (BoundTooSmall, InternalInvariantError, NotAmple,
                              PreconditionError)
 from conesing.jsonio import couple_from_json
 from conesing.hilbert import hilbert_series
-from conesing.sections import (SectionSpace, _monomials,
-                               default_presentation_bound, presentation)
-from helpers import (evaluation_kernel_dims, h0, multiplication_rank,
-                     random_couples, scanned_generators, support)
+from conesing.sections import SectionSpace, _monomials, presentation
+from helpers import (POSITIONS, default_presentation_bound,
+                     evaluation_kernel_dims, h0, multiplication_rank,
+                     random_couples, saturated_presentation,
+                     scanned_generators, support)
 
 P0 = finite_point(0)
 P1 = finite_point(1)
 PINF = infinity_point()
 F = Fraction
+GOLDEN_COUPLES = Path(__file__).resolve().parent / "golden" / "couples"
+
+
+def golden_couple(name):
+    return couple_from_json(json.loads(
+        (GOLDEN_COUPLES / f"{name}.json").read_text(encoding="utf-8")))
 
 
 def test_h0_examples():
@@ -223,9 +231,149 @@ def test_presentation_saturation_certificate():
     assert scanned_generators(C, 20) == (1, 2, 2, 3, 3, 4, 5)
     hd = hilbert_series(C)
     assert hd.expansion(40) == [h0(C, n) for n in range(41)]
+    # the scan stops at Artin's count, here at the third generator
     pres = presentation(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}),
                         gen_bound=5, rel_bound=7)
-    assert pres["verified_through"] == 14
+    assert pres["verified_through"] == 2
+
+
+def certificate_degree(C):
+    """n0 + L - 1: every degree above it is the degree-L piece times a
+    lower one."""
+    return hilbert.nonnegative_from(C) + hilbert_series(C).period - 1
+
+
+@st.composite
+def small_period_couples(draw, klt):
+    """Couples of degree below 1 whose denominators have lcm L <= 12:
+    klt ones with up to three fractional points, and ones that are not
+    klt with three or four, whose denominators divide 6.  This keeps the
+    saturation scan and its relation search under a second."""
+    if klt:
+        qs = draw(st.lists(st.integers(2, 12), max_size=3))
+        # three points are klt only for platonic denominators, which all
+        # include a 2
+        qs[:1] = [2] if len(qs) == 3 else qs[:1]
+    else:
+        qs = draw(st.lists(st.sampled_from([2, 3, 6]), min_size=3,
+                           max_size=4))
+    assume(lcm(*qs) <= 12)
+    assume((sum(1 - F(1, q) for q in qs) < 2) == klt)
+    positions = draw(st.permutations(POSITIONS))
+    terms = {pos: F(draw(st.sampled_from([p for p in range(1, q)
+                                          if gcd(p, q) == 1])), q)
+             + draw(st.integers(-1, 1)) for pos, q in zip(positions, qs)}
+    total = sum(terms.values(), F(0))
+    terms[positions[len(qs)]] = -floor(total)
+    assume(sum(terms.values(), F(0)) > 0)
+    return CurveCouple.of(terms)
+
+
+def presented(pres):
+    return pres["generators"], pres["relations"], pres["equations"]
+
+
+@settings(max_examples=40)
+@given(small_period_couples(klt=True), st.integers(1, 40))
+@example(golden_couple("E8"), 4)
+@example(CurveCouple.of({P0: F(1, 2), P1: F(-1, 3), finite_point(3): F(1, 3),
+                         finite_point(5): 2}), 2)
+def test_klt_presentation_matches_the_saturation_scan(C, gen_bound):
+    # the scan stops at Artin's count and the relation search at Wahl's;
+    # the old path, with no count to stop at, saturates through twice
+    # its bounds and lists every minimal relation through rel_bound
+    pres = presentation(C)
+    c = certificate_degree(C)
+    top = 2 * max(pres["generators"])
+    assert pres["verified_through"] == max(pres["generators"]) <= c
+    assert max(pres["relations"], default=2) <= top
+    assert presented(pres) == presented(saturated_presentation(C, c, top))
+    assert presented(presentation(C, gen_bound=c, rel_bound=top)) == \
+        presented(pres)
+    # any gen_bound either refuses or finds the same generators
+    try:
+        capped = presentation(C, gen_bound=gen_bound, rel_bound=top)
+    except BoundTooSmall:
+        assert gen_bound < max(pres["generators"])
+    else:
+        assert presented(capped) == presented(pres)
+
+
+@settings(max_examples=25)
+@given(small_period_couples(klt=False), st.integers(0, 3))
+def test_non_klt_presentation_matches_the_saturation_scan(C, extra):
+    c = certificate_degree(C)
+    degrees = scanned_generators(C, c)
+    rel_bound = 2 * max(degrees)
+    if len(degrees) == 3:
+        # a hypersurface's one relation may lie above twice the top
+        # generator degree when the couple is not klt
+        rel_bound = max(rel_bound, sections._hypersurface_relation_degree(
+            hilbert_series(C), list(degrees)))
+    pres = presentation(C, gen_bound=c + extra, rel_bound=rel_bound)
+    assert pres["verified_through"] == c
+    assert presented(pres) == presented(
+        saturated_presentation(C, c + extra, rel_bound))
+    assert tuple(pres["generators"]) == degrees
+
+
+def toric_generator_degrees(c0, c_inf):
+    """The n-degrees of the Hilbert basis of the semigroup
+    {(n, m) : -floor(n c0) <= m <= floor(n c_inf)}, by brute force.  The
+    basis lies in the parallelogram of the primitive rays (q0, -p0) and
+    (q_inf, p_inf), so n <= q0 + q_inf.  An element (n, m) is a sum of
+    two elements exactly when, for some split n = a + b, m lies in
+    [lo(a) + lo(b), hi(a) + hi(b)] with both pieces nonempty."""
+    top = c0.denominator + c_inf.denominator
+    lo = [-floor(n * c0) for n in range(top + 1)]
+    hi = [floor(n * c_inf) for n in range(top + 1)]
+    degrees = []
+    for n in range(1, top + 1):
+        sums = [(lo[a] + lo[n - a], hi[a] + hi[n - a])
+                for a in range(1, n // 2 + 1)
+                if lo[a] <= hi[a] and lo[n - a] <= hi[n - a]]
+        degrees += [n] * sum(
+            1 for m in range(lo[n], hi[n] + 1)
+            if not any(low <= m <= high for low, high in sums))
+    return degrees
+
+
+@st.composite
+def two_point_couples(draw):
+    """Couples with at most two fractional points and L <= 30, whose
+    toric basis has at most five elements: above that the relation
+    search of presentation takes seconds to minutes."""
+    qs = draw(st.lists(st.integers(1, 30), min_size=1, max_size=2))
+    assume(lcm(*qs) <= 30)
+    terms = {pos: F(draw(st.integers(-q, 2 * q)), q)
+             for pos, q in zip(draw(st.permutations(POSITIONS)), qs)}
+    terms[POSITIONS[7]] = F(draw(st.integers(-2, 2)))
+    assume(sum(terms.values(), F(0)) > 0)
+    C = CurveCouple.of(terms)
+    assume(sum(1 for _, c in C.terms if c.denominator > 1) <= 2)
+    return C
+
+
+def toric_degrees_of(C):
+    """A couple with at most two fractional points is linearly
+    equivalent to c0 [0] + c_inf [inf], with c0 the coefficient of one
+    fractional point (or of any point) and c_inf = deg D - c0: the other
+    coefficients are integers."""
+    fractional = [c for _, c in C.terms if c.denominator > 1]
+    c0 = (fractional or [C.terms[0][1]])[0]
+    return toric_generator_degrees(c0, C.degree() - c0)
+
+
+@settings(max_examples=40)
+@given(two_point_couples())
+@example(golden_couple("chain200"))
+@example(CurveCouple.of({P0: 2}))
+def test_generators_are_the_toric_hilbert_basis(C):
+    # at most two fractional points make a cyclic quotient singularity
+    # (Riemenschneider 1974): the cone's lattice points are the ring
+    degrees = toric_degrees_of(C)
+    assume(len(degrees) <= 5)
+    assert presentation(C)["generators"] == degrees
 
 
 @given(st.integers(0, 10**6))
@@ -261,14 +409,6 @@ def test_period_above_the_cap_is_a_precondition(monkeypatch):
         with pytest.raises(PreconditionError,
                            match="period L = 6 exceeds PERIOD_MAX = 5"):
             compute(C)
-
-
-GOLDEN_COUPLES = Path(__file__).resolve().parent / "golden" / "couples"
-
-
-def golden_couple(name):
-    return couple_from_json(json.loads(
-        (GOLDEN_COUPLES / f"{name}.json").read_text(encoding="utf-8")))
 
 
 def test_section_linear_algebra_stays_on_int(monkeypatch):

@@ -21,9 +21,10 @@ E6 = str(GOLDEN / "couples" / "E6.json")
 # runs the package as `python -m conesing ARGS` does, then writes the
 # exit code, the conesing modules it loaded and the top-level names of
 # all loaded modules to the file OUT; os._exit raises SystemExit here, so
-# that the fast exit of __main__ returns to the probe
+# that the fast exit of __main__ returns to the probe, and json is
+# imported only after the modules are listed
 PROBE = """
-import json, os, runpy, sys
+import os, runpy, sys
 out, sys.argv = sys.argv[1], ["conesing", *sys.argv[2:]]
 code = None
 
@@ -35,10 +36,12 @@ try:
     runpy.run_module("conesing", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
+found = {"code": code, "modules": sorted(
+    m for m in sys.modules if m.split(".")[0] == "conesing"),
+    "toplevel": sorted({m.split(".")[0] for m in sys.modules})}
+import json
 with open(out, "w", encoding="utf-8") as fh:
-    json.dump({"code": code, "modules": sorted(
-        m for m in sys.modules if m.split(".")[0] == "conesing"),
-        "toplevel": sorted({m.split(".")[0] for m in sys.modules})}, fh)
+    json.dump(found, fh)
 """
 
 # standard-library modules that no command may load: dataclasses pulls
@@ -91,6 +94,12 @@ def probe(argv, tmp_path, code=0):
     return found
 
 
+# the commands that read a JSON file (a couple, a catalog or a fan);
+# the others only write JSON, which needs no json package
+READS_JSON = {"describe", "resolve", "discrepancy", "hilbert", "presentation",
+              "audit", "toric-check"}
+
+
 @pytest.mark.parametrize("argv,layers", COMMAND_MODULES,
                          ids=[argv[0].lstrip("-") for argv, _ in COMMAND_MODULES])
 def test_command_loads_only_its_modules(argv, layers, tmp_path):
@@ -98,6 +107,7 @@ def test_command_loads_only_its_modules(argv, layers, tmp_path):
     assert found["modules"] == sorted(
         ["conesing"] + [f"conesing.{m}" for m in layers])
     assert not HEAVY_STDLIB & set(found["toplevel"])
+    assert ("json" in found["toplevel"]) == (argv[0] in READS_JSON)
     # every argv above is plain `--flag value` pairs, which cli parses
     # without argparse
     assert "argparse" not in found["toplevel"]
