@@ -6,9 +6,13 @@ catalog._type_member, once per type, and compared with the stored entry
 as canonical JSON, field by field when they differ.  Its couple's own
 star graph, resolution.build_graph, is the independent oracle of a_e0
 and the mld; it solves the couple's chains from the couple and never
-calls the sweep's chain solver.  Each entry's couple is built once (a
-stored couple in normal form is its own normal form), and its graph is
-blown down at most once, for the oracle and the rebuilt entry alike.
+calls the sweep's chain solver.  The quotient side's minimal
+decomposition, quotient.cartier_index_of_kx, is the oracle of the index
+of K_X; the lcm L of the couple's denominators, of the Hilbert period;
+and L deg D, of the Hilbert numerator's sum.  Each entry's couple is
+built once (a stored couple in normal form is its own normal form), and
+its graph is blown down at most once, for the oracle and the rebuilt
+entry alike.
 
 Only the audit command imports this module: enumerate and mld-set do
 not compile it.
@@ -25,6 +29,7 @@ from .divisors import canonical_couple, normal_form
 from .errors import NotKlt, ParseError, PreconditionError
 from .hilbert import _checked_period
 from .jsonio import fmt_ratio, json_int, parse_q
+from .quotient import cartier_index_of_kx
 from .resolution import build_graph
 
 
@@ -106,19 +111,27 @@ def audit_catalog(docs, params: SearchParams) -> dict:
                 failures.append(f"{tag}: rebuilt couple is not klt ({exc})")
                 continue
             # the Hilbert numerator takes time linear in the period
-            _checked_period(C)
+            L = _checked_period(C)
             mld, rebuilt = _type_member(fracs)(degree, G)
             # field by field only when the entries differ
             if doc != rebuilt or not _plain(doc):
                 failures.extend(_field_failures(tag, doc, rebuilt))
-            # the strings are canonical: equal exactly when the rationals are
+            # the strings are canonical: equal exactly when the rationals
+            # are; the numerator at T = 1 is L deg D, as h(n) ~ n deg D
             den, m = G.denominator, G.mld
-            for name, oracle in (
-                    ("a_e0", fmt_ratio(den + G.numerators[0], den)),
-                    ("mld", fmt_ratio(m.numerator, m.denominator))):
-                if oracle != rebuilt[name]:
-                    failures.append(
-                        f"{tag}: {name} disagrees with the resolution oracle")
+            for name, agrees, oracle in (
+                    ("a_e0", rebuilt["a_e0"] == fmt_ratio(
+                        den + G.numerators[0], den), "the resolution oracle"),
+                    ("mld", rebuilt["mld"] == fmt_ratio(
+                        m.numerator, m.denominator), "the resolution oracle"),
+                    ("cartier_index_kx", rebuilt["cartier_index_kx"]
+                     == cartier_index_of_kx(C), "the quotient oracle"),
+                    ("hilbert_period", rebuilt["hilbert_period"] == L,
+                     "the lcm of the denominators"),
+                    ("hilbert_numerator", sum(rebuilt["hilbert_numerator"])
+                     == L * C.degree(), "L deg D at T = 1")):
+                if not agrees:
+                    failures.append(f"{tag}: {name} disagrees with {oracle}")
             if mld < eps:
                 failures.append(f"{tag}: mld below epsilon")
     finally:

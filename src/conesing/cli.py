@@ -3,7 +3,8 @@
 All output is JSON with rationals as reduced "p/q" strings and a
 top-level schema tag.  Exit codes: 0 success, 1 verification failure,
 2 parse error, 3 precondition violation or output that cannot be
-written, 4 internal invariant breach (never expected).
+written, 4 internal invariant breach (never expected), as each class
+of `conesing.errors` states.  `main` alone writes and flushes output.
 
 The handlers live in one module per family of commands: `cli_couple`
 (describe, hilbert, presentation, discrepancy, resolve), `cli_catalog`
@@ -42,33 +43,14 @@ def _read_json(path: str):
     return loads(text)
 
 
-class _StdoutFailed(Exception):
-    """Raised by _emit once a failed write of stdout has been reported."""
-
-
 def _emit(doc: dict, out: str | None) -> None:
     from .jsonio import SCHEMA, dumps
-    doc = {"schema": SCHEMA, **doc}
-    text = dumps(doc)
+    text = dumps({"schema": SCHEMA, **doc})
     if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            from .errors import ConesingError
-            raise ConesingError(f"cannot write output: {exc}") from None
-    elif _write_stdout(text):
-        raise _StdoutFailed
-
-
-def _write_stdout(text: str) -> int:
-    """Write text to stdout and flush it; 0, or 3 when that fails."""
-    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
         sys.stdout.write(text)
-        sys.stdout.flush()
-    except OSError as exc:
-        return write_failed(exc)
-    return 0
 
 
 def write_failed(exc: OSError) -> int:
@@ -198,10 +180,12 @@ def _plain_args(argv):
     return None if given else args
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _run(argv) -> int:
+    """Run argv's handler and write its document; a ConesingError is
+    reported with its class's label and exit code."""
     if argv == ["--version"]:
-        return _write_stdout(__version__ + "\n")
+        sys.stdout.write(__version__ + "\n")
+        return 0
     args = _plain_args(argv)
     if args is None:
         try:
@@ -209,10 +193,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             # argparse exits 2 on bad flags, which matches the parse-error code
             return int(exc.code or 0)
-        except OSError as exc:
-            return write_failed(exc)
-    from .errors import (ConesingError, InternalInvariantError, ParseError,
-                         PreconditionError)
+    from .errors import ConesingError, PreconditionError
     try:
         for flag, *_, accepted in _commands()[args.command][2]:
             value = getattr(args, flag[2:].replace("-", "_"))
@@ -221,21 +202,23 @@ def main(argv=None) -> int:
                 raise PreconditionError(f"{flag} {value} must be >= {least}")
             if value is not None and greatest is not None and value > greatest:
                 raise PreconditionError(f"{flag} {value} exceeds {greatest}")
-        return _handler(args.command)(args)
-    except _StdoutFailed:
-        return 3
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return 3
-    except InternalInvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 4
+        doc, code = _handler(args.command)(args)
+        _emit(doc, args.out)
     except ConesingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    return code
+
+
+def main(argv=None) -> int:
+    """Run argv and flush stdout; output that cannot be written exits 3."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except OSError as exc:
+        return write_failed(exc)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Handlers of the cross-checks: toric-check and verify-examples.  Each
-imports the layers it runs in its own body.  toric-check samples with
---seed, or with DEFAULT_SEED when that is not given."""
+imports the layers it runs in its own body and returns (document, exit
+code) to cli.main.  toric-check samples with --seed, or with
+DEFAULT_SEED when that is not given."""
 
 from __future__ import annotations
 
-from .cli import _emit, _read_json
+from .cli import _read_json
 from .errors import ParseError
 
 DEFAULT_SEED = 20260801
@@ -18,7 +19,7 @@ def _int_rows(fan_doc: dict, key: str):
     return tuple(tuple(json_int(x, f"fan {key} entry") for x in r) for r in rows)
 
 
-def cmd_toric_check(args) -> int:
+def cmd_toric_check(args) -> tuple[dict, int]:
     from .jsonio import json_int, parse_q
     from .toric import (Fan, ToricDivisor, random_primitive_samples,
                         verify_comparison)
@@ -35,11 +36,11 @@ def cmd_toric_check(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     samples = random_primitive_samples(seed, F.rank, args.samples)
     report = verify_comparison(F, D, samples)
-    _emit(report.to_json(), args.out)
-    return 0 if not report.violations and report.vertex_ok is not False else 1
+    ok = not report.violations and report.vertex_ok is not False
+    return report.to_json(), 0 if ok else 1
 
 
-def cmd_verify_examples(args) -> int:
+def cmd_verify_examples(args) -> tuple[dict, int]:
     from .counterexamples import (an_min_over_actions, diagonal_cone_report,
                                   rnc_family_report)
     from .jsonio import parse_q
@@ -77,5 +78,4 @@ def cmd_verify_examples(args) -> int:
     checks.append({"name": "diagonal_cone_family", "ok": diag_ok,
                    "rows": diag_rows})
 
-    _emit({"ok": ok, "checks": checks}, args.out)
-    return 0 if ok else 1
+    return {"ok": ok, "checks": checks}, 0 if ok else 1

@@ -1,10 +1,10 @@
 """Handlers of the commands that read one couple: describe, hilbert,
 presentation, discrepancy and resolve.  Each imports the layers it runs
-in its own body."""
+in its own body and returns (document, exit code) to cli.main."""
 
 from __future__ import annotations
 
-from .cli import _emit, _read_json
+from .cli import _read_json
 
 
 def _load_couple(path: str):
@@ -29,7 +29,7 @@ def _discrepancy_doc(C) -> dict:
     }
 
 
-def cmd_describe(args) -> int:
+def cmd_describe(args) -> tuple[dict, int]:
     from .divisors import max_isotropy
     from .hilbert import hilbert_series
     from .jsonio import divisor_to_json, fmt_q
@@ -49,35 +49,31 @@ def cmd_describe(args) -> int:
         "isotropies": {repr(p): c.denominator for p, c in C.terms},
         "max_isotropy": max_isotropy(C),
     })
-    _emit(doc, args.out)
-    return 0
+    return doc, 0
 
 
-def cmd_hilbert(args) -> int:
+def cmd_hilbert(args) -> tuple[dict, int]:
     from .hilbert import hilbert_series
     C = _load_couple(args.couple)
     hd = hilbert_series(C)
     doc = {"series": hd.to_json()}
     if args.through is not None:
         doc["values"] = hd.expansion(args.through)
-    _emit(doc, args.out)
-    return 0
+    return doc, 0
 
 
-def cmd_presentation(args) -> int:
+def cmd_presentation(args) -> tuple[dict, int]:
     from .sections import presentation
     C = _load_couple(args.couple)
-    _emit(presentation(C, gen_bound=args.gen_bound, rel_bound=args.rel_bound),
-          args.out)
-    return 0
+    return presentation(C, gen_bound=args.gen_bound,
+                        rel_bound=args.rel_bound), 0
 
 
-def cmd_discrepancy(args) -> int:
-    _emit(_discrepancy_doc(_load_couple(args.couple)), args.out)
-    return 0
+def cmd_discrepancy(args) -> tuple[dict, int]:
+    return _discrepancy_doc(_load_couple(args.couple)), 0
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args) -> tuple[dict, int]:
     from .jsonio import fmt_q
     from .resolution import build_graph
     C = _load_couple(args.couple)
@@ -85,5 +81,4 @@ def cmd_resolve(args) -> int:
     doc = G.to_json()
     doc["mld"] = fmt_q(G.mld)
     doc["blown_down"] = G.blown_down.to_json()
-    _emit(doc, args.out)
-    return 0
+    return doc, 0

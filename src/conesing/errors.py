@@ -1,22 +1,21 @@
-"""Exception hierarchy.
-
-Two families matter for the CLI exit-code contract: PreconditionError
-(bad but well-formed input, exit 3) and InternalInvariantError (a broken
-internal consistency assertion that is supposed to be unreachable,
-exit 4).  ParseError covers malformed files and flags (exit 2).
+"""Exception hierarchy: each family carries the CLI's stderr label and
+exit code.  ParseError covers malformed files and flags (exit 2),
+PreconditionError bad but well-formed input (exit 3), and
+InternalInvariantError a broken internal consistency assertion that is
+supposed to be unreachable (exit 4); any other ConesingError exits 3.
 """
 
 
 class ConesingError(Exception):
-    pass
+    label, exit_code = "error", 3
 
 
 class ParseError(ConesingError):
-    pass
+    label, exit_code = "parse error", 2
 
 
 class PreconditionError(ConesingError):
-    pass
+    label, exit_code = "precondition violated", 3
 
 
 class NotAmple(PreconditionError):
@@ -53,7 +52,7 @@ class FanInvalid(PreconditionError):
 
 
 class InternalInvariantError(ConesingError):
-    pass
+    label, exit_code = "internal invariant violated", 4
 
 
 class InternalNonIntegral(InternalInvariantError):

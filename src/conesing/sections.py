@@ -249,8 +249,9 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     generator degree; a given bound reached first is BoundTooSmall, any
     other shortfall an invariant breach.  Otherwise the scan spans every
     degree through c, and relations are listed through rel_bound
-    (default gen_bound; NotKlt without either).  Three generators make a
-    hypersurface, whose relation degree the Hilbert series forces.
+    (default gen_bound; NotKlt without either), which relations_through
+    states.  Three generators make a hypersurface, whose relation degree
+    the Hilbert series forces.
     """
     from .resolution import build_graph
     hd = hilbert_series(C)
@@ -307,13 +308,21 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
             eval_cache[expt] = val
         return val
 
+    # each degree's monomials, listed once for this presentation
+    monomials: Dict[int, List[Tuple[int, ...]]] = {}
+
+    def monomials_of(n: int) -> List[Tuple[int, ...]]:
+        if n not in monomials:
+            monomials[n] = _monomials(gd, n)
+        return monomials[n]
+
     relation_degrees: List[int] = []
     equations: List[str] = []
     relations: List[Tuple[int, Dict[Tuple[int, ...], int]]] = []
     for n in range(2, rel_cap + 1):
         if wanted is not None and len(relation_degrees) >= wanted:
             break
-        monos = _monomials(gd, n)
+        monos = monomials_of(n)
         if len(monos) < 2:
             continue
         # the generators span every degree, so evaluation is onto
@@ -326,7 +335,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
         index = {m: i for i, m in enumerate(monos)}
         old = RowSpan()
         for d_rel, rel in relations:
-            for shift in _monomials(gd, n - d_rel):
+            for shift in monomials_of(n - d_rel):
                 shifted: Dict[int, int] = {}
                 for expt, c in rel.items():
                     combined = tuple(a + b for a, b in zip(expt, shift))
@@ -377,6 +386,9 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
             raise InternalInvariantError(
                 f"relation degrees {relation_degrees} differ from the "
                 f"forced {forced}")
-    return {"series": hd.to_json(), "generators": gd,
-            "relations": relation_degrees, "equations": equations,
-            "verified_through": verified_through}
+    doc = {"series": hd.to_json(), "generators": gd,
+           "relations": relation_degrees, "equations": equations,
+           "verified_through": verified_through}
+    if wanted is None:     # no count certifies the list above rel_cap
+        doc["relations_through"] = rel_cap
+    return doc

@@ -470,6 +470,48 @@ def test_audit_checks_the_mld_of_blown_down_entries_against_the_oracle(
         for d in flagged]
 
 
+def mutated_members(monkeypatch, mutate):
+    """Route audit's rebuilt entries through mutate(entry), as a builder
+    that writes that field wrongly would, in the sweep and the audit
+    alike."""
+    build = catalog._type_member
+
+    def member_of(fracs):
+        member = build(fracs)
+
+        def mutated(degree, G):
+            mld, entry = member(degree, G)
+            return mld, mutate(entry)
+        return mutated
+
+    member_of.cache_clear = build.cache_clear
+    monkeypatch.setattr(audit, "_type_member", member_of)
+
+
+def last_lowered(numerator):
+    return [*numerator[:-1], numerator[-1] - 1]
+
+
+@pytest.mark.parametrize("field,mutate,oracle", [
+    ("cartier_index_kx", lambda e: replaced(
+        e, cartier_index_kx=2 * e["cartier_index_kx"]), "the quotient oracle"),
+    ("hilbert_period", lambda e: replaced(
+        e, hilbert_period=2 * e["hilbert_period"]),
+     "the lcm of the denominators"),
+    ("hilbert_numerator", lambda e: replaced(
+        e, hilbert_numerator=last_lowered(e["hilbert_numerator"])),
+     "L deg D at T = 1"),
+], ids=["cartier_index_kx", "hilbert_period", "hilbert_numerator"])
+def test_audit_checks_a_field_against_its_second_oracle(field, mutate, oracle,
+                                                       monkeypatch):
+    # the stored entries carry the same damage, so only the oracle sees it
+    params = SearchParams(epsilon=F(1, 2), isotropy_bound=6)
+    docs = [mutate(d) for d in stored(enumerate_catalog(params))]
+    mutated_members(monkeypatch, mutate)
+    assert audit_catalog(docs, params)["failures"] == [
+        f"entry {d['key']}: {field} disagrees with {oracle}" for d in docs]
+
+
 def test_audit_blows_down_each_entry_at_most_once(monkeypatch):
     params = SearchParams(epsilon=F(1, 2), isotropy_bound=6)
     docs = stored(enumerate_catalog(params))

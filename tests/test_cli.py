@@ -359,7 +359,7 @@ def test_plain_argv_runs_a_handler_replaced_in_the_module(monkeypatch):
     from conesing import cli, cli_couple
     seen = []
     monkeypatch.setattr(cli_couple, "cmd_resolve",
-                        lambda args: seen.append(args) or 0)
+                        lambda args: seen.append(args) or ({}, 0))
     assert cli.main(["resolve", "--couple", "c.json"]) == 0
     assert [a.couple for a in seen] == ["c.json"]
 
@@ -821,8 +821,8 @@ def narrow(monkeypatch, flag):
         name: (family, text, tuple(map(narrowed, options)))
         for name, (family, text, options) in table.items()})
     seen = []
-    monkeypatch.setattr(cli, "_handler",
-                        lambda command: lambda args: seen.append(args) or 0)
+    monkeypatch.setattr(cli, "_handler", lambda command:
+                        lambda args: seen.append(args) or ({}, 0))
     return seen
 
 
@@ -1034,43 +1034,114 @@ WRITERS = [["--version"], ["describe", "--couple", E6_FILE],
 WRITER_IDS = [" ".join(a) if "--help" in a else a[0] for a in WRITERS]
 
 
-def run_into(stdout, argv, buffered):
+# the two launchers: `python -m conesing`, which ends with os._exit, and
+# what the `conesing` console script runs, which ends with the
+# interpreter's teardown
+MODULE = ["-m", "conesing"]
+CONSOLE_SCRIPT = ["-c", "import sys; from conesing.cli import main; "
+                        "sys.exit(main())"]
+BUFFERING = pytest.mark.parametrize("buffered", [True, False],
+                                    ids=["buffered", "unbuffered"])
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                 reason="no /dev/full")
+BROKEN_PIPE = "error: cannot write output: [Errno 32] Broken pipe\n"
+DEVICE_FULL = ("error: cannot write output: [Errno 28] No space left on "
+               "device\n")
+
+
+def run_into(stdout, argv, buffered, launcher):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, "-m", "conesing", *argv],
+    return subprocess.run([sys.executable, *launcher, *argv],
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
                           env=env)
 
 
-@pytest.mark.parametrize("buffered", [True, False],
-                         ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
-def test_stdout_into_a_closed_pipe_exits_3_without_a_traceback(argv,
-                                                               buffered):
+def into_closed_pipe(argv, buffered, launcher):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        res = run_into(write_end, argv, buffered)
+        return run_into(write_end, argv, buffered, launcher)
     finally:
         os.close(write_end)
-    assert res.returncode == 3
-    assert res.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("buffered", [True, False],
-                         ids=["buffered", "unbuffered"])
+def into_full_device(argv, buffered, launcher):
+    with open("/dev/full", "w") as full:
+        return run_into(full, argv, buffered, launcher)
+
+
+@BUFFERING
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
+def test_stdout_into_a_closed_pipe_exits_3_without_a_traceback(argv,
+                                                               buffered):
+    res = into_closed_pipe(argv, buffered, MODULE)
+    assert (res.returncode, res.stderr) == (3, BROKEN_PIPE)
+
+
+@NO_DEV_FULL
+@BUFFERING
 @pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
 def test_stdout_into_a_full_device_exits_3_without_a_traceback(argv,
                                                                buffered):
-    with open("/dev/full", "w") as full:
-        res = run_into(full, argv, buffered)
-    assert res.returncode == 3
-    assert res.stderr == ("error: cannot write output: [Errno 28] No space "
-                          "left on device\n")
+    res = into_full_device(argv, buffered, MODULE)
+    assert (res.returncode, res.stderr) == (3, DEVICE_FULL)
+
+
+# buffered help used to stay in stdout's buffer until the teardown
+# flushed it, which failed with exit 120 and "Exception ignored in"
+@BUFFERING
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
+def test_console_script_into_a_closed_pipe_exits_3(argv, buffered):
+    res = into_closed_pipe(argv, buffered, CONSOLE_SCRIPT)
+    assert (res.returncode, res.stderr) == (3, BROKEN_PIPE)
+
+
+@NO_DEV_FULL
+@BUFFERING
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
+def test_console_script_into_a_full_device_exits_3(argv, buffered):
+    res = into_full_device(argv, buffered, CONSOLE_SCRIPT)
+    assert (res.returncode, res.stderr) == (3, DEVICE_FULL)
+
+
+def error_classes():
+    from conesing import errors
+    return sorted((cls for cls in vars(errors).values()
+                   if isinstance(cls, type)
+                   and issubclass(cls, errors.ConesingError)),
+                  key=lambda cls: cls.__name__)
+
+
+def readme_exit(cls):
+    """The exit code and stderr label that the README gives a class."""
+    from conesing import errors
+    for family, code, label in (
+            (errors.ParseError, 2, "parse error"),
+            (errors.PreconditionError, 3, "precondition violated"),
+            (errors.InternalInvariantError, 4, "internal invariant violated")):
+        if issubclass(cls, family):
+            return code, label
+    return 3, "error"
+
+
+@pytest.mark.parametrize("cls", error_classes(), ids=lambda c: c.__name__)
+def test_a_handler_raising_an_error_exits_with_its_readme_code(
+        cls, monkeypatch, capsys):
+    from conesing import cli
+
+    def handler(args):
+        raise cls("raised by the handler")
+
+    monkeypatch.setattr(cli, "_handler", lambda command: handler)
+    code, label = readme_exit(cls)
+    assert cli.main(["resolve", "--couple", "c.json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{label}: raised by the handler\n"
 
 
 def test_out_file_that_cannot_be_written_exits_3(tmp_path, capsys):

@@ -14,12 +14,16 @@ catalog and on damaged copies of it (in `golden/catalogs`, written by
 `damaged_catalogs`), one report per kind of damage.
 
 After an intended output change, regenerate the files with
-`PYTHONPATH=src python tests/test_golden.py` and review the diff.
+`PYTHONPATH=src python tests/test_golden.py [NAME ...]`, which rewrites
+the named cases (every case when none is named) and the damaged
+catalogs, and prints the name of each file whose bytes changed; then
+review the diff.
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -195,15 +199,46 @@ def test_damaged_catalogs_are_the_committed_files():
             encoding="utf-8") == dumps(doc)
 
 
-def regenerate(directory=GOLDEN):
-    for name, doc in DAMAGED.items():
-        (CATALOGS / f"{name}.json").write_text(dumps(doc), encoding="utf-8")
-    for name, argv in sorted(CASES.items()):
-        code, out = run(argv)
+def regenerate(names=()):
+    """Write the damaged catalogs and the golden file of each named case,
+    or of every case when names is empty; the paths, relative to the
+    golden directory, of the files whose bytes changed."""
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        raise SystemExit(f"no golden case {', '.join(unknown)}")
+    texts = {CATALOGS / f"{name}.json": dumps(doc)
+             for name, doc in DAMAGED.items()}
+    for name in sorted(names or CASES):
+        code, out = run(CASES[name])
         if code != EXIT_CODES.get(name, 0):
             raise SystemExit(f"{name}: exit code {code}")
-        (Path(directory) / f"{name}.json").write_text(out, encoding="utf-8")
+        texts[GOLDEN / f"{name}.json"] = out
+    changed = []
+    for path, text in texts.items():
+        if not path.exists() or path.read_text(encoding="utf-8") != text:
+            path.write_text(text, encoding="utf-8")
+            changed.append(path.relative_to(GOLDEN).as_posix())
+    return changed
+
+
+def test_regenerate_writes_the_named_cases_and_lists_changed_files(
+        tmp_path, monkeypatch):
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN", tmp_path)
+    monkeypatch.setattr(module, "CATALOGS", tmp_path / "catalogs")
+    (tmp_path / "catalogs").mkdir()
+    catalogs = sorted(f"catalogs/{name}.json" for name in DAMAGED)
+    assert sorted(regenerate(["describe_A1"])) == sorted(
+        catalogs + ["describe_A1.json"])
+    assert sorted(path.name for path in tmp_path.glob("*.json")) == [
+        "describe_A1.json"]
+    assert regenerate(["describe_A1", "resolve_A1"]) == ["resolve_A1.json"]
+    (tmp_path / "describe_A1.json").write_text("{}\n", encoding="utf-8")
+    assert regenerate(["describe_A1"]) == ["describe_A1.json"]
+    with pytest.raises(SystemExit, match="no golden case nonesuch"):
+        regenerate(["nonesuch"])
 
 
 if __name__ == "__main__":
-    regenerate()
+    for changed in regenerate(sys.argv[1:]):
+        print(changed)

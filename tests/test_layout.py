@@ -279,3 +279,28 @@ def test_only_main_exits_without_teardown_and_no_module_uses_atexit():
                 callers.append(path.stem)
     assert callers == ["__main__"]
     assert importers(("atexit",)) == []
+
+
+def output_writers():
+    """Modules other than cli that refer to stdout or to cli._emit."""
+    return [path.stem for path in sorted(SRC.glob("*.py"))
+            if path.name != "cli.py" and references(
+                ast.parse(path.read_text(encoding="utf-8")))
+            & {"stdout", "_emit"}]
+
+
+def test_only_the_dispatcher_writes_output():
+    # handlers return their document, and cli.main writes and flushes it
+    assert output_writers() == []
+
+
+def test_layout_scan_flags_a_handler_that_writes(tmp_path, monkeypatch):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    with open(tmp_path / "cli_couple.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef later():\n    import sys\n    sys.stdout.write('')\n")
+    with open(tmp_path / "cli_checks.py", "a", encoding="utf-8") as fh:
+        fh.write("\nfrom .cli import _emit\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert output_writers() == ["cli_checks", "cli_couple"]

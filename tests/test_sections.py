@@ -317,6 +317,17 @@ def test_non_klt_presentation_matches_the_saturation_scan(C, extra):
     assert tuple(pres["generators"]) == degrees
 
 
+def test_relations_through_states_the_cap_of_a_non_klt_list():
+    # deg B = 3 (2/3) = 2, so no count ends the relation search
+    C = CurveCouple.of({P0: F(2, 3), P1: F(2, 3), PINF: F(2, 3)})
+    assert presentation(C, gen_bound=4, rel_bound=6)["relations_through"] == 6
+    # --rel-bound defaults to --gen-bound
+    assert presentation(C, gen_bound=4)["relations_through"] == 4
+    # on a klt couple Wahl's count certifies the list
+    assert "relations_through" not in presentation(
+        CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}), gen_bound=5, rel_bound=7)
+
+
 def toric_generator_degrees(c0, c_inf):
     """The n-degrees of the Hilbert basis of the semigroup
     {(n, m) : -floor(n c0) <= m <= floor(n c_inf)}, by brute force.  The
