@@ -4,15 +4,15 @@ Every stored entry (a JSON object as read from the file) is rebuilt from
 its key, fractional type and degree by the enumerator's own path,
 catalog._type_member, once per type, and compared with the stored entry
 as canonical JSON, field by field when they differ.  Its couple's own
-star graph, resolution.build_graph, is the independent oracle of a_e0
-and the mld; it solves the couple's chains from the couple and never
-calls the sweep's chain solver.  The quotient side's minimal
-decomposition, quotient.cartier_index_of_kx, is the oracle of the index
-of K_X; the lcm L of the couple's denominators, of the Hilbert period;
-and L deg D, of the Hilbert numerator's sum.  Each entry's couple is
-built once (a stored couple in normal form is its own normal form), and
-its graph is blown down at most once, for the oracle and the rebuilt
-entry alike.
+star graph, resolution.build_graph, is the independent oracle of a_e0,
+the mld and the link determinant (read off its chains' continuants); it
+solves the couple's chains from the couple and never calls the sweep's
+chain solver.  The quotient side's minimal decomposition,
+quotient.cartier_index_of_kx, is the oracle of the index of K_X; the
+lcm L of the couple's denominators, of the Hilbert period; and L deg D,
+of the Hilbert numerator's sum.  Each entry's couple is built once (a
+stored couple in normal form is its own normal form), and its graph is
+blown down at most once, for the oracle and the rebuilt entry alike.
 
 Only the audit command imports this module: enumerate and mld-set do
 not compile it.
@@ -124,6 +124,8 @@ def audit_catalog(docs, params: SearchParams) -> dict:
                         den + G.numerators[0], den), "the resolution oracle"),
                     ("mld", rebuilt["mld"] == fmt_ratio(
                         m.numerator, m.denominator), "the resolution oracle"),
+                    ("link_determinant", rebuilt["link_determinant"]
+                     == G.determinant, "the star graph"),
                     ("cartier_index_kx", rebuilt["cartier_index_kx"]
                      == cartier_index_of_kx(C), "the quotient oracle"),
                     ("hilbert_period", rebuilt["hilbert_period"] == L,

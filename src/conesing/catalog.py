@@ -36,8 +36,7 @@ from math import gcd, lcm, prod
 from operator import add
 from typing import List, Tuple
 
-from .errors import (BadEpsilon, CatalogMismatch, InternalInvariantError,
-                     InternalNonIntegral, NotKlt, PreconditionError)
+from .errors import InternalInvariantError, NotKlt, PreconditionError
 from .jsonio import fmt_q, fmt_ratio, parse_q
 from .records import Record
 from .resolution import _chain_continuants, blow_down, hj_chain, star_edges
@@ -47,7 +46,7 @@ def validate_epsilon(eps) -> Fraction:
     """eps as a Fraction, checked to lie in (0, 1]."""
     eps = Fraction(eps)
     if not (0 < eps <= 1):
-        raise BadEpsilon(f"epsilon {eps} outside (0, 1]")
+        raise PreconditionError(f"epsilon {eps} outside (0, 1]")
     return eps
 
 
@@ -193,16 +192,17 @@ def _type_member(fracs: Tuple[Fraction, ...]):
                 bd = blow_down((-b0, *tail), star_edges(chains))
             if bd.empty:
                 if low != 2 * L * B:
-                    raise InternalNonIntegral("smooth cone with graph minimum "
-                                              f"{Fraction(low, L * B)}")
+                    raise InternalInvariantError(
+                        f"smooth cone with graph minimum {Fraction(low, L * B)}")
             elif low != min(vertices[v][0] * A + vertices[v][1] * B
                             for v in bd.surviving):
-                raise InternalNonIntegral("blow-down changed the graph minimum")
+                raise InternalInvariantError(
+                    "blow-down changed the graph minimum")
             embdim = bd.embedding_dimension
             if bd.empty != (embdim == 2):
-                raise CatalogMismatch(f"{prefix}{degree}: graph blow-down "
-                                      f"and embedding dimension {embdim} "
-                                      "disagree")
+                raise InternalInvariantError(
+                    f"{prefix}{degree}: graph blow-down and embedding "
+                    f"dimension {embdim} disagree")
             blown_down = None if bd.empty else list(bd.self_intersections)
         # the least m with m(K + B) - u D integral, u/m = s/t = -a_e0: t
         # divides m, and at p/q, q divides (m/t)(t(q - 1) - s p)
@@ -272,12 +272,13 @@ def _candidate_types(params: SearchParams):
 def _evaluate_candidate(args):
     """The entry of a (fracs, degree, eps) candidate.  The sweep yields
     admissible types only, so none is refused as not klt, and each only
-    through its mld cap, so a member below eps is a CatalogMismatch."""
+    through its mld cap, so a member below eps is an invariant breach."""
     fracs, degree, eps = args
     mld, entry = _type_member(fracs)(degree)
     if mld < eps:
-        raise CatalogMismatch(f"{entry['key']}: mld {entry['mld']} is below "
-                              f"epsilon {fmt_q(eps)} under the degree cap")
+        raise InternalInvariantError(
+            f"{entry['key']}: mld {entry['mld']} is below epsilon "
+            f"{fmt_q(eps)} under the degree cap")
     return entry
 
 
@@ -291,7 +292,7 @@ def enumerate_catalog(params: SearchParams) -> List[dict]:
             e = _evaluate_candidate((fracs, degree, eps))
             key = e["key"]
             if key in seen:
-                raise CatalogMismatch(f"duplicate catalog key {key}")
+                raise InternalInvariantError(f"duplicate catalog key {key}")
             seen[key] = degree, e
     finally:
         _chain_solve.cache_clear()

@@ -29,7 +29,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .errors import NotAmple, NotKlt, PreconditionError
+from .errors import NotKlt, PreconditionError
 from .records import Record
 
 Rational = Union[int, Fraction]
@@ -134,7 +134,7 @@ class CurveCouple(Record):
                  degree: Optional[Fraction] = None):
         self.__dict__.update(terms=terms, _degree=degree)
         if self.degree().numerator <= 0:
-            raise NotAmple(f"degree {self.degree()} is not positive")
+            raise PreconditionError(f"degree {self.degree()} is not positive")
 
     @staticmethod
     def of(data: Union[Mapping[MarkedPoint, Rational],

@@ -21,7 +21,7 @@ from typing import Tuple
 
 from .divisors import (PINF, CurveCouple, IntegralTerms, MarkedPoint,
                        _klt_boundary_degree, denominators_lcm)
-from .errors import InternalNonIntegral, PreconditionError
+from .errors import InternalInvariantError, PreconditionError
 from .records import Record
 
 
@@ -90,11 +90,11 @@ def _decomposition(C: CurveCouple) -> Tuple[int, int, IntegralTerms]:
         h, rest = divmod(m * xs.get(p, 0), tl)
         if rest:
             val = Fraction(m * xs[p], tl) + k
-            raise InternalNonIntegral(f"coefficient {val} at {p}")
+            raise InternalInvariantError(f"coefficient {val} at {p}")
         if h + k:
             H.append((p, h + k))
     if sum(h for _, h in H) != 0:
-        raise InternalNonIntegral(f"H has degree {sum(h for _, h in H)}")
+        raise InternalInvariantError(f"H has degree {sum(h for _, h in H)}")
     return m, u, tuple(H)
 
 
@@ -122,8 +122,8 @@ def horizontal_log_discrepancies(
         q, b = c.denominator, boundary.get(p, zero)
         # q (1 - b) = 1 in integers: b = n/d gives q (d - n) = d
         if q * (b.denominator - b.numerator) != b.denominator:
-            raise InternalNonIntegral(f"horizontal log discrepancy "
-                                      f"{q * (1 - b)} != 1 at {p}")
+            raise InternalInvariantError(
+                f"horizontal log discrepancy {q * (1 - b)} != 1 at {p}")
         out.append((p, one))
     return tuple(out)
 

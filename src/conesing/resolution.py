@@ -21,8 +21,9 @@ The central self-intersection is solved from the rational identity
 (central curve)^2 = -deg D rather than taken from a closed formula, and
 the forced integrality is asserted at runtime.  Negative definiteness
 follows from the chain elimination (every pivot positive) and the
-central Schur complement -deg D < 0.  The link determinant is the
-closed form deg D * prod q_i (Orlik-Wagreich 1971).  No dense
+central Schur complement -deg D < 0.  The link determinant is read off
+the chains' continuants and checked against the closed form
+deg D * prod q_i (Orlik-Wagreich 1971).  No dense
 intersection matrix is built; the dense solve is an oracle in the tests.
 
 build_graph works in integers: every discrepancy is an integer
@@ -50,8 +51,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .errors import (BadChain, InternalInvariantError, InternalNonIntegral,
-                     PreconditionError, SingularMatrix)
+from .errors import InternalInvariantError, PreconditionError
 from .records import Record
 
 if TYPE_CHECKING:
@@ -115,15 +115,17 @@ def hj_chain(q: int, p: int) -> Tuple[int, ...]:
         cs.append(c)
         a, b = b, c * b - a
     if any(c < 2 for c in cs):
-        raise BadChain(f"chain {cs} has an entry below 2")
+        raise InternalInvariantError(f"chain {cs} has an entry below 2")
     # Certificate: replay the hull recursion.
     v_prev, v = (0, 1), (1, 1)
     for c in cs:
         v_prev, v = v, (c * v[0] - v_prev[0], c * v[1] - v_prev[1])
         if gcd(abs(v[0]), abs(v[1])) != 1:
-            raise BadChain("hull recursion left the primitive lattice")
+            raise InternalInvariantError(
+                "hull recursion left the primitive lattice")
     if v != (q, p):
-        raise BadChain(f"hull recursion ended at {v}, expected {(q, p)}")
+        raise InternalInvariantError(
+            f"hull recursion ended at {v}, expected {(q, p)}")
     return tuple(-c for c in cs)
 
 
@@ -150,7 +152,7 @@ def _chain_continuants(cs: List[int]) -> Tuple[List[int], List[int]]:
         c = cs[j]
         u = c * us[j + 1] - us[j + 2]
         if u <= 0:
-            raise SingularMatrix("chain elimination lost definiteness")
+            raise InternalInvariantError("chain elimination lost definiteness")
         us[j] = u
         ws[j] = ws[j + 1] - (c - 2) * us[j + 1]
     return us[:n + 1], ws[:n]
@@ -250,11 +252,13 @@ class ResolutionGraph(Record):
             bd = self.blown_down
             if bd.empty:
                 if low != den:
-                    raise InternalNonIntegral("smooth cone with graph minimum "
-                                              f"{Fraction(den + low, den)}")
+                    raise InternalInvariantError(
+                        "smooth cone with graph minimum "
+                        f"{Fraction(den + low, den)}")
                 return Fraction(2)
             if min(nums[v] for v in bd.surviving) != low:
-                raise InternalNonIntegral("blow-down changed the graph minimum")
+                raise InternalInvariantError(
+                    "blow-down changed the graph minimum")
         return Fraction(den + low, den)
 
 
@@ -281,14 +285,14 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
     # Central self-intersection from (central curve)^2 = -deg D.
     b0, rest = divmod(dn * A + alpha * dd, dd * A)
     if rest:
-        raise InternalNonIntegral("central self-intersection "
-                                  f"-{Fraction(dn * A + alpha * dd, dd * A)} "
-                                  "not integral")
+        raise InternalInvariantError(
+            "central self-intersection "
+            f"-{Fraction(dn * A + alpha * dd, dd * A)} not integral")
 
     # Negative definiteness: the chains are standard and the Schur
     # complement at the center is -(b0 - sum alpha_1) = -deg D < 0.
     if (b0 * A - alpha) * dd != dn * A or dn <= 0:
-        raise SingularMatrix("central Schur complement is not -deg D")
+        raise InternalInvariantError("central Schur complement is not -deg D")
 
     # The central discrepancy from the chain betas and the central
     # adjunction datum: (b0 - 2 - sum beta_1)/(sum alpha_1 - b0) = P/Q.
@@ -296,8 +300,8 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
     g = gcd(P, Q)
     P, Q = -P // g, Q // g
     if P <= -Q:
-        raise InternalNonIntegral(f"discrepancy {Fraction(P, Q)} <= -1 on a "
-                                  "klt cone")
+        raise InternalInvariantError(
+            f"discrepancy {Fraction(P, Q)} <= -1 on a klt cone")
     # Every discrepancy is N_v/(Q A) with N_v an integer.  Along a chain,
     # N_1 = (u_2 P + w_1 Q) A/u_1 from the elimination, then the chain
     # equations d_{j+1} = c_j d_j - d_{j-1} + k_j, which must end at the
@@ -308,19 +312,22 @@ def build_graph(C: CurveCouple) -> ResolutionGraph:
         prev, cur = P * A, (u2 * P + w1 * Q) * (A // u1)
         for c in cs:
             if cur <= -den:
-                raise InternalNonIntegral(f"discrepancy {Fraction(cur, den)} "
-                                          "<= -1 on a klt cone")
+                raise InternalInvariantError(
+                    f"discrepancy {Fraction(cur, den)} <= -1 on a klt cone")
             nums.append(cur)
             prev, cur = cur, c * cur - prev + (c - 2) * den
         if cur != 0:
             raise InternalInvariantError(
                 "chain discrepancies miss the outer boundary condition")
 
+    # The determinant of the negated intersection matrix, by the Schur
+    # complement at the center: (b0 - sum alpha_1) U with U = prod u_1.
+    U = prod(u1 for _, _, u1, _, _ in elims)
+    det = b0 * U - sum(u2 * (U // u1) for _, _, u1, u2, _ in elims)
     qprod = prod(c.denominator for c in frac)
-    det, rest = divmod(dn * qprod, dd)
-    if rest:
-        raise InternalNonIntegral(f"link determinant {deg * qprod} not "
-                                  "integral")
+    if det * dd != dn * qprod:
+        raise InternalInvariantError(f"link determinant {det} is not "
+                                     f"deg D prod q_i = {deg * qprod}")
 
     return ResolutionGraph(
         central_self_int=-b0,
@@ -419,14 +426,15 @@ def blow_down(self_intersections: Tuple[int, ...],
         around = nbrs[target]
         for v, w in around.items():
             if w != 1:
-                raise InternalNonIntegral("contraction of a tangent curve")
+                raise InternalInvariantError("contraction of a tangent curve")
             selfints[v] += 1
         for a in around:
             for b in around:
                 if a < b:
                     w = nbrs[a].get(b, 0) + 1
                     if w > 1:
-                        raise InternalNonIntegral("contraction created a tangency")
+                        raise InternalInvariantError(
+                            "contraction created a tangency")
                     nbrs[a][b] = nbrs[b][a] = w
         for v in around:
             del nbrs[v][target]

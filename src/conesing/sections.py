@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .divisors import CurveCouple, Rational, assign_coordinates, floor_multiple
-from .errors import BoundTooSmall, InternalInvariantError, NotKlt
+from .errors import InternalInvariantError, NotKlt, PreconditionError
 from .hilbert import HilbertData, hilbert_series, nonnegative_from
 
 
@@ -198,12 +198,12 @@ class _GeneratorScan:
         """Generator degrees from a scan of degrees 1 .. through that takes
         new generators through gen_bound and stops after the degree where
         it holds `count` of them; a degree above gen_bound that the
-        generators do not span is BoundTooSmall."""
+        generators do not span is a PreconditionError."""
         degrees: List[int] = []
         for n in range(1, through + 1):
             missing = self._span_degree(n, n <= gen_bound)
             if n > gen_bound and missing:
-                raise BoundTooSmall(
+                raise PreconditionError(
                     f"generators through degree {gen_bound} do not span degree {n}")
             degrees.extend([n] * missing)
             if count is not None and len(degrees) >= count:
@@ -246,12 +246,12 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     every generator.  On a klt couple the scan stops at Artin's count e
     of generators, and the relation search at Wahl's count
     (e - 1)(e - 2)/2 of relations, each of degree at most twice the top
-    generator degree; a given bound reached first is BoundTooSmall, any
-    other shortfall an invariant breach.  Otherwise the scan spans every
-    degree through c, and relations are listed through rel_bound
-    (default gen_bound; NotKlt without either), which relations_through
-    states.  Three generators make a hypersurface, whose relation degree
-    the Hilbert series forces.
+    generator degree; a given bound reached first is a precondition
+    error, any other shortfall an invariant breach.  Otherwise the scan
+    spans every degree through c, and relations are listed through
+    rel_bound (default gen_bound; NotKlt without either), which
+    relations_through states.  Three generators make a hypersurface,
+    whose relation degree the Hilbert series forces.
     """
     from .resolution import build_graph
     hd = hilbert_series(C)
@@ -275,7 +275,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
         gd = scan.run(new_through, new_through, embdim)
         count = len(gd)
         if count < embdim and new_through < certificate:
-            raise BoundTooSmall(
+            raise PreconditionError(
                 f"generator bound {gen_bound} finds {count} generators, "
                 f"below embedding dimension {embdim}")
         if count != embdim:
@@ -370,7 +370,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     listed = len(relation_degrees)
     if wanted is not None and listed != wanted:
         if listed < wanted and rel_bound is not None:
-            raise BoundTooSmall(
+            raise PreconditionError(
                 f"relation bound {rel_bound} finds {listed} relations, below "
                 f"Wahl's count {wanted} for {embdim} generators")
         raise InternalInvariantError(
@@ -379,7 +379,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
     if len(gd) == 3:
         forced = _hypersurface_relation_degree(hd, gd)
         if not relation_degrees and rel_cap < forced:
-            raise BoundTooSmall(
+            raise PreconditionError(
                 f"relation bound {rel_cap} is below the degree {forced} "
                 f"of the relation that the Hilbert series forces")
         if relation_degrees != [forced]:

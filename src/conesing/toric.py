@@ -18,9 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import (FanInvalid, InternalInvariantError, NonCartierOnCone,
-                     NotAmple, NotQCartierPair, NotQGorenstein,
-                     PreconditionError)
+from .errors import InternalInvariantError, PreconditionError
 from .jsonio import fmt_q, fmt_ratio
 from .linalg import _integer_scaling, nullspace, primitivize, rank, solve
 from .records import Record
@@ -59,36 +57,36 @@ class Fan(Record):
     def _validate(self):
         n = self.rank
         if n < 1:
-            raise FanInvalid(f"rank {n} must be at least 1")
+            raise PreconditionError(f"rank {n} must be at least 1")
         for r in self.rays:
             if len(r) != n:
-                raise FanInvalid(f"ray {r} has wrong length")
+                raise PreconditionError(f"ray {r} has wrong length")
             if gcd(*r) != 1:
-                raise FanInvalid(f"ray {r} is not primitive")
+                raise PreconditionError(f"ray {r} is not primitive")
         if len(set(self.rays)) != len(self.rays):
-            raise FanInvalid("duplicate rays")
+            raise PreconditionError("duplicate rays")
         if not self.max_cones:
-            raise FanInvalid("no maximal cones")
+            raise PreconditionError("no maximal cones")
         for c in self.max_cones:
             if any(i < 0 or i >= len(self.rays) for i in c):
-                raise FanInvalid(f"cone {c} references a missing ray")
+                raise PreconditionError(f"cone {c} references a missing ray")
             if len(set(c)) != len(c):
-                raise FanInvalid(f"cone {c} repeats a ray")
+                raise PreconditionError(f"cone {c} repeats a ray")
             mat = [list(self.rays[i]) for i in c]
             if rank(mat) != n:
-                raise FanInvalid(f"cone {c} is not full-dimensional")
+                raise PreconditionError(f"cone {c} is not full-dimensional")
         # per maximal cone: inward facet normal by the facet's ray set
         walls = []
         for c, normals in zip(self.max_cones, self.facets):
             if rank(normals) != n:
-                raise FanInvalid(f"cone {c} is not strictly convex")
+                raise PreconditionError(f"cone {c} is not strictly convex")
             walls.append({frozenset(i for i in c if _dot(u, self.rays[i]) == 0): u
                           for u in normals})
         for c, own in zip(self.max_cones, walls):
             for wall, u in own.items():
                 others = [w[wall] for w in walls if w is not own and wall in w]
                 if others != [tuple(-x for x in u)]:
-                    raise FanInvalid(
+                    raise PreconditionError(
                         f"facet {sorted(wall)} of cone {c} is a facet of "
                         f"{len(others)} other cones, not of exactly one on "
                         "its other side; fan not complete")
@@ -100,7 +98,7 @@ class Fan(Record):
             inner = tuple(map(sum, zip(*(self.rays[i] for i in c))))
             first = self.locate(inner)
             if first != ci:
-                raise FanInvalid(
+                raise PreconditionError(
                     f"the interior point {inner} of cone {c} lies in cone "
                     f"{self.max_cones[first]} too; the cones cover space "
                     "more than once")
@@ -119,7 +117,8 @@ class Fan(Record):
         for ci, normals in enumerate(self.facets):
             if all(_dot(u, v) >= 0 for u in normals):
                 return ci
-        raise FanInvalid(f"{tuple(v)} is outside the fan support; fan not complete")
+        raise PreconditionError(
+            f"{tuple(v)} is outside the fan support; fan not complete")
 
 
 class ToricDivisor(Record):
@@ -143,10 +142,10 @@ def _cone_linear_form(F: Fan, values: Sequence[Fraction], cone_index: int,
     rhs = [values[i] for i in idx]
     status, m = solve(rows, rhs)
     if status == "none":
-        raise NonCartierOnCone(
+        raise PreconditionError(
             f"{what} admits no linear form on cone {cone_index}")
     if status == "many":
-        raise NonCartierOnCone(
+        raise PreconditionError(
             f"cone {cone_index} is degenerate for {what}")
     return tuple(m)
 
@@ -177,10 +176,7 @@ def quotient_boundary(F: Fan, D: ToricDivisor) -> ToricDivisor:
 def _pair_form(F: Fan, B: ToricDivisor, cone_index: int) -> Tuple[Fraction, ...]:
     """The linear form equal to 1 - b_rho at the rays of one cone."""
     values = [1 - b for b in B.coefficients]
-    try:
-        return _cone_linear_form(F, values, cone_index, "pair")
-    except NonCartierOnCone as exc:
-        raise NotQCartierPair(str(exc)) from None
+    return _cone_linear_form(F, values, cone_index, "pair")
 
 
 def is_ample(F: Fan, D: ToricDivisor) -> bool:
@@ -236,7 +232,7 @@ def _facet_normals(rays: Sequence[Vector], dim: int) -> List[Vector]:
 
 def cone_of_x(F: Fan, D: ToricDivisor) -> ConeOfX:
     if not is_ample(F, D):
-        raise NotAmple("the divisor is not ample on the fan")
+        raise PreconditionError("the divisor is not ample on the fan")
     d = F.rank + 1
     rays = []
     for v, c in zip(F.rays, D.coefficients):
@@ -258,13 +254,14 @@ def cone_of_x(F: Fan, D: ToricDivisor) -> ConeOfX:
     e_last = tuple(0 for _ in range(d - 1)) + (1,)
     for normal in _facet_normals(rays, d):
         if not _dot(normal, e_last) > 0:
-            raise NotAmple("central vector is not interior; divisor not ample")
+            raise PreconditionError(
+                "central vector is not interior; divisor not ample")
     return ConeOfX(rank=d, rays=tuple(rays), qgorenstein_form=qform)
 
 
 def log_discrepancy_x(K: ConeOfX, w: Sequence[int]) -> Fraction:
     if K.qgorenstein_form is None:
-        raise NotQGorenstein("no covector takes value 1 on all rays")
+        raise PreconditionError("no covector takes value 1 on all rays")
     return _dot(K.qgorenstein_form, w)
 
 
@@ -313,7 +310,7 @@ def verify_comparison(F: Fan, D: ToricDivisor,
     vector gives one row, the JSON object toric-check prints."""
     K = cone_of_x(F, D)
     if K.qgorenstein_form is None:
-        raise NotQGorenstein("comparison needs a Q-Gorenstein lifted cone")
+        raise PreconditionError("comparison needs a Q-Gorenstein lifted cone")
     B = quotient_boundary(F, D)
     # Each linear form as (integer form, positive denominator), so a
     # vector costs integer dots only.

@@ -12,8 +12,7 @@ from typing import Dict, Optional
 
 from conesing.divisors import (CurveCouple, denominators_lcm, finite_point,
                                floor_multiple, infinity_point)
-from conesing.errors import (InternalInvariantError, NotQGorenstein,
-                             PreconditionError, SingularMatrix)
+from conesing.errors import InternalInvariantError, PreconditionError
 from conesing.linalg import RowSpan, det_int, nullspace, solve
 from conesing.sections import (SectionSpace, _equation_string,
                                _GeneratorScan, _monomials)
@@ -154,7 +153,7 @@ def fraction_vertex_decomposition(C):
     the closed form, H from coefficient scans over the points of D, K and
     B.  The oracle of the integer form in quotient."""
     from math import lcm
-    from conesing.errors import InternalNonIntegral, NotKlt
+    from conesing.errors import NotKlt
     from conesing.quotient import VertexData, log_fano_quotient
     B = log_fano_quotient(C)
     if not is_log_fano(B):
@@ -169,12 +168,12 @@ def fraction_vertex_decomposition(C):
     for p in pts:
         val = m * (coeff(kcan, p) + coeff(B, p)) - u * coeff(C, p)
         if val.denominator != 1:
-            raise InternalNonIntegral(f"coefficient {val} at {p}")
+            raise InternalInvariantError(f"coefficient {val} at {p}")
         if val != 0:
             terms[p] = int(val)
     H = integral_terms(terms)
     if divisor_degree(H) != 0:
-        raise InternalNonIntegral(f"H has degree {divisor_degree(H)}")
+        raise InternalInvariantError(f"H has degree {divisor_degree(H)}")
     return VertexData(m=m, u=u, H=H)
 
 
@@ -618,7 +617,7 @@ def multiplication_rank(C, a, b):
 def scanned_generators(C, bound):
     """Minimal generator degrees from the generator scan alone, without
     the relation search: generators through `bound`, saturation checked
-    through 2 * bound (BoundTooSmall otherwise)."""
+    through 2 * bound (PreconditionError otherwise)."""
     return tuple(sorted(_GeneratorScan(SectionSpace(C)).run(bound, 2 * bound)))
 
 
@@ -654,7 +653,7 @@ def saturated_presentation(C, gen_bound=None, rel_bound=None):
     before its stopping rules came from the theory: new generators
     through gen_bound (default_presentation_bound by default), every
     degree through 2 max(gen_bound, rel_bound) checked to be spanned
-    (BoundTooSmall otherwise), and every minimal relation through
+    (PreconditionError otherwise), and every minimal relation through
     rel_bound (gen_bound by default), with no count to stop at."""
     if gen_bound is None:
         gen_bound = default_presentation_bound(C)
@@ -738,7 +737,7 @@ def discrepancies(G):
     rhs = [Fraction(-e - 2) for e in selfints]
     status, x = solve(intersection_matrix(G), rhs)
     if status != "unique":
-        raise SingularMatrix("intersection matrix must be invertible")
+        raise InternalInvariantError("intersection matrix must be invertible")
     return tuple(x)
 
 
@@ -802,7 +801,7 @@ def fraction_chain_alphas_betas(cs, ks):
     for j in range(n - 1, -1, -1):
         den = Fraction(cs[j]) - a_next
         if den <= 0:
-            raise SingularMatrix("chain elimination lost definiteness")
+            raise InternalInvariantError("chain elimination lost definiteness")
         alphas[j] = Fraction(1) / den
         betas[j] = (b_next - ks[j]) / den
         a_next, b_next = alphas[j], betas[j]
@@ -813,7 +812,6 @@ def edge_scan_blow_down(G):
     """Contract the lowest-index (-1)-vertex until none is left, scanning
     every edge for the neighbours at each step: the quadratic oracle of
     resolution.blow_down."""
-    from conesing.errors import InternalNonIntegral
     from conesing.resolution import BlownDownGraph, star_edges
     selfints = list(G.self_intersections())
     mult = {e: 1 for e in star_edges(G.chains)}
@@ -835,7 +833,7 @@ def edge_scan_blow_down(G):
         nbrs = neighbors(target)
         for v, w in nbrs:
             if w != 1:
-                raise InternalNonIntegral("contraction of a tangent curve")
+                raise InternalInvariantError("contraction of a tangent curve")
             selfints[v] += 1
         for (a, wa) in nbrs:
             for (b, wb) in nbrs:
@@ -843,7 +841,8 @@ def edge_scan_blow_down(G):
                     key = (a, b)
                     mult[key] = mult.get(key, 0) + wa * wb
                     if mult[key] > 1:
-                        raise InternalNonIntegral("contraction created a tangency")
+                        raise InternalInvariantError(
+                            "contraction created a tangency")
         for key in [k for k in mult if target in k]:
             del mult[key]
         alive.remove(target)
@@ -863,7 +862,7 @@ def is_negative_definite(matrix):
     for k in range(1, n + 1):
         minor = det_int([row[:k] for row in matrix[:k]])
         if minor == 0:
-            raise SingularMatrix(f"leading {k}x{k} minor vanishes")
+            raise InternalInvariantError(f"leading {k}x{k} minor vanishes")
         if (minor > 0) != (k % 2 == 0):
             return False
     return True
@@ -906,7 +905,7 @@ def lattice_mld(K):
     if K.rank != 2:
         raise PreconditionError("lattice mld enumeration implemented for rank 2")
     if K.qgorenstein_form is None:
-        raise NotQGorenstein("no covector takes value 1 on all rays")
+        raise PreconditionError("no covector takes value 1 on all rays")
     r1, r2 = K.rays
     det = r1[0] * r2[1] - r1[1] * r2[0]
     corners = [(0, 0), (2 * r1[0], 2 * r1[1]), (2 * r2[0], 2 * r2[1])]

@@ -14,7 +14,7 @@ from conesing.catalog import (SearchParams, _admissible_types,
                               _fractional_coefficients, catalog_to_json,
                               enumerate_catalog, mld_spectrum, search_bounds)
 from conesing.divisors import normal_form
-from conesing.errors import (BadEpsilon, CatalogMismatch, ParseError,
+from conesing.errors import (InternalInvariantError, ParseError,
                              PreconditionError)
 from conesing.jsonio import dumps
 from conesing.resolution import ResolutionGraph
@@ -36,11 +36,12 @@ def replaced(entry, **changes):
 
 
 def test_search_params_validation():
-    with pytest.raises(BadEpsilon):
+    # the two refusals share their family and differ in their messages
+    with pytest.raises(PreconditionError, match=r"epsilon 3/2 outside \(0, 1\]"):
         SearchParams(epsilon=F(3, 2), isotropy_bound=1)
     with pytest.raises(PreconditionError, match="isotropy bound 0 < 1") as exc:
         SearchParams(epsilon=F(1, 2), isotropy_bound=0)
-    assert not isinstance(exc.value, BadEpsilon)
+    assert "epsilon" not in str(exc.value)
 
 
 def test_search_bounds_examples():
@@ -199,7 +200,7 @@ def test_degree_cap_skips_only_rejected_candidates(data):
     assume(skipped)
     for _ in range(3):
         fracs, degree = data.draw(st.sampled_from(skipped))
-        with pytest.raises(CatalogMismatch, match="is below epsilon"):
+        with pytest.raises(InternalInvariantError, match="is below epsilon"):
             _evaluate_candidate((fracs, degree, eps))
         assert per_candidate_entry(fracs, degree, eps) is None
 
@@ -295,8 +296,8 @@ def test_sweep_checks_that_the_degree_cap_keeps_every_member_eps_lc(
         yield from ((fracs, degree + 1) for fracs, degree in last.items())
 
     monkeypatch.setattr(catalog, "_candidate_types", one_past_the_cap)
-    with pytest.raises(CatalogMismatch, match="is below epsilon 1 under the "
-                       "degree cap"):
+    with pytest.raises(InternalInvariantError,
+                       match="is below epsilon 1 under the degree cap"):
         enumerate_catalog(params)
     assert cache_sizes() == (0, 0)
     out = tmp_path / "catalog.json"
@@ -501,7 +502,10 @@ def last_lowered(numerator):
     ("hilbert_numerator", lambda e: replaced(
         e, hilbert_numerator=last_lowered(e["hilbert_numerator"])),
      "L deg D at T = 1"),
-], ids=["cartier_index_kx", "hilbert_period", "hilbert_numerator"])
+    ("link_determinant", lambda e: replaced(
+        e, link_determinant=e["link_determinant"] + 1), "the star graph"),
+], ids=["cartier_index_kx", "hilbert_period", "hilbert_numerator",
+        "link_determinant"])
 def test_audit_checks_a_field_against_its_second_oracle(field, mutate, oracle,
                                                        monkeypatch):
     # the stored entries carry the same damage, so only the oracle sees it

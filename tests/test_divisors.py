@@ -9,7 +9,7 @@ from conesing.divisors import (CurveCouple, MarkedPoint, assign_coordinates,
                                canonical_couple, denominators_lcm,
                                finite_point, floor_multiple, infinity_point,
                                label_point, max_isotropy, normal_form)
-from conesing.errors import NotAmple, PreconditionError
+from conesing.errors import PreconditionError
 from helpers import (coeff, divisor, divisor_degree, integral_terms,
                      merged_terms, plus, support)
 
@@ -26,7 +26,7 @@ def D(*terms):
 def test_degree_examples():
     assert D((P0, 2)).degree() == 2
     assert D((P0, F(1, 2)), (P1, F(1, 3))).degree() == F(5, 6)
-    with pytest.raises(NotAmple, match="degree 0 is not positive"):
+    with pytest.raises(PreconditionError, match="degree 0 is not positive"):
         CurveCouple.of([])
 
 
@@ -71,7 +71,7 @@ def test_max_isotropy():
 
 
 def test_couple_requires_positive_degree():
-    with pytest.raises(NotAmple):
+    with pytest.raises(PreconditionError, match="degree -1/4 is not positive"):
         CurveCouple.of({P0: F(-1, 2), P1: F(1, 4)})
 
 

@@ -12,7 +12,9 @@ count.  The package __init__ only re-exports, so it
 does not count as a caller.  Reference oracles and
 other test-only code live in tests/helpers.py.  Every name a top-level
 import binds in such a module must be used in that module; the package
-__init__, which only re-exports, is exempt.
+__init__, which only re-exports, is exempt.  Every class in errors is
+ConesingError, a family under it that sets its own stderr label and
+exit code, or a subclass that some except clause in src/ names.
 """
 
 import ast
@@ -287,6 +289,53 @@ def output_writers():
             if path.name != "cli.py" and references(
                 ast.parse(path.read_text(encoding="utf-8")))
             & {"stdout", "_emit"}]
+
+
+def caught_names():
+    """Names that an except clause in src/ catches."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(sub, ast.ExceptHandler) and sub.type is not None:
+                out |= references(sub.type)
+    return out
+
+
+def error_classes_outside_the_families():
+    """Classes in errors, other than ConesingError, that are neither a
+    direct subclass of it setting its own label and exit_code (a family
+    of the CLI's exit codes) nor named by an except clause in src/."""
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    caught = caught_names()
+    flagged = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name == "ConesingError":
+            continue
+        assigned = {t.id for stmt in cls.body if isinstance(stmt, ast.Assign)
+                    for target in stmt.targets for t in ast.walk(target)
+                    if isinstance(t, ast.Name)}
+        family = ([ast.unparse(b) for b in cls.bases] == ["ConesingError"]
+                  and {"label", "exit_code"} <= assigned)
+        if not family and cls.name not in caught:
+            flagged.append(cls.name)
+    return flagged
+
+
+def test_every_error_class_is_a_family_or_caught():
+    # a subclass that only renames its family changes no exit code, no
+    # label and no handling, so it is one more name for the same failure
+    assert error_classes_outside_the_families() == []
+
+
+def test_layout_scan_flags_an_uncaught_error_subclass(tmp_path, monkeypatch):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    with open(tmp_path / "errors.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\nclass FanInvalid(PreconditionError):\n"
+                 "    label, exit_code = \"fan invalid\", 3\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert error_classes_outside_the_families() == ["FanInvalid"]
 
 
 def test_only_the_dispatcher_writes_output():

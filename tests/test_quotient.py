@@ -8,8 +8,7 @@ from conesing.audit import audit_catalog
 from conesing.divisors import (CurveCouple, finite_point, infinity_point,
                                label_point, normal_form)
 from conesing.catalog import SearchParams
-from conesing.errors import (BadEpsilon, InternalNonIntegral, NotKlt,
-                             PreconditionError)
+from conesing.errors import InternalInvariantError, NotKlt, PreconditionError
 from conesing import quotient
 from conesing.quotient import (StandardPair, cartier_index_of_kx,
                                horizontal_log_discrepancies,
@@ -50,9 +49,9 @@ def test_is_eps_lc_pair():
     assert is_eps_lc_pair(StandardPair(()), 1)
     assert is_eps_lc_pair(StandardPair(((P0, F(1, 2)),)), F(1, 2))
     assert not is_eps_lc_pair(StandardPair(((P0, F(2, 3)),)), F(1, 2))
-    with pytest.raises(BadEpsilon):
+    with pytest.raises(PreconditionError, match=r"epsilon 3/2 outside \(0, 1\]"):
         is_eps_lc_pair(StandardPair(()), F(3, 2))
-    with pytest.raises(BadEpsilon):
+    with pytest.raises(PreconditionError, match=r"epsilon 0 outside \(0, 1\]"):
         is_eps_lc_pair(StandardPair(()), 0)
 
 
@@ -217,7 +216,7 @@ def test_horizontal_log_discrepancies_check_the_boundary(monkeypatch):
     C = CurveCouple.of({P0: F(1, 2), P1: F(2, 3)})
     monkeypatch.setattr(quotient, "log_fano_quotient",
                         lambda C: StandardPair(((P0, F(1, 2)),)))
-    with pytest.raises(InternalNonIntegral,
+    with pytest.raises(InternalInvariantError,
                        match=r"horizontal log discrepancy 3 != 1 at \[1\]"):
         horizontal_log_discrepancies(C)
 
@@ -257,5 +256,5 @@ def test_necessary_eps_conditions():
     # check, which the bound implies (1/q >= 1/N >= eps/N), is not reached
     assert audit_failures(CurveCouple.of({P0: F(2, 3)}), 1, 2) == [
         "isotropy above the bound 2"]
-    with pytest.raises(BadEpsilon):
+    with pytest.raises(PreconditionError, match=r"epsilon 2 outside \(0, 1\]"):
         SearchParams(epsilon=F(2), isotropy_bound=1)

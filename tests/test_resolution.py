@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conesing import catalog, cli, resolution
 from conesing.divisors import (CurveCouple, finite_point,
                                infinity_point)
-from conesing.errors import NotKlt, PreconditionError
+from conesing.errors import InternalInvariantError, NotKlt, PreconditionError
 from conesing.linalg import det_int
 from conesing.quotient import vertex_log_discrepancy
 from conesing.resolution import build_graph, hj_chain, hj_chain_length
@@ -149,6 +149,23 @@ def test_build_graph_a3():
     assert G.chains == ((-2,), (-2,))
     assert G.determinant == 4
     assert G.discrepancies == (F(0), F(0), F(0))
+
+
+def test_build_graph_checks_its_determinant_against_the_closed_form(
+        monkeypatch):
+    # continuants scaled by 2 keep every alpha, beta and discrepancy, so
+    # only the determinant read off them is wrong: with two chains it is
+    # 4 deg D prod q_i = 4 (5/6) 6
+    solve = resolution._chain_elimination
+
+    def doubled(q, p):
+        chain, cs, u1, u2, w1 = solve(q, p)
+        return chain, cs, 2 * u1, 2 * u2, 2 * w1
+
+    monkeypatch.setattr(resolution, "_chain_elimination", doubled)
+    with pytest.raises(InternalInvariantError,
+                       match=r"link determinant 20 is not deg D prod q_i = 5"):
+        build_graph(C({P0: F(1, 2), PINF: F(1, 3), P1: 0}))
 
 
 def test_build_graph_three_half_points():
