@@ -13,7 +13,7 @@ _EXPORTS = {
     "divisors": ("CurveCouple", "MarkedPoint", "finite_point",
                  "floor_multiple", "infinity_point", "label_point",
                  "max_isotropy", "normal_form"),
-    "quotient": ("StandardPair", "VertexData", "cartier_index_of_kx",
+    "quotient": ("VertexData", "cartier_index_of_kx",
                  "horizontal_log_discrepancies", "log_fano_quotient",
                  "vertex_decomposition", "vertex_log_discrepancy"),
     "resolution": ("ResolutionGraph", "build_graph", "hj_chain"),

@@ -7,12 +7,17 @@ as canonical JSON, field by field when they differ.  Its couple's own
 star graph, resolution.build_graph, is the independent oracle of a_e0,
 the mld and the link determinant (read off its chains' continuants); it
 solves the couple's chains from the couple and never calls the sweep's
-chain solver.  The quotient side's minimal decomposition,
-quotient.cartier_index_of_kx, is the oracle of the index of K_X; the
-lcm L of the couple's denominators, of the Hilbert period; and L deg D,
-of the Hilbert numerator's sum.  Each entry's couple is built once (a
-stored couple in normal form is its own normal form), and its graph is
-blown down at most once, for the oracle and the rebuilt entry alike.
+chain solver.  With at most two chains the graph is a line, the
+resolution of a cyclic quotient, whose continuants give the embedding
+dimension without the blow-down that the entry shares.  The quotient
+side's minimal decomposition, quotient.cartier_index_of_kx, is the
+oracle of the index of K_X; the lcm L of the couple's denominators, of
+the Hilbert period; L deg D, of the Hilbert numerator's sum; and
+h(n) = 1 + deg floor(nD) from the couple's terms, of the values the
+numerator gives at n = 1, L and 2L + 1.  Each entry's couple is built
+once (a stored couple in normal form is its own normal form), and its
+graph is blown down at most once, for the oracle and the rebuilt entry
+alike.
 
 Only the audit command imports this module: enumerate and mld-set do
 not compile it.
@@ -30,7 +35,7 @@ from .errors import NotKlt, ParseError, PreconditionError
 from .hilbert import _checked_period
 from .jsonio import fmt_ratio, json_int, parse_q
 from .quotient import cartier_index_of_kx
-from .resolution import build_graph
+from .resolution import build_graph, hj_chain_length
 
 
 def _defining_data(doc) -> Tuple[str, Tuple[Tuple[int, int], ...], Fraction]:
@@ -78,6 +83,37 @@ def _field_failures(tag: str, doc: dict, rebuilt: dict) -> List[str]:
     return out
 
 
+def _cyclic_embedding_dimension(G) -> int:
+    """Embedding dimension of the cyclic quotient 1/n(1, a) that a star
+    graph with at most two chains resolves.  Its line c_1 .. c_k (the
+    first chain reversed, the centre, the second chain, as positive
+    entries) has the continuants n = K(c_1 .. c_k) and
+    a = K(c_2 .. c_k) mod n; the embedding dimension is 2 when n = 1,
+    and otherwise the length of the dual continued fraction n/(n - a)
+    plus 2 (Riemenschneider 1974)."""
+    first, second = (*G.chains, (), ())[:2]
+    n, a = 1, 0
+    for e in (*reversed(first), G.central_self_int, *second)[::-1]:
+        n, a = -e * n - a, n
+    return 2 if n == 1 else hj_chain_length(n, a % n) + 2
+
+
+def _hilbert_values_agree(numerator, L: int, C) -> bool:
+    """Whether h(n) read off the Hilbert numerator N, the sum over
+    k <= n of N_k (floor((n - k)/L) + 1), is max(0, 1 + deg floor(nD))
+    from the couple's terms at n = 1, L and 2L + 1.  The k with
+    floor((n - k)/L) = j are those in (n - (j + 1) L, n - j L], so the
+    sum takes one slice of N per j."""
+    for n in (1, L, 2 * L + 1):
+        series = sum((j + 1) * sum(numerator[max(n - (j + 1) * L + 1, 0):
+                                             n - j * L + 1])
+                     for j in range(n // L + 1))
+        floors = 1 + sum(n * c.numerator // c.denominator for _, c in C.terms)
+        if series != max(floors, 0):
+            return False
+    return True
+
+
 def audit_catalog(docs, params: SearchParams) -> dict:
     """Rebuild and check every stored entry, and re-check the necessary
     conditions of membership.
@@ -96,12 +132,11 @@ def audit_catalog(docs, params: SearchParams) -> dict:
                 failures.append(f"{tag}: duplicate key")
             keys.add(key)
             try:
-                nf = normal_form(canonical_couple(
+                C, (fracs, degree) = normal_form(canonical_couple(
                     tuple(Fraction(p, q) for p, q in pairs), degree))
             except (PreconditionError, ZeroDivisionError) as exc:
                 failures.append(f"{tag}: cannot rebuild couple ({exc})")
                 continue
-            C, (fracs, degree) = nf.couple, nf.key
             if max((f.denominator for f in fracs), default=1) > N:
                 failures.append(f"{tag}: isotropy above the bound {N}")
                 continue
@@ -131,7 +166,13 @@ def audit_catalog(docs, params: SearchParams) -> dict:
                     ("hilbert_period", rebuilt["hilbert_period"] == L,
                      "the lcm of the denominators"),
                     ("hilbert_numerator", sum(rebuilt["hilbert_numerator"])
-                     == L * C.degree(), "L deg D at T = 1")):
+                     == L * C.degree(), "L deg D at T = 1"),
+                    ("hilbert_numerator", _hilbert_values_agree(
+                        rebuilt["hilbert_numerator"], L, C),
+                     "h(n) at n = 1, L and 2L + 1"),
+                    ("embedding_dimension", len(G.chains) > 2
+                     or rebuilt["embedding_dimension"]
+                     == _cyclic_embedding_dimension(G), "the cyclic quotient")):
                 if not agrees:
                     failures.append(f"{tag}: {name} disagrees with {oracle}")
             if mld < eps:

@@ -21,8 +21,7 @@ def _int_rows(fan_doc: dict, key: str):
 
 def cmd_toric_check(args) -> tuple[dict, int]:
     from .jsonio import json_int, parse_q
-    from .toric import (Fan, ToricDivisor, random_primitive_samples,
-                        verify_comparison)
+    from .toric import Fan, random_primitive_samples, verify_comparison
     fan_doc = _read_json(args.fan)
     for key in ("rank", "rays", "cones"):
         if not isinstance(fan_doc, dict) or key not in fan_doc:
@@ -32,7 +31,7 @@ def cmd_toric_check(args) -> tuple[dict, int]:
     div_doc = _read_json(args.divisor)
     if not isinstance(div_doc, list) or len(div_doc) != len(F.rays):
         raise ParseError("divisor file must list one coefficient per ray")
-    D = ToricDivisor.of([parse_q(c) for c in div_doc])
+    D = tuple(parse_q(c) for c in div_doc)
     seed = DEFAULT_SEED if args.seed is None else args.seed
     samples = random_primitive_samples(seed, F.rank, args.samples)
     report = verify_comparison(F, D, samples)

@@ -20,7 +20,7 @@ def _discrepancy_doc(C) -> dict:
     vd = vertex_decomposition(C)
     return {
         "quotient": [{"point": point_to_json(p), "coeff": fmt_q(b)}
-                     for p, b in log_fano_quotient(C).boundary],
+                     for p, b in log_fano_quotient(C)],
         "a_e0": fmt_q(vertex_log_discrepancy(C)),
         "horizontal": {repr(p): fmt_q(a)
                        for p, a in horizontal_log_discrepancies(C)},

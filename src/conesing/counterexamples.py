@@ -16,6 +16,7 @@ The reports return their rows as the JSON objects verify-examples prints.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Tuple
 
 from .divisors import CurveCouple, finite_point, max_isotropy
@@ -23,8 +24,8 @@ from .errors import InternalInvariantError, PreconditionError
 from .jsonio import fmt_q
 from .quotient import cartier_index_of_kx, vertex_log_discrepancy
 from .resolution import build_graph
-from .toric import (ToricDivisor, cartier_index_global, cone_of_x,
-                    fan_projective_space, log_discrepancy_x)
+from .toric import (cartier_index_global, cone_of_x, fan_projective_space,
+                    log_discrepancy_x)
 
 
 def an_min_over_actions(n: int, box: int) -> Tuple[int, Tuple[int, int]]:
@@ -74,10 +75,10 @@ def diagonal_cone_report(d: int) -> dict:
     if not (1 <= d <= 3):
         raise PreconditionError(f"d {d} must be between 1 and 3")
     F = fan_projective_space(d)
-    D = ToricDivisor.of([0] * d + [1])
-    K = cone_of_x(F, D)
+    D = (Fraction(0),) * d + (Fraction(1),)
+    rays, qform = cone_of_x(F, D)
     # smooth <=> the lifted rays form a unimodular simplex
     from .linalg import det_int
-    smooth = len(K.rays) == d + 1 and abs(det_int(K.rays)) == 1
-    return {"d": d, "a_e0": fmt_q(log_discrepancy_x(K, (0,) * d + (1,))),
+    smooth = len(rays) == d + 1 and abs(det_int(rays)) == 1
+    return {"d": d, "a_e0": fmt_q(log_discrepancy_x(qform, (0,) * d + (1,))),
             "max_isotropy": cartier_index_global(F, D), "smooth": smooth}

@@ -209,17 +209,11 @@ def denominators_lcm(C: CurveCouple) -> int:
 CANONICAL_POSITIONS = (P0, P1, PINF)
 
 
-class NormalForm(Record):
-    _fields = ("couple", "key")
-
-    def __init__(self, couple: CurveCouple,
-                 key: Tuple[Tuple[Fraction, ...], Fraction]):
-        self.__dict__.update(couple=couple, key=key)
-
-
-def normal_form(C: CurveCouple) -> NormalForm:
-    """Canonical representative of the couple up to line automorphisms
-    and adding integral degree-zero divisors.
+def normal_form(C: CurveCouple) -> Tuple[
+        CurveCouple, Tuple[Tuple[Fraction, ...], Fraction]]:
+    """(couple, (fracs, degree)): the canonical representative of the
+    couple up to line automorphisms and adding integral degree-zero
+    divisors, and its key, the fractional values and the degree.
 
     Fractional parts land at 0, 1, infinity in descending order (ties by
     denominator, then numerator of the stored coefficient); the leftover
@@ -241,7 +235,7 @@ def normal_form(C: CurveCouple) -> NormalForm:
     deg = C.degree()
     if C.terms != _canonical_terms(frac_values, deg):
         C = canonical_couple(frac_values, deg)
-    return NormalForm(couple=C, key=(frac_values, deg))
+    return C, (frac_values, deg)
 
 
 def canonical_couple(fracs, degree) -> CurveCouple:

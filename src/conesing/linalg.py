@@ -1,9 +1,10 @@
 """Small exact linear algebra helpers over the rationals.
 
 Nothing here touches floating point.  Every elimination is
-fraction-free over the integers.  rank, solve and nullspace read one
-Gauss-Jordan echelon form, and the incremental row space RowSpan keeps
-its own sparse one.  Each input row is scaled to integers once.  Rows
+fraction-free over the integers.  rank, solve and the kernel
+(nullspace, dense, or kernel_vectors, sparse) read one Gauss-Jordan
+echelon form, and the incremental row space RowSpan keeps its own
+sparse one.  Each input row is scaled to integers once.  Rows
 combine as a*v - b*row and are divided by their content (fraction-free
 in the manner of Bareiss 1968).  So Fractions appear only at the
 boundary: in the input, and in the solution that solve returns.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import InternalInvariantError
 
@@ -77,31 +78,39 @@ def rank(rows) -> int:
     return len(_echelon(rows)[1])
 
 
-def nullspace(rows) -> List[List[int]]:
-    """Basis of the right kernel of the matrix, deterministic order.
+def kernel_vectors(m, pivots, ncols: int) -> Iterator[Dict[int, int]]:
+    """The right kernel basis of a matrix with ncols columns, read off
+    its echelon form (m, pivots) of _echelon one vector at a time, each
+    sparse: a {column: entry} dict in column order, without zeros.
 
     One vector per free column, in column order: the primitive integer
     positive multiple of the reduced-echelon basis vector that carries
     1 at the free column and the forced pivot entries elsewhere.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots = _echelon(rows)
     pivot_set = set(pivots)
-    basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
+        # row k is zero left of its pivot, so the rows that force an
+        # entry have their pivots left of the free column, in order
+        forced = [(k, pc) for k, pc in enumerate(pivots) if m[k][free]]
         # the entries -m[k][free] / m[k][pc] over a common positive
         # denominator
-        den = lcm(*(m[k][pc] for k, pc in enumerate(pivots) if m[k][free]))
-        v = [0] * ncols
+        den = lcm(*(m[k][pc] for k, pc in forced))
+        v = {pc: -m[k][free] * den // m[k][pc] for k, pc in forced}
         v[free] = den
-        for k, pc in enumerate(pivots):
-            v[pc] = -m[k][free] * den // m[k][pc]
-        basis.append(_primitive(v))
-    return basis
+        g = gcd(*v.values())
+        yield v if g == 1 else {i: c // g for i, c in v.items()}
+
+
+def nullspace(rows) -> List[List[int]]:
+    """Basis of the right kernel of the matrix, deterministic order: the
+    vectors of kernel_vectors, dense."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    return [[sparse.get(i, 0) for i in range(ncols)]
+            for sparse in kernel_vectors(*_echelon(rows), ncols)]
 
 
 def solve(rows, rhs):

@@ -21,34 +21,16 @@ from typing import Tuple
 
 from .divisors import (PINF, CurveCouple, IntegralTerms, MarkedPoint,
                        _klt_boundary_degree, denominators_lcm)
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError
 from .records import Record
 
 
-class StandardPair(Record):
-    """Boundary with standard coefficients 1 - 1/q, q >= 2, on the line."""
-
-    _fields = ("boundary",)
-
-    def __init__(self, boundary: Tuple[Tuple[MarkedPoint, Fraction], ...]):
-        for p, b in boundary:
-            # b = n/d in lowest terms has 1 - b = (d - n)/d in lowest terms
-            n, d = b.numerator, b.denominator
-            if not (0 <= n < d) or d - n != 1:
-                raise PreconditionError(
-                    f"coefficient {b} at {p} is not of the form 1 - 1/q")
-            if n == 0:
-                raise PreconditionError("zero coefficients are not stored")
-        self.__dict__["boundary"] = boundary
-
-
-def log_fano_quotient(C: CurveCouple) -> StandardPair:
-    terms = []
-    for p, c in C.terms:
-        q = c.denominator
-        if q >= 2:
-            terms.append((p, Fraction(q - 1, q)))
-    return StandardPair(tuple(terms))
+def log_fano_quotient(
+        C: CurveCouple) -> Tuple[Tuple[MarkedPoint, Fraction], ...]:
+    """The boundary B of the quotient pair as its terms, in point order:
+    1 - 1/q at each point of D whose coefficient has denominator q >= 2."""
+    return tuple((p, Fraction(c.denominator - 1, c.denominator))
+                 for p, c in C.terms if c.denominator > 1)
 
 
 class VertexData(Record):
@@ -115,7 +97,7 @@ def horizontal_log_discrepancies(
     and b = 1 - 1/q or 0 its boundary coefficient.  The boundary is
     built once and the product is asserted, not assumed."""
     _klt_boundary_degree(C)
-    boundary = dict(log_fano_quotient(C).boundary)
+    boundary = dict(log_fano_quotient(C))
     zero, one = Fraction(0), Fraction(1)
     out = []
     for p, c in C.terms:

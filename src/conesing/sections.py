@@ -12,9 +12,10 @@ turns on the superadditivity of floors.  Numerator coefficients are
 ints whenever every finite coordinate y is integral, as on the
 canonical placement 0, 1, infinity; a rational y brings in Fractions
 through Python's own int/Fraction arithmetic.  The linear algebra on
-them (RowSpan, nullspace) is fraction-free over the integers.  Only the
-presentation path imports linalg and resolution.  The Hilbert series
-lives in the hilbert module, which the presentation reads.
+them (RowSpan, the echelon form and its kernel) is fraction-free over
+the integers.  Only the presentation path imports linalg and
+resolution.  The Hilbert series lives in the hilbert module, which the
+presentation reads.
 """
 
 from __future__ import annotations
@@ -133,16 +134,14 @@ def _monomials(gen_degrees: List[int], total: int) -> List[Tuple[int, ...]]:
     return sorted(out, reverse=True)
 
 
-def _equation_string(ints, monomials) -> str:
+def _equation_string(vec: Dict[int, int], monomials) -> str:
     """Leading-positive polynomial in x, y, z, w from a primitive
-    integer vector, as nullspace returns them."""
-    lead = next(c for c in ints if c != 0)
-    if lead < 0:
-        ints = [-c for c in ints]
+    integer vector, sparse in column order, as kernel_vectors gives
+    them."""
+    sign = -1 if next(iter(vec.values())) < 0 else 1
     parts = []
-    for c, expt in zip(ints, monomials):
-        if c == 0:
-            continue
+    for i, c in vec.items():
+        c, expt = sign * c, monomials[i]
         factors = []
         for var, e in zip(VARIABLE_NAMES, expt):
             if e == 1:
@@ -286,7 +285,7 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
         wanted = (embdim - 1) * (embdim - 2) // 2
         rel_cap = 2 * verified_through if rel_bound is None else rel_bound
 
-    from .linalg import RowSpan, nullspace
+    from .linalg import RowSpan, _echelon, kernel_vectors
     # Cache of monomial evaluations, keyed by exponent tuple.
     eval_cache: Dict[Tuple[int, ...], List[Rational]] = {}
 
@@ -348,22 +347,25 @@ def presentation(C: CurveCouple, gen_bound: Optional[int] = None,
         if new_count == 0:
             continue
         # relations are left-kernel vectors: combinations of monomials
-        # evaluating to zero
+        # evaluating to zero.  The kernel's basis vectors are built one
+        # at a time, sparse, until the new relations are found.
         rows = [evaluate(m, n) for m in monos]
-        kernel = nullspace([list(col) for col in zip(*rows)])
-        if len(kernel) != kernel_dim:
+        echelon, pivots = _echelon([list(col) for col in zip(*rows)])
+        if len(monos) - len(pivots) != kernel_dim:
             raise InternalInvariantError(
-                f"degree {n} has a {len(kernel)}-dimensional relation "
-                f"kernel, but the spanning certificate gives {kernel_dim}")
+                f"degree {n} has a {len(monos) - len(pivots)}-dimensional "
+                f"relation kernel, but the spanning certificate gives "
+                f"{kernel_dim}")
         found = 0
-        for kv in kernel:
+        for kv in kernel_vectors(echelon, pivots, len(monos)):
             if old.add(kv):
                 found += 1
                 relation_degrees.append(n)
-                relations.append(
-                    (n, {m: c for m, c in zip(monos, kv) if c != 0}))
+                relations.append((n, {monos[i]: c for i, c in kv.items()}))
                 if len(gd) <= len(VARIABLE_NAMES):
                     equations.append(_equation_string(kv, monos))
+                if found == new_count:
+                    break
         if found != new_count:
             raise InternalInvariantError("kernel extraction missed new relations")
 

@@ -24,6 +24,8 @@ from .linalg import _integer_scaling, nullspace, primitivize, rank, solve
 from .records import Record
 
 Vector = Tuple[int, ...]
+# an invariant Q-divisor: one exact rational coefficient per ray
+Divisor = Tuple[Fraction, ...]
 
 
 def _dot(a, b):
@@ -121,19 +123,6 @@ class Fan(Record):
             f"{tuple(v)} is outside the fan support; fan not complete")
 
 
-class ToricDivisor(Record):
-    """One exact rational coefficient per ray."""
-
-    _fields = ("coefficients",)
-
-    def __init__(self, coefficients: Tuple[Fraction, ...]):
-        self.__dict__["coefficients"] = coefficients
-
-    @staticmethod
-    def of(values) -> "ToricDivisor":
-        return ToricDivisor(tuple(Fraction(v) for v in values))
-
-
 def _cone_linear_form(F: Fan, values: Sequence[Fraction], cone_index: int,
                       what: str) -> Tuple[Fraction, ...]:
     """The linear form matching prescribed ray values on one cone."""
@@ -150,61 +139,44 @@ def _cone_linear_form(F: Fan, values: Sequence[Fraction], cone_index: int,
     return tuple(m)
 
 
-def _divisor_form(F: Fan, D: ToricDivisor, cone_index: int) -> Tuple[Fraction, ...]:
+def _divisor_form(F: Fan, D: Divisor, cone_index: int) -> Tuple[Fraction, ...]:
     """The linear form matching D's coefficients at the rays of one
     cone, solved on first use and kept in the fan's instance dictionary,
     so that each (fan, divisor, cone) is solved once."""
     forms = F.__dict__.setdefault("_divisor_forms", {})
-    key = (D.coefficients, cone_index)
+    key = (D, cone_index)
     if key not in forms:
-        forms[key] = _cone_linear_form(F, D.coefficients, cone_index, "divisor")
+        forms[key] = _cone_linear_form(F, D, cone_index, "divisor")
     return forms[key]
 
 
-def cartier_index_global(F: Fan, D: ToricDivisor) -> int:
+def cartier_index_global(F: Fan, D: Divisor) -> int:
     """Least mu making mu D integral-linear on every cone."""
     return lcm(*(x.denominator for ci in range(len(F.max_cones))
                  for x in _divisor_form(F, D, ci)))
 
 
-def quotient_boundary(F: Fan, D: ToricDivisor) -> ToricDivisor:
-    """Standard-coefficient boundary 1 - 1/q_rho from the denominators."""
-    return ToricDivisor.of([Fraction(c.denominator - 1, c.denominator)
-                            for c in D.coefficients])
-
-
-def _pair_form(F: Fan, B: ToricDivisor, cone_index: int) -> Tuple[Fraction, ...]:
-    """The linear form equal to 1 - b_rho at the rays of one cone."""
-    values = [1 - b for b in B.coefficients]
+def _pair_form(F: Fan, D: Divisor, cone_index: int) -> Tuple[Fraction, ...]:
+    """The linear form equal to 1 - b_rho at the rays of one cone, for
+    the standard-coefficient boundary b_rho = 1 - 1/q_rho read off the
+    denominators of D."""
+    values = [Fraction(1, c.denominator) for c in D]
     return _cone_linear_form(F, values, cone_index, "pair")
 
 
-def is_ample(F: Fan, D: ToricDivisor) -> bool:
+def is_ample(F: Fan, D: Divisor) -> bool:
     """Strict convexity of the support function across every wall:
     for each maximal cone, the cone's linear form undershoots the
     prescribed value at every ray outside the cone."""
     return all(_dot(_divisor_form(F, D, ci), ray) < c
                for ci, cone in enumerate(F.max_cones)
-               for ri, (ray, c) in enumerate(zip(F.rays, D.coefficients))
+               for ri, (ray, c) in enumerate(zip(F.rays, D))
                if ri not in cone)
 
 
 # ---------------------------------------------------------------------------
 # the lifted cone of the total space
 # ---------------------------------------------------------------------------
-
-class ConeOfX(Record):
-    """Full-dimensional cone in rank d with one ray per fan ray,
-    primitive generator W_rho * (v_rho, c_rho); the last coordinate
-    vector is interior and names the central valuation."""
-
-    _fields = ("rank", "rays", "qgorenstein_form")
-
-    def __init__(self, rank: int, rays: Tuple[Vector, ...],
-                 qgorenstein_form: Optional[Tuple[Fraction, ...]]):
-        self.__dict__.update(rank=rank, rays=rays,
-                             qgorenstein_form=qgorenstein_form)
-
 
 def _facet_normals(rays: Sequence[Vector], dim: int) -> List[Vector]:
     """Inward normals of the facets of a full-dimensional pointed cone."""
@@ -230,12 +202,18 @@ def _facet_normals(rays: Sequence[Vector], dim: int) -> List[Vector]:
     return normals
 
 
-def cone_of_x(F: Fan, D: ToricDivisor) -> ConeOfX:
+def cone_of_x(F: Fan, D: Divisor
+              ) -> Tuple[Tuple[Vector, ...], Optional[Tuple[Fraction, ...]]]:
+    """(rays, qgorenstein_form) of the full-dimensional lifted cone in
+    rank F.rank + 1: one ray per fan ray, with primitive generator
+    W_rho * (v_rho, c_rho), and the covector taking value 1 on every
+    ray, or None when there is none.  The last coordinate vector is
+    interior and names the central valuation."""
     if not is_ample(F, D):
         raise PreconditionError("the divisor is not ample on the fan")
     d = F.rank + 1
     rays = []
-    for v, c in zip(F.rays, D.coefficients):
+    for v, c in zip(F.rays, D):
         lifted = tuple(c.denominator * x for x in v) + (c.numerator,)
         if primitivize(lifted) != lifted:
             raise InternalInvariantError("lifted ray is not primitive")
@@ -256,13 +234,16 @@ def cone_of_x(F: Fan, D: ToricDivisor) -> ConeOfX:
         if not _dot(normal, e_last) > 0:
             raise PreconditionError(
                 "central vector is not interior; divisor not ample")
-    return ConeOfX(rank=d, rays=tuple(rays), qgorenstein_form=qform)
+    return tuple(rays), qform
 
 
-def log_discrepancy_x(K: ConeOfX, w: Sequence[int]) -> Fraction:
-    if K.qgorenstein_form is None:
+def log_discrepancy_x(qform: Optional[Tuple[Fraction, ...]],
+                      w: Sequence[int]) -> Fraction:
+    """The log discrepancy at w of the lifted cone whose Q-Gorenstein
+    form cone_of_x gives."""
+    if qform is None:
         raise PreconditionError("no covector takes value 1 on all rays")
-    return _dot(K.qgorenstein_form, w)
+    return _dot(qform, w)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +269,13 @@ class ComparisonReport(Record):
                 "vertex_ok": self.vertex_ok}
 
 
-def _vertex_ratio(F: Fan, D: ToricDivisor) -> Optional[Fraction]:
+def _vertex_ratio(F: Fan, D: Divisor) -> Optional[Fraction]:
     """-lambda when the pair canonical class is lambda times the divisor
     class; None when the two are not proportional."""
-    B = quotient_boundary(F, D)
-    # unknowns: lambda, m_1..m_n; equations: lambda c_rho + <m, v_rho> = b_rho - 1
-    status, sol = solve([[c, *v] for v, c in zip(F.rays, D.coefficients)],
-                        [b - 1 for b in B.coefficients])
+    # unknowns: lambda, m_1..m_n; equations: lambda c_rho + <m, v_rho> =
+    # b_rho - 1 = -1/q_rho
+    status, sol = solve([[c, *v] for v, c in zip(F.rays, D)],
+                        [Fraction(-1, c.denominator) for c in D])
     if status == "none":
         return None
     if status != "unique":
@@ -302,19 +283,18 @@ def _vertex_ratio(F: Fan, D: ToricDivisor) -> Optional[Fraction]:
     return -sol[0]
 
 
-def verify_comparison(F: Fan, D: ToricDivisor,
+def verify_comparison(F: Fan, D: Divisor,
                       samples: Sequence[Sequence[int]]) -> ComparisonReport:
     """Check a_cone(lifted v) = weil(v) * a_base(v) at every ray and
     every nonzero integer sample, plus the central degree-ratio identity
     when the pair canonical class is proportional to the divisor.  Each
     vector gives one row, the JSON object toric-check prints."""
-    K = cone_of_x(F, D)
-    if K.qgorenstein_form is None:
+    _, qgform = cone_of_x(F, D)
+    if qgform is None:
         raise PreconditionError("comparison needs a Q-Gorenstein lifted cone")
-    B = quotient_boundary(F, D)
     # Each linear form as (integer form, positive denominator), so a
     # vector costs integer dots only.
-    qform, qden = _integer_scaling(K.qgorenstein_form)
+    qform, qden = _integer_scaling(qgform)
     # (divisor form, pair form) per cone, built when the first vector
     # lands in the cone, so a non-Q-Cartier pair fails at that vector
     forms = {}
@@ -327,7 +307,7 @@ def verify_comparison(F: Fan, D: ToricDivisor,
         ci = F.locate(v)
         if ci not in forms:
             forms[ci] = (_integer_scaling(_divisor_form(F, D, ci)),
-                         _integer_scaling(_pair_form(F, B, ci)))
+                         _integer_scaling(_pair_form(F, D, ci)))
         (dform, dden), (pform, pden) = forms[ci]
         # D_sigma . v = s / weil in lowest terms; the lift (weil v, s) is
         # primitive, since v is and gcd(weil, s) = 1
@@ -343,7 +323,7 @@ def verify_comparison(F: Fan, D: ToricDivisor,
     violations = [c for c in checks if not c["ok"]]
 
     e_last = tuple(0 for _ in range(F.rank)) + (1,)
-    vertex_actual = log_discrepancy_x(K, e_last)
+    vertex_actual = log_discrepancy_x(qgform, e_last)
     vertex_expected = _vertex_ratio(F, D)
     vertex_ok = None if vertex_expected is None else vertex_actual == vertex_expected
     return ComparisonReport(checks=checks, violations=violations,

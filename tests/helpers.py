@@ -16,8 +16,7 @@ from conesing.errors import InternalInvariantError, PreconditionError
 from conesing.linalg import RowSpan, det_int, nullspace, solve
 from conesing.sections import (SectionSpace, _equation_string,
                                _GeneratorScan, _monomials)
-from conesing.toric import (Fan, ToricDivisor, _cone_linear_form, _dot,
-                            _pair_form, cone_of_x, is_ample)
+from conesing.toric import Fan, _cone_linear_form, _dot, cone_of_x, is_ample
 
 POSITIONS = [finite_point(0), finite_point(1), infinity_point(),
              finite_point(2), finite_point(-1), finite_point(Fraction(1, 2)),
@@ -85,10 +84,8 @@ def divisor(items):
 
 
 def terms_of(D):
-    """The terms of a couple or a divisor, the boundary of a standard
-    pair, or a bare tuple of terms itself."""
-    if hasattr(D, "boundary"):
-        return D.boundary
+    """The terms of a couple or a divisor, or a bare tuple of terms (such
+    as the boundary of a quotient pair) itself."""
     return getattr(D, "terms", D)
 
 
@@ -106,7 +103,7 @@ def canonical_divisor_p1():
 
 def coeff(D, pt):
     """The coefficient at pt of a couple or a divisor (its terms) or of a
-    standard pair (its boundary), by a scan of the terms; 0 off the
+    quotient pair's boundary terms, by a scan of the terms; 0 off the
     support.  The library reads each point's coefficient off its own
     term instead."""
     return next((c for p, c in terms_of(D) if p == pt), 0)
@@ -137,15 +134,15 @@ def horizontal_log_discrepancy(C, pt):
     return w * (1 - Fraction(coeff(log_fano_quotient(C), pt)))
 
 
-def pair_boundary_degree(P):
-    """deg B of a standard pair: the sum of its boundary coefficients."""
-    return sum((b for _, b in P.boundary), Fraction(0))
+def pair_boundary_degree(B):
+    """deg B of a quotient pair: the sum of its boundary coefficients."""
+    return sum((b for _, b in B), Fraction(0))
 
 
-def is_log_fano(P):
+def is_log_fano(B):
     """Standard coefficients are below 1, so the pair (line, B) is log
     Fano exactly when deg B < 2."""
-    return pair_boundary_degree(P) < 2
+    return pair_boundary_degree(B) < 2
 
 
 def fraction_vertex_decomposition(C):
@@ -164,7 +161,7 @@ def fraction_vertex_decomposition(C):
     u = int(m * ratio)
     kcan = canonical_divisor_p1()
     terms = {}
-    pts = set(support(C)) | set(support(kcan)) | {p for p, _ in B.boundary}
+    pts = set(support(C)) | set(support(kcan)) | set(support(B))
     for p in pts:
         val = m * (coeff(kcan, p) + coeff(B, p)) - u * coeff(C, p)
         if val.denominator != 1:
@@ -183,7 +180,7 @@ def brute_min_decomposition(C, cap=2000):
     from conesing.quotient import log_fano_quotient
 
     B = log_fano_quotient(C)
-    kb_deg = Fraction(-2) + sum((b for _, b in B.boundary), Fraction(0))
+    kb_deg = Fraction(-2) + pair_boundary_degree(B)
     ratio = kb_deg / C.degree()
     kcan = canonical_divisor_p1()
     for m in range(1, cap + 1):
@@ -191,7 +188,7 @@ def brute_min_decomposition(C, cap=2000):
         if u.denominator != 1:
             continue
         u = int(u)
-        pts = set(support(C)) | set(support(kcan)) | {p for p, _ in B.boundary}
+        pts = set(support(C)) | set(support(kcan)) | set(support(B))
         vals = {p: m * (coeff(kcan, p) + coeff(B, p)) - u * coeff(C, p)
                 for p in pts}
         if all(v.denominator == 1 for v in vals.values()):
@@ -253,20 +250,21 @@ def count_build_graph(monkeypatch):
     return calls
 
 
-def is_eps_lc_pair(P, eps):
-    """Whether the standard pair P is eps-lc: every boundary coefficient
-    is at most 1 - eps.  The catalog needs no such test, since isotropy
-    at most N already makes its quotient pair eps/N-lc."""
+def is_eps_lc_pair(B, eps):
+    """Whether the quotient pair with boundary terms B is eps-lc: every
+    boundary coefficient is at most 1 - eps.  The catalog needs no such
+    test, since isotropy at most N already makes its quotient pair
+    eps/N-lc."""
     from conesing.catalog import validate_epsilon
 
     eps = validate_epsilon(eps)
-    return all(b <= 1 - eps for _, b in P.boundary)
+    return all(b <= 1 - eps for _, b in B)
 
 
 def key_string(nf):
-    """The catalog key of a normal form: its fractional values and its
-    degree."""
-    fracs, deg = nf.key
+    """The catalog key of a normal form (couple, (fracs, degree)): its
+    fractional values and its degree."""
+    _, (fracs, deg) = nf
     body = ",".join(str(f) for f in fracs)
     return f"f[{body}];deg={deg}"
 
@@ -325,7 +323,7 @@ def per_candidate_entry(fracs, degree, eps):
     if G.mld < eps:
         return None
     nf = normal_form(C)
-    assert nf.couple == C, "candidate not in normal form"
+    assert nf[0] == C, "candidate not in normal form"
     bd = G.blown_down
     hd = hilbert_series(C)
     assert bd.empty == (bd.embedding_dimension == 2)
@@ -687,7 +685,8 @@ def saturated_presentation(C, gen_bound=None, rel_bound=None):
             if old.add(kv):
                 relations.append((n, {m: c for m, c in zip(monos, kv) if c}))
                 if len(degrees) <= 4:
-                    equations.append(_equation_string(kv, monos))
+                    equations.append(_equation_string(
+                        {i: c for i, c in enumerate(kv) if c}, monos))
     return {"generators": sorted(degrees),
             "relations": [d for d, _ in relations], "equations": equations}
 
@@ -877,7 +876,7 @@ def support_value(F, D, v):
     locating v and solving its cone's form again in every call."""
     if all(x == 0 for x in v):
         return Fraction(0)
-    return _dot(_cone_linear_form(F, D.coefficients, F.locate(v), "divisor"), v)
+    return _dot(_cone_linear_form(F, D, F.locate(v), "divisor"), v)
 
 
 def weil_index(F, D, v):
@@ -887,26 +886,35 @@ def weil_index(F, D, v):
 
 def cartier_index_on_cone(F, D, cone_index):
     """Least mu making mu D integral-linear on the cone."""
-    m = _cone_linear_form(F, D.coefficients, cone_index, "divisor")
+    m = _cone_linear_form(F, D, cone_index, "divisor")
     return lcm(*(x.denominator for x in m))
 
 
+def toric_divisor(values):
+    """An invariant divisor as toric holds it: the tuple of its
+    coefficients, one Fraction per ray."""
+    return tuple(Fraction(v) for v in values)
+
+
 def log_discrepancy_y(F, B, v):
-    """Value at v of the piecewise-linear form equal to 1 - b_rho at rays."""
+    """Value at v of the piecewise-linear form equal to 1 - b_rho at the
+    rays, for boundary coefficients B, one per ray, solving v's cone's
+    form again in every call."""
     if all(x == 0 for x in v):
         return Fraction(0)
-    return _dot(_pair_form(F, B, F.locate(v)), v)
+    return _dot(_cone_linear_form(F, [1 - b for b in B], F.locate(v), "pair"),
+                v)
 
 
-def lattice_mld(K):
-    """Mld at the fixed point of a rank-2 lifted cone: minimum of the
-    normalized form over interior lattice points, enumerated in the
-    bounded region {form <= 2}."""
-    if K.rank != 2:
+def lattice_mld(rays, qform):
+    """Mld at the fixed point of a rank-2 lifted cone, given as cone_of_x
+    gives it: minimum of the normalized form over interior lattice
+    points, enumerated in the bounded region {form <= 2}."""
+    if len(rays[0]) != 2:
         raise PreconditionError("lattice mld enumeration implemented for rank 2")
-    if K.qgorenstein_form is None:
+    if qform is None:
         raise PreconditionError("no covector takes value 1 on all rays")
-    r1, r2 = K.rays
+    r1, r2 = rays
     det = r1[0] * r2[1] - r1[1] * r2[0]
     corners = [(0, 0), (2 * r1[0], 2 * r1[1]), (2 * r2[0], 2 * r2[1])]
     xs = [c[0] for c in corners]
@@ -920,7 +928,7 @@ def lattice_mld(K):
             t = Fraction(y * r1[0] - x * r1[1], det)
             if s <= 0 or t <= 0:
                 continue
-            val = _dot(K.qgorenstein_form, (x, y))
+            val = _dot(qform, (x, y))
             if val <= 2 and (best is None or val < best):
                 best = val
     if best is None:
@@ -987,13 +995,11 @@ def random_instances(seed, count, max_denominator=6, require_qgorenstein=True):
             q = rng.randint(1, max_denominator)
             p = rng.randint(0, 4 * q)
             coeffs.append(Fraction(p, q))
-        D = ToricDivisor.of(coeffs)
+        D = tuple(coeffs)
         if not is_ample(F, D):
             continue
-        if require_qgorenstein:
-            K = cone_of_x(F, D)
-            if K.qgorenstein_form is None:
-                continue
+        if require_qgorenstein and cone_of_x(F, D)[1] is None:
+            continue
         out.append((f"{kind}#{len(out)}", F, D))
     if len(out) < count:
         raise InternalInvariantError("instance generator starved; widen the search")

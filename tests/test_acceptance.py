@@ -25,7 +25,7 @@ from conesing.quotient import (horizontal_log_discrepancies,
 from conesing.resolution import build_graph
 from conesing.hilbert import hilbert_series
 from conesing.sections import presentation
-from conesing.toric import (ToricDivisor, cone_of_x, random_primitive_samples,
+from conesing.toric import (cone_of_x, random_primitive_samples,
                             verify_comparison)
 from helpers import (an_min_scan, cartier_index_on_cone, entry_couple, fan_p1,
                      h0, intersection_matrix, is_eps_lc_pair,
@@ -229,12 +229,11 @@ def test_c09_internal_consistency():
         c0 = F(fracs[0][0], fracs[0][1]) if fracs else F(0)
         cinf = F(fracs[1][0], fracs[1][1]) if len(fracs) > 1 else F(0)
         n0 = C.degree() - c0 - cinf
-        D = ToricDivisor.of([c0 + n0, cinf])
-        K = cone_of_x(fan_p1(), D)
-        if K.qgorenstein_form is None:
+        rays, qform = cone_of_x(fan_p1(), (c0 + n0, cinf))
+        if qform is None:
             ok = False
             continue
-        ok = ok and lattice_mld(K) == build_graph(C).mld
+        ok = ok and lattice_mld(rays, qform) == build_graph(C).mld
         compared += 1
     assert _report("C9 integrality and definiteness assertions quiet; "
                    "two-oracle mld agreement", ok, f"{compared} couples")

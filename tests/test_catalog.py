@@ -493,27 +493,62 @@ def last_lowered(numerator):
     return [*numerator[:-1], numerator[-1] - 1]
 
 
-@pytest.mark.parametrize("field,mutate,oracle", [
+def one_moved_up(numerator):
+    """1 moved from the coefficient of T to that of T^2: the sum at T = 1
+    stays, and h(1) falls by 1."""
+    num = [*numerator, 0, 0][:max(3, len(numerator))]
+    return [num[0], num[1] - 1, num[2] + 1, *num[3:]]
+
+
+H_VALUES = "h(n) at n = 1, L and 2L + 1"
+
+
+@pytest.mark.parametrize("field,mutate,oracles", [
     ("cartier_index_kx", lambda e: replaced(
-        e, cartier_index_kx=2 * e["cartier_index_kx"]), "the quotient oracle"),
+        e, cartier_index_kx=2 * e["cartier_index_kx"]),
+     ["the quotient oracle"]),
     ("hilbert_period", lambda e: replaced(
         e, hilbert_period=2 * e["hilbert_period"]),
-     "the lcm of the denominators"),
+     ["the lcm of the denominators"]),
+    # the last coefficient moves h(2L + 1) too
     ("hilbert_numerator", lambda e: replaced(
         e, hilbert_numerator=last_lowered(e["hilbert_numerator"])),
-     "L deg D at T = 1"),
+     ["L deg D at T = 1", H_VALUES]),
+    ("hilbert_numerator", lambda e: replaced(
+        e, hilbert_numerator=one_moved_up(e["hilbert_numerator"])),
+     [H_VALUES]),
     ("link_determinant", lambda e: replaced(
-        e, link_determinant=e["link_determinant"] + 1), "the star graph"),
+        e, link_determinant=e["link_determinant"] + 1), ["the star graph"]),
 ], ids=["cartier_index_kx", "hilbert_period", "hilbert_numerator",
-        "link_determinant"])
-def test_audit_checks_a_field_against_its_second_oracle(field, mutate, oracle,
+        "hilbert_values", "link_determinant"])
+def test_audit_checks_a_field_against_its_second_oracle(field, mutate, oracles,
                                                        monkeypatch):
     # the stored entries carry the same damage, so only the oracle sees it
     params = SearchParams(epsilon=F(1, 2), isotropy_bound=6)
     docs = [mutate(d) for d in stored(enumerate_catalog(params))]
     mutated_members(monkeypatch, mutate)
     assert audit_catalog(docs, params)["failures"] == [
-        f"entry {d['key']}: {field} disagrees with {oracle}" for d in docs]
+        f"entry {d['key']}: {field} disagrees with {oracle}"
+        for d in docs for oracle in oracles]
+
+
+def test_audit_checks_the_embedding_dimension_of_a_cyclic_quotient(
+        monkeypatch):
+    # an entry with at most two fractional points is a cyclic quotient,
+    # whose continued fraction gives the embedding dimension; three
+    # points keep the blow-down that the entry shares
+    params = SearchParams(epsilon=F(1, 2), isotropy_bound=6)
+
+    def mutate(e):
+        return replaced(e, embedding_dimension=e["embedding_dimension"] + 1)
+
+    docs = [mutate(d) for d in stored(enumerate_catalog(params))]
+    mutated_members(monkeypatch, mutate)
+    cyclic = [d for d in docs if len(d["fractional"]) <= 2]
+    assert len(cyclic) < len(docs)
+    assert audit_catalog(docs, params)["failures"] == [
+        f"entry {d['key']}: embedding_dimension disagrees with the cyclic "
+        "quotient" for d in cyclic]
 
 
 def test_audit_blows_down_each_entry_at_most_once(monkeypatch):

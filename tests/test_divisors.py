@@ -91,29 +91,25 @@ def test_negative_floor_multiple_is_a_precondition():
 
 
 def test_normal_form_examples():
-    nf = normal_form(CurveCouple.of({finite_point(5): F(1, 2),
-                                     finite_point(7): F(3, 2)}))
-    assert nf.key == ((F(1, 2), F(1, 2)), F(2))
-    assert nf.couple == D((P0, F(1, 2)), (P1, F(1, 2)), (PINF, 1))
+    couple, key = normal_form(CurveCouple.of({finite_point(5): F(1, 2),
+                                              finite_point(7): F(3, 2)}))
+    assert key == ((F(1, 2), F(1, 2)), F(2))
+    assert couple == D((P0, F(1, 2)), (P1, F(1, 2)), (PINF, 1))
 
-    nf = normal_form(CurveCouple.of({finite_point(3): 4}))
-    assert nf.key == ((), F(4))
-    assert nf.couple == D((PINF, 4))
+    assert normal_form(CurveCouple.of({finite_point(3): 4})) == (
+        D((PINF, 4)), ((), F(4)))
 
     a = normal_form(CurveCouple.of({P0: F(1, 2), PINF: F(1, 2)}))
     b = normal_form(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}))
-    assert a.key == b.key
-    assert a.couple == b.couple
+    assert a == b
 
 
 def test_normal_form_idempotent_and_shift_invariant():
     C = CurveCouple.of({P0: F(2, 3), P1: F(-1, 2), PINF: 3})
     nf = normal_form(C)
-    again = normal_form(nf.couple)
-    assert again.couple == nf.couple and again.key == nf.key
+    assert normal_form(nf[0]) == nf
     shifted = plus(C, {finite_point(9): 5, PINF: -5})
-    assert normal_form(shifted).key == nf.key
-    assert normal_form(shifted).couple == nf.couple
+    assert normal_form(shifted) == nf
 
 
 @given(st.lists(st.tuples(st.integers(1, 40), st.integers(2, 40)), max_size=3),

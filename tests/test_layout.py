@@ -14,7 +14,10 @@ other test-only code live in tests/helpers.py.  Every name a top-level
 import binds in such a module must be used in that module; the package
 __init__, which only re-exports, is exempt.  Every class in errors is
 ConesingError, a family under it that sets its own stderr label and
-exit code, or a subclass that some except clause in src/ names.
+exit code, or a subclass that some except clause in src/ names.  Every
+Record subclass has a method or property besides __init__, or an
+__init__ that can raise: a record that only holds its fields wraps a
+tuple that its readers could be handed.
 """
 
 import ast
@@ -336,6 +339,57 @@ def test_layout_scan_flags_an_uncaught_error_subclass(tmp_path, monkeypatch):
                  "    label, exit_code = \"fan invalid\", 3\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert error_classes_outside_the_families() == ["FanInvalid"]
+
+
+# records whose fields code outside src/ reads: the benchmark's tracer
+# sums VertexData.m over the decompositions it records
+FIELD_RECORDS_READ_OUTSIDE = {"quotient.VertexData"}
+
+
+def records_that_only_hold_fields():
+    """module.Class for each Record subclass in src/ with no method or
+    property besides __init__ and no raise in its __init__, other than
+    those that code outside src/ reads."""
+    flagged = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef) or "Record" not in [
+                    ast.unparse(b) for b in cls.bases]:
+                continue
+            defs = [node for node in cls.body if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            behaves = any(node.name != "__init__" for node in defs) or any(
+                isinstance(sub, ast.Raise) for node in defs
+                if node.name == "__init__" for sub in ast.walk(node))
+            qualified = f"{path.stem}.{cls.name}"
+            if not behaves and qualified not in FIELD_RECORDS_READ_OUTSIDE:
+                flagged.append(qualified)
+    return flagged
+
+
+def test_every_record_holds_more_than_its_fields():
+    assert records_that_only_hold_fields() == []
+
+
+def test_layout_scan_flags_a_record_that_only_holds_fields(tmp_path,
+                                                          monkeypatch):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    with open(tmp_path / "toric.py", "a", encoding="utf-8") as fh:
+        # a field-only record beside one whose __init__ validates
+        fh.write("\n\nclass LiftedCone(Record):\n"
+                 "    _fields = (\"rays\", \"form\")\n\n"
+                 "    def __init__(self, rays, form):\n"
+                 "        self.__dict__.update(rays=rays, form=form)\n\n\n"
+                 "class CheckedCone(Record):\n"
+                 "    _fields = (\"rays\",)\n\n"
+                 "    def __init__(self, rays):\n"
+                 "        if not rays:\n"
+                 "            raise PreconditionError(\"no rays\")\n"
+                 "        self.__dict__[\"rays\"] = rays\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert records_that_only_hold_fields() == ["toric.LiftedCone"]
 
 
 def test_only_the_dispatcher_writes_output():

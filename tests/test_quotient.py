@@ -10,7 +10,7 @@ from conesing.divisors import (CurveCouple, finite_point, infinity_point,
 from conesing.catalog import SearchParams
 from conesing.errors import InternalInvariantError, NotKlt, PreconditionError
 from conesing import quotient
-from conesing.quotient import (StandardPair, cartier_index_of_kx,
+from conesing.quotient import (cartier_index_of_kx,
                                horizontal_log_discrepancies,
                                log_fano_quotient, vertex_decomposition,
                                vertex_log_discrepancy)
@@ -28,39 +28,27 @@ F = Fraction
 
 
 def test_log_fano_quotient_examples():
-    assert log_fano_quotient(CurveCouple.of({P0: 5})).boundary == ()
+    assert log_fano_quotient(CurveCouple.of({P0: 5})) == ()
     B = log_fano_quotient(CurveCouple.of({P0: F(1, 2), P1: F(2, 3)}))
     assert coeff(B, P0) == F(1, 2) and coeff(B, P1) == F(2, 3)
     B = log_fano_quotient(CurveCouple.of({P0: F(5, 3)}))
-    assert B.boundary == ((P0, F(2, 3)),)
-
-
-def test_non_standard_coefficient_is_a_precondition():
-    with pytest.raises(PreconditionError):
-        StandardPair(((P0, F(1, 3)),))
-
-
-def test_zero_standard_coefficient_is_a_precondition():
-    with pytest.raises(PreconditionError):
-        StandardPair(((P0, F(0)),))
+    assert B == ((P0, F(2, 3)),)
 
 
 def test_is_eps_lc_pair():
-    assert is_eps_lc_pair(StandardPair(()), 1)
-    assert is_eps_lc_pair(StandardPair(((P0, F(1, 2)),)), F(1, 2))
-    assert not is_eps_lc_pair(StandardPair(((P0, F(2, 3)),)), F(1, 2))
+    assert is_eps_lc_pair((), 1)
+    assert is_eps_lc_pair(((P0, F(1, 2)),), F(1, 2))
+    assert not is_eps_lc_pair(((P0, F(2, 3)),), F(1, 2))
     with pytest.raises(PreconditionError, match=r"epsilon 3/2 outside \(0, 1\]"):
-        is_eps_lc_pair(StandardPair(()), F(3, 2))
+        is_eps_lc_pair((), F(3, 2))
     with pytest.raises(PreconditionError, match=r"epsilon 0 outside \(0, 1\]"):
-        is_eps_lc_pair(StandardPair(()), 0)
+        is_eps_lc_pair((), 0)
 
 
 def test_is_log_fano():
-    assert is_log_fano(StandardPair(((P0, F(1, 2)), (P1, F(1, 2)),
-                                     (PINF, F(1, 2)))))
-    assert not is_log_fano(StandardPair(((P0, F(1, 2)), (P1, F(2, 3)),
-                                         (PINF, F(6, 7)))))
-    assert is_log_fano(StandardPair(()))
+    assert is_log_fano(((P0, F(1, 2)), (P1, F(1, 2)), (PINF, F(1, 2))))
+    assert not is_log_fano(((P0, F(1, 2)), (P1, F(2, 3)), (PINF, F(6, 7))))
+    assert is_log_fano(())
 
 
 def test_vertex_decomposition_integral_cone():
@@ -123,8 +111,8 @@ def test_vertex_log_discrepancy_normal_form_invariance():
     for C in random_couples(seed=12, count=20):
         if sum(c.denominator > 1 for _, c in C.terms) > 3:
             continue                    # no normal form: positions are moduli
-        nf = normal_form(C)
-        assert vertex_log_discrepancy(nf.couple) == vertex_log_discrepancy(C)
+        couple, _ = normal_form(C)
+        assert vertex_log_discrepancy(couple) == vertex_log_discrepancy(C)
         shifted = plus(C, {finite_point(11): 3, finite_point(13): -3})
         assert vertex_log_discrepancy(shifted) == vertex_log_discrepancy(C)
 
@@ -215,7 +203,7 @@ def test_horizontal_log_discrepancies_check_the_boundary(monkeypatch):
     # a boundary that misses a point of D breaks q (1 - b) = 1 there
     C = CurveCouple.of({P0: F(1, 2), P1: F(2, 3)})
     monkeypatch.setattr(quotient, "log_fano_quotient",
-                        lambda C: StandardPair(((P0, F(1, 2)),)))
+                        lambda C: ((P0, F(1, 2)),))
     with pytest.raises(InternalInvariantError,
                        match=r"horizontal log discrepancy 3 != 1 at \[1\]"):
         horizontal_log_discrepancies(C)
@@ -235,7 +223,7 @@ def test_cartier_index_of_kx():
 
 def audit_failures(C, eps, N):
     """Failures of the catalog audit on the honest entry of C."""
-    fracs, degree = normal_form(C).key
+    _, (fracs, degree) = normal_form(C)
     entry = per_candidate_entry(fracs, degree, F(0))
     params = SearchParams(epsilon=eps, isotropy_bound=N)
     return [f.split(": ", 1)[1]

@@ -13,16 +13,15 @@ from conesing.audit import audit_catalog
 from conesing.catalog import SearchParams, enumerate_catalog
 from conesing.counterexamples import diagonal_cone_report, rnc_family_report
 from conesing.divisors import (CurveCouple, MarkedPoint, finite_point,
-                               infinity_point, label_point, normal_form)
+                               infinity_point, label_point)
 from conesing.errors import PreconditionError
-from conesing.quotient import log_fano_quotient, vertex_decomposition
+from conesing.quotient import vertex_decomposition
 from conesing.records import Record
 from conesing.resolution import build_graph
 from conesing.hilbert import hilbert_series
 from conesing.sections import presentation
-from conesing.toric import (Fan, ToricDivisor, cone_of_x,
-                            fan_projective_space, random_primitive_samples,
-                            verify_comparison)
+from conesing.toric import (Fan, fan_projective_space,
+                            random_primitive_samples, verify_comparison)
 
 
 def make_all():
@@ -31,22 +30,18 @@ def make_all():
     E6 = CurveCouple.of({p0: F(-1, 2), p1: F(1, 3), pinf: F(1, 3)})
     G = build_graph(E6)
     fan = fan_projective_space(2)
-    td = ToricDivisor.of([0, 0, 1])
+    td = (F(0), F(0), F(1))
     params = SearchParams(epsilon=F(1, 2), isotropy_bound=3)
     return {
         "MarkedPoint": finite_point(F(1, 2)),
         "MarkedPoint.inf": pinf,
         "MarkedPoint.lbl": label_point("a"),
         "CurveCouple": E6,
-        "NormalForm": normal_form(E6),
-        "StandardPair": log_fano_quotient(E6),
         "VertexData": vertex_decomposition(E6),
         "ResolutionGraph": G,
         "BlownDownGraph": G.blown_down,
         "HilbertData": hilbert_series(E6),
         "Fan": fan,
-        "ToricDivisor": td,
-        "ConeOfX": cone_of_x(fan, td),
         "ComparisonReport": verify_comparison(fan, td, [(1, 1), (-1, 2)]),
         "SearchParams": params,
     }
@@ -64,10 +59,6 @@ EXPECTED = {
     # a couple is its terms, and H the tuple of its integral terms
     'CurveCouple': (('terms',),
         'CurveCouple(terms=(([0], Fraction(-1, 2)), ([1], Fraction(1, 3)), ([inf], Fraction(1, 3))))'),
-    'NormalForm': (('couple', 'key'),
-        'NormalForm(couple=CurveCouple(terms=(([0], Fraction(-1, 2)), ([1], Fraction(1, 3)), ([inf], Fraction(1, 3)))), key=((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)), Fraction(1, 6)))'),
-    'StandardPair': (('boundary',),
-        'StandardPair(boundary=(([0], Fraction(1, 2)), ([1], Fraction(2, 3)), ([inf], Fraction(2, 3))))'),
     'VertexData': (('m', 'u', 'H'),
         'VertexData(m=1, u=-1, H=(([1], 1), ([inf], -1)))'),
     # the discrepancies are held as integers over one denominator
@@ -79,10 +70,6 @@ EXPECTED = {
         'HilbertData(period=6, numerator=(1, -1, 0, 1, 0, -1, 1))'),
     'Fan': (('rank', 'rays', 'max_cones'),
         'Fan(rank=2, rays=((1, 0), (0, 1), (-1, -1)), max_cones=((0, 1), (0, 2), (1, 2)))'),
-    'ToricDivisor': (('coefficients',),
-        'ToricDivisor(coefficients=(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)))'),
-    'ConeOfX': (('rank', 'rays', 'qgorenstein_form'),
-        'ConeOfX(rank=3, rays=((1, 0, 0), (0, 1, 0), (-1, -1, 1)), qgorenstein_form=(Fraction(1, 1), Fraction(1, 1), Fraction(3, 1)))'),
     'ComparisonReport': (('checks', 'violations', 'vertex_expected', 'vertex_actual', 'vertex_ok'),
         "ComparisonReport(checks=[{'v': [1, 0], 'weil': 1, 'a_base': '1', 'a_cone': '1', 'ok': True}, {'v': [0, 1], 'weil': 1, 'a_base': '1', 'a_cone': '1', 'ok': True}, {'v': [-1, -1], 'weil': 1, 'a_base': '1', 'a_cone': '1', 'ok': True}, {'v': [1, 1], 'weil': 1, 'a_base': '2', 'a_cone': '2', 'ok': True}, {'v': [-1, 2], 'weil': 1, 'a_base': '4', 'a_cone': '4', 'ok': True}], violations=[], vertex_expected=Fraction(3, 1), vertex_actual=Fraction(3, 1), vertex_ok=True)"),
     'SearchParams': (('epsilon', 'isotropy_bound'),
@@ -101,7 +88,7 @@ def test_every_record_class_is_covered():
                if isinstance(cls, type) and cls.__module__ == mod.__name__
                and issubclass(cls, Record)}
     assert {type(v) for v in INSTANCES.values()} == classes
-    assert len(classes) == 13
+    assert len(classes) == 9
 
 
 def assert_same_hash(*objs):
@@ -185,7 +172,7 @@ def test_check_rows_are_json_values():
     # Fraction, no tuple, nothing that a JSON round trip would change
     fan = Fan(rank=2, rays=((1, 0), (0, 1), (-1, -2)),
               max_cones=((0, 1), (1, 2), (0, 2)))
-    D = ToricDivisor.of([F(1, 2), F(2, 3), 1])
+    D = (F(1, 2), F(2, 3), F(1))
     report = verify_comparison(fan, D, random_primitive_samples(3, 2, 40))
     params = SearchParams(epsilon=F(1), isotropy_bound=3)
     entries = enumerate_catalog(params)

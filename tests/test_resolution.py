@@ -15,7 +15,6 @@ from conesing.errors import InternalInvariantError, NotKlt, PreconditionError
 from conesing.linalg import det_int
 from conesing.quotient import vertex_log_discrepancy
 from conesing.resolution import build_graph, hj_chain, hj_chain_length
-from conesing.toric import ConeOfX
 from helpers import (POSITIONS, chart_cone, discrepancies, divisor_degree,
                      fraction_star_graph, intersection_matrix,
                      is_negative_definite, lattice_mld, random_couples)
@@ -360,8 +359,7 @@ def test_germ_mld_matches_chain_germ():
             rays = ((0, 1), (q, p))
             status, form = solve([list(r) for r in rays], [F(1), F(1)])
             assert status == "unique"
-            germ = ConeOfX(rank=2, rays=rays, qgorenstein_form=tuple(form))
-            assert lattice_mld(germ) == 1 + min(d)
+            assert lattice_mld(rays, tuple(form)) == 1 + min(d)
 
 
 def test_is_eps_lc_x():

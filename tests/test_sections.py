@@ -413,10 +413,35 @@ def test_relation_kernel_is_monomials_minus_dimension(seed):
 
 
 def test_presentation_certifies_the_kernel_dimension(monkeypatch):
-    nullspace = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace", lambda rows: nullspace(rows)[:-1])
+    # one pivot dropped from the echelon form of the evaluations leaves
+    # a kernel one larger than the spanning certificate gives
+    echelon = linalg._echelon
+
+    def one_pivot_short(rows):
+        m, pivots = echelon(rows)
+        return m, pivots[:-1]
+
+    monkeypatch.setattr(linalg, "_echelon", one_pivot_short)
     with pytest.raises(InternalInvariantError, match="spanning certificate"):
         presentation(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}))
+
+
+@pytest.mark.parametrize("C", [
+    golden_couple("E6"), CurveCouple.of({P0: F(-1, 9), PINF: 1})],
+    ids=["E6", "minus_1_9_at_0"])
+def test_presentation_builds_no_dense_kernel(C, monkeypatch):
+    # the relations are read off the echelon form's sparse kernel
+    # vectors, one at a time; the saturation scan's dense nullspace is
+    # the oracle, run before nullspace is made to raise
+    pres = presentation(C)
+    top = 2 * max(pres["generators"])
+    expected = presented(saturated_presentation(C, certificate_degree(C), top))
+
+    def refuse(rows):
+        raise AssertionError("presentation built the dense kernel")
+
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    assert presented(presentation(C)) == expected
 
 
 def test_period_above_the_cap_is_a_precondition(monkeypatch):

@@ -11,14 +11,14 @@ from conesing.errors import InternalInvariantError, PreconditionError
 from conesing.jsonio import fmt_q
 from conesing.linalg import primitivize
 from conesing.resolution import build_graph
-from conesing.toric import (Fan, ToricDivisor, cartier_index_global, cone_of_x,
-                            fan_projective_space, is_ample, log_discrepancy_x,
-                            quotient_boundary, random_primitive_samples,
+from conesing.toric import (Fan, _dot, _pair_form, cartier_index_global,
+                            cone_of_x, fan_projective_space, is_ample,
+                            log_discrepancy_x, random_primitive_samples,
                             verify_comparison)
 from helpers import (cartier_index_on_cone, coeff, fan_p1, fan_p1xp1, fan_p2,
                      fan_weighted_plane, lattice_mld, log_discrepancy_y,
                      random_instances, simplicial_walls_ok, support_value,
-                     weil_index)
+                     toric_divisor, weil_index)
 
 F2 = Fraction
 P0 = finite_point(0)
@@ -31,7 +31,7 @@ def toric_model_of_couple(C: CurveCouple):
     cinf = coeff(C, PINF)
     for p, _ in C.terms:
         assert p in (P0, PINF)
-    return fan_p1(), ToricDivisor.of([c0, cinf])
+    return fan_p1(), toric_divisor([c0, cinf])
 
 
 def test_fan_validation():
@@ -53,88 +53,94 @@ def test_fan_validation():
 
 def test_support_value_examples():
     F = fan_p2()
-    D = ToricDivisor.of([0, 0, 1])
+    D = toric_divisor([0, 0, 1])
     assert support_value(F, D, (-1, -1)) == 1
     assert support_value(F, D, (0, 0)) == 0
     Fp1 = fan_p1()
-    Dp1 = ToricDivisor.of([F2(1, 2), 0])
+    Dp1 = toric_divisor([F2(1, 2), 0])
     assert support_value(Fp1, Dp1, (3,)) == F2(3, 2)
 
 
 def test_weil_index_examples():
     Fp1 = fan_p1()
-    D = ToricDivisor.of([F2(1, 2), F2(2, 3)])
+    D = toric_divisor([F2(1, 2), F2(2, 3)])
     assert weil_index(Fp1, D, (1,)) == 2
     assert weil_index(Fp1, D, (-1,)) == 3
     F = fan_p2()
-    D = ToricDivisor.of([0, 0, F2(1, 2)])
+    D = toric_divisor([0, 0, F2(1, 2)])
     assert weil_index(F, D, (1, 0)) == 1
     assert weil_index(F, D, (-1, -1)) == 2
 
 
 def test_cartier_index_on_cone():
     Fp1 = fan_p1()
-    D = ToricDivisor.of([F2(3, 4), 0])
+    D = toric_divisor([F2(3, 4), 0])
     assert cartier_index_on_cone(Fp1, D, 0) == 4
     assert cartier_index_on_cone(Fp1, D, 1) == 1
     assert cartier_index_global(Fp1, D) == 4
     F = fan_p2()
-    assert cartier_index_global(F, ToricDivisor.of([0, 0, 1])) == 1
+    assert cartier_index_global(F, toric_divisor([0, 0, 1])) == 1
 
 
-def test_quotient_boundary():
-    D = ToricDivisor.of([2, F2(1, 2), F2(5, 3)])
-    B = quotient_boundary(fan_p2(), D)
-    assert B.coefficients == (F2(0), F2(1, 2), F2(2, 3))
+def test_pair_form_takes_one_over_q_at_the_rays():
+    # the boundary 1 - 1/q_rho is read off D's denominators, so the pair
+    # form takes 1 - b_rho = 1/q_rho at the rays of each cone
+    F = fan_p2()
+    D = toric_divisor([2, F2(1, 2), F2(5, 3)])
+    at_rays = (1, F2(1, 2), F2(1, 3))
+    for ci, cone in enumerate(F.max_cones):
+        form = _pair_form(F, D, ci)
+        assert [_dot(form, F.rays[i]) for i in cone] == [at_rays[i]
+                                                         for i in cone]
 
 
 def test_log_discrepancy_y():
     F = fan_p2()
-    B = ToricDivisor.of([0, 0, 0])
+    B = toric_divisor([0, 0, 0])
     assert log_discrepancy_y(F, B, (1, 0)) == 1
     assert log_discrepancy_y(F, B, (1, 1)) == 2     # blowup of the origin
-    B = ToricDivisor.of([F2(1, 2), 0, 0])
+    B = toric_divisor([F2(1, 2), 0, 0])
     assert log_discrepancy_y(F, B, (1, 0)) == F2(1, 2)
 
 
 def test_cone_of_x_p2_hyperplane():
-    K = cone_of_x(fan_p2(), ToricDivisor.of([0, 0, 1]))
-    assert K.rays == ((1, 0, 0), (0, 1, 0), (-1, -1, 1))
-    assert K.qgorenstein_form == (F2(1), F2(1), F2(3))
-    assert log_discrepancy_x(K, (0, 0, 1)) == 3
+    rays, qform = cone_of_x(fan_p2(), toric_divisor([0, 0, 1]))
+    assert rays == ((1, 0, 0), (0, 1, 0), (-1, -1, 1))
+    assert qform == (F2(1), F2(1), F2(3))
+    assert log_discrepancy_x(qform, (0, 0, 1)) == 3
 
 
 def test_cone_of_x_p1_cases():
-    K = cone_of_x(fan_p1(), ToricDivisor.of([F2(1, 2), F2(1, 2)]))
-    assert K.rays == ((2, 1), (-2, 1))
-    assert log_discrepancy_x(K, (0, 1)) == 1
+    rays, qform = cone_of_x(fan_p1(), toric_divisor([F2(1, 2), F2(1, 2)]))
+    assert rays == ((2, 1), (-2, 1))
+    assert log_discrepancy_x(qform, (0, 1)) == 1
     for m in range(1, 8):
-        K = cone_of_x(fan_p1(), ToricDivisor.of([m, 0]))
-        assert K.rays == ((1, m), (-1, 0))
-        assert log_discrepancy_x(K, (0, 1)) == F2(2, m)
+        rays, qform = cone_of_x(fan_p1(), toric_divisor([m, 0]))
+        assert rays == ((1, m), (-1, 0))
+        assert log_discrepancy_x(qform, (0, 1)) == F2(2, m)
 
 
 def test_cone_of_x_requires_ample():
     with pytest.raises(PreconditionError, match="not ample on the fan"):
-        cone_of_x(fan_p1(), ToricDivisor.of([0, 0]))
+        cone_of_x(fan_p1(), toric_divisor([0, 0]))
     with pytest.raises(PreconditionError, match="not ample on the fan"):
-        cone_of_x(fan_p2(), ToricDivisor.of([-1, 0, 0]))
+        cone_of_x(fan_p2(), toric_divisor([-1, 0, 0]))
 
 
 def test_not_qgorenstein_lift():
     # generic quadric-surface divisor is not proportional to the
     # anticanonical class, and the lifted cone has no normalizing form
     F = fan_p1xp1()
-    D = ToricDivisor.of([1, 2, 3, 4])
+    D = toric_divisor([1, 2, 3, 4])
     assert is_ample(F, D)
-    K = cone_of_x(F, D)
-    assert K.qgorenstein_form is None
+    _, qform = cone_of_x(F, D)
+    assert qform is None
     with pytest.raises(PreconditionError, match="no covector takes value 1"):
-        log_discrepancy_x(K, (0, 0, 1))
+        log_discrepancy_x(qform, (0, 0, 1))
 
 
 def test_verify_comparison_p2():
-    report = verify_comparison(fan_p2(), ToricDivisor.of([0, 0, 1]),
+    report = verify_comparison(fan_p2(), toric_divisor([0, 0, 1]),
                                samples=[(1, 1), (2, -1), (-3, 1)])
     assert not report.violations
     for c in report.checks[:3]:
@@ -145,7 +151,7 @@ def test_verify_comparison_p2():
 
 def test_verify_comparison_p1_mixed_denominators():
     report = verify_comparison(fan_p1(),
-                               ToricDivisor.of([F2(1, 2), F2(2, 3)]),
+                               toric_divisor([F2(1, 2), F2(2, 3)]),
                                samples=[(1,), (-1,)])
     assert not report.violations
     by_v = {tuple(c["v"]): c for c in report.checks}
@@ -184,9 +190,9 @@ def test_rank1_vertex_matches_curve_side():
     for terms in cases:
         C = CurveCouple.of(terms)
         F, D = toric_model_of_couple(C)
-        K = cone_of_x(F, D)
+        _, qform = cone_of_x(F, D)
         rank = F.rank
-        assert log_discrepancy_x(K, tuple([0] * rank + [1])) == \
+        assert log_discrepancy_x(qform, tuple([0] * rank + [1])) == \
             vertex_log_discrepancy(C)
 
 
@@ -202,10 +208,10 @@ def test_lattice_mld_agrees_with_star_resolution():
     for terms in cases:
         C = CurveCouple.of(terms)
         F, D = toric_model_of_couple(C)
-        K = cone_of_x(F, D)
-        if K.qgorenstein_form is None:
+        rays, qform = cone_of_x(F, D)
+        if qform is None:
             continue
-        assert lattice_mld(K) == build_graph(C).mld
+        assert lattice_mld(rays, qform) == build_graph(C).mld
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +251,11 @@ def fan_cube():
 
 def cube_divisor(shift):
     """All-ones divisor on the cube fan plus a rational linear form."""
-    return ToricDivisor.of([1 + sum(F2(a) * x for a, x in zip(shift, r))
+    return toric_divisor([1 + sum(F2(a) * x for a, x in zip(shift, r))
                             for r in fan_cube().rays])
 
 
-P3_DIVISOR = ToricDivisor.of([F2(1, 2), F2(1, 3), 0, 1])
+P3_DIVISOR = toric_divisor([F2(1, 2), F2(1, 3), 0, 1])
 # random_instances draws from the line, the plane, the quadric and the
 # weighted planes; P^3 and the non-simplicial cube fan add rank 3
 INSTANCES = (random_instances(seed=13, count=10, require_qgorenstein=False)
@@ -265,8 +271,9 @@ def lattice_vectors(rank, box=6):
 
 def reference_checks(F, D, samples):
     """The per-vector path: locate and solve again in every call."""
-    K = cone_of_x(F, D)
-    B = quotient_boundary(F, D)
+    _, qform = cone_of_x(F, D)
+    # the standard-coefficient boundary, one b_rho = 1 - 1/q_rho per ray
+    B = tuple(1 - F2(1, c.denominator) for c in D)
     out = []
     for v in [*F.rays, *samples]:
         if all(x == 0 for x in v):
@@ -276,7 +283,7 @@ def reference_checks(F, D, samples):
         lifted = primitivize(tuple(s.denominator * x for x in v) + (s.numerator,))
         weil = weil_index(F, D, v)
         a_base = log_discrepancy_y(F, B, v)
-        a_cone = log_discrepancy_x(K, lifted)
+        a_cone = log_discrepancy_x(qform, lifted)
         out.append({"v": list(v), "weil": weil, "a_base": fmt_q(a_base),
                     "a_cone": fmt_q(a_cone), "ok": a_cone == weil * a_base})
     return out
@@ -311,7 +318,7 @@ BENCHMARK_FANS = [
     (lambda: fan_projective_space(3), P3_DIVISOR),
     (lambda: Fan(rank=2, rays=((1, 0), (0, 1), (-1, -2)),
                  max_cones=((0, 1), (1, 2), (0, 2))),
-     ToricDivisor.of([F2(1, 2), F2(2, 3), 1])),
+     toric_divisor([F2(1, 2), F2(2, 3), 1])),
 ]
 
 
@@ -382,7 +389,7 @@ def test_degenerate_inputs_raise_contract_errors():
     with pytest.raises(PreconditionError):
         fan_weighted_plane(2, 4)
     with pytest.raises(PreconditionError):
-        lattice_mld(cone_of_x(fan_p2(), ToricDivisor.of([0, 0, 1])))
+        lattice_mld(*cone_of_x(fan_p2(), toric_divisor([0, 0, 1])))
 
 
 # ---------------------------------------------------------------------------
