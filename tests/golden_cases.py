@@ -7,9 +7,11 @@ label points and of the non-klt couple (6/7)([0] + [1] + [inf]) at
 explicit bounds, of `describe`, `discrepancy` and `presentation` at
 bounds 30 on two couples whose files need the term merge (labels beside
 [inf] and the finite point 1/2; a repeated point, a zero and a negative
-coefficient), of three small catalogs, of the toric comparison on P^3,
-on the weighted plane P(1,1,2) and on the non-simplicial cube fan, of a
-small run of the counterexample families, and of `audit` on the (1, 3)
+coefficient), of `describe` and `resolve` on three couples whose
+central (-1)-curve blows down to a nonempty graph, of three small
+catalogs, of the toric comparison on P^3, on the weighted plane
+P(1,1,2) and on the non-simplicial cube fan, of a small run of the
+counterexample families, and of `audit` on the (1, 3)
 catalog and on damaged copies of it (in `golden/catalogs`, written by
 `damaged_catalogs`), one report per kind of damage.
 
@@ -82,6 +84,14 @@ for name in ("labels_inf", "merged"):
     CASES[f"presentation_{name}_b30"] = [
         "presentation", "--couple", path, "--gen-bound", "30",
         "--rel-bound", "30"]
+# a central (-1)-curve whose blow-down keeps curves: (3/7)[0] + (4/5)[1]
+# - [inf], whose two chains meet in a join edge; (5/7)[0], whose one
+# chain keeps two curves; (1/3)[0] + (7/9)[1] - [inf], whose first chain
+# contracts away
+for name in ("minus1_join", "minus1_one_chain", "minus1_chain_gone"):
+    path = str(GOLDEN / "couples" / f"{name}.json")
+    CASES[f"describe_{name}"] = ["describe", "--couple", path]
+    CASES[f"resolve_{name}"] = ["resolve", "--couple", path]
 # not klt: the default generator bound is refused, explicit ones run
 CASES["presentation_not_fano_g9_r4"] = [
     "presentation", "--couple", str(GOLDEN / "couples" / "not_fano.json"),
