@@ -9,15 +9,15 @@ the mld and the link determinant (read off its chains' continuants); it
 solves the couple's chains from the couple and never calls the sweep's
 chain solver.  With at most two chains the graph is a line, the
 resolution of a cyclic quotient, whose continuants give the embedding
-dimension without the blow-down that the entry shares.  The quotient
-side's minimal decomposition, quotient.cartier_index_of_kx, is the
-oracle of the index of K_X; the lcm L of the couple's denominators, of
-the Hilbert period; L deg D, of the Hilbert numerator's sum; and
-h(n) = 1 + deg floor(nD) from the couple's terms, of the values the
-numerator gives at n = 1, L and 2L + 1.  Each entry's couple is built
-once (a stored couple in normal form is its own normal form), and its
-graph is blown down at most once, for the oracle and the rebuilt entry
-alike.
+dimension without a blow-down; a three-point entry's embedding
+dimension has no independent oracle.  The quotient side's minimal
+decomposition, quotient.cartier_index_of_kx, is the oracle of the index
+of K_X; the lcm L of the couple's denominators, of the Hilbert period;
+L deg D, of the Hilbert numerator's sum; and h(n) = 1 + deg floor(nD)
+from the couple's terms, of the values the numerator gives at n = 1, L
+and 2L + 1.  Each entry's couple is built once (a stored couple in
+normal form is its own normal form); the oracle and the rebuilt entry
+each blow down their own graph.
 
 Only the audit command imports this module: enumerate and mld-set do
 not compile it.
@@ -147,7 +147,7 @@ def audit_catalog(docs, params: SearchParams) -> dict:
                 continue
             # the Hilbert numerator takes time linear in the period
             L = _checked_period(C)
-            mld, rebuilt = _type_member(fracs)(degree, G)
+            mld, rebuilt = _type_member(fracs)(degree)
             # field by field only when the entries differ
             if doc != rebuilt or not _plain(doc):
                 failures.extend(_field_failures(tag, doc, rebuilt))

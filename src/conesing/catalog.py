@@ -14,12 +14,12 @@ or a raise.  Vertex v has log discrepancy a_v = (S_v a_e0 + X_v)/q with
 a_e0 = (2 - deg B)/deg D.  So the mld, min(a_e0, min_v a_v), does not
 increase with the degree: a type's members are its degrees up to a
 closed-form cap, each entry is read off the type's integers and its
-degree, and only a central (-1)-curve needs a blow-down.  The embedding
-dimension is Artin's 1 - Z^2 (klt surface singularities are rational).
-Each entry is built once, as the JSON object the catalog file holds:
-rationals are fmt_q strings written from integer pairs, and the sweep
-keeps only the mld as a Fraction, next to the object, to compare it
-with eps.
+degree, and only a central (-1)-curve needs a blow-down, along a line.
+The embedding dimension is Artin's 1 - Z^2 (klt surface singularities
+are rational).  Each entry is built once, as the JSON object the
+catalog file holds: rationals are fmt_q strings written from integer
+pairs, and the sweep keeps only the mld as a Fraction, next to the
+object, to compare it with eps.
 
 audit (conesing.audit) rebuilds stored entries by the same path; only
 the audit command loads it, and the sweep loads no couple layer.
@@ -39,7 +39,7 @@ from typing import List, Tuple
 from .errors import InternalInvariantError, NotKlt, PreconditionError
 from .jsonio import fmt_q, fmt_ratio, parse_q
 from .records import Record
-from .resolution import _chain_continuants, blow_down, hj_chain, star_edges
+from .resolution import _chain_continuants, blow_down, hj_chain
 
 
 def validate_epsilon(eps) -> Fraction:
@@ -76,8 +76,8 @@ def _fractional_coefficients(q_max: int) -> List[Fraction]:
         for p in range(1, q):
             if gcd(p, q) == 1:
                 out.append(Fraction(p, q))
-    # canonical order: descending value, ties by denominator then numerator
-    out.sort(key=lambda f: (-f, f.denominator, f.numerator))
+    # canonical order: descending value (reduced fractions never tie)
+    out.sort(reverse=True)
     return out
 
 
@@ -125,16 +125,15 @@ def _chain_solve(p: int, q: int):
 
 @lru_cache(maxsize=None)
 def _type_member(fracs: Tuple[Fraction, ...]):
-    """member(degree, graph=None) -> (mld, entry): the type's member at
-    that degree, whatever its mld, with its entry built once, as the JSON
-    object that a catalog file holds (rationals as fmt_q strings, arrays
-    as lists), from the type's integers.  A caller that holds the
-    member's star graph passes it as graph, and a blow-down is read off
-    it when its vertices are the member's own.  The setup runs on the
-    first call for a type; enumerate and audit clear this cache and
-    _chain_solve's when they end, by a return or a raise.  It is linear
-    in the period L = lcm q_i: audit refuses L above PERIOD_MAX first,
-    and a sweep's types have L <= N^2."""
+    """member(degree) -> (mld, entry): the type's member at that degree,
+    whatever its mld, with its entry built once, as the JSON object that
+    a catalog file holds (rationals as fmt_q strings, arrays as lists),
+    from the type's integers, with its own blow-down where the centre
+    is a (-1)-curve.  The setup runs on the first call for a type;
+    enumerate and audit clear this cache and _chain_solve's when they
+    end, by a return or a raise.  It is linear in the period
+    L = lcm q_i: audit refuses L above PERIOD_MAX first, and a sweep's
+    types have L <= N^2."""
     pairs = tuple((f.numerator, f.denominator) for f in fracs)
     r = len(pairs)
     L = lcm(*(q for _, q in pairs))
@@ -165,7 +164,7 @@ def _type_member(fracs: Tuple[Fraction, ...]):
     tail = tuple(e for chain in chains for e in chain)
     excess = sum(-e - 2 for e in tail)
 
-    def member(degree: Fraction, graph=None) -> Tuple[Fraction, dict]:
+    def member(degree: Fraction) -> Tuple[Fraction, dict]:
         dn, dd = degree.numerator, degree.denominator
         # degree = fn/fd + n has the denominator fd
         if dd != fd or dn <= 0:
@@ -185,11 +184,7 @@ def _type_member(fracs: Tuple[Fraction, ...]):
             # (-2)-curve take Laufer's loop.  The checks of
             # ResolutionGraph.mld: a smooth cone has mld 2, and the
             # blow-down keeps the graph minimum.
-            if (graph is not None and graph.central_self_int == -b0
-                    and graph.chains == chains):
-                bd = graph.blown_down   # the caller's graph is this one
-            else:
-                bd = blow_down((-b0, *tail), star_edges(chains))
+            bd = blow_down(-b0, chains)
             if bd.empty:
                 if low != 2 * L * B:
                     raise InternalInvariantError(

@@ -35,7 +35,7 @@ def cmd_toric_check(args) -> tuple[dict, int]:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     samples = random_primitive_samples(seed, F.rank, args.samples)
     report = verify_comparison(F, D, samples)
-    ok = not report.violations and report.vertex_ok is not False
+    ok = not report.violations and report.vertex_ok
     return report.to_json(), 0 if ok else 1
 
 

@@ -14,17 +14,16 @@ def _load_couple(path: str):
 
 def _discrepancy_doc(C) -> dict:
     """Quotient-side discrepancy data, shared by describe and discrepancy."""
-    from .jsonio import fmt_q, integral_divisor_to_json, point_to_json
+    from .jsonio import fmt_q, terms_to_json
     from .quotient import (horizontal_log_discrepancies, log_fano_quotient,
                            vertex_decomposition, vertex_log_discrepancy)
     vd = vertex_decomposition(C)
     return {
-        "quotient": [{"point": point_to_json(p), "coeff": fmt_q(b)}
-                     for p, b in log_fano_quotient(C)],
+        "quotient": terms_to_json(log_fano_quotient(C)),
         "a_e0": fmt_q(vertex_log_discrepancy(C)),
         "horizontal": {repr(p): fmt_q(a)
                        for p, a in horizontal_log_discrepancies(C)},
-        "m": vd.m, "u": vd.u, "H": integral_divisor_to_json(vd.H),
+        "m": vd.m, "u": vd.u, "H": terms_to_json(vd.H),
         "cartier_index_kx": vd.m,
     }
 
@@ -32,14 +31,14 @@ def _discrepancy_doc(C) -> dict:
 def cmd_describe(args) -> tuple[dict, int]:
     from .divisors import max_isotropy
     from .hilbert import hilbert_series
-    from .jsonio import divisor_to_json, fmt_q
+    from .jsonio import fmt_q, terms_to_json
     from .resolution import build_graph
     C = _load_couple(args.couple)
     doc = _discrepancy_doc(C)
     G = build_graph(C)
     hd = hilbert_series(C)
     doc.update({
-        "divisor": divisor_to_json(C),
+        "divisor": terms_to_json(C.terms),
         "degree": fmt_q(C.degree()),
         "mld": fmt_q(G.mld),
         "graph": G.to_json(),

@@ -26,7 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, count
 from math import lcm
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import NotKlt, PreconditionError
@@ -215,23 +214,17 @@ def normal_form(C: CurveCouple) -> Tuple[
     couple up to line automorphisms and adding integral degree-zero
     divisors, and its key, the fractional values and the degree.
 
-    Fractional parts land at 0, 1, infinity in descending order (ties by
-    denominator, then numerator of the stored coefficient); the leftover
+    Fractional parts land at 0, 1, infinity in descending order (equal
+    reduced fractions are equal, so ties decide nothing); the leftover
     integral degree sits at infinity when free, otherwise it is folded
     into the coefficient at 0.  More than three fractional points have
     no canonical placement and are refused with PreconditionError.  A
     couple already in normal form is returned as it is.
     """
-    fracs = []
-    for p, c in C.terms:
-        r = c.numerator % c.denominator     # numerator of c - floor(c)
-        if r:
-            f = c if r == c.numerator else Fraction(r, c.denominator)
-            fracs.append((f, c.denominator, c.numerator))
-    # descending, ties by (denominator, numerator): the sorts are stable
-    fracs.sort(key=itemgetter(1, 2))
-    fracs.sort(key=itemgetter(0), reverse=True)
-    frac_values = tuple(f for f, _, _ in fracs)
+    # the fractional parts c - floor(c), descending
+    frac_values = tuple(sorted(
+        (Fraction(c.numerator % c.denominator, c.denominator)
+         for _, c in C.terms if c.denominator > 1), reverse=True))
     deg = C.degree()
     if C.terms != _canonical_terms(frac_values, deg):
         C = canonical_couple(frac_values, deg)

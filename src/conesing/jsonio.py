@@ -25,7 +25,7 @@ except ImportError:     # an interpreter without json's C accelerator
 from .errors import ParseError
 
 if TYPE_CHECKING:
-    from .divisors import CurveCouple, IntegralTerms, MarkedPoint
+    from .divisors import CurveCouple, MarkedPoint
 
 SCHEMA = "conesing/1"
 
@@ -103,14 +103,12 @@ def point_from_json(doc) -> MarkedPoint:
     raise ParseError(f"unknown point tag {t!r}")
 
 
-def divisor_to_json(C: CurveCouple) -> list:
-    """The "divisor" array of a couple: one {point, coeff} per term."""
-    return [{"point": point_to_json(p), "coeff": fmt_q(c)} for p, c in C.terms]
-
-
-def integral_divisor_to_json(H: IntegralTerms) -> list:
-    """The array of integral (point, int) terms, such as those of H."""
-    return [{"point": point_to_json(p), "coeff": c} for p, c in H]
+def terms_to_json(terms) -> list:
+    """One {point, coeff} per (point, coefficient) term: an int
+    coefficient, such as those of H, stays a JSON integer, and a Fraction
+    is written as a fmt_q string."""
+    return [{"point": point_to_json(p),
+             "coeff": c if type(c) is int else fmt_q(c)} for p, c in terms]
 
 
 def couple_from_json(doc) -> CurveCouple:

@@ -30,7 +30,7 @@ build_graph works in integers: every discrepancy is an integer
 numerator over one common denominator, from the continuants u and w of
 each chain's elimination (done once per chart cone), and the vertex mld
 is read off those integers, with a blow-down only when the central
-curve is a (-1)-curve, the one curve a star graph can contract.  The
+curve is a (-1)-curve, which contracts along a line (blow_down).  The
 Fractions of the discrepancies are built only when they are read, as
 resolve and describe do to print them.  build_graph is the oracle that
 audit holds the catalog's entries against, so it never calls the
@@ -47,9 +47,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .errors import InternalInvariantError, PreconditionError
 from .records import Record
@@ -215,12 +214,6 @@ class ResolutionGraph(Record):
         den = self.denominator
         return tuple(Fraction(n, den) for n in self.numerators)
 
-    def self_intersections(self) -> Tuple[int, ...]:
-        out = [self.central_self_int]
-        for chain in self.chains:
-            out.extend(chain)
-        return tuple(out)
-
     def to_json(self) -> dict:
         from .jsonio import fmt_q
         return {
@@ -232,7 +225,7 @@ class ResolutionGraph(Record):
 
     @cached_property
     def blown_down(self) -> BlownDownGraph:
-        return blow_down(self.self_intersections(), star_edges(self.chains))
+        return blow_down(self.central_self_int, self.chains)
 
     @cached_property
     def mld(self) -> Fraction:
@@ -404,50 +397,41 @@ class BlownDownGraph(Record):
                 "edges": [list(e) for e in self.edges]}
 
 
-def blow_down(self_intersections: Tuple[int, ...],
-              edges: Tuple[Tuple[int, int], ...]) -> BlownDownGraph:
-    """Contract (-1)-vertices of the graph with these self-intersections
-    and weight-1 edges, always the lowest-index one first, until none is
-    left.  A contraction raises each neighbour's self-intersection by
-    one and joins the neighbours pairwise, so only a neighbour can
-    become a new (-1)-vertex; a heap holds the candidates, and a vertex
-    that has since left -1 is skipped when it comes up."""
-    selfints = list(self_intersections)
-    nbrs: List[Dict[int, int]] = [{} for _ in selfints]     # neighbour -> weight
-    for i, j in edges:
-        nbrs[i][j] = nbrs[j][i] = 1
-    alive = [True] * len(selfints)
-    heap = [v for v, e in enumerate(selfints) if e == -1]
-    heapify(heap)
-    while heap:
-        target = heappop(heap)
-        if not alive[target] or selfints[target] != -1:
-            continue
-        around = nbrs[target]
-        for v, w in around.items():
-            if w != 1:
-                raise InternalInvariantError("contraction of a tangent curve")
-            selfints[v] += 1
-        for a in around:
-            for b in around:
-                if a < b:
-                    w = nbrs[a].get(b, 0) + 1
-                    if w > 1:
-                        raise InternalInvariantError(
-                            "contraction created a tangency")
-                    nbrs[a][b] = nbrs[b][a] = w
-        for v in around:
-            del nbrs[v][target]
-            if selfints[v] == -1:
-                heappush(heap, v)
-        nbrs[target] = {}
-        alive[target] = False
-
-    surviving = tuple(v for v, a in enumerate(alive) if a)
-    remap = {v: i for i, v in enumerate(surviving)}
+def blow_down(center: int, chains) -> BlownDownGraph:
+    """Contract the (-1)-curves of the star graph with this centre and
+    these chains, in ResolutionGraph's vertex order.  Chain curves are
+    (-2)-curves or below (hj_chain), so only a central (-1)-curve
+    contracts, and on a klt cone it meets at most two chains: with r = 3
+    points b0 = n + r = 1, and deg D = sum p_i/q_i + n > 0 would need
+    sum p_i/q_i > 2 > deg B.  So the contractions walk a line outward,
+    each raising the innermost survivor of both chains by one."""
+    selfints = [center, *(e for chain in chains for e in chain)]
+    if center != -1:
+        return BlownDownGraph(self_intersections=tuple(selfints),
+                              edges=tuple(sorted(star_edges(chains))),
+                              surviving=tuple(range(len(selfints))))
+    if len(chains) > 2:
+        raise InternalInvariantError(
+            f"a central (-1)-curve meets {len(chains)} chains")
+    # each side of the line as a stack, its innermost vertex on top
+    cut = 1 + len(chains[0]) if chains else 1
+    sides = (list(range(cut - 1, 0, -1)),
+             list(range(len(selfints) - 1, cut - 1, -1)))
+    while True:
+        tops = [side for side in sides if side]
+        for side in tops:
+            selfints[side[-1]] += 1
+        minus_one = [side for side in tops if selfints[side[-1]] == -1]
+        if not minus_one:
+            break
+        if len(minus_one) > 1:
+            raise InternalInvariantError("two (-1)-curves side by side")
+        minus_one[0].pop()
+    first, second = (side[::-1] for side in sides)
+    surviving = (*first, *second)
+    # the line through the survivors' positions, outer end to outer end
+    line = [*range(len(first) - 1, -1, -1), *range(len(first), len(surviving))]
     return BlownDownGraph(
         self_intersections=tuple(selfints[v] for v in surviving),
-        edges=tuple(sorted((remap[i], remap[j])
-                           for i in surviving for j in nbrs[i] if i < j)),
-        surviving=surviving,
-    )
+        edges=tuple(sorted((min(e), max(e)) for e in zip(line, line[1:]))),
+        surviving=surviving)

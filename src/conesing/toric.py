@@ -255,40 +255,40 @@ class ComparisonReport(Record):
                "vertex_ok")
 
     def __init__(self, checks: List[dict], violations: List[dict],
-                 vertex_expected: Optional[Fraction], vertex_actual: Fraction,
-                 vertex_ok: Optional[bool]):
+                 vertex_expected: Fraction, vertex_actual: Fraction,
+                 vertex_ok: bool):
         self.__dict__.update(checks=checks, violations=violations,
                              vertex_expected=vertex_expected,
                              vertex_actual=vertex_actual, vertex_ok=vertex_ok)
 
     def to_json(self) -> dict:
-        expected = self.vertex_expected
         return {"checks": self.checks, "violations": self.violations,
-                "vertex_expected": None if expected is None else fmt_q(expected),
+                "vertex_expected": fmt_q(self.vertex_expected),
                 "vertex_actual": fmt_q(self.vertex_actual),
                 "vertex_ok": self.vertex_ok}
 
 
-def _vertex_ratio(F: Fan, D: Divisor) -> Optional[Fraction]:
-    """-lambda when the pair canonical class is lambda times the divisor
-    class; None when the two are not proportional."""
+def _vertex_ratio(F: Fan, D: Divisor) -> Fraction:
+    """-lambda where the pair canonical class is lambda times the divisor
+    class.  Times q_rho these are cone_of_x's equations at -(lambda, m),
+    so the ratio exists when the lifted cone is Q-Gorenstein."""
     # unknowns: lambda, m_1..m_n; equations: lambda c_rho + <m, v_rho> =
     # b_rho - 1 = -1/q_rho
     status, sol = solve([[c, *v] for v, c in zip(F.rays, D)],
                         [Fraction(-1, c.denominator) for c in D])
-    if status == "none":
-        return None
     if status != "unique":
-        raise InternalInvariantError("ample divisor class cannot be degenerate")
+        raise InternalInvariantError("pair canonical class is not a "
+                                     "unique multiple of the divisor class")
     return -sol[0]
 
 
 def verify_comparison(F: Fan, D: Divisor,
                       samples: Sequence[Sequence[int]]) -> ComparisonReport:
     """Check a_cone(lifted v) = weil(v) * a_base(v) at every ray and
-    every nonzero integer sample, plus the central degree-ratio identity
-    when the pair canonical class is proportional to the divisor.  Each
-    vector gives one row, the JSON object toric-check prints."""
+    every nonzero integer sample, plus the central degree-ratio identity,
+    which pins the lift's scaling.  A lifted cone without a Q-Gorenstein
+    form is refused, so the ratio exists.  Each vector gives one row,
+    the JSON object toric-check prints."""
     _, qgform = cone_of_x(F, D)
     if qgform is None:
         raise PreconditionError("comparison needs a Q-Gorenstein lifted cone")
@@ -325,10 +325,10 @@ def verify_comparison(F: Fan, D: Divisor,
     e_last = tuple(0 for _ in range(F.rank)) + (1,)
     vertex_actual = log_discrepancy_x(qgform, e_last)
     vertex_expected = _vertex_ratio(F, D)
-    vertex_ok = None if vertex_expected is None else vertex_actual == vertex_expected
     return ComparisonReport(checks=checks, violations=violations,
                             vertex_expected=vertex_expected,
-                            vertex_actual=vertex_actual, vertex_ok=vertex_ok)
+                            vertex_actual=vertex_actual,
+                            vertex_ok=vertex_actual == vertex_expected)
 
 
 # ---------------------------------------------------------------------------

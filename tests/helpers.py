@@ -717,10 +717,16 @@ def evaluation_kernel_dims(C, gen_bound, rel_bound):
 # dense star-graph oracles
 # ---------------------------------------------------------------------------
 
+def self_intersections(G):
+    """Self-intersections of a star graph in its vertex order: the
+    central curve, then each chain from the central side outward."""
+    return (G.central_self_int, *(e for chain in G.chains for e in chain))
+
+
 def intersection_matrix(G):
     """The dense intersection matrix of a star graph."""
     from conesing.resolution import star_edges
-    selfints = G.self_intersections()
+    selfints = self_intersections(G)
     m = [[0] * len(selfints) for _ in selfints]
     for i, e in enumerate(selfints):
         m[i][i] = e
@@ -732,7 +738,7 @@ def intersection_matrix(G):
 def discrepancies(G):
     """Unique solution of M d = k, k_j = -E_j^2 - 2, solved densely;
     independent of the chain elimination in build_graph."""
-    selfints = G.self_intersections()
+    selfints = self_intersections(G)
     rhs = [Fraction(-e - 2) for e in selfints]
     status, x = solve(intersection_matrix(G), rhs)
     if status != "unique":
@@ -748,8 +754,7 @@ def fraction_star_graph(C):
     on the blown-down graph, or 2 when the graph blows down to nothing.
     The oracle of the integer numerators of build_graph."""
     from conesing.divisors import _fraction_sum, _klt_boundary_degree
-    from conesing.resolution import (_chain_continuants, blow_down,
-                                     hj_chain, star_edges)
+    from conesing.resolution import _chain_continuants, blow_down, hj_chain
 
     _klt_boundary_degree(C)
     deg = C.degree()
@@ -777,8 +782,7 @@ def fraction_star_graph(C):
         assert cur == 0
     assert min(disc) > -1
     raw = 1 + min(disc)
-    bd = blow_down((-int(b0), *(e for chain in chains for e in chain)),
-                   star_edges(chains))
+    bd = blow_down(-int(b0), chains)
     if bd.empty:
         assert raw == 2
         mld = Fraction(2)
@@ -812,7 +816,7 @@ def edge_scan_blow_down(G):
     every edge for the neighbours at each step: the quadratic oracle of
     resolution.blow_down."""
     from conesing.resolution import BlownDownGraph, star_edges
-    selfints = list(G.self_intersections())
+    selfints = list(self_intersections(G))
     mult = {e: 1 for e in star_edges(G.chains)}
     alive = set(range(len(selfints)))
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from math import floor
 
@@ -453,8 +454,8 @@ def test_audit_checks_the_mld_against_the_resolution_oracle(monkeypatch):
 def test_audit_checks_the_mld_of_blown_down_entries_against_the_oracle(
         monkeypatch):
     # where the centre is a (-1)-curve, the oracle and the rebuilt entry
-    # share one blow-down; a wrong oracle mld there must still show, and
-    # only there
+    # each blow down their own graph; a wrong oracle mld there must show,
+    # and only there
     params = SearchParams(epsilon=F(1, 2), isotropy_bound=6)
     docs = stored(enumerate_catalog(params))
 
@@ -480,8 +481,8 @@ def mutated_members(monkeypatch, mutate):
     def member_of(fracs):
         member = build(fracs)
 
-        def mutated(degree, G):
-            mld, entry = member(degree, G)
+        def mutated(degree):
+            mld, entry = member(degree)
             return mld, mutate(entry)
         return mutated
 
@@ -536,7 +537,7 @@ def test_audit_checks_the_embedding_dimension_of_a_cyclic_quotient(
         monkeypatch):
     # an entry with at most two fractional points is a cyclic quotient,
     # whose continued fraction gives the embedding dimension; three
-    # points keep the blow-down that the entry shares
+    # points have no independent oracle of it
     params = SearchParams(epsilon=F(1, 2), isotropy_bound=6)
 
     def mutate(e):
@@ -551,22 +552,24 @@ def test_audit_checks_the_embedding_dimension_of_a_cyclic_quotient(
         "quotient" for d in cyclic]
 
 
-def test_audit_blows_down_each_entry_at_most_once(monkeypatch):
+def test_audit_blows_down_each_entry_at_most_twice(monkeypatch):
     params = SearchParams(epsilon=F(1, 2), isotropy_bound=6)
     docs = stored(enumerate_catalog(params))
     original = resolution.blow_down
-    calls = []
+    calls = Counter()
 
-    def counting(self_intersections, edges):
-        calls.append((tuple(self_intersections), tuple(edges)))
-        return original(self_intersections, edges)
+    def counting(center, chains):
+        calls[center, chains] += 1
+        return original(center, chains)
 
     monkeypatch.setattr(resolution, "blow_down", counting)
     monkeypatch.setattr(catalog, "blow_down", counting)
     assert audit_catalog(docs, params)["ok"]
-    # the oracle and the rebuilt entry share each blow-down: no graph
-    # is blown down twice
-    assert len(set(calls)) == len(calls) <= len(docs)
+    # the oracle and the rebuilt entry each blow down their own graph:
+    # at most two blow-downs per entry, and two where the centre is a
+    # (-1)-curve
+    assert len(calls) <= len(docs) and set(calls.values()) == {1, 2}
+    assert all(n == 2 for (center, _), n in calls.items() if center == -1)
 
 
 def test_audit_accepts_entries_with_their_keys_in_another_order():

@@ -233,6 +233,23 @@ def test_toric_check_cli(tmp_path):
     assert doc["vertex_actual"] == "3"
 
 
+def test_toric_check_refuses_a_lift_without_a_qgorenstein_form(tmp_path,
+                                                               capsys):
+    # the quadric surface with a divisor that is not proportional to the
+    # anticanonical class: no covector takes value 1 on the lifted rays
+    from conesing import cli
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"rank": 2,
+                               "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                               "cones": [[0, 1], [1, 2], [2, 3], [0, 3]]}))
+    div = tmp_path / "div.json"
+    div.write_text(json.dumps(["1", "2", "3", "4"]))
+    assert cli.main(["toric-check", "--fan", str(fan),
+                     "--divisor", str(div)]) == 3
+    assert capsys.readouterr() == ("", "precondition violated: comparison "
+                                   "needs a Q-Gorenstein lifted cone\n")
+
+
 def test_verify_examples_small():
     res = run_cli("verify-examples", "--an-n", "6", "--an-box", "12",
                   "--rnc-max", "6")

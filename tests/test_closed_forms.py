@@ -4,7 +4,7 @@ Each per-couple number with a closed form keeps an independent oracle
 here: the upward scan and the Fraction form for the index m and the
 decomposition, Bareiss on the dense star matrix for the link
 determinant, the dense solve and the Fraction elimination for the
-discrepancies, the edge scan for the blow-down, h0 (built on
+discrepancies, the edge scan for the line blow-down, h0 (built on
 floor_multiple) for the integer Hilbert values and the Hilbert series,
 and the generator scan for Artin's embedding dimension.  Couples are
 drawn by Hypothesis under the `repro` profile.
@@ -114,10 +114,10 @@ def test_integer_chain_elimination_loses_definiteness_with_fractions(cs):
 
 
 @given(st.integers(0, 10**6))
-def test_worklist_blow_down_matches_edge_scan(seed):
+def test_line_blow_down_matches_edge_scan(seed):
     for C in random_couples(seed, 4):
         G = build_graph(C)
-        assert blow_down(G.self_intersections(), star_edges(G.chains)) == \
+        assert blow_down(G.central_self_int, G.chains) == \
             edge_scan_blow_down(G)
 
 
@@ -126,15 +126,34 @@ def test_worklist_blow_down_matches_edge_scan(seed):
        st.sampled_from([0, 1, Fraction(1, 2), Fraction(2, 3), Fraction(5, 3)]))
 @example(q=1001, extra=0)
 @example(q=1299, extra=0)
-def test_worklist_blow_down_matches_edge_scan_on_long_chains(q, extra):
+def test_line_blow_down_matches_edge_scan_on_long_chains(q, extra):
     # (1/q)[0] resolves to a chain of q - 1 (-2)-curves; with extra = 0
     # the center is -1 and the whole star contracts one curve at a time
     C = CurveCouple.of({finite_point(0): Fraction(1, q),
                         finite_point(1): extra})
     G = build_graph(C)
     assert len(G.chains[0]) >= 1000
-    assert blow_down(G.self_intersections(), star_edges(G.chains)) == \
-        edge_scan_blow_down(G)
+    assert blow_down(G.central_self_int, G.chains) == edge_scan_blow_down(G)
+
+
+@given(klt_couples())
+@example(CurveCouple.of({POSITIONS[0]: Fraction(3, 7),
+                         POSITIONS[1]: Fraction(4, 5), POSITIONS[2]: -1}))
+def test_a_minus_one_centre_meets_at_most_two_chains(C):
+    # the premise of the line walk: chain curves are (-2)-curves or
+    # below, and b0 = 1 with three points would need sum p_i/q_i > 2
+    G = build_graph(C)
+    assert all(e <= -2 for chain in G.chains for e in chain)
+    assert G.central_self_int != -1 or len(G.chains) <= 2
+
+
+@pytest.mark.parametrize("chains,message", [
+    (((-2,), (-3,), (-5,)), "meets 3 chains"),
+    (((-2,), (-2,)), "two \\(-1\\)-curves side by side"),
+])
+def test_blow_down_refuses_what_no_klt_cone_has(chains, message):
+    with pytest.raises(InternalInvariantError, match=message):
+        blow_down(-1, chains)
 
 
 @given(klt_couples())

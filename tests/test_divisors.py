@@ -10,6 +10,7 @@ from conesing.divisors import (CurveCouple, MarkedPoint, assign_coordinates,
                                finite_point, floor_multiple, infinity_point,
                                label_point, max_isotropy, normal_form)
 from conesing.errors import PreconditionError
+from conesing.jsonio import terms_to_json
 from helpers import (coeff, divisor, divisor_degree, integral_terms,
                      merged_terms, plus, support)
 
@@ -102,6 +103,21 @@ def test_normal_form_examples():
     a = normal_form(CurveCouple.of({P0: F(1, 2), PINF: F(1, 2)}))
     b = normal_form(CurveCouple.of({P0: F(1, 2), P1: F(1, 2)}))
     assert a == b
+
+
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(2, 6)),
+                min_size=1, max_size=3))
+def test_normal_form_fractional_parts_need_no_tie_break(pqs):
+    # reduced fractions of equal value are equal, so the old tie-break
+    # by (denominator, numerator) of the stored coefficient decides nothing
+    points = (P0, P1, finite_point(2))
+    items = [(p, F(a, q)) for p, (a, q) in zip(points, pqs)]
+    terms = CurveCouple.of(items + [(PINF, 30)]).terms
+    _, (fracs, _) = normal_form(CurveCouple(terms))
+    tied = sorted(((c - floor(c), c.denominator, c.numerator)
+                   for _, c in terms if c.denominator > 1),
+                  key=lambda t: (-t[0], t[1], t[2]))
+    assert fracs == tuple(f for f, _, _ in tied)
 
 
 def test_normal_form_idempotent_and_shift_invariant():
@@ -257,3 +273,12 @@ def test_floor_multiple_floors_pointwise_and_drops_zeros(items, n):
     C = CurveCouple.of(items)
     assert floor_multiple(C, n) == integral_terms(
         {p: floor(n * c) for p, c in C.terms})
+
+
+def test_terms_to_json_keeps_ints_and_writes_fractions_as_strings():
+    terms = ((finite_point(0), Fraction(1, 2)), (finite_point(1), 3),
+             (infinity_point(), Fraction(-2)))
+    assert terms_to_json(terms) == [
+        {"point": {"t": "fin", "x": "0"}, "coeff": "1/2"},
+        {"point": {"t": "fin", "x": "1"}, "coeff": 3},
+        {"point": {"t": "inf"}, "coeff": "-2"}]

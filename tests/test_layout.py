@@ -17,7 +17,10 @@ ConesingError, a family under it that sets its own stderr label and
 exit code, or a subclass that some except clause in src/ names.  Every
 Record subclass has a method or property besides __init__, or an
 __init__ that can raise: a record that only holds its fields wraps a
-tuple that its readers could be handed.
+tuple that its readers could be handed.  catalog builds its entries
+from its own integers, so it never names the star-graph oracle
+(build_graph, ResolutionGraph) or reads its blown_down or
+central_self_int.
 """
 
 import ast
@@ -407,3 +410,31 @@ def test_layout_scan_flags_a_handler_that_writes(tmp_path, monkeypatch):
         fh.write("\nfrom .cli import _emit\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert output_writers() == ["cli_checks", "cli_couple"]
+
+
+def catalog_reads_of_the_oracle():
+    """The names of the star-graph oracle that catalog refers to: the
+    oracle's builder and class by any name, its graph's fields as
+    attributes (an entry's own "blown_down" variable is not a read)."""
+    tree = ast.parse((SRC / "catalog.py").read_text(encoding="utf-8"))
+    named = references(tree) & {"build_graph", "ResolutionGraph"}
+    read = references(tree, names=False) & {"blown_down", "central_self_int"}
+    return sorted(named | read)
+
+
+def test_catalog_does_not_borrow_the_oracle_graph():
+    # audit holds the catalog's entries against build_graph's graph, so
+    # the entries must not be read off that graph
+    assert catalog_reads_of_the_oracle() == []
+
+
+def test_layout_scan_flags_a_member_that_reads_the_oracle_graph(tmp_path,
+                                                               monkeypatch):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    with open(tmp_path / "catalog.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef member_of(graph):\n"
+                 "    return graph.blown_down.embedding_dimension\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert catalog_reads_of_the_oracle() == ["blown_down"]

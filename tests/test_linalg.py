@@ -1,15 +1,16 @@
 """The fraction-free RowSpan, nullspace, solve and rank against their
 Fraction oracles in helpers, as properties over random integer and
 rational matrices with zero rows, repeated rows, negative entries and
-rank deficiency."""
+rank deficiency; and det_int against cofactor expansion on small square
+integer matrices, singular ones and ones with a zero pivot included."""
 
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conesing.linalg import RowSpan, nullspace, rank, solve
+from conesing.linalg import RowSpan, det_int, nullspace, rank, solve
 from helpers import FractionRowSpan, fraction_nullspace, fraction_solve, rref
 
 INTS = st.integers(-6, 6)
@@ -127,3 +128,45 @@ def test_nullspace_examples():
     assert nullspace([[Fraction(1, 2), Fraction(1, 3), 0]]) == [[-2, 3, 0],
                                                                [0, 0, 1]]
     assert nullspace([[1, 1], [1, -1]]) == []
+
+
+def laplace_det(m):
+    """Determinant by cofactor expansion along the first row; 1 for the
+    empty matrix."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j]
+               * laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer matrices of size 1..5 with entries in [-3, 3], some with a
+    zero at (0, 0), a repeated row or a zero column."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["any", "zero_corner", "repeated_row",
+                                 "zero_column"]))
+    if kind == "zero_corner":
+        m[0][0] = 0
+    elif kind == "repeated_row" and n > 1:
+        m[-1] = list(m[draw(st.integers(0, n - 2))])
+    elif kind == "zero_column":
+        column = draw(st.integers(0, n - 1))
+        for row in m:
+            row[column] = 0
+    return m
+
+
+@given(square_matrices())
+@example([[0, 1], [1, 0]])              # a row swap
+@example([[0, 2, 1], [0, 1, 3], [0, -1, 2]])    # no pivot in column 0
+@example([[1, 2], [2, 4]])              # singular after one step
+def test_det_int_matches_cofactor_expansion(m):
+    assert det_int(m) == laplace_det(m)
+
+
+def test_det_int_of_the_empty_matrix_is_one():
+    assert det_int([]) == 1

@@ -165,8 +165,25 @@ def test_verify_comparison_seeded_instances():
         samples = random_primitive_samples(seed=1000 + i, rank=F.rank, count=8)
         report = verify_comparison(F, D, samples)
         assert not report.violations, label
-        if report.vertex_ok is not None:
-            assert report.vertex_ok, label
+        assert report.vertex_ok, label
+
+
+def test_vertex_ratio_is_the_last_coordinate_of_the_qgorenstein_form():
+    # times q_rho, the ratio's equations are cone_of_x's at -(lambda, m):
+    # the ratio exists exactly when the lifted cone has a Q-Gorenstein
+    # form, and is its last coordinate
+    kinds = set()
+    for label, F, D in random_instances(seed=17, count=300,
+                                        require_qgorenstein=False):
+        _, qform = cone_of_x(F, D)
+        kinds.add(qform is None)
+        if qform is None:
+            with pytest.raises(InternalInvariantError,
+                               match="not a unique multiple"):
+                toric._vertex_ratio(F, D)
+        else:
+            assert toric._vertex_ratio(F, D) == qform[-1], label
+    assert kinds == {False, True}
 
 
 def test_weil_divides_cartier_on_samples():
